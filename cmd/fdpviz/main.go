@@ -19,6 +19,7 @@ import (
 	"fdp/internal/obs"
 	"fdp/internal/oracle"
 	"fdp/internal/sim"
+	"fdp/internal/trace"
 )
 
 func main() {
@@ -52,14 +53,14 @@ func main() {
 
 	write("pg-initial.dot", s.World.PG().DOT("initial"))
 
-	var rec *sim.Recorder
+	var flight *trace.Flight
 	if *mscLines > 0 {
-		rec = sim.NewRecorder(*mscLines).Only(sim.EvTimeout, sim.EvSend, sim.EvDeliver, sim.EvExit, sim.EvSleep, sim.EvWake)
-		rec.Attach(s.World)
+		flight = trace.NewFlight(*mscLines)
+		s.World.AddEventHook(flight.Record)
 	}
 
-	// The hook fan-out lets the registry ride alongside the MSC recorder:
-	// the same run yields both the event chart and the metric series.
+	// The hook fan-out lets the registry ride alongside the MSC ring: the
+	// same run yields both the event chart and the metric series.
 	reg := obs.NewRegistry()
 	obs.InstrumentWorld(s.World, reg)
 
@@ -77,8 +78,15 @@ func main() {
 
 	write("pg-final.dot", s.World.PG().DOT("final"))
 
-	if rec != nil {
-		write("run.msc", sim.MSC(rec.Events(), s.Nodes))
+	if flight != nil {
+		// The chart shows what processes did; bounced sends are left out.
+		var evs []sim.Event
+		for _, e := range flight.Events() {
+			if e.Kind != sim.EvDrop {
+				evs = append(evs, e)
+			}
+		}
+		write("run.msc", sim.MSC(evs, s.Nodes))
 	}
 
 	series := &metrics.Series{Name: "phi"}

@@ -31,10 +31,10 @@ import (
 
 	"fdp/internal/churn"
 	"fdp/internal/core"
+	"fdp/internal/diffval"
 	"fdp/internal/framework"
 	"fdp/internal/obs"
 	"fdp/internal/oracle"
-	"fdp/internal/parallel"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -231,36 +231,47 @@ func (c *Config) variant() (core.Variant, sim.Variant) {
 	return core.VariantFDP, sim.FDP
 }
 
-// Simulate runs the departure protocol of Section 3 on the configured
-// scenario and reports the outcome.
-func Simulate(cfg Config) (Report, error) {
-	if cfg.N < 1 {
-		return Report{}, fmt.Errorf("%w: N = %d", ErrBadConfig, cfg.N)
+// scenario validates cfg and returns the scenario description both Simulate
+// and SimulateParallel build their initial state from, plus the legitimacy
+// variant the run is judged by. The scenario's Oracle is the configured one
+// (nil for FSP), wrapped to count calls when the run is observed.
+func (c *Config) scenario() (churn.Config, sim.Variant, error) {
+	if c.N < 1 {
+		return churn.Config{}, 0, fmt.Errorf("%w: N = %d", ErrBadConfig, c.N)
 	}
-	if cfg.LeaveFraction < 0 || cfg.LeaveFraction > 1 {
-		return Report{}, fmt.Errorf("%w: LeaveFraction = %v", ErrBadConfig, cfg.LeaveFraction)
+	if c.LeaveFraction < 0 || c.LeaveFraction > 1 {
+		return churn.Config{}, 0, fmt.Errorf("%w: LeaveFraction = %v", ErrBadConfig, c.LeaveFraction)
 	}
-	coreVariant, simVariant := cfg.variant()
+	coreVariant, simVariant := c.variant()
 	var orc sim.Oracle
-	if cfg.Variant == FDP {
-		orc = cfg.oracle()
-		if cfg.Observe != nil {
-			orc = obs.CountOracle(orc, cfg.Observe)
+	if c.Variant == FDP {
+		orc = c.oracle()
+		if c.Observe != nil {
+			orc = obs.CountOracle(orc, c.Observe)
 		}
 	}
-	churnCfg := churn.Config{
-		N:             cfg.N,
-		Topology:      churn.Topology(cfg.Topology),
-		LeaveFraction: cfg.LeaveFraction,
-		Pattern:       churn.LeavePattern(cfg.Pattern),
+	return churn.Config{
+		N:             c.N,
+		Topology:      churn.Topology(c.Topology),
+		LeaveFraction: c.LeaveFraction,
+		Pattern:       churn.LeavePattern(c.Pattern),
 		Corrupt: churn.Corruption{
-			FlipBeliefs:   cfg.CorruptBeliefs,
-			RandomAnchors: cfg.CorruptAnchors,
-			JunkMessages:  cfg.JunkMessages,
+			FlipBeliefs:   c.CorruptBeliefs,
+			RandomAnchors: c.CorruptAnchors,
+			JunkMessages:  c.JunkMessages,
 		},
 		Variant: coreVariant,
 		Oracle:  orc,
-		Seed:    cfg.Seed,
+		Seed:    c.Seed,
+	}, simVariant, nil
+}
+
+// Simulate runs the departure protocol of Section 3 on the configured
+// scenario and reports the outcome.
+func Simulate(cfg Config) (Report, error) {
+	churnCfg, simVariant, err := cfg.scenario()
+	if err != nil {
+		return Report{}, err
 	}
 	s := churn.Build(churnCfg)
 	if cfg.Observe != nil {
@@ -411,44 +422,30 @@ func (c *OverlayConfig) variantPair() (core.Variant, sim.Variant) {
 	return core.VariantFDP, sim.FDP
 }
 
-// SimulateParallel runs the same scenario as Simulate on the concurrent
-// goroutine-per-process runtime, until legitimacy or the wall-clock timeout.
-// Only LeaveFraction, N, Variant and Seed of cfg are honoured (topology is
-// random — the runtime exists for cross-validation and throughput, not for
-// scenario sweeps).
+// SimulateParallel runs the same scenario as Simulate — same topology,
+// leave pattern, corruption and seed, built by the same churn.Build and
+// transplanted onto the concurrent runtime — until legitimacy or the
+// wall-clock timeout. Scheduler, MaxSteps, CheckSafety and Stop have no
+// meaning on the runtime and are ignored.
 func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
-	if cfg.N < 1 {
-		return Report{}, fmt.Errorf("%w: N = %d", ErrBadConfig, cfg.N)
+	churnCfg, simVariant, err := cfg.scenario()
+	if err != nil {
+		return Report{}, err
 	}
-	coreVariant, simVariant := cfg.variant()
-	var orc parallel.Oracle
-	if cfg.Variant == FDP {
-		orc = cfg.oracle()
-		if cfg.Observe != nil {
-			orc = obs.CountOracle(orc, cfg.Observe)
-		}
-	}
-	rt, _ := buildParallelWorld(cfg.N, cfg.LeaveFraction, cfg.Seed, coreVariant, orc)
+	rt := diffval.MirrorWorld(churn.Build(churnCfg).World, churnCfg.Oracle)
 	if cfg.Observe != nil {
 		obs.InstrumentRuntime(rt, cfg.Observe)
 	}
 	var jw *trace.Writer
 	if cfg.Journal != nil {
-		// Provenance header only: the runtime builds its own random
-		// topology, and its journals are diff-able but not replayable.
+		// The header names the scenario the run was built from; runtime
+		// journals are diff-able but not replayable (no scheduler to re-drive).
 		jw = trace.NewWriter(cfg.Journal, trace.Header{
-			Version: trace.Version,
-			Engine:  trace.EngineRuntime,
-			Scenario: trace.ScenarioFor(churn.Config{
-				N:             cfg.N,
-				Topology:      churn.TopoRandom,
-				LeaveFraction: cfg.LeaveFraction,
-				Variant:       coreVariant,
-				Oracle:        orc,
-				Seed:          cfg.Seed,
-			}, ""),
+			Version:  trace.Version,
+			Engine:   trace.EngineRuntime,
+			Scenario: trace.ScenarioFor(churnCfg, ""),
 		})
-		rt.SetEventSink(jw.Record)
+		rt.AddEventHook(jw.Record)
 	}
 	ok := rt.RunUntil(func(w *sim.World) bool {
 		return w.Legitimate(simVariant)

@@ -10,7 +10,6 @@ import (
 	"fdp/internal/analysis/guardpurity"
 	"fdp/internal/analysis/lockgraph"
 	"fdp/internal/analysis/lockorder"
-	"fdp/internal/analysis/obslock"
 	"fdp/internal/analysis/primdecomp"
 	"fdp/internal/analysis/refopacity"
 )
@@ -23,7 +22,6 @@ func Analyzers() []*analysis.Analyzer {
 		guardpurity.Analyzer,
 		lockorder.Analyzer,
 		lockgraph.Analyzer,
-		obslock.Analyzer,
 		primdecomp.Analyzer,
 		atomicdiscipline.Analyzer,
 	}

@@ -70,3 +70,93 @@ func renderLocked(r *Ring) {
 }
 
 var _ = renderLocked
+
+// Registry mirrors obs.Registry and the journal writers: a //fdp:lockleaf
+// registration mutex taken briefly with a deferred release, next to a
+// second lock used only in separate phases. The shapes below are the
+// nested-acquisition cases internal/obs and internal/trace must never
+// regress into, stated against the leaf declaration.
+type Registry struct {
+	mu       sync.Mutex //fdp:lockleaf
+	renderMu sync.RWMutex
+	metrics  map[string]int
+}
+
+// lookup is the conforming leaf shape: one lock, deferred release.
+func (r *Registry) lookup(name string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.metrics[name]
+}
+
+// render takes the second lock's read side.
+func (r *Registry) render() int {
+	r.renderMu.RLock()
+	defer r.renderMu.RUnlock()
+	return len(r.metrics)
+}
+
+// twoPhases is not nesting: the leaf is released before the second lock
+// is taken.
+func (r *Registry) twoPhases(name string) int {
+	r.mu.Lock()
+	v := r.metrics[name]
+	r.mu.Unlock()
+	r.renderMu.RLock()
+	v++
+	r.renderMu.RUnlock()
+	return v
+}
+
+// compose calls acquirers with nothing held: the intended composition.
+func (r *Registry) compose() int { return r.render() + r.lookup("x") }
+
+// hooks registers a literal under the leaf; the literal takes its locks
+// when it later runs, so this is not nesting either.
+func (r *Registry) hooks() func() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return func() int { return r.render() }
+}
+
+// reentrant re-acquires the leaf it still holds through the deferred
+// release: a self-deadlock.
+func (r *Registry) reentrant() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mu.Lock() // want "acquiring lockdep.Registry.mu while holding lockdep.Registry.mu violates its //fdp:lockleaf declaration"
+	r.mu.Unlock()
+}
+
+// transitiveNesting reaches the second lock's read side through a method
+// call while the deferred release keeps the leaf held.
+func (r *Registry) transitiveNesting() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.render() // want "acquiring lockdep.Registry.renderMu while holding lockdep.Registry.mu violates its //fdp:lockleaf declaration"
+}
+
+// lookupTwice re-enters the leaf through a method of the same receiver —
+// the journal writer's record-then-flush-under-the-lock regression.
+func (r *Registry) lookupTwice(name string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookup(name) // want "acquiring lockdep.Registry.mu while holding lockdep.Registry.mu violates its //fdp:lockleaf declaration"
+}
+
+// snapshot is the conforming flight-ring read: copy out under the ring
+// leaf, render (which locks) after release.
+func (r *Ring) snapshot(reg *Registry) int {
+	r.mu.Lock()
+	n := len(r.buf)
+	r.mu.Unlock()
+	return n + reg.render()
+}
+
+// snapshotLocked renders through a method on another object inside the
+// ring's critical section: the shape Flight.Snapshot must never regress to.
+func (r *Ring) snapshotLocked(reg *Registry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf) + reg.render() // want "acquiring lockdep.Registry.renderMu while holding lockdep.Ring.mu violates its //fdp:lockleaf declaration"
+}

@@ -78,9 +78,11 @@ func copyModule(t *testing.T, src, dst string) {
 }
 
 // TestSeededMutationsAreDetected copies the module, seeds one violation per
-// new analyzer — an unannotated reference move reached through a helper, a
-// mixed plain/atomic access, and a lock-order cycle — and asserts each is
-// detected with a path-bearing diagnostic in a single whole-program run.
+// whole-program analyzer — an unannotated reference move reached through a
+// helper, a mixed plain/atomic access, a lock-order cycle — plus a nested
+// acquisition under the registry's leaf mutex, which only lockgraph's
+// //fdp:lockleaf check can catch, and asserts each is detected with a
+// path-bearing diagnostic in a single whole-program run.
 func TestSeededMutationsAreDetected(t *testing.T) {
 	dst := t.TempDir()
 	copyModule(t, repoRoot(t), dst)
@@ -142,6 +144,18 @@ func mutBA() {
 var _ = mutAB
 var _ = mutBA
 `)
+	// Mutation 4: a registry method that registers a counter (which takes
+	// Registry.mu) while already holding Registry.mu.
+	write("internal/obs/zz_mutation_leaf.go", `package obs
+
+func (r *Registry) mutNested(name string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.Counter(name, "")
+}
+
+var _ = (*Registry).mutNested
+`)
 
 	res, err := program.Run(program.Options{Dir: dst}, all.Analyzers())
 	if err != nil {
@@ -177,8 +191,9 @@ var _ = mutBA
 	find("primdecomp", "MutateBad", "calls mutateHelper", "stores a reference into p.n")
 	find("atomicdiscipline", "plain access to mutCount", "sync/atomic at")
 	find("lockgraph", "lock cycle", "parallel.mutMuA", "via")
+	find("lockgraph", "while holding obs.Registry.mu violates its //fdp:lockleaf declaration", "mutNested", "lookupOrCreate")
 
-	// The three seeded violations must be the only findings: the copy is
+	// The four seeded violations must be the only findings: the copy is
 	// otherwise the lint-clean tree.
 	for _, d := range res.Diags {
 		switch d.Analyzer {

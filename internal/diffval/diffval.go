@@ -67,9 +67,6 @@ type Config struct {
 	// fired wave recorded at the step it actually struck. Replaying that
 	// journal byte-identically reproduces the sequential side of the verdict.
 	Journal io.Writer
-	// TraceK is how many recent events each engine retains for the
-	// dump-on-disagreement diagnostics (0 = 64, negative = disabled).
-	TraceK int
 	// StallSteps enables the sequential liveness watchdog: every StallSteps
 	// executed steps, a window with remaining leavers and no settles is
 	// classified (livelock / starvation / quiescent, see obs.StallKind) and
@@ -78,9 +75,11 @@ type Config struct {
 	// StallWindow is the concurrent watchdog's wall-clock window, checked
 	// from the legitimacy-polling loop. 0 disables.
 	StallWindow time.Duration
-	// FlightK bounds each engine's flight-recorder ring (0 =
-	// trace.DefaultFlightCap). A ring that never wraps yields a snapshot
-	// that is a complete, replayable prefix of the run.
+	// FlightK bounds each engine's always-on flight-recorder ring (0 =
+	// trace.DefaultFlightCap), the one ring behind both the
+	// dump-on-disagreement diagnostics and the stall reports. A ring that
+	// never wraps yields a snapshot that is a complete, replayable prefix
+	// of the run.
 	FlightK int
 }
 
@@ -107,16 +106,6 @@ func (c Config) scheduler(seed int64) (sim.Scheduler, string) {
 		panic(fmt.Sprintf("diffval: %v", err))
 	}
 	return sched, c.Scheduler
-}
-
-func (c Config) traceK() int {
-	if c.TraceK < 0 {
-		return 0
-	}
-	if c.TraceK == 0 {
-		return 64
-	}
-	return c.TraceK
 }
 
 // Outcome classifies one engine's terminal state.
@@ -182,7 +171,7 @@ type Verdict struct {
 	SequentialStall *StallReport
 	ConcurrentStall *StallReport
 
-	// SequentialTrace and ConcurrentTrace hold the last-K trace events of
+	// SequentialTrace and ConcurrentTrace hold the last FlightK events of
 	// each engine (sim.FormatEvents rendering), filled in ONLY when the
 	// verdicts disagree — the post-mortem a bare "engines diverged on seed
 	// 17" never gave. Empty on agreement.
@@ -260,14 +249,15 @@ func Run(cfg Config, seed int64) Verdict {
 	if scn.Variant == core.VariantFSP {
 		variant = sim.FSP
 	}
-	seqOut, seqTrace, seqStall := runSequential(cfg, scn, variant, maxSteps, seed)
-	concOut, concTrace, concStall := runConcurrent(cfg, scn, variant, timeout, poll, seed)
+	seqOut, seqFlight, seqStall := runSequential(cfg, scn, variant, maxSteps, seed)
+	concOut, concFlight, concStall := runConcurrent(cfg, scn, variant, timeout, poll, seed)
 	v := Verdict{Seed: seed, Sequential: seqOut, Concurrent: concOut,
 		SequentialStall: seqStall, ConcurrentStall: concStall}
 	if !v.Agree() {
-		// Keep the dumps only on divergence: a Verdict slice over 50+ seeds
+		// Render the dumps only on divergence: a Verdict slice over 50+ seeds
 		// stays small, and the traces point straight at the diverging run.
-		v.SequentialTrace, v.ConcurrentTrace = seqTrace, concTrace
+		v.SequentialTrace = sim.FormatEvents(seqFlight.Events())
+		v.ConcurrentTrace = sim.FormatEvents(concFlight.Events())
 	}
 	return v
 }
@@ -311,17 +301,17 @@ func Disagreements(vs []Verdict) []Verdict {
 	return out
 }
 
-func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps int, seed int64) (Outcome, string, *StallReport) {
+// runSequential and runConcurrent each return their engine's flight ring
+// beside the outcome: the stall watchdog snapshots it mid-run, Run renders
+// it when the verdicts disagree.
+func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps int, seed int64) (Outcome, *trace.Flight, *StallReport) {
 	s := churn.Build(scn)
 	leavers := s.LeavingNodes()
 	sched, schedName := cfg.scheduler(seed)
 	opts := sim.RunOptions{Variant: variant, CheckSafety: true}
 
-	var rec *sim.Recorder
-	if k := cfg.traceK(); k > 0 {
-		rec = sim.NewRecorder(k)
-		rec.Attach(s.World)
-	}
+	flight := trace.NewFlight(cfg.FlightK)
+	s.World.AddEventHook(flight.Record)
 	var recs []trace.Record
 	if cfg.Journal != nil {
 		s.World.AddEventHook(func(e sim.Event) { recs = append(recs, trace.FromEvent(e)) })
@@ -332,8 +322,6 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 	fired := make([]trace.StrikeSpec, 0, len(waves))
 	if cfg.StallSteps > 0 {
 		prog := obs.NewProgress(nil, "", leavers)
-		flight := trace.NewFlight(cfg.FlightK)
-		s.World.AddEventHook(flight.Record)
 		s.World.AddEventHook(prog.NoteEvent)
 		s.World.SetOracleHook(prog.NoteOracle)
 		wd := obs.NewStepWatchdog(prog, cfg.StallSteps)
@@ -394,30 +382,20 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 	if !out.Converged && stall != nil {
 		out.Stall = stall.Verdict.Kind.String()
 	}
-	dump := ""
-	if rec != nil {
-		dump = rec.Dump()
-	}
-	return out, dump, stall
+	return out, flight, stall
 }
 
-func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, poll time.Duration, seed int64) (Outcome, string, *StallReport) {
+func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, poll time.Duration, seed int64) (Outcome, *trace.Flight, *StallReport) {
 	s := churn.Build(scn)
 	leavers := s.LeavingNodes()
 	rt := MirrorWorld(s.World, scn.Oracle)
-	if k := cfg.traceK(); k > 0 {
-		rt.EnableTrace(k)
-	}
+	flight := trace.NewFlight(cfg.FlightK)
+	rt.AddEventHook(flight.Record)
 	var stall *StallReport
 	var wd *obs.Watchdog
-	var flight *trace.Flight
 	if cfg.StallWindow > 0 {
 		prog := obs.NewProgress(nil, "", leavers)
-		flight = trace.NewFlight(cfg.FlightK)
-		rt.SetEventSink(func(e sim.Event) {
-			flight.Record(e)
-			prog.NoteEvent(e)
-		})
+		rt.AddEventHook(prog.NoteEvent)
 		rt.SetOracleHook(prog.NoteOracle)
 		wd = obs.NewWatchdog(prog, cfg.StallWindow)
 	}
@@ -479,7 +457,7 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 	if !out.Converged && stall != nil {
 		out.Stall = stall.Verdict.Kind.String()
 	}
-	return out, sim.FormatEvents(rt.TraceEvents()), stall
+	return out, flight, stall
 }
 
 // leaverNames renders the leaver set as journal proc names — the seeds a

@@ -24,18 +24,16 @@ func TestEventKindParity(t *testing.T) {
 		Variant: core.VariantFDP, Oracle: oracle.Single{}, Seed: 11,
 	}
 
-	// Sequential engine: record every event (capacity above any plausible
-	// event count for this scenario size).
+	// Sequential engine: count every event per kind from a plain hook.
 	seq := churn.Build(scn)
-	rec := sim.NewRecorder(1 << 20)
-	rec.Attach(seq.World)
+	seqCounts := make(map[sim.EventKind]int)
+	seq.World.AddEventHook(func(e sim.Event) { seqCounts[e.Kind]++ })
 	res := sim.Run(seq.World, sim.NewRandomScheduler(11, 256), sim.RunOptions{
 		Variant: sim.FDP, MaxSteps: 400000, CheckSafety: true,
 	})
 	if !res.Converged {
 		t.Fatalf("sequential run did not converge: %+v", res)
 	}
-	seqCounts := rec.CountByKind()
 
 	// Concurrent engine, same scenario build.
 	conc := churn.Build(scn)
@@ -74,25 +72,27 @@ func TestEventKindParity(t *testing.T) {
 }
 
 // TestTracesFilledOnDisagreementPlumbing drives both engine runners
-// directly and pins that each produces a non-empty last-K dump — the
-// material Run copies into the Verdict when verdicts diverge — and that an
-// agreeing Run leaves the Verdict traces empty.
+// directly and pins that each flight ring renders a non-empty last-K dump
+// — the material Run puts into the Verdict when verdicts diverge — and
+// that an agreeing Run leaves the Verdict traces empty.
 func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	cfg := fdpConfig()
 	scn := cfg.Scenario
 	scn.Seed = 3
 
-	seqOut, seqTrace, _ := runSequential(cfg, scn, sim.FDP, 400000, 3)
+	seqOut, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 400000, 3)
 	if !seqOut.Converged {
 		t.Fatalf("sequential runner did not converge: %+v", seqOut)
 	}
+	seqTrace := sim.FormatEvents(seqFlight.Events())
 	if seqTrace == "" || !strings.Contains(seqTrace, "exit") {
 		t.Fatalf("sequential trace missing exit events:\n%s", seqTrace)
 	}
-	concOut, concTrace, _ := runConcurrent(cfg, scn, sim.FDP, 30*time.Second, time.Millisecond, 3)
+	concOut, concFlight, _ := runConcurrent(cfg, scn, sim.FDP, 30*time.Second, time.Millisecond, 3)
 	if !concOut.Converged {
 		t.Fatalf("concurrent runner did not converge: %+v", concOut)
 	}
+	concTrace := sim.FormatEvents(concFlight.Events())
 	if concTrace == "" || !strings.Contains(concTrace, "exit") {
 		t.Fatalf("concurrent trace missing exit events:\n%s", concTrace)
 	}

@@ -8,12 +8,12 @@ import (
 	"fdp/internal/baseline"
 	"fdp/internal/churn"
 	"fdp/internal/core"
+	"fdp/internal/diffval"
 	"fdp/internal/framework"
 	"fdp/internal/graph"
 	"fdp/internal/metrics"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
-	"fdp/internal/parallel"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -248,7 +248,7 @@ func baselineJunkViolates(n int, seed int64, maxSteps int) bool {
 	g := graph.Line(nodes)
 	w := sim.NewWorld(oracle.NIDEC{})
 	procs := make(map[ref.Ref]*baseline.Proc, n)
-	rng := newRand(seed)
+	rng := rand.New(rand.NewSource(seed))
 	leaving := ref.NewSet()
 	for _, i := range rng.Perm(n)[:int(0.3*float64(n))] {
 		leaving.Add(nodes[i])
@@ -405,7 +405,9 @@ func E11Parallel(s Scale) Result {
 	tb := metrics.NewTable("E11: goroutine-per-process runs (50% leaving, random topology)",
 		"n", "converged", "exits ok", "events executed", "events/sec")
 	for _, n := range s.Sizes {
-		rt, leavingCount := buildParallel(n, int64(n), oracle.Single{})
+		scn := churn.Build(benchScenario(n, int64(n)))
+		leavingCount := len(scn.LeavingNodes())
+		rt := diffval.MirrorWorld(scn.World, scn.Config.Oracle)
 		start := time.Now()
 		ok := rt.RunUntil(func(w *sim.World) bool {
 			return w.Legitimate(sim.FDP)
@@ -424,36 +426,4 @@ func E11Parallel(s Scale) Result {
 	res.Tables = append(res.Tables, tb)
 	res.note("throughput is events (atomic actions) per wall-clock second across all cores")
 	return res
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func buildParallel(n int, seed int64, orc parallel.Oracle) (*parallel.Runtime, int) {
-	space := ref.NewSpace()
-	nodes := space.NewN(n)
-	rngGraph := graph.RandomConnected(nodes, n/2, newRand(seed))
-	leaving := ref.NewSet()
-	perm := newRand(seed + 1).Perm(n)
-	for _, i := range perm[:n/2] {
-		leaving.Add(nodes[i])
-	}
-	rt := parallel.NewRuntime(orc)
-	procs := make(map[ref.Ref]*core.Proc, n)
-	for _, r := range nodes {
-		p := core.New(core.VariantFDP)
-		procs[r] = p
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		rt.AddProcess(r, mode, p)
-	}
-	for _, e := range rngGraph.Edges() {
-		mode := sim.Staying
-		if leaving.Has(e.To) {
-			mode = sim.Leaving
-		}
-		procs[e.From].SetNeighbor(e.To, mode)
-	}
-	return rt, leaving.Len()
 }

@@ -90,12 +90,14 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 	})
 }
 
-// InstrumentRuntime wires the concurrent runtime into reg: an event sink
-// feeding the same per-kind counters and depth histogram the sequential
-// bridge writes (engine="runtime"), a wall-clock time-to-exit histogram,
-// and collector gauges over the runtime's always-on atomic counters. Call
-// before Runtime.Start. The sink runs on the emitting goroutines and
-// touches only atomics.
+// InstrumentRuntime wires the concurrent runtime into reg: an event hook
+// (attached through the runtime's hook fan-out, so a journal writer or
+// flight ring installed beside it keeps receiving events) feeding the same
+// per-kind counters and depth histogram the sequential bridge writes
+// (engine="runtime"), a wall-clock time-to-exit histogram, and collector
+// gauges over the runtime's always-on atomic counters. Call before
+// Runtime.Start. The hook runs on the emitting goroutines and touches only
+// atomics.
 func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	kinds := kindCounters(reg, "runtime")
 	depth := reg.Histogram(MetricMailboxDepth,
@@ -104,7 +106,7 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	timeToExit := reg.Histogram(MetricTimeToExitSeconds,
 		"wall-clock seconds from Start to each committed exit",
 		ExitSecondsBuckets())
-	rt.SetEventSink(func(e sim.Event) {
+	rt.AddEventHook(func(e sim.Event) {
 		if int(e.Kind) < sim.NumEventKinds {
 			kinds[e.Kind].Inc()
 		}

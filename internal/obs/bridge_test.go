@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,11 +77,11 @@ func TestInstrumentWorldServesDuringRun(t *testing.T) {
 }
 
 // TestInstrumentWorldFanOut pins that instrumenting a world does not
-// displace an already-attached recorder (the hook fan-out contract).
+// displace an already-attached hook (the hook fan-out contract).
 func TestInstrumentWorldFanOut(t *testing.T) {
 	s := churnScenario(5)
-	rec := sim.NewRecorder(1 << 16)
-	rec.Attach(s.World)
+	var hooked [sim.NumEventKinds]uint64
+	s.World.AddEventHook(func(e sim.Event) { hooked[e.Kind]++ })
 	reg := NewRegistry()
 	InstrumentWorld(s.World, reg)
 
@@ -90,15 +91,15 @@ func TestInstrumentWorldFanOut(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("run did not converge: %+v", res)
 	}
-	if rec.Total() == 0 {
-		t.Fatal("recorder saw no events after InstrumentWorld was added")
+	if hooked[sim.EvSend] == 0 {
+		t.Fatal("earlier hook saw no events after InstrumentWorld was added")
 	}
 	sends := reg.Counter(eventSeries("sim", sim.EvSend), "").Value()
 	if sends == 0 {
 		t.Fatal("registry saw no send events")
 	}
-	if got := rec.CountByKind()[sim.EvExit]; uint64(got) != reg.Counter(eventSeries("sim", sim.EvExit), "").Value() {
-		t.Fatalf("recorder and registry disagree on exits: %d vs %d",
+	if got := hooked[sim.EvExit]; got != reg.Counter(eventSeries("sim", sim.EvExit), "").Value() {
+		t.Fatalf("hook and registry disagree on exits: %d vs %d",
 			got, reg.Counter(eventSeries("sim", sim.EvExit), "").Value())
 	}
 }
@@ -107,6 +108,14 @@ func TestInstrumentRuntime(t *testing.T) {
 	s := churnScenario(7)
 	leavers := len(s.LeavingNodes())
 	rt := mirror(s.World, oracle.Single{})
+	// A hook attached first must survive instrumentation: the runtime fans
+	// out like the world does.
+	var hookedExits atomic.Uint64
+	rt.AddEventHook(func(e sim.Event) {
+		if e.Kind == sim.EvExit {
+			hookedExits.Add(1)
+		}
+	})
 	reg := NewRegistry()
 	InstrumentRuntime(rt, reg)
 
@@ -121,6 +130,9 @@ func TestInstrumentRuntime(t *testing.T) {
 	exits := reg.Counter(eventSeries("runtime", sim.EvExit), "").Value()
 	if exits != uint64(leavers) {
 		t.Fatalf("runtime exit counter = %d, want %d", exits, leavers)
+	}
+	if got := hookedExits.Load(); got != exits {
+		t.Fatalf("earlier hook saw %d exits, registry %d", got, exits)
 	}
 	tte := reg.Histogram(MetricTimeToExitSeconds, "", nil)
 	if tte.Count() != uint64(leavers) {

@@ -224,9 +224,8 @@ func (p *Progress) Remaining() int {
 	return n
 }
 
-// NoteEvent is the engine event hook: install with World.AddEventHook or
-// Runtime.SetEventSink (or call from a fan-out that also feeds a journal
-// writer). Zero-alloc; safe for concurrent use.
+// NoteEvent is the engine event hook: install with AddEventHook on either
+// engine. Zero-alloc; safe for concurrent use.
 func (p *Progress) NoteEvent(e sim.Event) {
 	switch e.Kind {
 	case sim.EvTimeout:

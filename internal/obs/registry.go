@@ -3,16 +3,16 @@
 // histograms, a Prometheus-style text exposition of everything registered,
 // and bridges that feed the registry from the sequential simulator's event
 // stream (InstrumentWorld) and from the concurrent runtime's counters and
-// event sink (InstrumentRuntime).
+// event hooks (InstrumentRuntime).
 //
 // Design constraints, in order:
 //
 //   - The hot path is lock-free and zero-alloc. Counter.Inc, Gauge.Set and
 //     Histogram.Observe touch only atomics on pre-allocated state; the
 //     registry mutex is taken at registration time only, never while a
-//     metric is updated. The obslock analyzer (DESIGN.md §9) statically
-//     enforces that no method of this package acquires a lock while
-//     holding another, and TestCounterIncAllocs pins 0 allocs/op.
+//     metric is updated. The registry mutex is declared //fdp:lockleaf, so
+//     the lockgraph analyzer (DESIGN.md §14) rejects any acquisition made
+//     while holding it, and TestCounterIncAllocs pins 0 allocs/op.
 //   - Both engines share one vocabulary. The sequential simulator updates
 //     metrics from its single-threaded event hook; the concurrent runtime
 //     updates the same metric types from many goroutines at once. Every
@@ -216,7 +216,7 @@ func (g gaugeFunc) expose(w io.Writer, name string) {
 // Gauge / Histogram / GaugeFunc accessors) takes the registry mutex;
 // updating a registered metric never does.
 type Registry struct {
-	mu      sync.Mutex
+	mu      sync.Mutex //fdp:lockleaf
 	metrics map[string]metric
 	help    map[string]string // base name -> HELP text
 }

@@ -81,7 +81,8 @@ func TestBatchDrainUnderConcurrentEnqueue(t *testing.T) {
 // a shard handoff, and the runtime still converges.
 func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
 	rt, _, leaving := buildShardedRuntime(24, 0.4, 17, core.VariantFDP, oracle.Single{}, 3)
-	rt.EnableTrace(1 << 17)
+	log := &eventLog{}
+	rt.AddEventHook(log.record)
 	rt.Start()
 
 	stop := make(chan struct{})
@@ -111,7 +112,7 @@ func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
 		t.Fatalf("runtime settled %d of %d leavers under rebalance pressure", rt.Gone(), leaving.Len())
 	}
 
-	final := rt.TraceEvents()
+	final := log.snapshot()
 	var total uint64
 	for _, n := range rt.EventKindCounts() {
 		total += n

@@ -8,103 +8,76 @@ import (
 	"fdp/internal/sim"
 )
 
-// This file is the runtime's port of the simulator's sim.Event/Recorder
-// model (DESIGN.md §10): the same event kinds the sequential engine emits,
-// recorded concurrently without a global trace lock.
+// This file is the runtime's side of the one observer plane both engines
+// share (DESIGN.md §10): the same sim.Event kinds the sequential engine
+// emits, handed to the same hook-shaped consumers (obs bridge, progress
+// tracker, trace.Flight, journal writer), with no global trace lock.
 //
 //   - Per-kind counts are always on: one atomic counter per EventKind,
 //     maintained by every action. They are what the differential
 //     event-parity test compares between engines.
-//   - Per-process ring buffers (EnableTrace) keep the last-K events of each
-//     process. Each ring is written only by the owning shard's worker while
-//     it holds the shard's action read lock (or by the coordinator under a
-//     full pause, for batched exit events) and is read only under a full
-//     pause, so the action locks order every write before every read with
-//     no extra locking on the hot path.
-//   - An optional event sink (SetEventSink) receives every event
-//     synchronously from the emitting goroutine; it must be safe for
-//     concurrent use (the obs bridge feeds atomic registry metrics).
+//   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
+//     every event synchronously from the emitting goroutine — a shard
+//     worker under its action read lock, or the coordinator under a full
+//     pause for batched exit events. Hooks therefore run concurrently with
+//     each other and must be safe for concurrent use. The runtime keeps no
+//     ring of its own: a consumer that wants the last K events installs
+//     trace.Flight.Record.
 //
 // Event.Step on runtime events is the global executed-action count at
 // emission time — the closest concurrent analogue of the simulator's step
-// counter, good enough to order a dump for post-mortem reading.
+// counter: non-decreasing per process, good enough to order a dump for
+// post-mortem reading.
 
-// evRing is a bounded per-process event ring. Single writer (the owning
-// shard's worker under the action read lock, or the coordinator under a
-// full pause); readers pause the world, which excludes all writers.
-type evRing struct {
-	buf   []sim.Event
-	next  int
-	total uint64
-}
-
-func (r *evRing) record(e sim.Event) {
-	if cap(r.buf) == 0 {
+// AddEventHook attaches one more synchronous observer; every installed hook
+// receives every emitted event, in attach order. fn runs on the emitting
+// goroutine and MUST be safe for concurrent use (obs registry metrics,
+// trace.Flight and the journal writers are). nil is ignored. Must be called
+// before Start.
+func (rt *Runtime) AddEventHook(fn func(sim.Event)) {
+	if fn == nil {
 		return
 	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % len(r.buf)
-	}
-	r.total++
+	rt.hooks = append(rt.hooks, fn)
 }
 
-func (r *evRing) events() []sim.Event {
-	out := make([]sim.Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+// SetEventSink replaces ALL installed hooks with fn (nil clears). Use
+// AddEventHook to attach a consumer without displacing the ones already
+// installed. Must be called before Start.
+func (rt *Runtime) SetEventSink(fn func(sim.Event)) {
+	rt.hooks = nil
+	rt.AddEventHook(fn)
 }
-
-// EnableTrace turns on per-process event rings keeping the most recent
-// perProc events of each process (perProc <= 0 selects 256). Must be
-// called after all AddProcess calls and before Start.
-func (rt *Runtime) EnableTrace(perProc int) {
-	if perProc <= 0 {
-		perProc = 256
-	}
-	rt.traceCap = perProc
-	for _, p := range rt.byPid {
-		p.ring = &evRing{buf: make([]sim.Event, 0, perProc)}
-	}
-}
-
-// SetEventSink installs fn as a synchronous observer of every emitted
-// event. fn runs on the emitting goroutine and MUST be safe for concurrent
-// use (obs registry metrics are). Must be called before Start; nil clears.
-func (rt *Runtime) SetEventSink(fn func(sim.Event)) { rt.eventSink = fn }
 
 // SetOracleHook installs fn as an observer of every exit-validation
 // verdict (granted or denied), from both the frozen-snapshot epoch path
 // and the incremental-degree fast path. fn runs on the coordinator
-// goroutine and must be safe for concurrent use with the event sink (the
+// goroutine and must be safe for concurrent use with the event hooks (the
 // liveness watchdog's hook only touches atomics). Must be called before
 // Start; nil clears.
 func (rt *Runtime) SetOracleHook(fn func(ref.Ref, bool)) { rt.oracleHook = fn }
 
-// record is the runtime's emit: per-kind counter, owner ring, sink. The
-// caller must hold the owning shard's action read lock or a full pause (see
-// the evRing contract above).
+// record is the runtime's emit: per-kind counter, then the hook fan-out.
+// With no hook installed it is one counter add and one length check. The
+// caller must hold the owning shard's action read lock or a full pause.
 func (p *proc) record(e sim.Event) {
 	rt := p.rt
 	if int(e.Kind) < len(rt.kindCounts) {
 		rt.kindCounts[e.Kind].Add(1)
 	}
-	if p.ring != nil {
-		e.Step = int(rt.events.Load())
-		p.ring.record(e)
+	if len(rt.hooks) == 0 {
+		return
 	}
-	if rt.eventSink != nil {
-		rt.eventSink(e)
+	e.Step = int(rt.events.Load())
+	for _, fn := range rt.hooks {
+		fn(e)
 	}
 }
 
 // EventKindCounts returns the number of events emitted so far per kind.
-// The counts are always maintained (no EnableTrace needed) and are the
-// series the differential event-parity test compares against the
-// sequential engine's recorder.
+// The counts are always maintained (no hook needed) and are the series the
+// differential event-parity test compares against the sequential engine's
+// event stream.
 func (rt *Runtime) EventKindCounts() map[sim.EventKind]uint64 {
 	out := make(map[sim.EventKind]uint64, sim.NumEventKinds)
 	for k := range rt.kindCounts {
@@ -112,23 +85,6 @@ func (rt *Runtime) EventKindCounts() map[sim.EventKind]uint64 {
 			out[sim.EventKind(k)] = n
 		}
 	}
-	return out
-}
-
-// TraceEvents returns the retained events of every process, merged and
-// ordered by the global action count at emission (ties keep per-process
-// order). Empty unless EnableTrace was called. Safe to call while running
-// and after Stop.
-func (rt *Runtime) TraceEvents() []sim.Event {
-	rt.pauseAll()
-	defer rt.resumeAll()
-	var out []sim.Event
-	for _, r := range rt.order {
-		if ring := rt.procs[r].ring; ring != nil {
-			out = append(out, ring.events()...)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Step < out[j].Step })
 	return out
 }
 

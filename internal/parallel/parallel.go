@@ -109,11 +109,6 @@ type proc struct {
 	clock  uint64
 	curCID uint64
 
-	// ring is the per-process trace ring (nil unless EnableTrace). Written
-	// only by the owning worker under the action read lock (or under a full
-	// pause for the exit event); read under a full pause.
-	ring *evRing
-
 	// oracleOK caches the coordinator's last oracle evaluation for this
 	// process. Reads are cheap and may be stale; exits are re-validated on a
 	// sealed snapshot (or the incremental degree counters) before
@@ -186,8 +181,9 @@ type Runtime struct {
 	// kindCounts mirrors the sequential engine's per-kind event stream as
 	// always-on atomic counters (see events.go).
 	kindCounts [sim.NumEventKinds]atomic.Uint64
-	traceCap   int             // per-proc ring capacity set by EnableTrace
-	eventSink  func(sim.Event) // optional synchronous observer (obs bridge)
+	// hooks are the synchronous event observers (AddEventHook), written
+	// only before Start and read-only afterwards.
+	hooks []func(sim.Event)
 	// oracleHook, when set, observes every exit-validation verdict — the
 	// grant/denial stream the liveness watchdog classifies stalls from.
 	// Called from the coordinator's epoch (both the frozen-world and the
@@ -251,9 +247,6 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 		panic("parallel: duplicate process")
 	}
 	p := &proc{id: r, pid: uint32(len(rt.byPid)), mode: mode, proto: proto, rt: rt}
-	if rt.traceCap > 0 {
-		p.ring = &evRing{buf: make([]sim.Event, 0, rt.traceCap)}
-	}
 	sh := rt.shards[int(p.pid)%len(rt.shards)]
 	p.shard.Store(uint32(sh.idx))
 	sh.pids = append(sh.pids, p.pid)

@@ -7,18 +7,41 @@ import (
 
 	"fdp/internal/core"
 	"fdp/internal/oracle"
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
 
-// TestTraceCausalIDsConcurrentReads hammers TraceEvents from several
-// goroutines while actions fire, under -race: every observed snapshot must
-// be internally consistent — no duplicated causal IDs — and the final
-// trace must account for every emitted event (per-kind counters) with
-// unique, in-range CIDs. The ring capacity is large enough that nothing is
-// evicted, so a missing CID would mean a dropped event.
+// eventLog is the tests' event consumer: a locked slice attached through
+// AddEventHook (package parallel cannot import trace.Flight: trace →
+// faults → parallel). It keeps everything, so a missing CID means a
+// dropped event.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []sim.Event
+}
+
+func (l *eventLog) record(e sim.Event) {
+	l.mu.Lock()
+	l.evs = append(l.evs, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) snapshot() []sim.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]sim.Event(nil), l.evs...)
+}
+
+// TestTraceCausalIDsConcurrentReads hammers a hook-fed event log from
+// several goroutines while actions fire, under -race: every observed
+// snapshot must be internally consistent — no duplicated causal IDs — and
+// the final log must account for every emitted event (per-kind counters)
+// with unique, in-range CIDs and per-process non-decreasing Step stamps.
 func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 	rt, _, leaving := buildRuntime(24, 0.4, 11, core.VariantFDP, oracle.Single{})
-	rt.EnableTrace(1 << 17)
+	log := &eventLog{}
+	rt.AddEventHook(nil) // ignored, like World.AddEventHook(nil)
+	rt.AddEventHook(log.record)
 	rt.Start()
 
 	stop := make(chan struct{})
@@ -33,7 +56,7 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				evs := rt.TraceEvents()
+				evs := log.snapshot()
 				seen := make(map[uint64]bool, len(evs))
 				for _, e := range evs {
 					if e.CID == 0 {
@@ -61,7 +84,7 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 		t.Fatalf("runtime settled %d of %d leavers", rt.Gone(), leaving.Len())
 	}
 
-	final := rt.TraceEvents()
+	final := log.snapshot()
 	var total uint64
 	for _, n := range rt.EventKindCounts() {
 		total += n
@@ -71,6 +94,7 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 	}
 	high := rt.CausalIDs()
 	seen := make(map[uint64]bool, len(final))
+	lastStep := make(map[ref.Ref]int)
 	for _, e := range final {
 		if e.CID == 0 || e.CID > high {
 			t.Fatalf("event CID %d out of range (0, %d]", e.CID, high)
@@ -79,8 +103,32 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 			t.Fatalf("duplicated causal ID %d in final trace", e.CID)
 		}
 		seen[e.CID] = true
+		if e.Step < lastStep[e.Proc] {
+			t.Fatalf("Step went backwards on %v: %d after %d", e.Proc, e.Step, lastStep[e.Proc])
+		}
+		lastStep[e.Proc] = e.Step
 		if e.Kind == sim.EvDeliver && e.MsgID == 0 {
 			t.Fatalf("delivery without message identity: %+v", e)
 		}
+	}
+}
+
+// SetEventSink keeps World.SetEventHook's replace-all contract (the frozen
+// benchmark installs its fan-out through it): after it, earlier hooks are
+// gone by request, and nil clears the list.
+func TestSetEventSinkReplacesAllHooks(t *testing.T) {
+	rt, _, _ := buildRuntime(2, 0, 1, core.VariantFDP, nil)
+	var added, sunk int
+	rt.AddEventHook(func(sim.Event) { added++ })
+	rt.SetEventSink(func(sim.Event) { sunk++ })
+	p := rt.byPid[0]
+	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+	if added != 0 || sunk != 1 {
+		t.Fatalf("after SetEventSink: displaced hook saw %d events, sink saw %d; want 0 and 1", added, sunk)
+	}
+	rt.SetEventSink(nil)
+	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+	if sunk != 1 || rt.KindCount(sim.EvTimeout) != 2 {
+		t.Fatalf("after SetEventSink(nil): sink saw %d events, counter %d; want 1 and 2", sunk, rt.KindCount(sim.EvTimeout))
 	}
 }

@@ -5,79 +5,9 @@ import (
 	"strings"
 )
 
-// Recorder is a bounded ring buffer of trace events, attachable to a world
-// via SetEventHook. It keeps the most recent Cap events, which is the right
-// tool for post-mortem inspection of non-converging runs.
-type Recorder struct {
-	cap    int
-	events []Event
-	start  int
-	total  uint64
-	filter map[EventKind]bool // nil = record everything
-}
-
-// NewRecorder returns a recorder keeping the most recent cap events
-// (cap <= 0 selects 4096).
-func NewRecorder(cap int) *Recorder {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &Recorder{cap: cap}
-}
-
-// Only restricts recording to the given event kinds. Calling it with no
-// kinds means "record everything": it clears any filter instead of
-// installing an empty one (an earlier revision installed the empty non-nil
-// map, which silently dropped every event).
-func (r *Recorder) Only(kinds ...EventKind) *Recorder {
-	if len(kinds) == 0 {
-		r.filter = nil
-		return r
-	}
-	r.filter = make(map[EventKind]bool, len(kinds))
-	for _, k := range kinds {
-		r.filter[k] = true
-	}
-	return r
-}
-
-// Attach installs the recorder on w alongside any hooks already installed:
-// it goes through the world's hook fan-out, so attaching a recorder no
-// longer silently replaces a consumer installed via SetEventHook (or an
-// earlier Attach).
-func (r *Recorder) Attach(w *World) { w.AddEventHook(r.Record) }
-
-// Record stores one event; usable directly as an event hook.
-func (r *Recorder) Record(e Event) {
-	if r.filter != nil && !r.filter[e.Kind] {
-		return
-	}
-	r.total++
-	if len(r.events) < r.cap {
-		r.events = append(r.events, e)
-		return
-	}
-	r.events[r.start] = e
-	r.start = (r.start + 1) % r.cap
-}
-
-// Total returns how many events were recorded (including evicted ones).
-func (r *Recorder) Total() uint64 { return r.total }
-
-// Events returns the retained events, oldest first.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
-}
-
-// Dump renders the retained events, one per line.
-func (r *Recorder) Dump() string { return FormatEvents(r.Events()) }
-
-// FormatEvents renders events one per line, the format Dump uses. It is
-// shared with the concurrent runtime's trace (internal/diffval dumps both
-// engines' last-K events in this format on any verdict disagreement).
+// FormatEvents renders events one per line. Both engines emit the same
+// Event, so one format serves both: internal/diffval dumps each engine's
+// last-K events (its trace.Flight ring) in it on any verdict disagreement.
 func FormatEvents(events []Event) string {
 	var b strings.Builder
 	for _, e := range events {
@@ -107,13 +37,4 @@ func FormatEvents(events []Event) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// CountByKind tallies retained events per kind.
-func (r *Recorder) CountByKind() map[EventKind]int {
-	out := make(map[EventKind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
 }

@@ -7,59 +7,24 @@ import (
 	"fdp/internal/ref"
 )
 
-func TestRecorderRingBuffer(t *testing.T) {
-	r := NewRecorder(3)
-	space := ref.NewSpace()
-	p := space.New()
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Step: i, Kind: EvSend, Proc: p})
+// recorder is the tests' hook consumer: it keeps every event the world
+// emits (the world is single-threaded, so a plain slice is enough).
+type recorder struct{ events []Event }
+
+func (r *recorder) record(e Event) { r.events = append(r.events, e) }
+
+func (r *recorder) countByKind() map[EventKind]int {
+	out := make(map[EventKind]int)
+	for _, e := range r.events {
+		out[e.Kind]++
 	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d, want 3", len(evs))
-	}
-	if evs[0].Step != 2 || evs[2].Step != 4 {
-		t.Fatalf("ring order wrong: %v", evs)
-	}
+	return out
 }
 
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(10).Only(EvExit)
-	p := ref.NewSpace().New()
-	r.Record(Event{Kind: EvSend, Proc: p})
-	r.Record(Event{Kind: EvExit, Proc: p})
-	if r.Total() != 1 || len(r.Events()) != 1 || r.Events()[0].Kind != EvExit {
-		t.Fatal("filter broken")
-	}
-}
-
-// Regression: Only() with zero kinds used to install an empty non-nil
-// filter map, silently dropping every event. It must mean "record
-// everything" — both on a fresh recorder and as a way to clear a filter.
-func TestRecorderOnlyZeroKindsRecordsEverything(t *testing.T) {
-	p := ref.NewSpace().New()
-	r := NewRecorder(10).Only()
-	r.Record(Event{Kind: EvSend, Proc: p})
-	r.Record(Event{Kind: EvExit, Proc: p})
-	if r.Total() != 2 {
-		t.Fatalf("zero-kind Only dropped events: Total = %d, want 2", r.Total())
-	}
-	// Clearing an existing filter.
-	r2 := NewRecorder(10).Only(EvExit)
-	r2.Record(Event{Kind: EvSend, Proc: p})
-	r2.Only()
-	r2.Record(Event{Kind: EvSend, Proc: p})
-	if r2.Total() != 1 {
-		t.Fatalf("Only() did not clear the filter: Total = %d, want 1", r2.Total())
-	}
-}
-
-// Regression: Attach used to overwrite the world's single event hook, so
-// the second of two attached consumers silently starved the first. With the
-// hook fan-out every attached recorder sees every event.
+// Regression: attaching a consumer used to overwrite the world's single
+// event hook, so the second of two consumers silently starved the first.
+// With the hook fan-out every attached consumer sees every event, and a
+// nil hook is ignored.
 func TestRecorderAttachTwoConsumers(t *testing.T) {
 	space := ref.NewSpace()
 	a, b := space.New(), space.New()
@@ -68,31 +33,27 @@ func TestRecorderAttachTwoConsumers(t *testing.T) {
 	w.AddProcess(a, Staying, fa)
 	w.AddProcess(b, Staying, newFixture())
 
-	all := NewRecorder(100)
-	all.Attach(w)
-	exitsOnly := NewRecorder(100).Only(EvExit)
-	exitsOnly.Attach(w)
-	var hooked int
-	w.AddEventHook(func(Event) { hooked++ })
+	first, second := &recorder{}, &recorder{}
+	w.AddEventHook(first.record)
+	w.AddEventHook(nil)
+	w.AddEventHook(second.record)
 
 	fa.onTimeout = func(ctx Context, f *fixtureProto) { ctx.Send(b, NewMessage("x")) }
 	w.Execute(Action{Proc: a, IsTimeout: true})
 	w.Execute(Action{Proc: b, MsgIndex: 0})
 
-	if all.Total() == 0 {
-		t.Fatal("first recorder starved after second Attach")
+	if len(first.events) == 0 {
+		t.Fatal("first consumer starved after a second AddEventHook")
 	}
-	if uint64(hooked) != all.Total() {
-		t.Fatalf("plain hook saw %d events, recorder saw %d", hooked, all.Total())
-	}
-	if exitsOnly.Total() != 0 {
-		t.Fatal("filtered recorder recorded non-exit events")
+	if len(second.events) != len(first.events) {
+		t.Fatalf("second consumer saw %d events, first saw %d", len(second.events), len(first.events))
 	}
 	// SetEventHook keeps its replace-all contract: after it, previous
 	// consumers are gone by request, not by accident.
+	seen := len(first.events)
 	w.SetEventHook(nil)
 	w.Execute(Action{Proc: a, IsTimeout: true})
-	if uint64(hooked) != all.Total() {
+	if len(first.events) != seen || len(second.events) != seen {
 		t.Fatal("SetEventHook(nil) did not clear the hook list symmetrically")
 	}
 }
@@ -104,16 +65,16 @@ func TestRecorderAttachAndDump(t *testing.T) {
 	fa, fb := newFixture(), newFixture()
 	w.AddProcess(a, Staying, fa)
 	w.AddProcess(b, Staying, fb)
-	rec := NewRecorder(100)
-	rec.Attach(w)
+	rec := &recorder{}
+	w.AddEventHook(rec.record)
 	fa.onTimeout = func(ctx Context, f *fixtureProto) { ctx.Send(b, NewMessage("hello")) }
 	w.Execute(Action{Proc: a, IsTimeout: true})
 	w.Execute(Action{Proc: b, MsgIndex: 0})
-	dump := rec.Dump()
+	dump := FormatEvents(rec.events)
 	if !strings.Contains(dump, "timeout") || !strings.Contains(dump, "label=hello") {
 		t.Fatalf("dump incomplete:\n%s", dump)
 	}
-	counts := rec.CountByKind()
+	counts := rec.countByKind()
 	if counts[EvTimeout] != 1 || counts[EvSend] != 1 || counts[EvDeliver] != 1 {
 		t.Fatalf("counts wrong: %v", counts)
 	}
@@ -188,12 +149,12 @@ func TestMSCRendering(t *testing.T) {
 	fa, fb := newFixture(), newFixture()
 	w.AddProcess(a, Staying, fa)
 	w.AddProcess(b, Staying, fb)
-	rec := NewRecorder(100)
-	rec.Attach(w)
+	rec := &recorder{}
+	w.AddEventHook(rec.record)
 	fa.onTimeout = func(ctx Context, f *fixtureProto) { ctx.Send(b, NewMessage("hello")) }
 	w.Execute(Action{Proc: a, IsTimeout: true})
 	w.Execute(Action{Proc: b, MsgIndex: 0})
-	msc := MSC(rec.Events(), []ref.Ref{a, b})
+	msc := MSC(rec.events, []ref.Ref{a, b})
 	if !strings.Contains(msc, "send:hello") {
 		t.Fatalf("send missing:\n%s", msc)
 	}

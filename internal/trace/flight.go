@@ -42,8 +42,8 @@ func NewFlight(capacity int) *Flight {
 }
 
 // Record appends one event, evicting the oldest when full. Hook-shaped:
-// install with World.AddEventHook or Runtime.SetEventSink. Safe for
-// concurrent use; allocation-free.
+// install with AddEventHook on either engine. Safe for concurrent use;
+// allocation-free.
 func (f *Flight) Record(e sim.Event) {
 	f.mu.Lock()
 	f.buf[f.next] = e
@@ -72,6 +72,29 @@ func (f *Flight) Total() uint64 {
 	return f.total
 }
 
+// Events returns a copy of the retained raw events, oldest first — what
+// the divergence dumps (sim.FormatEvents) and fdpviz's sequence chart
+// (sim.MSC) render from.
+func (f *Flight) Events() []sim.Event {
+	events, _ := f.events()
+	return events
+}
+
+// events copies the ring out under the mutex; complete reports that the
+// ring never wrapped.
+func (f *Flight) events() (events []sim.Event, complete bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	events = make([]sim.Event, 0, f.n)
+	if f.n == len(f.buf) && f.total > uint64(f.n) {
+		events = append(events, f.buf[f.next:]...)
+		events = append(events, f.buf[:f.next]...)
+	} else {
+		events = append(events, f.buf[:f.n]...)
+	}
+	return events, f.total == uint64(f.n)
+}
+
 // Snapshot renders the ring's contents, oldest first, as journal records.
 // complete reports that the ring never wrapped — the snapshot is the run's
 // entire event stream from step 0 and therefore satisfies the replay
@@ -79,16 +102,7 @@ func (f *Flight) Total() uint64 {
 // replay would need the evicted prefix). The events are copied out under
 // the ring mutex and rendered after it is released.
 func (f *Flight) Snapshot() (recs []Record, complete bool) {
-	f.mu.Lock()
-	events := make([]sim.Event, 0, f.n)
-	if f.n == len(f.buf) && f.total > uint64(f.n) {
-		events = append(events, f.buf[f.next:]...)
-		events = append(events, f.buf[:f.next]...)
-	} else {
-		events = append(events, f.buf[:f.n]...)
-	}
-	complete = f.total == uint64(f.n)
-	f.mu.Unlock()
+	events, complete := f.events()
 	return FromEvents(events), complete
 }
 

@@ -32,6 +32,10 @@ func TestFlightRingWrap(t *testing.T) {
 			t.Fatalf("record %d has cid %d, want %d (oldest-first eviction broken)", i, r.CID, want)
 		}
 	}
+	// Events is the raw view Snapshot renders from: same events, same order.
+	if evs := fl.Events(); len(evs) != 4 || evs[0].CID != 7 || evs[3].CID != 10 {
+		t.Fatalf("Events() = %+v, want the four events cid 7..10", evs)
+	}
 }
 
 // TestFlightUnwrapped: below capacity the snapshot is the entire stream and

@@ -12,14 +12,14 @@ import (
 
 // Writer appends a journal to an io.Writer: one JSON header line followed by
 // one JSON record line per event. Record is hook-shaped — install it with
-// World.AddEventHook (sequential) or Runtime.SetEventSink (concurrent).
+// AddEventHook on either engine.
 //
 // Locking: Writer is a leaf. It takes its own mutex (the runtime's event
-// sinks run on many goroutines at once), holds no other lock while writing,
+// hooks run on many goroutines at once), holds no other lock while writing,
 // and calls nothing that locks. Errors are sticky and reported by Err — an
 // event hook has no error return, so the driver checks once at the end.
 type Writer struct {
-	mu  sync.Mutex
+	mu  sync.Mutex //fdp:lockleaf
 	w   io.Writer
 	err error
 	n   int
@@ -70,7 +70,7 @@ func (jw *Writer) Count() int {
 // Locking: like Writer, StreamWriter is a leaf — it takes only its own
 // mutex and calls nothing that locks. Errors are sticky (Err).
 type StreamWriter struct {
-	mu  sync.Mutex
+	mu  sync.Mutex //fdp:lockleaf
 	bw  *bufio.Writer
 	s   interface{ Sync() error } // non-nil when the sink can fsync
 	err error

@@ -333,7 +333,7 @@ func TestRuntimeJournal(t *testing.T) {
 
 	var buf bytes.Buffer
 	jw := trace.NewWriter(&buf, trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: s})
-	rt.SetEventSink(jw.Record)
+	rt.AddEventHook(jw.Record)
 	rt.Start()
 	for i := 0; i < 20000 && rt.Gone() < uint64(want); i++ {
 		time.Sleep(time.Millisecond)

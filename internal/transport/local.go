@@ -21,7 +21,7 @@ import (
 // the peer already processed). Hooks are consulted on the sender's
 // goroutine; set them before traffic starts.
 type Loopback struct {
-	mu    sync.Mutex
+	mu    sync.Mutex //fdp:lockleaf
 	ports []*Port
 
 	// Drop, if set, is consulted per data frame; true bounces the frame
@@ -64,7 +64,7 @@ type Port struct {
 	id NodeID
 	h  Handler
 
-	mu     sync.Mutex
+	mu     sync.Mutex //fdp:lockleaf
 	closed bool
 }
 

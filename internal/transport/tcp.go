@@ -49,6 +49,8 @@ type TCP struct {
 	cfg TCPConfig
 	ln  net.Listener
 
+	// mu is not a leaf: link() registers a new peer's counters under it, so
+	// the acquisition graph carries TCP.mu → obs.Registry.mu (DESIGN.md §14).
 	mu    sync.Mutex
 	links map[NodeID]*link
 	conns map[net.Conn]struct{} // inbound, tracked so Close unblocks readers

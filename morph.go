@@ -2,16 +2,11 @@ package fdp
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"fdp/internal/core"
 	"fdp/internal/experiments"
 	"fdp/internal/graph"
-	"fdp/internal/parallel"
 	"fdp/internal/primitives"
 	"fdp/internal/ref"
-	"fdp/internal/sim"
 )
 
 // EdgeList describes a directed graph on the node indices 0..n-1.
@@ -110,46 +105,3 @@ func Experiments(quick bool) []ExperimentReport {
 	}
 	return out
 }
-
-// buildParallelWorld mirrors the Simulate scenario on the concurrent
-// runtime: a random connected topology with the given leave fraction.
-func buildParallelWorld(n int, leaveFraction float64, seed int64, variant core.Variant, orc parallel.Oracle) (*parallel.Runtime, int) {
-	rng := rand.New(rand.NewSource(seed))
-	//fdplint:ignore refopacity scenario construction — the harness mints the world's refs, not protocol logic
-	space := ref.NewSpace()
-	nodes := space.NewN(n)
-	g := graph.RandomConnected(nodes, n/2, rng)
-	k := int(leaveFraction * float64(n))
-	if k > n-1 {
-		k = n - 1
-	}
-	if k < 0 {
-		k = 0
-	}
-	leaving := ref.NewSet()
-	for _, i := range rng.Perm(n)[:k] {
-		leaving.Add(nodes[i])
-	}
-	rt := parallel.NewRuntime(orc)
-	procs := make(map[ref.Ref]*core.Proc, n)
-	for _, r := range nodes {
-		p := core.New(variant)
-		procs[r] = p
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		rt.AddProcess(r, mode, p)
-	}
-	for _, e := range g.Edges() {
-		mode := sim.Staying
-		if leaving.Has(e.To) {
-			mode = sim.Leaving
-		}
-		procs[e.From].SetNeighbor(e.To, mode)
-	}
-	return rt, leaving.Len()
-}
-
-// ensure time is referenced by this file's package docs users.
-var _ = time.Second
