@@ -66,6 +66,18 @@ type Proc struct {
 	anchor     ref.Ref
 	anchorMode sim.Mode
 
+	// sorted is the enumeration Refs hands out — the keys of n in ref.Sort
+	// order, then the anchor if one is stored — and sortedOK says it still
+	// matches them. On a Proc that has handed out an enumeration, n's key
+	// set and the anchor are written only by store, drop, setAnchor and
+	// clearAnchor, which clear sortedOK when (and only when) the write
+	// changes the enumeration; a belief refresh on a stored key does not.
+	// (New and CloneProtocol fill a fresh Proc, whose sortedOK is still
+	// false.) The next Refs call then builds a fresh slice, so one already
+	// handed out is never written again.
+	sorted   []ref.Ref
+	sortedOK bool
+
 	// verifyGap and sinceVerify pace the anchor re-verification of Algorithm
 	// 1 lines 9–10 with exponential backoff: the verification fires on the
 	// first eligible timeout after adopting an anchor and then with doubling
@@ -104,28 +116,70 @@ func (p *Proc) Variant() Variant { return p.variant }
 // UsesSleep reports whether the process uses the FSP variant.
 func (p *Proc) UsesSleep() bool { return p.variant == VariantFSP }
 
-// SetNeighbor stores v in u.N with the given mode belief — scenario
-// construction only (possibly deliberately invalid, for self-stabilization
-// experiments).
-//fdp:primitive init
-func (p *Proc) SetNeighbor(v ref.Ref, belief sim.Mode) {
-	if v.IsNil() {
-		return
+// store, drop, setAnchor and clearAnchor are the only writers of n's key set
+// and of the anchor once a Proc is built, so the rule that keeps Refs'
+// enumeration coherent lives here and nowhere else. They are classified once for primdecomp; each call
+// site still cites the primitive its Algorithm 1–3 line instantiates.
+
+// store puts v into u.N with the given belief, overwriting the belief when v
+// is already held (♠ fusion with the stored copy).
+//fdp:primitive fusion,init
+func (p *Proc) store(v ref.Ref, belief sim.Mode) {
+	if _, held := p.n[v]; !held {
+		p.sortedOK = false
 	}
 	p.n[v] = belief
 }
 
-// RemoveNeighbor removes v from u.N — scenario construction only.
-//fdp:primitive init
-func (p *Proc) RemoveNeighbor(v ref.Ref) { delete(p.n, v) }
+// drop removes v from u.N if it is held. In the protocol a deletion is only
+// ever half of a primitive: the caller has put v, or its own reference for v,
+// in flight in the same branch (♣ reversal, ♥ delegation).
+//fdp:primitive reversal,delegation,init
+func (p *Proc) drop(v ref.Ref) {
+	if _, held := p.n[v]; held {
+		delete(p.n, v)
+		p.sortedOK = false
+	}
+}
 
-// SetAnchor sets the anchor variable — scenario construction only.
-//fdp:primitive init
-func (p *Proc) SetAnchor(v ref.Ref, belief sim.Mode) {
+// setAnchor makes v the anchor with the given belief and re-arms the
+// re-verification backoff (♠ the reference is stored).
+//fdp:primitive fusion,init
+func (p *Proc) setAnchor(v ref.Ref, belief sim.Mode) {
+	if p.anchor != v {
+		p.sortedOK = false
+	}
 	p.anchor = v
 	p.anchorMode = belief
 	p.resetVerifyPacing()
 }
+
+// clearAnchor sets the anchor to ⊥; the pacing state is left alone (it is
+// re-armed by the next setAnchor). Callers have moved the reference
+// elsewhere or learnt that it is no valid anchor.
+//fdp:primitive fusion,delegation,init
+func (p *Proc) clearAnchor() {
+	if !p.anchor.IsNil() {
+		p.anchor = ref.Nil
+		p.sortedOK = false
+	}
+}
+
+// SetNeighbor stores v in u.N with the given mode belief — scenario
+// construction only (possibly deliberately invalid, for self-stabilization
+// experiments).
+func (p *Proc) SetNeighbor(v ref.Ref, belief sim.Mode) {
+	if v.IsNil() {
+		return
+	}
+	p.store(v, belief)
+}
+
+// RemoveNeighbor removes v from u.N — scenario construction only.
+func (p *Proc) RemoveNeighbor(v ref.Ref) { p.drop(v) }
+
+// SetAnchor sets the anchor variable — scenario construction only.
+func (p *Proc) SetAnchor(v ref.Ref, belief sim.Mode) { p.setAnchor(v, belief) }
 
 // resetVerifyPacing re-arms the anchor re-verification backoff; called
 // whenever the anchor variable changes, so a fresh (or freshly corrupted)
@@ -141,12 +195,9 @@ func (p *Proc) resetVerifyPacing() {
 // contract forbids burning the last copy of a reference — re-inject the
 // returned reference as an in-flight message. The returned Ref is ref.Nil
 // when no anchor was stored.
-//fdp:primitive init
 func (p *Proc) RepointAnchor(v ref.Ref, belief sim.Mode) sim.RefInfo {
 	old := sim.RefInfo{Ref: p.anchor, Mode: p.anchorMode}
-	p.anchor = v
-	p.anchorMode = belief
-	p.resetVerifyPacing()
+	p.setAnchor(v, belief)
 	return old
 }
 
@@ -165,24 +216,37 @@ func (p *Proc) Neighbors() map[ref.Ref]sim.Mode {
 	return out
 }
 
-// NeighborRefs returns the members of u.N in deterministic order.
+// NeighborRefs returns the members of u.N in ref.Sort order. Like Refs, of
+// which it is a prefix, the slice is shared and read-only.
 func (p *Proc) NeighborRefs() []ref.Ref {
-	out := make([]ref.Ref, 0, len(p.n))
-	for r := range p.n {
-		out = append(out, r)
-	}
-	ref.Sort(out)
-	return out
+	return p.Refs()[:len(p.n):len(p.n)]
 }
 
-// Refs implements sim.Protocol: all stored references (u.N plus the
-// anchor) — the explicit edges of PG.
+// Refs implements sim.Protocol: all stored references — u.N in ref.Sort
+// order, then the anchor — the explicit edges of PG. The slice is shared
+// with every other caller until the stored references change and is never
+// modified after it was handed out; callers must not modify it either. On an
+// unchanged process the call neither allocates nor sorts.
 func (p *Proc) Refs() []ref.Ref {
-	out := p.NeighborRefs()
-	if !p.anchor.IsNil() {
-		out = append(out, p.anchor)
+	if !p.sortedOK {
+		k := len(p.n)
+		if !p.anchor.IsNil() {
+			k++
+		}
+		out := make([]ref.Ref, 0, k)
+		for r := range p.n {
+			out = append(out, r)
+		}
+		ref.Sort(out)
+		if !p.anchor.IsNil() {
+			out = append(out, p.anchor)
+		}
+		// A second enumeration of references n and anchor already store: no
+		// reference is gained, lost or moved, so PG has the same edges
+		// whether or not this store happens (fdp:primitive).
+		p.sorted, p.sortedOK = out, true
 	}
-	return out
+	return p.sorted
 }
 
 // Beliefs returns every stored reference together with the stored mode
@@ -222,7 +286,7 @@ func (p *Proc) Timeout(ctx sim.Context) {
 	// fixture). Staying processes fold their anchor into n below instead.
 	if ctx.Mode() == sim.Leaving && !p.anchor.IsNil() && p.anchorMode == sim.Leaving {
 		ctx.Send(u, present(p.anchor, p.anchorMode)) // ♦ (reference kept in flight)
-		p.anchor = ref.Nil
+		p.clearAnchor()
 	}
 
 	if ctx.Mode() == sim.Leaving {
@@ -265,8 +329,8 @@ func (p *Proc) Timeout(ctx sim.Context) {
 		// the forward handler will adopt an anchor and delegate the rest.
 		for _, v := range p.NeighborRefs() {
 			ctx.Send(u, forward(v, p.n[v])) // reference kept in flight (♦/♣)
+			p.drop(v)                       // ... and out of u.N: it travels in the message above
 		}
-		p.n = make(map[ref.Ref]sim.Mode) // ♦/♣ every reference is in flight above
 		if p.variant == VariantFSP {
 			// Sleep immediately; the just-sent self-messages wake us.
 			ctx.Sleep()
@@ -289,13 +353,13 @@ func (p *Proc) Timeout(ctx sim.Context) {
 	// reversal in the loop below within the same timeout. ♠
 	if !p.anchor.IsNil() {
 		if p.anchor != u {
-			p.n[p.anchor] = p.anchorMode
+			p.store(p.anchor, p.anchorMode) // ♠
 		}
-		p.anchor = ref.Nil
+		p.clearAnchor()
 	}
 	for _, v := range p.NeighborRefs() {
 		if p.n[v] == sim.Leaving {
-			delete(p.n, v)                       // ♣ drop the reference ...
+			p.drop(v)                            // ♣ drop the reference ...
 			ctx.Send(v, present(u, sim.Staying)) // ... and hand v our own: ♣ reversal
 			continue
 		}
@@ -328,14 +392,15 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 		return
 	}
 	// Incoming information refreshes stored knowledge about v.
-	if _, ok := p.n[v]; ok {
+	_, stored := p.n[v]
+	if stored {
 		p.n[v] = claim // ♠ belief refresh on a stored edge
 	}
 	// Lines 1–2: an anchor reported to be leaving is dropped. ♠
 	if v == p.anchor {
 		p.anchorMode = claim
 		if claim == sim.Leaving {
-			p.anchor = ref.Nil
+			p.clearAnchor()
 		}
 	}
 	if claim == sim.Leaving {
@@ -357,7 +422,7 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 		// delegates the reply to its anchor (self-discarded when the anchor
 		// is us), and its verification backoff and FSP sleep bound any
 		// repeats — so leavers still hibernate.
-		delete(p.n, v) // ♣ reversal (with the send below)
+		p.drop(v) // ♣ reversal (with the send below)
 		ctx.Send(v, forward(u, sim.Staying))
 		return
 	}
@@ -370,13 +435,11 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 			return
 		}
 		// Line 15: adopt v as anchor. ♠ (reference stored)
-		p.anchor = v
-		p.anchorMode = sim.Staying
-		p.resetVerifyPacing()
+		p.setAnchor(v, sim.Staying)
 		return
 	}
 	// Line 17: staying processes store staying references. ♠
-	p.n[v] = claim
+	p.store(v, claim)
 }
 
 // Undeliverable implements sim.UndeliverableHandler: a message u sent
@@ -396,7 +459,7 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 // the message.
 func (p *Proc) Undeliverable(ctx sim.Context, to ref.Ref, msg sim.Message) {
 	if p.anchor == to {
-		p.anchor = ref.Nil // a gone target is never a valid anchor (fdp:primitive)
+		p.clearAnchor() // a gone target is never a valid anchor
 	}
 	if msg.Label != LabelForward || len(msg.Refs) != 1 {
 		return
@@ -417,14 +480,15 @@ func (p *Proc) onForward(ctx sim.Context, ri sim.RefInfo) {
 	if v == u {
 		return
 	}
-	if _, ok := p.n[v]; ok {
+	_, stored := p.n[v]
+	if stored {
 		p.n[v] = claim // ♠ belief refresh on a stored edge
 	}
 	// Lines 1–2. ♠
 	if v == p.anchor {
 		p.anchorMode = claim
 		if claim == sim.Leaving {
-			p.anchor = ref.Nil
+			p.clearAnchor()
 		}
 	}
 	if claim == sim.Leaving {
@@ -441,7 +505,7 @@ func (p *Proc) onForward(ctx sim.Context, ri sim.RefInfo) {
 			return
 		}
 		// Lines 10–12: staying process sheds v and reverses the edge. ♣
-		delete(p.n, v)
+		p.drop(v)
 		ctx.Send(v, forward(u, sim.Staying)) // ♣
 		return
 	}
@@ -453,11 +517,9 @@ func (p *Proc) onForward(ctx sim.Context, ri sim.RefInfo) {
 			return
 		}
 		// Line 18: adopt v as anchor. ♠
-		p.anchor = v
-		p.anchorMode = sim.Staying
-		p.resetVerifyPacing()
+		p.setAnchor(v, sim.Staying)
 		return
 	}
 	// Line 20: staying processes store staying references. ♠
-	p.n[v] = claim
+	p.store(v, claim)
 }

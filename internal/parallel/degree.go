@@ -18,9 +18,10 @@ package parallel
 //
 //   - a message push adds one edge (receiver, r) per reference r it carries;
 //     a delivery removes them (in-flight references are implicit PG edges);
-//   - an action that changes its process's stored references is diffed
-//     (refs-before vs refs-after, as multisets) — only the acting process's
-//     own explicit edges can change, so the diff is local;
+//   - after every action the acting process's stored references are
+//     compared with the copy taken at its last sync (syncRefs) and, when
+//     they differ, diffed as multisets — only the acting process's own
+//     explicit edges can change, so the diff is local;
 //   - an exit commit deletes every pair involving the leaver (PG drops the
 //     node), and additions are gated on both endpoints being alive, so a
 //     stale stored reference to a gone process never re-counts.
@@ -39,6 +40,8 @@ package parallel
 // exit-commit cleanup, or reseeding.
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -110,46 +113,39 @@ func (rt *Runtime) removeMsgPairs(p *proc, msg *sim.Message) {
 	}
 }
 
-// beginRefs snapshots p's stored references before an action; syncRefs
-// diffs the snapshot against the post-action state and applies the explicit
-// edge deltas. Only the acting process's own stored references can change,
-// so the diff is local to p. The common case — an action that stored
-// nothing new — is detected by an order-preserving scan without sorting.
-func (p *proc) beginRefs() {
-	p.refsA = append(p.refsA[:0], p.proto.Refs()...)
-}
-
-func (p *proc) syncRefs() {
-	after := p.proto.Refs()
-	if len(after) == len(p.refsA) {
-		same := true
-		for i, r := range after {
-			if r != p.refsA[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+// syncRefs folds the acting process's explicit-edge changes into the ledger
+// after an action, the way sim.World.pgSyncRefs does: p.synced is the copy of
+// proto.Refs() taken at the last sync (by reseedDegrees at Start and after
+// every Mutate, here since). Protocols enumerate Refs deterministically, so
+// an action that stored nothing yields an equal slice and costs one Refs
+// call and one scan; otherwise the two multisets are sorted and merged, and
+// only the acting process's own pairs move. sh is the shard whose worker
+// runs the action; its scratch buffer holds the sorted copy of the new refs.
+func (p *proc) syncRefs(sh *shard) {
+	cur := p.proto.Refs()
+	if slices.Equal(cur, p.synced) {
+		return
 	}
-	p.refsB = append(p.refsB[:0], after...)
-	ref.Sort(p.refsA)
-	ref.Sort(p.refsB)
+	was := p.synced
+	now := append(sh.refScratch[:0], cur...)
+	sh.refScratch = now
+	ref.Sort(was)
+	ref.Sort(now)
 	i, j := 0, 0
-	for i < len(p.refsA) || j < len(p.refsB) {
+	for i < len(was) || j < len(now) {
 		switch {
-		case j >= len(p.refsB) || (i < len(p.refsA) && ref.Less(p.refsA[i], p.refsB[j])):
-			p.rt.pairDelta(p, p.refsA[i], -1)
+		case j >= len(now) || (i < len(was) && ref.Less(was[i], now[j])):
+			p.rt.pairDelta(p, was[i], -1)
 			i++
-		case i >= len(p.refsA) || ref.Less(p.refsB[j], p.refsA[i]):
-			p.rt.pairDelta(p, p.refsB[j], 1)
+		case i >= len(was) || ref.Less(now[j], was[i]):
+			p.rt.pairDelta(p, now[j], 1)
 			j++
 		default:
 			i++
 			j++
 		}
 	}
+	p.synced = append(was[:0], cur...)
 }
 
 // dropPairsOf erases every pair involving the exiting p, mirroring the
@@ -166,7 +162,8 @@ func (rt *Runtime) dropPairsOf(p *proc) {
 }
 
 // reseedDegrees rebuilds every live leaver's neighbor multiset from scratch
-// — the counter analogue of sim.World.InvalidatePG. Called at Start (the
+// and re-takes every live process's synced copy of its stored references —
+// the counter analogue of sim.World.InvalidatePG. Called at Start (the
 // initial state: pre-seeded stores and injected in-flight messages) and at
 // the end of every Mutate, whose callback may have rewritten protocol
 // reference state without running any action. Caller holds the world
@@ -188,7 +185,8 @@ func (rt *Runtime) reseedDegrees() {
 		if p.life.Load() == 2 {
 			continue
 		}
-		for _, r := range p.proto.Refs() {
+		p.synced = append(p.synced[:0], p.proto.Refs()...)
+		for _, r := range p.synced {
 			rt.pairDelta(p, r, 1)
 		}
 		for i := range p.mb.queue[p.mb.head:] {
@@ -200,7 +198,9 @@ func (rt *Runtime) reseedDegrees() {
 
 // epochFast settles the pending exit batch and refreshes the leavers'
 // cached oracle answers from the incremental degree counters — no world
-// clone, no oracle evaluation on a snapshot. Each commit erases its pairs
+// clone, no oracle evaluation on a snapshot. A leaver whose answer turns
+// true goes on its shard's ready list (markReady), so its next timeout — the
+// one that requests the exit — does not wait for the round-robin scan. Each commit erases its pairs
 // before the next request is judged, so the batch sees post-commit degrees
 // exactly as the frozen path's MarkGone fold-in provides. JudgeDegree is a
 // pure function of an int, so the oracleMu serialization of stateful
@@ -228,6 +228,9 @@ func (rt *Runtime) epochFast(jd degreeOracle) {
 		}
 		if ok := jd.JudgeDegree(len(p.nbr)); ok != p.oracleOK.Load() {
 			p.oracleOK.Store(ok)
+			if ok {
+				rt.markReady(p)
+			}
 		}
 	}
 }

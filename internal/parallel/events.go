@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"fdp/internal/ref"
@@ -109,7 +109,7 @@ func (rt *Runtime) ExitLatencies() []time.Duration {
 		out = append(out, sh.exitLat...)
 		sh.latMu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

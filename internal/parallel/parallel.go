@@ -19,7 +19,7 @@
 //     are amortized to one notification per newly-runnable process.
 //   - Every action executes under the read side of its shard's action lock
 //     (actMu). A consistent global view — snapshots, exit validation,
-//     Mutate — takes the write side of every shard in ascending order
+//     Mutate — takes the write side of every shard, from a rotating start
 //     (pauseAll), replacing the old single global RWMutex: workers contend
 //     only on their own shard's cache line, and the pause cost is paid per
 //     epoch instead of per oracle question.
@@ -50,6 +50,8 @@ package parallel
 
 import (
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,10 +124,18 @@ type proc struct {
 	nbr   map[uint32]int32
 	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in ascending pid order
 
-	// refsA/refsB are the action-diff scratch buffers of degree tracking,
-	// touched only by the owning worker (or under a full pause).
-	refsA []ref.Ref
-	refsB []ref.Ref
+	// synced is the copy of proto.Refs() the degree ledger last accounted for
+	// (syncRefs after every action, reseedDegrees at Start and after Mutate).
+	// Touched only by the owning worker (or under a full pause).
+	synced []ref.Ref
+
+	// ready reports that the process sits on its shard's ready list
+	// (shard.ready). Set by the coordinator under a full pause, cleared by
+	// the owning worker under its action read lock.
+	ready bool
+
+	// ctx is the sim.Context every action of this process runs with.
+	ctx pctx
 
 	rt *Runtime
 }
@@ -140,7 +150,9 @@ type Runtime struct {
 
 	// freezeMu serializes world pausers (coordinator epochs, Freeze, Mutate,
 	// validateExit) ahead of the per-shard action locks; see pauseAll.
-	freezeMu sync.Mutex
+	// pauseFirst, guarded by it, is the shard the next pause locks first.
+	freezeMu   sync.Mutex
+	pauseFirst int
 
 	// oracleMu serializes oracle evaluations so stateful oracles never race
 	// with themselves. Leaf lock: nothing else is acquired under it.
@@ -247,6 +259,7 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 		panic("parallel: duplicate process")
 	}
 	p := &proc{id: r, pid: uint32(len(rt.byPid)), mode: mode, proto: proto, rt: rt}
+	p.ctx.p = p
 	sh := rt.shards[int(p.pid)%len(rt.shards)]
 	p.shard.Store(uint32(sh.idx))
 	sh.pids = append(sh.pids, p.pid)
@@ -255,8 +268,11 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	if mode == sim.Leaving {
 		rt.leavers = append(rt.leavers, p)
 	}
-	rt.order = append(rt.order, r)
-	ref.Sort(rt.order)
+	// order stays in ref.Sort order: r goes in front of the first larger
+	// reference, which is at the end when processes are added in ascending
+	// order (MirrorWorld does).
+	at := sort.Search(len(rt.order), func(i int) bool { return ref.Less(r, rt.order[i]) })
+	rt.order = slices.Insert(rt.order, at, r)
 }
 
 // Enqueue injects an initial in-flight message before Start. Messages that
@@ -347,7 +363,8 @@ func (rt *Runtime) ExitDenied() uint64 { return rt.exitDenied.Load() }
 // Epochs returns how many epoch pauses the coordinator has run.
 func (rt *Runtime) Epochs() uint64 { return rt.epochs.Load() }
 
-// ctx implements sim.Context for a process action.
+// pctx implements sim.Context for a process's actions; each proc holds its
+// own (proc.ctx), so running an action allocates nothing.
 type pctx struct{ p *proc }
 
 func (c *pctx) Self() ref.Ref  { return c.p.id }
@@ -406,7 +423,6 @@ func (c *pctx) OracleSays() bool {
 // returns true when the action took p out of circulation for this batch
 // (exit committed, or exit requested and the process suspended).
 func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
-	ctx := &pctx{p: p}
 	p.wantExit, p.wantSleep = false, false
 	// Lamport merge: the delivery happens after the send.
 	if c := msg.SendClock(); c > p.clock {
@@ -427,11 +443,10 @@ func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
 		// The message leaves the in-flight state: its implicit edges drop,
 		// and whatever the handler stores reappears via the explicit diff.
 		p.rt.removeMsgPairs(p, &msg)
-		p.beginRefs()
-		p.proto.Deliver(ctx, msg)
-		p.syncRefs()
-	} else {
-		p.proto.Deliver(ctx, msg)
+	}
+	p.proto.Deliver(&p.ctx, msg)
+	if p.rt.trackDeg {
+		p.syncRefs(sh)
 	}
 	return p.finishAction(sh)
 }
@@ -439,17 +454,13 @@ func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
 // timeoutAction executes one timeout on p under the shard's action read
 // lock.
 func (p *proc) timeoutAction(sh *shard) bool {
-	ctx := &pctx{p: p}
 	p.wantExit, p.wantSleep = false, false
 	p.clock++
 	p.curCID = p.rt.causal.Add(1)
 	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
+	p.proto.Timeout(&p.ctx)
 	if p.rt.trackDeg {
-		p.beginRefs()
-		p.proto.Timeout(ctx)
-		p.syncRefs()
-	} else {
-		p.proto.Timeout(ctx)
+		p.syncRefs(sh)
 	}
 	return p.finishAction(sh)
 }
@@ -571,16 +582,7 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 
 // Start launches the shard workers plus the oracle coordinator.
 func (rt *Runtime) Start() {
-	rt.startTime = time.Now()
-	rt.initially = rt.freezeLocked().PG().WeaklyConnectedComponents()
-	if _, ok := rt.oracle.(degreeOracle); ok {
-		// Degree-judged oracle: maintain incremental relevant-degree
-		// counters so epochs validate exits without cloning the world.
-		// Seeded before the workers exist; push/deliver/action-diff keep
-		// them current from here on (degree.go).
-		rt.trackDeg = true
-		rt.reseedDegrees()
-	}
+	rt.seal()
 	for _, sh := range rt.shards {
 		var awake int32
 		for _, pid := range sh.pids {
@@ -595,6 +597,25 @@ func (rt *Runtime) Start() {
 	if rt.oracle != nil {
 		rt.wg.Add(1)
 		go rt.coordinate()
+	}
+}
+
+// seal is Start's first half: it captures the initial state before any
+// goroutine exists — the start time, the component partition safety is judged
+// against and, for a degree-judged oracle, the relevant-degree ledger. Start
+// is its only caller outside tests; a test that calls it to read the seeded
+// state or to drive a shard by hand (no worker, no coordinator) must call it
+// once and must not call Start afterwards.
+func (rt *Runtime) seal() {
+	rt.startTime = time.Now()
+	rt.initially = rt.freezeLocked().PG().WeaklyConnectedComponents()
+	if _, ok := rt.oracle.(degreeOracle); ok {
+		// Degree-judged oracle: maintain incremental relevant-degree
+		// counters so epochs validate exits without cloning the world.
+		// Seeded before the workers exist; push/deliver/action-diff keep
+		// them current from here on (degree.go).
+		rt.trackDeg = true
+		rt.reseedDegrees()
 	}
 }
 

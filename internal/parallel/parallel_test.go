@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -77,6 +78,17 @@ func TestMailboxBatchPop(t *testing.T) {
 	mb.unpop(batch[1:])
 	if mb.len() != 2 || mb.queue[mb.head].Label != "b" {
 		t.Fatalf("unpop broke order: %v", mb.queue[mb.head:])
+	}
+	// With nothing queued behind the batch the remainder goes back into the
+	// drained queue's own array.
+	if allocs := testing.AllocsPerRun(10, func() {
+		all, _ := mb.popInto(batch[:0], 4)
+		mb.unpop(all)
+	}); allocs != 0 {
+		t.Fatalf("unpop behind an empty queue allocates (%.0f)", allocs)
+	}
+	if mb.len() != 2 || mb.queue[mb.head].Label != "b" || mb.queue[mb.head+1].Label != "c" {
+		t.Fatalf("unpop behind an empty queue broke order: %v", mb.queue[mb.head:])
 	}
 	mb.closed = true
 	if batch, _ := mb.popInto(nil, 4); len(batch) != 0 {
@@ -390,6 +402,44 @@ func TestValidateExitStaleCacheNeverCommits(t *testing.T) {
 	p.oracleOK.Store(true)
 	if rt.validateExit(p) {
 		t.Fatal("validateExit committed an exit the oracle forbids")
+	}
+}
+
+// TestPauseStartsOneShardFurtherEachTime pins pauseAll's rotation. The shard
+// locked first stands still while the pauser waits for the others, so a fixed
+// order makes one shard pay every pause (see pauseAll). A read hold on the
+// second shard of the expected order plays a worker in mid-iteration: the
+// pauser must by then hold the first shard and must not have touched the
+// third.
+func TestPauseStartsOneShardFurtherEachTime(t *testing.T) {
+	rt := NewRuntime(nil)
+	rt.SetShards(3)
+	for j := 0; j < 6; j++ {
+		if rt.pauseFirst != j%3 {
+			t.Fatalf("pause %d would start at shard %d, want %d", j, rt.pauseFirst, j%3)
+		}
+		first, second, third := rt.shards[j%3], rt.shards[(j+1)%3], rt.shards[(j+2)%3]
+		second.actMu.RLock()
+		paused := make(chan struct{})
+		go func() {
+			rt.pauseAll()
+			close(paused)
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for first.actMu.TryRLock() {
+			first.actMu.RUnlock()
+			if time.Now().After(deadline) {
+				t.Fatalf("pause %d never took shard %d", j, first.idx)
+			}
+			runtime.Gosched()
+		}
+		if !third.actMu.TryRLock() {
+			t.Fatalf("pause %d reached shard %d before shard %d", j, third.idx, second.idx)
+		}
+		third.actMu.RUnlock()
+		second.actMu.RUnlock()
+		<-paused
+		rt.resumeAll()
 	}
 }
 

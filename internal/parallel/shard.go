@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
 
@@ -75,6 +76,12 @@ func (m *mailbox) unpop(rest []sim.Message) {
 	if len(rest) == 0 {
 		return
 	}
+	if m.len() == 0 {
+		// Nothing queued behind the batch (popInto reset the queue): reuse
+		// its backing array.
+		m.queue, m.head = append(m.queue[:0], rest...), 0
+		return
+	}
 	merged := make([]sim.Message, 0, len(rest)+m.len())
 	merged = append(merged, rest...)
 	merged = append(merged, m.queue[m.head:]...)
@@ -91,7 +98,7 @@ type shard struct {
 
 	// actMu is the shard's action lock: the worker holds the read side for
 	// one bounded iteration of deliveries and timeouts; pauseAll takes the
-	// write side of every shard (in ascending index order) to quiesce the
+	// write side of every shard (from a rotating start) to quiesce the
 	// world for snapshots, exit validation and Mutate.
 	actMu sync.RWMutex
 
@@ -113,6 +120,15 @@ type shard struct {
 	pids   []uint32
 	cursor int       // round-robin position of the timeout scan
 	nextTO time.Time // earliest moment of the next timeout round (worker-private)
+
+	// ready lists the owned leavers whose cached oracle answer the
+	// coordinator just turned true (epochFast), each at most once (proc.ready);
+	// timeoutRound serves them ahead of the scan. Appended to and rebuilt only
+	// under a full pause; consumed by the worker under its action read lock.
+	ready []uint32
+
+	// refScratch is syncRefs' sort buffer (worker-private).
+	refScratch []ref.Ref
 
 	// awake counts owned processes in the awake state; 0 lets the worker
 	// block indefinitely instead of polling (FSP hibernation).
@@ -248,13 +264,39 @@ func (sh *shard) deliverRound(scratch *[]sim.Message) int {
 	return delivered
 }
 
-// timeoutRound executes up to timeoutBudget timeout actions, round-robin
-// over the shard's awake processes (one full scan at most). Suspended
-// (exit-pending) processes are skipped: they must not act between their exit
-// request and the coordinator's verdict.
+// markReady puts p, whose cached oracle answer just turned true, on its
+// shard's ready list. Caller holds the world paused.
+func (rt *Runtime) markReady(p *proc) {
+	if p.ready {
+		return
+	}
+	p.ready = true
+	sh := rt.shards[p.shard.Load()]
+	sh.ready = append(sh.ready, p.pid)
+}
+
+// timeoutRound executes up to timeoutBudget timeout actions: first the ready
+// list — leavers that may exit as soon as they time out — on at most half the
+// budget, then round-robin over the shard's awake processes (one full scan
+// at most). The scan keeps at least the other half of every round, so its lap
+// grows to at most twice its length and every awake process still times out
+// infinitely often (weak fairness) however fast the ready list refills.
+// Suspended (exit-pending) processes are skipped: they must not act between
+// their exit request and the coordinator's verdict.
 func (sh *shard) timeoutRound() int {
+	ran, served := 0, 0
+	for served < len(sh.ready) && ran < timeoutBudget/2 {
+		p := sh.rt.byPid[sh.ready[served]]
+		served++
+		p.ready = false
+		if p.life.Load() != 0 || p.exitPending.Load() {
+			continue
+		}
+		p.timeoutAction(sh)
+		ran++
+	}
+	sh.ready = sh.ready[:copy(sh.ready, sh.ready[served:])]
 	n := len(sh.pids)
-	ran := 0
 	for scanned := 0; scanned < n && ran < timeoutBudget; scanned++ {
 		if sh.cursor >= n {
 			sh.cursor = 0
@@ -340,18 +382,33 @@ func (sh *shard) worker() {
 // --- world pause ---------------------------------------------------------
 
 // pauseAll quiesces the world: freezeMu serializes pausers (the coordinator,
-// Freeze, Mutate, validateExit), then every shard's action lock is taken in
-// ascending index order. With all write sides held no action executes, no
-// send is in flight, and every mailbox, ring and protocol state is safe to
-// read or mutate without further locking. Paired with resumeAll.
+// Freeze, Mutate, validateExit), then every shard's action lock is taken,
+// starting one shard further round the ring at every pause. With all write
+// sides held no action executes, no send is in flight, and every mailbox,
+// ring and protocol state is safe to read or mutate without further locking.
+// Paired with resumeAll.
+//
+// The start rotates because the shard locked first stands still while the
+// pauser waits out the other workers' iterations. With a fixed order shard 0
+// paid that wait at every epoch and fell behind on its timeout lap; the
+// shards ahead of it kept timing out and sending, so it spent its rounds
+// delivering their messages and fell further behind: at n=10000 it ended its
+// first lap 1.5x to 2.4x as late as shard 1, by an amount that moved with the
+// host's load, and since the last leaver's exit waits for the slowest lap,
+// run time and messages per exit moved with it (DESIGN.md §12). Any order is
+// deadlock-free: pausers queue on freezeMu, and a worker holds only its own
+// shard's read side and waits for no other.
 func (rt *Runtime) pauseAll() {
 	rt.freezeMu.Lock() //fdplint:ignore lockorder pauseAll/resumeAll are a handoff pair; resumeAll releases what pauseAll acquires
-	for _, sh := range rt.shards {
-		sh.actMu.Lock() //fdplint:ignore lockorder pauseAll acquires every shard's action lock; resumeAll releases them in reverse
+	n := len(rt.shards)
+	first := rt.pauseFirst
+	rt.pauseFirst = (first + 1) % n
+	for i := range rt.shards {
+		rt.shards[(first+i)%n].actMu.Lock() //fdplint:ignore lockorder pauseAll acquires every shard's action lock; resumeAll releases them all
 	}
 }
 
-// resumeAll releases the pause taken by pauseAll, in reverse order.
+// resumeAll releases the pause taken by pauseAll.
 func (rt *Runtime) resumeAll() {
 	for i := len(rt.shards) - 1; i >= 0; i-- {
 		rt.shards[i].actMu.Unlock() //fdplint:ignore lockorder releases the locks pauseAll acquired
@@ -376,12 +433,14 @@ func (rt *Runtime) Rebalance() {
 const rebalanceRatio = 2
 
 // rebalanceUnderPause deals the live processes round-robin across shards and
-// rebuilds every run queue from mailbox state. Caller holds the world
+// rebuilds every run queue from mailbox state and every ready list from the
+// procs' ready flags. Caller holds the world
 // paused, so mailboxes, inRun flags and shard assignments are plain data.
 func (rt *Runtime) rebalanceUnderPause() {
 	for _, sh := range rt.shards {
 		sh.pids = sh.pids[:0]
 		sh.runq, sh.rqHead = sh.runq[:0], 0
+		sh.ready = sh.ready[:0]
 		sh.cursor = 0
 		sh.awake.Store(0)
 	}
@@ -389,13 +448,16 @@ func (rt *Runtime) rebalanceUnderPause() {
 	for _, r := range rt.order {
 		p := rt.procs[r]
 		if p.life.Load() == 2 {
-			p.inRun = false
+			p.inRun, p.ready = false, false
 			continue
 		}
 		sh := rt.shards[i%len(rt.shards)]
 		i++
 		p.shard.Store(uint32(sh.idx))
 		sh.pids = append(sh.pids, p.pid)
+		if p.ready {
+			sh.ready = append(sh.ready, p.pid)
+		}
 		if p.life.Load() == 0 {
 			sh.awake.Add(1)
 		}

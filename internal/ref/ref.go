@@ -14,8 +14,9 @@
 package ref
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Ref is an opaque reference to a process, analogous to knowing a node's IP
@@ -81,9 +82,10 @@ func ByIndex(i int) Ref { return Ref{id: int32(i) + 1} }
 // order use scenario-assigned keys instead.
 func Less(a, b Ref) bool { return a.id < b.id }
 
-// Sort sorts refs in the simulator's deterministic order.
+// Sort sorts refs in the simulator's deterministic order, without
+// allocating.
 func Sort(refs []Ref) {
-	sort.Slice(refs, func(i, j int) bool { return Less(refs[i], refs[j]) })
+	slices.SortFunc(refs, func(a, b Ref) int { return cmp.Compare(a.id, b.id) })
 }
 
 // Set is a set of references with deterministic iteration support.

@@ -173,6 +173,18 @@ type Protocol interface {
 	// Refs enumerates every process reference currently stored in the
 	// process's local variables (including special variables such as the
 	// anchor). These are the explicit edges of PG.
+	//
+	// Order: the enumeration is a deterministic function of the stored
+	// references — reference sets in ref.Sort order, special variables at
+	// fixed positions — so an unchanged state yields an equal slice; the
+	// engines' per-action accounting (World.pgSyncRefs, the runtime's
+	// syncRefs) relies on that to skip the diff with one equality scan.
+	//
+	// Read-only: the returned slice is never modified after it was handed
+	// out, neither by the protocol (which may hand the same slice to every
+	// caller until its stored references change, as core.Proc does) nor by
+	// the caller. Snapshots may therefore retain it (the runtime's frozen
+	// worlds do); a caller that wants to sort or append copies first.
 	Refs() []ref.Ref
 }
 

@@ -30,6 +30,8 @@ package sim
 // asserts step-for-step equality with RebuildPG under randomized schedules.
 
 import (
+	"slices"
+
 	"fdp/internal/graph"
 	"fdp/internal/ref"
 )
@@ -145,8 +147,10 @@ func (w *World) pgSyncRefs(p *process) {
 	if w.pg == nil || p.life == Gone {
 		return
 	}
+	// Protocols enumerate Refs deterministically, so an unchanged state
+	// yields an equal slice and the diff is skipped entirely.
 	cur := p.proto.Refs()
-	if refsEqual(cur, p.pgRefs) {
+	if slices.Equal(cur, p.pgRefs) {
 		return
 	}
 	w.gen++
@@ -174,19 +178,4 @@ func (w *World) pgSyncRefs(p *process) {
 		}
 	}
 	p.pgRefs = append(p.pgRefs[:0], cur...)
-}
-
-// refsEqual is an order-sensitive slice comparison; protocols are required
-// to enumerate Refs deterministically, so an unchanged state yields an
-// identical slice and the diff is skipped entirely.
-func refsEqual(a, b []ref.Ref) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
