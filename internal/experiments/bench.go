@@ -75,14 +75,18 @@ const SimBenchSizeCap = 2048
 
 // trialsFor scales the per-size trial count down as n grows so large-n
 // points stay affordable: full trials through n=256, two through n=4096,
-// one above that. p50/p99 come from per-exit latencies, so even one trial
-// of a n=100k run yields a 50k-sample distribution.
+// three at most through n=10000 (seconds each on the runtime, and one trial's
+// percentiles follow its seed), one above that. p50/p99 come from per-exit
+// latencies, so even one trial of a n=100k run yields a 50k-sample
+// distribution.
 func trialsFor(s Scale, n int) int {
 	switch {
 	case n <= 256:
 		return s.Trials
 	case n <= 4096:
 		return min(s.Trials, 2)
+	case n <= 10000:
+		return min(s.Trials, 3)
 	default:
 		return 1
 	}

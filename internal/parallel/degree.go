@@ -17,7 +17,8 @@ package parallel
 // change —
 //
 //   - a message push adds one edge (receiver, r) per reference r it carries;
-//     a delivery removes them (in-flight references are implicit PG edges);
+//     its delivery removes them once the handler has run (in-flight
+//     references are implicit PG edges);
 //   - after every action the acting process's stored references are
 //     compared with the copy taken at its last sync (syncRefs) and, when
 //     they differ, diffed as multisets — only the acting process's own
@@ -28,16 +29,32 @@ package parallel
 //
 // Pairs with both endpoints staying are not tracked — no oracle ever asks
 // for a stayer's degree. len(nbr) then IS the leaver's relevant degree
-// whenever nothing in the system is asleep (every FDP state; asleep
-// processes require the sequential hibernation sweep, so the coordinator
-// falls back to the frozen-world path if rt.asleep is ever nonzero).
+// whenever nothing in the system is asleep and no action is in progress
+// (every FDP state at a full pause; asleep processes require the sequential
+// hibernation sweep, so the coordinator falls back to the frozen-world path
+// while rt.asleep is nonzero).
+//
+// While actions run the ledger is not exact, it OVER-COUNTS, and that is
+// what lets the coordinator judge and commit exits without stopping the
+// workers. The invariant is "adds precede removes": a reference an action
+// stores or sends was in the actor's store or in the message it is
+// delivering, and the pair that accounted for it there is dropped only after
+// the handler ran, every push counted what it carries (before the message
+// became poppable) and syncRefs counted what was stored. So at every instant
+// each leaver's multiset holds every pair of the state before each action in
+// progress, or every pair of the state after it — in either case len(nbr) is
+// at least the relevant degree in some sequential order of the actions, and
+// a grant on it is a grant the sequential model could have given (Lemma 2;
+// DESIGN.md §12).
 //
 // Synchronization: each pair update locks the two endpoints' degMu in
-// ascending pid order (plain mutexes unrelated to the §12 ranked locks;
-// they guard only the nbr maps and nest under nothing but each other).
-// Mutators run under some shard's action read lock — or under the full
-// pause — so they can never race the coordinator's pause-side reads,
-// exit-commit cleanup, or reseeding.
+// ascending pid order (plain mutexes unrelated to the §12 ranked locks; they
+// guard only the nbr maps and nest under nothing but each other). A process
+// of a degree-tracked run becomes gone under its own degMu, and every add
+// re-checks both endpoints' life under the same locks: an add is either
+// counted in the degree an exit is judged on, or sees the gone endpoint and
+// counts nothing. Whenever len(nbr) changes the leaver goes on the runtime's
+// dirty queue, which is all the coordinator's epoch re-judges.
 
 import (
 	"slices"
@@ -54,45 +71,85 @@ type degreeOracle interface {
 	JudgeDegree(deg int) bool
 }
 
-// pairDelta applies d (+1 add, -1 remove) to the edge pair (a, r). Adds are
-// gated like sim.World.isLiveTarget: unregistered, self, or gone endpoints
-// contribute nothing. Removes clamp — a pair already erased by an exit
-// commit (or never counted because an endpoint was gone) is a no-op, which
-// is exactly the sequential engine's "removals no-op after RemoveNode".
+// pairDelta applies d (+1 add, -1 remove) to the edge pair (a, r); see
+// pairBump. Unregistered and self references contribute nothing, like
+// sim.World.isLiveTarget.
 func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
-	b := rt.procs[r]
-	if b == nil || b == a {
-		return
+	if b := rt.procs[r]; b != nil && b != a {
+		rt.pairBump(a, b, d)
 	}
-	if a.nbr == nil && b.nbr == nil {
+}
+
+// pairBump applies d (+1 add, -1 remove) to the edge pair (a, b) and queues
+// every leaver whose distinct-neighbor count changed for re-judgement.
+// Whether the pair is tracked is decided from the immutable modes. A pair
+// with a gone endpoint needs no update — gone is final and the exit commit
+// erases the pair (dropPairsOf) — so it is skipped before locking; an add
+// checks again under both locks, where a commit in progress cannot be missed
+// (retire sets life under the same lock). Removes clamp: a pair the commit
+// already erased, or an add that found an endpoint gone, is a no-op, which
+// is exactly the sequential engine's "removals no-op after RemoveNode".
+func (rt *Runtime) pairBump(a, b *proc, d int32) {
+	if a.mode != sim.Leaving && b.mode != sim.Leaving {
 		return // stayer-stayer pair: untracked
 	}
-	if d > 0 && (a.life.Load() == 2 || b.life.Load() == 2) {
+	if a.life.Load() == 2 || b.life.Load() == 2 {
 		return
 	}
 	lo, hi := a, b
 	if lo.pid > hi.pid {
 		lo, hi = hi, lo
 	}
+	var aMoved, bMoved bool
 	lo.degMu.Lock()
 	hi.degMu.Lock()
-	if a.nbr != nil {
-		bumpNbr(a.nbr, b.pid, d)
-	}
-	if b.nbr != nil {
-		bumpNbr(b.nbr, a.pid, d)
+	if d < 0 || (a.life.Load() != 2 && b.life.Load() != 2) {
+		aMoved = bumpNbr(a.nbr, b.pid, d)
+		bMoved = bumpNbr(b.nbr, a.pid, d)
 	}
 	hi.degMu.Unlock()
 	lo.degMu.Unlock()
+	if aMoved {
+		rt.markDirty(a)
+	}
+	if bMoved {
+		rt.markDirty(b)
+	}
 }
 
-func bumpNbr(m map[uint32]int32, v uint32, d int32) {
-	c := m[v] + d
-	if c <= 0 {
-		delete(m, v)
-	} else {
-		m[v] = c
+// bumpNbr adds d to m[v] and reports whether len(m) changed. A nil m (a
+// stayer, or a leaver that is gone) holds nothing.
+func bumpNbr(m map[uint32]int32, v uint32, d int32) bool {
+	if m == nil {
+		return false
 	}
+	was := m[v]
+	if c := was + d; c > 0 {
+		m[v] = c
+	} else {
+		delete(m, v)
+	}
+	return (was > 0) != (was+d > 0)
+}
+
+// markDirty queues p, whose distinct-neighbor count just changed, for the
+// coordinator's next epoch; proc.dirty keeps it on the queue at most once.
+// Called with no degMu held.
+func (rt *Runtime) markDirty(p *proc) {
+	if p.dirty.CompareAndSwap(false, true) {
+		rt.dirtyMu.Lock()
+		rt.dirty = append(rt.dirty, p)
+		rt.dirtyMu.Unlock()
+	}
+}
+
+// takeDirty claims the queued leavers.
+func (rt *Runtime) takeDirty() []*proc {
+	rt.dirtyMu.Lock()
+	defer rt.dirtyMu.Unlock()
+	batch := rt.dirty
+	rt.dirty = nil
+	return batch
 }
 
 // addMsgPairs counts the implicit edges of msg, about to be queued to p.
@@ -104,9 +161,10 @@ func (rt *Runtime) addMsgPairs(p *proc, msg *sim.Message) {
 	}
 }
 
-// removeMsgPairs drops the implicit edges of msg: either it was just
-// delivered (the references move into the action's explicit diff), or the
-// push that counted it was refused by a closed mailbox and is being undone.
+// removeMsgPairs drops the implicit edges of msg: either its delivery is
+// over (the handler ran, and what it stored or sent on is already counted),
+// or the push that counted it was refused (the target is gone) and is being
+// undone.
 func (rt *Runtime) removeMsgPairs(p *proc, msg *sim.Message) {
 	for _, ri := range msg.Refs {
 		rt.pairDelta(p, ri.Ref, -1)
@@ -115,12 +173,15 @@ func (rt *Runtime) removeMsgPairs(p *proc, msg *sim.Message) {
 
 // syncRefs folds the acting process's explicit-edge changes into the ledger
 // after an action, the way sim.World.pgSyncRefs does: p.synced is the copy of
-// proto.Refs() taken at the last sync (by reseedDegrees at Start and after
-// every Mutate, here since). Protocols enumerate Refs deterministically, so
-// an action that stored nothing yields an equal slice and costs one Refs
-// call and one scan; otherwise the two multisets are sorted and merged, and
-// only the acting process's own pairs move. sh is the shard whose worker
-// runs the action; its scratch buffer holds the sorted copy of the new refs.
+// proto.Refs() taken at the last sync (by resetLedger at Start and after every
+// Mutate, here since). Protocols enumerate Refs deterministically, so an
+// action that stored nothing yields an equal slice and costs one Refs call
+// and one scan; otherwise the two multisets are sorted and merged, and only
+// the acting process's own pairs move. A reference stored here for the first
+// time came out of the message being delivered, whose implicit pair is still
+// counted (deliverAction drops it afterwards), so the merge may remove and
+// add in any order. sh is the shard whose worker runs the action; its
+// scratch buffer holds the sorted copy of the new refs.
 func (p *proc) syncRefs(sh *shard) {
 	cur := p.proto.Refs()
 	if slices.Equal(cur, p.synced) {
@@ -148,73 +209,191 @@ func (p *proc) syncRefs(sh *shard) {
 	p.synced = append(was[:0], cur...)
 }
 
-// dropPairsOf erases every pair involving the exiting p, mirroring the
-// sequential PG's RemoveNode: the neighbors' counts drop immediately, and
-// stale references to p left behind in stores or in flight are inert (adds
-// are life-gated, removes clamp). Caller holds the world paused.
-func (rt *Runtime) dropPairsOf(p *proc) {
-	for v := range p.nbr {
-		if q := rt.byPid[v]; q.nbr != nil {
-			delete(q.nbr, p.pid)
-		}
+// retire makes p gone — unconditionally if jd is nil, otherwise only if jd
+// grants the degree the ledger holds — in ONE critical section of p.degMu:
+// every add re-checks life under the same lock, so it is either part of the
+// judged degree or finds p gone. It returns the neighbor multiset p had, for
+// finishExit to erase from the other side. A process that is gone already is
+// refused, whatever jd says of its empty multiset: nobody exits twice.
+// Callers: the coordinator's fast-path epoch (no pause: p is suspended, nobody
+// else writes its life), or commitExit.
+func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr map[uint32]int32, ok bool) {
+	p.degMu.Lock()
+	defer p.degMu.Unlock()
+	was := p.life.Load()
+	if was == 2 || (jd != nil && !jd.JudgeDegree(len(p.nbr))) {
+		return nil, false
 	}
-	p.nbr = nil
+	p.life.Store(2)
+	if was == 0 {
+		rt.shards[p.shard.Load()].awake.Add(-1)
+	} else {
+		rt.asleep.Add(-1)
+	}
+	nbr, p.nbr = p.nbr, nil
+	return nbr, true
 }
 
-// reseedDegrees rebuilds every live leaver's neighbor multiset from scratch
-// and re-takes every live process's synced copy of its stored references —
-// the counter analogue of sim.World.InvalidatePG. Called at Start (the
-// initial state: pre-seeded stores and injected in-flight messages) and at
-// the end of every Mutate, whose callback may have rewritten protocol
-// reference state without running any action. Caller holds the world
-// paused (or the workers do not exist yet).
-func (rt *Runtime) reseedDegrees() {
-	if !rt.trackDeg {
-		return
+// dropPairsOf erases the retired p from every neighbor's multiset, one
+// degMu at a time, mirroring the sequential PG's RemoveNode. Until a
+// neighbor's turn comes it over-counts by the gone p, which only delays its
+// own grant; stale references to p left behind in stores or in flight are
+// inert (adds are life-gated, removes clamp).
+func (rt *Runtime) dropPairsOf(p *proc, nbr map[uint32]int32) {
+	for v := range nbr {
+		q := rt.byPid[v]
+		if q.mode != sim.Leaving {
+			continue
+		}
+		q.degMu.Lock()
+		_, had := q.nbr[p.pid]
+		delete(q.nbr, p.pid)
+		q.degMu.Unlock()
+		if had {
+			rt.markDirty(q)
+		}
 	}
-	for _, p := range rt.leavers {
-		if p.life.Load() != 2 {
-			if p.nbr == nil {
-				p.nbr = make(map[uint32]int32, 8)
-			} else {
-				clear(p.nbr)
-			}
+}
+
+// unionFind partitions the pids into the classes its union calls connect.
+type unionFind []uint32
+
+func newUnionFind(n int) unionFind {
+	uf := make(unionFind, n)
+	for i := range uf {
+		uf[i] = uint32(i)
+	}
+	return uf
+}
+
+func (uf unionFind) find(x uint32) uint32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]] // path halving
+		x = uf[x]
+	}
+	return x
+}
+
+func (uf unionFind) union(x, y uint32) {
+	if x, y = uf.find(x), uf.find(y); x != y {
+		uf[max(x, y)] = min(x, y)
+	}
+}
+
+// forEachEdge calls edge(p, q) once for every edge of the current process
+// graph, from the end that holds the reference: every reference a live
+// process p stores or has queued in its mailbox, to a live process q other
+// than p — the same edges a frozen world's PG holds (references to
+// unregistered, gone or the holder's own process are none). Caller holds the
+// world paused (or the workers do not exist yet).
+func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
+	to := func(p *proc, r ref.Ref) {
+		if q := rt.procs[r]; q != nil && q != p && q.life.Load() != 2 {
+			edge(p, q)
 		}
 	}
 	for _, p := range rt.byPid {
 		if p.life.Load() == 2 {
 			continue
 		}
-		p.synced = append(p.synced[:0], p.proto.Refs()...)
-		for _, r := range p.synced {
-			rt.pairDelta(p, r, 1)
+		for _, r := range p.proto.Refs() {
+			to(p, r)
 		}
-		for i := range p.mb.queue[p.mb.head:] {
-			m := &p.mb.queue[p.mb.head+i]
-			rt.addMsgPairs(p, m)
+		for _, m := range p.mb.queue[p.mb.head:] {
+			for _, ri := range m.Refs {
+				to(p, ri.Ref)
+			}
 		}
 	}
 }
 
-// epochFast settles the pending exit batch and refreshes the leavers'
-// cached oracle answers from the incremental degree counters — no world
-// clone, no oracle evaluation on a snapshot. A leaver whose answer turns
-// true goes on its shard's ready list (markReady), so its next timeout — the
-// one that requests the exit — does not wait for the round-robin scan. Each commit erases its pairs
-// before the next request is judged, so the batch sees post-commit degrees
-// exactly as the frozen path's MarkGone fold-in provides. JudgeDegree is a
-// pure function of an int, so the oracleMu serialization of stateful
-// Evaluate calls is not needed here; the full pause already excludes every
-// mutator. Caller holds the world paused.
+// resetLedger empties every live leaver's neighbor multiset, queues it for
+// judgement and re-takes every live process's synced copy of its stored
+// references: the ledger then holds no pair and expects one pairBump per
+// edge forEachEdge walks. Same caller contract.
+func (rt *Runtime) resetLedger() {
+	for _, p := range rt.byPid {
+		if p.life.Load() == 2 {
+			continue
+		}
+		p.synced = append(p.synced[:0], p.proto.Refs()...)
+		if p.mode == sim.Leaving {
+			if p.nbr == nil {
+				p.nbr = make(map[uint32]int32, 8)
+			} else {
+				clear(p.nbr)
+			}
+			rt.markDirty(p)
+		}
+	}
+}
+
+// reseedDegrees rebuilds the ledger from scratch — the counter analogue of
+// sim.World.InvalidatePG, due at the end of every Mutate, whose callback may
+// have rewritten protocol reference state or injected messages without
+// running any action (seal does the same in its own pass). Same caller
+// contract.
+func (rt *Runtime) reseedDegrees() {
+	rt.resetLedger()
+	rt.forEachEdge(func(p, q *proc) { rt.pairBump(p, q, 1) })
+}
+
+// components returns the weakly connected components of the current process
+// graph — what freezeUnderPause().PG().WeaklyConnectedComponents() returns,
+// members and components in the same (reference) order — without building
+// the world. Same caller contract.
+func (rt *Runtime) components() [][]ref.Ref {
+	uf := newUnionFind(len(rt.byPid))
+	rt.forEachEdge(func(p, q *proc) { uf.union(p.pid, q.pid) })
+	return rt.partition(uf)
+}
+
+// partition lists uf's classes of live processes, members and classes in
+// reference order.
+func (rt *Runtime) partition(uf unionFind) [][]ref.Ref {
+	var comps [][]ref.Ref
+	at := make(map[uint32]int) // class root -> index in comps
+	for _, r := range rt.order {
+		p := rt.procs[r]
+		if p.life.Load() == 2 {
+			continue
+		}
+		root := uf.find(p.pid)
+		i, seen := at[root]
+		if !seen {
+			i = len(comps)
+			at[root] = i
+			comps = append(comps, nil)
+		}
+		comps[i] = append(comps[i], r)
+	}
+	return comps
+}
+
+// epochFast is the coordinator's round on the degree-judged path: it
+// settles the pending exit batch and re-judges the leavers whose degree
+// changed since the last round, all from the incremental ledger — no world
+// clone, no shard lock, O(pending + changed) work while the workers run on.
+// A suspended leaver's exit is judged and committed in one critical section
+// of its degMu (retire), and its pairs are erased before the next request
+// is judged, so the batch sees post-commit degrees exactly as the frozen
+// path's MarkGone fold-in provides. A dirty leaver whose answer turns true
+// goes on its shard's ready list (markReady), so its next timeout — the one
+// that requests the exit — does not wait for the round-robin scan.
+// JudgeDegree and the oracle hook run here, on the coordinator goroutine
+// only; JudgeDegree is a pure function of an int, so the oracleMu
+// serialization of stateful Evaluate calls is not needed. Caller holds
+// freezeMu, which keeps Freeze, Mutate, Rebalance and validateExit out.
 func (rt *Runtime) epochFast(jd degreeOracle) {
 	for _, p := range rt.takePendingExits() {
-		ok := jd.JudgeDegree(len(p.nbr))
+		nbr, ok := rt.retire(p, jd)
 		if rt.oracleHook != nil {
 			rt.oracleHook(p.id, ok)
 		}
 		if ok {
-			p.exitPending.Store(false)
-			rt.commitExit(p)
+			// exitPending stays set: a gone process is suspended for good,
+			// so no worker's check can fall between the two writes.
+			rt.finishExit(p, nbr)
 		} else {
 			p.oracleOK.Store(false) // the cache was stale; stop re-requesting
 			rt.exitDenied.Add(1)
@@ -222,11 +401,17 @@ func (rt *Runtime) epochFast(jd degreeOracle) {
 			rt.reschedule(p)
 		}
 	}
-	for _, p := range rt.leavers {
+	for _, p := range rt.takeDirty() {
+		// Off the queue before the degree is read: a change after the read
+		// queues p again.
+		p.dirty.Store(false)
 		if p.life.Load() == 2 {
 			continue
 		}
-		if ok := jd.JudgeDegree(len(p.nbr)); ok != p.oracleOK.Load() {
+		p.degMu.Lock()
+		deg := len(p.nbr)
+		p.degMu.Unlock()
+		if ok := jd.JudgeDegree(deg); ok != p.oracleOK.Load() {
 			p.oracleOK.Store(ok)
 			if ok {
 				rt.markReady(p)

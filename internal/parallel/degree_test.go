@@ -1,6 +1,9 @@
 package parallel
 
 import (
+	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +18,16 @@ import (
 // neighbor multiset (degree.go) reports exactly the frozen world's
 // RelevantDegree — the quantity the epoch fast path judges exits on — and,
 // per neighbor, exactly as many edges as the frozen process graph holds
-// between the two. A mid-run Mutate injects junk in-flight references and
+// between the two. A full pause is a quiescent point: no action is open and
+// no commit is half done. The ledger's other promise is checked where it is
+// least exact: the oracle hook runs on the coordinator between a grant and
+// the erasure of the gone leaver from its neighbors' multisets, and from
+// there (freezeMu is held, so stopping the shards is pauseAll's own second
+// half) every live leaver's count must be at least the frozen degree — and
+// above it for a leaver next to the one just gone, which the protocol
+// rarely produces (a leaver exits from under a staying anchor) and two
+// leavers that know only each other always do. A mid-run
+// Mutate injects junk in-flight references and
 // rewrites stored references behind the ledger's back to exercise the reseed
 // path as well, in a world that already has gone processes: a last-synced
 // snapshot left stale there makes a struck process's next action count the
@@ -31,7 +43,41 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 		for i, pin := range pins {
 			rt.AddProcess(ref.ByIndex(len(nodes)+1+i), sim.Staying, pin)
 		}
-		total := uint64(leaving.Len()) + 1
+		// Two more leavers know only each other: whichever SINGLE grants
+		// first is still counted by the other when the hook below looks.
+		twins := [2]ref.Ref{ref.ByIndex(len(nodes) + 3), ref.ByIndex(len(nodes) + 4)}
+		for i, r := range twins {
+			tp := core.New(core.VariantFDP)
+			tp.SetNeighbor(twins[1-i], sim.Leaving)
+			rt.AddProcess(r, sim.Leaving, tp)
+		}
+		total := uint64(leaving.Len()) + 3
+		var midCommit, overCounts atomic.Int64
+		rt.SetOracleHook(func(u ref.Ref, granted bool) {
+			if !granted || (midCommit.Add(1) > 64 && u != twins[0] && u != twins[1]) {
+				return
+			}
+			for _, sh := range rt.shards {
+				sh.actMu.Lock()
+			}
+			w := rt.freezeUnderPause()
+			for _, p := range rt.byPid {
+				if p.mode != sim.Leaving || p.life.Load() == 2 {
+					continue
+				}
+				want, _ := w.RelevantDegree(p.id)
+				switch got := len(p.nbr); {
+				case got < want:
+					t.Errorf("shards=%d: %v just granted: leaver %v counts %d neighbors, frozen world %d",
+						shards, u, p.id, got, want)
+				case got > want:
+					overCounts.Add(1)
+				}
+			}
+			for _, sh := range rt.shards {
+				sh.actMu.Unlock()
+			}
+		})
 		rt.Start()
 		if !rt.trackDeg {
 			t.Fatal("Single must enable degree tracking")
@@ -60,8 +106,8 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 			rt.pauseAll()
 			w := rt.freezeUnderPause()
 			pg := w.PG()
-			for _, p := range rt.leavers {
-				if p.life.Load() == 2 {
+			for _, p := range rt.byPid {
+				if p.mode != sim.Leaving || p.life.Load() == 2 {
 					continue
 				}
 				want, rel := w.RelevantDegree(p.id)
@@ -95,6 +141,10 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 		}
 		if !struck {
 			t.Fatalf("shards=%d: strike never fired", shards)
+		}
+		if midCommit.Load() < 64 || overCounts.Load() == 0 {
+			t.Fatalf("shards=%d: %d mid-commit checks saw %d over-counts; want 64 and some",
+				shards, midCommit.Load(), overCounts.Load())
 		}
 	}
 }
@@ -178,12 +228,12 @@ func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 	sh.cursor = 1 // the scan has just passed the leaver (pid 0)
 
 	rt.epochFast(oracle.Single{})
-	if !p.oracleOK.Load() || !p.ready || len(sh.ready) != 1 {
-		t.Fatalf("epoch did not queue the leaver: oracleOK=%v ready=%v list=%v", p.oracleOK.Load(), p.ready, sh.ready)
+	if !p.oracleOK.Load() || !p.ready.Load() || len(sh.ready) != 1 {
+		t.Fatalf("epoch did not queue the leaver: oracleOK=%v ready=%v list=%v", p.oracleOK.Load(), p.ready.Load(), sh.ready)
 	}
 	rt.rebalanceUnderPause()
-	if !p.ready || len(sh.ready) != 1 || sh.ready[0] != p.pid {
-		t.Fatalf("rebalance lost or duplicated the ready leaver: ready=%v list=%v", p.ready, sh.ready)
+	if !p.ready.Load() || len(sh.ready) != 1 || sh.ready[0] != p.pid {
+		t.Fatalf("rebalance lost or duplicated the ready leaver: ready=%v list=%v", p.ready.Load(), sh.ready)
 	}
 	sh.cursor = 1
 
@@ -191,8 +241,8 @@ func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 	if len(order) == 0 || order[0] != leaver {
 		t.Fatalf("ready leaver did not time out first: round began with %v", order[:min(3, len(order))])
 	}
-	if !p.exitPending.Load() || p.ready || len(sh.ready) != 0 {
-		t.Fatalf("after its timeout: exitPending=%v ready=%v list=%v", p.exitPending.Load(), p.ready, sh.ready)
+	if !p.exitPending.Load() || p.ready.Load() || len(sh.ready) != 0 {
+		t.Fatalf("after its timeout: exitPending=%v ready=%v list=%v", p.exitPending.Load(), p.ready.Load(), sh.ready)
 	}
 	rt.epochFast(oracle.Single{})
 	if !exited || rt.Gone() != 1 {
@@ -229,5 +279,275 @@ func TestDegreeSeedCountsInitialInFlight(t *testing.T) {
 	want, _ := rt.freezeUnderPause().RelevantDegree(nodes[2])
 	if got != want || want == 0 {
 		t.Fatalf("seeded degree %d, frozen world %d (want equal and nonzero)", got, want)
+	}
+}
+
+// blockingForwarder hands every reference it is sent on to one fixed
+// process, but only once the test lets it: Deliver reports that it was
+// entered and then waits.
+type blockingForwarder struct {
+	fixedRefsProto
+	to               ref.Ref
+	entered, release chan struct{}
+}
+
+func (b *blockingForwarder) Deliver(ctx sim.Context, m sim.Message) {
+	close(b.entered)
+	<-b.release
+	ctx.Send(b.to, sim.NewMessage("fwd", m.Refs...))
+}
+
+// TestOpenDeliveryKeepsItsReferencesCounted forces the one schedule the
+// ledger's over-count exists for. A suspended leaver has two neighbors: its
+// anchor, and a stayer that is in the middle of delivering the message that
+// carries the only other reference to it. While that handler runs the
+// reference is in nobody's store and in nobody's mailbox, and the handler may
+// yet keep it — an epoch judging then must still count it and deny. The
+// handler passes the reference on to the anchor; with the delivery over, the
+// leaver has one neighbor and the next epoch grants. No goroutine timing: the
+// handler blocks until the first epoch has returned.
+func TestOpenDeliveryKeepsItsReferencesCounted(t *testing.T) {
+	space := ref.NewSpace()
+	leaver, anchor, holder := space.New(), space.New(), space.New()
+	rt := NewRuntime(oracle.Single{})
+	rt.SetShards(1)
+	lp := core.New(core.VariantFDP)
+	lp.SetAnchor(anchor, sim.Staying)
+	fwd := &blockingForwarder{fixedRefsProto: fixedRefsProto{refs: []ref.Ref{anchor}},
+		to: anchor, entered: make(chan struct{}), release: make(chan struct{})}
+	rt.AddProcess(leaver, sim.Leaving, lp)
+	rt.AddProcess(anchor, sim.Staying, &fixedRefsProto{})
+	rt.AddProcess(holder, sim.Staying, fwd)
+	rt.Enqueue(holder, sim.NewMessage("intro", sim.RefInfo{Ref: leaver, Mode: sim.Leaving}))
+	rt.seal()
+	sh, p := rt.shards[0], rt.procs[leaver]
+	requestExit := func() {
+		p.exitPending.Store(true)
+		rt.requestExit(p)
+	}
+
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		var scratch []sim.Message
+		sh.actMu.RLock()
+		sh.deliverRound(&scratch)
+		sh.actMu.RUnlock()
+	}()
+	<-fwd.entered
+	requestExit()
+	rt.epochFast(oracle.Single{})
+	if rt.Gone() != 0 || rt.ExitDenied() != 1 || p.exitPending.Load() {
+		t.Fatalf("exit judged while the delivery was open: gone=%d denied=%d pending=%v; want a denial",
+			rt.Gone(), rt.ExitDenied(), p.exitPending.Load())
+	}
+	close(fwd.release)
+	<-delivered
+	requestExit()
+	rt.epochFast(oracle.Single{})
+	if rt.Gone() != 1 {
+		t.Fatalf("exit not granted after the delivery (gone=%d denied=%d)", rt.Gone(), rt.ExitDenied())
+	}
+	if w := rt.Freeze(); !w.RelevantComponentsIntact() {
+		t.Fatal("the stayers lost each other")
+	}
+}
+
+// TestFastEpochTakesNoShardLock holds one shard's action read lock, as a
+// worker in the middle of an iteration does, and runs a whole epoch
+// meanwhile: a pending degree-1 exit must commit and a leaver whose degree
+// changed must be re-judged and queued for its timeout. An epoch that pauses
+// the world blocks here until the read lock is gone.
+func TestFastEpochTakesNoShardLock(t *testing.T) {
+	space := ref.NewSpace()
+	nodes := space.NewN(4)
+	exiting, waiting, anchor := nodes[0], nodes[1], nodes[2]
+	rt := NewRuntime(oracle.Single{})
+	rt.SetShards(2)
+	for _, l := range []ref.Ref{exiting, waiting} {
+		lp := core.New(core.VariantFDP)
+		lp.SetAnchor(anchor, sim.Staying)
+		rt.AddProcess(l, sim.Leaving, lp)
+	}
+	rt.AddProcess(anchor, sim.Staying, &fixedRefsProto{})
+	rt.AddProcess(nodes[3], sim.Staying, &fixedRefsProto{})
+	rt.seal()
+	pe, pw := rt.procs[exiting], rt.procs[waiting]
+	pe.exitPending.Store(true)
+	rt.requestExit(pe)
+
+	busy := rt.shards[pw.shard.Load()]
+	busy.actMu.RLock()
+	done := make(chan struct{})
+	go func() {
+		rt.epoch()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("epoch waits for a shard's action lock")
+	}
+	busy.actMu.RUnlock()
+	<-done
+	if rt.Gone() != 1 || pe.life.Load() != 2 {
+		t.Fatalf("pending degree-1 exit not committed (gone=%d)", rt.Gone())
+	}
+	if !pw.oracleOK.Load() || !pw.ready.Load() || len(busy.ready) != 1 {
+		t.Fatalf("dirty leaver not re-judged: oracleOK=%v ready=%v list=%v",
+			pw.oracleOK.Load(), pw.ready.Load(), busy.ready)
+	}
+}
+
+// TestGrantedExitIsFinal pins what the workers' "may this process act" check
+// relies on now that the coordinator grants while they run. The check reads
+// two words, exitPending and life, and a commit may land between the reads;
+// it is safe because a grant never lifts the suspension: from the moment the
+// process turns gone, at every point the commit publishes anything (the
+// verdict hook, EvExit, the epoch's return), it is suspended AND gone, so no
+// pair of reads finds it neither. A push that lands after the verdict, before
+// the mailbox is closed, is refused like any push to a gone process. And a
+// second request from a gone process (what a timeout run in that window
+// would have filed) is refused: nothing is counted or emitted twice. Driven
+// by hand, no goroutine timing.
+func TestGrantedExitIsFinal(t *testing.T) {
+	space := ref.NewSpace()
+	leaver, anchor := space.New(), space.New()
+	rt := NewRuntime(oracle.Single{})
+	rt.SetShards(1)
+	lp := core.New(core.VariantFDP)
+	lp.SetAnchor(anchor, sim.Staying)
+	rt.AddProcess(leaver, sim.Leaving, lp)
+	rt.AddProcess(anchor, sim.Staying, &fixedRefsProto{})
+	sh, p := rt.shards[0], rt.procs[leaver]
+
+	published := 0
+	check := func(at string) {
+		published++
+		if life, pending := p.life.Load(), p.exitPending.Load(); life != 2 || !pending {
+			t.Errorf("%s: life=%d exitPending=%v; a granted process must be gone and stay suspended", at, life, pending)
+		}
+	}
+	exits, timeouts := 0, 0
+	rt.AddEventHook(func(e sim.Event) {
+		switch {
+		case e.Kind == sim.EvExit:
+			exits++
+			check("EvExit")
+		case e.Kind == sim.EvTimeout && e.Proc == leaver:
+			timeouts++
+		}
+	})
+	rt.SetOracleHook(func(u ref.Ref, granted bool) {
+		if !granted {
+			return
+		}
+		check("verdict hook")
+		// A send whose advisory life check ran before the verdict reaches push
+		// now, with the mailbox still open: refused all the same.
+		if _, ok := rt.push(p, sim.NewMessage("late", sim.RefInfo{Ref: anchor, Mode: sim.Staying})); ok {
+			t.Error("push accepted a message for a process already gone")
+		}
+	})
+	rt.seal()
+
+	rt.epochFast(oracle.Single{}) // judges the seeded degree 1: oracleOK, ready
+	sh.timeoutRound()             // the leaver's timeout requests the exit
+	if timeouts != 1 || !p.exitPending.Load() {
+		t.Fatalf("leaver did not request its exit: timeouts=%d pending=%v", timeouts, p.exitPending.Load())
+	}
+	rt.epochFast(oracle.Single{})
+	check("after the epoch")
+	if published != 3 || rt.Gone() != 1 {
+		t.Fatalf("exit not committed: gone=%d, %d of 3 checkpoints reached", rt.Gone(), published)
+	}
+	if p.mb.len() != 0 {
+		t.Fatalf("%d message(s) queued to the gone leaver after the verdict", p.mb.len())
+	}
+	var scratch []sim.Message
+	sh.deliverRound(&scratch)
+	sh.timeoutRound()
+	if timeouts != 1 {
+		t.Fatalf("gone leaver timed out again (%d timeouts)", timeouts)
+	}
+
+	live, awake := sh.live.Load(), sh.awake.Load()
+	rt.requestExit(p) // a stale second request
+	rt.epochFast(oracle.Single{})
+	if rt.Gone() != 1 || exits != 1 || rt.asleep.Load() != 0 || sh.live.Load() != live || sh.awake.Load() != awake {
+		t.Fatalf("second exit of a gone process went through: gone=%d EvExit=%d asleep=%d live=%d→%d awake=%d→%d",
+			rt.Gone(), exits, rt.asleep.Load(), live, sh.live.Load(), awake, sh.awake.Load())
+	}
+}
+
+// TestComponentsMatchFrozenWorld is the property seal relies on: the
+// union-find partition (components) equals the frozen world's
+// PG().WeaklyConnectedComponents() — same sets, same order — on random
+// states with gone and asleep processes, references to gone, unregistered
+// and the holder's own process, and references in flight; at Start, and
+// after a strike that ends in Reseal.
+func TestComponentsMatchFrozenWorld(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		space := ref.NewSpace()
+		n := 2 + rng.Intn(40)
+		nodes := space.NewN(n + 2) // the last two are never registered
+		someRefs := func(max int) []ref.Ref {
+			out := make([]ref.Ref, rng.Intn(max+1))
+			for i := range out {
+				out[i] = nodes[rng.Intn(len(nodes))]
+			}
+			return out
+		}
+		inFlight := func() sim.Message {
+			var infos []sim.RefInfo
+			for _, r := range someRefs(2) {
+				infos = append(infos, sim.RefInfo{Ref: r, Mode: sim.Staying})
+			}
+			return sim.NewMessage("m", infos...)
+		}
+		rt := NewRuntime(oracle.Single{})
+		rt.SetShards(1 + rng.Intn(3))
+		protos := make([]*fixedRefsProto, n)
+		for _, i := range rng.Perm(n) { // pid order differs from reference order
+			protos[i] = &fixedRefsProto{refs: someRefs(3)}
+			mode := sim.Staying
+			if rng.Intn(2) == 0 {
+				mode = sim.Leaving
+			}
+			rt.AddProcess(nodes[i], mode, protos[i])
+		}
+		for i := 0; i < n; i++ {
+			rt.Enqueue(nodes[rng.Intn(n)], inFlight())
+		}
+		for i := 0; i < n/4; i++ {
+			switch p := rt.procs[nodes[rng.Intn(n)]]; {
+			case p.life.Load() != 0:
+			case rng.Intn(2) == 0:
+				p.life.Store(2)
+			default:
+				rt.ForceAsleep(p.id)
+			}
+		}
+		rt.seal()
+		if want := rt.freezeUnderPause().PG().WeaklyConnectedComponents(); !reflect.DeepEqual(rt.initially, want) {
+			t.Fatalf("seed %d: seal found %v, frozen world %v", seed, rt.initially, want)
+		}
+		var want [][]ref.Ref
+		rt.Mutate(func(v *MutableView) {
+			for _, fp := range protos {
+				if rng.Intn(3) == 0 {
+					fp.refs = someRefs(3)
+				}
+			}
+			for i := 0; i < n/2; i++ {
+				v.Enqueue(nodes[rng.Intn(n)], inFlight())
+			}
+			v.Reseal()
+			want = rt.freezeUnderPause().PG().WeaklyConnectedComponents()
+		})
+		if got := rt.InitialComponents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Reseal found %v, frozen world %v", seed, got, want)
+		}
 	}
 }

@@ -18,11 +18,11 @@ import (
 //     event-parity test compares between engines.
 //   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
 //     every event synchronously from the emitting goroutine — a shard
-//     worker under its action read lock, or the coordinator under a full
-//     pause for batched exit events. Hooks therefore run concurrently with
-//     each other and must be safe for concurrent use. The runtime keeps no
-//     ring of its own: a consumer that wants the last K events installs
-//     trace.Flight.Record.
+//     worker under its action read lock, or the coordinator for batched
+//     exit events, with or without a pause. Hooks therefore run
+//     concurrently with each other and must be safe for concurrent use. The
+//     runtime keeps no ring of its own: a consumer that wants the last K
+//     events installs trace.Flight.Record.
 //
 // Event.Step on runtime events is the global executed-action count at
 // emission time — the closest concurrent analogue of the simulator's step
@@ -59,7 +59,9 @@ func (rt *Runtime) SetOracleHook(fn func(ref.Ref, bool)) { rt.oracleHook = fn }
 
 // record is the runtime's emit: per-kind counter, then the hook fan-out.
 // With no hook installed it is one counter add and one length check. The
-// caller must hold the owning shard's action read lock or a full pause.
+// caller is the only goroutine that may act on p: its shard's worker under
+// the action read lock, a pauser, or the coordinator committing the exit of
+// the suspended p.
 func (p *proc) record(e sim.Event) {
 	rt := p.rt
 	if int(e.Kind) < len(rt.kindCounts) {

@@ -18,21 +18,24 @@
 //     the worker drains messages in batches under one hold, and wake-ups
 //     are amortized to one notification per newly-runnable process.
 //   - Every action executes under the read side of its shard's action lock
-//     (actMu). A consistent global view — snapshots, exit validation,
-//     Mutate — takes the write side of every shard, from a rotating start
-//     (pauseAll), replacing the old single global RWMutex: workers contend
-//     only on their own shard's cache line, and the pause cost is paid per
-//     epoch instead of per oracle question.
-//   - exit is validated in epoch batches: a process requesting exit is
-//     suspended (it executes no further actions — its guard must still hold
-//     at commit time), and the coordinator validates all pending requests
-//     against ONE sealed snapshot per epoch, folding every commit back into
-//     the snapshot (sim.World.MarkGone) so later requests in the same batch
-//     are judged against the post-commit state. One O(n) freeze now serves
-//     a whole batch of exits — the change that takes churn runs past
-//     n=100k — while keeping the model's "check then act atomically"
-//     semantics: a stale cached oracle answer can request an exit but never
-//     commit one.
+//     (actMu). A consistent global view — snapshots, Mutate, rebalancing,
+//     exit validation by a stateful oracle — takes the write side of every
+//     shard, from a rotating start (pauseAll), replacing the old single
+//     global RWMutex: workers contend only on their own shard's cache line.
+//   - exit is validated by the coordinator in epoch batches: a process
+//     requesting exit is suspended (it executes no further actions — its
+//     guard must still hold at commit time) until the next epoch's verdict,
+//     so a stale cached oracle answer can request an exit but never commit
+//     one. For an oracle that judges the relevant degree alone (SINGLE) the
+//     epoch stops nobody: it judges each request on the incremental degree
+//     ledger and commits it in one critical section of the leaver's own
+//     lock, then re-judges only the leavers whose degree changed since the
+//     last epoch (degree.go) — O(pending + changed) work with the workers
+//     running. Any other oracle, and any state with asleep processes, pays
+//     one world pause per epoch: every request is validated against ONE
+//     sealed snapshot, each commit folded back into it (sim.World.MarkGone)
+//     so later requests in the same batch are judged against the post-commit
+//     state.
 //   - Workers are paced, not greedy: timeout rounds fire at most once per
 //     timeoutTick (weak fairness needs periodic timeouts, not timeout
 //     storms at CPU speed), a hot worker yields the processor after every
@@ -42,8 +45,9 @@
 //     asleep or gone; a message push wakes it immediately.
 //
 // Oracles used with this runtime must be stateless values (like
-// oracle.Single); evaluations are serialized by oracleMu and run on sealed
-// snapshots, never on live state.
+// oracle.Single); Evaluate calls are serialized by oracleMu and run on sealed
+// snapshots, never on live state, and the coordinator goroutine is the only
+// one that judges exits — Evaluate or JudgeDegree — while the system runs.
 //
 //fdp:nondecomposable runtime machinery: implements the model itself (delivery, absorption, exit commits), not a protocol in 𝒫; frozenProto is a snapshot shim, not a protocol
 package parallel
@@ -65,7 +69,7 @@ import (
 // cadence. Small enough that timeout-driven protocol progress stays fast,
 // large enough that a converged system does not spin. The coordinator
 // additionally never sleeps less than pauseDutyFactor times the last epoch's
-// pause, so at n=100k the world is not frozen back-to-back.
+// duration, so at n=100k the world is not frozen back-to-back.
 const (
 	idleMin         = 5 * time.Microsecond
 	idleMax         = time.Millisecond
@@ -83,7 +87,8 @@ type proc struct {
 	mb    mailbox // guarded by the owning shard's mbMu (or a full pause)
 
 	// shard is the owning shard's index. Rewritten only under a full pause
-	// (rebalance); read atomically by senders on other shards.
+	// (rebalance); read atomically by senders on other shards and by the
+	// coordinator, whose freezeMu keeps the rebalancer out.
 	shard atomic.Uint32
 
 	// inRun reports whether the process sits in its shard's run queue (or is
@@ -91,14 +96,16 @@ type proc struct {
 	inRun bool
 
 	// life is read concurrently (sends, snapshots) and written by the owning
-	// worker / coordinator: 0 awake, 1 asleep, 2 gone.
+	// worker / coordinator: 0 awake, 1 asleep, 2 gone. It turns 2 under
+	// degMu, in retire, and nowhere else.
 	life atomic.Int32
 
 	// exitPending suspends the process between its exit request and the
 	// coordinator's batched verdict: the worker delivers nothing to it and
 	// runs no timeouts on it, so the state the guard was evaluated in cannot
 	// drift before the commit. Set by the worker (CAS), cleared by the
-	// coordinator under a full pause.
+	// coordinator only when it denies: a granted process stays suspended for
+	// good, so a worker never finds it neither suspended nor gone.
 	exitPending atomic.Bool
 
 	wantExit  bool
@@ -117,22 +124,27 @@ type proc struct {
 	// committing.
 	oracleOK atomic.Bool
 
+	// dirty reports that the process sits on the runtime's dirty queue: its
+	// distinct-neighbor count changed since the coordinator last judged it.
+	dirty atomic.Bool
+
 	// nbr is the incremental relevant-degree multiset: distinct neighbor
 	// pid → number of current PG edges with it (see degree.go). Non-nil
 	// only for live leaving processes of degree-tracked runs; guarded by
-	// degMu (pair updates lock both endpoints in ascending pid order).
+	// degMu (pair updates lock both endpoints in ascending pid order, an
+	// exit commit takes its neighbors' one at a time).
 	nbr   map[uint32]int32
 	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in ascending pid order
 
 	// synced is the copy of proto.Refs() the degree ledger last accounted for
-	// (syncRefs after every action, reseedDegrees at Start and after Mutate).
+	// (syncRefs after every action, resetLedger at Start and after Mutate).
 	// Touched only by the owning worker (or under a full pause).
 	synced []ref.Ref
 
 	// ready reports that the process sits on its shard's ready list
-	// (shard.ready). Set by the coordinator under a full pause, cleared by
-	// the owning worker under its action read lock.
-	ready bool
+	// (shard.ready). Set by the coordinator before it appends the pid,
+	// cleared by the owning worker once it has popped it.
+	ready atomic.Bool
 
 	// ctx is the sim.Context every action of this process runs with.
 	ctx pctx
@@ -148,8 +160,11 @@ type Runtime struct {
 	shards []*shard
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
 
-	// freezeMu serializes world pausers (coordinator epochs, Freeze, Mutate,
-	// validateExit) ahead of the per-shard action locks; see pauseAll.
+	// freezeMu serializes world pausers (Freeze, Mutate, Rebalance,
+	// validateExit, the coordinator's frozen-world epochs) ahead of the
+	// per-shard action locks; see pauseAll. The coordinator's degree-judged
+	// epoch holds it too, and takes no shard's lock: nobody pauses the world
+	// while exits commit, and no exit commits under somebody's pause.
 	// pauseFirst, guarded by it, is the shard the next pause locks first.
 	freezeMu   sync.Mutex
 	pauseFirst int
@@ -168,6 +183,12 @@ type Runtime struct {
 	// coordinator runs an early epoch instead of sleeping out its interval.
 	exitKick chan struct{}
 
+	// dirtyMu guards the dirty queue: the leavers whose distinct-neighbor
+	// count changed since the coordinator last judged them (markDirty, fed by
+	// pairBump), each at most once (proc.dirty). Leaf lock.
+	dirtyMu sync.Mutex //fdp:lockleaf
+	dirty   []*proc
+
 	// causal is the runtime's causal-ID counter, the concurrent analogue of
 	// the simulator's. Enqueue seeds it past any transplanted message's CID
 	// (MirrorWorld preserves the build world's IDs), so the initial causal
@@ -176,11 +197,10 @@ type Runtime struct {
 
 	// trackDeg enables incremental relevant-degree counters (degree.go):
 	// set at Start when the oracle's verdict is a pure degree function.
-	// leavers indexes the Leaving processes for the epoch cache refresh;
 	// asleep counts processes with life==1 — while it is zero nothing can
-	// hibernate and the counters equal the frozen world's RelevantDegree.
+	// hibernate and the counters are never below the frozen world's
+	// RelevantDegree (equal to it at a full pause).
 	trackDeg bool
-	leavers  []*proc
 	asleep   atomic.Int64
 
 	events     atomic.Uint64 // executed actions (timeouts + deliveries)
@@ -188,7 +208,7 @@ type Runtime struct {
 	dropped    atomic.Uint64 // sends to gone/closed targets (vanish, like the model)
 	exits      atomic.Uint64
 	exitDenied atomic.Uint64 // exit requests rejected by revalidation
-	epochs     atomic.Uint64 // coordinator epochs (world pauses for batch validation)
+	epochs     atomic.Uint64 // coordinator epochs (batch validations, paused or not)
 
 	// kindCounts mirrors the sequential engine's per-kind event stream as
 	// always-on atomic counters (see events.go).
@@ -199,8 +219,8 @@ type Runtime struct {
 	// oracleHook, when set, observes every exit-validation verdict — the
 	// grant/denial stream the liveness watchdog classifies stalls from.
 	// Called from the coordinator's epoch (both the frozen-world and the
-	// incremental-degree path) outside oracleMu; must touch only state
-	// safe for that goroutine (atomics).
+	// incremental-degree path) outside oracleMu and degMu; must touch only
+	// state safe for that goroutine (atomics).
 	oracleHook func(ref.Ref, bool)
 	startTime  time.Time // set by Start; exit latencies measured from it
 
@@ -265,9 +285,6 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	sh.pids = append(sh.pids, p.pid)
 	rt.byPid = append(rt.byPid, p)
 	rt.procs[r] = p
-	if mode == sim.Leaving {
-		rt.leavers = append(rt.leavers, p)
-	}
 	// order stays in ref.Sort order: r goes in front of the first larger
 	// reference, which is at the end when processes are added in ascending
 	// order (MirrorWorld does).
@@ -360,7 +377,8 @@ func (rt *Runtime) Gone() uint64 { return rt.exits.Load() }
 // Observability for the validateExit contention tests.
 func (rt *Runtime) ExitDenied() uint64 { return rt.exitDenied.Load() }
 
-// Epochs returns how many epoch pauses the coordinator has run.
+// Epochs returns how many epochs — rounds of batch validation, with or
+// without a world pause — the coordinator has run.
 func (rt *Runtime) Epochs() uint64 { return rt.epochs.Load() }
 
 // pctx implements sim.Context for a process's actions; each proc holds its
@@ -381,8 +399,8 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	msg = sim.StampCausal(msg, rt.causal.Add(1), c.p.curCID, c.p.clock)
 	target := rt.procs[to]
 	// The life check is advisory (the target may exit between it and the
-	// push); push itself refuses on a closed mailbox, so the pair behaves
-	// like the model's "sends to gone processes vanish".
+	// push); push itself refuses a gone target under the queue lock, so the
+	// pair behaves like the model's "sends to gone processes vanish".
 	depth, pushed := 0, false
 	if target != nil && target.life.Load() != 2 {
 		depth, pushed = rt.push(target, msg)
@@ -407,10 +425,10 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 func (c *pctx) Exit()  { c.p.wantExit = true }
 func (c *pctx) Sleep() { c.p.wantSleep = true }
 
-// OracleSays gives the process's cached view, refreshed every epoch by the
-// coordinator; the authoritative re-check happens on a sealed snapshot
-// before any exit commits. (Freezing here would deadlock: the calling action
-// already holds its shard's action read lock.)
+// OracleSays gives the process's cached view, refreshed by the coordinator's
+// epochs; the authoritative re-check happens at commit time, on a sealed
+// snapshot or on the degree ledger. (Freezing here would deadlock: the
+// calling action already holds its shard's action read lock.)
 func (c *pctx) OracleSays() bool {
 	if c.p.rt.oracle == nil {
 		return false
@@ -439,14 +457,14 @@ func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
 	p.curCID = p.rt.causal.Add(1)
 	p.record(sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
 		CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
-	if p.rt.trackDeg {
-		// The message leaves the in-flight state: its implicit edges drop,
-		// and whatever the handler stores reappears via the explicit diff.
-		p.rt.removeMsgPairs(p, &msg)
-	}
 	p.proto.Deliver(&p.ctx, msg)
 	if p.rt.trackDeg {
+		// Adds precede removes (degree.go): the message's implicit edges
+		// drop only now that the handler's sends and stores are counted, so
+		// a reference it carried is never off the ledger while the delivery
+		// is open.
 		p.syncRefs(sh)
+		p.rt.removeMsgPairs(p, &msg)
 	}
 	return p.finishAction(sh)
 }
@@ -507,27 +525,30 @@ func (rt *Runtime) requestExit(p *proc) {
 	}
 }
 
-// commitExit makes p gone: mailbox closed (retaining its queue for terminal
-// snapshots), shard bookkeeping updated, latency recorded, EvExit emitted.
-// Callers: the owning worker under its action read lock (oracle-free path)
-// or the coordinator / validateExit under a full pause.
+// commitExit makes p gone without asking anybody. Callers: the owning worker
+// under its action read lock (oracle-free path), or the coordinator /
+// validateExit under a full pause, after the oracle granted on the sealed
+// snapshot. No action of p may be running or able to start.
 func (rt *Runtime) commitExit(p *proc) {
+	if nbr, ok := rt.retire(p, nil); ok {
+		rt.finishExit(p, nbr)
+	}
+}
+
+// finishExit completes the exit of p, already retired with neighbor
+// multiset nbr: mailbox closed (retaining its queue for terminal snapshots;
+// push has refused since p turned gone, so what is queued was sent before
+// the exit), shard bookkeeping updated, pairs erased, latency recorded,
+// EvExit emitted. Callers: commitExit, and the
+// coordinator's fast-path epoch with the workers running — it takes leaf
+// locks and neighbors' degMu only.
+func (rt *Runtime) finishExit(p *proc, nbr map[uint32]int32) {
 	sh := rt.shards[p.shard.Load()]
-	wasAwake := p.life.Load() == 0
-	p.life.Store(2)
 	sh.mbMu.Lock()
 	p.mb.closed = true
 	sh.mbMu.Unlock()
-	if wasAwake {
-		sh.awake.Add(-1)
-	} else {
-		rt.asleep.Add(-1)
-	}
-	if rt.trackDeg {
-		// Degree-tracked commits only happen under the coordinator's full
-		// pause, so the pair erasure races with no mutator.
-		rt.dropPairsOf(p)
-	}
+	sh.live.Add(-1)
+	rt.dropPairsOf(p, nbr)
 	rt.exits.Add(1)
 	sh.latMu.Lock()
 	sh.exitLat = append(sh.exitLat, time.Since(rt.startTime))
@@ -575,7 +596,6 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 		}
 		w.MarkGone(p.id)
 	}
-	p.exitPending.Store(false)
 	rt.commitExit(p)
 	return true
 }
@@ -584,13 +604,6 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 func (rt *Runtime) Start() {
 	rt.seal()
 	for _, sh := range rt.shards {
-		var awake int32
-		for _, pid := range sh.pids {
-			if rt.byPid[pid].life.Load() == 0 {
-				awake++
-			}
-		}
-		sh.awake.Store(awake)
 		rt.wg.Add(1)
 		go sh.worker()
 	}
@@ -608,25 +621,46 @@ func (rt *Runtime) Start() {
 // once and must not call Start afterwards.
 func (rt *Runtime) seal() {
 	rt.startTime = time.Now()
-	rt.initially = rt.freezeLocked().PG().WeaklyConnectedComponents()
-	if _, ok := rt.oracle.(degreeOracle); ok {
-		// Degree-judged oracle: maintain incremental relevant-degree
-		// counters so epochs validate exits without cloning the world.
-		// Seeded before the workers exist; push/deliver/action-diff keep
-		// them current from here on (degree.go).
-		rt.trackDeg = true
-		rt.reseedDegrees()
+	// Degree-judged oracle: maintain incremental relevant-degree counters so
+	// epochs validate exits without cloning the world. Seeded here, before
+	// the workers exist, in the pass that finds the components;
+	// push/deliver/action-diff keep them current from here on (degree.go).
+	_, rt.trackDeg = rt.oracle.(degreeOracle)
+	if rt.trackDeg {
+		uf := newUnionFind(len(rt.byPid))
+		rt.resetLedger()
+		rt.forEachEdge(func(p, q *proc) {
+			uf.union(p.pid, q.pid)
+			rt.pairBump(p, q, 1)
+		})
+		rt.initially = rt.partition(uf)
+	} else {
+		rt.initially = rt.components()
+	}
+	for _, sh := range rt.shards {
+		var awake, live int32
+		for _, pid := range sh.pids {
+			switch rt.byPid[pid].life.Load() {
+			case 0:
+				awake++
+				live++
+			case 1:
+				live++
+			}
+		}
+		sh.awake.Store(awake)
+		sh.live.Store(live)
 	}
 }
 
-// coordinate runs the epoch loop: each epoch pauses the world once, seals
-// one snapshot, validates every pending exit on it, and refreshes every
-// live leaving process's cached oracle answer. The cadence adapts twice
-// over — while actions execute it runs every coordMin, while the system is
-// quiet the interval doubles up to coordMax, and it never sleeps less than
-// pauseDutyFactor times the last epoch's own duration, so large worlds are
-// not frozen back-to-back. A pending exit request kicks an early epoch so
-// small systems keep sub-millisecond exit latency.
+// coordinate runs the epoch loop: each epoch validates every pending exit
+// and refreshes the cached oracle answers that may have changed (epoch). The
+// cadence adapts twice over — while actions execute it runs every coordMin,
+// while the system is quiet the interval doubles up to coordMax, and it
+// never sleeps less than pauseDutyFactor times the last epoch's own
+// duration, so large worlds are not frozen back-to-back. A pending exit
+// request kicks an early epoch so small systems keep sub-millisecond exit
+// latency.
 func (rt *Runtime) coordinate() {
 	defer rt.wg.Done()
 	interval := coordMin
@@ -672,21 +706,26 @@ func (rt *Runtime) coordinate() {
 	}
 }
 
-// epoch is one coordinator round under a single world pause: seal a
-// snapshot, settle the pending exit batch on it, refresh the oracle caches,
-// rebalance if the shards have drifted apart.
+// epoch is one coordinator round: settle the pending exit batch, refresh the
+// oracle caches, rebalance if the shards have drifted apart.
 func (rt *Runtime) epoch() {
-	rt.pauseAll()
-	defer rt.resumeAll()
 	rt.epochs.Add(1)
 	if jd, ok := rt.oracle.(degreeOracle); ok && rt.trackDeg && rt.asleep.Load() == 0 {
 		// Fast path: nothing is asleep, so nothing hibernates and the
-		// incremental counters equal the frozen world's RelevantDegree —
-		// O(pending + leavers) instead of an O(n+m) world clone.
+		// incremental counters never read below the frozen world's
+		// RelevantDegree — O(pending + changed) work on the ledger instead of
+		// an O(n+m) world clone, and no shard is stopped for it. (A process
+		// that falls asleep meanwhile only makes the ledger over-count more.)
+		rt.freezeMu.Lock()
 		rt.epochFast(jd)
-		rt.maybeRebalance()
+		rt.freezeMu.Unlock()
+		if rt.skewed() {
+			rt.Rebalance()
+		}
 		return
 	}
+	rt.pauseAll()
+	defer rt.resumeAll()
 	w := rt.freezeUnderPause()
 	for _, p := range rt.takePendingExits() {
 		rt.validateExitOn(w, p)
@@ -699,12 +738,14 @@ func (rt *Runtime) epoch() {
 		}
 	}
 	rt.oracleMu.Unlock()
-	rt.maybeRebalance()
+	if rt.skewed() {
+		rt.rebalanceUnderPause()
+	}
 }
 
 // takePendingExits claims the current exit batch. A process appears at most
 // once: requestExit is guarded by the exitPending CAS and the flag is only
-// cleared under the pause the batch is processed in.
+// cleared, on a denial, by the epoch that took the batch it is in.
 func (rt *Runtime) takePendingExits() []*proc {
 	rt.exitMu.Lock()
 	defer rt.exitMu.Unlock()
@@ -876,7 +917,9 @@ func (rt *Runtime) Mutate(fn func(v *MutableView)) {
 	// A strike may rewrite stored references or inject messages without any
 	// action running: rebuild the incremental degree counters before the
 	// world resumes (the counter analogue of sim.World.InvalidatePG).
-	rt.reseedDegrees()
+	if rt.trackDeg {
+		rt.reseedDegrees()
+	}
 }
 
 // Live returns the references of all non-gone processes in deterministic
@@ -935,5 +978,5 @@ func (v *MutableView) ChannelSnapshot(r ref.Ref) []sim.Message {
 // post-fault state is the new "arbitrary initial state" convergence is
 // measured from, exactly like faults.Strike's re-seal on the simulator.
 func (v *MutableView) Reseal() {
-	v.rt.initially = v.rt.freezeUnderPause().PG().WeaklyConnectedComponents()
+	v.rt.initially = v.rt.components()
 }

@@ -123,21 +123,26 @@ type shard struct {
 
 	// ready lists the owned leavers whose cached oracle answer the
 	// coordinator just turned true (epochFast), each at most once (proc.ready);
-	// timeoutRound serves them ahead of the scan. Appended to and rebuilt only
-	// under a full pause; consumed by the worker under its action read lock.
-	ready []uint32
+	// timeoutRound serves them ahead of the scan. Guarded by mbMu: the
+	// coordinator appends while the worker runs (markReady), the worker pops
+	// into readyBuf (worker-private); a rebalance rebuilds it under the pause.
+	ready    []uint32
+	readyBuf []uint32
 
 	// refScratch is syncRefs' sort buffer (worker-private).
 	refScratch []ref.Ref
 
 	// awake counts owned processes in the awake state; 0 lets the worker
-	// block indefinitely instead of polling (FSP hibernation).
+	// block indefinitely instead of polling (FSP hibernation). live counts
+	// the owned processes that are not gone, for the coordinator's balance
+	// check. Both are set by seal and by a rebalance.
 	awake atomic.Int32
+	live  atomic.Int32
 
 	// latMu guards the shard's exit-latency buffer. Commits append here
-	// (owning worker or coordinator under pause — never both at once, the
-	// lock is for the concurrent reader); ExitLatencies merges the shard
-	// buffers at read time. Strictly a leaf.
+	// (the owning worker on the oracle-free path, else the coordinator —
+	// never both in one run, the lock is for the concurrent reader);
+	// ExitLatencies merges the shard buffers at read time. Strictly a leaf.
 	latMu   sync.Mutex //fdp:lockleaf
 	exitLat []time.Duration
 }
@@ -151,7 +156,8 @@ func (sh *shard) wake() {
 
 // push enqueues msg into p's mailbox under p's shard's queue lock, making p
 // runnable if it wasn't. Reports the queue depth after the append and
-// whether the push was accepted (a closed mailbox refuses). Callers run
+// whether the push was accepted (a closed mailbox or a gone process refuses).
+// Callers run
 // under some shard's action read lock, under a full pause, or before Start.
 func (rt *Runtime) push(p *proc, msg sim.Message) (int, bool) {
 	if rt.trackDeg && len(msg.Refs) > 0 {
@@ -162,7 +168,10 @@ func (rt *Runtime) push(p *proc, msg sim.Message) (int, bool) {
 	}
 	sh := rt.shards[p.shard.Load()]
 	sh.mbMu.Lock()
-	if p.mb.closed {
+	if p.mb.closed || p.life.Load() == 2 {
+		// Gone, though the commit may not have closed the mailbox yet
+		// (finishExit): a send either is queued before the exit or is
+		// dropped, nothing in between.
 		sh.mbMu.Unlock()
 		if rt.trackDeg && len(msg.Refs) > 0 {
 			rt.removeMsgPairs(p, &msg)
@@ -185,7 +194,8 @@ func (rt *Runtime) push(p *proc, msg sim.Message) (int, bool) {
 }
 
 // reschedule makes a denied exiter runnable again if deliveries queued up
-// while it was suspended. Called by the coordinator under a full pause.
+// while it was suspended. Called by the coordinator, paused or not, after it
+// cleared exitPending.
 func (rt *Runtime) reschedule(p *proc) {
 	sh := rt.shards[p.shard.Load()]
 	sh.mbMu.Lock()
@@ -265,14 +275,26 @@ func (sh *shard) deliverRound(scratch *[]sim.Message) int {
 }
 
 // markReady puts p, whose cached oracle answer just turned true, on its
-// shard's ready list. Caller holds the world paused.
+// shard's ready list, under the shard's queue lock: the worker runs on.
+// Caller is the coordinator, holding freezeMu (p cannot change shards).
 func (rt *Runtime) markReady(p *proc) {
-	if p.ready {
+	if !p.ready.CompareAndSwap(false, true) {
 		return
 	}
-	p.ready = true
 	sh := rt.shards[p.shard.Load()]
+	sh.mbMu.Lock()
 	sh.ready = append(sh.ready, p.pid)
+	sh.mbMu.Unlock()
+}
+
+// takeReady pops up to max pids off the ready list into the worker's buffer.
+func (sh *shard) takeReady(max int) []uint32 {
+	sh.mbMu.Lock()
+	k := min(len(sh.ready), max)
+	sh.readyBuf = append(sh.readyBuf[:0], sh.ready[:k]...)
+	sh.ready = sh.ready[:copy(sh.ready, sh.ready[k:])]
+	sh.mbMu.Unlock()
+	return sh.readyBuf
 }
 
 // timeoutRound executes up to timeoutBudget timeout actions: first the ready
@@ -282,20 +304,24 @@ func (rt *Runtime) markReady(p *proc) {
 // grows to at most twice its length and every awake process still times out
 // infinitely often (weak fairness) however fast the ready list refills.
 // Suspended (exit-pending) processes are skipped: they must not act between
-// their exit request and the coordinator's verdict.
+// their exit request and the coordinator's verdict, and a granted one never
+// acts again. The coordinator grants with the workers running, so the check
+// must hold against a commit that lands between its two reads: a grant
+// leaves exitPending set for good — only a denial lifts the suspension, and
+// a denied process is still awake — so from retire on the process is both
+// suspended and gone. (exitPending is read first, here and in nextBatch: the
+// coordinator writes life before it touches the flag.)
 func (sh *shard) timeoutRound() int {
-	ran, served := 0, 0
-	for served < len(sh.ready) && ran < timeoutBudget/2 {
-		p := sh.rt.byPid[sh.ready[served]]
-		served++
-		p.ready = false
-		if p.life.Load() != 0 || p.exitPending.Load() {
+	ran := 0
+	for _, pid := range sh.takeReady(timeoutBudget / 2) {
+		p := sh.rt.byPid[pid]
+		p.ready.Store(false)
+		if p.exitPending.Load() || p.life.Load() != 0 {
 			continue
 		}
 		p.timeoutAction(sh)
 		ran++
 	}
-	sh.ready = sh.ready[:copy(sh.ready, sh.ready[served:])]
 	n := len(sh.pids)
 	for scanned := 0; scanned < n && ran < timeoutBudget; scanned++ {
 		if sh.cursor >= n {
@@ -303,7 +329,7 @@ func (sh *shard) timeoutRound() int {
 		}
 		p := sh.rt.byPid[sh.pids[sh.cursor]]
 		sh.cursor++
-		if p.life.Load() != 0 || p.exitPending.Load() {
+		if p.exitPending.Load() || p.life.Load() != 0 {
 			continue
 		}
 		p.timeoutAction(sh)
@@ -434,8 +460,8 @@ const rebalanceRatio = 2
 
 // rebalanceUnderPause deals the live processes round-robin across shards and
 // rebuilds every run queue from mailbox state and every ready list from the
-// procs' ready flags. Caller holds the world
-// paused, so mailboxes, inRun flags and shard assignments are plain data.
+// procs' ready flags. Caller holds the world paused, so mailboxes, inRun
+// flags, ready lists and shard assignments are plain data.
 func (rt *Runtime) rebalanceUnderPause() {
 	for _, sh := range rt.shards {
 		sh.pids = sh.pids[:0]
@@ -443,19 +469,22 @@ func (rt *Runtime) rebalanceUnderPause() {
 		sh.ready = sh.ready[:0]
 		sh.cursor = 0
 		sh.awake.Store(0)
+		sh.live.Store(0)
 	}
 	i := 0
 	for _, r := range rt.order {
 		p := rt.procs[r]
 		if p.life.Load() == 2 {
-			p.inRun, p.ready = false, false
+			p.inRun = false
+			p.ready.Store(false)
 			continue
 		}
 		sh := rt.shards[i%len(rt.shards)]
 		i++
 		p.shard.Store(uint32(sh.idx))
 		sh.pids = append(sh.pids, p.pid)
-		if p.ready {
+		sh.live.Add(1)
+		if p.ready.Load() {
 			sh.ready = append(sh.ready, p.pid)
 		}
 		if p.life.Load() == 0 {
@@ -471,20 +500,12 @@ func (rt *Runtime) rebalanceUnderPause() {
 	}
 }
 
-// maybeRebalance rebalances when the live-process spread across shards
-// exceeds rebalanceRatio. Caller holds the world paused.
-func (rt *Runtime) maybeRebalance() {
-	if len(rt.shards) < 2 {
-		return
-	}
-	minLive, maxLive := -1, 0
+// skewed reports whether the live-process spread across shards exceeds
+// rebalanceRatio, from the shards' own counters.
+func (rt *Runtime) skewed() bool {
+	minLive, maxLive := int32(-1), int32(0)
 	for _, sh := range rt.shards {
-		live := 0
-		for _, pid := range sh.pids {
-			if rt.byPid[pid].life.Load() != 2 {
-				live++
-			}
-		}
+		live := sh.live.Load()
 		if minLive < 0 || live < minLive {
 			minLive = live
 		}
@@ -492,7 +513,5 @@ func (rt *Runtime) maybeRebalance() {
 			maxLive = live
 		}
 	}
-	if maxLive > rebalanceRatio*minLive+rebalanceRatio {
-		rt.rebalanceUnderPause()
-	}
+	return maxLive > rebalanceRatio*minLive+rebalanceRatio
 }
