@@ -64,10 +64,14 @@ replay-golden:
 # (internal/fuzz/testdata), runs the mutation harness end to end (the
 # injected MUTANT-SINGLE bug must be found, shrunk, journaled and replayed),
 # then takes a short fresh-fuzz pass over a fixed seed. Single shard,
-# deterministic, budgeted well under 30s on one core.
+# deterministic, budgeted well under 30s on one core. Last, a 5s native
+# go-fuzz pass holds the journal's hand-rolled record encoder to
+# encoding/json (internal/trace FuzzRecordLine; not deterministic — a
+# failure lands as a seed file under internal/trace/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -count=1
 	$(GO) run ./cmd/fdpfuzz -seed 11 -runs 20 -timeout 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRecordLine -fuzztime 5s
 
 # fuzz-hunt is the scheduled long hunt (.github/workflows/fuzz.yml): a
 # time-bounded randomized sweep with the seed drawn from the calendar date,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"fdp/internal/ref"
 )
 
 // ChromeEvent is one entry of the Chrome trace-event format (the JSON
@@ -115,11 +117,11 @@ func BuildChrome(hdr Header, recs []Record) ChromeTrace {
 
 // procTid maps "p7" to thread id 7; unparseable names get lane 0.
 func procTid(proc string) int {
-	var idx int
-	if _, err := fmt.Sscanf(proc, "p%d", &idx); err != nil {
+	r, err := parseRef(proc)
+	if err != nil {
 		return 0
 	}
-	return idx
+	return ref.Index(r) + 1
 }
 
 // WriteChrome writes the journal as indented Chrome trace-event JSON.

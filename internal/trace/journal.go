@@ -14,10 +14,17 @@ import (
 // one JSON record line per event. Record is hook-shaped — install it with
 // AddEventHook on either engine.
 //
-// Locking: Writer is a leaf. It takes its own mutex (the runtime's event
-// hooks run on many goroutines at once), holds no other lock while writing,
-// and calls nothing that locks. Errors are sticky and reported by Err — an
-// event hook has no error return, so the driver checks once at the end.
+// Write-through by contract: every record is handed to the io.Writer, whole,
+// in one Write call before Record returns. Writer has no Flush; a sink that
+// should batch wraps itself (StreamWriter).
+//
+// Locking: Writer is a leaf. A record is encoded into a pooled buffer before
+// the mutex is taken, so the runtime's shard workers — event hooks run on
+// many goroutines at once — encode in parallel; the mutex is held only for
+// the one Write and the count, which is what keeps lines from interleaving.
+// Writer holds no other lock while writing and calls nothing that locks.
+// Errors are sticky and reported by Err — an event hook has no error return,
+// so the driver checks once at the end.
 type Writer struct {
 	mu  sync.Mutex //fdp:lockleaf
 	w   io.Writer
@@ -25,23 +32,34 @@ type Writer struct {
 	n   int
 }
 
+// linePool recycles record-line buffers across Record calls and goroutines.
+var linePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // NewWriter writes the header line and returns the journal writer. A header
 // write failure is sticky (see Err); the writer then drops every record.
 func NewWriter(w io.Writer, hdr Header) *Writer {
-	jw := &Writer{w: w}
-	jw.err = writeLine(w, hdr)
-	return jw
+	return &Writer{w: w, err: writeHeader(w, hdr)}
 }
 
 // Record appends one event to the journal. Safe for concurrent use; usable
 // directly as a sim event hook or a parallel runtime event sink.
+// Allocation-free once the pool is warm.
 func (jw *Writer) Record(e sim.Event) {
+	bp := linePool.Get().(*[]byte)
+	*bp = appendEvent((*bp)[:0], &e)
+	jw.writeLine(*bp)
+	linePool.Put(bp)
+}
+
+// writeLine hands one encoded line to the sink unless an earlier write
+// failed.
+func (jw *Writer) writeLine(line []byte) {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	if jw.err != nil {
 		return
 	}
-	if jw.err = writeLine(jw.w, FromEvent(e)); jw.err == nil {
+	if _, jw.err = jw.w.Write(line); jw.err == nil {
 		jw.n++
 	}
 }
@@ -60,21 +78,18 @@ func (jw *Writer) Count() int {
 	return jw.n
 }
 
-// StreamWriter is the crash-safe sibling of Writer: it buffers records
-// through a bufio.Writer (a process-journal write must not be one syscall
-// per event) and exposes Flush/Close so a signal handler can force the
-// buffered tail onto disk before the process dies. If the underlying writer
-// has a Sync method (an *os.File), Flush also syncs, so a flushed journal
-// survives the machine, not just the process.
+// StreamWriter is the crash-safe sibling of Writer: a Writer over a
+// bufio.Writer (a process-journal write must not be one syscall per event)
+// that exposes Flush/Close so a signal handler can force the buffered tail
+// onto disk before the process dies. If the underlying writer has a Sync
+// method (an *os.File), Flush also syncs, so a flushed journal survives the
+// machine, not just the process. Count includes buffered records.
 //
-// Locking: like Writer, StreamWriter is a leaf — it takes only its own
-// mutex and calls nothing that locks. Errors are sticky (Err).
+// Locking: Writer's — Flush takes the same leaf mutex Record writes under.
 type StreamWriter struct {
-	mu  sync.Mutex //fdp:lockleaf
-	bw  *bufio.Writer
-	s   interface{ Sync() error } // non-nil when the sink can fsync
-	err error
-	n   int
+	Writer
+	bw *bufio.Writer
+	s  interface{ Sync() error } // non-nil when the sink can fsync
 }
 
 // NewStreamWriter writes the header line and returns the buffered journal
@@ -82,24 +97,10 @@ type StreamWriter struct {
 // record.
 func NewStreamWriter(w io.Writer, hdr Header) *StreamWriter {
 	sw := &StreamWriter{bw: bufio.NewWriterSize(w, 64*1024)}
-	if s, ok := w.(interface{ Sync() error }); ok {
-		sw.s = s
-	}
-	sw.err = writeLine(sw.bw, hdr)
+	sw.s, _ = w.(interface{ Sync() error })
+	sw.w = sw.bw
+	sw.err = writeHeader(sw.bw, hdr)
 	return sw
-}
-
-// Record appends one event. Safe for concurrent use; usable directly as a
-// sim event hook.
-func (sw *StreamWriter) Record(e sim.Event) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.err != nil {
-		return
-	}
-	if sw.err = writeLine(sw.bw, FromEvent(e)); sw.err == nil {
-		sw.n++
-	}
 }
 
 // Flush forces buffered records to the underlying writer and, when the sink
@@ -107,10 +108,6 @@ func (sw *StreamWriter) Record(e sim.Event) {
 func (sw *StreamWriter) Flush() error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.flushLocked()
-}
-
-func (sw *StreamWriter) flushLocked() error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -123,31 +120,16 @@ func (sw *StreamWriter) flushLocked() error {
 // Close flushes; the caller owns (and closes) the underlying file.
 func (sw *StreamWriter) Close() error { return sw.Flush() }
 
-// Err returns the first write error, if any.
-func (sw *StreamWriter) Err() error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.err
-}
-
-// Count returns how many records were written (buffered or flushed).
-func (sw *StreamWriter) Count() int {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.n
-}
-
-// writeLine marshals v as one JSONL line. encoding/json emits struct fields
-// in declaration order and sorts map keys, so journal bytes are a pure
-// function of the values — the property the byte-identical replay check
-// rests on.
-func writeLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
+// writeHeader marshals hdr as the journal's first line. encoding/json emits
+// struct fields in declaration order and sorts map keys, so the header's
+// bytes are a pure function of its values, as the record lines' are
+// (encode.go) — the property the byte-identical replay check rests on.
+func writeHeader(w io.Writer, hdr Header) error {
+	b, err := json.Marshal(hdr)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 
@@ -155,11 +137,13 @@ func writeLine(w io.Writer, v any) error {
 // the format Writer produces — the regeneration path the byte-identical
 // replay check compares against.
 func WriteJournal(w io.Writer, hdr Header, recs []Record) error {
-	if err := writeLine(w, hdr); err != nil {
+	if err := writeHeader(w, hdr); err != nil {
 		return err
 	}
+	var line []byte
 	for i := range recs {
-		if err := writeLine(w, recs[i]); err != nil {
+		line = appendRecord(line[:0], &recs[i])
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

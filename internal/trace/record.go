@@ -22,6 +22,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -123,8 +124,8 @@ func FromEvent(e sim.Event) Record {
 	}
 }
 
-// FromEvents renders a captured event slice (e.g. a Recorder's contents or
-// parallel.Runtime.TraceEvents) as journal records.
+// FromEvents renders a captured event slice (e.g. a Flight ring's contents)
+// as journal records.
 func FromEvents(events []sim.Event) []Record {
 	out := make([]Record, len(events))
 	for i, e := range events {
@@ -135,24 +136,23 @@ func FromEvents(events []sim.Event) []Record {
 
 // refString renders a reference for the journal ("" for the nil reference,
 // so omitempty drops absent peers).
-func refString(r ref.Ref) string {
-	if r.IsNil() {
-		return ""
-	}
-	return fmt.Sprintf("p%d", ref.Index(r)+1)
-}
+func refString(r ref.Ref) string { return string(appendRefName(nil, r)) }
 
 // parseRef is the inverse of refString; the empty string and "⊥" map to
-// the nil reference.
+// the nil reference. Names come from journals, which are outside input:
+// only the canonical spelling refString produces is accepted ("p" and a
+// positive int32 in decimal, no sign, no leading zero, nothing after it), so
+// no two names alias one process and no index wraps in ref.ByIndex.
 func parseRef(s string) (ref.Ref, error) {
 	if s == "" || s == "⊥" {
 		return ref.Nil, nil
 	}
-	var idx int
-	if _, err := fmt.Sscanf(s, "p%d", &idx); err != nil || idx < 1 {
-		return ref.Nil, fmt.Errorf("trace: bad process name %q", s)
+	if len(s) >= 2 && s[0] == 'p' && s[1] >= '1' && s[1] <= '9' {
+		if idx, err := strconv.ParseInt(s[1:], 10, 32); err == nil {
+			return ref.ByIndex(int(idx) - 1), nil
+		}
 	}
-	return ref.ByIndex(idx - 1), nil
+	return ref.Nil, fmt.Errorf("trace: bad process name %q", s)
 }
 
 // kindByName maps event kind names back to sim kinds (inverse of
