@@ -2,31 +2,26 @@ GO ?= go
 
 FDPLINT := bin/fdplint
 
-.PHONY: all ci vet lint lint-unit loc build test race bench bench-artifacts bench-baseline bench-compare replay-golden fuzz-smoke fuzz-hunt node-churn
+.PHONY: all ci vet lint loc build test race bench bench-artifacts bench-baseline bench-compare replay-golden fuzz-smoke fuzz-hunt node-churn
 
 all: vet lint build test race replay-golden fuzz-smoke
 
-# ci is the exact sequence .github/workflows/ci.yml runs.
-ci: vet lint lint-unit build test race replay-golden fuzz-smoke
+# ci runs what the test, lint and race jobs of .github/workflows/ci.yml run.
+# The workflow's other two jobs are targets of their own: node-churn, and
+# bench-artifacts followed by bench-compare.
+ci: vet lint build test race replay-golden fuzz-smoke
 
 vet:
 	$(GO) vet ./...
 
 # lint runs the full fdp analysis suite (see DESIGN.md §9 and §14:
-# refopacity, detiter, guardpurity, lockorder, primdecomp,
-# atomicdiscipline, lockgraph) in whole-program mode: one process loads the
-# module in dependency order, threads cross-package facts through a shared
-# store, and checks global properties — the call-graph mover fixpoint, the
-# inferred lock-acquisition graph — that per-unit drivers cannot see.
+# refopacity, detiter, guardpurity, primdecomp, atomicdiscipline, lockgraph)
+# over the whole program: one process loads the module in dependency order,
+# threads cross-package facts through a shared store, and checks global
+# properties — the call-graph mover fixpoint, the inferred lock-acquisition
+# graph — that no package-at-a-time run can see.
 lint: $(FDPLINT)
 	$(FDPLINT) ./...
-
-# lint-unit is the unitchecker smoke: the same binary driven by go vet, one
-# compilation unit per invocation with facts round-tripped through .vetx
-# files. Keeps the vet integration honest without replacing whole-program
-# mode.
-lint-unit: $(FDPLINT)
-	$(GO) vet -vettool=$(FDPLINT) ./...
 
 $(FDPLINT): FORCE
 	$(GO) build -o $(FDPLINT) ./cmd/fdplint

@@ -1,22 +1,12 @@
 // Command fdplint runs the fdp static-analysis suite (see
-// internal/analysis/all) in one of two modes:
+// internal/analysis/all) over the whole program:
 //
-//   - Whole-program mode (the default, and what `make lint` runs):
+//	fdplint [packages]
 //
-//     fdplint [packages]
-//
-//     loads the module in dependency order via the go build machinery,
-//     runs every analyzer over every package with one shared fact store,
-//     and prints findings. Patterns default to ./... relative to the
-//     current directory.
-//
-//   - Unitchecker mode, auto-detected when cmd/go invokes the binary with
-//     -V=full / -flags / a .cfg argument:
-//
-//     go vet -vettool=bin/fdplint ./...
-//
-//     analyzes one compilation unit per invocation, round-tripping facts
-//     through the build system's .vetx files.
+// loads the module in dependency order via the go build machinery, runs
+// every analyzer over every package with one shared fact store, and prints
+// findings. Patterns default to ./... relative to the current directory.
+// This is what `make lint` runs.
 //
 // See DESIGN.md §9 and §14 for the invariants each analyzer enforces and
 // the //fdplint:ignore escape hatch.
@@ -25,19 +15,12 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"fdp/internal/analysis/all"
 	"fdp/internal/analysis/program"
-	"fdp/internal/analysis/unit"
 )
 
 func main() {
-	if unitcheckerInvocation(os.Args[1:]) {
-		unit.Main(all.Analyzers()...)
-		return
-	}
-
 	res, err := program.Run(program.Options{Patterns: os.Args[1:]}, all.Analyzers())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fdplint: %v\n", err)
@@ -49,18 +32,4 @@ func main() {
 	if len(res.Diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// unitcheckerInvocation detects the go vet protocol: a -V/-flags flag or a
-// *.cfg positional argument.
-func unitcheckerInvocation(args []string) bool {
-	for _, a := range args {
-		switch {
-		case a == "-flags", a == "--flags",
-			a == "-V" || strings.HasPrefix(a, "-V=") || strings.HasPrefix(a, "--V="),
-			strings.HasSuffix(a, ".cfg"):
-			return true
-		}
-	}
-	return false
 }

@@ -14,8 +14,9 @@
 //   - the four universal primitives of Section 2 and the constructive
 //     Theorem 1 transformation between arbitrary weakly connected
 //     topologies — Morph;
-//   - a goroutine-per-process concurrent runtime — SimulateParallel;
-//   - the full experiment suite E1–E11 regenerating every table and figure
+//   - a sharded M:N concurrent runtime (a few worker goroutines multiplex
+//     all processes) running the same scenarios — SimulateParallel;
+//   - the full experiment suite E1–E16 regenerating every table and figure
 //     of EXPERIMENTS.md — Experiments.
 //
 // The deterministic discrete-event simulator underneath implements the
@@ -450,15 +451,16 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 	ok := rt.RunUntil(func(w *sim.World) bool {
 		return w.Legitimate(simVariant)
 	}, 2*time.Millisecond, timeout)
-	if jw != nil {
-		if err := jw.Err(); err != nil {
-			return Report{}, fmt.Errorf("fdp: journal write: %w", err)
-		}
-	}
-	return Report{
+	rep := Report{
 		Converged:    ok,
 		Steps:        int(rt.Events()),
 		MessagesSent: rt.Sent(),
 		Exits:        int(rt.Gone()), // bounded by Config.N
-	}, nil
+	}
+	if jw != nil {
+		if err := jw.Err(); err != nil {
+			return rep, fmt.Errorf("fdp: journal write: %w", err)
+		}
+	}
+	return rep, nil
 }

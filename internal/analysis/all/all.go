@@ -1,6 +1,6 @@
 // Package all registers the full fdplint analyzer suite in one place, so
-// the drivers (cmd/fdplint in both program and unitchecker mode, the
-// mutation tests, make lint) agree on what "the suite" is.
+// cmd/fdplint (make lint) and the mutation tests agree on what "the suite"
+// is.
 package all
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fdp/internal/analysis/detiter"
 	"fdp/internal/analysis/guardpurity"
 	"fdp/internal/analysis/lockgraph"
-	"fdp/internal/analysis/lockorder"
 	"fdp/internal/analysis/primdecomp"
 	"fdp/internal/analysis/refopacity"
 )
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		refopacity.Analyzer,
 		detiter.Analyzer,
 		guardpurity.Analyzer,
-		lockorder.Analyzer,
 		lockgraph.Analyzer,
 		primdecomp.Analyzer,
 		atomicdiscipline.Analyzer,

@@ -9,15 +9,12 @@
 // if the dependency ever becomes available, each analyzer ports by
 // changing one import line.
 //
-// The drivers live alongside:
+// The driver and the fixture harness live alongside:
 //
 //   - internal/analysis/program typechecks the whole module in dependency
 //     order (via `go list -deps -export -json`) and runs every analyzer
-//     over every package with one shared fact store — the mode behind
-//     `make lint` and a bare `fdplint ./...`.
-//   - internal/analysis/unit implements the `go vet -vettool=` protocol so
-//     cmd/fdplint also runs under the standard build machinery, with facts
-//     serialized through the build system's .vetx files.
+//     over every package with one shared fact store — what `make lint`
+//     and `fdplint ./...` run.
 //   - internal/analysis/analysistest loads golden-fixture packages from an
 //     analyzer's testdata/src tree and checks reported diagnostics against
 //     `// want "regexp"` comments, threading facts across the listed
@@ -33,8 +30,8 @@
 // or declaration starting on either of those lines (so a directive covers
 // a wrapped call or range whose diagnostic anchors on a later line). The
 // reason is mandatory; a bare or malformed directive is itself reported.
-// Filtering happens in RunPackage, so every driver and every analyzer
-// gets the facility for free.
+// Filtering happens in RunPackage, so the driver, the fixture harness and
+// every analyzer get the facility for free.
 package analysis
 
 import (
@@ -58,8 +55,7 @@ type Analyzer struct {
 	// parity).
 	Run func(pass *Pass) (any, error)
 	// FactTypes lists prototype values of every Fact type the analyzer
-	// exports (see facts.go). Drivers use it to decide which analyzers must
-	// run on dependency packages and to build the serialization registry.
+	// exports (see facts.go); exporting an unregistered type panics.
 	FactTypes []Fact
 }
 

@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // AtomicFact marks a field or package-level variable as atomically
 // accessed; Pos is the "file:line" of the first atomic access seen.
 type AtomicFact struct {
-	Pos string `json:"pos"`
+	Pos string
 }
 
 // AFact marks AtomicFact as a fact.

@@ -1,31 +1,25 @@
 // Facts are the cross-package layer of the framework: an analyzer exports
 // observations about package-level objects (or whole packages) while
 // analyzing the package that declares them, and imports them while
-// analyzing downstream packages. Drivers thread one FactStore through every
-// package of a program in dependency order — internal/analysis/program
-// keeps it in memory, internal/analysis/unit round-trips the facts of each
-// package through the build system's .vetx files.
+// analyzing downstream packages. The driver (internal/analysis/program, and
+// analysistest for fixtures) threads one in-memory FactStore through every
+// package of a program in dependency order.
 //
 // The design mirrors x/tools go/analysis facts with the same deliberate
 // subsetting as the rest of this package: fact types are pointers to
-// JSON-serializable structs, registered on Analyzer.FactTypes so drivers
-// can build the wire registry, and namespaced by their concrete type (each
-// analyzer declares its own fact structs, so no analyzer pair collides).
+// structs, registered on Analyzer.FactTypes, and namespaced by their
+// concrete type (each analyzer declares its own fact structs, so no
+// analyzer pair collides).
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // Fact is an observation attached to a package-level object or a package.
-// Implementations must be pointers to structs with exported fields that
-// survive a JSON round trip (positions are carried as pre-formatted
-// "file:line" strings, not token.Pos, which is FileSet-relative).
+// Implementations must be pointers to structs.
 type Fact interface {
 	// AFact marks the type as a fact.
 	AFact()
@@ -57,7 +51,7 @@ func NewFactStore() *FactStore {
 
 // ExportObjectFact attaches f to obj, overwriting any previous fact of the
 // same concrete type. The fact type must be registered in the analyzer's
-// FactTypes (drivers need the registry to serialize facts).
+// FactTypes.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	if obj == nil || obj.Pkg() == nil {
 		return
@@ -115,210 +109,4 @@ func (p *Pass) checkFactType(f Fact) {
 		}
 	}
 	panic(fmt.Sprintf("%s: fact type %T not registered in Analyzer.FactTypes", p.Analyzer.Name, f))
-}
-
-// --- serialization (unitchecker driver) ---------------------------------
-
-// wireFact is one serialized fact. Object is the mini object path within
-// the package ("" for a package fact): "Name" for a package-level func,
-// var or type; "T.M" for method M of named type T; "T#f" for field f of
-// named struct type T.
-type wireFact struct {
-	Object string          `json:"object,omitempty"`
-	Type   string          `json:"type"`
-	Data   json.RawMessage `json:"data"`
-}
-
-// FactRegistry maps wire names to fact types for every analyzer in the run.
-func FactRegistry(analyzers []*Analyzer) map[string]reflect.Type {
-	reg := make(map[string]reflect.Type)
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			reg[factName(reflect.TypeOf(f))] = reflect.TypeOf(f)
-		}
-	}
-	return reg
-}
-
-// factName is the wire name of a fact type: "lockgraph.FuncLocks" for
-// *lockgraph.FuncLocks.
-func factName(t reflect.Type) string {
-	return strings.TrimPrefix(t.String(), "*")
-}
-
-// Encode serializes every fact attached to pkg or its objects, in a
-// deterministic order (the vetx file feeds the build cache).
-func (s *FactStore) Encode(pkg *types.Package) ([]byte, error) {
-	if s == nil {
-		return nil, nil
-	}
-	var out []wireFact
-	for k, f := range s.obj {
-		if k.obj.Pkg() != pkg {
-			continue
-		}
-		path, ok := objectPath(pkg, k.obj)
-		if !ok {
-			// Not addressable through export data; an importing package
-			// cannot name the object either, so the fact is package-local.
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("encoding fact %T for %s: %w", f, k.obj.Name(), err)
-		}
-		out = append(out, wireFact{Object: path, Type: factName(k.t), Data: data})
-	}
-	for k, f := range s.pkg {
-		if k.pkg != pkg {
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("encoding package fact %T: %w", f, err)
-		}
-		out = append(out, wireFact{Type: factName(k.t), Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Type < out[j].Type
-	})
-	return json.Marshal(out)
-}
-
-// Decode merges facts previously encoded for pkg into the store, resolving
-// object paths against pkg (as presented by the current importer). Facts of
-// unregistered types or with unresolvable paths are skipped — an older tool
-// build or an object absent from export data must not fail the run.
-func (s *FactStore) Decode(pkg *types.Package, data []byte, reg map[string]reflect.Type) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in []wireFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", pkg.Path(), err)
-	}
-	for _, w := range in {
-		t, ok := reg[w.Type]
-		if !ok {
-			continue
-		}
-		f := reflect.New(t.Elem()).Interface().(Fact)
-		if err := json.Unmarshal(w.Data, f); err != nil {
-			return fmt.Errorf("decoding fact %s for %s: %w", w.Type, pkg.Path(), err)
-		}
-		if w.Object == "" {
-			s.pkg[pkgFactKey{pkg, t}] = f
-			continue
-		}
-		obj := resolveObject(pkg, w.Object)
-		if obj == nil {
-			continue
-		}
-		s.obj[objFactKey{obj, t}] = f
-	}
-	return nil
-}
-
-// objectPath encodes a package-level object as a path resolvable from an
-// importing package's view of pkg.
-func objectPath(pkg *types.Package, obj types.Object) (string, bool) {
-	switch o := obj.(type) {
-	case *types.Func:
-		sig, ok := o.Type().(*types.Signature)
-		if !ok {
-			return "", false
-		}
-		recv := sig.Recv()
-		if recv == nil {
-			if o.Parent() != pkg.Scope() {
-				return "", false
-			}
-			return o.Name(), true
-		}
-		named := namedOf(recv.Type())
-		if named == nil || named.Obj().Pkg() != pkg {
-			return "", false
-		}
-		return named.Obj().Name() + "." + o.Name(), true
-	case *types.Var:
-		if !o.IsField() {
-			if o.Parent() != pkg.Scope() {
-				return "", false
-			}
-			return o.Name(), true
-		}
-		// Find the named struct type declaring this exact field object.
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i) == o {
-					return name + "#" + o.Name(), true
-				}
-			}
-		}
-		return "", false
-	case *types.TypeName:
-		if o.Parent() != pkg.Scope() {
-			return "", false
-		}
-		return o.Name(), true
-	}
-	return "", false
-}
-
-// resolveObject is the inverse of objectPath against the importer's pkg.
-func resolveObject(pkg *types.Package, path string) types.Object {
-	if i := strings.IndexByte(path, '#'); i >= 0 {
-		tn, ok := pkg.Scope().Lookup(path[:i]).(*types.TypeName)
-		if !ok {
-			return nil
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			return nil
-		}
-		for j := 0; j < st.NumFields(); j++ {
-			if st.Field(j).Name() == path[i+1:] {
-				return st.Field(j)
-			}
-		}
-		return nil
-	}
-	if i := strings.IndexByte(path, '.'); i >= 0 {
-		tn, ok := pkg.Scope().Lookup(path[:i]).(*types.TypeName)
-		if !ok {
-			return nil
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			return nil
-		}
-		for j := 0; j < named.NumMethods(); j++ {
-			if named.Method(j).Name() == path[i+1:] {
-				return named.Method(j)
-			}
-		}
-		return nil
-	}
-	return pkg.Scope().Lookup(path)
-}
-
-// namedOf unwraps a receiver type to its named type.
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

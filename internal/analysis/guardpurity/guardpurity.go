@@ -17,7 +17,7 @@
 //   - calls to the known mutating methods of the model surface:
 //     sim.Context.{Send,Exit,Sleep}, (*sim.World) mutators (Execute,
 //     Enqueue, AddProcess, ForceAsleep, SealInitialState,
-//     SetInitialComponents, SetEventHook), the parallel runtime's
+//     SetInitialComponents), the parallel runtime's
 //     mutators (Start, Stop, Mutate, Enqueue, AddProcess, ForceAsleep)
 //     and MutableView.{Enqueue,Reseal};
 //   - assignments (and ++/--) through a guard parameter: `w.x = y` on the
@@ -49,7 +49,6 @@ var mutators = map[string]bool{
 	"(*fdp/internal/sim.World).ForceAsleep":         true,
 	"(*fdp/internal/sim.World).SealInitialState":    true,
 	"(*fdp/internal/sim.World).SetInitialComponents": true,
-	"(*fdp/internal/sim.World).SetEventHook":        true,
 	"(*fdp/internal/parallel.Runtime).Start":        true,
 	"(*fdp/internal/parallel.Runtime).Stop":         true,
 	"(*fdp/internal/parallel.Runtime).Mutate":       true,

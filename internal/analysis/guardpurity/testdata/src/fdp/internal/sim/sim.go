@@ -17,7 +17,6 @@ func (w *World) AddProcess(r ref.Ref)             {}
 func (w *World) ForceAsleep(r ref.Ref)            {}
 func (w *World) SealInitialState()                {}
 func (w *World) SetInitialComponents(n int)       {}
-func (w *World) SetEventHook(h func())            {}
 func (w *World) Awake(r ref.Ref) bool             { return true }
 func (w *World) Counters() map[string]int         { return w.counters }
 

@@ -6,8 +6,7 @@
 // in that graph is a potential deadlock; lockgraph reports the acquisition
 // that closes one, with the full path of every participating edge.
 //
-// Unlike the hand-maintained rank list the lockorder analyzer used to
-// carry, the DESIGN.md §12 order (freezeMu → actMu → one leaf) is not
+// The DESIGN.md §12 order (freezeMu → actMu → one leaf) is not
 // configuration here: the established edges freezeMu → actMu → {mbMu,
 // exitMu, oracleMu} are inferred from the pause/epoch code itself, so any
 // later acquisition against that order closes a cycle and is reported with
@@ -19,18 +18,32 @@
 // marks a mutex terminal, and lockgraph reports any acquisition performed
 // while it is held.
 //
-// Per function, the analysis is lexical in source order (the same
-// approximation lockorder documents: exact for the straight-line and
-// branch-local-release §12 patterns). Across functions it is a fixpoint
-// over summaries — which locks a function may acquire (with an example
-// path), which it still holds when it returns (pauseAll), and which it
-// releases without acquiring (resumeAll) — exported as facts so callers in
-// other packages see through calls. Escaping acquisitions make the
-// pause/resume handoff a first-class pattern instead of an ignore site:
-// a caller of pauseAll is analyzed as holding freezeMu and actMu until its
-// matching resumeAll call. Interface-dispatched calls are opaque (no
-// callee, no summary) — edges through them are not inferred, which is the
-// usual trade of a static call graph.
+// Per function, the analysis is lexical in source order — an approximation
+// (Go lock usage is not statically decidable), exact for the straight-line
+// and branch-local-release patterns §12 prescribes. Across functions it is
+// a fixpoint over summaries — which locks a function may acquire (with an
+// example path), which it still holds when it returns (pauseAll), and
+// which it releases without acquiring (resumeAll) — exported as facts so
+// callers in other packages see through calls. Interface-dispatched calls
+// are opaque (no callee, no summary) — edges through them are not inferred,
+// which is the usual trade of a static call graph.
+//
+// The same held set carries two more rules:
+//
+//   - Pairing: every mutex, in every package, is released on all paths. A
+//     lock still held at a return statement or at the end of a function,
+//     with no deferred release covering it, is reported, and so is an
+//     Unlock of a lock the function never acquired. A lock held through a
+//     callee's escaping acquisition counts: a caller of pauseAll holds
+//     freezeMu and actMu until its matching resumeAll call. The one
+//     sanctioned escape is the handoff pair itself, inferred from the
+//     summaries: a function that directly locks exactly the set some
+//     function of the same package releases without acquiring, and that
+//     releasing function.
+//   - Oracle serialization: every (sim.Oracle).Evaluate call site in
+//     internal/parallel runs with parallel.Runtime.oracleMu held, so a
+//     stateful oracle never races with itself between the coordinator and
+//     validateExit.
 package lockgraph
 
 import (
@@ -47,7 +60,7 @@ import (
 // Analyzer is the lockgraph pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockgraph",
-	Doc:       "infer the whole-program mutex acquisition graph, report cycles (with full acquisition paths) and acquisitions under a //fdp:lockleaf mutex",
+	Doc:       "infer the whole-program mutex acquisition graph, report cycles (with full acquisition paths), acquisitions under a //fdp:lockleaf mutex, locks not released on all paths, and oracle evaluation outside oracleMu (DESIGN.md §12)",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*FuncLocks)(nil), (*PkgGraph)(nil)},
 }
@@ -66,13 +79,13 @@ type FuncLocks struct {
 	// Acquires maps every lock the function may acquire, directly or
 	// transitively, to an example acquisition path (call frames, outermost
 	// first, each "func (file:line)").
-	Acquires map[string][]string `json:"acquires,omitempty"`
+	Acquires map[string][]string
 	// EscapingAcquires are locks still held when the function returns
 	// (the pauseAll half of a handoff pair).
-	EscapingAcquires []string `json:"escaping_acquires,omitempty"`
+	EscapingAcquires []string
 	// EscapingReleases are locks released without a prior acquisition in
 	// the function (the resumeAll half).
-	EscapingReleases []string `json:"escaping_releases,omitempty"`
+	EscapingReleases []string
 }
 
 // AFact marks FuncLocks as a fact.
@@ -80,20 +93,20 @@ func (*FuncLocks) AFact() {}
 
 // Edge is one inferred acquisition-order edge with an example path.
 type Edge struct {
-	From string   `json:"from"`
-	To   string   `json:"to"`
-	Path []string `json:"path"` // call frames, outermost first
-	Pos  string   `json:"pos"`  // "file:line" of the acquiring statement
+	From string
+	To   string
+	Path []string // call frames, outermost first
+	Pos  string   // "file:line" of the acquiring statement
 }
 
 // PkgGraph is the acquisition graph visible at a package: every edge and
 // leaf declaration of the package and its transitive dependencies.
 type PkgGraph struct {
-	Edges []Edge `json:"edges,omitempty"`
+	Edges []Edge
 	// Leaves and Ordered carry the //fdp:lockleaf and //fdp:lockordered
 	// declarations, so the assertions bind cross-package acquisitions too.
-	Leaves  []string `json:"leaves,omitempty"`
-	Ordered []string `json:"ordered,omitempty"`
+	Leaves  []string
+	Ordered []string
 }
 
 // AFact marks PkgGraph as a fact.
@@ -185,8 +198,9 @@ func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (key string, acquire, ok b
 	return k, acq, true
 }
 
-// calleeFunc resolves a call to its static *types.Func (any package).
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+// calledFunc resolves a call to the *types.Func it names (any package),
+// interface methods included; nil for conversions, builtins and func values.
+func calledFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -198,8 +212,14 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 			obj = pass.TypesInfo.Uses[fun.Sel]
 		}
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// calleeFunc is calledFunc for calls with a static callee.
+func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	fn := calledFunc(pass, call)
+	if fn == nil {
 		return nil
 	}
 	if sig, sigOK := fn.Type().(*types.Signature); sigOK && sig.Recv() != nil {
@@ -219,10 +239,14 @@ const (
 	opUnlock
 	opCall
 	opDeferCall // deferred call: its escaping releases apply at return
+	opEvaluate  // (sim.Oracle).Evaluate call site in internal/parallel
+	opReturn    // return statement; pos is its end, after the calls in its results
+	opEnd       // falling off the end of the body
 )
 
 type op struct {
 	pos      token.Pos
+	at       token.Pos // opReturn: where the statement starts
 	kind     opKind
 	key      string      // opLock/opUnlock
 	deferred bool        // opUnlock via defer
@@ -230,12 +254,19 @@ type op struct {
 }
 
 type funcInfo struct {
-	fn   *types.Func
-	decl *ast.FuncDecl
-	ops  []op
+	fn  *types.Func
+	ops []op
 }
 
+// Scope of the oracle-serialization rule.
+const (
+	oraclePkg      = "fdp/internal/parallel"
+	oracleEvaluate = "(fdp/internal/sim.Oracle).Evaluate"
+	oracleMuKey    = "parallel.Runtime.oracleMu"
+)
+
 func collect(pass *analysis.Pass) []*funcInfo {
+	checkOracle := analysis.PkgPath(pass.Pkg) == oraclePkg
 	var infos []*funcInfo
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
@@ -250,7 +281,7 @@ func collect(pass *analysis.Pass) []*funcInfo {
 			if fn == nil {
 				continue
 			}
-			fi := &funcInfo{fn: fn, decl: fd}
+			fi := &funcInfo{fn: fn}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncLit:
@@ -267,6 +298,8 @@ func collect(pass *analysis.Pass) []*funcInfo {
 						fi.ops = append(fi.ops, op{pos: n.Pos(), kind: opDeferCall, callee: callee})
 					}
 					return false
+				case *ast.ReturnStmt:
+					fi.ops = append(fi.ops, op{pos: n.End(), at: n.Pos(), kind: opReturn})
 				case *ast.CallExpr:
 					if key, acq, ok := mutexOp(pass, n); ok {
 						kind := opUnlock
@@ -276,12 +309,19 @@ func collect(pass *analysis.Pass) []*funcInfo {
 						fi.ops = append(fi.ops, op{pos: n.Pos(), kind: kind, key: key})
 						return true
 					}
-					if callee := calleeFunc(pass, n); callee != nil {
+					if fn := calledFunc(pass, n); checkOracle && fn != nil && fn.FullName() == oracleEvaluate {
+						fi.ops = append(fi.ops, op{pos: n.Pos(), kind: opEvaluate})
+					} else if callee := calleeFunc(pass, n); callee != nil {
 						fi.ops = append(fi.ops, op{pos: n.Pos(), kind: opCall, callee: callee})
 					}
 				}
 				return true
 			})
+			// A body ending in a return was judged there; any other falls off
+			// its closing brace.
+			if n := len(fd.Body.List); n == 0 || !isReturn(fd.Body.List[n-1]) {
+				fi.ops = append(fi.ops, op{pos: fd.Body.Rbrace, kind: opEnd})
+			}
 			sort.SliceStable(fi.ops, func(i, j int) bool { return fi.ops[i].pos < fi.ops[j].pos })
 			infos = append(infos, fi)
 		}
@@ -289,12 +329,40 @@ func collect(pass *analysis.Pass) []*funcInfo {
 	return infos
 }
 
+func isReturn(s ast.Stmt) bool {
+	_, ok := s.(*ast.ReturnStmt)
+	return ok
+}
+
 // --- summary fixpoint ----------------------------------------------------
 
+// finalReplay is what the post-fixpoint replay of a function reports into;
+// the fixpoint iterations replay with none.
+type finalReplay struct {
+	// edge receives every acquisition made while another lock is held.
+	edge func(from, to string, path []string, pos token.Pos)
+	// acquired and released hold, as joined sorted keys, every lock set some
+	// function of the package leaves held, or releases without acquiring:
+	// the two halves of a sanctioned handoff must match across them.
+	acquired, released map[string]bool
+}
+
+// heldLock is one entry of the replay's held set. An entry outlives its
+// count reaching zero: a second Unlock after a branch-local release
+// (Lock; if c {Unlock; return}; …; Unlock) is that idiom, not the release
+// of a lock the function never took.
+type heldLock struct {
+	n      int
+	path   []string  // how the latest acquisition was reached
+	pos    token.Pos // its Lock, or the call that came back holding it
+	direct bool      // by a Lock in this function, not through a callee
+}
+
 // summarize replays fi's ops against the current summaries and returns the
-// resulting FuncLocks plus, when record is non-nil, the edges the replay
-// creates (only wanted on the final, post-fixpoint replay).
-func summarize(pass *analysis.Pass, fi *funcInfo, local map[*types.Func]*FuncLocks, record func(from, to string, path []string, pos token.Pos)) *FuncLocks {
+// resulting FuncLocks. With final set (the post-fixpoint replay only) it
+// also records the edges the replay creates and reports the pairing and
+// oracle-serialization findings.
+func summarize(pass *analysis.Pass, fi *funcInfo, local map[*types.Func]*FuncLocks, final *finalReplay) *FuncLocks {
 	frame := func(pos token.Pos) string {
 		p := pass.Fset.Position(pos)
 		return fmt.Sprintf("%s (%s:%d)", fi.fn.Name(), shortFile(p.Filename), p.Line)
@@ -311,94 +379,127 @@ func summarize(pass *analysis.Pass, fi *funcInfo, local map[*types.Func]*FuncLoc
 	}
 
 	out := &FuncLocks{Acquires: make(map[string][]string)}
-	held := make(map[string]int)
-	heldKeys := func() []string {
+	held := make(map[string]*heldLock)
+	// heldBeyond lists the locks held more often than covered releases them:
+	// with nil, the held set.
+	heldBeyond := func(covered map[string]int) []string {
 		var ks []string
-		for k, n := range held {
-			if n > 0 {
+		for k, h := range held {
+			if h.n > covered[k] {
 				ks = append(ks, k)
 			}
 		}
 		sort.Strings(ks)
 		return ks
 	}
-	var deferredReleases []string
-	var deferredCalls []*types.Func
+	// deferred counts the releases that run at return, direct or through a
+	// deferred call; leaked lists the held locks none seen so far will drop.
+	deferred := make(map[string]int)
+	leaked := func() []string { return heldBeyond(deferred) }
 	escapingReleases := map[string]bool{}
 
 	acquire := func(key string, path []string, pos token.Pos) {
 		if _, seen := out.Acquires[key]; !seen {
 			out.Acquires[key] = path
 		}
-		if record != nil {
-			for _, h := range heldKeys() {
-				record(h, key, path, pos)
+		if final != nil {
+			for _, h := range heldBeyond(nil) {
+				final.edge(h, key, path, pos)
 			}
+		}
+	}
+	hold := func(key string, path []string, pos token.Pos, direct bool) {
+		h := held[key]
+		if h == nil {
+			h = new(heldLock)
+			held[key] = h
+		}
+		h.n++
+		h.path, h.pos, h.direct = path, pos, direct
+	}
+	release := func(key string, pos token.Pos) {
+		switch h := held[key]; {
+		case h == nil:
+			escapingReleases[key] = true
+			if final != nil && !final.acquired[strings.Join(local[fi.fn].EscapingReleases, ",")] {
+				pass.Reportf(pos, "%s released without a preceding acquisition in this function, and no function of the package leaves exactly the released set held; path: %s", key, frame(pos))
+			}
+		case h.n > 0:
+			h.n--
 		}
 	}
 
 	for _, o := range fi.ops {
 		switch o.kind {
 		case opLock:
-			acquire(o.key, []string{frame(o.pos)}, o.pos)
-			held[o.key]++
+			path := []string{frame(o.pos)}
+			acquire(o.key, path, o.pos)
+			hold(o.key, path, o.pos, true)
 		case opUnlock:
 			if o.deferred {
-				deferredReleases = append(deferredReleases, o.key)
-				continue
-			}
-			if held[o.key] > 0 {
-				held[o.key]--
+				deferred[o.key]++
 			} else {
-				escapingReleases[o.key] = true
+				release(o.key, o.pos)
 			}
 		case opCall:
 			s := lookup(o.callee)
 			if s == nil {
 				continue
 			}
+			via := func(key string) []string { return append([]string{frame(o.pos)}, s.Acquires[key]...) }
 			for _, key := range sortedKeys(s.Acquires) {
-				acquire(key, append([]string{frame(o.pos)}, s.Acquires[key]...), o.pos)
+				acquire(key, via(key), o.pos)
 			}
 			for _, key := range s.EscapingAcquires {
-				held[key]++
+				hold(key, via(key), o.pos, false)
 			}
 			for _, key := range s.EscapingReleases {
-				if held[key] > 0 {
-					held[key]--
-				} else {
-					escapingReleases[key] = true
-				}
+				release(key, o.pos)
 			}
 		case opDeferCall:
-			deferredCalls = append(deferredCalls, o.callee)
-		}
-	}
-	for _, key := range deferredReleases {
-		if held[key] > 0 {
-			held[key]--
-		}
-	}
-	// A deferred call runs at return: its escaping releases (the resumeAll
-	// half of a handoff) close what the body left open, exactly like a
-	// deferred Unlock. Its acquisitions still count for the caller.
-	for _, callee := range deferredCalls {
-		s := lookup(callee)
-		if s == nil {
-			continue
-		}
-		for _, key := range sortedKeys(s.Acquires) {
-			if _, seen := out.Acquires[key]; !seen {
-				out.Acquires[key] = s.Acquires[key]
+			// A deferred call runs at return: its escaping releases (the
+			// resumeAll half of a handoff) close what the body left open,
+			// exactly like a deferred Unlock. Its acquisitions still count
+			// for the caller.
+			s := lookup(o.callee)
+			if s == nil {
+				continue
+			}
+			for key, path := range s.Acquires {
+				if _, seen := out.Acquires[key]; !seen {
+					out.Acquires[key] = path
+				}
+			}
+			for _, key := range s.EscapingReleases {
+				deferred[key]++
+			}
+		case opEvaluate:
+			if h := held[oracleMuKey]; final != nil && (h == nil || h.n == 0) {
+				pass.Reportf(o.pos, "oracle.Evaluate outside an oracleMu critical section; §12 serializes all oracle evaluations so stateful oracles never race with themselves; path: %s", frame(o.pos))
+			}
+		case opReturn, opEnd:
+			ks := leaked()
+			if final == nil || len(ks) == 0 {
+				continue
+			}
+			handoff := final.released[strings.Join(ks, ",")]
+			for _, k := range ks {
+				handoff = handoff && held[k].direct
+			}
+			if handoff {
+				continue
+			}
+			first := held[ks[0]]
+			if o.kind == opReturn {
+				pass.Reportf(o.at, "return while holding %s with no deferred release; every Lock needs an Unlock on all paths; path: %s",
+					strings.Join(ks, ", "), strings.Join(first.path, " → "))
+			} else {
+				pass.Reportf(first.pos, "%s locked but never released in this function, and no function of the package releases exactly that set; path: %s",
+					strings.Join(ks, ", "), strings.Join(first.path, " → "))
 			}
 		}
-		for _, key := range s.EscapingReleases {
-			if held[key] > 0 {
-				held[key]--
-			}
-		}
 	}
-	out.EscapingAcquires = heldKeys()
+	out.EscapingAcquires = leaked()
 	out.EscapingReleases = sortedSet(escapingReleases)
 	return out
 }
@@ -537,16 +638,17 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// Final replay records this package's edges.
+	// Final replay records this package's edges and reports the pairing and
+	// oracle findings, with both halves of every handoff the package's
+	// summaries contain to judge them against.
 	type localEdge struct {
 		Edge
 		pos token.Pos
 	}
 	var localEdges []localEdge
 	edgeSeen := make(map[string]bool)
-	for _, fi := range infos {
-		fi := fi
-		summarize(pass, fi, local, func(from, to string, path []string, pos token.Pos) {
+	final := &finalReplay{
+		edge: func(from, to string, path []string, pos token.Pos) {
 			p := pass.Fset.Position(pos)
 			e := localEdge{Edge: Edge{From: from, To: to, Path: path, Pos: fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)}, pos: pos}
 			sig := from + "→" + to + "@" + e.Pos
@@ -555,7 +657,16 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			edgeSeen[sig] = true
 			localEdges = append(localEdges, e)
-		})
+		},
+		acquired: make(map[string]bool),
+		released: make(map[string]bool),
+	}
+	for _, s := range local {
+		final.acquired[strings.Join(s.EscapingAcquires, ",")] = true
+		final.released[strings.Join(s.EscapingReleases, ",")] = true
+	}
+	for _, fi := range infos {
+		summarize(pass, fi, local, final)
 	}
 
 	// Merge the dependency graphs. Self-edges never enter the merged graph:

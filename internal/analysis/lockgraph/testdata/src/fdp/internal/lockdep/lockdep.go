@@ -160,3 +160,81 @@ func (r *Ring) snapshotLocked(reg *Registry) int {
 	defer r.mu.Unlock()
 	return len(r.buf) + reg.render() // want "acquiring lockdep.Registry.renderMu while holding lockdep.Ring.mu violates its //fdp:lockleaf declaration"
 }
+
+// --- pairing: every mutex is released on all paths -----------------------
+
+// Table is any struct with guarded state, in any package: the pairing rule
+// is not scoped to the runtime.
+type Table struct {
+	mu  sync.RWMutex
+	aux sync.Mutex
+	m   map[string]int
+}
+
+// leakOnReturn returns inside the critical section.
+func (t *Table) leakOnReturn(skip bool) {
+	t.mu.Lock()
+	if skip {
+		return // want `return while holding lockdep.Table.mu with no deferred release.*path: leakOnReturn \(lockdep/lockdep.go:\d+\)`
+	}
+	t.mu.Unlock()
+}
+
+// leakPkgLevel is the same leak on a package-level mutex.
+func leakPkgLevel(skip bool) int {
+	MuA.Lock()
+	if skip {
+		return 0 // want "return while holding lockdep.MuA with no deferred release"
+	}
+	MuA.Unlock()
+	return 1
+}
+
+// neverReleased has no function releasing exactly {Table.mu} to pair with.
+func (t *Table) neverReleased() {
+	t.mu.Lock() // want "lockdep.Table.mu locked but never released in this function"
+}
+
+// releaseWithoutAcquire has no function leaving exactly {Table.aux} held.
+func (t *Table) releaseWithoutAcquire() {
+	t.aux.Unlock() // want "lockdep.Table.aux released without a preceding acquisition in this function"
+}
+
+// branchRelease is the branch-local-release idiom: every path unlocks, and
+// the second RUnlock is not the release of a lock never taken.
+func (t *Table) branchRelease(key string) bool {
+	t.mu.RLock()
+	if _, ok := t.m[key]; !ok {
+		t.mu.RUnlock()
+		return false
+	}
+	t.mu.RUnlock()
+	return true
+}
+
+// deferredRelease covers every return below it.
+func (t *Table) deferredRelease(key string) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if v, ok := t.m[key]; ok {
+		return v
+	}
+	return -1
+}
+
+// releaseInResult calls the releasing half in the return statement's own
+// results: the return is judged after them.
+func releaseInResult(g *Guard) int {
+	g.Hold()
+	return unlockAndCount(g)
+}
+
+func unlockAndCount(g *Guard) int {
+	g.Release()
+	return 1
+}
+
+var (
+	_ = leakPkgLevel
+	_ = releaseInResult
+)

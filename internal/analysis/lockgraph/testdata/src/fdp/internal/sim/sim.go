@@ -1,4 +1,4 @@
-// Stub of fdp/internal/sim for the lockorder fixtures.
+// Stub of fdp/internal/sim for the lockgraph fixtures.
 package sim
 
 import "fdp/internal/ref"

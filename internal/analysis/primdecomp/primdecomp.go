@@ -74,7 +74,7 @@ var Analyzer = &analysis.Analyzer{
 // with one representative path (frames outermost-first, each
 // "func (file:line): what").
 type MoverFact struct {
-	Path []string `json:"path"`
+	Path []string
 }
 
 // AFact marks MoverFact as a fact.

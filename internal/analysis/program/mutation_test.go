@@ -81,8 +81,10 @@ func copyModule(t *testing.T, src, dst string) {
 // whole-program analyzer — an unannotated reference move reached through a
 // helper, a mixed plain/atomic access, a lock-order cycle — plus a nested
 // acquisition under the registry's leaf mutex, which only lockgraph's
-// //fdp:lockleaf check can catch, and asserts each is detected with a
-// path-bearing diagnostic in a single whole-program run.
+// //fdp:lockleaf check can catch, and four leaks edited into the real
+// sources that only lockgraph's pairing and oracle rules can catch, and
+// asserts each is detected with a path-bearing diagnostic in a single
+// whole-program run.
 func TestSeededMutationsAreDetected(t *testing.T) {
 	dst := t.TempDir()
 	copyModule(t, repoRoot(t), dst)
@@ -157,6 +159,41 @@ func (r *Registry) mutNested(name string) *Counter {
 var _ = (*Registry).mutNested
 `)
 
+	// Mutations 5–8 edit the copied sources in place; an edit whose anchor
+	// is gone fails the test rather than silently seeding nothing.
+	edit := func(rel, old, new string) {
+		t.Helper()
+		path := filepath.Join(dst, filepath.FromSlash(rel))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Count(string(data), old) != 1 {
+			t.Fatalf("%s: want exactly one occurrence of %q", rel, old)
+		}
+		write(rel, strings.Replace(string(data), old, new, 1))
+	}
+	// Mutation 5: an early return under the flight ring's mutex, on every
+	// observed run's event path.
+	edit("internal/trace/flight.go",
+		"\tf.mu.Lock()\n\tf.buf[f.next] = e\n",
+		"\tf.mu.Lock()\n\tif len(f.buf) == 0 {\n\t\treturn\n\t}\n\tf.buf[f.next] = e\n")
+	// Mutation 6: the same leak under the TCP transport's mutex, which no
+	// directive marks.
+	edit("internal/transport/tcp.go",
+		"\tt.mu.Lock()\n\tpeers := make([]NodeID, 0, len(t.cfg.Peers))\n",
+		"\tt.mu.Lock()\n\tif len(t.cfg.Peers) == 0 {\n\t\treturn\n\t}\n\tpeers := make([]NodeID, 0, len(t.cfg.Peers))\n")
+	// Mutation 7: Rebalance returns between pauseAll and the deferred
+	// resumeAll — the world stays frozen. The locks are held through
+	// pauseAll's escaping acquisition, not a Lock in Rebalance.
+	edit("internal/parallel/shard.go",
+		"\trt.pauseAll()\n\tdefer rt.resumeAll()\n\trt.rebalanceUnderPause()\n",
+		"\trt.pauseAll()\n\tif len(rt.shards) == 1 {\n\t\treturn\n\t}\n\tdefer rt.resumeAll()\n\trt.rebalanceUnderPause()\n")
+	// Mutation 8: validateExitOn judges before it takes oracleMu.
+	edit("internal/parallel/parallel.go",
+		"\t\trt.oracleMu.Lock()\n\t\tok := rt.oracle.Evaluate(w, p.id)\n",
+		"\t\tok := rt.oracle.Evaluate(w, p.id)\n\t\trt.oracleMu.Lock()\n")
+
 	res, err := program.Run(program.Options{Dir: dst}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("program.Run on mutated copy: %v", err)
@@ -192,14 +229,29 @@ var _ = (*Registry).mutNested
 	find("atomicdiscipline", "plain access to mutCount", "sync/atomic at")
 	find("lockgraph", "lock cycle", "parallel.mutMuA", "via")
 	find("lockgraph", "while holding obs.Registry.mu violates its //fdp:lockleaf declaration", "mutNested", "lookupOrCreate")
+	find("lockgraph", "return while holding trace.Flight.mu", "path: Record (trace/flight.go:")
+	find("lockgraph", "return while holding transport.TCP.mu", "path: BroadcastControl (transport/tcp.go:")
+	find("lockgraph", "return while holding parallel.Runtime.freezeMu, parallel.shard.actMu", "path: Rebalance (parallel/shard.go:", "→ pauseAll (parallel/shard.go:")
+	find("lockgraph", "oracle.Evaluate outside an oracleMu critical section", "path: validateExitOn (parallel/parallel.go:")
 
-	// The four seeded violations must be the only findings: the copy is
-	// otherwise the lint-clean tree.
+	// The seeded violations must be the only findings — the copy is
+	// otherwise the lint-clean tree — and each of the four leaks is exactly
+	// one lockgraph diagnostic: the cycle of mutation 3 is reported at both
+	// closing acquisitions, which with the leaf violation makes seven.
+	lockgraphDiags := 0
 	for _, d := range res.Diags {
 		switch d.Analyzer {
-		case "primdecomp", "atomicdiscipline", "lockgraph":
+		case "lockgraph":
+			lockgraphDiags++
+		case "primdecomp", "atomicdiscipline":
 		default:
 			t.Errorf("unexpected %s diagnostic: %s", d.Analyzer, d.Message)
+		}
+	}
+	if lockgraphDiags != 7 {
+		t.Errorf("got %d lockgraph diagnostics, want 7:", lockgraphDiags)
+		for _, d := range res.Diags {
+			t.Logf("  %s: %s (%s)", res.Fset.Position(d.Pos), d.Message, d.Analyzer)
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package program is the whole-program fdplint driver: it loads an entire
-// module in dependency order and runs every analyzer over every package
-// with one shared fact store, so cross-package facts (classified movers,
-// atomically-accessed fields, transitive lock acquisitions) flow without
-// serialization.
+// Package program is the fdplint driver: it loads an entire module in
+// dependency order and runs every analyzer over every package with one
+// shared in-memory fact store, through which cross-package facts
+// (classified movers, atomically-accessed fields, transitive lock
+// acquisitions) flow.
 //
 // Loading leans on the standard build machinery rather than reimplementing
 // it: `go list -deps -export -json <patterns>` yields every package in

@@ -47,16 +47,10 @@ type Config struct {
 	Timeout time.Duration
 	// Poll is the concurrent legitimacy-polling interval (0 = 1ms).
 	Poll time.Duration
-	// Strike, if non-nil, injects a mid-run transient fault on both sides.
-	// Legacy single-wave form: equivalent to one Waves entry at StrikeAfter.
-	Strike *faults.Config
-	// StrikeAfter is the strike point: sequential steps on the simulator,
-	// executed events on the runtime. Only meaningful with Strike.
-	StrikeAfter int
-	// Waves is the general form of Strike: a train of mid-run fault waves,
-	// each fired once the engine reaches its After point (sequential steps /
-	// concurrent events), with injector seeds faults.WaveSeed(seed, i) on
-	// BOTH engines. Waves and Strike compose; Strike is prepended.
+	// Waves is a train of mid-run transient fault waves struck on both
+	// sides, each fired once the engine reaches its After point (sequential
+	// steps on the simulator, executed events on the runtime), with
+	// injector seeds faults.WaveSeed(seed, i) on BOTH engines.
 	Waves []faults.Wave
 	// Scheduler names the sequential scheduler (trace.SchedulerByName);
 	// empty selects the default random scheduler. The concurrent engine has
@@ -81,17 +75,6 @@ type Config struct {
 	// never wraps yields a snapshot that is a complete, replayable prefix
 	// of the run.
 	FlightK int
-}
-
-// waves flattens the legacy Strike/StrikeAfter pair and Waves into the
-// wave train both engines apply.
-func (c Config) waves() []faults.Wave {
-	if c.Strike == nil {
-		return c.Waves
-	}
-	out := make([]faults.Wave, 0, len(c.Waves)+1)
-	out = append(out, faults.Wave{Config: *c.Strike, After: c.StrikeAfter})
-	return append(out, c.Waves...)
 }
 
 // scheduler resolves the sequential scheduler. The default keeps the
@@ -290,17 +273,6 @@ func RunSeeds(cfg Config, n int) []Verdict {
 	return out
 }
 
-// Disagreements filters the verdicts where the engines diverged.
-func Disagreements(vs []Verdict) []Verdict {
-	var out []Verdict
-	for _, v := range vs {
-		if !v.Agree() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // runSequential and runConcurrent each return their engine's flight ring
 // beside the outcome: the stall watchdog snapshots it mid-run, Run renders
 // it when the verdicts disagree.
@@ -317,9 +289,8 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 		s.World.AddEventHook(func(e sim.Event) { recs = append(recs, trace.FromEvent(e)) })
 	}
 
-	waves := cfg.waves()
 	var stall *StallReport
-	fired := make([]trace.StrikeSpec, 0, len(waves))
+	fired := make([]trace.StrikeSpec, 0, len(cfg.Waves))
 	if cfg.StallSteps > 0 {
 		prog := obs.NewProgress(nil, "", leavers)
 		s.World.AddEventHook(prog.NoteEvent)
@@ -343,7 +314,7 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 		}
 	}
 	var res sim.RunResult
-	for i, wv := range waves {
+	for i, wv := range cfg.Waves {
 		if wv.After > s.World.Steps() {
 			opts.MaxSteps = wv.After
 			res = sim.Run(s.World, sched, opts)
@@ -431,7 +402,7 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 	deadline := make(chan struct{})
 	timer := time.AfterFunc(timeout, func() { close(deadline) })
 	defer timer.Stop()
-	for i, wv := range cfg.waves() {
+	for i, wv := range cfg.Waves {
 		// The concurrent strike point: the same event budget the sequential
 		// side used as a step budget.
 		waitFor(func() bool { return rt.Events() >= uint64(wv.After) }, poll, deadline)

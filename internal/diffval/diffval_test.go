@@ -87,8 +87,7 @@ func TestDifferentialFSP(t *testing.T) {
 // struck with the same fault class and both must re-converge safely.
 func TestDifferentialWithStrike(t *testing.T) {
 	cfg := fdpConfig()
-	cfg.Strike = &faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}
-	cfg.StrikeAfter = 60
+	cfg.Waves = []faults.Wave{{Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}, After: 60}}
 	vs := RunSeeds(cfg, 8)
 	assertAgreement(t, "strike", vs, true)
 }

@@ -413,10 +413,3 @@ func E6Potential(s Scale) Result {
 	res.Tables = append(res.Tables, tb)
 	return res
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

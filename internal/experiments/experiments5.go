@@ -29,7 +29,7 @@ func E16Differential(s Scale) Result {
 
 	n := s.Sizes[0]
 	seeds := 4 * s.Trials
-	strike := &faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}
+	strike := faults.Wave{Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}, After: 10 * n}
 	rows := []struct {
 		variant string
 		strike  bool
@@ -48,7 +48,7 @@ func E16Differential(s Scale) Result {
 		{"FDP", true, diffval.Config{Scenario: churn.Config{
 			N: n, Topology: churn.TopoRandom, LeaveFraction: 0.4, Pattern: churn.LeaveRandom,
 			Variant: core.VariantFDP, Oracle: oracle.Single{},
-		}, Strike: strike, StrikeAfter: 10 * n}},
+		}, Waves: []faults.Wave{strike}}},
 	}
 	for _, row := range rows {
 		vs := diffval.RunSeeds(row.cfg, seeds)

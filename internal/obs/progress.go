@@ -113,9 +113,6 @@ type StallVerdict struct {
 	Step uint64 `json:"step"`
 }
 
-// KindString is Kind.String, exported as a stable field for JSON dumps.
-func (v StallVerdict) KindString() string { return v.Kind.String() }
-
 func (v StallVerdict) String() string {
 	return fmt.Sprintf("stall=%s leavers=%d pending=%d window[timeouts=%d delivers=%d sends=%d grants=%d denials=%d hops=%d settles=%d] streak=%d idle=%dw step=%d",
 		v.Kind, v.LeaversRemaining, v.Pending,

@@ -159,15 +159,6 @@ func ExitSecondsBuckets() []float64 {
 	return append(out, ExpBuckets(60, 4, 4)...)     // 60s … 3840s
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // --- registry -----------------------------------------------------------
 
 // metric is anything the registry can expose.

@@ -60,7 +60,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -894,9 +893,6 @@ func (f *frozenProto) Beliefs() []sim.RefInfo { return f.beliefs }
 // InitialComponents returns the weakly-connected components at Start time
 // (or at the last Reseal).
 func (rt *Runtime) InitialComponents() [][]ref.Ref { return rt.initially }
-
-// PGSnapshot returns a consistent process graph of the current state.
-func (rt *Runtime) PGSnapshot() *graph.Graph { return rt.freezeLocked().PG() }
 
 // --- Pause-the-world mutation (fault injection) ------------------------
 

@@ -425,21 +425,21 @@ func (sh *shard) worker() {
 // deadlock-free: pausers queue on freezeMu, and a worker holds only its own
 // shard's read side and waits for no other.
 func (rt *Runtime) pauseAll() {
-	rt.freezeMu.Lock() //fdplint:ignore lockorder pauseAll/resumeAll are a handoff pair; resumeAll releases what pauseAll acquires
+	rt.freezeMu.Lock()
 	n := len(rt.shards)
 	first := rt.pauseFirst
 	rt.pauseFirst = (first + 1) % n
 	for i := range rt.shards {
-		rt.shards[(first+i)%n].actMu.Lock() //fdplint:ignore lockorder pauseAll acquires every shard's action lock; resumeAll releases them all
+		rt.shards[(first+i)%n].actMu.Lock()
 	}
 }
 
 // resumeAll releases the pause taken by pauseAll.
 func (rt *Runtime) resumeAll() {
 	for i := len(rt.shards) - 1; i >= 0; i-- {
-		rt.shards[i].actMu.Unlock() //fdplint:ignore lockorder releases the locks pauseAll acquired
+		rt.shards[i].actMu.Unlock()
 	}
-	rt.freezeMu.Unlock() //fdplint:ignore lockorder releases the pause freezeMu taken in pauseAll
+	rt.freezeMu.Unlock()
 }
 
 // --- rebalance -----------------------------------------------------------

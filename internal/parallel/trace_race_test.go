@@ -113,9 +113,9 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 	}
 }
 
-// SetEventSink keeps World.SetEventHook's replace-all contract (the frozen
-// benchmark installs its fan-out through it): after it, earlier hooks are
-// gone by request, and nil clears the list.
+// SetEventSink keeps a replace-all contract (the frozen benchmark installs
+// its fan-out through it): after it, earlier hooks are gone by request, and
+// nil clears the list.
 func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	rt, _, _ := buildRuntime(2, 0, 1, core.VariantFDP, nil)
 	var added, sunk int

@@ -129,13 +129,6 @@ func (m Message) CausalParent() uint64 { return m.parent }
 // initial-state messages).
 func (m Message) SendClock() uint64 { return m.lclock }
 
-// EnqueuedAt returns the step at which the message entered its channel. The
-// schedulers age messages on it: seq advances once per send while steps
-// advance once per action, so comparing seq against the step counter (as an
-// earlier revision did) misjudges staleness whenever the send rate differs
-// from one per step.
-func (m Message) EnqueuedAt() int { return m.enqStep }
-
 // NewMessage builds a message carrying the given references.
 func NewMessage(label string, refs ...RefInfo) Message {
 	return Message{Label: label, Refs: refs}

@@ -202,17 +202,6 @@ func NewWorld(oracle Oracle) *World {
 	}
 }
 
-// SetEventHook replaces ALL installed trace callbacks with fn (nil
-// disables tracing). Use AddEventHook to attach a consumer without
-// displacing the ones already installed.
-func (w *World) SetEventHook(fn func(Event)) {
-	if fn == nil {
-		w.onEvent = nil
-		return
-	}
-	w.onEvent = []func(Event){fn}
-}
-
 // SetOracleHook installs fn as an observer of every OracleSays verdict
 // (nil clears). fn runs inside the asking process's atomic action, after
 // the oracle evaluated, and must not mutate the world — the liveness

@@ -358,7 +358,7 @@ func TestCountsAndSnapshots(t *testing.T) {
 func TestEventHook(t *testing.T) {
 	w, a, b, fa, _ := twoProcWorld(t)
 	var events []Event
-	w.SetEventHook(func(e Event) { events = append(events, e) })
+	w.AddEventHook(func(e Event) { events = append(events, e) })
 	fa.onTimeout = func(ctx Context, f *fixtureProto) { ctx.Send(b, NewMessage("hello")) }
 	w.Execute(Action{Proc: a, IsTimeout: true})
 	w.Execute(Action{Proc: b, MsgIndex: 0})

@@ -2,6 +2,8 @@ package fdp
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,5 +103,32 @@ func TestSimulateParallelJournal(t *testing.T) {
 	}
 	if _, err := trace.Replay(hdr, recs); err == nil {
 		t.Fatal("runtime journals must refuse replay")
+	}
+}
+
+// failingWriter refuses every write, as a full disk would.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestJournalWriteErrorKeepsReport pins both engines to the same contract: a
+// journal that cannot be written fails the call, but the run it recorded
+// finished, and its report comes back populated beside the error.
+func TestJournalWriteErrorKeepsReport(t *testing.T) {
+	cfg := Config{N: 12, Topology: Ring, LeaveFraction: 0.4, Seed: 8, Journal: failingWriter{}}
+	for _, tc := range []struct {
+		engine string
+		run    func() (Report, error)
+	}{
+		{"Simulate", func() (Report, error) { return Simulate(cfg) }},
+		{"SimulateParallel", func() (Report, error) { return SimulateParallel(cfg, 30*time.Second) }},
+	} {
+		rep, err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "journal write") {
+			t.Fatalf("%s: err = %v, want a journal write error", tc.engine, err)
+		}
+		if !rep.Converged || rep.Exits == 0 || rep.MessagesSent == 0 || rep.Steps == 0 {
+			t.Fatalf("%s: report lost beside the journal error: %+v", tc.engine, rep)
+		}
 	}
 }
