@@ -61,12 +61,15 @@ replay-golden:
 # then takes a short fresh-fuzz pass over a fixed seed. Single shard,
 # deterministic, budgeted well under 30s on one core. Last, a 5s native
 # go-fuzz pass holds the journal's hand-rolled record encoder to
-# encoding/json (internal/trace FuzzRecordLine; not deterministic — a
-# failure lands as a seed file under internal/trace/testdata/fuzz).
+# encoding/json (internal/trace FuzzRecordLine) and another holds the dense
+# process graph to a map-of-pairs model (internal/graph FuzzGraphOps). These
+# two are not deterministic — a failure lands as a seed file under the
+# package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -count=1
 	$(GO) run ./cmd/fdpfuzz -seed 11 -runs 20 -timeout 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRecordLine -fuzztime 5s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime 5s
 
 # fuzz-hunt is the scheduled long hunt (.github/workflows/fuzz.yml): a
 # time-bounded randomized sweep with the seed drawn from the calendar date,
@@ -141,7 +144,7 @@ node-churn:
 	bin/fdpnode -merge $(NODE_OUT)
 
 bench:
-	$(GO) test -bench . -benchmem -run XXX .
+	$(GO) test -bench . -benchmem -run XXX . ./internal/graph
 
 # bench-artifacts emits the machine-readable BENCH_<engine>.json files (the
 # per-size time-to-exit p50/p99 series of both engines) that the CI bench
@@ -150,9 +153,8 @@ bench-artifacts:
 	$(GO) run ./cmd/fdpbench -quick -bench -bench-out bench-out
 
 # bench-baseline regenerates the committed seed baseline in bench/ that
-# reviewers diff bench-artifacts output against. The extra large-n sizes
-# run only on the concurrent engine (the sequential series is capped at
-# its O(n²) feasibility bound).
+# reviewers diff bench-artifacts output against. Sizes above
+# experiments.SimBenchSizeCap (n=100000) run only on the concurrent engine.
 bench-baseline:
 	$(GO) run ./cmd/fdpbench -quick -bench -sizes 8,16,32,64,1000,10000,100000 -bench-out bench
 

@@ -216,7 +216,7 @@ func checkGuardBody(pass *analysis.Pass, body *ast.BlockStmt, params map[types.O
 }
 
 // mutatedParamRoot returns the parameter name when expr is a selector or
-// index chain rooted at a guard parameter (w.stats.Steps, w.byRef[r], …).
+// index chain rooted at a guard parameter (w.stats.Steps, w.procs[i], …).
 // A bare parameter identifier (plain rebinding) returns "".
 func mutatedParamRoot(pass *analysis.Pass, expr ast.Expr, params map[types.Object]bool) string {
 	depth := 0

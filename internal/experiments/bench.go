@@ -64,14 +64,14 @@ func benchScenario(n int, seed int64) churn.Config {
 }
 
 // SimBenchSizeCap bounds the sequential engine's bench series; sizes above
-// the cap are reported only by the concurrent engine. The random
-// scheduler's pick is an O(n) scan per step, so sequential churn is O(n²)
-// per trial, but with a small constant: the repo benchmark's sim_churn
-// workload converges a half-leaving n=20000 churn in about one second of
-// wall clock (~460k steps at ~2.3 µs each). The cap is therefore a choice
-// of series length, not a feasibility bound; it stays at 2048 because the
-// committed bench/BENCH_sim.json baseline was generated under it.
-const SimBenchSizeCap = 2048
+// the cap are reported only by the concurrent engine. It is a choice of
+// series length, not a feasibility bound: a half-leaving churn takes ~23
+// steps per process at about a microsecond each (the repo benchmark's
+// sim_churn converges n=20000 in about 0.4 s), and the random
+// scheduler's O(n) uniform pick is rare once n is past its aging bound (see
+// sim.RandomScheduler). The series is in steps and deterministic per seed,
+// so a committed point changes only when the engine's behaviour does.
+const SimBenchSizeCap = 10000
 
 // trialsFor scales the per-size trial count down as n grows so large-n
 // points stay affordable: full trials through n=256, two through n=4096,

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 )
 
@@ -15,45 +17,53 @@ func (g *Graph) WeaklyConnected() bool {
 // connected components, each sorted, with components ordered by their
 // smallest member.
 func (g *Graph) WeaklyConnectedComponents() [][]ref.Ref {
-	visited := ref.NewSet()
+	seen := make([]bool, len(g.present))
+	// All components are cut from one backing array, each capped so a
+	// caller's append cannot reach the next.
+	order := make([]ref.Ref, 0, g.numNodes)
 	var comps [][]ref.Ref
-	for _, start := range g.sortedNodes() {
-		if visited.Has(start) {
+	for i, p := range g.present {
+		if !p || seen[i] {
 			continue
 		}
-		comp := g.undirectedReach(start)
-		for n := range comp {
-			visited.Add(n)
-		}
-		comps = append(comps, comp.Sorted())
+		start := len(order)
+		seen[i] = true
+		order = g.walk(seen, append(order, ref.ByIndex(i)), start, true)
+		comp := order[start:len(order):len(order)]
+		ref.Sort(comp)
+		comps = append(comps, comp)
 	}
 	return comps
 }
 
-// undirectedReach returns the set of nodes reachable from start ignoring
-// edge directions.
-func (g *Graph) undirectedReach(start ref.Ref) ref.Set {
-	seen := ref.NewSet(start)
-	stack := []ref.Ref{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for b := range g.out[n] {
-			if g.out[n][b].total() > 0 && !seen.Has(b) {
-				seen.Add(b)
-				stack = append(stack, b)
-			}
-		}
-		if preds := g.in[n]; preds != nil {
-			for a := range preds {
-				if !seen.Has(a) {
-					seen.Add(a)
-					stack = append(stack, a)
-				}
+// walk extends order by everything reachable from order[from:] — along edges
+// of either direction if undirected, along out-edges only otherwise —
+// skipping and marking nodes in seen. The nodes of order[from:] must be
+// nodes of g already marked.
+func (g *Graph) walk(seen []bool, order []ref.Ref, from int, undirected bool) []ref.Ref {
+	for i := from; i < len(order); i++ {
+		for _, e := range g.rows[ref.Index(order[i])].ents {
+			j := ref.Index(e.peer)
+			if !seen[j] && (undirected || e.out() > 0) {
+				seen[j] = true
+				order = append(order, e.peer)
 			}
 		}
 	}
-	return seen
+	return order
+}
+
+// reach returns the nodes among starts plus everything walk finds from them.
+func (g *Graph) reach(undirected bool, starts ...ref.Ref) []ref.Ref {
+	seen := make([]bool, len(g.present))
+	var order []ref.Ref
+	for _, s := range starts {
+		if i := g.index(s); i >= 0 && g.present[i] && !seen[i] {
+			seen[i] = true
+			order = append(order, s)
+		}
+	}
+	return g.walk(seen, order, 0, undirected)
 }
 
 // UndirectedReach returns the set of nodes reachable from start ignoring
@@ -63,49 +73,36 @@ func (g *Graph) undirectedReach(start ref.Ref) ref.Set {
 // instead of per-pair SameWeakComponent calls, which repeat the BFS per
 // query and turn a linear check quadratic.
 func (g *Graph) UndirectedReach(start ref.Ref) ref.Set {
-	if !g.nodes.Has(start) {
+	if !g.HasNode(start) {
 		return nil
 	}
-	return g.undirectedReach(start)
+	return ref.NewSet(g.reach(true, start)...)
 }
 
 // SameWeakComponent reports whether u and v lie in the same weakly connected
 // component. A node is in the same component as itself.
 func (g *Graph) SameWeakComponent(u, v ref.Ref) bool {
-	if u == v {
-		return g.nodes.Has(u)
-	}
-	if !g.nodes.Has(u) || !g.nodes.Has(v) {
+	if !g.HasNode(u) || !g.HasNode(v) {
 		return false
 	}
-	return g.undirectedReach(u).Has(v)
+	return u == v || slices.Contains(g.reach(true, u), v)
 }
 
 // Reachable reports whether there is a directed path from u to v (v == u
 // counts as reachable when u is a node).
 func (g *Graph) Reachable(u, v ref.Ref) bool {
-	if !g.nodes.Has(u) || !g.nodes.Has(v) {
+	if !g.HasNode(u) || !g.HasNode(v) {
 		return false
 	}
-	return g.ForwardReach(u).Has(v)
+	return slices.Contains(g.reach(false, u), v)
 }
 
 // ForwardReach returns all nodes reachable from start by directed paths,
 // including start.
 func (g *Graph) ForwardReach(start ref.Ref) ref.Set {
-	seen := ref.NewSet(start)
-	stack := []ref.Ref{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for b := range g.out[n] {
-			if g.out[n][b].total() > 0 && !seen.Has(b) {
-				seen.Add(b)
-				stack = append(stack, b)
-			}
-		}
-	}
-	return seen
+	set := ref.NewSet(g.reach(false, start)...)
+	set.Add(start)
+	return set
 }
 
 // ForwardReachAll returns all nodes reachable from any node of starts by
@@ -113,25 +110,7 @@ func (g *Graph) ForwardReach(start ref.Ref) ref.Set {
 // test: p is hibernating iff p is asleep with an empty channel and no awake
 // or message-holding process has a directed path to p.
 func (g *Graph) ForwardReachAll(starts []ref.Ref) ref.Set {
-	seen := ref.NewSet()
-	var stack []ref.Ref
-	for _, s := range starts {
-		if g.nodes.Has(s) && !seen.Has(s) {
-			seen.Add(s)
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for b := range g.out[n] {
-			if g.out[n][b].total() > 0 && !seen.Has(b) {
-				seen.Add(b)
-				stack = append(stack, b)
-			}
-		}
-	}
-	return seen
+	return ref.NewSet(g.reach(false, starts...)...)
 }
 
 // StronglyConnected reports whether the graph is strongly connected. Graphs
@@ -144,12 +123,13 @@ func (g *Graph) StronglyConnected() bool {
 // using Tarjan's algorithm (iterative). Components are sorted internally and
 // ordered by smallest member.
 func (g *Graph) StronglyConnectedComponents() [][]ref.Ref {
-	index := make(map[ref.Ref]int)
-	low := make(map[ref.Ref]int)
-	onStack := ref.NewSet()
+	// index and low are 1-based discovery numbers; 0 means unvisited.
+	index := make([]int, len(g.present))
+	low := make([]int, len(g.present))
+	onStack := make([]bool, len(g.present))
 	var stack []ref.Ref
 	var comps [][]ref.Ref
-	next := 0
+	next := 1
 
 	type frame struct {
 		node  ref.Ref
@@ -157,42 +137,42 @@ func (g *Graph) StronglyConnectedComponents() [][]ref.Ref {
 		i     int
 	}
 
-	for _, root := range g.sortedNodes() {
-		if _, seen := index[root]; seen {
+	for _, root := range g.Nodes() {
+		if index[ref.Index(root)] != 0 {
 			continue
 		}
 		var call []frame
 		push := func(n ref.Ref) {
-			index[n] = next
-			low[n] = next
+			index[ref.Index(n)] = next
+			low[ref.Index(n)] = next
 			next++
 			stack = append(stack, n)
-			onStack.Add(n)
+			onStack[ref.Index(n)] = true
 			call = append(call, frame{node: n, succs: g.Succ(n)})
 		}
 		push(root)
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			if f.i < len(f.succs) {
-				w := f.succs[f.i]
+				w := ref.Index(f.succs[f.i])
 				f.i++
-				if _, seen := index[w]; !seen {
-					push(w)
-				} else if onStack.Has(w) {
-					if index[w] < low[f.node] {
-						low[f.node] = index[w]
+				if index[w] == 0 {
+					push(ref.ByIndex(w))
+				} else if onStack[w] {
+					if n := ref.Index(f.node); index[w] < low[n] {
+						low[n] = index[w]
 					}
 				}
 				continue
 			}
 			// All successors processed: maybe emit a component.
 			n := f.node
-			if low[n] == index[n] {
+			if low[ref.Index(n)] == index[ref.Index(n)] {
 				var comp []ref.Ref
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack.Remove(w)
+					onStack[ref.Index(w)] = false
 					comp = append(comp, w)
 					if w == n {
 						break
@@ -203,9 +183,9 @@ func (g *Graph) StronglyConnectedComponents() [][]ref.Ref {
 			}
 			call = call[:len(call)-1]
 			if len(call) > 0 {
-				parent := call[len(call)-1].node
-				if low[n] < low[parent] {
-					low[parent] = low[n]
+				parent := ref.Index(call[len(call)-1].node)
+				if low[ref.Index(n)] < low[parent] {
+					low[parent] = low[ref.Index(n)]
 				}
 			}
 		}
@@ -222,33 +202,32 @@ func (g *Graph) StronglyConnectedComponents() [][]ref.Ref {
 // ShortestPath returns a shortest directed path from u to v (inclusive), or
 // nil if v is unreachable from u. BFS with deterministic neighbor order.
 func (g *Graph) ShortestPath(u, v ref.Ref) []ref.Ref {
-	if !g.nodes.Has(u) || !g.nodes.Has(v) {
+	if !g.HasNode(u) || !g.HasNode(v) {
 		return nil
 	}
 	if u == v {
 		return []ref.Ref{u}
 	}
-	prev := map[ref.Ref]ref.Ref{u: u}
+	prev := make([]ref.Ref, len(g.present)) // ⊥ = not reached
+	prev[ref.Index(u)] = u
 	queue := []ref.Ref{u}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		for _, b := range g.Succ(n) {
-			if _, seen := prev[b]; seen {
+			if !prev[ref.Index(b)].IsNil() {
 				continue
 			}
-			prev[b] = n
+			prev[ref.Index(b)] = n
 			if b == v {
 				var path []ref.Ref
-				for cur := v; ; cur = prev[cur] {
+				for cur := v; ; cur = prev[ref.Index(cur)] {
 					path = append(path, cur)
 					if cur == u {
 						break
 					}
 				}
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
+				slices.Reverse(path)
 				return path
 			}
 			queue = append(queue, b)
@@ -260,36 +239,36 @@ func (g *Graph) ShortestPath(u, v ref.Ref) []ref.Ref {
 // Diameter returns the longest shortest undirected path length between any
 // node pair, or -1 if the graph is not weakly connected or empty.
 func (g *Graph) Diameter() int {
-	nodes := g.sortedNodes()
-	if len(nodes) == 0 {
+	if g.numNodes == 0 {
 		return -1
 	}
 	diam := 0
-	for _, s := range nodes {
-		dist := map[ref.Ref]int{s: 0}
-		queue := []ref.Ref{s}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			for _, b := range g.undirectedSucc(n) {
-				if _, seen := dist[b]; !seen {
-					dist[b] = dist[n] + 1
-					if dist[b] > diam {
-						diam = dist[b]
-					}
-					queue = append(queue, b)
+	dist := make([]int, len(g.present))
+	seen := make([]bool, len(g.present))
+	order := make([]ref.Ref, 0, g.numNodes)
+	for _, s := range g.Nodes() {
+		// BFS from s: order doubles as the queue, so dist is final when a
+		// node is dequeued.
+		clear(seen)
+		seen[ref.Index(s)] = true
+		dist[ref.Index(s)] = 0
+		order = append(order[:0], s)
+		for i := 0; i < len(order); i++ {
+			n := ref.Index(order[i])
+			for _, e := range g.rows[n].ents {
+				if j := ref.Index(e.peer); !seen[j] {
+					seen[j] = true
+					dist[j] = dist[n] + 1
+					diam = max(diam, dist[j])
+					order = append(order, e.peer)
 				}
 			}
 		}
-		if len(dist) != len(nodes) {
+		if len(order) != g.numNodes {
 			return -1
 		}
 	}
 	return diam
-}
-
-func (g *Graph) undirectedSucc(n ref.Ref) []ref.Ref {
-	return g.UndirectedNeighbors(n)
 }
 
 // ArticulationPoints returns nodes whose removal (with incident edges)
@@ -299,7 +278,7 @@ func (g *Graph) undirectedSucc(n ref.Ref) []ref.Ref {
 func (g *Graph) ArticulationPoints() []ref.Ref {
 	base := len(g.WeaklyConnectedComponents())
 	var points []ref.Ref
-	for _, n := range g.sortedNodes() {
+	for _, n := range g.Nodes() {
 		h := g.Clone()
 		h.RemoveNode(n)
 		if h.NumNodes() > 0 && len(h.WeaklyConnectedComponents()) > base {
@@ -313,19 +292,21 @@ func (g *Graph) ArticulationPoints() []ref.Ref {
 // edge (u,v) of g, both (u,v) and (v,u) are present (once, explicit).
 func (g *Graph) BidirectedExtension() *Graph {
 	h := New()
-	for n := range g.nodes {
-		h.AddNode(n)
-	}
-	for a, row := range g.out {
-		for b, m := range row {
-			if m.total() == 0 {
+	for i, p := range g.present {
+		if !p {
+			continue
+		}
+		a := ref.ByIndex(i)
+		h.AddNode(a)
+		for _, e := range g.rows[i].ents {
+			if e.out() == 0 {
 				continue
 			}
-			if !h.HasEdge(a, b) {
-				h.AddEdge(a, b, Explicit)
+			if !h.HasEdge(a, e.peer) {
+				h.AddEdge(a, e.peer, Explicit)
 			}
-			if !h.HasEdge(b, a) {
-				h.AddEdge(b, a, Explicit)
+			if !h.HasEdge(e.peer, a) {
+				h.AddEdge(e.peer, a, Explicit)
 			}
 		}
 	}

@@ -49,234 +49,312 @@ func (e Edge) String() string {
 	return fmt.Sprintf("%v%s%v", e.From, arrow, e.To)
 }
 
-// Graph is a directed multigraph over process references. The zero value is
-// not usable; call New.
+// Graph is a directed multigraph over process references, stored densely:
+// node n lives at ref.Index(n) of a presence vector and a vector of adjacency
+// rows. A row holds exactly one entry per distinct undirected neighbour,
+// carrying both directions' multiplicities, so an edge a->b is recorded twice
+// — as out-counts in a's entry for b and as the in-count of b's entry for a —
+// and an entry exists iff at least one edge joins the pair in either
+// direction. Hence Degree is a row length, predecessors need no reverse
+// index, and removing a node touches only its neighbours' rows.
+//
+// Row order is insertion order perturbed by swap-removal; nothing exported
+// exposes it (slices are sorted, sets are sets). The zero value is not
+// usable; call New.
 type Graph struct {
-	nodes ref.Set
-	// out[a][b] counts parallel edges a->b per kind.
-	out map[ref.Ref]map[ref.Ref]*multiplicity
-	in  map[ref.Ref]ref.Set // reverse adjacency (existence only)
-	// deg counts the distinct undirected neighbors per node, maintained on
-	// every edge mutation so Degree is O(1). Nodes with degree 0 are absent.
-	deg map[ref.Ref]int
+	present  []bool
+	rows     []row
+	numNodes int
 }
 
-type multiplicity struct {
-	explicit int
-	implicit int
+// entry is one node's view of one distinct undirected neighbour.
+type entry struct {
+	peer               ref.Ref
+	explicit, implicit int32 // multiplicity of node->peer, per kind
+	in                 int32 // total multiplicity of peer->node
 }
 
-func (m *multiplicity) total() int { return m.explicit + m.implicit }
+func (e *entry) out() int { return int(e.explicit + e.implicit) }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		nodes: ref.NewSet(),
-		out:   make(map[ref.Ref]map[ref.Ref]*multiplicity),
-		in:    make(map[ref.Ref]ref.Set),
-		deg:   make(map[ref.Ref]int),
+// wideRow is the row length past which a row carries a peer→slot index.
+// Below it a linear scan over 16-byte entries beats a hash probe; above it
+// (hubs: a star's centre, a process everyone was introduced to) the index
+// keeps every edge operation O(1) expected.
+const wideRow = 32
+
+type row struct {
+	ents []entry
+	// idx maps peer to its slot in ents. Built when the row grows past
+	// wideRow, dropped when it shrinks to half of that, so a row hovering at
+	// the threshold does not rebuild it on every operation.
+	idx map[ref.Ref]int32
+}
+
+// find returns the slot of peer's entry, or -1.
+func (r *row) find(peer ref.Ref) int {
+	if r.idx != nil {
+		if i, ok := r.idx[peer]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range r.ents {
+		if r.ents[i].peer == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns peer's entry, appending an empty one if there is none.
+func (r *row) slot(peer ref.Ref) *entry {
+	i := r.find(peer)
+	if i < 0 {
+		i = len(r.ents)
+		r.ents = append(r.ents, entry{peer: peer})
+		if r.idx != nil {
+			r.idx[peer] = int32(i)
+		} else if len(r.ents) > wideRow {
+			r.buildIndex()
+		}
+	}
+	return &r.ents[i]
+}
+
+// buildIndex (re)creates idx from ents.
+func (r *row) buildIndex() {
+	r.idx = make(map[ref.Ref]int32, 2*len(r.ents))
+	for i := range r.ents {
+		r.idx[r.ents[i].peer] = int32(i)
 	}
 }
+
+// remove deletes slot i by moving the last entry into it.
+func (r *row) remove(i int) {
+	last := len(r.ents) - 1
+	if r.idx != nil {
+		delete(r.idx, r.ents[i].peer)
+	}
+	if i != last {
+		r.ents[i] = r.ents[last]
+		if r.idx != nil {
+			r.idx[r.ents[i].peer] = int32(i)
+		}
+	}
+	r.ents = r.ents[:last]
+	if last <= wideRow/2 {
+		r.idx = nil
+	}
+}
+
+// New returns an empty graph.
+func New() *Graph { return &Graph{} }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	for n := range g.nodes {
-		c.AddNode(n)
-	}
-	for a, row := range g.out {
-		for b, m := range row {
-			for i := 0; i < m.explicit; i++ {
-				c.AddEdge(a, b, Explicit)
-			}
-			for i := 0; i < m.implicit; i++ {
-				c.AddEdge(a, b, Implicit)
-			}
+	return g.restrict(func(ref.Ref) bool { return true })
+}
+
+// restrict copies g onto its nodes that satisfy keep: rows are copied entry
+// by entry into one shared backing array, each capped so that a later append
+// to one row cannot reach its neighbour's.
+func (g *Graph) restrict(keep func(ref.Ref) bool) *Graph {
+	s := &Graph{present: make([]bool, len(g.present)), rows: make([]row, len(g.rows))}
+	total := 0
+	for i, p := range g.present {
+		if p && keep(ref.ByIndex(i)) {
+			s.present[i] = true
+			s.numNodes++
+			total += len(g.rows[i].ents)
 		}
 	}
-	return c
+	backing := make([]entry, 0, total)
+	for i, p := range s.present {
+		if !p {
+			continue
+		}
+		start := len(backing)
+		for _, e := range g.rows[i].ents {
+			if s.present[ref.Index(e.peer)] {
+				backing = append(backing, e)
+			}
+		}
+		r := &s.rows[i]
+		r.ents = backing[start:len(backing):len(backing)]
+		if len(r.ents) > wideRow {
+			r.buildIndex()
+		}
+	}
+	return s
+}
+
+// index returns n's position in the dense vectors, or -1 if n cannot be a
+// node of g: ⊥, an identity no Space mints (ref.FromWire can produce
+// negative ones), or one past everything ever added.
+func (g *Graph) index(n ref.Ref) int {
+	if i := ref.Index(n); uint(i) < uint(len(g.present)) {
+		return i
+	}
+	return -1
 }
 
 // AddNode registers a process with no edges. Adding an existing node is a
-// no-op. Adding ⊥ is a no-op.
+// no-op, as is adding ⊥ or any other reference no Space mints.
 func (g *Graph) AddNode(n ref.Ref) {
-	if n.IsNil() {
+	i := ref.Index(n)
+	if i < 0 {
 		return
 	}
-	g.nodes.Add(n)
+	if grow := i + 1 - len(g.present); grow > 0 {
+		g.present = append(g.present, make([]bool, grow)...)
+		g.rows = append(g.rows, make([]row, grow)...)
+	}
+	if !g.present[i] {
+		g.present[i] = true
+		g.numNodes++
+	}
 }
 
 // HasNode reports whether n is a node of the graph.
-func (g *Graph) HasNode(n ref.Ref) bool { return g.nodes.Has(n) }
+func (g *Graph) HasNode(n ref.Ref) bool {
+	i := g.index(n)
+	return i >= 0 && g.present[i]
+}
 
 // Nodes returns all nodes in deterministic order.
-func (g *Graph) Nodes() []ref.Ref { return g.nodes.Sorted() }
+func (g *Graph) Nodes() []ref.Ref {
+	out := make([]ref.Ref, 0, g.numNodes)
+	for i, p := range g.present {
+		if p {
+			out = append(out, ref.ByIndex(i))
+		}
+	}
+	return out
+}
 
 // NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.nodes.Len() }
+func (g *Graph) NumNodes() int { return g.numNodes }
 
 // AddEdge inserts one directed edge a->b of the given kind, implicitly
-// registering both endpoints. Self-loops and edges touching ⊥ are ignored:
-// the paper's primitives assume pairwise distinct processes and ⊥ is not a
-// process.
+// registering both endpoints. Self-loops and edges touching ⊥ (or any other
+// reference no Space mints) are ignored: the paper's primitives assume
+// pairwise distinct processes and ⊥ is not a process.
 func (g *Graph) AddEdge(a, b ref.Ref, kind EdgeKind) {
-	if a.IsNil() || b.IsNil() || a == b {
+	if a == b || ref.Index(a) < 0 || ref.Index(b) < 0 {
 		return
 	}
 	g.AddNode(a)
 	g.AddNode(b)
-	if !g.adjacent(a, b) {
-		g.deg[a]++
-		g.deg[b]++
-	}
-	row := g.out[a]
-	if row == nil {
-		row = make(map[ref.Ref]*multiplicity)
-		g.out[a] = row
-	}
-	m := row[b]
-	if m == nil {
-		m = &multiplicity{}
-		row[b] = m
-	}
+	e := g.rows[ref.Index(a)].slot(b)
 	if kind == Explicit {
-		m.explicit++
+		e.explicit++
 	} else {
-		m.implicit++
+		e.implicit++
 	}
-	set := g.in[b]
-	if set == nil {
-		set = ref.NewSet()
-		g.in[b] = set
-	}
-	set.Add(a)
+	g.rows[ref.Index(b)].slot(a).in++
 }
 
 // RemoveEdge removes one copy of the edge a->b of the given kind. It reports
 // whether such an edge existed.
 func (g *Graph) RemoveEdge(a, b ref.Ref, kind EdgeKind) bool {
-	m := g.mult(a, b)
-	if m == nil {
+	ia := g.index(a)
+	if ia < 0 {
 		return false
 	}
-	switch kind {
-	case Explicit:
-		if m.explicit == 0 {
-			return false
-		}
-		m.explicit--
-	case Implicit:
-		if m.implicit == 0 {
-			return false
-		}
-		m.implicit--
+	ra := &g.rows[ia]
+	i := ra.find(b)
+	if i < 0 {
+		return false
 	}
-	if m.total() == 0 {
-		delete(g.out[a], b)
-		if len(g.out[a]) == 0 {
-			delete(g.out, a)
-		}
-		g.in[b].Remove(a)
-		if !g.adjacent(a, b) {
-			g.decDeg(a)
-			g.decDeg(b)
-		}
+	e := &ra.ents[i]
+	n := &e.explicit
+	if kind != Explicit {
+		n = &e.implicit
+	}
+	if *n == 0 {
+		return false
+	}
+	*n--
+	rb := &g.rows[ref.Index(b)]
+	j := rb.find(a)
+	rb.ents[j].in--
+	if e.out() == 0 && e.in == 0 {
+		ra.remove(i)
+		rb.remove(j)
 	}
 	return true
 }
 
-// adjacent reports whether a and b share at least one edge in either
-// direction — the undirected adjacency Degree counts.
-func (g *Graph) adjacent(a, b ref.Ref) bool {
-	if m := g.mult(a, b); m != nil && m.total() > 0 {
-		return true
-	}
-	m := g.mult(b, a)
-	return m != nil && m.total() > 0
-}
-
-func (g *Graph) decDeg(n ref.Ref) {
-	if g.deg[n]--; g.deg[n] == 0 {
-		delete(g.deg, n)
-	}
-}
-
 // RemoveNode deletes n and all its incident edges, mirroring a process that
-// executed exit.
+// executed exit. It costs one row removal per distinct neighbour.
 func (g *Graph) RemoveNode(n ref.Ref) {
-	if !g.nodes.Has(n) {
+	if !g.HasNode(n) {
 		return
 	}
-	// Every distinct undirected neighbor loses exactly one neighbor: n.
-	for b := range g.out[n] {
-		g.decDeg(b)
+	i := ref.Index(n)
+	for _, e := range g.rows[i].ents {
+		rp := &g.rows[ref.Index(e.peer)]
+		rp.remove(rp.find(n))
 	}
-	if preds, ok := g.in[n]; ok {
-		for a := range preds {
-			if m := g.mult(n, a); m == nil || m.total() == 0 {
-				g.decDeg(a) // not already counted via out[n]
-			}
-		}
-	}
-	delete(g.deg, n)
-	for b := range g.out[n] {
-		g.in[b].Remove(n)
-	}
-	delete(g.out, n)
-	if preds, ok := g.in[n]; ok {
-		for a := range preds {
-			delete(g.out[a], n)
-			if len(g.out[a]) == 0 {
-				delete(g.out, a)
-			}
-		}
-		delete(g.in, n)
-	}
-	g.nodes.Remove(n)
+	g.rows[i] = row{}
+	g.present[i] = false
+	g.numNodes--
 }
 
-func (g *Graph) mult(a, b ref.Ref) *multiplicity {
-	row := g.out[a]
-	if row == nil {
+// link returns a's entry for b, or nil if no edge joins them (or either is
+// not a node).
+func (g *Graph) link(a, b ref.Ref) *entry {
+	ia := g.index(a)
+	if ia < 0 {
 		return nil
 	}
-	return row[b]
+	r := &g.rows[ia]
+	if i := r.find(b); i >= 0 {
+		return &r.ents[i]
+	}
+	return nil
+}
+
+// adj returns a's adjacency entries (nil if a is not a node). Callers must
+// not retain or modify the slice.
+func (g *Graph) adj(a ref.Ref) []entry {
+	if i := g.index(a); i >= 0 {
+		return g.rows[i].ents
+	}
+	return nil
 }
 
 // HasEdge reports whether at least one a->b edge of any kind exists.
-func (g *Graph) HasEdge(a, b ref.Ref) bool {
-	m := g.mult(a, b)
-	return m != nil && m.total() > 0
-}
+func (g *Graph) HasEdge(a, b ref.Ref) bool { return g.EdgeCount(a, b) > 0 }
 
 // HasEdgeKind reports whether at least one a->b edge of the given kind
 // exists.
 func (g *Graph) HasEdgeKind(a, b ref.Ref, kind EdgeKind) bool {
-	m := g.mult(a, b)
-	if m == nil {
+	e := g.link(a, b)
+	if e == nil {
 		return false
 	}
 	if kind == Explicit {
-		return m.explicit > 0
+		return e.explicit > 0
 	}
-	return m.implicit > 0
+	return e.implicit > 0
 }
 
 // EdgeCount returns the multiplicity of a->b (all kinds).
 func (g *Graph) EdgeCount(a, b ref.Ref) int {
-	m := g.mult(a, b)
-	if m == nil {
+	e := g.link(a, b)
+	if e == nil {
 		return 0
 	}
-	return m.total()
+	return e.out()
 }
 
 // NumEdges returns the total number of edges counting multiplicity.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for _, row := range g.out {
-		for _, m := range row {
-			total += m.total()
+	for i := range g.rows {
+		for j := range g.rows[i].ents {
+			total += g.rows[i].ents[j].out()
 		}
 	}
 	return total
@@ -285,22 +363,14 @@ func (g *Graph) NumEdges() int {
 // Edges returns every edge (with multiplicity) in deterministic order.
 func (g *Graph) Edges() []Edge {
 	var edges []Edge
-	for _, a := range g.nodes.Sorted() {
-		row := g.out[a]
-		if row == nil {
-			continue
-		}
-		tos := make([]ref.Ref, 0, len(row))
-		for b := range row {
-			tos = append(tos, b)
-		}
-		ref.Sort(tos)
-		for _, b := range tos {
-			m := row[b]
-			for i := 0; i < m.explicit; i++ {
+	for i := range g.rows {
+		a := ref.ByIndex(i)
+		for _, b := range g.Succ(a) {
+			e := g.link(a, b)
+			for k := int32(0); k < e.explicit; k++ {
 				edges = append(edges, Edge{a, b, Explicit})
 			}
-			for i := 0; i < m.implicit; i++ {
+			for k := int32(0); k < e.implicit; k++ {
 				edges = append(edges, Edge{a, b, Implicit})
 			}
 		}
@@ -308,65 +378,49 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// Succ returns the distinct successors of a in deterministic order.
-func (g *Graph) Succ(a ref.Ref) []ref.Ref {
-	row := g.out[a]
-	out := make([]ref.Ref, 0, len(row))
-	for b := range row {
-		if row[b].total() > 0 {
-			out = append(out, b)
+// Adjacency directions, for peers.
+const (
+	dirOut = 1 << iota
+	dirIn
+)
+
+// peers returns, sorted, the neighbours of a joined to it by an edge in one
+// of the given directions.
+func (g *Graph) peers(a ref.Ref, dirs int) []ref.Ref {
+	ents := g.adj(a)
+	out := make([]ref.Ref, 0, len(ents))
+	for i := range ents {
+		e := &ents[i]
+		if dirs&dirOut != 0 && e.out() > 0 || dirs&dirIn != 0 && e.in > 0 {
+			out = append(out, e.peer)
 		}
 	}
 	ref.Sort(out)
 	return out
 }
 
+// Succ returns the distinct successors of a in deterministic order.
+func (g *Graph) Succ(a ref.Ref) []ref.Ref { return g.peers(a, dirOut) }
+
 // Pred returns the distinct predecessors of a in deterministic order.
-func (g *Graph) Pred(a ref.Ref) []ref.Ref {
-	set := g.in[a]
-	if set == nil {
-		return nil
-	}
-	return set.Sorted()
-}
+func (g *Graph) Pred(a ref.Ref) []ref.Ref { return g.peers(a, dirIn) }
 
 // UndirectedNeighbors returns every node connected to a by an edge in either
 // direction — the notion SINGLE quantifies over ("u has edges with at most
 // one other relevant process").
-func (g *Graph) UndirectedNeighbors(a ref.Ref) []ref.Ref {
-	set := ref.NewSet()
-	for _, b := range g.Succ(a) {
-		set.Add(b)
-	}
-	for _, b := range g.Pred(a) {
-		set.Add(b)
-	}
-	return set.Sorted()
-}
+func (g *Graph) UndirectedNeighbors(a ref.Ref) []ref.Ref { return g.peers(a, dirOut|dirIn) }
 
 // Degree returns the number of distinct undirected neighbors of a. It is
-// O(1): the count is maintained incrementally on every edge mutation.
-func (g *Graph) Degree(a ref.Ref) int { return g.deg[a] }
+// O(1): a's row has one entry per such neighbor.
+func (g *Graph) Degree(a ref.Ref) int { return len(g.adj(a)) }
 
 // UndirectedDegreeIn returns the number of distinct undirected neighbors of
 // a that lie in keep — the degree a would have in InducedSubgraph(keep) —
 // without materializing the subgraph or any neighbor slice. O(deg(a)).
 func (g *Graph) UndirectedDegreeIn(a ref.Ref, keep ref.Set) int {
 	n := 0
-	row := g.out[a]
-	for b, m := range row {
-		if m.total() > 0 && keep.Has(b) {
-			n++
-		}
-	}
-	if preds, ok := g.in[a]; ok {
-		for p := range preds {
-			if !keep.Has(p) {
-				continue
-			}
-			if m := row[p]; m != nil && m.total() > 0 {
-				continue // already counted as a successor
-			}
+	for _, e := range g.adj(a) {
+		if keep.Has(e.peer) {
 			n++
 		}
 	}
@@ -376,11 +430,9 @@ func (g *Graph) UndirectedDegreeIn(a ref.Ref, keep ref.Set) int {
 // HasPredIn reports whether a has at least one predecessor in keep, without
 // materializing the predecessor slice.
 func (g *Graph) HasPredIn(a ref.Ref, keep ref.Set) bool {
-	if preds, ok := g.in[a]; ok {
-		for p := range preds {
-			if keep.Has(p) {
-				return true
-			}
+	for _, e := range g.adj(a) {
+		if e.in > 0 && keep.Has(e.peer) {
+			return true
 		}
 	}
 	return false
@@ -390,56 +442,39 @@ func (g *Graph) HasPredIn(a ref.Ref, keep ref.Set) bool {
 // edges with an endpoint outside keep. This is PG restricted to relevant
 // processes.
 func (g *Graph) InducedSubgraph(keep ref.Set) *Graph {
-	s := New()
-	for n := range g.nodes {
-		if keep.Has(n) {
-			s.AddNode(n)
+	return g.restrict(keep.Has)
+}
+
+// sameNodes reports whether g and h have the same node set. Their vectors
+// may differ in length: a node added and removed leaves its slot behind.
+func (g *Graph) sameNodes(h *Graph) bool {
+	if g.numNodes != h.numNodes {
+		return false
+	}
+	for i, p := range g.present {
+		if p && (i >= len(h.present) || !h.present[i]) {
+			return false
 		}
 	}
-	for a, row := range g.out {
-		if !keep.Has(a) {
-			continue
-		}
-		for b, m := range row {
-			if !keep.Has(b) {
-				continue
-			}
-			for i := 0; i < m.explicit; i++ {
-				s.AddEdge(a, b, Explicit)
-			}
-			for i := 0; i < m.implicit; i++ {
-				s.AddEdge(a, b, Implicit)
-			}
-		}
-	}
-	return s
+	return true
 }
 
 // Equal reports whether g and h have the same nodes and the same edge
 // multiset (kind-sensitive).
 func (g *Graph) Equal(h *Graph) bool {
-	if !g.nodes.Equal(h.nodes) {
+	if !g.sameNodes(h) {
 		return false
 	}
-	for a := range g.nodes {
-		grow, hrow := g.out[a], h.out[a]
-		for b, m := range grow {
-			hm := hrow[b]
-			if m.total() == 0 {
-				if hm != nil && hm.total() != 0 {
-					return false
-				}
-				continue
-			}
-			if hm == nil || hm.explicit != m.explicit || hm.implicit != m.implicit {
-				return false
-			}
+	for i, p := range g.present {
+		if !p {
+			continue
 		}
-		for b, hm := range hrow {
-			if hm.total() == 0 {
-				continue
-			}
-			if gm := grow[b]; gm == nil || gm.total() == 0 {
+		gr, hr := &g.rows[i], &h.rows[i]
+		if len(gr.ents) != len(hr.ents) {
+			return false
+		}
+		for _, e := range gr.ents {
+			if j := hr.find(e.peer); j < 0 || hr.ents[j] != e {
 				return false
 			}
 		}
@@ -452,17 +487,15 @@ func (g *Graph) Equal(h *Graph) bool {
 // of "reaching topology G′" used by Theorem 1: a protocol cannot control
 // whether an edge is momentarily implicit.
 func (g *Graph) SameSimpleDigraph(h *Graph) bool {
-	if !g.nodes.Equal(h.nodes) {
-		return false
-	}
-	for a := range g.nodes {
-		for b := range g.out[a] {
-			if g.out[a][b].total() > 0 && !h.HasEdge(a, b) {
-				return false
-			}
-		}
-		for b := range h.out[a] {
-			if h.out[a][b].total() > 0 && !g.HasEdge(a, b) {
+	return g.sameNodes(h) && g.simpleWithin(h) && h.simpleWithin(g)
+}
+
+// simpleWithin reports whether every directed edge of g, ignoring
+// multiplicity and kind, is an edge of h.
+func (g *Graph) simpleWithin(h *Graph) bool {
+	for i := range g.rows {
+		for _, e := range g.rows[i].ents {
+			if e.out() > 0 && !h.HasEdge(ref.ByIndex(i), e.peer) {
 				return false
 			}
 		}
@@ -501,15 +534,14 @@ func (g *Graph) DOT(name string) string {
 	return b.String()
 }
 
-// sortedNodes is a helper for deterministic traversals.
-func (g *Graph) sortedNodes() []ref.Ref { return g.nodes.Sorted() }
-
 // degreeSequence returns the sorted undirected degree sequence, used by
 // tests comparing generated topologies.
 func (g *Graph) degreeSequence() []int {
-	seq := make([]int, 0, g.NumNodes())
-	for n := range g.nodes {
-		seq = append(seq, g.Degree(n))
+	seq := make([]int, 0, g.numNodes)
+	for i, p := range g.present {
+		if p {
+			seq = append(seq, len(g.rows[i].ents))
+		}
 	}
 	sort.Ints(seq)
 	return seq

@@ -348,3 +348,54 @@ func TestSubgraphDegreeAndPredQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignRefsAreNotNodes puts references no Space minted (ref.FromWire
+// yields negative and huge identities) and one merely past the vectors
+// through every query and removal. None may panic, none may grow storage,
+// all must answer "not a node".
+func TestForeignRefsAreNotNodes(t *testing.T) {
+	nodes, _ := mkNodes(3)
+	a := nodes[0]
+	for _, id := range []uint32{0, 1 << 31, ^uint32(0), 1 << 30, 4} {
+		r := ref.FromWire(id)
+		g := Line(nodes)
+		want := g.Clone()
+		if g.HasNode(r) || g.Degree(r) != 0 || g.HasEdge(r, a) || g.HasEdge(a, r) ||
+			g.HasEdgeKind(r, a, Explicit) || g.EdgeCount(a, r) != 0 ||
+			g.RemoveEdge(r, a, Explicit) || g.RemoveEdge(a, r, Implicit) {
+			t.Fatalf("%v: answered as a node", r)
+		}
+		g.RemoveNode(r)
+		if len(g.Succ(r))+len(g.Pred(r))+len(g.UndirectedNeighbors(r)) != 0 ||
+			g.UndirectedDegreeIn(r, ref.NewSet(a)) != 0 || g.HasPredIn(r, ref.NewSet(a)) {
+			t.Fatalf("%v: has neighbours", r)
+		}
+		if g.UndirectedReach(r) != nil || g.SameWeakComponent(r, a) || g.SameWeakComponent(r, r) ||
+			g.Reachable(r, a) || g.Reachable(a, r) || g.ShortestPath(a, r) != nil {
+			t.Fatalf("%v: reachable", r)
+		}
+		if got := g.ForwardReachAll([]ref.Ref{r, a}); got.Has(r) || got.Len() != 3 {
+			t.Fatalf("%v: ForwardReachAll = %v", r, got.Sorted())
+		}
+		if got := g.ForwardReach(r); got.Len() > 1 {
+			t.Fatalf("%v: ForwardReach = %v", r, got.Sorted())
+		}
+		if sub := g.InducedSubgraph(ref.NewSet(r, a)); sub.NumNodes() != 1 || !sub.HasNode(a) {
+			t.Fatalf("%v: InducedSubgraph = %v", r, sub)
+		}
+		if len(g.present) != 3 || len(g.rows) != 3 || !g.Equal(want) {
+			t.Fatalf("%v: graph changed: %d slots, %v", r, len(g.present), g)
+		}
+		// Only the growing calls may touch storage, and only for identities
+		// a Space could have minted (they grow to whatever they are given,
+		// so the huge one is not tried).
+		if id == 1<<30 {
+			continue
+		}
+		g.AddNode(r)
+		g.AddEdge(a, r, Explicit)
+		if minted := int32(id) > 0; g.HasNode(r) != minted || g.HasEdge(a, r) != minted {
+			t.Fatalf("%v: AddNode/AddEdge: node %v edge %v, want %v", r, g.HasNode(r), g.HasEdge(a, r), minted)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"fdp/internal/ref"
-)
+import "fmt"
 
 // CloneableProtocol is implemented by protocol states that can be deep-
 // copied, enabling World.Clone and with it the exhaustive schedule
@@ -26,8 +22,8 @@ func (w *World) Clone() *World {
 	c.curCID = w.curCID
 	c.stats = w.Stats()
 	c.initialComponents = w.initialComponents
-	c.awake = 0
-	for _, p := range w.procs {
+	c.procs = make([]*process, len(w.procs))
+	for i, p := range w.procs {
 		if p == nil {
 			continue
 		}
@@ -45,12 +41,7 @@ func (w *World) Clone() *World {
 		}
 		np.ch = make([]Message, len(p.ch))
 		copy(np.ch, p.ch)
-		c.byRef[p.id] = np
-		idx := ref.Index(p.id)
-		for len(c.procs) <= idx {
-			c.procs = append(c.procs, nil)
-		}
-		c.procs[idx] = np
+		c.procs[i] = np
 		if np.life == Awake {
 			c.awake++
 		} else if np.life == Asleep {

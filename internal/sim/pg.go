@@ -154,27 +154,26 @@ func (w *World) pgSyncRefs(p *process) {
 		return
 	}
 	w.gen++
-	if w.refScratch == nil {
-		w.refScratch = make(map[ref.Ref]int, len(cur)+len(p.pgRefs))
-	}
-	d := w.refScratch
-	for _, r := range p.pgRefs {
-		d[r]--
-	}
-	for _, r := range cur {
-		d[r]++
-	}
-	//fdplint:ignore detiter edge-count deltas commute — each key touches a disjoint (p.id,r) multiplicity, so the final graph is order-independent
-	for r, c := range d {
-		delete(d, r)
-		if c > 0 && w.isLiveTarget(r) {
-			for i := 0; i < c; i++ {
-				w.pg.AddEdge(p.id, r, graph.Explicit)
+	// Sort both sides and merge: equal references cancel pairwise, what is
+	// left of the old side loses an edge, what is left of the new side gains
+	// one. The graph sees the delta in reference order, never in map order.
+	old := append(w.oldRefs[:0], p.pgRefs...)
+	nu := append(w.newRefs[:0], cur...)
+	ref.Sort(old)
+	ref.Sort(nu)
+	w.oldRefs, w.newRefs = old, nu
+	for len(old) > 0 || len(nu) > 0 {
+		switch {
+		case len(nu) == 0 || len(old) > 0 && ref.Less(old[0], nu[0]):
+			w.pg.RemoveEdge(p.id, old[0], graph.Explicit)
+			old = old[1:]
+		case len(old) == 0 || ref.Less(nu[0], old[0]):
+			if w.isLiveTarget(nu[0]) {
+				w.pg.AddEdge(p.id, nu[0], graph.Explicit)
 			}
-		} else if c < 0 {
-			for i := 0; i < -c; i++ {
-				w.pg.RemoveEdge(p.id, r, graph.Explicit)
-			}
+			nu = nu[1:]
+		default:
+			old, nu = old[1:], nu[1:]
 		}
 	}
 	p.pgRefs = append(p.pgRefs[:0], cur...)

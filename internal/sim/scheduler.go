@@ -22,14 +22,19 @@ type Scheduler interface {
 // bound that mechanically guarantees fairness: periodic sweeps collect any
 // message older than AgingBound steps and any awake process whose timeout
 // has not run for AgingBound steps into a backlog that is served first.
-// Picks cost O(#processes); sweeps cost O(#messages) but run only every
-// AgingBound/2 steps, keeping the amortized per-step cost low.
+// A uniform pick walks the process slice, O(#processes); a sweep costs
+// O(#processes + #messages) and runs every AgingBound/2 steps. Which of the
+// two a run pays depends on n against AgingBound: once n is well past the
+// bound, most timeouts are overdue at every sweep, the backlog serves nearly
+// every pick at O(1), and the walk is rare (1 % of a sim_churn profile at
+// n = 20000 with the default bound).
 type RandomScheduler struct {
 	rng        *rand.Rand
 	AgingBound int
 
 	lastSweep int
-	backlog   []Action
+	backlog   []Action // what the last sweep found overdue; reused across sweeps
+	pos       int      // cursor into backlog, so the buffer keeps its capacity
 }
 
 // NewRandomScheduler returns a seeded random scheduler with the given aging
@@ -47,9 +52,9 @@ func (s *RandomScheduler) Name() string { return "random" }
 // Next implements Scheduler.
 func (s *RandomScheduler) Next(w *World) (Action, bool) {
 	// Serve overdue work first to guarantee fairness deterministically.
-	for len(s.backlog) > 0 {
-		a := s.backlog[0]
-		s.backlog = s.backlog[1:]
+	for s.pos < len(s.backlog) {
+		a := s.backlog[s.pos]
+		s.pos++
 		if w.ValidateAction(&a) {
 			return a, true
 		}
@@ -70,8 +75,10 @@ func (s *RandomScheduler) Next(w *World) (Action, bool) {
 
 // sweep collects every action that exceeded the aging bound: timeouts by
 // the step they last ran, messages by the step they were enqueued. It scans
-// process state directly rather than materializing EnabledActions.
+// process state directly rather than materializing EnabledActions. Next
+// sweeps only once the previous backlog is served, so the buffer is free.
 func (s *RandomScheduler) sweep(w *World) {
+	s.backlog, s.pos = s.backlog[:0], 0
 	step := w.Steps()
 	for _, p := range w.procs {
 		if p == nil || p.life == Gone {
@@ -170,7 +177,7 @@ func (s *RoundScheduler) buildRound(w *World) {
 // message deliveries, resolves the current index of the message by its
 // sequence number.
 func (s *RoundScheduler) stillEnabled(w *World, a *Action) bool {
-	p := w.byRef[a.Proc]
+	p := w.lookup(a.Proc)
 	if p == nil || p.life == Gone {
 		return false
 	}
@@ -295,7 +302,7 @@ func (s *FIFOScheduler) Next(w *World) (Action, bool) {
 		for s.tpos < len(s.timeouts) {
 			a := s.timeouts[s.tpos]
 			s.tpos++
-			if p := w.byRef[a.Proc]; p != nil && p.life == Awake {
+			if p := w.lookup(a.Proc); p != nil && p.life == Awake {
 				return a, true
 			}
 		}

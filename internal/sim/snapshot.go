@@ -52,10 +52,7 @@ func (w *World) RebuildPG() *graph.Graph {
 }
 
 func (w *World) isLiveTarget(r ref.Ref) bool {
-	if r.IsNil() {
-		return false
-	}
-	p := w.byRef[r]
+	p := w.lookup(r)
 	return p != nil && p.life != Gone
 }
 

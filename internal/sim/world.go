@@ -134,8 +134,7 @@ type process struct {
 // World holds the full system state: every process, its channel, and the
 // configured oracle. It executes atomic actions one at a time.
 type World struct {
-	procs  []*process // dense, indexed by ref.Index
-	byRef  map[ref.Ref]*process
+	procs  []*process // dense, indexed by ref.Index; nil where no process was added
 	oracle Oracle
 	stats  Stats
 	seq    uint64
@@ -189,17 +188,24 @@ type World struct {
 	relCache   ref.Set
 	relPGGen   uint64
 	relPGCache *graph.Graph
-	refScratch map[ref.Ref]int // reusable diff buffer for pgSyncRefs
+
+	oldRefs, newRefs []ref.Ref // reusable diff buffers for pgSyncRefs
 }
 
 // NewWorld returns an empty world using the given oracle (nil = no oracle;
 // OracleSays always false).
 func NewWorld(oracle Oracle) *World {
-	return &World{
-		byRef:  make(map[ref.Ref]*process),
-		oracle: oracle,
-		stats:  newStats(),
+	return &World{oracle: oracle, stats: newStats()}
+}
+
+// lookup returns the process r names, or nil if r names none of this world:
+// ⊥, a reference past every process added, or an identity no Space mints
+// (ref.FromWire hands the transport whatever a peer put on the wire).
+func (w *World) lookup(r ref.Ref) *process {
+	if i := ref.Index(r); uint(i) < uint(len(w.procs)) {
+		return w.procs[i]
 	}
+	return nil
 }
 
 // SetOracleHook installs fn as an observer of every OracleSays verdict
@@ -232,18 +238,17 @@ func (w *World) emit(e Event) {
 // It panics on duplicate registration — scenario construction bugs should
 // fail loudly.
 func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
-	if r.IsNil() {
-		panic("sim: cannot add process with nil reference")
+	idx := ref.Index(r)
+	if idx < 0 {
+		panic(fmt.Sprintf("sim: cannot add process with reference %v (⊥, or minted by no Space)", r))
 	}
-	if _, dup := w.byRef[r]; dup {
+	if w.lookup(r) != nil {
 		panic(fmt.Sprintf("sim: duplicate process %v", r))
 	}
 	p := &process{id: r, mode: mode, life: Awake, proto: proto}
-	w.byRef[r] = p
 	w.awake++
-	idx := ref.Index(r)
-	for len(w.procs) <= idx {
-		w.procs = append(w.procs, nil)
+	if grow := idx + 1 - len(w.procs); grow > 0 {
+		w.procs = append(w.procs, make([]*process, grow)...)
 	}
 	w.procs[idx] = p
 	// A new node can legitimize edges other processes already hold toward
@@ -261,7 +266,7 @@ func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
 // arbitrary initial states (in-flight messages) and by the parallel runtime.
 // Messages to unknown or gone processes are dropped.
 func (w *World) Enqueue(to ref.Ref, msg Message) {
-	p := w.byRef[to]
+	p := w.lookup(to)
 	if p == nil || p.life == Gone {
 		w.stats.Dropped++
 		return
@@ -307,7 +312,7 @@ func (w *World) SetRouter(fn func(to ref.Ref, msg Message) bool) { w.router = fn
 // the target is unknown or gone, so the transport can bounce the message to
 // its sender.
 func (w *World) Inject(to ref.Ref, msg Message) bool {
-	p := w.byRef[to]
+	p := w.lookup(to)
 	if p == nil || p.life == Gone {
 		w.stats.Dropped++
 		return false
@@ -347,7 +352,7 @@ func (w *World) SeedCausal(base uint64) {
 // notification would, and applies the usual post-action lifecycle. No-op if
 // the sender is unknown or gone, or handles no undeliverables.
 func (w *World) Bounce(from, to ref.Ref, msg Message) {
-	p := w.byRef[from]
+	p := w.lookup(from)
 	if p == nil || p.life == Gone {
 		return
 	}
@@ -430,11 +435,12 @@ func (w *World) SetInitialComponents(comps [][]ref.Ref) { w.initialComponents = 
 
 // Refs returns the references of all registered processes, gone or not.
 func (w *World) Refs() []ref.Ref {
-	out := make([]ref.Ref, 0, len(w.byRef))
-	for r := range w.byRef {
-		out = append(out, r)
+	out := make([]ref.Ref, 0, len(w.procs))
+	for _, p := range w.procs {
+		if p != nil {
+			out = append(out, p.id)
+		}
 	}
-	ref.Sort(out)
 	return out
 }
 
@@ -443,8 +449,7 @@ func (w *World) Refs() []ref.Ref {
 // predicates should check Has before ModeOf/LifeOf when handling stored
 // references of unknown provenance.
 func (w *World) Has(r ref.Ref) bool {
-	_, ok := w.byRef[r]
-	return ok
+	return w.lookup(r) != nil
 }
 
 // ModeOf returns the true mode of r. Panics on unknown references.
@@ -528,7 +533,7 @@ func (w *World) Steps() int { return w.stats.Steps }
 func (w *World) CausalIDs() uint64 { return w.causal }
 
 func (w *World) mustProc(r ref.Ref) *process {
-	p := w.byRef[r]
+	p := w.lookup(r)
 	if p == nil {
 		panic(fmt.Sprintf("sim: unknown process %v", r))
 	}
@@ -581,7 +586,7 @@ func (w *World) PickEnabled(k int) Action {
 // returns false for actions that became stale (process gone or asleep,
 // message already delivered).
 func (w *World) ValidateAction(a *Action) bool {
-	p := w.byRef[a.Proc]
+	p := w.lookup(a.Proc)
 	if p == nil || p.life == Gone {
 		return false
 	}
@@ -740,7 +745,7 @@ func (c *procCtx) Send(to ref.Ref, msg Message) {
 	msg.cid = c.w.causal
 	msg.parent = c.w.curCID
 	msg.lclock = c.p.clock
-	target := c.w.byRef[to]
+	target := c.w.lookup(to)
 	c.w.stats.Sent++
 	c.w.stats.SentByLabel[msg.Label]++
 	if target == nil && c.w.router != nil && c.w.router(to, msg) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"fdp/internal/graph"
@@ -388,4 +389,79 @@ func TestQuiescent(t *testing.T) {
 	if w.Quiescent() {
 		t.Fatal("pending message: not quiescent")
 	}
+}
+
+// TestForeignRefsAreNotProcesses drives references no Space of this world
+// minted — ref.FromWire turns whatever a peer put on the wire into one,
+// negative and huge identities included — through every entry point that
+// indexes the process slice. Each must answer "no such process" without
+// panicking and without growing the slice.
+func TestForeignRefsAreNotProcesses(t *testing.T) {
+	for _, id := range []uint32{0, 1 << 31, ^uint32(0), 1 << 30, 3} {
+		r := ref.FromWire(id)
+		w, a, _, fa, _ := twoProcWorld(t)
+		fa.refs.Add(r) // a stored foreign reference reaches the PG diff
+		fa.onTimeout = func(ctx Context, f *fixtureProto) {
+			ctx.Send(r, NewMessage("m", RefInfo{Ref: r}))
+		}
+		var kinds []EventKind
+		w.AddEventHook(func(e Event) { kinds = append(kinds, e.Kind) })
+		w.PG() // seed the incremental graph, so every path below maintains it
+
+		if w.Has(r) {
+			t.Fatalf("%v: Has", r)
+		}
+		if w.Inject(r, NewMessage("m")) {
+			t.Fatalf("%v: Inject accepted a message", r)
+		}
+		w.Enqueue(r, NewMessage("m"))
+		w.Bounce(r, a, NewMessage("m"))
+		if w.ValidateAction(&Action{Proc: r, IsTimeout: true}) {
+			t.Fatalf("%v: ValidateAction", r)
+		}
+		if got := w.Stats().Dropped; got != 2 {
+			t.Fatalf("%v: Dropped = %d after Inject and Enqueue, want 2", r, got)
+		}
+
+		// Send with no router, with a refusing one, with an accepting one.
+		routed := 0
+		for i, accept := range []bool{false, false, true} {
+			if i > 0 {
+				w.SetRouter(func(to ref.Ref, _ Message) bool {
+					if to != r {
+						t.Fatalf("router offered %v, want %v", to, r)
+					}
+					routed++
+					return accept
+				})
+			}
+			kinds = kinds[:0]
+			w.Execute(Action{Proc: a, IsTimeout: true})
+			want := []EventKind{EvTimeout, EvDrop}
+			switch {
+			case r.IsNil():
+				want = want[:1] // a send to ⊥ is no send at all
+			case accept:
+				want[1] = EvSend
+			}
+			if !slices.Equal(kinds, want) {
+				t.Fatalf("%v, router %d: events %v, want %v", r, i, kinds, want)
+			}
+		}
+		if want := 2; !r.IsNil() && routed != want {
+			t.Fatalf("%v: router consulted %d times, want %d", r, routed, want)
+		}
+		if len(w.procs) != 2 || w.PG().HasNode(r) || !w.PG().Equal(w.RebuildPG()) {
+			t.Fatalf("%v: world grew to %d slots, PG %v", r, len(w.procs), w.PG())
+		}
+	}
+}
+
+func TestAddProcessForeignRefPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddProcess with a negative identity must panic")
+		}
+	}()
+	NewWorld(nil).AddProcess(ref.FromWire(^uint32(0)), Staying, newFixture())
 }
