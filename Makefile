@@ -2,13 +2,12 @@ GO ?= go
 
 FDPLINT := bin/fdplint
 
-.PHONY: all ci vet lint loc build test race bench bench-artifacts bench-baseline bench-compare replay-golden fuzz-smoke fuzz-hunt node-churn
+.PHONY: all ci vet lint loc build test race bench bench-baseline replay-golden fuzz-smoke fuzz-hunt node-churn
 
 all: vet lint build test race replay-golden fuzz-smoke
 
 # ci runs what the test, lint and race jobs of .github/workflows/ci.yml run.
-# The workflow's other two jobs are targets of their own: node-churn, and
-# bench-artifacts followed by bench-compare.
+# The workflow's fourth job is a target of its own: node-churn.
 ci: vet lint build test race replay-golden fuzz-smoke
 
 vet:
@@ -59,17 +58,23 @@ replay-golden:
 # (internal/fuzz/testdata), runs the mutation harness end to end (the
 # injected MUTANT-SINGLE bug must be found, shrunk, journaled and replayed),
 # then takes a short fresh-fuzz pass over a fixed seed. Single shard,
-# deterministic, budgeted well under 30s on one core. Last, a 5s native
-# go-fuzz pass holds the journal's hand-rolled record encoder to
-# encoding/json (internal/trace FuzzRecordLine) and another holds the dense
-# process graph to a map-of-pairs model (internal/graph FuzzGraphOps). These
-# two are not deterministic — a failure lands as a seed file under the
-# package's testdata/fuzz.
+# deterministic, budgeted well under 30s on one core. Last, four 5s native
+# go-fuzz passes: two on the producing side — the journal's hand-rolled
+# record encoder against encoding/json (internal/trace FuzzRecordLine), the
+# dense process graph against a map-of-pairs model (internal/graph
+# FuzzGraphOps) — and two on the consuming side of the mesh's wire: arbitrary
+# frame bytes through the codec and the engine's Inject (internal/transport
+# FuzzDecodeFrame), arbitrary control payloads and sender ids through a node
+# with an oracle round open (internal/node FuzzControl). These four are not
+# deterministic — a failure lands as a seed file under the package's
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -count=1
 	$(GO) run ./cmd/fdpfuzz -seed 11 -runs 20 -timeout 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRecordLine -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime 5s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s
+	$(GO) test ./internal/node -run '^$$' -fuzz FuzzControl -fuzztime 5s
 
 # fuzz-hunt is the scheduled long hunt (.github/workflows/fuzz.yml): a
 # time-bounded randomized sweep with the seed drawn from the calendar date,
@@ -146,20 +151,9 @@ node-churn:
 bench:
 	$(GO) test -bench . -benchmem -run XXX . ./internal/graph
 
-# bench-artifacts emits the machine-readable BENCH_<engine>.json files (the
-# per-size time-to-exit p50/p99 series of both engines) that the CI bench
-# job uploads.
-bench-artifacts:
-	$(GO) run ./cmd/fdpbench -quick -bench -bench-out bench-out
-
-# bench-baseline regenerates the committed seed baseline in bench/ that
-# reviewers diff bench-artifacts output against. Sizes above
-# experiments.SimBenchSizeCap (n=100000) run only on the concurrent engine.
+# bench-baseline regenerates the committed n-scaling series in bench/ (see
+# bench/README.md; nothing gates on it — the yardstick is ./benchmark). Sizes
+# above experiments.SimBenchSizeCap (n=100000) run only on the concurrent
+# engine.
 bench-baseline:
 	$(GO) run ./cmd/fdpbench -quick -bench -sizes 8,16,32,64,1000,10000,100000 -bench-out bench
-
-# bench-compare diffs freshly generated bench-out/ artifacts against the
-# committed bench/ baseline and fails on a >2x p99 regression at any size
-# both series cover. Run bench-artifacts first (CI does).
-bench-compare:
-	$(GO) run ./cmd/fdpbenchcmp -baseline bench -fresh bench-out -threshold 2.0

@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"fdp/internal/check"
-	"fdp/internal/core"
-	"fdp/internal/graph"
-	"fdp/internal/oracle"
-	"fdp/internal/ref"
-	"fdp/internal/sim"
 )
 
 // CheckConfig describes a bounded exhaustive schedule exploration: EVERY
@@ -21,14 +16,15 @@ type CheckConfig struct {
 	// Leavers is the number of leaving processes, placed in the middle of
 	// the topology (the most dangerous spot on a line).
 	Leavers int
-	// Topology is Line (default), Ring or Clique.
+	// Topology is the initial overlay shape (default Line).
 	Topology Topology
 	// Depth bounds the schedule length (default 12).
 	Depth int
 	// MaxStates bounds the exploration (default 1<<20).
 	MaxStates int
 	// Oracle guards exits (default OracleSingle; OracleUnsafe demonstrates
-	// the counterexample).
+	// the counterexample). OracleTimeoutSingle is rejected: its cache is
+	// state the explored fingerprints do not cover.
 	Oracle OracleKind
 	// Variant selects FDP (default) or FSP (no oracle).
 	Variant Variant
@@ -46,6 +42,9 @@ type CheckReport struct {
 	Truncated bool
 	// LegitimateStates counts explored states satisfying legitimacy.
 	LegitimateStates int
+	// Frontier counts non-legitimate states at the depth bound — schedules
+	// that might converge later; the bound decides safety, not liveness.
+	Frontier int
 	// Counterexample describes the violating schedule when Safe is false.
 	Counterexample string
 }
@@ -61,59 +60,21 @@ func CheckSchedules(cfg CheckConfig) (CheckReport, error) {
 	if cfg.Leavers < 0 || cfg.Leavers >= cfg.N {
 		return CheckReport{}, fmt.Errorf("%w: Leavers = %d of %d", ErrBadConfig, cfg.Leavers, cfg.N)
 	}
-	coreVariant := core.VariantFDP
-	simVariant := sim.FDP
-	var orc sim.Oracle
-	if cfg.Variant == FSP {
-		coreVariant, simVariant = core.VariantFSP, sim.FSP
-	} else {
-		switch cfg.Oracle {
-		case OracleUnsafe:
-			orc = oracle.Always(true)
-		case OracleExitSafe:
-			orc = oracle.ExitSafe{}
-		default:
-			orc = oracle.Single{}
-		}
+	if cfg.Variant != FSP && cfg.Oracle == OracleTimeoutSingle {
+		return CheckReport{}, fmt.Errorf("%w: Oracle = %v keeps state outside the explored fingerprint", ErrBadConfig, cfg.Oracle)
 	}
-	//fdplint:ignore refopacity scenario construction — Check mints the initial topology's refs before the protocol runs
-	space := ref.NewSpace()
-	nodes := space.NewN(cfg.N)
-	var g *graph.Graph
-	switch cfg.Topology {
-	case Ring:
-		g = graph.Ring(nodes)
-	case Clique:
-		g = graph.Clique(nodes)
-	default:
-		g = graph.Line(nodes)
+	// Leavers sit in the middle. With none, the empty index list falls through
+	// to the pattern, which at LeaveFraction 0 marks nobody.
+	var leavers []int
+	for i := (cfg.N - cfg.Leavers) / 2; len(leavers) < cfg.Leavers; i++ {
+		leavers = append(leavers, i)
 	}
-	leaving := ref.NewSet()
-	start := (cfg.N - cfg.Leavers) / 2
-	for i := start; i < start+cfg.Leavers; i++ {
-		leaving.Add(nodes[i])
+	sc := Config{N: cfg.N, Topology: cfg.Topology, Variant: cfg.Variant, Oracle: cfg.Oracle}
+	s, simVariant, err := sc.build(leavers)
+	if err != nil {
+		return CheckReport{}, err
 	}
-	w := sim.NewWorld(orc)
-	procs := make(map[ref.Ref]*core.Proc, cfg.N)
-	for _, r := range nodes {
-		p := core.New(coreVariant)
-		procs[r] = p
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		w.AddProcess(r, mode, p)
-	}
-	for _, e := range g.Edges() {
-		mode := sim.Staying
-		if leaving.Has(e.To) {
-			mode = sim.Leaving
-		}
-		procs[e.From].SetNeighbor(e.To, mode)
-	}
-	w.SealInitialState()
-
-	out := check.Explore(w, check.Options{
+	out := check.Explore(s.World, check.Options{
 		MaxDepth:         cfg.Depth,
 		MaxStates:        cfg.MaxStates,
 		Invariant:        check.SafetyInvariant(),
@@ -126,6 +87,7 @@ func CheckSchedules(cfg CheckConfig) (CheckReport, error) {
 		DepthReached:     out.DepthReached,
 		Truncated:        out.Truncated,
 		LegitimateStates: out.LegitimateStates,
+		Frontier:         out.FrontierStates,
 	}
 	if !out.OK() {
 		rep.Counterexample = out.Violations[0].String()

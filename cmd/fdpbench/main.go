@@ -80,33 +80,6 @@ func writeBench(quick bool, sizes []int, dir string, reg *fdp.Observer) error {
 	return nil
 }
 
-// writeJournal records the causal event journal of one representative
-// bench-scale sequential run (the largest size's first trial, mirroring
-// the bench harness scenario) so a bench regression can be traced event
-// by event with fdpreplay.
-func writeJournal(quick bool, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	n, maxSteps := 128, 20_000_000
-	if quick {
-		n, maxSteps = 32, 2_000_000
-	}
-	_, simErr := fdp.Simulate(fdp.Config{
-		N: n, Topology: fdp.Random, LeaveFraction: 0.5,
-		Seed: int64(n * 1000), MaxSteps: maxSteps, Journal: f,
-	})
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if simErr != nil {
-		return simErr
-	}
-	fmt.Printf("wrote %s (causal journal, n=%d)\n", path, n)
-	return nil
-}
-
 // jsonReport is the machine-readable form of one experiment.
 type jsonReport struct {
 	ID     string   `json:"id"`
@@ -127,7 +100,6 @@ func main() {
 		benchOut = flag.String("bench-out", ".", "directory for the BENCH_<engine>.json artifacts of -bench")
 		sizes    = flag.String("sizes", "", "with -bench: comma-separated, strictly increasing system sizes (e.g. 1000,10000,100000); empty keeps the default series")
 		serve    = flag.String("serve", "", "serve /metrics and /debug/pprof on this address while running (e.g. :9090)")
-		journal  = flag.String("journal", "", "with -bench: also record the causal event journal (JSONL) of one representative bench-scale run to this file")
 	)
 	flag.Parse()
 
@@ -171,17 +143,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fdpbench: -bench:", err)
 			os.Exit(2)
 		}
-		if *journal != "" {
-			if err := writeJournal(*quick, *journal); err != nil {
-				fmt.Fprintln(os.Stderr, "fdpbench: -journal:", err)
-				os.Exit(2)
-			}
-		}
 		return
-	}
-	if *journal != "" {
-		fmt.Fprintln(os.Stderr, "fdpbench: -journal requires -bench")
-		os.Exit(2)
 	}
 
 	wanted := map[string]bool{}

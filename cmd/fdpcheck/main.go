@@ -13,113 +13,49 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"fdp/internal/check"
-	"fdp/internal/core"
-	"fdp/internal/graph"
-	"fdp/internal/oracle"
-	"fdp/internal/ref"
-	"fdp/internal/sim"
+	"fdp"
 )
 
-func main() {
-	var (
-		n       = flag.Int("n", 3, "number of processes (keep small: the state space is exponential)")
-		leavers = flag.Int("leavers", 1, "number of leaving processes (placed in the middle of the line)")
-		depth   = flag.Int("depth", 12, "schedule depth bound")
-		states  = flag.Int("max-states", 1<<20, "state budget")
-		orcName = flag.String("oracle", "single", "single|exitsafe|unsafe")
-		variant = flag.String("variant", "fdp", "fdp or fsp")
-		topo    = flag.String("topology", "line", "line|ring|clique")
-	)
-	flag.Parse()
-	if *leavers >= *n {
-		fmt.Fprintln(os.Stderr, "fdpcheck: need at least one staying process")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fdpcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg fdp.CheckConfig
+	fs.IntVar(&cfg.N, "n", 3, "number of processes (keep small: the state space is exponential)")
+	fs.IntVar(&cfg.Leavers, "leavers", 1, "number of leaving processes (placed in the middle of the line)")
+	fs.IntVar(&cfg.Depth, "depth", 12, "schedule depth bound")
+	fs.IntVar(&cfg.MaxStates, "max-states", 1<<20, "state budget")
+	fdp.NameVar(fs, &cfg.Oracle, "oracle", "oracle guarding exits (timeout is stateful and cannot be explored)", fdp.OracleKinds())
+	fdp.NameVar(fs, &cfg.Variant, "variant", "exit or sleep", fdp.Variants())
+	fdp.NameVar(fs, &cfg.Topology, "topology", "initial topology", fdp.Topologies())
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	rep, err := fdp.CheckSchedules(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "fdpcheck:", err)
+		return 2
 	}
 
-	var orc sim.Oracle
-	switch *orcName {
-	case "single":
-		orc = oracle.Single{}
-	case "exitsafe":
-		orc = oracle.ExitSafe{}
-	case "unsafe":
-		orc = oracle.Always(true)
-	default:
-		fmt.Fprintln(os.Stderr, "fdpcheck: unknown oracle", *orcName)
-		os.Exit(2)
+	fmt.Fprintf(stdout, "topology=%s n=%d leavers=%d oracle=%s variant=%s\n",
+		cfg.Topology, cfg.N, cfg.Leavers, cfg.Oracle, cfg.Variant)
+	trunc := ""
+	if rep.Truncated {
+		trunc = " (TRUNCATED by -max-states)"
 	}
-	v := core.VariantFDP
-	simV := sim.FDP
-	if *variant == "fsp" {
-		v, simV, orc = core.VariantFSP, sim.FSP, nil
+	fmt.Fprintf(stdout, "states explored:     %d%s\n", rep.StatesExplored, trunc)
+	fmt.Fprintf(stdout, "depth reached:       %d\n", rep.DepthReached)
+	fmt.Fprintf(stdout, "legitimate states:   %d\n", rep.LegitimateStates)
+	fmt.Fprintf(stdout, "frontier (undecided): %d\n", rep.Frontier)
+	if rep.Safe {
+		fmt.Fprintln(stdout, "result: SAFE on every explored schedule")
+		return 0
 	}
-
-	space := ref.NewSpace()
-	nodes := space.NewN(*n)
-	var g *graph.Graph
-	switch *topo {
-	case "ring":
-		g = graph.Ring(nodes)
-	case "clique":
-		g = graph.Clique(nodes)
-	default:
-		g = graph.Line(nodes)
-	}
-	// Leavers in the middle: the most dangerous placement on a line.
-	leaving := ref.NewSet()
-	start := (*n - *leavers) / 2
-	for i := start; i < start+*leavers; i++ {
-		leaving.Add(nodes[i])
-	}
-	w := sim.NewWorld(orc)
-	procs := make(map[ref.Ref]*core.Proc, *n)
-	for _, r := range nodes {
-		p := core.New(v)
-		procs[r] = p
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		w.AddProcess(r, mode, p)
-	}
-	for _, e := range g.Edges() {
-		mode := sim.Staying
-		if leaving.Has(e.To) {
-			mode = sim.Leaving
-		}
-		procs[e.From].SetNeighbor(e.To, mode)
-	}
-	w.SealInitialState()
-
-	out := check.Explore(w, check.Options{
-		MaxDepth:         *depth,
-		MaxStates:        *states,
-		Invariant:        check.SafetyInvariant(),
-		Variant:          simV,
-		StopAtLegitimate: true,
-	})
-
-	fmt.Printf("topology=%s n=%d leavers=%d oracle=%s variant=%s\n",
-		*topo, *n, *leavers, *orcName, *variant)
-	fmt.Printf("states explored:     %d%s\n", out.StatesExplored, truncNote(out.Truncated))
-	fmt.Printf("depth reached:       %d\n", out.DepthReached)
-	fmt.Printf("legitimate states:   %d\n", out.LegitimateStates)
-	fmt.Printf("frontier (undecided): %d\n", out.FrontierStates)
-	if out.OK() {
-		fmt.Println("result: SAFE on every explored schedule")
-		return
-	}
-	fmt.Println("result: VIOLATION FOUND")
-	fmt.Println(out.Violations[0])
-	os.Exit(1)
-}
-
-func truncNote(t bool) string {
-	if t {
-		return " (TRUNCATED by -max-states)"
-	}
-	return ""
+	fmt.Fprintln(stdout, "result: VIOLATION FOUND")
+	fmt.Fprintln(stdout, rep.Counterexample)
+	return 1
 }

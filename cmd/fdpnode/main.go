@@ -84,9 +84,9 @@ func run(args []string) int {
 		out    = fs.String("out", ".", "directory for journal-<id>.jsonl and summary-<id>.json")
 
 		n       = fs.Int("n", 16, "number of processes")
-		topo    = fs.String("topology", "line", "initial topology (line, ring, tree, clique, hypercube, ...)")
+		topo    = fs.String("topology", "line", "initial topology, by its journal-header name (fdpsim -h lists them)")
 		leave   = fs.Float64("leave", 0.5, "fraction of processes leaving")
-		pattern = fs.String("pattern", "random", "leaver placement (random, articulation, block, neighborhood, all-but-one)")
+		pattern = fs.String("pattern", "random", "leaver placement, by its journal-header name (fdpsim -h lists them)")
 		variant = fs.String("variant", "fdp", "fdp (exit) or fsp (sleep)")
 		seed    = fs.Int64("seed", 1, "scenario seed (identical on every node)")
 
@@ -311,7 +311,7 @@ func runScrape(list string) int {
 		fmt.Printf("# node %s\n", a)
 		for _, line := range strings.Split(string(body), "\n") {
 			if !strings.HasPrefix(line, "fdp_progress_") && !strings.HasPrefix(line, "fdp_stall_") &&
-				!strings.HasPrefix(line, "fdp_transport_frames_total") {
+				!strings.HasPrefix(line, "fdp_transport_frames_total") && !strings.HasPrefix(line, "fdp_transport_rejected_total") {
 				continue
 			}
 			fmt.Println(line)

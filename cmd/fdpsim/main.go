@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -27,81 +28,54 @@ func isClosedErr(err error) bool {
 	return err == nil || errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed)
 }
 
-var topologies = map[string]fdp.Topology{
-	"line": fdp.Line, "dirline": fdp.DirectedLine, "ring": fdp.Ring,
-	"star": fdp.Star, "tree": fdp.Tree, "clique": fdp.Clique,
-	"hypercube": fdp.Hypercube, "random": fdp.Random,
-}
-
-var patterns = map[string]fdp.LeavePattern{
-	"random": fdp.LeaveRandom, "articulation": fdp.LeaveArticulation,
-	"block": fdp.LeaveBlock, "allbutone": fdp.LeaveAllButOne,
-}
-
-var oracles = map[string]fdp.OracleKind{
-	"single": fdp.OracleSingle, "nidec": fdp.OracleNIDEC,
-	"exitsafe": fdp.OracleExitSafe, "timeout": fdp.OracleTimeoutSingle,
-	"unsafe": fdp.OracleUnsafe,
-}
-
-var schedulers = map[string]fdp.Scheduler{
-	"random": fdp.SchedRandom, "rounds": fdp.SchedRounds,
-	"adversarial": fdp.SchedAdversarial, "fifo": fdp.SchedFIFO,
-}
-
-func keysOf[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func main() {
-	var (
-		n        = flag.Int("n", 16, "number of processes")
-		topo     = flag.String("topology", "random", fmt.Sprintf("initial topology %v", keysOf(topologies)))
-		leave    = flag.Float64("leave", 0.5, "fraction of processes leaving")
-		pattern  = flag.String("pattern", "random", fmt.Sprintf("leaver placement %v", keysOf(patterns)))
-		variant  = flag.String("variant", "fdp", "fdp (exit) or fsp (sleep)")
-		orc      = flag.String("oracle", "single", fmt.Sprintf("oracle %v", keysOf(oracles)))
-		sched    = flag.String("scheduler", "random", fmt.Sprintf("scheduler %v", keysOf(schedulers)))
-		seed     = flag.Int64("seed", 1, "random seed (runs are reproducible)")
-		corrupt  = flag.Float64("corrupt", 0, "initial-state corruption probability (beliefs and anchors)")
-		junk     = flag.Int("junk", 0, "junk in-flight messages injected into the initial state")
-		maxSteps = flag.Int("max-steps", 1<<21, "step budget")
-		safety   = flag.Bool("safety", true, "check the Lemma 2 safety invariant during the run")
-		par      = flag.Bool("parallel", false, "run on the goroutine-per-process runtime instead of the simulator")
-		timeout  = flag.Duration("timeout", 30*time.Second, "wall-clock budget for -parallel")
-		serve    = flag.String("serve", "", "serve /metrics (Prometheus text) and /debug/pprof on this address during the run (e.g. :9090)")
-		hold     = flag.Duration("hold", 0, "keep the -serve endpoint up this long after the run finishes")
-		journal  = flag.String("journal", "", "write the causal event journal (JSONL) to this file; inspect it with fdpreplay")
-	)
-	flag.Parse()
+	// Graceful ^C: the first signal closes stop, a second force-kills.
+	stop := make(chan struct{})
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		fmt.Fprintln(os.Stderr, "fdpsim: interrupted, winding down")
+		close(stop)
+		<-sigc
+		os.Exit(130)
+	}()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
 
-	cfg := fdp.Config{
-		N:              *n,
-		Topology:       topologies[*topo],
-		LeaveFraction:  *leave,
-		Pattern:        patterns[*pattern],
-		Oracle:         oracles[*orc],
-		Scheduler:      schedulers[*sched],
-		Seed:           *seed,
-		MaxSteps:       *maxSteps,
-		CorruptBeliefs: *corrupt,
-		CorruptAnchors: *corrupt,
-		JunkMessages:   *junk,
-		CheckSafety:    *safety,
+func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
+	fs := flag.NewFlagSet("fdpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfg := fdp.Config{Topology: fdp.Random}
+	var (
+		corrupt = fs.Float64("corrupt", 0, "initial-state corruption probability (beliefs and anchors)")
+		par     = fs.Bool("parallel", false, "run on the goroutine-per-process runtime instead of the simulator")
+		timeout = fs.Duration("timeout", 30*time.Second, "wall-clock budget for -parallel")
+		serve   = fs.String("serve", "", "serve /metrics (Prometheus text) and /debug/pprof on this address during the run (e.g. :9090)")
+		hold    = fs.Duration("hold", 0, "keep the -serve endpoint up this long after the run finishes")
+		journal = fs.String("journal", "", "write the causal event journal (JSONL) to this file; inspect it with fdpreplay")
+	)
+	fs.IntVar(&cfg.N, "n", 16, "number of processes")
+	fdp.NameVar(fs, &cfg.Topology, "topology", "initial topology, as journal headers name it", fdp.Topologies())
+	fs.Float64Var(&cfg.LeaveFraction, "leave", 0.5, "fraction of processes leaving")
+	fdp.NameVar(fs, &cfg.Pattern, "pattern", "leaver placement, as journal headers name it", fdp.Patterns())
+	fdp.NameVar(fs, &cfg.Variant, "variant", "exit or sleep", fdp.Variants())
+	fdp.NameVar(fs, &cfg.Oracle, "oracle", "oracle advising leavers", fdp.OracleKinds())
+	fdp.NameVar(fs, &cfg.Scheduler, "scheduler", "fair scheduler", fdp.Schedulers())
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed (runs are reproducible)")
+	fs.IntVar(&cfg.JunkMessages, "junk", 0, "junk in-flight messages injected into the initial state")
+	fs.IntVar(&cfg.MaxSteps, "max-steps", 1<<21, "step budget")
+	fs.BoolVar(&cfg.CheckSafety, "safety", true, "check the Lemma 2 safety invariant during the run")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *variant == "fsp" {
-		cfg.Variant = fdp.FSP
-	}
+	cfg.CorruptBeliefs, cfg.CorruptAnchors = *corrupt, *corrupt
+
 	if *journal != "" {
 		f, err := os.Create(*journal)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpsim: -journal:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "fdpsim: -journal:", err)
+			return 2
 		}
 		defer f.Close()
 		cfg.Journal = f
@@ -110,38 +84,30 @@ func main() {
 		cfg.Observe = fdp.NewObserver()
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpsim: -serve:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "fdpsim: -serve:", err)
+			return 2
 		}
-		fmt.Printf("metrics:          http://%s/metrics (pprof at /debug/pprof/)\n", ln.Addr())
+		fmt.Fprintf(stdout, "metrics:          http://%s/metrics (pprof at /debug/pprof/)\n", ln.Addr())
 		go func() {
 			if err := http.Serve(ln, fdp.ObserveMux(cfg.Observe)); !isClosedErr(err) {
-				fmt.Fprintln(os.Stderr, "fdpsim: -serve:", err)
+				fmt.Fprintln(stderr, "fdpsim: -serve:", err)
 			}
 		}()
 	}
 
-	// Graceful ^C: the sequential engine stops at the next step boundary and
-	// reports Interrupted; the concurrent runtime has no stop hook, so for
-	// -parallel the handler flushes the journal file and exits directly.
-	// A second signal force-kills either way.
-	stopc := make(chan struct{})
-	cfg.Stop = stopc
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "fdpsim: interrupted, winding down")
-		if *par {
+	// On stop the sequential engine ends at the next step boundary and reports
+	// Interrupted. The concurrent runtime has no stop hook, so for -parallel
+	// the journal file is flushed and the process exits directly.
+	cfg.Stop = stop
+	if *par {
+		go func() {
+			<-stop
 			if f, ok := cfg.Journal.(*os.File); ok {
 				f.Sync()
 			}
 			os.Exit(130)
-		}
-		close(stopc)
-		<-sigc
-		os.Exit(130)
-	}()
+		}()
+	}
 
 	var (
 		rep fdp.Report
@@ -153,32 +119,38 @@ func main() {
 		rep, err = fdp.Simulate(cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fdpsim:", err)
+		return 2
 	}
-	fmt.Printf("converged:        %v\n", rep.Converged)
-	fmt.Printf("steps:            %d\n", rep.Steps)
+	fmt.Fprintf(stdout, "converged:        %v\n", rep.Converged)
+	fmt.Fprintf(stdout, "steps:            %d\n", rep.Steps)
 	if rep.Rounds > 0 {
-		fmt.Printf("rounds:           %d\n", rep.Rounds)
+		fmt.Fprintf(stdout, "rounds:           %d\n", rep.Rounds)
 	}
-	fmt.Printf("messages sent:    %d\n", rep.MessagesSent)
-	for _, label := range keysOf(rep.MessagesByLabel) {
-		fmt.Printf("  %-14s  %d\n", label+":", rep.MessagesByLabel[label])
+	fmt.Fprintf(stdout, "messages sent:    %d\n", rep.MessagesSent)
+	labels := make([]string, 0, len(rep.MessagesByLabel))
+	for label := range rep.MessagesByLabel {
+		labels = append(labels, label)
 	}
-	fmt.Printf("exits:            %d\n", rep.Exits)
-	fmt.Printf("max channel:      %d\n", rep.MaxChannel)
-	fmt.Printf("safety violated:  %v\n", rep.SafetyViolated)
+	sort.Strings(labels)
+	for _, label := range labels {
+		fmt.Fprintf(stdout, "  %-14s  %d\n", label+":", rep.MessagesByLabel[label])
+	}
+	fmt.Fprintf(stdout, "exits:            %d\n", rep.Exits)
+	fmt.Fprintf(stdout, "max channel:      %d\n", rep.MaxChannel)
+	fmt.Fprintf(stdout, "safety violated:  %v\n", rep.SafetyViolated)
 	if *serve != "" && *hold > 0 {
-		fmt.Printf("holding -serve endpoint for %v\n", *hold)
+		fmt.Fprintf(stdout, "holding -serve endpoint for %v\n", *hold)
 		time.Sleep(*hold)
 	}
 	if rep.Interrupted {
 		// A clean interrupt is not a failed run: the journal written so far
 		// is a valid prefix (fdpreplay diagnoses where it stops).
-		fmt.Println("interrupted before convergence")
-		return
+		fmt.Fprintln(stdout, "interrupted before convergence")
+		return 0
 	}
 	if !rep.Converged || rep.SafetyViolated {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

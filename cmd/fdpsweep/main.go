@@ -19,6 +19,7 @@ import (
 	"strings"
 	"syscall"
 
+	"fdp"
 	"fdp/internal/churn"
 	"fdp/internal/oracle"
 	"fdp/internal/sim"
@@ -92,22 +93,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		leaves     = fs.String("leave", "0.25,0.5,0.75", "comma-separated leave fractions")
 		corrupts   = fs.String("corrupt", "0,0.5", "comma-separated corruption probabilities")
 		seeds      = fs.Int("seeds", 3, "seeds per configuration")
-		topology   = fs.String("topology", "random", "line|ring|star|tree|clique|hypercube|random")
 		maxSteps   = fs.Int("max-steps", 1<<22, "step budget per run")
 		journalDir = fs.String("journal-dir", "", "write one causal event journal (JSONL) per run into this directory; inspect with fdpreplay")
 	)
+	topo := churn.TopoRandom
+	fdp.NameVar(fs, &topo, "topology", "initial topology, as journal headers name it", churn.Topologies())
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	topoMap := map[string]churn.Topology{
-		"line": churn.TopoLine, "ring": churn.TopoRing, "star": churn.TopoStar,
-		"tree": churn.TopoTree, "clique": churn.TopoClique,
-		"hypercube": churn.TopoHypercube, "random": churn.TopoRandom,
-	}
-	topo, ok := topoMap[*topology]
-	if !ok {
-		fmt.Fprintln(stderr, "fdpsweep: unknown topology", *topology)
 		return 2
 	}
 	sizes, err := parseInts(*ns)

@@ -51,34 +51,43 @@ const (
 	FSP
 )
 
-// Topology selects the initial overlay shape.
-type Topology int
+// Topology selects the initial overlay shape. It is the scenario builder's
+// own vocabulary, not a copy of it: every value prints the name journal
+// headers record, and Topologies lists them all.
+type Topology = churn.Topology
 
 // Initial topologies.
 const (
-	Line Topology = iota
-	DirectedLine
-	Ring
-	Star
-	Tree
-	Clique
-	Hypercube
-	Random
+	Line          = churn.TopoLine
+	DirectedLine  = churn.TopoDirectedLine
+	Ring          = churn.TopoRing
+	Star          = churn.TopoStar
+	Tree          = churn.TopoTree
+	Clique        = churn.TopoClique
+	Hypercube     = churn.TopoHypercube
+	Random        = churn.TopoRandom
+	SkipGraph     = churn.TopoSkipGraph
+	DeBruijn      = churn.TopoDeBruijn
+	RandomRegular = churn.TopoRandomRegular
 )
 
-// LeavePattern selects which processes leave.
-type LeavePattern int
+// LeavePattern selects which processes leave (the builder's vocabulary, as
+// Topology is).
+type LeavePattern = churn.LeavePattern
 
 // Leave patterns.
 const (
 	// LeaveRandom marks a uniform random subset.
-	LeaveRandom LeavePattern = iota
+	LeaveRandom = churn.LeaveRandom
 	// LeaveArticulation prefers cut vertices (adversarial placement).
-	LeaveArticulation
+	LeaveArticulation = churn.LeaveArticulation
 	// LeaveBlock marks a contiguous block of the identifier space.
-	LeaveBlock
+	LeaveBlock = churn.LeaveBlock
 	// LeaveAllButOne marks everyone except a single staying process.
-	LeaveAllButOne
+	LeaveAllButOne = churn.LeaveAllButOne
+	// LeaveNeighborhood marks all but one member of one process's closed
+	// neighborhood; LeaveFraction is ignored.
+	LeaveNeighborhood = churn.LeaveNeighborhood
 )
 
 // OracleKind selects the oracle advising leaving processes.
@@ -212,38 +221,29 @@ func (c *Config) oracle() sim.Oracle {
 	}
 }
 
-func (c *Config) scheduler() sim.Scheduler {
-	switch c.Scheduler {
-	case SchedRounds:
-		return sim.NewRoundScheduler()
-	case SchedAdversarial:
-		return sim.NewAdversarialScheduler(c.Seed, 0)
-	case SchedFIFO:
-		return sim.NewFIFOScheduler()
-	default:
-		return sim.NewRandomScheduler(c.Seed, 0)
-	}
-}
-
-func (c *Config) variant() (core.Variant, sim.Variant) {
-	if c.Variant == FSP {
+// engine returns the protocol and legitimacy variants v selects.
+func (v Variant) engine() (core.Variant, sim.Variant) {
+	if v == FSP {
 		return core.VariantFSP, sim.FSP
 	}
 	return core.VariantFDP, sim.FDP
 }
 
-// scenario validates cfg and returns the scenario description both Simulate
-// and SimulateParallel build their initial state from, plus the legitimacy
-// variant the run is judged by. The scenario's Oracle is the configured one
-// (nil for FSP), wrapped to count calls when the run is observed.
-func (c *Config) scenario() (churn.Config, sim.Variant, error) {
+// build validates cfg and builds the scenario Simulate, SimulateParallel and
+// CheckSchedules start from, plus the legitimacy variant the run is judged
+// by. It is the one place the façade turns a description into a world:
+// churn.TryBuild, its typed errors (a topology the size cannot host, a leaver
+// set that empties a component) reported as ErrBadConfig. The Oracle is the
+// configured one (nil for FSP), wrapped to count calls when the run is
+// observed. A non-empty leavers names the leaving processes by index.
+func (c *Config) build(leavers []int) (*churn.Scenario, sim.Variant, error) {
 	if c.N < 1 {
-		return churn.Config{}, 0, fmt.Errorf("%w: N = %d", ErrBadConfig, c.N)
+		return nil, 0, fmt.Errorf("%w: N = %d", ErrBadConfig, c.N)
 	}
 	if c.LeaveFraction < 0 || c.LeaveFraction > 1 {
-		return churn.Config{}, 0, fmt.Errorf("%w: LeaveFraction = %v", ErrBadConfig, c.LeaveFraction)
+		return nil, 0, fmt.Errorf("%w: LeaveFraction = %v", ErrBadConfig, c.LeaveFraction)
 	}
-	coreVariant, simVariant := c.variant()
+	coreVariant, simVariant := c.Variant.engine()
 	var orc sim.Oracle
 	if c.Variant == FDP {
 		orc = c.oracle()
@@ -251,40 +251,48 @@ func (c *Config) scenario() (churn.Config, sim.Variant, error) {
 			orc = obs.CountOracle(orc, c.Observe)
 		}
 	}
-	return churn.Config{
+	s, err := churn.TryBuild(churn.Config{
 		N:             c.N,
-		Topology:      churn.Topology(c.Topology),
+		Topology:      c.Topology,
 		LeaveFraction: c.LeaveFraction,
-		Pattern:       churn.LeavePattern(c.Pattern),
+		Pattern:       c.Pattern,
 		Corrupt: churn.Corruption{
 			FlipBeliefs:   c.CorruptBeliefs,
 			RandomAnchors: c.CorruptAnchors,
 			JunkMessages:  c.JunkMessages,
 		},
-		Variant: coreVariant,
-		Oracle:  orc,
-		Seed:    c.Seed,
-	}, simVariant, nil
+		Variant:       coreVariant,
+		Oracle:        orc,
+		Seed:          c.Seed,
+		LeaverIndices: leavers,
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return s, simVariant, nil
 }
 
 // Simulate runs the departure protocol of Section 3 on the configured
 // scenario and reports the outcome.
 func Simulate(cfg Config) (Report, error) {
-	churnCfg, simVariant, err := cfg.scenario()
+	s, simVariant, err := cfg.build(nil)
 	if err != nil {
 		return Report{}, err
 	}
-	s := churn.Build(churnCfg)
+	// The scheduler is resolved by the name it stamps into the journal header.
+	sched, err := trace.SchedulerByName(cfg.Scheduler.String(), cfg.Seed)
+	if err != nil {
+		return Report{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
 	if cfg.Observe != nil {
 		obs.InstrumentWorld(s.World, cfg.Observe)
 	}
-	sched := cfg.scheduler()
 	var jw *trace.Writer
 	if cfg.Journal != nil {
 		jw = trace.NewWriter(cfg.Journal, trace.Header{
 			Version:  trace.Version,
 			Engine:   trace.EngineSim,
-			Scenario: trace.ScenarioFor(churnCfg, sched.Name()),
+			Scenario: trace.ScenarioFor(s.Config, sched.Name()),
 		})
 		s.World.AddEventHook(jw.Record)
 	}
@@ -316,20 +324,21 @@ func reportFrom(res sim.RunResult) Report {
 	}
 }
 
-// Overlay selects the maintenance protocol wrapped by SimulateOverlay.
-type Overlay int
+// Overlay selects the maintenance protocol wrapped by SimulateOverlay (the
+// framework builder's own vocabulary).
+type Overlay = framework.OverlayKind
 
 // Overlay protocols (members of the class 𝒫).
 const (
 	// Linearize stabilizes to the doubly-linked sorted list.
-	Linearize Overlay = iota
+	Linearize = framework.OverlayLinearize
 	// SortRing stabilizes to the sorted ring.
-	SortRing
+	SortRing = framework.OverlayRing
 	// CliqueTC stabilizes to the complete graph.
-	CliqueTC
+	CliqueTC = framework.OverlayClique
 	// SkipList stabilizes to a two-level skip list (sorted list plus a
 	// sorted shortcut list over the even-key nodes).
-	SkipList
+	SkipList = framework.OverlaySkip
 )
 
 // OverlayConfig describes a Section 4 (framework P′) simulation.
@@ -365,14 +374,14 @@ func SimulateOverlay(cfg OverlayConfig) (OverlayReport, error) {
 	if cfg.N < 1 {
 		return OverlayReport{}, fmt.Errorf("%w: N = %d", ErrBadConfig, cfg.N)
 	}
-	coreVariant, simVariant := cfg.variantPair()
+	coreVariant, simVariant := cfg.Variant.engine()
 	var orc sim.Oracle
 	if coreVariant == core.VariantFDP {
 		orc = oracle.Single{}
 	}
 	s := framework.Build(framework.Config{
 		N:              cfg.N,
-		Overlay:        framework.OverlayKind(cfg.Overlay),
+		Overlay:        cfg.Overlay,
 		LeaveFraction:  cfg.LeaveFraction,
 		Variant:        coreVariant,
 		Oracle:         orc,
@@ -416,24 +425,17 @@ func SimulateOverlay(cfg OverlayConfig) (OverlayReport, error) {
 	}, nil
 }
 
-func (c *OverlayConfig) variantPair() (core.Variant, sim.Variant) {
-	if c.Variant == FSP {
-		return core.VariantFSP, sim.FSP
-	}
-	return core.VariantFDP, sim.FDP
-}
-
 // SimulateParallel runs the same scenario as Simulate — same topology,
 // leave pattern, corruption and seed, built by the same churn.Build and
 // transplanted onto the concurrent runtime — until legitimacy or the
 // wall-clock timeout. Scheduler, MaxSteps, CheckSafety and Stop have no
 // meaning on the runtime and are ignored.
 func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
-	churnCfg, simVariant, err := cfg.scenario()
+	s, simVariant, err := cfg.build(nil)
 	if err != nil {
 		return Report{}, err
 	}
-	rt := diffval.MirrorWorld(churn.Build(churnCfg).World, churnCfg.Oracle)
+	rt := diffval.MirrorWorld(s.World, s.Config.Oracle)
 	if cfg.Observe != nil {
 		obs.InstrumentRuntime(rt, cfg.Observe)
 	}
@@ -444,7 +446,7 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 		jw = trace.NewWriter(cfg.Journal, trace.Header{
 			Version:  trace.Version,
 			Engine:   trace.EngineRuntime,
-			Scenario: trace.ScenarioFor(churnCfg, ""),
+			Scenario: trace.ScenarioFor(s.Config, ""),
 		})
 		rt.AddEventHook(jw.Record)
 	}

@@ -98,6 +98,20 @@ func TestSimulateBadConfig(t *testing.T) {
 	if _, err := Simulate(Config{N: 5, LeaveFraction: 1.5}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("bad fraction must be rejected")
 	}
+	// A topology the size cannot host is the builder's typed error, not its
+	// panic — on every entry point that builds.
+	if _, err := Simulate(Config{N: 12, Topology: Hypercube}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("hypercube on 12 nodes: err = %v", err)
+	}
+	if _, err := SimulateParallel(Config{N: 12, Topology: Hypercube}, time.Second); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("parallel hypercube on 12 nodes: err = %v", err)
+	}
+	if _, err := CheckSchedules(CheckConfig{N: 3, Leavers: 1, Topology: Hypercube}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("checker hypercube on 3 nodes: err = %v", err)
+	}
+	if _, err := CheckSchedules(CheckConfig{N: 3, Leavers: 1, Oracle: OracleTimeoutSingle}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("checker with a stateful oracle: err = %v", err)
+	}
 	if _, err := SimulateOverlay(OverlayConfig{N: 0}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("overlay N=0 must be rejected")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fdp/internal/app"
+	"fdp/internal/check"
 	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/faults"
@@ -226,36 +227,27 @@ func E14ModelCheck() Result {
 	}
 	tb := metrics.NewTable("E14: line of 3, middle node leaving, all schedules",
 		"oracle", "depth", "states", "violation found", "legitimate states reached")
-	// This experiment reuses the checker through the test-facing helper in
-	// internal/check; construct the worlds directly here.
-	build := func(orc sim.Oracle) *sim.World {
-		space := ref.NewSpace()
-		a, u, b := space.New(), space.New(), space.New()
-		w := sim.NewWorld(orc)
-		pa, pu, pb := core.New(core.VariantFDP), core.New(core.VariantFDP), core.New(core.VariantFDP)
-		w.AddProcess(a, sim.Staying, pa)
-		w.AddProcess(u, sim.Leaving, pu)
-		w.AddProcess(b, sim.Staying, pb)
-		pa.SetNeighbor(u, sim.Leaving)
-		pu.SetNeighbor(a, sim.Staying)
-		pu.SetNeighbor(b, sim.Staying)
-		pb.SetNeighbor(u, sim.Leaving)
-		w.SealInitialState()
-		return w
-	}
-	explore := func(orc sim.Oracle, depth int) (states int, violated bool, legit int) {
-		out := exploreWorld(build(orc), depth)
-		return out.StatesExplored, !out.OK(), out.LegitimateStates
-	}
-	states, violated, legit := explore(oracle.Single{}, 12)
-	tb.AddRow("SINGLE", 12, states, violated, legit)
-	if violated || legit == 0 {
-		res.Pass = false
-	}
-	states, violated, legit = explore(oracle.Always(true), 10)
-	tb.AddRow("TRUE (unsafe)", 10, states, violated, legit)
-	if !violated {
-		res.Pass = false
+	for _, row := range []struct {
+		name   string
+		orc    sim.Oracle
+		depth  int
+		unsafe bool
+	}{
+		{"SINGLE", oracle.Single{}, 12, false},
+		{"TRUE (unsafe)", oracle.Always(true), 10, true},
+	} {
+		s := churn.Build(churn.Config{N: 3, Topology: churn.TopoLine, LeaverIndices: []int{1}, Oracle: row.orc})
+		out := check.Explore(s.World, check.Options{
+			MaxDepth:         row.depth,
+			MaxStates:        500000,
+			Invariant:        check.SafetyInvariant(),
+			Variant:          sim.FDP,
+			StopAtLegitimate: true,
+		})
+		tb.AddRow(row.name, row.depth, out.StatesExplored, !out.OK(), out.LegitimateStates)
+		if out.OK() == row.unsafe || (!row.unsafe && out.LegitimateStates == 0) {
+			res.Pass = false
+		}
 	}
 	res.Tables = append(res.Tables, tb)
 	res.note("the TRUE row's violation is the 2-action schedule: leaver funnels, then exits")

@@ -167,11 +167,7 @@ func trimIndices(idx []int, n int) []int {
 // leaversOf materializes the pattern-drawn leaver set of a case as explicit
 // node indices, so the shrinker can drop leavers individually.
 func leaversOf(c Case) []int {
-	cfg, err := c.Scenario.ChurnConfig()
-	if err != nil {
-		return nil
-	}
-	s, err := churn.TryBuild(cfg)
+	s, err := c.Scenario.BuildScenario()
 	if err != nil {
 		return nil
 	}

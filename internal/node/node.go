@@ -133,6 +133,9 @@ type Node struct {
 
 	doneNodes []bool
 	steps     int
+	// rejected counts inbound frames refused for what they claim — a sender
+	// id or an answering node that is no node of this run.
+	rejected *obs.Counter
 
 	// Liveness observability (DESIGN.md §16), pump-goroutine only.
 	prog      *obs.Progress
@@ -164,11 +167,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DoneEvery <= 0 {
 		cfg.DoneEvery = 200 * time.Millisecond
 	}
-	ccfg, err := cfg.Scenario.ChurnConfig()
-	if err != nil {
-		return nil, err
-	}
-	global, err := churn.TryBuild(ccfg)
+	global, err := cfg.Scenario.BuildScenario()
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +179,7 @@ func New(cfg Config) (*Node, error) {
 		hiCID:      make([]uint64, cfg.Nodes),
 		seenBounce: make([]map[uint64]bool, cfg.Nodes),
 		doneNodes:  make([]bool, cfg.Nodes),
+		rejected:   transport.RejectedCounter(cfg.Metrics, transport.NodeID(cfg.ID)),
 	}
 	for _, r := range global.Nodes {
 		if n.ownerOf(r) == cfg.ID {
@@ -404,6 +404,13 @@ func (n *Node) drainInbox() int {
 }
 
 func (n *Node) dispatch(in inbound) {
+	// The sender id is whatever the frame claimed, and it indexes the
+	// per-source state below and in the oracle: refuse any that is no node
+	// of this run. Only the transport's own give-up speaks as LocalBounce.
+	if in.kind != inLocalBounce && (in.from < 0 || int(in.from) >= n.cfg.Nodes) {
+		n.rejected.Inc()
+		return
+	}
 	switch in.kind {
 	case inData:
 		// Exactly-once injection: a frame at or below the source's CID

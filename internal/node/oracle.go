@@ -289,6 +289,10 @@ func (o *distOracle) handleControl(from int, payload []byte) {
 		if m.R != o.round || o.answers == nil {
 			return // stale round
 		}
+		if m.N < 0 || m.N >= o.n.cfg.Nodes {
+			o.n.rejected.Inc() // maybeGrant indexes by answering node
+			return
+		}
 		o.answers[m.N] = m.A
 		o.maybeGrant()
 	case "done":

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fdp/internal/churn"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
@@ -129,11 +128,7 @@ func Verify(hdrs []trace.Header, parts [][]trace.Record, sums []Summary) (*Verdi
 
 	// Rebuild the shared scenario for the global leaver set and the initial
 	// components — the same pure construction every node ran.
-	ccfg, err := hdrs[0].Scenario.ChurnConfig()
-	if err != nil {
-		return nil, err
-	}
-	global, err := churn.TryBuild(ccfg)
+	global, err := hdrs[0].Scenario.BuildScenario()
 	if err != nil {
 		return nil, err
 	}

@@ -110,11 +110,11 @@ func ScenarioFor(cfg churn.Config, scheduler string) Scenario {
 // ChurnConfig is the inverse of ScenarioFor: it rebuilds the churn.Config a
 // journal header describes.
 func (s Scenario) ChurnConfig() (churn.Config, error) {
-	topo, err := topologyByName(s.Topology)
+	topo, err := churn.TopologyByName(s.Topology)
 	if err != nil {
 		return churn.Config{}, err
 	}
-	pat, err := patternByName(s.Pattern)
+	pat, err := churn.PatternByName(s.Pattern)
 	if err != nil {
 		return churn.Config{}, err
 	}
@@ -156,35 +156,9 @@ func (s Scenario) BuildScenario() (*churn.Scenario, error) {
 	return churn.TryBuild(cfg)
 }
 
-// topologyByName inverts churn.Topology.String.
-func topologyByName(name string) (churn.Topology, error) {
-	for _, t := range churn.Topologies() {
-		if t.String() == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown topology %q", name)
-}
-
-// patternByName inverts churn.LeavePattern.String.
-func patternByName(name string) (churn.LeavePattern, error) {
-	for _, p := range churn.Patterns() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown leave pattern %q", name)
-}
-
 // variantByName inverts core.Variant.String.
 func variantByName(name string) (core.Variant, error) {
-	switch name {
-	case core.VariantFDP.String():
-		return core.VariantFDP, nil
-	case core.VariantFSP.String():
-		return core.VariantFSP, nil
-	}
-	return 0, fmt.Errorf("trace: unknown variant %q", name)
+	return churn.ByName("variant", name, []core.Variant{core.VariantFDP, core.VariantFSP})
 }
 
 // oracleRegistry holds extra oracle constructors registered at runtime —
@@ -244,15 +218,13 @@ func (s Scenario) SimVariant() (sim.Variant, error) {
 // Recording drivers use it so the name they stamp into the header is the
 // name they actually ran.
 func SchedulerByName(name string, seed int64) (sim.Scheduler, error) {
-	switch name {
-	case "random":
-		return sim.NewRandomScheduler(seed, 0), nil
-	case "rounds":
-		return sim.NewRoundScheduler(), nil
-	case "adversarial":
-		return sim.NewAdversarialScheduler(seed, 0), nil
-	case "fifo":
-		return sim.NewFIFOScheduler(), nil
+	for _, s := range []sim.Scheduler{
+		sim.NewRandomScheduler(seed, 0), sim.NewRoundScheduler(),
+		sim.NewAdversarialScheduler(seed, 0), sim.NewFIFOScheduler(),
+	} {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
 	return nil, fmt.Errorf("trace: unknown scheduler %q", name)
 }

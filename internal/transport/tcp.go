@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -56,6 +57,8 @@ type TCP struct {
 	conns map[net.Conn]struct{} // inbound, tracked so Close unblocks readers
 	done  bool
 
+	rejected *obs.Counter // RejectedCounter
+
 	wg sync.WaitGroup
 }
 
@@ -105,7 +108,8 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		return nil, err
 	}
 	t := &TCP{cfg: cfg, ln: ln,
-		links: make(map[NodeID]*link), conns: make(map[net.Conn]struct{})}
+		links: make(map[NodeID]*link), conns: make(map[net.Conn]struct{}),
+		rejected: RejectedCounter(cfg.Metrics, cfg.Self)}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -309,9 +313,22 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// RejectedCounter returns node's counter of inbound frames refused for their
+// content: malformed on the wire (counted by the transport) or claiming an
+// identity that is no node of the run (counted by the node layer — into the
+// same series when both share reg). A nil reg yields an unregistered counter.
+func RejectedCounter(reg *obs.Registry, node NodeID) *obs.Counter {
+	if reg == nil {
+		return new(obs.Counter)
+	}
+	return reg.Counter(fmt.Sprintf("fdp_transport_rejected_total{node=\"%d\"}", node),
+		"inbound frames refused as malformed or misattributed")
+}
+
 // readLoop parses frames off one inbound connection and dispatches them.
 // Any framing error drops the connection — the peer's writer redials and
-// retransmits, which is where duplicate deliveries come from.
+// retransmits, which is where duplicate deliveries come from. A connection
+// dropped for what a frame said, rather than for I/O, is counted.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -324,6 +341,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 	for {
 		kind, from, body, err := readFrame(conn)
 		if err != nil {
+			if errors.Is(err, errMalformed) {
+				t.rejected.Inc()
+			}
 			return
 		}
 		if t.cfg.Metrics != nil && rx == nil {
@@ -339,6 +359,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		case frameData, frameBounce:
 			to, msg, err := decodeDataBody(body)
 			if err != nil {
+				t.rejected.Inc()
 				return // poisoned stream; force the peer to retransmit
 			}
 			if kind == frameData {
@@ -349,6 +370,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		case frameControl:
 			t.cfg.Handler.HandleControl(from, body)
 		default:
+			t.rejected.Inc()
 			return
 		}
 	}

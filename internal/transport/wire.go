@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -24,6 +26,10 @@ const (
 // well under a kilobyte; a megabyte guard means a corrupt or adversarial
 // length prefix cannot make a reader allocate unbounded memory.
 const maxFrame = 1 << 20
+
+// errMalformed marks a frame refused for its content, as opposed to the I/O
+// errors that are a link's ordinary death.
+var errMalformed = errors.New("transport: malformed frame")
 
 // encodeFrame renders a complete frame: length prefix, kind, sender node,
 // body.
@@ -48,7 +54,7 @@ func readFrame(r io.Reader) (byte, NodeID, []byte, error) {
 	}
 	total := binary.BigEndian.Uint32(lenBuf[:])
 	if total < 2 || total > maxFrame {
-		return 0, 0, nil, fmt.Errorf("transport: frame length %d out of range", total)
+		return 0, 0, nil, fmt.Errorf("%w: length %d out of range", errMalformed, total)
 	}
 	raw := make([]byte, total)
 	if _, err := io.ReadFull(r, raw); err != nil {
@@ -58,9 +64,12 @@ func readFrame(r io.Reader) (byte, NodeID, []byte, error) {
 		return 0, 0, nil, err
 	}
 	kind := raw[0]
+	// A sender id is a small non-negative node index; anything wider would
+	// wrap into a negative NodeID, and only the transport itself may speak
+	// as LocalBounce.
 	from, n := binary.Uvarint(raw[1:])
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("transport: bad frame sender")
+	if n <= 0 || from > math.MaxInt32 {
+		return 0, 0, nil, fmt.Errorf("%w: bad sender", errMalformed)
 	}
 	return kind, NodeID(from), raw[1+n:], nil
 }
@@ -143,7 +152,7 @@ func decodeDataBody(body []byte) (ref.Ref, sim.Message, error) {
 	fromProc := ref.FromWire(uint32(d.uvarint()))
 	label := string(d.bytes(int(d.uvarint())))
 	nrefs := int(d.uvarint())
-	if nrefs > len(body) { // each RefInfo takes ≥2 bytes; cheap sanity bound
+	if nrefs < 0 || nrefs > len(body) { // each RefInfo takes ≥2 bytes; a count past 2^63 wraps negative
 		return ref.Nil, sim.Message{}, fmt.Errorf("transport: ref count %d exceeds body", nrefs)
 	}
 	refs := make([]sim.RefInfo, 0, nrefs)
@@ -225,7 +234,9 @@ func (d *decoder) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.buf) {
+	// n is int(uvarint) of a hostile length: compare against what is left,
+	// never d.off+n, which a length near 2^63 overflows negative.
+	if n < 0 || n > len(d.buf)-d.off {
 		d.err = fmt.Errorf("transport: truncated frame body at offset %d", d.off)
 		return nil
 	}

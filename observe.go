@@ -24,26 +24,16 @@ func NewObserver() *Observer { return obs.NewRegistry() }
 // cmd/fdpbench.
 func ObserveMux(reg *Observer) http.Handler { return obs.NewServeMux(reg) }
 
-// BenchQuantiles, BenchPoint and BenchReport are the machine-readable
-// benchmark payload types (the BENCH_<engine>.json artifact schema).
-type (
-	BenchQuantiles = experiments.BenchQuantiles
-	BenchPoint     = experiments.BenchPoint
-	BenchReport    = experiments.BenchReport
-)
+// BenchReport is the machine-readable benchmark payload (the
+// BENCH_<engine>.json artifact schema).
+type BenchReport = experiments.BenchReport
 
-// Bench runs the FDP churn benchmark on both engines and returns one report
-// per engine with exact per-size time-to-exit p50/p99 series. A non-nil reg
-// additionally receives every run's live series, so a -serve endpoint shows
-// the benchmark while it executes.
-func Bench(quick bool, reg *Observer) []BenchReport {
-	return BenchSizes(quick, nil, reg)
-}
-
-// BenchSizes is Bench with an explicit system-size series (strictly
-// increasing; nil keeps the scale's default). Sizes above the sequential
-// engine's O(n²) feasibility cap appear only in the concurrent engine's
-// report; trial counts scale down automatically at large n.
+// BenchSizes runs the FDP churn benchmark on both engines and returns one
+// report per engine with exact per-size time-to-exit p50/p99 series; sizes is
+// strictly increasing, nil keeps the scale's default. A non-nil reg receives
+// every run's live series (a -serve endpoint shows the benchmark as it runs).
+// Sizes above the sequential engine's feasibility cap appear only in the
+// concurrent engine's report; trial counts scale down at large n.
 func BenchSizes(quick bool, sizes []int, reg *Observer) []BenchReport {
 	scale := experiments.Full()
 	if quick {
