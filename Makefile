@@ -2,16 +2,23 @@ GO ?= go
 
 FDPLINT := bin/fdplint
 
-.PHONY: all ci vet lint loc build test race bench bench-baseline replay-golden fuzz-smoke fuzz-hunt node-churn
+.PHONY: all ci vet fmt lint loc build test race bench bench-baseline replay-golden fuzz-smoke fuzz-hunt node-churn
 
-all: vet lint build test race replay-golden fuzz-smoke
+all: vet fmt lint build test race replay-golden fuzz-smoke
 
 # ci runs what the test, lint and race jobs of .github/workflows/ci.yml run.
 # The workflow's fourth job is a target of its own: node-churn.
-ci: vet lint build test race replay-golden fuzz-smoke
+ci: vet fmt lint build test race replay-golden fuzz-smoke
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, naming them, if gofmt would rewrite any Go file outside the
+# analyzers' testdata trees (fixtures there are laid out for the diagnostics
+# they seed, not for gofmt).
+fmt:
+	@out=$$(gofmt -l . | grep -v /testdata/ || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # lint runs the full fdp analysis suite (see DESIGN.md §9 and §14:
 # refopacity, detiter, guardpurity, primdecomp, atomicdiscipline, lockgraph)

@@ -40,23 +40,23 @@ import (
 // mutators is the denylist of methods a guard must not call, keyed by
 // types.Func.FullName.
 var mutators = map[string]bool{
-	"(fdp/internal/sim.Context).Send":               true,
-	"(fdp/internal/sim.Context).Exit":               true,
-	"(fdp/internal/sim.Context).Sleep":              true,
-	"(*fdp/internal/sim.World).Execute":             true,
-	"(*fdp/internal/sim.World).Enqueue":             true,
-	"(*fdp/internal/sim.World).AddProcess":          true,
-	"(*fdp/internal/sim.World).ForceAsleep":         true,
-	"(*fdp/internal/sim.World).SealInitialState":    true,
+	"(fdp/internal/sim.Context).Send":                true,
+	"(fdp/internal/sim.Context).Exit":                true,
+	"(fdp/internal/sim.Context).Sleep":               true,
+	"(*fdp/internal/sim.World).Execute":              true,
+	"(*fdp/internal/sim.World).Enqueue":              true,
+	"(*fdp/internal/sim.World).AddProcess":           true,
+	"(*fdp/internal/sim.World).ForceAsleep":          true,
+	"(*fdp/internal/sim.World).SealInitialState":     true,
 	"(*fdp/internal/sim.World).SetInitialComponents": true,
-	"(*fdp/internal/parallel.Runtime).Start":        true,
-	"(*fdp/internal/parallel.Runtime).Stop":         true,
-	"(*fdp/internal/parallel.Runtime).Mutate":       true,
-	"(*fdp/internal/parallel.Runtime).Enqueue":      true,
-	"(*fdp/internal/parallel.Runtime).AddProcess":   true,
-	"(*fdp/internal/parallel.Runtime).ForceAsleep":  true,
-	"(*fdp/internal/parallel.MutableView).Enqueue":  true,
-	"(*fdp/internal/parallel.MutableView).Reseal":   true,
+	"(*fdp/internal/parallel.Runtime).Start":         true,
+	"(*fdp/internal/parallel.Runtime).Stop":          true,
+	"(*fdp/internal/parallel.Runtime).Mutate":        true,
+	"(*fdp/internal/parallel.Runtime).Enqueue":       true,
+	"(*fdp/internal/parallel.Runtime).AddProcess":    true,
+	"(*fdp/internal/parallel.Runtime).ForceAsleep":   true,
+	"(*fdp/internal/parallel.MutableView).Enqueue":   true,
+	"(*fdp/internal/parallel.MutableView).Reseal":    true,
 }
 
 // drivers is the allowlist of run-driver entry points whose predicate

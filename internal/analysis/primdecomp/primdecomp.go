@@ -26,15 +26,17 @@
 //     above the statement) containing a suit symbol ♦ ♥ ♠ ♣ or the token
 //     fdp:primitive. This is the showcase style of internal/core, where
 //     each Algorithm 1-3 line cites its primitive.
-//   - A function-level classification in the doc comment:
+//   - A function-level classification in the doc comment, with kinds
+//     introduction, delegation, fusion, reversal, absorb, exit, init.
+//
+// The classification reads
 //
 //	//fdp:primitive <kind>[,<kind>...]
 //
-//     with kinds introduction, delegation, fusion, reversal, absorb, exit,
-//     init. Every move in a classified function is sanctioned, and calls
-//     to it from anywhere are too — helpers are classified once. The init
-//     kind marks scenario-construction surfaces (the model's arbitrary
-//     initial states), not protocol actions.
+// Every move in a classified function is sanctioned, and calls to it from
+// anywhere are too — helpers are classified once. The init kind marks
+// scenario-construction surfaces (the model's arbitrary initial states), not
+// protocol actions.
 //
 // Moves are: sends through (sim.Context).Send / (overlay.Context).Send /
 // (*sim.World).Enqueue / (*sim.World).AddProcess; stores into
@@ -103,9 +105,9 @@ var suitMarkers = []string{"♦", "♥", "♠", "♣", "fdp:primitive"}
 // senders are the call surfaces that put a reference in flight or mutate
 // the world's process set.
 var senders = map[string]string{
-	"(fdp/internal/sim.Context).Send":     "sends a reference-bearing message",
-	"(fdp/internal/overlay.Context).Send": "sends a P-protocol message",
-	"(*fdp/internal/sim.World).Enqueue":   "enqueues a message into the world",
+	"(fdp/internal/sim.Context).Send":      "sends a reference-bearing message",
+	"(fdp/internal/overlay.Context).Send":  "sends a P-protocol message",
+	"(*fdp/internal/sim.World).Enqueue":    "enqueues a message into the world",
 	"(*fdp/internal/sim.World).AddProcess": "adds a process to the world",
 }
 

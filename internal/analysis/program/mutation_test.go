@@ -99,14 +99,11 @@ func TestSeededMutationsAreDetected(t *testing.T) {
 	// frames deep so the diagnostic must carry the call path.
 	write("internal/core/zz_mutation.go", `package core
 
-import (
-	"fdp/internal/ref"
-	"fdp/internal/sim"
-)
+import "fdp/internal/ref"
 
 func (p *Proc) MutateBad(v ref.Ref) { p.mutateHelper(v) }
 
-func (p *Proc) mutateHelper(v ref.Ref) { p.n[v] = sim.Staying }
+func (p *Proc) mutateHelper(v ref.Ref) { p.refs = append(p.refs, v) }
 `)
 	// Mutation 2: a variable accessed both atomically and plainly.
 	write("internal/parallel/zz_mutation_atomic.go", `package parallel
@@ -225,7 +222,7 @@ var _ = (*Registry).mutNested
 
 	// Each assertion includes the path fragment, not just the site: the
 	// diagnostics must say how the violation is reached.
-	find("primdecomp", "MutateBad", "calls mutateHelper", "stores a reference into p.n")
+	find("primdecomp", "MutateBad", "calls mutateHelper", "stores a reference into p.refs")
 	find("atomicdiscipline", "plain access to mutCount", "sync/atomic at")
 	find("lockgraph", "lock cycle", "parallel.mutMuA", "via")
 	find("lockgraph", "while holding obs.Registry.mu violates its //fdp:lockleaf declaration", "mutNested", "lookupOrCreate")

@@ -20,11 +20,12 @@
 //   - explicit calls to Ref.String (a rendered reference invites parsing,
 //     which would recover the forbidden integer identity).
 //
-// Deliberately allowed: ref.Sort and ref.Set.Sorted — deterministic
-// iteration order is a simulation artifact required for per-seed
-// reproducibility (sim.Protocol's documented contract), not a protocol
-// decision; and scenario-construction sites inside protocol packages may
-// suppress with //fdplint:ignore refopacity <reason>.
+// Deliberately allowed: ref.Sort, ref.Search (finding a member of a slice
+// kept in ref.Sort order) and ref.Set.Sorted — deterministic iteration order
+// is a simulation artifact required for per-seed reproducibility
+// (sim.Protocol's documented contract), not a protocol decision; and
+// scenario-construction sites inside protocol packages may suppress with
+// //fdplint:ignore refopacity <reason>.
 package refopacity
 
 import (

@@ -164,6 +164,7 @@ func (r *Routed) Deliver(ctx overlay.Context, label string, refs []ref.Ref, payl
 // route forwards a lookup greedily: to ourselves if the key matches, else
 // to the stored reference strictly closest to the target key; a dead end or
 // exhausted TTL fails back to the origin.
+//
 //fdp:primitive delegation,introduction
 func (r *Routed) route(ctx overlay.Context, origin ref.Ref, p RoutePayload) {
 	self := ctx.Self()

@@ -288,6 +288,7 @@ func (e *ConfigError) Error() string {
 // state: N < 1, a topology undefined at the component size, out-of-range
 // explicit leaver indices, or a leaver set that strips some weak component
 // of its last staying process (the Section 1.5 invariant).
+//
 //fdp:primitive init
 func TryBuild(cfg Config) (*Scenario, error) {
 	if cfg.N < 1 {
@@ -484,10 +485,9 @@ func (s *Scenario) corrupt(rng *rand.Rand) {
 	for _, r := range s.Nodes {
 		p := s.Procs[r]
 		if c.FlipBeliefs > 0 {
-			beliefs := p.Neighbors()
-			for _, v := range p.NeighborRefs() { // deterministic order
+			for _, b := range p.NeighborBeliefs() { // reference order
 				if rng.Float64() < c.FlipBeliefs {
-					p.SetNeighbor(v, flip(beliefs[v]))
+					p.SetNeighbor(b.Ref, flip(b.Mode))
 				}
 			}
 		}

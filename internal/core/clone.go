@@ -2,24 +2,23 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fdp/internal/sim"
 )
 
 // CloneProtocol implements sim.CloneableProtocol, enabling exhaustive
-// schedule exploration of worlds running the departure protocol.
+// schedule exploration of worlds running the departure protocol. The clone
+// gets storage of its own; the self lists are immutable and stay shared.
+//
 //fdp:primitive init
 func (p *Proc) CloneProtocol() sim.Protocol {
-	c := New(p.variant)
-	for r, m := range p.n {
-		c.n[r] = m
-	}
-	c.anchor = p.anchor
-	c.anchorMode = p.anchorMode
-	c.verifyGap = p.verifyGap
-	c.sinceVerify = p.sinceVerify
-	return c
+	c := *p
+	c.refs = slices.Clone(p.refs)
+	c.beliefs = slices.Clone(p.beliefs)
+	c.handedOut = false
+	return &c
 }
 
 // FingerprintState implements sim.FingerprintableProtocol: the full
@@ -27,9 +26,9 @@ func (p *Proc) CloneProtocol() sim.Protocol {
 // the variant.
 func (p *Proc) FingerprintState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d;a%v:%d;g%d.%d;", p.variant, p.anchor, p.anchorMode, p.verifyGap, p.sinceVerify)
-	for _, r := range p.NeighborRefs() {
-		fmt.Fprintf(&b, "%v:%d,", r, p.n[r])
+	fmt.Fprintf(&b, "v%d;a%v:%d;g%d.%d;", p.variant, p.Anchor(), p.anchorMode, p.verifyGap, p.sinceVerify)
+	for i, m := range p.beliefs {
+		fmt.Fprintf(&b, "%v:%d,", p.refs[i], m)
 	}
 	return b.String()
 }

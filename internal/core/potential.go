@@ -100,7 +100,7 @@ func LeaversWithNeighbors(w *sim.World) []ref.Ref {
 		if w.LifeOf(x) == sim.Gone || w.ModeOf(x) != sim.Leaving {
 			continue
 		}
-		if p, ok := w.ProtocolOf(x).(*Proc); ok && len(p.Neighbors()) > 0 {
+		if p, ok := w.ProtocolOf(x).(*Proc); ok && len(p.NeighborRefs()) > 0 {
 			out = append(out, x)
 		}
 	}

@@ -23,6 +23,8 @@
 package core
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -59,24 +61,27 @@ func (v Variant) String() string {
 type Proc struct {
 	variant Variant
 
-	// n is the neighborhood set u.N with u.mode(v) per member.
-	n map[ref.Ref]sim.Mode
-	// anchor is the special anchor variable (⊥ = ref.Nil) and u's belief
-	// about its mode.
-	anchor     ref.Ref
+	// refs is every stored reference, exactly as Refs hands it out: u.N in
+	// ref.Sort order, then the anchor if one is stored (⊥ = no such slot).
+	// beliefs runs parallel to the u.N part: beliefs[i] is u.mode(refs[i]),
+	// so len(refs) > len(beliefs) iff an anchor is stored. The two are
+	// written only by store, drop, setAnchor and clearAnchor (New and
+	// CloneProtocol fill a fresh Proc).
+	refs    []ref.Ref
+	beliefs []sim.Mode
+	// handedOut says a caller may hold refs' backing array (Refs,
+	// NeighborRefs): the next writer that would change one of its elements
+	// copies first, so a slice handed out is never written again. Shortening
+	// refs writes no element and needs no copy.
+	handedOut bool
+	// anchorMode is u's belief about the anchor's mode. It outlives the
+	// anchor: clearing the anchor leaves it, as it leaves the pacing state.
 	anchorMode sim.Mode
 
-	// sorted is the enumeration Refs hands out — the keys of n in ref.Sort
-	// order, then the anchor if one is stored — and sortedOK says it still
-	// matches them. On a Proc that has handed out an enumeration, n's key
-	// set and the anchor are written only by store, drop, setAnchor and
-	// clearAnchor, which clear sortedOK when (and only when) the write
-	// changes the enumeration; a belief refresh on a stored key does not.
-	// (New and CloneProtocol fill a fresh Proc, whose sortedOK is still
-	// false.) The next Refs call then builds a fresh slice, so one already
-	// handed out is never written again.
-	sorted   []ref.Ref
-	sortedOK bool
+	// self holds, per mode, the one-element parameter list of a message that
+	// carries only u's own reference — most of what a process sends. Built on
+	// first use, never written afterwards (see selfList).
+	self [2][]sim.RefInfo
 
 	// verifyGap and sinceVerify pace the anchor re-verification of Algorithm
 	// 1 lines 9–10 with exponential backoff: the verification fires on the
@@ -107,7 +112,7 @@ var (
 
 // New returns a fresh process state with empty neighborhood and no anchor.
 func New(variant Variant) *Proc {
-	return &Proc{variant: variant, n: make(map[ref.Ref]sim.Mode)}
+	return &Proc{variant: variant}
 }
 
 // Variant returns the process's departure flavour.
@@ -116,53 +121,86 @@ func (p *Proc) Variant() Variant { return p.variant }
 // UsesSleep reports whether the process uses the FSP variant.
 func (p *Proc) UsesSleep() bool { return p.variant == VariantFSP }
 
-// store, drop, setAnchor and clearAnchor are the only writers of n's key set
-// and of the anchor once a Proc is built, so the rule that keeps Refs'
-// enumeration coherent lives here and nowhere else. They are classified once for primdecomp; each call
-// site still cites the primitive its Algorithm 1–3 line instantiates.
+// store, drop, setAnchor and clearAnchor are the only writers of refs and
+// beliefs' length once a Proc is built, so the rule that keeps a handed-out
+// enumeration intact lives here and nowhere else. They are classified once
+// for primdecomp; each call site still cites the primitive its Algorithm 1–3
+// line instantiates.
+
+// own makes refs safe to write in place, with room for one more element: if
+// the backing array was handed out the writers go on with a copy of it.
+func (p *Proc) own() {
+	if p.handedOut {
+		// A second enumeration of references refs already stores: no
+		// reference is gained, lost or moved, so PG has the same edges
+		// whether or not this store happens (fdp:primitive).
+		p.refs = append(make([]ref.Ref, 0, len(p.refs)+1), p.refs...)
+		p.handedOut = false
+	}
+}
+
+// find returns v's position in u.N, or where store would put it.
+func (p *Proc) find(v ref.Ref) (int, bool) {
+	return ref.Search(p.refs[:len(p.beliefs)], v)
+}
 
 // store puts v into u.N with the given belief, overwriting the belief when v
 // is already held (♠ fusion with the stored copy).
+//
 //fdp:primitive fusion,init
 func (p *Proc) store(v ref.Ref, belief sim.Mode) {
-	if _, held := p.n[v]; !held {
-		p.sortedOK = false
+	i, held := p.find(v)
+	if held {
+		p.beliefs[i] = belief
+		return
 	}
-	p.n[v] = belief
+	p.own()
+	p.refs = slices.Insert(p.refs, i, v)
+	p.beliefs = slices.Insert(p.beliefs, i, belief)
 }
 
 // drop removes v from u.N if it is held. In the protocol a deletion is only
 // ever half of a primitive: the caller has put v, or its own reference for v,
 // in flight in the same branch (♣ reversal, ♥ delegation).
+//
 //fdp:primitive reversal,delegation,init
 func (p *Proc) drop(v ref.Ref) {
-	if _, held := p.n[v]; held {
-		delete(p.n, v)
-		p.sortedOK = false
+	i, held := p.find(v)
+	if !held {
+		return
 	}
+	if last := len(p.refs) - 1; i == last {
+		p.refs = p.refs[:last] // cut off, not written: no copy is due
+	} else {
+		p.own()
+		p.refs = slices.Delete(p.refs, i, i+1)
+	}
+	p.beliefs = slices.Delete(p.beliefs, i, i+1)
 }
 
 // setAnchor makes v the anchor with the given belief and re-arms the
 // re-verification backoff (♠ the reference is stored).
+//
 //fdp:primitive fusion,init
 func (p *Proc) setAnchor(v ref.Ref, belief sim.Mode) {
-	if p.anchor != v {
-		p.sortedOK = false
+	if p.Anchor() != v {
+		p.clearAnchor()
+		if !v.IsNil() {
+			p.own()
+			p.refs = append(p.refs, v)
+		}
 	}
-	p.anchor = v
 	p.anchorMode = belief
 	p.resetVerifyPacing()
 }
 
-// clearAnchor sets the anchor to ⊥; the pacing state is left alone (it is
-// re-armed by the next setAnchor). Callers have moved the reference
+// clearAnchor sets the anchor to ⊥; the belief and the pacing state are left
+// alone (the next setAnchor re-arms them). Callers have moved the reference
 // elsewhere or learnt that it is no valid anchor.
+//
 //fdp:primitive fusion,delegation,init
 func (p *Proc) clearAnchor() {
-	if !p.anchor.IsNil() {
-		p.anchor = ref.Nil
-		p.sortedOK = false
-	}
+	p.refs = p.refs[:len(p.beliefs)]
 }
 
 // SetNeighbor stores v in u.N with the given mode belief — scenario
@@ -196,70 +234,83 @@ func (p *Proc) resetVerifyPacing() {
 // returned reference as an in-flight message. The returned Ref is ref.Nil
 // when no anchor was stored.
 func (p *Proc) RepointAnchor(v ref.Ref, belief sim.Mode) sim.RefInfo {
-	old := sim.RefInfo{Ref: p.anchor, Mode: p.anchorMode}
+	old := sim.RefInfo{Ref: p.Anchor(), Mode: p.anchorMode}
 	p.setAnchor(v, belief)
 	return old
 }
 
 // Anchor returns the anchor reference (⊥ = ref.Nil).
-func (p *Proc) Anchor() ref.Ref { return p.anchor }
+func (p *Proc) Anchor() ref.Ref {
+	if len(p.refs) > len(p.beliefs) {
+		return p.refs[len(p.beliefs)]
+	}
+	return ref.Nil
+}
 
 // AnchorBelief returns u.mode(anchor); meaningful only when Anchor() != ⊥.
 func (p *Proc) AnchorBelief() sim.Mode { return p.anchorMode }
 
-// Neighbors returns a copy of u.N with beliefs.
-func (p *Proc) Neighbors() map[ref.Ref]sim.Mode {
-	out := make(map[ref.Ref]sim.Mode, len(p.n))
-	for r, m := range p.n {
-		out[r] = m
-	}
-	return out
-}
-
 // NeighborRefs returns the members of u.N in ref.Sort order. Like Refs, of
 // which it is a prefix, the slice is shared and read-only.
 func (p *Proc) NeighborRefs() []ref.Ref {
-	return p.Refs()[:len(p.n):len(p.n)]
+	return p.Refs()[:len(p.beliefs):len(p.beliefs)]
 }
 
 // Refs implements sim.Protocol: all stored references — u.N in ref.Sort
-// order, then the anchor — the explicit edges of PG. The slice is shared
-// with every other caller until the stored references change and is never
-// modified after it was handed out; callers must not modify it either. On an
-// unchanged process the call neither allocates nor sorts.
+// order, then the anchor — the explicit edges of PG. The slice is the
+// process's own storage: shared with every other caller until the stored
+// references change, never modified after it was handed out, and callers
+// must not modify it either.
 func (p *Proc) Refs() []ref.Ref {
-	if !p.sortedOK {
-		k := len(p.n)
-		if !p.anchor.IsNil() {
-			k++
-		}
-		out := make([]ref.Ref, 0, k)
-		for r := range p.n {
-			out = append(out, r)
-		}
-		ref.Sort(out)
-		if !p.anchor.IsNil() {
-			out = append(out, p.anchor)
-		}
-		// A second enumeration of references n and anchor already store: no
-		// reference is gained, lost or moved, so PG has the same edges
-		// whether or not this store happens (fdp:primitive).
-		p.sorted, p.sortedOK = out, true
-	}
-	return p.sorted
+	p.handedOut = true
+	return p.refs[:len(p.refs):len(p.refs)]
 }
 
 // Beliefs returns every stored reference together with the stored mode
-// belief, for the potential function Φ.
+// belief — u.N in ref.Sort order, then the anchor — for the potential
+// function Φ. The slice is the caller's.
 func (p *Proc) Beliefs() []sim.RefInfo {
-	out := make([]sim.RefInfo, 0, len(p.n)+1)
-	for _, r := range p.NeighborRefs() {
-		out = append(out, sim.RefInfo{Ref: r, Mode: p.n[r]})
+	out := make([]sim.RefInfo, len(p.beliefs), len(p.refs))
+	for i, m := range p.beliefs {
+		out[i] = sim.RefInfo{Ref: p.refs[i], Mode: m}
 	}
-	if !p.anchor.IsNil() {
-		out = append(out, sim.RefInfo{Ref: p.anchor, Mode: p.anchorMode})
+	if a := p.Anchor(); !a.IsNil() {
+		out = append(out, sim.RefInfo{Ref: a, Mode: p.anchorMode})
 	}
 	return out
+}
+
+// NeighborBeliefs returns u.N in ref.Sort order, each member with u.mode(v):
+// Beliefs without the anchor.
+func (p *Proc) NeighborBeliefs() []sim.RefInfo {
+	return p.Beliefs()[:len(p.beliefs)]
+}
+
+// selfList returns the parameter list of a message carrying only u's own
+// reference with u's true mode. It is built once per mode and then shared by
+// every such message u sends: a message's parameter list is read-only once
+// sent (sim.Message), so the list is never written again — a Proc driven
+// under another reference builds a fresh one.
+func (p *Proc) selfList(u ref.Ref, mode sim.Mode) []sim.RefInfo {
+	if l := p.self[mode]; len(l) == 1 && l[0].Ref == u {
+		return l
+	}
+	// A second copy of u's own reference is no edge of PG — graph.AddEdge
+	// ignores self-loops — so nothing is gained, lost or moved
+	// (fdp:primitive).
+	p.self[mode] = []sim.RefInfo{{Ref: u, Mode: mode}}
+	return p.self[mode]
+}
+
+// presentSelf builds the present(u) message introducing the sender itself.
+func (p *Proc) presentSelf(u ref.Ref, mode sim.Mode) sim.Message {
+	return sim.Message{Label: LabelPresent, Refs: p.selfList(u, mode)}
+}
+
+// forwardSelf builds the forward(u) message handing over the sender's own
+// reference.
+func (p *Proc) forwardSelf(u ref.Ref, mode sim.Mode) sim.Message {
+	return sim.Message{Label: LabelForward, Refs: p.selfList(u, mode)}
 }
 
 // present builds a present(v) message carrying the given belief about v.
@@ -284,13 +335,13 @@ func (p *Proc) Timeout(ctx sim.Context) {
 	// since this self-present deleted the anchor copy, that would burn what
 	// may be the last copy of the reference (the anchor-reintegration-burn
 	// fixture). Staying processes fold their anchor into n below instead.
-	if ctx.Mode() == sim.Leaving && !p.anchor.IsNil() && p.anchorMode == sim.Leaving {
-		ctx.Send(u, present(p.anchor, p.anchorMode)) // ♦ (reference kept in flight)
+	if a := p.Anchor(); ctx.Mode() == sim.Leaving && !a.IsNil() && p.anchorMode == sim.Leaving {
+		ctx.Send(u, present(a, p.anchorMode)) // ♦ (reference kept in flight)
 		p.clearAnchor()
 	}
 
 	if ctx.Mode() == sim.Leaving {
-		if len(p.n) == 0 {
+		if len(p.beliefs) == 0 {
 			if p.variant == VariantFDP && ctx.OracleSays() {
 				// Lines 5–7: exit when the oracle SINGLE allows it.
 				ctx.Exit()
@@ -305,9 +356,9 @@ func (p *Proc) Timeout(ctx sim.Context) {
 			// each re-introduction puts a reference of u in flight, and
 			// sending one on every timeout lets a deterministic schedule keep
 			// NIDEC's guard false at every query.
-			if !p.anchor.IsNil() {
+			if a := p.Anchor(); !a.IsNil() {
 				if p.sinceVerify >= p.verifyGap {
-					ctx.Send(p.anchor, present(u, sim.Leaving)) // ♦ self-introduction
+					ctx.Send(a, p.presentSelf(u, sim.Leaving)) // ♦ self-introduction
 					p.sinceVerify = 0
 					if p.verifyGap == 0 {
 						p.verifyGap = 1
@@ -327,9 +378,11 @@ func (p *Proc) Timeout(ctx sim.Context) {
 		}
 		// Lines 12–14: funnel the entire neighborhood into u's own channel;
 		// the forward handler will adopt an anchor and delegate the rest.
-		for _, v := range p.NeighborRefs() {
-			ctx.Send(u, forward(v, p.n[v])) // reference kept in flight (♦/♣)
-			p.drop(v)                       // ... and out of u.N: it travels in the message above
+		for i, v := range p.refs[:len(p.beliefs)] {
+			ctx.Send(u, forward(v, p.beliefs[i])) // reference kept in flight (♦/♣)
+		}
+		for i := len(p.beliefs) - 1; i >= 0; i-- {
+			p.drop(p.refs[i]) // ... and out of u.N: it travels in the message above
 		}
 		if p.variant == VariantFSP {
 			// Sleep immediately; the just-sent self-messages wake us.
@@ -351,19 +404,22 @@ func (p *Proc) Timeout(ctx sim.Context) {
 	// itself (the anchor-reintegration-burn fixture). This store handles
 	// anchors of either claimed mode; a leaving-claimed one is shed by the
 	// reversal in the loop below within the same timeout. ♠
-	if !p.anchor.IsNil() {
-		if p.anchor != u {
-			p.store(p.anchor, p.anchorMode) // ♠
-		}
+	if a := p.Anchor(); !a.IsNil() {
 		p.clearAnchor()
+		if a != u {
+			p.store(a, p.anchorMode) // ♠
+		}
 	}
-	for _, v := range p.NeighborRefs() {
-		if p.n[v] == sim.Leaving {
-			p.drop(v)                            // ♣ drop the reference ...
-			ctx.Send(v, present(u, sim.Staying)) // ... and hand v our own: ♣ reversal
+	self := p.presentSelf(u, sim.Staying)
+	for i := 0; i < len(p.beliefs); {
+		v := p.refs[i]
+		if p.beliefs[i] == sim.Leaving {
+			p.drop(v)         // ♣ drop the reference (its successor is at i now) ...
+			ctx.Send(v, self) // ... and hand v our own: ♣ reversal
 			continue
 		}
-		ctx.Send(v, present(u, sim.Staying)) // ♦ periodic self-introduction
+		ctx.Send(v, self) // ♦ periodic self-introduction
+		i++
 	}
 }
 
@@ -373,12 +429,11 @@ func (p *Proc) Deliver(ctx sim.Context, msg sim.Message) {
 	if len(msg.Refs) != 1 {
 		return
 	}
-	ri := msg.Refs[0]
 	switch msg.Label {
 	case LabelPresent:
-		p.onPresent(ctx, ri)
+		p.onPresent(ctx, msg.Refs[0])
 	case LabelForward:
-		p.onForward(ctx, ri)
+		p.onForward(ctx, msg.Refs)
 	}
 }
 
@@ -392,12 +447,11 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 		return
 	}
 	// Incoming information refreshes stored knowledge about v.
-	_, stored := p.n[v]
-	if stored {
-		p.n[v] = claim // ♠ belief refresh on a stored edge
+	if i, stored := p.find(v); stored {
+		p.beliefs[i] = claim // ♠ belief refresh on a stored edge
 	}
 	// Lines 1–2: an anchor reported to be leaving is dropped. ♠
-	if v == p.anchor {
+	if v == p.Anchor() {
 		p.anchorMode = claim
 		if claim == sim.Leaving {
 			p.clearAnchor()
@@ -407,7 +461,7 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 		if ctx.Mode() == sim.Leaving {
 			// Line 5: two leaving processes bounce their own references so
 			// each can shed the other. ♣
-			ctx.Send(v, forward(u, sim.Leaving))
+			ctx.Send(v, p.forwardSelf(u, sim.Leaving))
 			return
 		}
 		// Lines 7–9: a staying process sheds a leaving reference and hands
@@ -423,15 +477,15 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 		// is us), and its verification backoff and FSP sleep bound any
 		// repeats — so leavers still hibernate.
 		p.drop(v) // ♣ reversal (with the send below)
-		ctx.Send(v, forward(u, sim.Staying))
+		ctx.Send(v, p.forwardSelf(u, sim.Staying))
 		return
 	}
 	// claim == staying.
 	if ctx.Mode() == sim.Leaving {
-		if !p.anchor.IsNil() {
+		if !p.Anchor().IsNil() {
 			// Line 13: already anchored; tell v about ourselves so v can
 			// shed any reference to u. ♣
-			ctx.Send(v, forward(u, sim.Leaving))
+			ctx.Send(v, p.forwardSelf(u, sim.Leaving))
 			return
 		}
 		// Line 15: adopt v as anchor. ♠ (reference stored)
@@ -458,34 +512,34 @@ func (p *Proc) onPresent(ctx sim.Context, ri sim.RefInfo) {
 // Introduction's (♦) sender kept its own copy, so no connectivity hinges on
 // the message.
 func (p *Proc) Undeliverable(ctx sim.Context, to ref.Ref, msg sim.Message) {
-	if p.anchor == to {
+	if p.Anchor() == to {
 		p.clearAnchor() // a gone target is never a valid anchor
 	}
 	if msg.Label != LabelForward || len(msg.Refs) != 1 {
 		return
 	}
-	ri := msg.Refs[0]
-	if ri.Ref == ctx.Self() || ri.Ref == to {
+	if v := msg.Refs[0].Ref; v == ctx.Self() || v == to {
 		// Our own reference (we keep ourselves) or a reference to the dead
 		// process itself (never again an edge of PG): nothing to preserve.
 		return
 	}
-	ctx.Send(ctx.Self(), forward(ri.Ref, ri.Mode)) // ♥ reference kept in flight
+	ctx.Send(ctx.Self(), sim.Message{Label: LabelForward, Refs: msg.Refs}) // ♥ reference kept in flight
 }
 
-// onForward implements Algorithm 3 (u.forward(v)).
-func (p *Proc) onForward(ctx sim.Context, ri sim.RefInfo) {
+// onForward implements Algorithm 3 (u.forward(v)); vs is the message's
+// one-element parameter list, which a delegation passes on as it is (a list
+// is read-only once sent, so messages may share it).
+func (p *Proc) onForward(ctx sim.Context, vs []sim.RefInfo) {
 	u := ctx.Self()
-	v, claim := ri.Ref, ri.Mode
+	v, claim := vs[0].Ref, vs[0].Mode
 	if v == u {
 		return
 	}
-	_, stored := p.n[v]
-	if stored {
-		p.n[v] = claim // ♠ belief refresh on a stored edge
+	if i, stored := p.find(v); stored {
+		p.beliefs[i] = claim // ♠ belief refresh on a stored edge
 	}
 	// Lines 1–2. ♠
-	if v == p.anchor {
+	if v == p.Anchor() {
 		p.anchorMode = claim
 		if claim == sim.Leaving {
 			p.clearAnchor()
@@ -493,27 +547,28 @@ func (p *Proc) onForward(ctx sim.Context, ri sim.RefInfo) {
 	}
 	if claim == sim.Leaving {
 		if ctx.Mode() == sim.Leaving {
-			if p.anchor.IsNil() {
+			a := p.Anchor()
+			if a.IsNil() {
 				// Line 6: no anchor yet — bounce our reference to v. ♣
-				ctx.Send(v, forward(u, sim.Leaving))
+				ctx.Send(v, p.forwardSelf(u, sim.Leaving))
 				return
 			}
 			// Line 8: delegate v's reference to the anchor. ♥
 			// (The only place invalid information could be copied — but v
 			// is not kept, so Φ does not increase; see Lemma 3.)
-			ctx.Send(p.anchor, forward(v, claim)) // ♥
+			ctx.Send(a, sim.Message{Label: LabelForward, Refs: vs}) // ♥
 			return
 		}
 		// Lines 10–12: staying process sheds v and reverses the edge. ♣
 		p.drop(v)
-		ctx.Send(v, forward(u, sim.Staying)) // ♣
+		ctx.Send(v, p.forwardSelf(u, sim.Staying)) // ♣
 		return
 	}
 	// claim == staying.
 	if ctx.Mode() == sim.Leaving {
-		if !p.anchor.IsNil() {
+		if a := p.Anchor(); !a.IsNil() {
 			// Line 16: pass the reference on to the anchor. ♥
-			ctx.Send(p.anchor, forward(v, claim))
+			ctx.Send(a, sim.Message{Label: LabelForward, Refs: vs})
 			return
 		}
 		// Line 18: adopt v as anchor. ♠

@@ -145,7 +145,7 @@ func TestQuickLeavingFunnelsEverything(t *testing.T) {
 		}
 		ctx := &countingCtx{self: u}
 		p.Timeout(ctx)
-		return len(p.Neighbors()) == 0
+		return len(p.NeighborRefs()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -138,13 +138,11 @@ func (i *Injector) strike(sys system) Report {
 		if !ok {
 			continue
 		}
-		// Deterministic iteration order: ranging over the Neighbors() map
-		// here used to consume rng draws in map order, so the same seed
-		// corrupted different beliefs from run to run.
-		beliefs := p.Neighbors()
-		for _, v := range p.NeighborRefs() {
+		// Reference order: the rng draws must land on the same beliefs
+		// from run to run.
+		for _, b := range p.NeighborBeliefs() {
 			if i.rng.Float64() < i.cfg.FlipBeliefs {
-				p.SetNeighbor(v, flip(beliefs[v]))
+				p.SetNeighbor(b.Ref, flip(b.Mode))
 				rep.BeliefsFlipped++
 			}
 		}

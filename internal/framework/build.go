@@ -72,6 +72,7 @@ type Scenario struct {
 // Build constructs the scenario: a random weakly connected initial graph
 // whose edges seed P's neighborhoods, random leavers (at least one staying
 // process), and the requested corruption.
+//
 //fdp:primitive init
 func Build(cfg Config) *Scenario {
 	if cfg.N < 1 {

@@ -139,6 +139,7 @@ func (w *Wrapper) Overlay() overlay.Protocol { return w.inner }
 func (w *Wrapper) Variant() core.Variant { return w.variant }
 
 // SetAnchor sets the anchor variable — scenario construction only.
+//
 //fdp:primitive init
 func (w *Wrapper) SetAnchor(v ref.Ref, belief sim.Mode) {
 	w.anchor = v
@@ -150,6 +151,7 @@ func (w *Wrapper) Anchor() ref.Ref { return w.anchor }
 
 // InjectPending adds a (possibly corrupted) mlist entry — scenario
 // construction only.
+//
 //fdp:primitive init
 func (w *Wrapper) InjectPending(to ref.Ref, label string, refs []ref.Ref, modes map[ref.Ref]sim.Mode) {
 	if modes == nil {
@@ -214,6 +216,7 @@ func (p *pctx) Send(to ref.Ref, label string, refs []ref.Ref, payload any) {
 // saved in mlist is not saved again (Fusion ♠ — P protocols re-send their
 // periodic messages every timeout, and duplicating them in mlist while the
 // first copy awaits verification would flood the system).
+//
 //fdp:primitive fusion,introduction
 func (w *Wrapper) preprocess(ctx sim.Context, to ref.Ref, label string, refs []ref.Ref, payload any) {
 	if to.IsNil() {
@@ -346,6 +349,7 @@ func (w *Wrapper) leavingTimeout(ctx sim.Context) {
 
 // flush sends or postprocesses every fully verified pending message
 // (staying processes only).
+//
 //fdp:primitive delegation,reversal,fusion
 func (w *Wrapper) flush(ctx sim.Context) {
 	u := ctx.Self()
@@ -411,6 +415,7 @@ func (w *Wrapper) Deliver(ctx sim.Context, msg sim.Message) {
 // onVerify answers with our true mode. The verify itself carried the
 // sender's reference and true mode — free, always-valid knowledge, which we
 // use to update pending entries.
+//
 //fdp:primitive introduction
 func (w *Wrapper) onVerify(ctx sim.Context, msg sim.Message) {
 	if len(msg.Refs) != 1 {
@@ -438,6 +443,7 @@ func (w *Wrapper) onProcess(ctx sim.Context, msg sim.Message) {
 
 // learn incorporates ground-truth mode knowledge about v (from a process or
 // verify message, where the information is about the sender itself).
+//
 //fdp:primitive fusion,delegation,reversal
 func (w *Wrapper) learn(ctx sim.Context, v sim.RefInfo) {
 	u := ctx.Self()
@@ -498,6 +504,7 @@ func has(refs []ref.Ref, r ref.Ref) bool {
 // onPF handles the departure protocol's present/forward actions, adapted as
 // Section 4 prescribes: references exchanged between staying processes are
 // reintegrated into P instead of a separate neighborhood.
+//
 //fdp:primitive fusion,delegation,reversal
 func (w *Wrapper) onPF(ctx sim.Context, v sim.RefInfo, isForward bool) {
 	u := ctx.Self()

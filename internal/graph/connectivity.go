@@ -43,10 +43,10 @@ func (g *Graph) WeaklyConnectedComponents() [][]ref.Ref {
 func (g *Graph) walk(seen []bool, order []ref.Ref, from int, undirected bool) []ref.Ref {
 	for i := from; i < len(order); i++ {
 		for _, e := range g.rows[ref.Index(order[i])].ents {
-			j := ref.Index(e.peer)
-			if !seen[j] && (undirected || e.out() > 0) {
+			j := ref.Index(e.Key)
+			if !seen[j] && (undirected || e.Val.out() > 0) {
 				seen[j] = true
-				order = append(order, e.peer)
+				order = append(order, e.Key)
 			}
 		}
 	}
@@ -256,11 +256,11 @@ func (g *Graph) Diameter() int {
 		for i := 0; i < len(order); i++ {
 			n := ref.Index(order[i])
 			for _, e := range g.rows[n].ents {
-				if j := ref.Index(e.peer); !seen[j] {
+				if j := ref.Index(e.Key); !seen[j] {
 					seen[j] = true
 					dist[j] = dist[n] + 1
 					diam = max(diam, dist[j])
-					order = append(order, e.peer)
+					order = append(order, e.Key)
 				}
 			}
 		}
@@ -299,14 +299,14 @@ func (g *Graph) BidirectedExtension() *Graph {
 		a := ref.ByIndex(i)
 		h.AddNode(a)
 		for _, e := range g.rows[i].ents {
-			if e.out() == 0 {
+			if e.Val.out() == 0 {
 				continue
 			}
-			if !h.HasEdge(a, e.peer) {
-				h.AddEdge(a, e.peer, Explicit)
+			if !h.HasEdge(a, e.Key) {
+				h.AddEdge(a, e.Key, Explicit)
 			}
-			if !h.HasEdge(e.peer, a) {
-				h.AddEdge(e.peer, a, Explicit)
+			if !h.HasEdge(e.Key, a) {
+				h.AddEdge(e.Key, a, Explicit)
 			}
 		}
 	}

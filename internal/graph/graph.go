@@ -67,85 +67,19 @@ type Graph struct {
 	numNodes int
 }
 
-// entry is one node's view of one distinct undirected neighbour.
-type entry struct {
-	peer               ref.Ref
+// counts is what a node keeps per distinct undirected neighbour (an entry's
+// Key is the peer).
+type counts struct {
 	explicit, implicit int32 // multiplicity of node->peer, per kind
 	in                 int32 // total multiplicity of peer->node
 }
 
-func (e *entry) out() int { return int(e.explicit + e.implicit) }
+func (c *counts) out() int { return int(c.explicit + c.implicit) }
 
-// wideRow is the row length past which a row carries a peer→slot index.
-// Below it a linear scan over 16-byte entries beats a hash probe; above it
-// (hubs: a star's centre, a process everyone was introduced to) the index
-// keeps every edge operation O(1) expected.
-const wideRow = 32
-
-type row struct {
-	ents []entry
-	// idx maps peer to its slot in ents. Built when the row grows past
-	// wideRow, dropped when it shrinks to half of that, so a row hovering at
-	// the threshold does not rebuild it on every operation.
-	idx map[ref.Ref]int32
-}
-
-// find returns the slot of peer's entry, or -1.
-func (r *row) find(peer ref.Ref) int {
-	if r.idx != nil {
-		if i, ok := r.idx[peer]; ok {
-			return int(i)
-		}
-		return -1
-	}
-	for i := range r.ents {
-		if r.ents[i].peer == peer {
-			return i
-		}
-	}
-	return -1
-}
-
-// slot returns peer's entry, appending an empty one if there is none.
-func (r *row) slot(peer ref.Ref) *entry {
-	i := r.find(peer)
-	if i < 0 {
-		i = len(r.ents)
-		r.ents = append(r.ents, entry{peer: peer})
-		if r.idx != nil {
-			r.idx[peer] = int32(i)
-		} else if len(r.ents) > wideRow {
-			r.buildIndex()
-		}
-	}
-	return &r.ents[i]
-}
-
-// buildIndex (re)creates idx from ents.
-func (r *row) buildIndex() {
-	r.idx = make(map[ref.Ref]int32, 2*len(r.ents))
-	for i := range r.ents {
-		r.idx[r.ents[i].peer] = int32(i)
-	}
-}
-
-// remove deletes slot i by moving the last entry into it.
-func (r *row) remove(i int) {
-	last := len(r.ents) - 1
-	if r.idx != nil {
-		delete(r.idx, r.ents[i].peer)
-	}
-	if i != last {
-		r.ents[i] = r.ents[last]
-		if r.idx != nil {
-			r.idx[r.ents[i].peer] = int32(i)
-		}
-	}
-	r.ents = r.ents[:last]
-	if last <= wideRow/2 {
-		r.idx = nil
-	}
-}
+type (
+	entry = Entry[ref.Ref, counts]
+	row   = Row[ref.Ref, counts]
+)
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
@@ -175,7 +109,7 @@ func (g *Graph) restrict(keep func(ref.Ref) bool) *Graph {
 		}
 		start := len(backing)
 		for _, e := range g.rows[i].ents {
-			if s.present[ref.Index(e.peer)] {
+			if s.present[ref.Index(e.Key)] {
 				backing = append(backing, e)
 			}
 		}
@@ -245,13 +179,13 @@ func (g *Graph) AddEdge(a, b ref.Ref, kind EdgeKind) {
 	}
 	g.AddNode(a)
 	g.AddNode(b)
-	e := g.rows[ref.Index(a)].slot(b)
+	c := g.rows[ref.Index(a)].Slot(b)
 	if kind == Explicit {
-		e.explicit++
+		c.explicit++
 	} else {
-		e.implicit++
+		c.implicit++
 	}
-	g.rows[ref.Index(b)].slot(a).in++
+	g.rows[ref.Index(b)].Slot(a).in++
 }
 
 // RemoveEdge removes one copy of the edge a->b of the given kind. It reports
@@ -262,25 +196,25 @@ func (g *Graph) RemoveEdge(a, b ref.Ref, kind EdgeKind) bool {
 		return false
 	}
 	ra := &g.rows[ia]
-	i := ra.find(b)
+	i := ra.Find(b)
 	if i < 0 {
 		return false
 	}
 	e := &ra.ents[i]
-	n := &e.explicit
+	n := &e.Val.explicit
 	if kind != Explicit {
-		n = &e.implicit
+		n = &e.Val.implicit
 	}
 	if *n == 0 {
 		return false
 	}
 	*n--
 	rb := &g.rows[ref.Index(b)]
-	j := rb.find(a)
-	rb.ents[j].in--
-	if e.out() == 0 && e.in == 0 {
-		ra.remove(i)
-		rb.remove(j)
+	j := rb.Find(a)
+	rb.ents[j].Val.in--
+	if e.Val.out() == 0 && e.Val.in == 0 {
+		ra.Remove(i)
+		rb.Remove(j)
 	}
 	return true
 }
@@ -293,8 +227,8 @@ func (g *Graph) RemoveNode(n ref.Ref) {
 	}
 	i := ref.Index(n)
 	for _, e := range g.rows[i].ents {
-		rp := &g.rows[ref.Index(e.peer)]
-		rp.remove(rp.find(n))
+		rp := &g.rows[ref.Index(e.Key)]
+		rp.Remove(rp.Find(n))
 	}
 	g.rows[i] = row{}
 	g.present[i] = false
@@ -309,7 +243,7 @@ func (g *Graph) link(a, b ref.Ref) *entry {
 		return nil
 	}
 	r := &g.rows[ia]
-	if i := r.find(b); i >= 0 {
+	if i := r.Find(b); i >= 0 {
 		return &r.ents[i]
 	}
 	return nil
@@ -335,9 +269,9 @@ func (g *Graph) HasEdgeKind(a, b ref.Ref, kind EdgeKind) bool {
 		return false
 	}
 	if kind == Explicit {
-		return e.explicit > 0
+		return e.Val.explicit > 0
 	}
-	return e.implicit > 0
+	return e.Val.implicit > 0
 }
 
 // EdgeCount returns the multiplicity of a->b (all kinds).
@@ -346,7 +280,7 @@ func (g *Graph) EdgeCount(a, b ref.Ref) int {
 	if e == nil {
 		return 0
 	}
-	return e.out()
+	return e.Val.out()
 }
 
 // NumEdges returns the total number of edges counting multiplicity.
@@ -354,7 +288,7 @@ func (g *Graph) NumEdges() int {
 	total := 0
 	for i := range g.rows {
 		for j := range g.rows[i].ents {
-			total += g.rows[i].ents[j].out()
+			total += g.rows[i].ents[j].Val.out()
 		}
 	}
 	return total
@@ -367,10 +301,10 @@ func (g *Graph) Edges() []Edge {
 		a := ref.ByIndex(i)
 		for _, b := range g.Succ(a) {
 			e := g.link(a, b)
-			for k := int32(0); k < e.explicit; k++ {
+			for k := int32(0); k < e.Val.explicit; k++ {
 				edges = append(edges, Edge{a, b, Explicit})
 			}
-			for k := int32(0); k < e.implicit; k++ {
+			for k := int32(0); k < e.Val.implicit; k++ {
 				edges = append(edges, Edge{a, b, Implicit})
 			}
 		}
@@ -391,8 +325,8 @@ func (g *Graph) peers(a ref.Ref, dirs int) []ref.Ref {
 	out := make([]ref.Ref, 0, len(ents))
 	for i := range ents {
 		e := &ents[i]
-		if dirs&dirOut != 0 && e.out() > 0 || dirs&dirIn != 0 && e.in > 0 {
-			out = append(out, e.peer)
+		if dirs&dirOut != 0 && e.Val.out() > 0 || dirs&dirIn != 0 && e.Val.in > 0 {
+			out = append(out, e.Key)
 		}
 	}
 	ref.Sort(out)
@@ -420,7 +354,7 @@ func (g *Graph) Degree(a ref.Ref) int { return len(g.adj(a)) }
 func (g *Graph) UndirectedDegreeIn(a ref.Ref, keep ref.Set) int {
 	n := 0
 	for _, e := range g.adj(a) {
-		if keep.Has(e.peer) {
+		if keep.Has(e.Key) {
 			n++
 		}
 	}
@@ -431,7 +365,7 @@ func (g *Graph) UndirectedDegreeIn(a ref.Ref, keep ref.Set) int {
 // materializing the predecessor slice.
 func (g *Graph) HasPredIn(a ref.Ref, keep ref.Set) bool {
 	for _, e := range g.adj(a) {
-		if e.in > 0 && keep.Has(e.peer) {
+		if e.Val.in > 0 && keep.Has(e.Key) {
 			return true
 		}
 	}
@@ -474,7 +408,7 @@ func (g *Graph) Equal(h *Graph) bool {
 			return false
 		}
 		for _, e := range gr.ents {
-			if j := hr.find(e.peer); j < 0 || hr.ents[j] != e {
+			if j := hr.Find(e.Key); j < 0 || hr.ents[j] != e {
 				return false
 			}
 		}
@@ -495,7 +429,7 @@ func (g *Graph) SameSimpleDigraph(h *Graph) bool {
 func (g *Graph) simpleWithin(h *Graph) bool {
 	for i := range g.rows {
 		for _, e := range g.rows[i].ents {
-			if e.out() > 0 && !h.HasEdge(ref.ByIndex(i), e.peer) {
+			if e.Val.out() > 0 && !h.HasEdge(ref.ByIndex(i), e.Key) {
 				return false
 			}
 		}

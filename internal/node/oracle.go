@@ -15,25 +15,25 @@ import (
 // run sees PG whole, so the owner of each leaver u reconstructs the same
 // predicate from consistent global snapshots:
 //
-//   1. Every node counts, per leaver u and per link, the u-relevant frames
-//      (data and bounce frames addressed to u or carrying u's reference) it
-//      has sent and received. A transport-synthesized bounce undoes its
-//      frame's send count — the frame never arrived anywhere.
-//   2. The owner runs numbered rounds: it broadcasts oq naming its live
-//      owned leavers; every node answers oa with its counters and its local
-//      neighbor contribution for each u (live owned processes storing u's
-//      reference or holding queued messages that mention u, plus — on u's
-//      own node — u's stored references and the references queued in u's
-//      channel, minus processes known to be gone).
-//   3. When all nodes have answered a round, u is granted iff the send/
-//      receive matrix balances (sent[j→k] == recv[k←j] for every ordered
-//      pair — no u-relevant frame was in flight anywhere) and the union of
-//      neighbor contributions minus u has at most one member.
-//   4. Any later u-relevant frame observed at the owner revokes the grant,
-//      and a round during which the owner observed such a frame grants
-//      nothing. Frames addressed to u necessarily pass through its owner,
-//      so a message racing the exit revokes the grant before it can reach
-//      u's channel.
+//  1. Every node counts, per leaver u and per link, the u-relevant frames
+//     (data and bounce frames addressed to u or carrying u's reference) it
+//     has sent and received. A transport-synthesized bounce undoes its
+//     frame's send count — the frame never arrived anywhere.
+//  2. The owner runs numbered rounds: it broadcasts oq naming its live
+//     owned leavers; every node answers oa with its counters and its local
+//     neighbor contribution for each u (live owned processes storing u's
+//     reference or holding queued messages that mention u, plus — on u's
+//     own node — u's stored references and the references queued in u's
+//     channel, minus processes known to be gone).
+//  3. When all nodes have answered a round, u is granted iff the send/
+//     receive matrix balances (sent[j→k] == recv[k←j] for every ordered
+//     pair — no u-relevant frame was in flight anywhere) and the union of
+//     neighbor contributions minus u has at most one member.
+//  4. Any later u-relevant frame observed at the owner revokes the grant,
+//     and a round during which the owner observed such a frame grants
+//     nothing. Frames addressed to u necessarily pass through its owner,
+//     so a message racing the exit revokes the grant before it can reach
+//     u's channel.
 //
 // What this does NOT close — honestly — is third-party traffic: node j can
 // ship a frame mentioning u to node k after answering the round that grants

@@ -25,6 +25,7 @@ func NewCliqueTC() *CliqueTC { return &CliqueTC{n: ref.NewSet()} }
 func (c *CliqueTC) Name() string { return "clique" }
 
 // AddNeighbor seeds the initial neighborhood — scenario construction only.
+//
 //fdp:primitive init
 func (c *CliqueTC) AddNeighbor(v ref.Ref) { c.n.Add(v) }
 
@@ -57,6 +58,7 @@ func (c *CliqueTC) Deliver(ctx Context, label string, refs []ref.Ref, payload an
 }
 
 // Reintegrate implements Protocol.
+//
 //fdp:primitive fusion
 func (c *CliqueTC) Reintegrate(ctx Context, r ref.Ref) {
 	if r != ctx.Self() {
@@ -83,5 +85,6 @@ func (c *CliqueTC) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) bo
 }
 
 // Exclude implements Protocol: remove every stored occurrence of r.
+//
 //fdp:primitive reversal
 func (c *CliqueTC) Exclude(r ref.Ref) { c.n.Remove(r) }

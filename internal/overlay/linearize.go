@@ -31,6 +31,7 @@ func NewLinearize(keys Keys) *Linearize {
 func (l *Linearize) Name() string { return "linearize" }
 
 // AddNeighbor seeds the initial neighborhood — scenario construction only.
+//
 //fdp:primitive init
 func (l *Linearize) AddNeighbor(v ref.Ref) { l.n.Add(v) }
 
@@ -69,7 +70,7 @@ func (l *Linearize) Timeout(ctx Context) {
 		for _, v := range left[1:] {
 			// Delegation ♥: hand the farther-left reference to the closest
 			// left neighbor and forget it.
-			l.n.Remove(v) // ♥
+			l.n.Remove(v)                                   // ♥
 			ctx.Send(closest, LabelLink, []ref.Ref{v}, nil) // ♥
 		}
 		// Introduction ♦: periodic self-introduction.
@@ -99,6 +100,7 @@ func (l *Linearize) Deliver(ctx Context, label string, refs []ref.Ref, payload a
 
 // Reintegrate implements Protocol: an undeliverable reference is simply a
 // new neighbor candidate, linearized away on the next timeout.
+//
 //fdp:primitive fusion
 func (l *Linearize) Reintegrate(ctx Context, r ref.Ref) {
 	if r != ctx.Self() {
@@ -149,5 +151,6 @@ func (l *Linearize) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) b
 }
 
 // Exclude implements Protocol: remove every stored occurrence of r.
+//
 //fdp:primitive reversal
 func (l *Linearize) Exclude(r ref.Ref) { l.n.Remove(r) }

@@ -38,6 +38,7 @@ func NewSortRing(keys Keys) *SortRing {
 func (s *SortRing) Name() string { return "sortring" }
 
 // AddNeighbor seeds the initial neighborhood — scenario construction only.
+//
 //fdp:primitive init
 func (s *SortRing) AddNeighbor(v ref.Ref) { s.lin.AddNeighbor(v) }
 
@@ -56,6 +57,7 @@ func (s *SortRing) Refs() []ref.Ref {
 // setWrap replaces the wrap reference; the old one is not deleted (that
 // would risk disconnection) but moved into the ordinary neighborhood, where
 // linearization delegates it away safely.
+//
 //fdp:primitive fusion
 func (s *SortRing) setWrap(self, v ref.Ref) {
 	if v == self || v == s.wrap {
@@ -68,6 +70,7 @@ func (s *SortRing) setWrap(self, v ref.Ref) {
 }
 
 // dropWrap moves the wrap reference into the ordinary neighborhood.
+//
 //fdp:primitive fusion
 func (s *SortRing) dropWrap() {
 	if !s.wrap.IsNil() {
@@ -123,6 +126,7 @@ func (s *SortRing) Deliver(ctx Context, label string, refs []ref.Ref, payload an
 }
 
 // Reintegrate implements Protocol.
+//
 //fdp:primitive fusion
 func (s *SortRing) Reintegrate(ctx Context, r ref.Ref) {
 	s.lin.Reintegrate(ctx, r)
@@ -161,6 +165,7 @@ func (s *SortRing) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) bo
 
 // Exclude implements Protocol: remove every stored occurrence of r,
 // including the wrap reference.
+//
 //fdp:primitive reversal
 func (s *SortRing) Exclude(r ref.Ref) {
 	s.lin.Exclude(r)

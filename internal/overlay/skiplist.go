@@ -38,11 +38,13 @@ func NewSkipList(keys Keys) *SkipList {
 func (s *SkipList) Name() string { return "skiplist" }
 
 // AddNeighbor seeds the level-0 neighborhood — scenario construction only.
+//
 //fdp:primitive init
 func (s *SkipList) AddNeighbor(v ref.Ref) { s.lin.AddNeighbor(v) }
 
 // AddLevel1 seeds the level-1 neighborhood — scenario construction only
 // (possibly deliberately wrong, for stabilization tests).
+//
 //fdp:primitive init
 func (s *SkipList) AddLevel1(v ref.Ref) { s.l1.Add(v) }
 
@@ -87,7 +89,7 @@ func (s *SkipList) Timeout(ctx Context) {
 	left, right := s.l1Sides(u)
 	if len(left) > 0 {
 		for _, v := range left[1:] {
-			s.l1.Remove(v) // ♥
+			s.l1.Remove(v)                                  // ♥
 			ctx.Send(left[0], LabelLvl1, []ref.Ref{v}, nil) // ♥
 		}
 		ctx.Send(left[0], LabelLvl1, []ref.Ref{u}, nil) // ♦ self-introduction
@@ -160,12 +162,14 @@ func (s *SkipList) Deliver(ctx Context, label string, refs []ref.Ref, payload an
 }
 
 // Reintegrate implements Protocol.
+//
 //fdp:primitive fusion
 func (s *SkipList) Reintegrate(ctx Context, r ref.Ref) {
 	s.lin.Reintegrate(ctx, r)
 }
 
 // Exclude implements Protocol.
+//
 //fdp:primitive reversal
 func (s *SkipList) Exclude(r ref.Ref) {
 	s.lin.Exclude(r)

@@ -177,3 +177,49 @@ func TestShardedFSPConvergence(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledActionsAllocateNothing is the runtime's share of the
+// allocation-free action path (internal/core holds the protocol's and the
+// sequential engine's): with the degree ledger on and every mailbox, run
+// queue and batch buffer already grown to what a round needs, the timeout of
+// a settled staying process and the deliveries of the self-introductions it
+// sent allocate nothing — a send finds its target by index, the message
+// carries the sender's one shared list, and an unchanged Refs costs syncRefs
+// one comparison.
+func TestSettledActionsAllocateNothing(t *testing.T) {
+	space := ref.NewSpace()
+	nodes := space.NewN(6)
+	rt := NewRuntime(oracle.Single{})
+	rt.SetShards(1)
+	for i, r := range nodes {
+		p := core.New(core.VariantFDP)
+		for j, v := range nodes {
+			if i != j {
+				p.SetNeighbor(v, sim.Staying)
+			}
+		}
+		rt.AddProcess(r, sim.Staying, p)
+	}
+	leaver := core.New(core.VariantFDP)
+	leaver.SetAnchor(nodes[0], sim.Staying)
+	rt.AddProcess(space.New(), sim.Leaving, leaver)
+	rt.seal()
+	if !rt.trackDeg {
+		t.Fatal("Single must enable degree tracking")
+	}
+	sh, p := rt.shards[0], rt.lookup(nodes[0])
+	var scratch []sim.Message
+	round := func() {
+		sh.actMu.RLock()
+		p.timeoutAction(sh)
+		delivered := sh.deliverRound(&scratch)
+		sh.actMu.RUnlock()
+		if delivered != len(nodes)-1 {
+			t.Fatalf("round delivered %d messages, want %d", delivered, len(nodes)-1)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("one timeout and its %d deliveries allocate %.0f times", len(nodes)-1, n)
+	}
+}

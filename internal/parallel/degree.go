@@ -12,8 +12,9 @@ package parallel
 // GC cost dominates the machine at n=100k (profiled at ~80% of total CPU).
 //
 // Instead, the runtime mirrors the sequential engine's bookkeeping: every
-// LEAVING process carries a neighbor multiset (nbr: distinct neighbor pid →
-// number of current edges with it), updated at the three places edges
+// LEAVING process carries a neighbor multiset (nbr: one entry per distinct
+// neighbor pid with the number of current edges with it — the dense row the
+// sequential PG keeps per node, graph.Row), updated at the three places edges
 // change —
 //
 //   - a message push adds one edge (receiver, r) per reference r it carries;
@@ -49,7 +50,7 @@ package parallel
 //
 // Synchronization: each pair update locks the two endpoints' degMu in
 // ascending pid order (plain mutexes unrelated to the §12 ranked locks; they
-// guard only the nbr maps and nest under nothing but each other). A process
+// guard only the nbr rows and nest under nothing but each other). A process
 // of a degree-tracked run becomes gone under its own degMu, and every add
 // re-checks both endpoints' life under the same locks: an add is either
 // counted in the degree an exit is judged on, or sees the gone endpoint and
@@ -59,9 +60,14 @@ package parallel
 import (
 	"slices"
 
+	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
+
+// nbrRow is a leaver's neighbor multiset: neighbor pid → edge count, one
+// entry per distinct neighbor.
+type nbrRow = graph.Row[uint32, int32]
 
 // degreeOracle is implemented by oracles whose verdict is a pure function
 // of the SINGLE-style relevant degree (oracle.Single, oracle.Always). For
@@ -75,7 +81,7 @@ type degreeOracle interface {
 // pairBump. Unregistered and self references contribute nothing, like
 // sim.World.isLiveTarget.
 func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
-	if b := rt.procs[r]; b != nil && b != a {
+	if b := rt.lookup(r); b != nil && b != a {
 		rt.pairBump(a, b, d)
 	}
 }
@@ -117,19 +123,26 @@ func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	}
 }
 
-// bumpNbr adds d to m[v] and reports whether len(m) changed. A nil m (a
-// stayer, or a leaver that is gone) holds nothing.
-func bumpNbr(m map[uint32]int32, v uint32, d int32) bool {
+// bumpNbr adds d (+1 or -1) to m's count for v and reports whether m's length
+// changed. A nil m (a stayer, or a leaver that is gone) holds nothing, and a
+// remove of what is not there is a no-op.
+func bumpNbr(m *nbrRow, v uint32, d int32) bool {
 	if m == nil {
 		return false
 	}
-	was := m[v]
-	if c := was + d; c > 0 {
-		m[v] = c
-	} else {
-		delete(m, v)
+	i := m.Find(v)
+	if i < 0 {
+		if d > 0 {
+			*m.Slot(v) = d
+		}
+		return d > 0
 	}
-	return (was > 0) != (was+d > 0)
+	c := &m.Entries()[i].Val
+	if *c += d; *c > 0 {
+		return false
+	}
+	m.Remove(i)
+	return true
 }
 
 // markDirty queues p, whose distinct-neighbor count just changed, for the
@@ -217,11 +230,11 @@ func (p *proc) syncRefs(sh *shard) {
 // refused, whatever jd says of its empty multiset: nobody exits twice.
 // Callers: the coordinator's fast-path epoch (no pause: p is suspended, nobody
 // else writes its life), or commitExit.
-func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr map[uint32]int32, ok bool) {
+func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr *nbrRow, ok bool) {
 	p.degMu.Lock()
 	defer p.degMu.Unlock()
 	was := p.life.Load()
-	if was == 2 || (jd != nil && !jd.JudgeDegree(len(p.nbr))) {
+	if was == 2 || (jd != nil && !jd.JudgeDegree(p.nbr.Len())) {
 		return nil, false
 	}
 	p.life.Store(2)
@@ -239,15 +252,23 @@ func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr map[uint32]int32, ok bo
 // neighbor's turn comes it over-counts by the gone p, which only delays its
 // own grant; stale references to p left behind in stores or in flight are
 // inert (adds are life-gated, removes clamp).
-func (rt *Runtime) dropPairsOf(p *proc, nbr map[uint32]int32) {
-	for v := range nbr {
-		q := rt.byPid[v]
+func (rt *Runtime) dropPairsOf(p *proc, nbr *nbrRow) {
+	if nbr == nil {
+		return
+	}
+	for _, e := range nbr.Entries() {
+		q := rt.byPid[e.Key]
 		if q.mode != sim.Leaving {
 			continue
 		}
 		q.degMu.Lock()
-		_, had := q.nbr[p.pid]
-		delete(q.nbr, p.pid)
+		had := false
+		if q.nbr != nil {
+			if i := q.nbr.Find(p.pid); i >= 0 {
+				q.nbr.Remove(i)
+				had = true
+			}
+		}
 		q.degMu.Unlock()
 		if had {
 			rt.markDirty(q)
@@ -288,7 +309,7 @@ func (uf unionFind) union(x, y uint32) {
 // world paused (or the workers do not exist yet).
 func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 	to := func(p *proc, r ref.Ref) {
-		if q := rt.procs[r]; q != nil && q != p && q.life.Load() != 2 {
+		if q := rt.lookup(r); q != nil && q != p && q.life.Load() != 2 {
 			edge(p, q)
 		}
 	}
@@ -318,11 +339,7 @@ func (rt *Runtime) resetLedger() {
 		}
 		p.synced = append(p.synced[:0], p.proto.Refs()...)
 		if p.mode == sim.Leaving {
-			if p.nbr == nil {
-				p.nbr = make(map[uint32]int32, 8)
-			} else {
-				clear(p.nbr)
-			}
+			p.nbr = new(nbrRow)
 			rt.markDirty(p)
 		}
 	}
@@ -353,9 +370,8 @@ func (rt *Runtime) components() [][]ref.Ref {
 func (rt *Runtime) partition(uf unionFind) [][]ref.Ref {
 	var comps [][]ref.Ref
 	at := make(map[uint32]int) // class root -> index in comps
-	for _, r := range rt.order {
-		p := rt.procs[r]
-		if p.life.Load() == 2 {
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		root := uf.find(p.pid)
@@ -365,7 +381,7 @@ func (rt *Runtime) partition(uf unionFind) [][]ref.Ref {
 			at[root] = i
 			comps = append(comps, nil)
 		}
-		comps[i] = append(comps[i], r)
+		comps[i] = append(comps[i], p.id)
 	}
 	return comps
 }
@@ -409,7 +425,7 @@ func (rt *Runtime) epochFast(jd degreeOracle) {
 			continue
 		}
 		p.degMu.Lock()
-		deg := len(p.nbr)
+		deg := p.nbr.Len()
 		p.degMu.Unlock()
 		if ok := jd.JudgeDegree(deg); ok != p.oracleOK.Load() {
 			p.oracleOK.Store(ok)

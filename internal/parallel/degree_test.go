@@ -3,6 +3,7 @@ package parallel
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 					continue
 				}
 				want, _ := w.RelevantDegree(p.id)
-				switch got := len(p.nbr); {
+				switch got := p.nbr.Len(); {
 				case got < want:
 					t.Errorf("shards=%d: %v just granted: leaver %v counts %d neighbors, frozen world %d",
 						shards, u, p.id, got, want)
@@ -115,13 +116,13 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 					rt.resumeAll()
 					t.Fatalf("shards=%d: live leaver %v not relevant in frozen world", shards, p.id)
 				}
-				if got := len(p.nbr); got != want {
+				if got := p.nbr.Len(); got != want {
 					rt.resumeAll()
 					t.Fatalf("shards=%d: leaver %v incremental degree %d, frozen world says %d (checks=%d)",
 						shards, p.id, got, want, checks)
 				}
-				for pid, got := range p.nbr {
-					q := rt.byPid[pid].id
+				for _, e := range p.nbr.Entries() {
+					got, q := e.Val, rt.byPid[e.Key].id
 					if want := pg.EdgeCount(p.id, q) + pg.EdgeCount(q, p.id); int(got) != want {
 						rt.resumeAll()
 						t.Fatalf("shards=%d: ledger holds %d edges between %v and %v, frozen world %d (checks=%d)",
@@ -158,9 +159,9 @@ func storeUnknownLeaver(v *MutableView, live []ref.Ref) bool {
 		if !ok || v.ModeOf(x) != sim.Staying {
 			continue
 		}
-		stored := p.Neighbors()
+		stored := p.NeighborRefs()
 		for _, l := range live {
-			if _, has := stored[l]; !has && v.ModeOf(l) == sim.Leaving {
+			if !slices.Contains(stored, l) && v.ModeOf(l) == sim.Leaving {
 				p.SetNeighbor(l, sim.Staying)
 				return true
 			}
@@ -224,7 +225,7 @@ func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 		}
 	})
 	rt.seal()
-	sh, p := rt.shards[0], rt.procs[leaver]
+	sh, p := rt.shards[0], rt.lookup(leaver)
 	sh.cursor = 1 // the scan has just passed the leaver (pid 0)
 
 	rt.epochFast(oracle.Single{})
@@ -275,7 +276,7 @@ func TestDegreeSeedCountsInitialInFlight(t *testing.T) {
 	// the ledger here cannot race a delivery of the intro (after Start a
 	// worker may consume it first, and both degrees then read 0).
 	rt.seal()
-	got := len(rt.procs[nodes[2]].nbr)
+	got := rt.lookup(nodes[2]).nbr.Len()
 	want, _ := rt.freezeUnderPause().RelevantDegree(nodes[2])
 	if got != want || want == 0 {
 		t.Fatalf("seeded degree %d, frozen world %d (want equal and nonzero)", got, want)
@@ -320,7 +321,7 @@ func TestOpenDeliveryKeepsItsReferencesCounted(t *testing.T) {
 	rt.AddProcess(holder, sim.Staying, fwd)
 	rt.Enqueue(holder, sim.NewMessage("intro", sim.RefInfo{Ref: leaver, Mode: sim.Leaving}))
 	rt.seal()
-	sh, p := rt.shards[0], rt.procs[leaver]
+	sh, p := rt.shards[0], rt.lookup(leaver)
 	requestExit := func() {
 		p.exitPending.Store(true)
 		rt.requestExit(p)
@@ -372,7 +373,7 @@ func TestFastEpochTakesNoShardLock(t *testing.T) {
 	rt.AddProcess(anchor, sim.Staying, &fixedRefsProto{})
 	rt.AddProcess(nodes[3], sim.Staying, &fixedRefsProto{})
 	rt.seal()
-	pe, pw := rt.procs[exiting], rt.procs[waiting]
+	pe, pw := rt.lookup(exiting), rt.lookup(waiting)
 	pe.exitPending.Store(true)
 	rt.requestExit(pe)
 
@@ -419,7 +420,7 @@ func TestGrantedExitIsFinal(t *testing.T) {
 	lp.SetAnchor(anchor, sim.Staying)
 	rt.AddProcess(leaver, sim.Leaving, lp)
 	rt.AddProcess(anchor, sim.Staying, &fixedRefsProto{})
-	sh, p := rt.shards[0], rt.procs[leaver]
+	sh, p := rt.shards[0], rt.lookup(leaver)
 
 	published := 0
 	check := func(at string) {
@@ -521,7 +522,7 @@ func TestComponentsMatchFrozenWorld(t *testing.T) {
 			rt.Enqueue(nodes[rng.Intn(n)], inFlight())
 		}
 		for i := 0; i < n/4; i++ {
-			switch p := rt.procs[nodes[rng.Intn(n)]]; {
+			switch p := rt.lookup(nodes[rng.Intn(n)]); {
 			case p.life.Load() != 0:
 			case rng.Intn(2) == 0:
 				p.life.Store(2)

@@ -120,10 +120,9 @@ func (rt *Runtime) ExitLatencies() []time.Duration {
 func (rt *Runtime) MailboxDepths() []int {
 	rt.pauseAll()
 	defer rt.resumeAll()
-	out := make([]int, 0, len(rt.order))
-	for _, r := range rt.order {
-		p := rt.procs[r]
-		if p.life.Load() == 2 {
+	out := make([]int, 0, len(rt.byPid))
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		out = append(out, p.mb.len())

@@ -53,9 +53,8 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,12 +126,13 @@ type proc struct {
 	// distinct-neighbor count changed since the coordinator last judged it.
 	dirty atomic.Bool
 
-	// nbr is the incremental relevant-degree multiset: distinct neighbor
-	// pid → number of current PG edges with it (see degree.go). Non-nil
-	// only for live leaving processes of degree-tracked runs; guarded by
-	// degMu (pair updates lock both endpoints in ascending pid order, an
-	// exit commit takes its neighbors' one at a time).
-	nbr   map[uint32]int32
+	// nbr is the incremental relevant-degree multiset: one entry per
+	// distinct neighbor pid, holding the number of current PG edges with it,
+	// so its length is the relevant degree (see degree.go). Non-nil only for
+	// live leaving processes of degree-tracked runs; guarded by degMu (pair
+	// updates lock both endpoints in ascending pid order, an exit commit
+	// takes its neighbors' one at a time).
+	nbr   *nbrRow
 	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in ascending pid order
 
 	// synced is the copy of proto.Refs() the degree ledger last accounted for
@@ -153,9 +153,8 @@ type proc struct {
 
 // Runtime drives a set of processes concurrently.
 type Runtime struct {
-	procs  map[ref.Ref]*proc
-	order  []ref.Ref
-	byPid  []*proc
+	procs  []*proc // dense, indexed by ref.Index; nil where no process was added
+	byPid  []*proc // dense, in registration order
 	shards []*shard
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
 
@@ -241,7 +240,6 @@ type Oracle = sim.Oracle
 // one shard per GOMAXPROCS.
 func NewRuntime(oracle Oracle) *Runtime {
 	rt := &Runtime{
-		procs:    make(map[ref.Ref]*proc),
 		oracle:   oracle,
 		stopCh:   make(chan struct{}),
 		exitKick: make(chan struct{}, 1),
@@ -272,10 +270,34 @@ func (rt *Runtime) makeShards(k int) {
 	}
 }
 
+// lookup returns the process r names, or nil if r names none of this
+// runtime: ⊥, a reference past every process added, or an identity no Space
+// mints (ref.FromWire hands the transport whatever a peer put on the wire).
+func (rt *Runtime) lookup(r ref.Ref) *proc {
+	if i := ref.Index(r); uint(i) < uint(len(rt.procs)) {
+		return rt.procs[i]
+	}
+	return nil
+}
+
+// mustProc is lookup for callers that build or strike a scenario: naming a
+// process that was never added is their bug and fails loudly.
+func (rt *Runtime) mustProc(r ref.Ref) *proc {
+	p := rt.lookup(r)
+	if p == nil {
+		panic(fmt.Sprintf("parallel: unknown process %v", r))
+	}
+	return p
+}
+
 // AddProcess registers a process before Start.
 func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
-	if _, dup := rt.procs[r]; dup {
-		panic("parallel: duplicate process")
+	idx := ref.Index(r)
+	if idx < 0 {
+		panic(fmt.Sprintf("parallel: cannot add process with reference %v (⊥, or minted by no Space)", r))
+	}
+	if rt.lookup(r) != nil {
+		panic(fmt.Sprintf("parallel: duplicate process %v", r))
 	}
 	p := &proc{id: r, pid: uint32(len(rt.byPid)), mode: mode, proto: proto, rt: rt}
 	p.ctx.p = p
@@ -283,12 +305,10 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	p.shard.Store(uint32(sh.idx))
 	sh.pids = append(sh.pids, p.pid)
 	rt.byPid = append(rt.byPid, p)
-	rt.procs[r] = p
-	// order stays in ref.Sort order: r goes in front of the first larger
-	// reference, which is at the end when processes are added in ascending
-	// order (MirrorWorld does).
-	at := sort.Search(len(rt.order), func(i int) bool { return ref.Less(r, rt.order[i]) })
-	rt.order = slices.Insert(rt.order, at, r)
+	if grow := idx + 1 - len(rt.procs); grow > 0 {
+		rt.procs = append(rt.procs, make([]*proc, grow)...)
+	}
+	rt.procs[idx] = p
 }
 
 // Enqueue injects an initial in-flight message before Start. Messages that
@@ -301,7 +321,7 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 	} else if cur := rt.causal.Load(); msg.CID() > cur {
 		rt.causal.Store(msg.CID())
 	}
-	rt.push(rt.procs[to], msg)
+	rt.push(rt.mustProc(to), msg)
 }
 
 // Inject delivers a message arriving from outside the runtime (the wire
@@ -318,7 +338,7 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 // side). Inject takes the target's current shard's actMu; push re-resolves
 // the shard under mbMu, so a concurrent rebalance is harmless.
 func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
-	p := rt.procs[to]
+	p := rt.lookup(to)
 	if p == nil || p.life.Load() == 2 {
 		return false
 	}
@@ -351,7 +371,7 @@ func (rt *Runtime) KindCount(k sim.EventKind) uint64 {
 // sim.World.ForceAsleep for scenario transplantation (FSP worlds whose
 // initial state contains asleep processes) and must be called before Start.
 func (rt *Runtime) ForceAsleep(r ref.Ref) {
-	rt.procs[r].life.Store(1)
+	rt.mustProc(r).life.Store(1)
 	rt.asleep.Add(1)
 }
 
@@ -396,7 +416,7 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	// Causal stamp, mirroring the simulator's Send: fresh CID, parent = the
 	// action event being executed, clock = the sender's Lamport time.
 	msg = sim.StampCausal(msg, rt.causal.Add(1), c.p.curCID, c.p.clock)
-	target := rt.procs[to]
+	target := rt.lookup(to)
 	// The life check is advisory (the target may exit between it and the
 	// push); push itself refuses a gone target under the queue lock, so the
 	// pair behaves like the model's "sends to gone processes vanish".
@@ -541,7 +561,7 @@ func (rt *Runtime) commitExit(p *proc) {
 // EvExit emitted. Callers: commitExit, and the
 // coordinator's fast-path epoch with the workers running — it takes leaf
 // locks and neighbors' degMu only.
-func (rt *Runtime) finishExit(p *proc, nbr map[uint32]int32) {
+func (rt *Runtime) finishExit(p *proc, nbr *nbrRow) {
 	sh := rt.shards[p.shard.Load()]
 	sh.mbMu.Lock()
 	p.mb.closed = true
@@ -730,10 +750,9 @@ func (rt *Runtime) epoch() {
 		rt.validateExitOn(w, p)
 	}
 	rt.oracleMu.Lock()
-	for _, r := range rt.order {
-		p := rt.procs[r]
-		if p.mode == sim.Leaving && p.life.Load() != 2 {
-			p.oracleOK.Store(rt.oracle.Evaluate(w, r))
+	for _, p := range rt.procs {
+		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
+			p.oracleOK.Store(rt.oracle.Evaluate(w, p.id))
 		}
 	}
 	rt.oracleMu.Unlock()
@@ -836,27 +855,25 @@ func (rt *Runtime) freezeLocked() *sim.World {
 // data.
 func (rt *Runtime) freezeUnderPause() *sim.World {
 	w := sim.NewWorld(rt.oracle)
-	for _, r := range rt.order {
-		p := rt.procs[r]
-		if p.life.Load() == 2 {
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		fp := &frozenProto{refs: p.proto.Refs()}
 		if bh, ok := p.proto.(interface{ Beliefs() []sim.RefInfo }); ok {
 			fp.beliefs = bh.Beliefs() // copied under the pause
 		}
-		w.AddProcess(r, p.mode, fp)
+		w.AddProcess(p.id, p.mode, fp)
 	}
-	for _, r := range rt.order {
-		p := rt.procs[r]
-		if p.life.Load() == 2 {
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		if p.life.Load() == 1 {
-			w.ForceAsleep(r)
+			w.ForceAsleep(p.id)
 		}
 		for _, m := range p.mb.queue[p.mb.head:] {
-			w.Enqueue(r, m)
+			w.Enqueue(p.id, m)
 		}
 	}
 	// Judge safety and legitimacy condition (iii) against the components
@@ -921,10 +938,10 @@ func (rt *Runtime) Mutate(fn func(v *MutableView)) {
 // Live returns the references of all non-gone processes in deterministic
 // order.
 func (v *MutableView) Live() []ref.Ref {
-	out := make([]ref.Ref, 0, len(v.rt.order))
-	for _, r := range v.rt.order {
-		if v.rt.procs[r].life.Load() != 2 {
-			out = append(out, r)
+	out := make([]ref.Ref, 0, len(v.rt.byPid))
+	for _, p := range v.rt.procs {
+		if p != nil && p.life.Load() != 2 {
+			out = append(out, p.id)
 		}
 	}
 	return out
@@ -932,23 +949,23 @@ func (v *MutableView) Live() []ref.Ref {
 
 // Alive reports whether r names a registered, non-gone process.
 func (v *MutableView) Alive(r ref.Ref) bool {
-	p := v.rt.procs[r]
+	p := v.rt.lookup(r)
 	return p != nil && p.life.Load() != 2
 }
 
-// ModeOf returns the true mode of r.
-func (v *MutableView) ModeOf(r ref.Ref) sim.Mode { return v.rt.procs[r].mode }
+// ModeOf returns the true mode of r. Panics on unknown references.
+func (v *MutableView) ModeOf(r ref.Ref) sim.Mode { return v.rt.mustProc(r).mode }
 
 // ProtocolOf returns the live protocol instance of r for in-place
 // corruption. Exclusive access: the workers are paused.
-func (v *MutableView) ProtocolOf(r ref.Ref) sim.Protocol { return v.rt.procs[r].proto }
+func (v *MutableView) ProtocolOf(r ref.Ref) sim.Protocol { return v.rt.mustProc(r).proto }
 
 // Enqueue injects a message into r's mailbox (spurious junk, or a displaced
 // reference kept in flight). Messages to gone processes vanish, like sends.
 // Injected messages get a fresh causal identity with no parent — they are
 // faults, nothing in the trace caused them.
 func (v *MutableView) Enqueue(to ref.Ref, msg sim.Message) bool {
-	p := v.rt.procs[to]
+	p := v.rt.lookup(to)
 	if p == nil || p.life.Load() == 2 {
 		return false
 	}
@@ -960,7 +977,7 @@ func (v *MutableView) Enqueue(to ref.Ref, msg sim.Message) bool {
 // mailbox order. Exclusive access: the workers are paused, so the mailbox is
 // plain data. Gone or unknown processes have no channel.
 func (v *MutableView) ChannelSnapshot(r ref.Ref) []sim.Message {
-	p := v.rt.procs[r]
+	p := v.rt.lookup(r)
 	if p == nil || p.life.Load() == 2 {
 		return nil
 	}

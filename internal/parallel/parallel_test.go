@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -108,7 +109,7 @@ func TestMailboxPushAfterCloseRetainsQueue(t *testing.T) {
 	rt.AddProcess(b, sim.Staying, &fixedRefsProto{})
 	rt.Enqueue(b, sim.NewMessage("one", sim.RefInfo{Ref: a, Mode: sim.Staying}))
 	rt.Enqueue(b, sim.NewMessage("two"))
-	pb := rt.procs[b]
+	pb := rt.lookup(b)
 	pb.mb.closed = true
 	if _, ok := rt.push(pb, sim.NewMessage("late")); ok {
 		t.Fatal("closed mailbox must reject pushes")
@@ -330,9 +331,9 @@ func TestSendToGoneCountsDropAndNotifies(t *testing.T) {
 	rt := NewRuntime(nil)
 	rt.AddProcess(a, sim.Staying, rec)
 	rt.AddProcess(b, sim.Staying, &fixedRefsProto{})
-	rt.procs[b].life.Store(2) // b is gone
+	rt.lookup(b).life.Store(2) // b is gone
 
-	ctx := &pctx{p: rt.procs[a]}
+	ctx := &pctx{p: rt.lookup(a)}
 	ctx.Send(b, sim.NewMessage("x"))
 	ctx.Send(space.New(), sim.NewMessage("y")) // unknown target
 	ctx.Send(a, sim.NewMessage("z"))           // deliverable (self)
@@ -346,9 +347,100 @@ func TestSendToGoneCountsDropAndNotifies(t *testing.T) {
 	if len(rec.failed) != 2 || rec.failed[0] != b {
 		t.Fatalf("UndeliverableHandler saw %v, want [b, unknown]", rec.failed)
 	}
-	if got := rt.procs[a].mb.len(); got != 1 {
+	if got := rt.lookup(a).mb.len(); got != 1 {
 		t.Fatalf("self-send not delivered: mailbox len %d", got)
 	}
+}
+
+// TestUnknownAndHostileReferences holds the runtime's reference index to its
+// boundary contract. A reference that names no live process of this runtime —
+// ⊥, the negative and far-out-of-range identities ref.FromWire mints from
+// whatever a peer put on the wire, a process that is gone — is answered, never
+// indexed with: Inject and MutableView.Enqueue refuse it, Alive says no, a
+// Send counts a drop and tells the sender (⊥ excepted: the model sends nothing
+// to ⊥). The surfaces a scenario builder or fault injector names processes
+// through fail with a diagnosis instead, as sim.World.mustProc does.
+func TestUnknownAndHostileReferences(t *testing.T) {
+	space := ref.NewSpace()
+	a, gone := space.New(), space.New()
+	rec := &undeliverableRecorder{}
+	rt := NewRuntime(nil)
+	rt.AddProcess(a, sim.Staying, rec)
+	rt.AddProcess(gone, sim.Staying, &fixedRefsProto{})
+	rt.lookup(gone).life.Store(2)
+
+	negative := ref.FromWire(^uint32(4)) // wire identity -5
+	cases := []struct {
+		name     string
+		r        ref.Ref
+		dropped  bool // a Send to it is a counted, reported drop
+		diagnose bool // builder surfaces panic "unknown process"
+	}{
+		{"nil", ref.Nil, false, true},
+		{"negative", negative, true, true},
+		{"past-the-end", ref.FromWire(1 << 30), true, true},
+		{"gone", gone, true, false},
+	}
+	msg := sim.NewMessage("x", sim.RefInfo{Ref: a, Mode: sim.Staying})
+	ctx := &pctx{p: rt.lookup(a)}
+	for _, c := range cases {
+		if rt.Inject(c.r, msg) {
+			t.Errorf("%s: Inject(%v) accepted", c.name, c.r)
+		}
+		dropsBefore, failedBefore := rt.Dropped(), len(rec.failed)
+		ctx.Send(c.r, msg)
+		if got := rt.Dropped() - dropsBefore; (got == 1) != c.dropped {
+			t.Errorf("%s: Send(%v) counted %d drops, want dropped=%v", c.name, c.r, got, c.dropped)
+		}
+		if got := rec.failed[failedBefore:]; (len(got) == 1 && got[0] == c.r) != c.dropped {
+			t.Errorf("%s: Send(%v) reported %v undeliverable, want dropped=%v", c.name, c.r, got, c.dropped)
+		}
+		rt.Mutate(func(v *MutableView) {
+			if v.Enqueue(c.r, msg) {
+				t.Errorf("%s: MutableView.Enqueue(%v) accepted", c.name, c.r)
+			}
+			if v.Alive(c.r) {
+				t.Errorf("%s: Alive(%v)", c.name, c.r)
+			}
+			if v.ChannelSnapshot(c.r) != nil {
+				t.Errorf("%s: ChannelSnapshot(%v) has a channel", c.name, c.r)
+			}
+			for surface, call := range map[string]func(){
+				"ModeOf":     func() { v.ModeOf(c.r) },
+				"ProtocolOf": func() { v.ProtocolOf(c.r) },
+			} {
+				if got := panicOf(call); (got == "parallel: unknown process "+c.r.String()) != c.diagnose {
+					t.Errorf("%s: MutableView.%s(%v) panicked with %q, want diagnosed=%v", c.name, surface, c.r, got, c.diagnose)
+				}
+			}
+		})
+		if !c.diagnose {
+			continue
+		}
+		for surface, call := range map[string]func(){
+			"Enqueue":     func() { rt.Enqueue(c.r, msg) },
+			"ForceAsleep": func() { rt.ForceAsleep(c.r) },
+		} {
+			if got := panicOf(call); got != "parallel: unknown process "+c.r.String() {
+				t.Errorf("%s: Runtime.%s(%v) panicked with %q, want the unknown-process diagnosis", c.name, surface, c.r, got)
+			}
+		}
+	}
+	if got := rt.lookup(a).mb.len(); got != 0 {
+		t.Fatalf("%d messages reached a's mailbox, want none", got)
+	}
+}
+
+// panicOf runs f and returns what it panicked with, rendered ("" if it did
+// not panic).
+func panicOf(f func()) (got string) {
+	defer func() {
+		if r := recover(); r != nil {
+			got = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // The validateExit contention stress from the issue: leaving processes with
@@ -383,7 +475,7 @@ func TestValidateExitStaleCacheNeverCommits(t *testing.T) {
 			running = false
 		case <-reprime.C:
 			for _, l := range leavers {
-				rt.procs[l].oracleOK.Store(true)
+				rt.lookup(l).oracleOK.Store(true)
 			}
 		}
 	}
@@ -398,7 +490,7 @@ func TestValidateExitStaleCacheNeverCommits(t *testing.T) {
 	}
 	// Deterministic direct check on the terminal state, independent of the
 	// race timing above.
-	p := rt.procs[leavers[0]]
+	p := rt.lookup(leavers[0])
 	p.oracleOK.Store(true)
 	if rt.validateExit(p) {
 		t.Fatal("validateExit committed an exit the oracle forbids")

@@ -472,8 +472,10 @@ func (rt *Runtime) rebalanceUnderPause() {
 		sh.live.Store(0)
 	}
 	i := 0
-	for _, r := range rt.order {
-		p := rt.procs[r]
+	for _, p := range rt.procs {
+		if p == nil {
+			continue
+		}
 		if p.life.Load() == 2 {
 			p.inRun = false
 			p.ready.Store(false)

@@ -88,6 +88,24 @@ func Sort(refs []Ref) {
 	slices.SortFunc(refs, func(a, b Ref) int { return cmp.Compare(a.id, b.id) })
 }
 
+// Search finds r in sorted, a slice in Sort order without duplicates: it
+// returns r's position and true, or the position r would be inserted at and
+// false. Like Sort it serves deterministic enumeration — a protocol that
+// keeps its reference set in Sort order finds a member without comparing
+// identities itself — and is equally open to protocol code.
+func Search(sorted []Ref, r Ref) (int, bool) {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sorted[mid].id < r.id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(sorted) && sorted[lo] == r
+}
+
 // Set is a set of references with deterministic iteration support.
 type Set map[Ref]struct{}
 

@@ -91,6 +91,34 @@ func TestSortDeterministic(t *testing.T) {
 	}
 }
 
+// Search must agree with a linear scan on every sorted subset's every probe:
+// members are found where they are, strangers get the insertion point that
+// keeps the slice in Sort order — ⊥ and a negative wire identity included.
+func TestSearchFindsMembersAndInsertionPoints(t *testing.T) {
+	all := append(NewSpace().NewN(9), Nil, FromWire(^uint32(2)))
+	Sort(all)
+	for mask := 0; mask < 1<<len(all); mask += 7 {
+		var sorted []Ref
+		for i, r := range all {
+			if mask&(1<<i) != 0 {
+				sorted = append(sorted, r)
+			}
+		}
+		for _, r := range all {
+			want, held := 0, false
+			for _, s := range sorted {
+				if Less(s, r) {
+					want++
+				}
+				held = held || s == r
+			}
+			if at, ok := Search(sorted, r); at != want || ok != held {
+				t.Fatalf("Search(%v, %v) = %d, %v; want %d, %v", sorted, r, at, ok, want, held)
+			}
+		}
+	}
+}
+
 func TestSetBasics(t *testing.T) {
 	s := NewSpace()
 	a, b, c := s.New(), s.New(), s.New()

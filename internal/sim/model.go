@@ -88,7 +88,10 @@ func (ri RefInfo) String() string { return fmt.Sprintf("%v:%v", ri.Ref, ri.Mode)
 // process. Refs carries all process references in the parameter list (each
 // with a mode claim); Payload carries any reference-free extra parameters.
 // All references a message transports MUST be listed in Refs — the implicit
-// edges of PG are computed from it.
+// edges of PG are computed from it. Refs is read-only once the message is
+// sent: copies of the message share the list (channels, mailboxes, clones,
+// snapshots), and a sender may put one list into many messages, as core.Proc
+// does with the list naming only itself.
 type Message struct {
 	Label   string
 	Refs    []RefInfo

@@ -22,7 +22,7 @@ type chaosProto struct {
 
 func (c *chaosProto) Refs() []ref.Ref { return c.refs }
 
-func (c *chaosProto) Timeout(ctx Context)          { c.act(ctx) }
+func (c *chaosProto) Timeout(ctx Context)            { c.act(ctx) }
 func (c *chaosProto) Deliver(ctx Context, _ Message) { c.act(ctx) }
 
 func (c *chaosProto) act(ctx Context) {

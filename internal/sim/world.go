@@ -176,6 +176,9 @@ type World struct {
 	current        *process
 	sleepRequested bool
 	exitRequested  bool
+	// ctx is the Context every action runs with, re-pointed at the acting
+	// process by begin: actions are atomic and never nest, so one will do.
+	ctx procCtx
 
 	// Incrementally maintained process graph and generation-stamped caches
 	// of the derived views; see pg.go. pg is nil until first seeded by a
@@ -360,11 +363,8 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 	if !ok {
 		return
 	}
-	w.stats.Steps++
 	w.stats.Dropped++
-	w.current = p
-	w.sleepRequested = false
-	w.exitRequested = false
+	ctx := w.begin(p)
 	if msg.lclock > p.clock {
 		p.clock = msg.lclock
 	}
@@ -381,7 +381,7 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 	w.curCID = w.causal
 	w.emit(Event{Kind: EvDrop, Proc: p.id, Peer: to, Label: msg.Label,
 		CID: w.curCID, Parent: msg.cid, MsgID: msg.cid, Clock: p.clock})
-	h.Undeliverable(&procCtx{w: w, p: p}, to, msg)
+	h.Undeliverable(ctx, to, msg)
 
 	if w.exitRequested {
 		if p.life == Awake {
@@ -641,11 +641,7 @@ func (w *World) Execute(a Action) {
 	if p.life == Gone {
 		panic(fmt.Sprintf("sim: action on gone process %v", a.Proc))
 	}
-	w.stats.Steps++
-	w.current = p
-	w.sleepRequested = false
-	w.exitRequested = false
-	ctx := &procCtx{w: w, p: p}
+	ctx := w.begin(p)
 
 	if a.IsTimeout {
 		if p.life != Awake {
@@ -727,6 +723,16 @@ func (w *World) Execute(a Action) {
 type procCtx struct {
 	w *World
 	p *process
+}
+
+// begin opens p's next atomic action and returns the context it runs with.
+func (w *World) begin(p *process) *procCtx {
+	w.stats.Steps++
+	w.current = p
+	w.sleepRequested = false
+	w.exitRequested = false
+	w.ctx = procCtx{w: w, p: p}
+	return &w.ctx
 }
 
 func (c *procCtx) Self() ref.Ref { return c.p.id }

@@ -10,12 +10,12 @@ import (
 
 // collector is a Handler that records everything it receives.
 type collector struct {
-	mu       sync.Mutex
-	delivers []sim.Message
+	mu        sync.Mutex
+	delivers  []sim.Message
 	deliverTo []ref.Ref
-	bounces  []sim.Message
-	bounceTo []ref.Ref
-	controls []string
+	bounces   []sim.Message
+	bounceTo  []ref.Ref
+	controls  []string
 }
 
 func (c *collector) HandleDeliver(from NodeID, to ref.Ref, msg sim.Message) {
