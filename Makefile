@@ -51,7 +51,11 @@ test:
 # driving both engines) and the model core they exercise run under the race
 # detector. ./benchmark is in the list for what its traced pass assumes: its
 # oracle wrapper and verdict hook count with plain fields, so this run is what
-# pins "the runtime judges on one goroutine".
+# pins "the runtime judges on one goroutine". CI runners have two cores, and a
+# runtime left to GOMAXPROCS then has two shards: the cross-shard mail path
+# (outbox, inbox, absorb at a pause) is raced by the internal/parallel tests
+# that force the count with SetShards — TestForcedShardChurn on four shards,
+# TestInFlightConservation on three and four.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...
 
@@ -156,7 +160,7 @@ node-churn:
 	bin/fdpnode -merge $(NODE_OUT)
 
 bench:
-	$(GO) test -bench . -benchmem -run XXX . ./internal/graph
+	$(GO) test -bench . -benchmem -run XXX . ./internal/graph ./internal/parallel
 
 # bench-baseline regenerates the committed n-scaling series in bench/ (see
 # bench/README.md; nothing gates on it — the yardstick is ./benchmark). Sizes

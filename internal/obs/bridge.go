@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"time"
 
 	"fdp/internal/parallel"
@@ -32,9 +33,10 @@ const (
 	// MetricExitDenied counts exit requests rejected by the runtime's
 	// revalidation under the snapshot lock.
 	MetricExitDenied = "fdp_exit_denied_total"
-	// MetricCausalIDs is the high-water mark of assigned causal identities
+	// MetricCausalIDs is the high-water mark of reserved causal identities
 	// (events and messages) — the causal-progress gauge of DESIGN.md §11.
-	// Joinable against journal records: a journal's largest cid is this
+	// The sequential engine reserves one id at a time; the runtime's workers
+	// reserve blocks, so there a journal's largest cid is at most this
 	// gauge's final value.
 	MetricCausalIDs = "fdp_causal_ids"
 )
@@ -73,7 +75,7 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 	// the world is single-threaded and must not be read by a concurrent
 	// Collect, while a gauge is an atomic cell. Event CIDs are the latest
 	// allocation at emission time, so the gauge tracks the high-water mark.
-	causal := reg.Gauge(MetricCausalIDs, "high-water mark of assigned causal identities")
+	causal := reg.Gauge(MetricCausalIDs, "high-water mark of reserved causal identities")
 	w.AddEventHook(func(e sim.Event) {
 		if int(e.Kind) < sim.NumEventKinds {
 			kinds[e.Kind].Inc()
@@ -95,8 +97,8 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 // flight ring installed beside it keeps receiving events) feeding the same
 // per-kind counters and depth histogram the sequential bridge writes
 // (engine="runtime"), a wall-clock time-to-exit histogram, and collector
-// gauges over the runtime's always-on atomic counters. Call before
-// Runtime.Start. The hook runs on the emitting goroutines and touches only
+// gauges over the runtime's always-on atomic counters, among them each
+// shard's cross-shard mail. Call before Runtime.Start and after SetShards. The hook runs on the emitting goroutines and touches only
 // atomics.
 func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	kinds := kindCounters(reg, "runtime")
@@ -129,8 +131,19 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 		func() float64 { return float64(rt.ExitDenied()) })
 	// The runtime's causal counter is an atomic, so a collector-time read is
 	// race-free (unlike the sequential world, which needs the hook form).
-	reg.GaugeFunc(MetricCausalIDs, "high-water mark of assigned causal identities",
+	reg.GaugeFunc(MetricCausalIDs, "high-water mark of reserved causal identities",
 		func() float64 { return float64(rt.CausalIDs()) })
+	// Cross-shard mail, per shard: messages over flushes is the mean batch a
+	// worker publishes under one hold of the target's inbox lock.
+	for i := 0; i < rt.Shards(); i++ {
+		shard := `{shard="` + strconv.Itoa(i) + `"}`
+		reg.GaugeFunc("fdp_runtime_outbox_flushes_total"+shard, "batches published to another shard's inbox",
+			func() float64 { return float64(rt.ShardTraffic(i).OutboxFlushes) })
+		reg.GaugeFunc("fdp_runtime_outbox_messages_total"+shard, "messages in those batches",
+			func() float64 { return float64(rt.ShardTraffic(i).OutboxMessages) })
+		reg.GaugeFunc("fdp_runtime_inbox_absorbs_total"+shard, "times the shard's worker (or a pauser) emptied its inbox",
+			func() float64 { return float64(rt.ShardTraffic(i).InboxAbsorbs) })
+	}
 }
 
 // countedOracle wraps an oracle with an atomic call counter. The counter

@@ -146,6 +146,9 @@ func TestInstrumentRuntime(t *testing.T) {
 		`fdp_events_total{engine="runtime",kind="send"}`,
 		"fdp_runtime_actions_total",
 		"fdp_time_to_exit_seconds_count",
+		`fdp_runtime_outbox_flushes_total{shard="0"}`,
+		`fdp_runtime_outbox_messages_total{shard="0"}`,
+		`fdp_runtime_inbox_absorbs_total{shard="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("runtime exposition missing %q:\n%s", want, out)

@@ -21,9 +21,9 @@ func (c *countingProto) Deliver(sim.Context, sim.Message) { c.delivered.Add(1) }
 func (c *countingProto) Refs() []ref.Ref                  { return nil }
 
 // Batched mailbox drain must not lose or duplicate messages while Enqueue
-// races the worker's popInto/unpop cycle. Four injector goroutines push
+// races the worker's delivery rounds. Four injector goroutines push
 // through the pause-the-world Mutate path (serialized against the shard
-// batch pops) while the workers drain in popBatch-sized chunks; the
+// rounds) while the workers drain in popBatch-sized chunks; the
 // delivery counter must land exactly on the injected total and every
 // mailbox must end empty.
 func TestBatchDrainUnderConcurrentEnqueue(t *testing.T) {
@@ -181,45 +181,56 @@ func TestShardedFSPConvergence(t *testing.T) {
 // TestSettledActionsAllocateNothing is the runtime's share of the
 // allocation-free action path (internal/core holds the protocol's and the
 // sequential engine's): with the degree ledger on and every mailbox, run
-// queue and batch buffer already grown to what a round needs, the timeout of
-// a settled staying process and the deliveries of the self-introductions it
-// sent allocate nothing — a send finds its target by index, the message
-// carries the sender's one shared list, and an unchanged Refs costs syncRefs
-// one comparison.
+// queue, outbox and inbox buffer already grown to what a round needs, the
+// timeout of a settled staying process and the deliveries of the
+// self-introductions it sent allocate nothing — a send finds its target by
+// index, the message carries the sender's one shared list, and an unchanged
+// Refs costs syncRefs one comparison. On two shards half the introductions
+// cross: the outbox keeps its array over a flush, and absorb swaps the inbox
+// for the buffer the last absorb emptied.
 func TestSettledActionsAllocateNothing(t *testing.T) {
-	space := ref.NewSpace()
-	nodes := space.NewN(6)
-	rt := NewRuntime(oracle.Single{})
-	rt.SetShards(1)
-	for i, r := range nodes {
-		p := core.New(core.VariantFDP)
-		for j, v := range nodes {
-			if i != j {
-				p.SetNeighbor(v, sim.Staying)
+	for _, shards := range []int{1, 2} {
+		space := ref.NewSpace()
+		nodes := space.NewN(6)
+		rt := NewRuntime(oracle.Single{})
+		rt.SetShards(shards)
+		for i, r := range nodes {
+			p := core.New(core.VariantFDP)
+			for j, v := range nodes {
+				if i != j {
+					p.SetNeighbor(v, sim.Staying)
+				}
+			}
+			rt.AddProcess(r, sim.Staying, p)
+		}
+		leaver := core.New(core.VariantFDP)
+		leaver.SetAnchor(nodes[0], sim.Staying)
+		rt.AddProcess(space.New(), sim.Leaving, leaver)
+		rt.seal()
+		if !rt.trackDeg {
+			t.Fatal("Single must enable degree tracking")
+		}
+		p := rt.lookup(nodes[0])
+		own := rt.shards[p.shard.Load()]
+		round := func() {
+			p.timeoutAction(own)
+			own.flushAll()
+			delivered := 0
+			for _, sh := range rt.shards {
+				delivered += sh.deliverRound()
+				sh.flushAll()
+			}
+			if delivered != len(nodes)-1 {
+				t.Fatalf("shards=%d: round delivered %d messages, want %d", shards, delivered, len(nodes)-1)
 			}
 		}
-		rt.AddProcess(r, sim.Staying, p)
-	}
-	leaver := core.New(core.VariantFDP)
-	leaver.SetAnchor(nodes[0], sim.Staying)
-	rt.AddProcess(space.New(), sim.Leaving, leaver)
-	rt.seal()
-	if !rt.trackDeg {
-		t.Fatal("Single must enable degree tracking")
-	}
-	sh, p := rt.shards[0], rt.lookup(nodes[0])
-	var scratch []sim.Message
-	round := func() {
-		sh.actMu.RLock()
-		p.timeoutAction(sh)
-		delivered := sh.deliverRound(&scratch)
-		sh.actMu.RUnlock()
-		if delivered != len(nodes)-1 {
-			t.Fatalf("round delivered %d messages, want %d", delivered, len(nodes)-1)
+		round()
+		round() // the second absorb grows the other inbox buffer
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Fatalf("shards=%d: one timeout and its %d deliveries allocate %.0f times", shards, len(nodes)-1, n)
 		}
-	}
-	round()
-	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Fatalf("one timeout and its %d deliveries allocate %.0f times", len(nodes)-1, n)
+		if shards > 1 && rt.ShardTraffic(own.idx).OutboxMessages == 0 {
+			t.Fatal("no introduction crossed shards")
+		}
 	}
 }

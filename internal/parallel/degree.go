@@ -17,9 +17,10 @@ package parallel
 // sequential PG keeps per node, graph.Row), updated at the three places edges
 // change —
 //
-//   - a message push adds one edge (receiver, r) per reference r it carries;
-//     its delivery removes them once the handler has run (in-flight
-//     references are implicit PG edges);
+//   - admitting a message adds one edge (receiver, r) per reference r it
+//     carries, at send time, wherever the message then waits (outbox, inbox,
+//     mailbox); its delivery removes them once the handler has run
+//     (in-flight references are implicit PG edges);
 //   - after every action the acting process's stored references are
 //     compared with the copy taken at its last sync (syncRefs) and, when
 //     they differ, diffed as multisets — only the acting process's own
@@ -40,7 +41,7 @@ package parallel
 // workers. The invariant is "adds precede removes": a reference an action
 // stores or sends was in the actor's store or in the message it is
 // delivering, and the pair that accounted for it there is dropped only after
-// the handler ran, every push counted what it carries (before the message
+// the handler ran, every send counted what it carries (before the message
 // became poppable) and syncRefs counted what was stored. So at every instant
 // each leaver's multiset holds every pair of the state before each action in
 // progress, or every pair of the state after it — in either case len(nbr) is
@@ -165,21 +166,21 @@ func (rt *Runtime) takeDirty() []*proc {
 	return batch
 }
 
-// addMsgPairs counts the implicit edges of msg, about to be queued to p.
-// Called before the message becomes poppable, so a racing delivery can
-// never remove a pair before it was added.
-func (rt *Runtime) addMsgPairs(p *proc, msg *sim.Message) {
-	for _, ri := range msg.Refs {
+// addMsgPairs counts the implicit edges of a message about to be admitted to
+// p, by the references it carries. Called before the message becomes
+// poppable, so a racing delivery can never remove a pair before it was added.
+func (rt *Runtime) addMsgPairs(p *proc, refs []sim.RefInfo) {
+	for _, ri := range refs {
 		rt.pairDelta(p, ri.Ref, 1)
 	}
 }
 
-// removeMsgPairs drops the implicit edges of msg: either its delivery is
-// over (the handler ran, and what it stored or sent on is already counted),
-// or the push that counted it was refused (the target is gone) and is being
-// undone.
-func (rt *Runtime) removeMsgPairs(p *proc, msg *sim.Message) {
-	for _, ri := range msg.Refs {
+// removeMsgPairs drops the implicit edges of a message to p: either its
+// delivery is over (the handler ran, and what it stored or sent on is already
+// counted), or the admission that counted it was refused (the target is gone)
+// and is being undone.
+func (rt *Runtime) removeMsgPairs(p *proc, refs []sim.RefInfo) {
+	for _, ri := range refs {
 		rt.pairDelta(p, ri.Ref, -1)
 	}
 }
@@ -400,8 +401,18 @@ func (rt *Runtime) partition(uf unionFind) [][]ref.Ref {
 // only; JudgeDegree is a pure function of an int, so the oracleMu
 // serialization of stateful Evaluate calls is not needed. Caller holds
 // freezeMu, which keeps Freeze, Mutate, Rebalance and validateExit out.
-func (rt *Runtime) epochFast(jd degreeOracle) {
+//
+// The ledger keeps a row per leaver only. A request from any other process —
+// a staying process whose protocol calls Exit, which the model does not
+// forbid and the sequential engine commits — cannot be judged here: it is
+// handed back for the caller to settle on a sealed snapshot (settleOn) once
+// freezeMu is free.
+func (rt *Runtime) epochFast(jd degreeOracle) (offLedger []*proc) {
 	for _, p := range rt.takePendingExits() {
+		if p.mode != sim.Leaving {
+			offLedger = append(offLedger, p)
+			continue
+		}
 		nbr, ok := rt.retire(p, jd)
 		if rt.oracleHook != nil {
 			rt.oracleHook(p.id, ok)
@@ -434,4 +445,5 @@ func (rt *Runtime) epochFast(jd degreeOracle) {
 			}
 		}
 	}
+	return offLedger
 }

@@ -330,9 +330,8 @@ func TestOpenDeliveryKeepsItsReferencesCounted(t *testing.T) {
 	delivered := make(chan struct{})
 	go func() {
 		defer close(delivered)
-		var scratch []sim.Message
 		sh.actMu.RLock()
-		sh.deliverRound(&scratch)
+		sh.deliverRound()
 		sh.actMu.RUnlock()
 	}()
 	<-fwd.entered
@@ -406,8 +405,8 @@ func TestFastEpochTakesNoShardLock(t *testing.T) {
 // it is safe because a grant never lifts the suspension: from the moment the
 // process turns gone, at every point the commit publishes anything (the
 // verdict hook, EvExit, the epoch's return), it is suspended AND gone, so no
-// pair of reads finds it neither. A push that lands after the verdict, before
-// the mailbox is closed, is refused like any push to a gone process. And a
+// pair of reads finds it neither. A message that asks for admission after the
+// verdict is refused like any send to a gone process, its pairs uncounted. And a
 // second request from a gone process (what a timeout run in that window
 // would have filed) is refused: nothing is counted or emitted twice. Driven
 // by hand, no goroutine timing.
@@ -444,10 +443,11 @@ func TestGrantedExitIsFinal(t *testing.T) {
 			return
 		}
 		check("verdict hook")
-		// A send whose advisory life check ran before the verdict reaches push
-		// now, with the mailbox still open: refused all the same.
-		if _, ok := rt.push(p, sim.NewMessage("late", sim.RefInfo{Ref: anchor, Mode: sim.Staying})); ok {
-			t.Error("push accepted a message for a process already gone")
+		// A send that looked the leaver up before the verdict asks now:
+		// refused, and the pair it counted on the way in is taken back.
+		late := sim.NewMessage("late", sim.RefInfo{Ref: anchor, Mode: sim.Staying})
+		if _, ok := rt.admit(p, &late); ok {
+			t.Error("a message was admitted for a process already gone")
 		}
 	})
 	rt.seal()
@@ -462,11 +462,10 @@ func TestGrantedExitIsFinal(t *testing.T) {
 	if published != 3 || rt.Gone() != 1 {
 		t.Fatalf("exit not committed: gone=%d, %d of 3 checkpoints reached", rt.Gone(), published)
 	}
-	if p.mb.len() != 0 {
-		t.Fatalf("%d message(s) queued to the gone leaver after the verdict", p.mb.len())
+	if p.mb.len() != 0 || p.depth.Load() != 0 {
+		t.Fatalf("%d message(s) queued to the gone leaver after the verdict (depth %d)", p.mb.len(), p.depth.Load())
 	}
-	var scratch []sim.Message
-	sh.deliverRound(&scratch)
+	sh.deliverRound()
 	sh.timeoutRound()
 	if timeouts != 1 {
 		t.Fatalf("gone leaver timed out again (%d timeouts)", timeouts)

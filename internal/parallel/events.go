@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"fdp/internal/ref"
@@ -13,16 +14,17 @@ import (
 // emits, handed to the same hook-shaped consumers (obs bridge, progress
 // tracker, trace.Flight, journal writer), with no global trace lock.
 //
-//   - Per-kind counts are always on: one atomic counter per EventKind,
-//     maintained by every action. They are what the differential
-//     event-parity test compares between engines.
+//   - Per-kind counts are always on: one atomic counter per EventKind and
+//     shard, bumped by the shard's worker and summed at read. They are what
+//     the differential event-parity test compares between engines.
 //   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
 //     every event synchronously from the emitting goroutine — a shard
 //     worker under its action read lock, or the coordinator for batched
 //     exit events, with or without a pause. Hooks therefore run
 //     concurrently with each other and must be safe for concurrent use. The
 //     runtime keeps no ring of its own: a consumer that wants the last K
-//     events installs trace.Flight.Record.
+//     events installs trace.Flight.Record. With no hook installed no
+//     sim.Event is built at all (shard.note).
 //
 // Event.Step on runtime events is the global executed-action count at
 // emission time — the closest concurrent analogue of the simulator's step
@@ -57,23 +59,31 @@ func (rt *Runtime) SetEventSink(fn func(sim.Event)) {
 // Start; nil clears.
 func (rt *Runtime) SetOracleHook(fn func(ref.Ref, bool)) { rt.oracleHook = fn }
 
-// record is the runtime's emit: per-kind counter, then the hook fan-out.
-// With no hook installed it is one counter add and one length check. The
-// caller is the only goroutine that may act on p: its shard's worker under
+// note counts one event of kind k on the shard and reports whether anybody
+// listens: the caller builds the sim.Event, and draws the causal id of an
+// event that is not an action, only then. The caller is the only goroutine
+// that may act on the process the event is about: its shard's worker under
 // the action read lock, a pauser, or the coordinator committing the exit of
-// the suspended p.
-func (p *proc) record(e sim.Event) {
-	rt := p.rt
-	if int(e.Kind) < len(rt.kindCounts) {
-		rt.kindCounts[e.Kind].Add(1)
-	}
-	if len(rt.hooks) == 0 {
-		return
-	}
-	e.Step = int(rt.events.Load())
+// a suspended process.
+func (sh *shard) note(k sim.EventKind) bool {
+	sh.n.kinds[k].Add(1)
+	return len(sh.rt.hooks) > 0
+}
+
+// emit stamps e with the executed-action count and hands it to every hook.
+func (rt *Runtime) emit(e sim.Event) {
+	e.Step = int(rt.Events())
 	for _, fn := range rt.hooks {
 		fn(e)
 	}
+}
+
+// KindCount returns the number of events of kind k emitted so far.
+func (rt *Runtime) KindCount(k sim.EventKind) uint64 {
+	if int(k) >= sim.NumEventKinds {
+		return 0
+	}
+	return rt.total(func(n *tally) *atomic.Uint64 { return &n.kinds[k] })
 }
 
 // EventKindCounts returns the number of events emitted so far per kind.
@@ -82,8 +92,8 @@ func (p *proc) record(e sim.Event) {
 // event stream.
 func (rt *Runtime) EventKindCounts() map[sim.EventKind]uint64 {
 	out := make(map[sim.EventKind]uint64, sim.NumEventKinds)
-	for k := range rt.kindCounts {
-		if n := rt.kindCounts[k].Load(); n > 0 {
+	for k := 0; k < sim.NumEventKinds; k++ {
+		if n := rt.KindCount(sim.EventKind(k)); n > 0 {
 			out[sim.EventKind(k)] = n
 		}
 	}
@@ -91,9 +101,27 @@ func (rt *Runtime) EventKindCounts() map[sim.EventKind]uint64 {
 }
 
 // CausalIDs returns how many causal identities (events and messages) the
-// runtime has assigned so far — the high-water mark of Event.CID. Always
-// maintained; safe to read concurrently.
+// runtime has reserved so far: workers draw them in blocks, so this is an
+// upper bound of every Event.CID handed out, not the count of those in use.
+// Always maintained; safe to read concurrently.
 func (rt *Runtime) CausalIDs() uint64 { return rt.causal.Load() }
+
+// ShardTraffic is one shard's cross-shard mail so far: the batches its worker
+// published to other shards' inboxes, the messages in them (their ratio is
+// the mean batch), and how often it emptied its own inbox.
+type ShardTraffic struct {
+	OutboxFlushes, OutboxMessages, InboxAbsorbs uint64
+}
+
+// ShardTraffic reads shard i's mail counters; safe to call concurrently.
+func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
+	n := &rt.shards[i].n
+	return ShardTraffic{
+		OutboxFlushes:  n.outboxFlushes.Load(),
+		OutboxMessages: n.outboxMessages.Load(),
+		InboxAbsorbs:   n.inboxAbsorbs.Load(),
+	}
+}
 
 // StartTime returns when Start launched the goroutines (zero before
 // Start). Exit latencies are measured from it.
@@ -116,7 +144,9 @@ func (rt *Runtime) ExitLatencies() []time.Duration {
 }
 
 // MailboxDepths returns the current queue length of every non-gone
-// process, a consistent snapshot of mailbox depth.
+// process, a consistent snapshot of mailbox depth: the pause has moved every
+// message in flight into its mailbox, so each length is the process's depth
+// counter.
 func (rt *Runtime) MailboxDepths() []int {
 	rt.pauseAll()
 	defer rt.resumeAll()

@@ -1,0 +1,332 @@
+package parallel
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"fdp/internal/core"
+	"fdp/internal/oracle"
+	"fdp/internal/ref"
+	"fdp/internal/sim"
+)
+
+// This file holds the tests of the private-mailbox plumbing (DESIGN.md §12):
+// a message is in flight from the moment it is admitted, in an outbox, an
+// inbox or a mailbox, and a pauser finds every one of them in a mailbox.
+
+// TestInFlightConservation pauses a running multi-shard churn at random
+// instants and holds the pause to its promise. Every outbox is empty (workers
+// flush before they unlock), every inbox and resume list is empty (pauseAll
+// absorbed them), so each live process's mailbox holds exactly what its depth
+// counter says was admitted and not delivered, and the frozen world's channel
+// is that mailbox. With every in-flight reference in a mailbox the degree
+// ledger must read exactly the frozen relevant degree — the crosscheck of
+// TestIncrementalDegreeMatchesFrozenWorld, here with most sends crossing
+// shards. After Stop the depth-reading surfaces agree with the counter too.
+func TestInFlightConservation(t *testing.T) {
+	for _, shards := range []int{3, 4} {
+		rt, _, leaving := buildShardedRuntime(2048, 0.5, int64(90+shards), core.VariantFDP, oracle.Single{}, shards)
+		rng := rand.New(rand.NewSource(int64(shards)))
+		rt.Start()
+		deadline := time.Now().Add(30 * time.Second)
+		checks, queued := 0, 0
+		for rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline) {
+			time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+			rt.pauseAll()
+			checks++
+			for _, sh := range rt.shards {
+				for k, out := range sh.outbox {
+					if len(out) != 0 {
+						t.Errorf("shards=%d: paused with %d messages in shard %d's outbox for shard %d", shards, len(out), sh.idx, k)
+					}
+				}
+				if len(sh.inbox) != 0 || len(sh.resume) != 0 || sh.inboxFull.Load() {
+					t.Errorf("shards=%d: paused with shard %d's inbox holding %d messages, %d resumes (flag %v)",
+						shards, sh.idx, len(sh.inbox), len(sh.resume), sh.inboxFull.Load())
+				}
+			}
+			w := rt.freezeUnderPause()
+			for _, p := range rt.byPid {
+				if p.life.Load() == 2 {
+					continue
+				}
+				depth := int(p.depth.Load())
+				queued += depth
+				if p.mb.len() != depth || w.ChannelLen(p.id) != depth {
+					t.Errorf("shards=%d: %v has depth %d, mailbox %d, frozen channel %d",
+						shards, p.id, depth, p.mb.len(), w.ChannelLen(p.id))
+				}
+				if p.mode != sim.Leaving {
+					continue
+				}
+				if want, _ := w.RelevantDegree(p.id); p.nbr.Len() != want {
+					t.Errorf("shards=%d: leaver %v incremental degree %d, frozen world says %d", shards, p.id, p.nbr.Len(), want)
+				}
+			}
+			rt.resumeAll()
+			if t.Failed() {
+				break
+			}
+		}
+		rt.Stop()
+		if t.Failed() {
+			return
+		}
+		if rt.Gone() != uint64(leaving.Len()) {
+			t.Fatalf("shards=%d: only %d/%d exits", shards, rt.Gone(), leaving.Len())
+		}
+		if checks < 3 || queued == 0 {
+			t.Fatalf("shards=%d: %d pauses saw %d queued messages; the property was not exercised", shards, checks, queued)
+		}
+		var crossed, absorbed uint64
+		for i := range rt.shards {
+			tr := rt.ShardTraffic(i)
+			if tr.OutboxFlushes > tr.OutboxMessages {
+				t.Fatalf("shards=%d: shard %d counts %d flushes of %d messages", shards, i, tr.OutboxFlushes, tr.OutboxMessages)
+			}
+			crossed += tr.OutboxMessages
+			absorbed += tr.InboxAbsorbs
+		}
+		if crossed == 0 || absorbed == 0 {
+			t.Fatalf("shards=%d: %d messages crossed shards, %d absorbs: nothing crossed", shards, crossed, absorbed)
+		}
+		// The terminal state: same agreement through the public surfaces.
+		depths := rt.MailboxDepths()
+		i := 0
+		rt.Mutate(func(v *MutableView) {
+			for _, p := range rt.procs {
+				if p == nil || p.life.Load() == 2 {
+					continue
+				}
+				want := int(p.depth.Load())
+				if depths[i] != want || len(v.ChannelSnapshot(p.id)) != want {
+					t.Errorf("shards=%d: %v depth counter %d, MailboxDepths %d, ChannelSnapshot %d",
+						shards, p.id, want, depths[i], len(v.ChannelSnapshot(p.id)))
+				}
+				i++
+			}
+		})
+	}
+}
+
+// TestForcedShardChurn is the churn `make race` relies on: CI runners have
+// two cores, and without SetShards two shards is all that ever runs. Four
+// shards, four concurrent readers of the summed counters (which must never go
+// backwards), then the identities the per-shard counters must keep once the
+// workers are gone: every send was admitted or dropped, every action was a
+// timeout or a delivery.
+func TestForcedShardChurn(t *testing.T) {
+	rt, _, leaving := buildShardedRuntime(1024, 0.5, 23, core.VariantFDP, oracle.Single{}, 4)
+	rt.Start()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var events, sent, dropped, delivers uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e, s, d, k := rt.Events(), rt.Sent(), rt.Dropped(), rt.KindCount(sim.EvDeliver)
+				if e < events || s < sent || d < dropped || k < delivers {
+					t.Errorf("a summed counter went backwards: events %d→%d sent %d→%d dropped %d→%d delivers %d→%d",
+						events, e, sent, s, dropped, d, delivers, k)
+					return
+				}
+				events, sent, dropped, delivers = e, s, d, k
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	rt.Stop()
+	close(stop)
+	wg.Wait()
+	if rt.Gone() != uint64(leaving.Len()) {
+		t.Fatalf("only %d/%d exits on four shards", rt.Gone(), leaving.Len())
+	}
+	kinds := rt.EventKindCounts()
+	if got, want := rt.Sent(), kinds[sim.EvSend]+kinds[sim.EvDrop]; got != want {
+		t.Fatalf("Sent = %d, send + drop events = %d", got, want)
+	}
+	if got, want := rt.Events(), kinds[sim.EvTimeout]+kinds[sim.EvDeliver]; got != want {
+		t.Fatalf("Events = %d, timeout + deliver events = %d", got, want)
+	}
+	if rt.Dropped() != kinds[sim.EvDrop] || kinds[sim.EvExit] != rt.Gone() {
+		t.Fatalf("Dropped = %d with %d drop events, Gone = %d with %d exit events",
+			rt.Dropped(), kinds[sim.EvDrop], rt.Gone(), kinds[sim.EvExit])
+	}
+	final := rt.Freeze()
+	if !final.RelevantComponentsIntact() || !final.Legitimate(sim.FDP) {
+		t.Fatal("four-shard churn ended unsafe or not legitimate")
+	}
+	if got := uint64(final.Stats().TotalInQueue); got != kinds[sim.EvSend]-kinds[sim.EvDeliver]-lostWithTheGone(rt) {
+		t.Fatalf("%d messages queued at the end, want admitted − delivered − left with the gone = %d",
+			got, kinds[sim.EvSend]-kinds[sim.EvDeliver]-lostWithTheGone(rt))
+	}
+}
+
+// lostWithTheGone counts the messages admitted to processes that exited
+// before delivering them (Stop has absorbed every inbox).
+func lostWithTheGone(rt *Runtime) uint64 {
+	var n uint64
+	for _, p := range rt.byPid {
+		if p.life.Load() == 2 {
+			n += uint64(p.mb.len())
+		}
+	}
+	return n
+}
+
+// twoShardPair builds a two-shard runtime by hand with one process on each
+// shard, for tests that play both workers themselves.
+func twoShardPair(t testing.TB, o Oracle, modeB sim.Mode, protoA, protoB sim.Protocol) (rt *Runtime, a, b *proc) {
+	t.Helper()
+	space := ref.NewSpace()
+	ra, rb := space.New(), space.New()
+	rt = NewRuntime(o)
+	rt.SetShards(2)
+	rt.AddProcess(ra, sim.Staying, protoA)
+	rt.AddProcess(rb, modeB, protoB)
+	a, b = rt.lookup(ra), rt.lookup(rb)
+	if a.shard.Load() == b.shard.Load() {
+		t.Fatal("the pair shares a shard")
+	}
+	return rt, a, b
+}
+
+// TestEventDepthIsTheChannelLength pins Event.Depth to the model's channel
+// length, not to where the engine keeps the messages: three sends to a
+// process of another shard read 1, 2, 3 while all three still sit in the
+// sender's outbox, and their deliveries read 2, 1, 0.
+func TestEventDepthIsTheChannelLength(t *testing.T) {
+	rt, a, b := twoShardPair(t, nil, sim.Staying, &fixedRefsProto{}, &fixedRefsProto{})
+	var sends, delivers []int
+	rt.AddEventHook(func(e sim.Event) {
+		switch e.Kind {
+		case sim.EvSend:
+			sends = append(sends, e.Depth)
+		case sim.EvDeliver:
+			delivers = append(delivers, e.Depth)
+		}
+	})
+	rt.seal()
+	sha, shb := rt.shards[a.shard.Load()], rt.shards[b.shard.Load()]
+	for i := 0; i < 3; i++ {
+		a.ctx.Send(b.id, sim.NewMessage("m"))
+	}
+	if b.mb.len() != 0 || len(sha.outbox[shb.idx]) != 3 || b.depth.Load() != 3 {
+		t.Fatalf("after three sends: mailbox %d, outbox %d, depth %d; want 0, 3, 3",
+			b.mb.len(), len(sha.outbox[shb.idx]), b.depth.Load())
+	}
+	sha.flushAll()
+	if got := shb.deliverRound(); got != 3 {
+		t.Fatalf("delivered %d of 3", got)
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(sends, want) {
+		t.Fatalf("EvSend depths %v, want %v", sends, want)
+	}
+	if want := []int{2, 1, 0}; !slices.Equal(delivers, want) {
+		t.Fatalf("EvDeliver depths %v, want %v", delivers, want)
+	}
+	if tr := rt.ShardTraffic(sha.idx); tr.OutboxFlushes != 1 || tr.OutboxMessages != 3 {
+		t.Fatalf("sender's traffic %+v, want one flush of three", tr)
+	}
+	if tr := rt.ShardTraffic(shb.idx); tr.InboxAbsorbs != 1 {
+		t.Fatalf("receiver's traffic %+v, want one absorb", tr)
+	}
+}
+
+// TestDeniedExiterResumesThroughTheInbox: the run queue is the worker's, so
+// the coordinator that denies an exit hands the process back through its
+// shard's inbox. A message that crossed shards while the leaver was suspended
+// waits in its mailbox, unlisted; the denial leaves one resume entry and
+// touches no run queue; the worker's next round absorbs it and delivers.
+func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
+	rt, a, l := twoShardPair(t, oracle.Always(false), sim.Leaving, &fixedRefsProto{}, &fixedRefsProto{})
+	rt.seal()
+	sha, shl := rt.shards[a.shard.Load()], rt.shards[l.shard.Load()]
+	l.exitPending.Store(true)
+	rt.requestExit(l)
+	a.ctx.Send(l.id, sim.NewMessage("while suspended"))
+	sha.flushAll()
+	if got := shl.deliverRound(); got != 0 || l.mb.len() != 1 || l.inRun {
+		t.Fatalf("suspended leaver: %d delivered, %d queued, inRun=%v; want 0, 1, false", got, l.mb.len(), l.inRun)
+	}
+	rt.epochFast(oracle.Always(false))
+	if rt.ExitDenied() != 1 || l.exitPending.Load() {
+		t.Fatalf("exit not denied: denied=%d pending=%v", rt.ExitDenied(), l.exitPending.Load())
+	}
+	if len(shl.runq) != 0 || len(shl.resume) != 1 || !shl.inboxFull.Load() {
+		t.Fatalf("after the denial: run queue %v, %d resume entries, flag %v; want the inbox, not the queue",
+			shl.runq, len(shl.resume), shl.inboxFull.Load())
+	}
+	if got := shl.deliverRound(); got != 1 || l.mb.len() != 0 {
+		t.Fatalf("resumed leaver: %d delivered, %d still queued", got, l.mb.len())
+	}
+}
+
+// alwaysExit asks to exit at every timeout, whatever its mode and whatever
+// the oracle says.
+type alwaysExit struct{ fixedRefsProto }
+
+func (*alwaysExit) Timeout(ctx sim.Context) { ctx.Exit() }
+
+// exitWhenAllowed keeps its references and exits once the oracle agrees.
+type exitWhenAllowed struct{ fixedRefsProto }
+
+func (*exitWhenAllowed) Timeout(ctx sim.Context) {
+	if ctx.OracleSays() {
+		ctx.Exit()
+	}
+}
+
+// TestStayerExitIsSettledOnASnapshot is the regression for a coordinator
+// crash: the degree ledger keeps a row per leaver, and a staying process
+// whose protocol calls Exit under SINGLE sent epochFast into the nil row. The
+// model does not forbid that exit and the sequential engine commits it. The
+// runtime validates it on a sealed snapshot and rebuilds the ledger under the
+// same pause: the leaver here holds the stayer and one more process, so
+// SINGLE grants it only once the gone stayer is off its row.
+func TestStayerExitIsSettledOnASnapshot(t *testing.T) {
+	build := func(add func(r ref.Ref, mode sim.Mode, p sim.Protocol)) {
+		space := ref.NewSpace()
+		stayer, leaver, other := space.New(), space.New(), space.New()
+		add(stayer, sim.Staying, &alwaysExit{})
+		add(leaver, sim.Leaving, &exitWhenAllowed{fixedRefsProto{refs: []ref.Ref{stayer, other}}})
+		add(other, sim.Staying, &fixedRefsProto{})
+	}
+
+	w := sim.NewWorld(oracle.Single{})
+	build(w.AddProcess)
+	w.SealInitialState()
+	for step := 0; step < 64 && w.Stats().Exits < 2; step++ {
+		w.Execute(w.PickEnabled(step % w.EnabledCount()))
+	}
+	if got := w.Stats().Exits; got != 2 {
+		t.Fatalf("sequential engine: %d gone, want the stayer and the leaver", got)
+	}
+
+	rt := NewRuntime(oracle.Single{})
+	rt.SetShards(2)
+	build(rt.AddProcess)
+	rt.Start()
+	deadline := time.Now().Add(20 * time.Second)
+	for rt.Gone() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	rt.Stop()
+	if got := rt.Gone(); got != 2 {
+		t.Fatalf("runtime: %d gone, want the stayer and the leaver", got)
+	}
+}

@@ -13,10 +13,16 @@
 //     owned by exactly one shard; each worker alternates bounded delivery
 //     and timeout rounds over its own processes, so scheduling costs O(work)
 //     instead of O(goroutines).
-//   - Mailboxes are plain queues behind a single per-shard lock (mbMu) that
-//     also guards the shard's run queue: a push takes one brief leaf lock,
-//     the worker drains messages in batches under one hold, and wake-ups
-//     are amortized to one notification per newly-runnable process.
+//   - Mailboxes and run queues are plain data private to the owning worker.
+//     A send to a process of the sender's own shard appends to the mailbox;
+//     any other goes to a per-target-shard outbox, published to the target
+//     shard's inbox under one hold of its leaf lock (mbMu) every 32 messages
+//     and before the worker releases its action lock. The receiver absorbs
+//     its inbox behind one atomic flag; a pauser absorbs every inbox, so a
+//     paused world has every in-flight message in a mailbox. Counters are
+//     per shard and summed at read, causal ids are drawn in blocks: a
+//     message crosses the runtime without touching a cache line every
+//     worker writes.
 //   - Every action executes under the read side of its shard's action lock
 //     (actMu). A consistent global view — snapshots, Mutate, rebalancing,
 //     exit validation by a stateful oracle — takes the write side of every
@@ -42,7 +48,7 @@
 //     productive round so the coordinator keeps its cadence even on
 //     single-core hosts, an idle worker sleeps until its next timeout round
 //     is due, and a shard blocks entirely once every owned process is
-//     asleep or gone; a message push wakes it immediately.
+//     asleep or gone; a batch left in its inbox wakes it immediately.
 //
 // Oracles used with this runtime must be stateless values (like
 // oracle.Single); Evaluate calls are serialized by oracleMu and run on sealed
@@ -82,16 +88,22 @@ type proc struct {
 	pid   uint32 // dense index into Runtime.byPid
 	mode  sim.Mode
 	proto sim.Protocol
-	mb    mailbox // guarded by the owning shard's mbMu (or a full pause)
+	mb    mailbox // the owning worker's (or a pauser's)
 
 	// shard is the owning shard's index. Rewritten only under a full pause
 	// (rebalance); read atomically by senders on other shards and by the
 	// coordinator, whose freezeMu keeps the rebalancer out.
 	shard atomic.Uint32
 
-	// inRun reports whether the process sits in its shard's run queue (or is
-	// being drained right now). Guarded by the owning shard's mbMu.
+	// inRun reports whether the process sits in its shard's run queue. The
+	// owning worker's, like the queue.
 	inRun bool
+
+	// depth is the model's channel length: messages admitted for the process
+	// and not yet popped, wherever they wait (an outbox, an inbox, the
+	// mailbox). Senders add at admit, the owning worker subtracts at the pop;
+	// under a full pause it equals mb.len().
+	depth atomic.Int32
 
 	// life is read concurrently (sends, snapshots) and written by the owning
 	// worker / coordinator: 0 awake, 1 asleep, 2 gone. It turns 2 under
@@ -201,16 +213,13 @@ type Runtime struct {
 	trackDeg bool
 	asleep   atomic.Int64
 
-	events     atomic.Uint64 // executed actions (timeouts + deliveries)
-	sent       atomic.Uint64
-	dropped    atomic.Uint64 // sends to gone/closed targets (vanish, like the model)
+	// The per-message counters (actions, sends, drops, events per kind) live
+	// in the shards (shard.n) and are summed at read; these three move once
+	// per exit request or epoch.
 	exits      atomic.Uint64
 	exitDenied atomic.Uint64 // exit requests rejected by revalidation
 	epochs     atomic.Uint64 // coordinator epochs (batch validations, paused or not)
 
-	// kindCounts mirrors the sequential engine's per-kind event stream as
-	// always-on atomic counters (see events.go).
-	kindCounts [sim.NumEventKinds]atomic.Uint64
 	// hooks are the synchronous event observers (AddEventHook), written
 	// only before Start and read-only afterwards.
 	hooks []func(sim.Event)
@@ -223,6 +232,7 @@ type Runtime struct {
 	startTime  time.Time // set by Start; exit latencies measured from it
 
 	stop     atomic.Bool
+	closed   atomic.Bool   // set by Stop under its pause: nothing is admitted any more
 	stopCh   chan struct{} // closed by Stop; unblocks idle waits promptly
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -266,7 +276,7 @@ func (rt *Runtime) Shards() int { return len(rt.shards) }
 func (rt *Runtime) makeShards(k int) {
 	rt.shards = make([]*shard, k)
 	for i := range rt.shards {
-		rt.shards[i] = &shard{idx: i, rt: rt, notify: make(chan struct{}, 1)}
+		rt.shards[i] = &shard{idx: i, rt: rt, notify: make(chan struct{}, 1), outbox: make([][]parcel, k)}
 	}
 }
 
@@ -321,7 +331,7 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 	} else if cur := rt.causal.Load(); msg.CID() > cur {
 		rt.causal.Store(msg.CID())
 	}
-	rt.push(rt.mustProc(to), msg)
+	rt.push(rt.mustProc(to), &msg)
 }
 
 // Inject delivers a message arriving from outside the runtime (the wire
@@ -330,13 +340,13 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 // causal counter is CAS-advanced past it so locally minted CIDs stay unique
 // within this runtime; bare messages get a fresh CID. It reports whether the
 // message was accepted — false for an unknown reference, a gone process, or
-// a closed mailbox, in which case the caller owes the origin an
+// a stopped runtime, in which case the caller owes the origin an
 // undeliverable bounce.
 //
-// Locking: push requires its caller to run under some shard's action read
-// lock (any shard's read side blocks pauseAll, which takes every write
-// side). Inject takes the target's current shard's actMu; push re-resolves
-// the shard under mbMu, so a concurrent rebalance is harmless.
+// Locking: the caller is no worker, so the message goes to the owning shard's
+// inbox, under some shard's action read lock (any read side blocks pauseAll,
+// which takes every write side and then absorbs the inboxes). With the lock
+// held no rebalance runs, so the shard read then is the one that owns p.
 func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 	p := rt.lookup(to)
 	if p == nil || p.life.Load() == 2 {
@@ -354,17 +364,15 @@ func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 	}
 	sh := rt.shards[p.shard.Load()]
 	sh.actMu.RLock()
-	_, ok := rt.push(p, msg)
-	sh.actMu.RUnlock()
-	return ok
-}
-
-// KindCount returns the number of events of kind k emitted so far.
-func (rt *Runtime) KindCount(k sim.EventKind) uint64 {
-	if int(k) >= len(rt.kindCounts) {
-		return 0
+	defer sh.actMu.RUnlock()
+	if rt.closed.Load() {
+		return false
 	}
-	return rt.kindCounts[k].Load()
+	_, ok := rt.admit(p, &msg)
+	if ok {
+		rt.shards[p.shard.Load()].deposit([]parcel{{to: p, msg: msg}})
+	}
+	return ok
 }
 
 // ForceAsleep starts a process in the asleep state. It mirrors
@@ -375,16 +383,33 @@ func (rt *Runtime) ForceAsleep(r ref.Ref) {
 	rt.asleep.Add(1)
 }
 
+// total sums one per-shard counter. Each is monotone and the shards are read
+// in a fixed order, so successive totals read by one goroutine never
+// decrease.
+func (rt *Runtime) total(of func(*tally) *atomic.Uint64) uint64 {
+	var sum uint64
+	for _, sh := range rt.shards {
+		sum += of(&sh.n).Load()
+	}
+	return sum
+}
+
 // Events returns the number of executed actions so far.
-func (rt *Runtime) Events() uint64 { return rt.events.Load() }
+func (rt *Runtime) Events() uint64 {
+	return rt.total(func(n *tally) *atomic.Uint64 { return &n.events })
+}
 
 // Sent returns the number of sent messages so far (including drops, like
 // the simulator's Stats.Sent).
-func (rt *Runtime) Sent() uint64 { return rt.sent.Load() }
+func (rt *Runtime) Sent() uint64 {
+	return rt.total(func(n *tally) *atomic.Uint64 { return &n.sent })
+}
 
 // Dropped returns the number of sends that vanished because the target was
 // gone (or exiting concurrently).
-func (rt *Runtime) Dropped() uint64 { return rt.dropped.Load() }
+func (rt *Runtime) Dropped() uint64 {
+	return rt.total(func(n *tally) *atomic.Uint64 { return &n.dropped })
+}
 
 // Gone returns the number of exited processes. The counter is a uint64 end
 // to end (no truncating int conversion) so exit accounting stays exact at
@@ -407,38 +432,44 @@ type pctx struct{ p *proc }
 func (c *pctx) Self() ref.Ref  { return c.p.id }
 func (c *pctx) Mode() sim.Mode { return c.p.mode }
 
+// Send runs on the worker that owns c.p, inside one of its actions. It
+// touches that worker's counters, its block of causal ids and — unless the
+// target lives on the same shard — its outbox; the only words shared with
+// another worker are the target's life and depth, and the degree ledger's
+// rows for the references the message carries.
 func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	if to.IsNil() {
 		return
 	}
-	rt := c.p.rt
-	rt.sent.Add(1)
+	p := c.p
+	rt := p.rt
+	sh := rt.shards[p.shard.Load()]
+	sh.n.sent.Add(1)
 	// Causal stamp, mirroring the simulator's Send: fresh CID, parent = the
 	// action event being executed, clock = the sender's Lamport time.
-	msg = sim.StampCausal(msg, rt.causal.Add(1), c.p.curCID, c.p.clock)
-	target := rt.lookup(to)
-	// The life check is advisory (the target may exit between it and the
-	// push); push itself refuses a gone target under the queue lock, so the
-	// pair behaves like the model's "sends to gone processes vanish".
-	depth, pushed := 0, false
-	if target != nil && target.life.Load() != 2 {
-		depth, pushed = rt.push(target, msg)
-	}
-	if !pushed {
-		rt.dropped.Add(1)
-		c.p.record(sim.Event{Kind: sim.EvDrop, Proc: c.p.id, Peer: to, Label: msg.Label,
-			CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), Clock: c.p.clock})
-		// Transport-level failure detection, same contract as the
-		// sequential Context: the sender learns within its own atomic
-		// action that the message was undeliverable. Safe here: the
-		// handler runs on the owning worker under the action read lock.
-		if h, ok := c.p.proto.(sim.UndeliverableHandler); ok {
-			h.Undeliverable(c, to, msg)
+	msg = sim.StampCausal(msg, sh.nextCID(), p.curCID, p.clock)
+	if target := rt.lookup(to); target != nil {
+		if depth, ok := rt.admit(target, &msg); ok {
+			sh.post(target, &msg)
+			if sh.note(sim.EvSend) {
+				rt.emit(sim.Event{Kind: sim.EvSend, Proc: p.id, Peer: to, Label: msg.Label, Depth: depth,
+					CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
+			}
+			return
 		}
-		return
 	}
-	c.p.record(sim.Event{Kind: sim.EvSend, Proc: c.p.id, Peer: to, Label: msg.Label, Depth: depth,
-		CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: c.p.clock})
+	sh.n.dropped.Add(1)
+	if sh.note(sim.EvDrop) {
+		rt.emit(sim.Event{Kind: sim.EvDrop, Proc: p.id, Peer: to, Label: msg.Label,
+			CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), Clock: p.clock})
+	}
+	// Transport-level failure detection, same contract as the sequential
+	// Context: the sender learns within its own atomic action that the
+	// message was undeliverable. Safe here: the handler runs on the owning
+	// worker under the action read lock.
+	if h, ok := p.proto.(sim.UndeliverableHandler); ok {
+		h.Undeliverable(c, to, msg)
+	}
 }
 
 func (c *pctx) Exit()  { c.p.wantExit = true }
@@ -455,12 +486,16 @@ func (c *pctx) OracleSays() bool {
 	return c.p.oracleOK.Load()
 }
 
-// deliverAction executes one delivery on p under the shard's action read
-// lock. depth is the queue length right after this message's removal. It
-// returns true when the action took p out of circulation for this batch
-// (exit committed, or exit requested and the process suspended).
-func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
+// deliverAction executes the delivery of msg, just popped off p's mailbox,
+// under the shard's action read lock. It returns true when the action took p
+// out of circulation (exit committed, or exit requested and the process
+// suspended).
+func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
+	rt := p.rt
 	p.wantExit, p.wantSleep = false, false
+	// Depth mirrors the sequential engine's EvDeliver depth: the channel
+	// length right after this message's removal.
+	depth := int(p.depth.Add(-1))
 	// Lamport merge: the delivery happens after the send.
 	if c := msg.SendClock(); c > p.clock {
 		p.clock = c
@@ -469,21 +504,25 @@ func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
 	if p.life.Load() == 1 {
 		p.life.Store(0) // processing a message wakes the process
 		sh.awake.Add(1)
-		p.rt.asleep.Add(-1)
-		p.record(sim.Event{Kind: sim.EvWake, Proc: p.id,
-			CID: p.rt.causal.Add(1), Parent: msg.CID(), Clock: p.clock})
+		rt.asleep.Add(-1)
+		if sh.note(sim.EvWake) {
+			rt.emit(sim.Event{Kind: sim.EvWake, Proc: p.id,
+				CID: sh.nextCID(), Parent: msg.CID(), Clock: p.clock})
+		}
 	}
-	p.curCID = p.rt.causal.Add(1)
-	p.record(sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
-		CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
-	p.proto.Deliver(&p.ctx, msg)
-	if p.rt.trackDeg {
+	p.curCID = sh.nextCID()
+	if sh.note(sim.EvDeliver) {
+		rt.emit(sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
+			CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
+	}
+	p.proto.Deliver(&p.ctx, *msg)
+	if rt.trackDeg {
 		// Adds precede removes (degree.go): the message's implicit edges
 		// drop only now that the handler's sends and stores are counted, so
 		// a reference it carried is never off the ledger while the delivery
 		// is open.
 		p.syncRefs(sh)
-		p.rt.removeMsgPairs(p, &msg)
+		rt.removeMsgPairs(p, msg.Refs)
 	}
 	return p.finishAction(sh)
 }
@@ -493,8 +532,10 @@ func (p *proc) deliverAction(sh *shard, msg sim.Message, depth int) bool {
 func (p *proc) timeoutAction(sh *shard) bool {
 	p.wantExit, p.wantSleep = false, false
 	p.clock++
-	p.curCID = p.rt.causal.Add(1)
-	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
+	p.curCID = sh.nextCID()
+	if sh.note(sim.EvTimeout) {
+		p.rt.emit(sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
+	}
 	p.proto.Timeout(&p.ctx)
 	if p.rt.trackDeg {
 		p.syncRefs(sh)
@@ -509,11 +550,11 @@ func (p *proc) timeoutAction(sh *shard) bool {
 // request joins the coordinator's next epoch batch.
 func (p *proc) finishAction(sh *shard) bool {
 	rt := p.rt
-	if p.wantSleep && !p.wantExit {
-		p.record(sim.Event{Kind: sim.EvSleep, Proc: p.id,
-			CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
+	if p.wantSleep && !p.wantExit && sh.note(sim.EvSleep) {
+		rt.emit(sim.Event{Kind: sim.EvSleep, Proc: p.id,
+			CID: sh.nextCID(), Parent: p.curCID, Clock: p.clock})
 	}
-	rt.events.Add(1)
+	sh.n.events.Add(1)
 	if p.wantExit {
 		if rt.oracle == nil {
 			rt.commitExit(p)
@@ -555,25 +596,25 @@ func (rt *Runtime) commitExit(p *proc) {
 }
 
 // finishExit completes the exit of p, already retired with neighbor
-// multiset nbr: mailbox closed (retaining its queue for terminal snapshots;
-// push has refused since p turned gone, so what is queued was sent before
-// the exit), shard bookkeeping updated, pairs erased, latency recorded,
-// EvExit emitted. Callers: commitExit, and the
-// coordinator's fast-path epoch with the workers running — it takes leaf
-// locks and neighbors' degMu only.
+// multiset nbr: shard bookkeeping updated, pairs erased, latency recorded,
+// EvExit emitted. The mailbox is left as it is: admit has refused since p
+// turned gone, so what waits there (or is still on its way through an outbox
+// or inbox) was sent before the exit, and nobody pops it. Callers:
+// commitExit, and the coordinator's fast-path epoch with the workers running
+// — it takes leaf locks and neighbors' degMu only, and its causal id comes
+// from the shared counter, not from a worker's block.
 func (rt *Runtime) finishExit(p *proc, nbr *nbrRow) {
 	sh := rt.shards[p.shard.Load()]
-	sh.mbMu.Lock()
-	p.mb.closed = true
-	sh.mbMu.Unlock()
 	sh.live.Add(-1)
 	rt.dropPairsOf(p, nbr)
 	rt.exits.Add(1)
 	sh.latMu.Lock()
 	sh.exitLat = append(sh.exitLat, time.Since(rt.startTime))
 	sh.latMu.Unlock()
-	p.record(sim.Event{Kind: sim.EvExit, Proc: p.id,
-		CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
+	if sh.note(sim.EvExit) {
+		rt.emit(sim.Event{Kind: sim.EvExit, Proc: p.id,
+			CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
+	}
 }
 
 // validateExit pauses the world, re-evaluates the oracle on a sealed
@@ -619,6 +660,23 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 	return true
 }
 
+// settleOn validates a batch of exit requests against the sealed snapshot w,
+// in order. The exit of a process that is no leaver leaves its pid in its
+// leaver neighbors' rows (it has no row of its own to erase them from), so
+// the ledger is rebuilt before the world resumes. Caller holds the world
+// paused.
+func (rt *Runtime) settleOn(w *sim.World, batch []*proc) {
+	reseed := false
+	for _, p := range batch {
+		if rt.validateExitOn(w, p) && p.mode != sim.Leaving {
+			reseed = true
+		}
+	}
+	if reseed && rt.trackDeg {
+		rt.reseedDegrees()
+	}
+}
+
 // Start launches the shard workers plus the oracle coordinator.
 func (rt *Runtime) Start() {
 	rt.seal()
@@ -643,7 +701,7 @@ func (rt *Runtime) seal() {
 	// Degree-judged oracle: maintain incremental relevant-degree counters so
 	// epochs validate exits without cloning the world. Seeded here, before
 	// the workers exist, in the pass that finds the components;
-	// push/deliver/action-diff keep them current from here on (degree.go).
+	// admit/deliver/action-diff keep them current from here on (degree.go).
 	_, rt.trackDeg = rt.oracle.(degreeOracle)
 	if rt.trackDeg {
 		uf := newUnionFind(len(rt.byPid))
@@ -695,7 +753,7 @@ func (rt *Runtime) coordinate() {
 		rt.epoch()
 		cost := time.Since(began)
 
-		if ev := rt.events.Load(); ev == lastEvents {
+		if ev := rt.Events(); ev == lastEvents {
 			if interval < coordMax {
 				interval *= 2
 				if interval > coordMax {
@@ -736,8 +794,13 @@ func (rt *Runtime) epoch() {
 		// an O(n+m) world clone, and no shard is stopped for it. (A process
 		// that falls asleep meanwhile only makes the ledger over-count more.)
 		rt.freezeMu.Lock()
-		rt.epochFast(jd)
+		offLedger := rt.epochFast(jd)
 		rt.freezeMu.Unlock()
+		if len(offLedger) > 0 {
+			rt.pauseAll()
+			rt.settleOn(rt.freezeUnderPause(), offLedger)
+			rt.resumeAll()
+		}
 		if rt.skewed() {
 			rt.Rebalance()
 		}
@@ -746,9 +809,7 @@ func (rt *Runtime) epoch() {
 	rt.pauseAll()
 	defer rt.resumeAll()
 	w := rt.freezeUnderPause()
-	for _, p := range rt.takePendingExits() {
-		rt.validateExitOn(w, p)
-	}
+	rt.settleOn(w, rt.takePendingExits())
 	rt.oracleMu.Lock()
 	for _, p := range rt.procs {
 		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
@@ -772,17 +833,16 @@ func (rt *Runtime) takePendingExits() []*proc {
 	return batch
 }
 
-// Stop signals all workers to finish, waits for them, then leaves every
-// mailbox closed-but-intact: undelivered messages stay queued so a
-// post-Stop Freeze still counts every in-flight reference.
+// Stop signals all workers to finish, waits for them, then closes the
+// runtime under a pause: every message still in flight has been absorbed
+// into its mailbox and stays queued there, so a post-Stop Freeze still counts
+// every in-flight reference, and nothing is admitted any more.
 func (rt *Runtime) Stop() {
 	rt.stop.Store(true)
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
 	rt.wg.Wait()
 	rt.pauseAll()
-	for _, p := range rt.byPid {
-		p.mb.closed = true
-	}
+	rt.closed.Store(true)
 	rt.resumeAll()
 }
 
@@ -969,8 +1029,8 @@ func (v *MutableView) Enqueue(to ref.Ref, msg sim.Message) bool {
 	if p == nil || p.life.Load() == 2 {
 		return false
 	}
-	_, ok := v.rt.push(p, sim.StampCausal(msg, v.rt.causal.Add(1), 0, 0))
-	return ok
+	msg = sim.StampCausal(msg, v.rt.causal.Add(1), 0, 0)
+	return v.rt.push(p, &msg)
 }
 
 // ChannelSnapshot returns a copy of r's pending (undelivered) messages in

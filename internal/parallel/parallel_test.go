@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,44 +63,77 @@ func buildShardedRuntime(n int, leaveFrac float64, seed int64, variant core.Vari
 }
 
 func TestMailboxBatchPop(t *testing.T) {
-	var mb mailbox
-	if batch, _ := mb.popInto(nil, 4); len(batch) != 0 {
-		t.Fatal("empty mailbox must not pop")
+	space := ref.NewSpace()
+	a, b := space.New(), space.New()
+	rt := NewRuntime(nil)
+	rt.SetShards(1)
+	rt.AddProcess(a, sim.Staying, &fixedRefsProto{})
+	rt.AddProcess(b, sim.Staying, &fixedRefsProto{})
+	sh, pa, pb := rt.shards[0], rt.lookup(a), rt.lookup(b)
+	if p, _ := sh.nextBatch(4); p != nil {
+		t.Fatal("empty run queue must not pop")
 	}
-	mb.queue = append(mb.queue, sim.NewMessage("a"), sim.NewMessage("b"), sim.NewMessage("c"))
-	batch, depth := mb.popInto(nil, 2)
-	if len(batch) != 2 || batch[0].Label != "a" || batch[1].Label != "b" {
-		t.Fatalf("FIFO batch broken: %v", batch)
+	for _, label := range []string{"a1", "a2", "a3"} {
+		rt.Enqueue(a, sim.NewMessage(label))
 	}
-	if depth != 1 || mb.len() != 1 {
-		t.Fatalf("depth after batch pop = %d (len %d), want 1", depth, mb.len())
+	rt.Enqueue(b, sim.NewMessage("b1"))
+	// A process with more mail than the batch goes back behind the others:
+	// a, then b, then a again, each mailbox in FIFO order.
+	var got []string
+	for _, want := range []struct {
+		p *proc
+		k int
+	}{{pa, 2}, {pb, 1}, {pa, 1}} {
+		p, k := sh.nextBatch(2)
+		if p != want.p || k != want.k {
+			t.Fatalf("nextBatch = (%v, %d), want (%v, %d)", p, k, want.p, want.k)
+		}
+		for ; k > 0; k-- {
+			m := p.mb.pop()
+			got = append(got, m.Label)
+		}
 	}
-	// An action that suspends its process mid-batch puts the remainder back
-	// in front, preserving order.
-	mb.unpop(batch[1:])
-	if mb.len() != 2 || mb.queue[mb.head].Label != "b" {
-		t.Fatalf("unpop broke order: %v", mb.queue[mb.head:])
+	if want := []string{"a1", "a2", "b1", "a3"}; !slices.Equal(got, want) {
+		t.Fatalf("delivery order %v, want %v", got, want)
 	}
-	// With nothing queued behind the batch the remainder goes back into the
-	// drained queue's own array.
-	if allocs := testing.AllocsPerRun(10, func() {
-		all, _ := mb.popInto(batch[:0], 4)
-		mb.unpop(all)
+	if p, _ := sh.nextBatch(4); p != nil || pa.inRun || pb.inRun {
+		t.Fatalf("drained shard still lists a runnable process (inRun %v %v)", pa.inRun, pb.inRun)
+	}
+	// A suspended process keeps its mail and is skipped until it is resumed.
+	pa.exitPending.Store(true)
+	rt.Enqueue(a, sim.NewMessage("held"))
+	if p, _ := sh.nextBatch(4); p != nil {
+		t.Fatal("a suspended process was handed out")
+	}
+	pa.exitPending.Store(false)
+	rt.reschedule(pa)
+	if p, k := sh.nextBatch(4); p != pa || k != 1 || pa.mb.pop().Label != "held" {
+		t.Fatal("a resumed process did not get its held mail")
+	}
+	// A settled mailbox reuses its array: put and pop allocate nothing, and
+	// a long queue reclaims its popped prefix instead of growing.
+	m := sim.NewMessage("x")
+	if allocs := testing.AllocsPerRun(100, func() {
+		pa.mb.put(&m)
+		pa.mb.put(&m)
+		pa.mb.pop()
+		pa.mb.pop()
 	}); allocs != 0 {
-		t.Fatalf("unpop behind an empty queue allocates (%.0f)", allocs)
+		t.Fatalf("put/pop on a settled mailbox allocates (%.0f)", allocs)
 	}
-	if mb.len() != 2 || mb.queue[mb.head].Label != "b" || mb.queue[mb.head+1].Label != "c" {
-		t.Fatalf("unpop behind an empty queue broke order: %v", mb.queue[mb.head:])
+	for i := 0; i < 1000; i++ {
+		pa.mb.put(&m)
+		pa.mb.put(&m)
+		pa.mb.pop()
 	}
-	mb.closed = true
-	if batch, _ := mb.popInto(nil, 4); len(batch) != 0 {
-		t.Fatal("closed mailbox must not deliver")
+	if pa.mb.len() != 1000 || cap(pa.mb.queue) > 4096 {
+		t.Fatalf("mailbox holds %d messages in an array of %d", pa.mb.len(), cap(pa.mb.queue))
 	}
 }
 
 // Regression: close used to nil the queue, so any message still queued at
 // close time vanished from terminal snapshots — in-flight references
-// (implicit PG edges) silently dropped. A push after close is refused AND
+// (implicit PG edges) silently dropped. A push after Stop is refused AND
 // the queue already in place survives.
 func TestMailboxPushAfterCloseRetainsQueue(t *testing.T) {
 	space := ref.NewSpace()
@@ -110,17 +144,21 @@ func TestMailboxPushAfterCloseRetainsQueue(t *testing.T) {
 	rt.Enqueue(b, sim.NewMessage("one", sim.RefInfo{Ref: a, Mode: sim.Staying}))
 	rt.Enqueue(b, sim.NewMessage("two"))
 	pb := rt.lookup(b)
-	pb.mb.closed = true
-	if _, ok := rt.push(pb, sim.NewMessage("late")); ok {
-		t.Fatal("closed mailbox must reject pushes")
+	rt.Stop() // never started: closes the runtime with both messages queued
+	late := sim.NewMessage("late")
+	if rt.push(pb, &late) {
+		t.Fatal("a stopped runtime must reject pushes")
+	}
+	if rt.Inject(b, late) {
+		t.Fatal("a stopped runtime must reject Inject")
 	}
 	if got := pb.mb.len(); got != 2 {
-		t.Fatalf("closed mailbox retained %d messages, want 2", got)
+		t.Fatalf("stopped runtime retained %d messages, want 2", got)
 	}
 	// The in-flight reference carried by the retained message must still be
 	// an implicit PG edge of the terminal freeze.
 	if w := rt.Freeze(); w.ChannelLen(b) != 2 || !w.PG().HasEdge(b, a) {
-		t.Fatal("terminal freeze lost in-flight state of a closed mailbox")
+		t.Fatal("terminal freeze lost in-flight state of a stopped runtime")
 	}
 }
 

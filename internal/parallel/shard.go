@@ -19,9 +19,8 @@ import (
 const (
 	deliverBudget = 1024
 	timeoutBudget = 128
-	// popBatch bounds how many messages one mailbox yields per queue-lock
-	// hold; FIFO fairness across the shard's mailboxes, amortized locking
-	// within one.
+	// popBatch bounds how many messages one mailbox yields per turn: FIFO
+	// fairness across the shard's mailboxes.
 	popBatch = 32
 	// timeoutTick paces timeout rounds: a shard fires at most one round per
 	// tick. The model only requires weak fairness — every awake process
@@ -31,67 +30,71 @@ const (
 	timeoutTick = 200 * time.Microsecond
 )
 
-// mailbox is an unbounded FIFO message queue. It has no lock of its own: all
-// access is synchronized externally by the owning shard's single queue lock
-// (mbMu) — one lock per shard instead of one per process — or by a full
-// world pause, which excludes every worker and therefore every mbMu user.
-// A closed mailbox stops accepting and delivering messages but RETAINS its
-// queue: undelivered messages are in-flight state (implicit PG edges) the
-// terminal freeze must still count.
+// mailbox is an unbounded FIFO message queue, private to the worker that owns
+// the process: only that worker touches it while the system runs (under its
+// action read lock), and a full pause, which excludes every worker, makes it
+// plain data for the pauser. A message for a process of another shard reaches
+// it through that shard's inbox (shard.deposit, shard.absorb). The mailbox of
+// a gone process RETAINS its queue: what was admitted before the exit stays
+// where it is, and nobody reads it again.
 type mailbox struct {
-	queue  []sim.Message
-	head   int // queue[head:] is live; popped slots are reused by compaction
-	closed bool
+	queue []sim.Message
+	head  int // queue[head:] is live; popped slots are reused by compaction
 }
 
 func (m *mailbox) len() int { return len(m.queue) - m.head }
 
-// popInto moves up to max messages into buf and returns it with the queue
-// depth after the pop. Closed mailboxes deliver nothing.
-func (m *mailbox) popInto(buf []sim.Message, max int) ([]sim.Message, int) {
-	if m.closed {
-		return buf, 0
-	}
-	k := m.len()
-	if k > max {
-		k = max
-	}
-	buf = append(buf, m.queue[m.head:m.head+k]...)
-	m.head += k
-	if m.head == len(m.queue) {
-		m.queue, m.head = m.queue[:0], 0
-	} else if m.head > 64 && m.head >= len(m.queue)/2 {
+// put appends msg, first reclaiming the popped prefix once it is the larger
+// half of a long queue.
+func (m *mailbox) put(msg *sim.Message) {
+	if m.head > 64 && m.head >= len(m.queue)/2 {
 		n := copy(m.queue, m.queue[m.head:])
 		m.queue, m.head = m.queue[:n], 0
 	}
-	return buf, m.len()
+	m.queue = append(m.queue, *msg)
 }
 
-// unpop puts popped-but-undelivered messages back at the front of the queue,
-// preserving order. Used when an action suspends or exits its process in the
-// middle of a delivery batch: the remaining messages were never delivered
-// and must stay in-flight (a later close retains them for the terminal
-// freeze).
-func (m *mailbox) unpop(rest []sim.Message) {
-	if len(rest) == 0 {
-		return
+// pop removes and returns the oldest message; the mailbox must not be empty.
+// A drained queue restarts at the front of its backing array.
+func (m *mailbox) pop() sim.Message {
+	msg := m.queue[m.head]
+	m.head++
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
 	}
-	if m.len() == 0 {
-		// Nothing queued behind the batch (popInto reset the queue): reuse
-		// its backing array.
-		m.queue, m.head = append(m.queue[:0], rest...), 0
-		return
-	}
-	merged := make([]sim.Message, 0, len(rest)+m.len())
-	merged = append(merged, rest...)
-	merged = append(merged, m.queue[m.head:]...)
-	m.queue, m.head = merged, 0
+	return msg
 }
 
-// shard is one worker's slice of the runtime: a disjoint set of processes, a
-// run queue of processes with deliverable messages, and the two locks of the
-// §12 discipline — actMu (the pause point every action runs under) and mbMu
-// (the leaf lock guarding every owned mailbox plus the run queue).
+// parcel is one admitted message on its way to a process of another shard.
+type parcel struct {
+	to  *proc
+	msg sim.Message
+}
+
+// flushAt is the outbox length at which a worker publishes the batch to the
+// target shard's inbox without waiting for the end of its iteration.
+const flushAt = 32
+
+// tally is a shard's share of the runtime's always-on counters: the worker
+// (and, for the exit of an owned process, the coordinator) adds here, a
+// reader sums over the shards. No action touches a counter another shard's
+// worker writes.
+type tally struct {
+	events  atomic.Uint64 // executed actions (timeouts + deliveries)
+	sent    atomic.Uint64
+	dropped atomic.Uint64 // sends to gone or unknown targets (vanish, like the model)
+	kinds   [sim.NumEventKinds]atomic.Uint64
+
+	outboxFlushes  atomic.Uint64 // batches this shard published to another's inbox
+	outboxMessages atomic.Uint64 // messages in those batches
+	inboxAbsorbs   atomic.Uint64 // times this shard emptied its inbox
+}
+
+// shard is one worker's slice of the runtime: a disjoint set of processes
+// with their mailboxes, a run queue of the ones with deliverable messages,
+// and the two locks of the §12 discipline — actMu (the pause point every
+// action runs under) and mbMu (the leaf lock of what other goroutines hand
+// the worker: the inbox and the ready list).
 type shard struct {
 	idx int
 	rt  *Runtime
@@ -102,35 +105,29 @@ type shard struct {
 	// world for snapshots, exit validation and Mutate.
 	actMu sync.RWMutex
 
-	// mbMu is the shard's single queue lock: it guards the mailboxes of all
-	// owned processes, the run queue, and the procs' inRun flags. Strictly a
-	// leaf: no other lock is ever acquired under it. Senders on other shards
-	// take it briefly per push; the worker amortizes it over message batches.
+	// mbMu guards what other goroutines leave for the worker: the inbox
+	// (messages admitted for owned processes by other shards' workers and by
+	// Inject), the resume list (denied exiters, from the coordinator) and the
+	// ready list. Strictly a leaf: no other lock is ever acquired under it. A
+	// sender takes it once per published batch, the worker once per absorb.
 	mbMu   sync.Mutex //fdp:lockleaf
-	runq   []uint32
-	rqHead int
-
-	// notify is a capacity-1 wakeup: raised when a push makes a process
-	// newly runnable (not per message — batch notification), when a denied
-	// exiter is rescheduled, and after a rebalance.
-	notify chan struct{}
-
-	// pids are the owned processes. Written only under a full pause
-	// (AddProcess pre-Start, rebalance); read by the worker.
-	pids   []uint32
-	cursor int       // round-robin position of the timeout scan
-	nextTO time.Time // earliest moment of the next timeout round (worker-private)
+	inbox  []parcel
+	resume []*proc
+	// inboxFull is set, under mbMu, by whoever leaves something in inbox or
+	// resume and cleared by absorb: the worker's check for mail is one load.
+	inboxFull atomic.Bool
 
 	// ready lists the owned leavers whose cached oracle answer the
 	// coordinator just turned true (epochFast), each at most once (proc.ready);
 	// timeoutRound serves them ahead of the scan. Guarded by mbMu: the
 	// coordinator appends while the worker runs (markReady), the worker pops
 	// into readyBuf (worker-private); a rebalance rebuilds it under the pause.
-	ready    []uint32
-	readyBuf []uint32
+	ready []uint32
 
-	// refScratch is syncRefs' sort buffer (worker-private).
-	refScratch []ref.Ref
+	// notify is a capacity-1 wakeup: raised with every batch left in the
+	// inbox (not per message), when a denied exiter is rescheduled, and after
+	// a rebalance.
+	notify chan struct{}
 
 	// awake counts owned processes in the awake state; 0 lets the worker
 	// block indefinitely instead of polling (FSP hibernation). live counts
@@ -145,6 +142,40 @@ type shard struct {
 	// ExitLatencies merges the shard buffers at read time. Strictly a leaf.
 	latMu   sync.Mutex //fdp:lockleaf
 	exitLat []time.Duration
+
+	// Everything below is the worker's own: touched by it under the action
+	// read lock, or by a pauser. The pad keeps it off the cache lines other
+	// goroutines write above.
+	_ [64]byte
+
+	// runq lists the owned processes with deliverable messages, each at most
+	// once (proc.inRun).
+	runq   []uint32
+	rqHead int
+
+	// outbox[k] collects the messages this worker admitted for processes of
+	// shard k, until flush publishes them to k's inbox: at flushAt messages,
+	// and before the worker lets go of actMu — a pauser never finds one
+	// non-empty. spare is the buffer absorb swaps the inbox for.
+	outbox [][]parcel
+	spare  []parcel
+
+	// pids are the owned processes. Written only under a full pause
+	// (AddProcess pre-Start, rebalance); read by the worker.
+	pids     []uint32
+	cursor   int       // round-robin position of the timeout scan
+	nextTO   time.Time // earliest moment of the next timeout round
+	readyBuf []uint32
+
+	// refScratch is syncRefs' sort buffer.
+	refScratch []ref.Ref
+
+	// cid..cidEnd is the block of causal ids the worker hands out before it
+	// reserves the next one from rt.causal (nextCID).
+	cid, cidEnd uint64
+
+	n tally
+	_ [64]byte
 }
 
 func (sh *shard) wake() {
@@ -154,70 +185,165 @@ func (sh *shard) wake() {
 	}
 }
 
-// push enqueues msg into p's mailbox under p's shard's queue lock, making p
-// runnable if it wasn't. Reports the queue depth after the append and
-// whether the push was accepted (a closed mailbox or a gone process refuses).
-// Callers run
-// under some shard's action read lock, under a full pause, or before Start.
-func (rt *Runtime) push(p *proc, msg sim.Message) (int, bool) {
-	if rt.trackDeg && len(msg.Refs) > 0 {
-		// Count the implicit edges before the message becomes poppable, so
-		// a racing delivery can never remove a pair before it was added; a
-		// refused push undoes the count below.
-		rt.addMsgPairs(p, &msg)
+// cidBlock is how many causal ids a worker reserves at a time.
+const cidBlock = 64
+
+// nextCID returns a fresh causal id from the worker's reserved block. Ids
+// are unique across the runtime and ascending per worker, not globally
+// ordered in time.
+func (sh *shard) nextCID() uint64 {
+	if sh.cid == sh.cidEnd {
+		sh.cidEnd = sh.rt.causal.Add(cidBlock)
+		sh.cid = sh.cidEnd - cidBlock
 	}
-	sh := rt.shards[p.shard.Load()]
-	sh.mbMu.Lock()
-	if p.mb.closed || p.life.Load() == 2 {
-		// Gone, though the commit may not have closed the mailbox yet
-		// (finishExit): a send either is queued before the exit or is
-		// dropped, nothing in between.
-		sh.mbMu.Unlock()
-		if rt.trackDeg && len(msg.Refs) > 0 {
-			rt.removeMsgPairs(p, &msg)
+	sh.cid++
+	return sh.cid
+}
+
+// admit decides, at send time, whether msg enters p's channel. The implicit
+// edges are counted first (addMsgPairs re-checks life under both degMu's, so
+// a pair is either part of the degree p's exit is judged on or finds p gone
+// and counts nothing); then a live p takes the message — it is in flight from
+// here on, wherever it waits — and a gone p refuses it, the count undone.
+// Reports p's channel length after the add. Callers run under some shard's
+// action read lock, under a full pause, or before Start.
+func (rt *Runtime) admit(p *proc, msg *sim.Message) (int, bool) {
+	tracked := rt.trackDeg && len(msg.Refs) > 0
+	if tracked {
+		rt.addMsgPairs(p, msg.Refs)
+	}
+	if p.life.Load() == 2 {
+		if tracked {
+			rt.removeMsgPairs(p, msg.Refs)
 		}
 		return 0, false
 	}
-	p.mb.queue = append(p.mb.queue, msg)
-	depth := p.mb.len()
-	newlyRunnable := false
-	if !p.inRun && !p.exitPending.Load() {
-		p.inRun = true
-		sh.runq = append(sh.runq, p.pid)
-		newlyRunnable = true
+	return int(p.depth.Add(1)), true
+}
+
+// push is admit plus the enqueue, for a caller that has p's mailbox to
+// itself: before Start, or under a full pause. (A worker sends through post,
+// Inject through deposit.) A stopped runtime refuses everything.
+func (rt *Runtime) push(p *proc, msg *sim.Message) bool {
+	if rt.closed.Load() {
+		return false
 	}
-	sh.mbMu.Unlock()
-	if newlyRunnable {
+	_, ok := rt.admit(p, msg)
+	if ok {
+		sh := rt.shards[p.shard.Load()]
+		sh.enqueue(p, msg)
 		sh.wake()
 	}
-	return depth, true
+	return ok
+}
+
+// enqueue puts an admitted message into the mailbox of p, which sh owns, and
+// makes p runnable. Caller is sh's worker, or has the world to itself.
+func (sh *shard) enqueue(p *proc, msg *sim.Message) {
+	p.mb.put(msg)
+	sh.makeRunnable(p)
+}
+
+// makeRunnable puts p on the run queue if it has mail, is not there already
+// and is not suspended. Same callers.
+func (sh *shard) makeRunnable(p *proc) {
+	if !p.inRun && p.mb.len() > 0 && !p.exitPending.Load() {
+		p.inRun = true
+		sh.runq = append(sh.runq, p.pid)
+	}
+}
+
+// post sends an admitted message on from sh's worker: into the mailbox if sh
+// owns the target, else into the outbox for the target's shard. The target
+// cannot change shards before the flush: a rebalance needs the action lock
+// the worker holds until it has flushed.
+func (sh *shard) post(p *proc, msg *sim.Message) {
+	k := int(p.shard.Load())
+	if k == sh.idx {
+		sh.enqueue(p, msg)
+		return
+	}
+	sh.outbox[k] = append(sh.outbox[k], parcel{to: p, msg: *msg})
+	if len(sh.outbox[k]) >= flushAt {
+		sh.flush(k)
+	}
+}
+
+// flush publishes the outbox for shard k to k's inbox.
+func (sh *shard) flush(k int) {
+	out := sh.outbox[k]
+	if len(out) == 0 {
+		return
+	}
+	sh.rt.shards[k].deposit(out)
+	sh.outbox[k] = out[:0]
+	sh.n.outboxFlushes.Add(1)
+	sh.n.outboxMessages.Add(uint64(len(out)))
+}
+
+// flushAll empties every outbox; the worker calls it before it releases its
+// action lock.
+func (sh *shard) flushAll() {
+	for k := range sh.outbox {
+		sh.flush(k)
+	}
+}
+
+// deposit leaves a batch of admitted messages for sh's worker, under one
+// hold of the inbox lock, and wakes it. Callers hold some shard's action read
+// lock: the next pause absorbs the batch.
+func (sh *shard) deposit(batch []parcel) {
+	sh.mbMu.Lock()
+	sh.inbox = append(sh.inbox, batch...)
+	sh.inboxFull.Store(true)
+	sh.mbMu.Unlock()
+	sh.wake()
 }
 
 // reschedule makes a denied exiter runnable again if deliveries queued up
-// while it was suspended. Called by the coordinator, paused or not, after it
-// cleared exitPending.
+// while it was suspended, by way of its shard's inbox: the run queue is the
+// worker's. Called by the coordinator, paused or not, after it cleared
+// exitPending.
 func (rt *Runtime) reschedule(p *proc) {
 	sh := rt.shards[p.shard.Load()]
 	sh.mbMu.Lock()
-	runnable := !p.mb.closed && p.mb.len() > 0 && !p.inRun
-	if runnable {
-		p.inRun = true
-		sh.runq = append(sh.runq, p.pid)
-	}
+	sh.resume = append(sh.resume, p)
+	sh.inboxFull.Store(true)
 	sh.mbMu.Unlock()
-	if runnable {
-		sh.wake()
-	}
+	sh.wake()
 }
 
-// nextBatch pops the next runnable process and up to max of its messages
-// under one queue-lock hold. It returns nil when the run queue is empty.
-// Stale entries (gone, suspended, or drained processes) are skipped. A
-// process whose queue is still non-empty after the pop is re-appended, so
-// heavy receivers round-robin with everyone else.
-func (sh *shard) nextBatch(buf []sim.Message, max int) (*proc, []sim.Message, int) {
+// absorb moves what the inbox holds into the owned mailboxes and puts the
+// resumed processes back on the run queue. One load when there is nothing.
+// Caller is sh's worker under its action read lock, or a pauser.
+func (sh *shard) absorb() {
+	if !sh.inboxFull.Load() {
+		return
+	}
 	sh.mbMu.Lock()
-	defer sh.mbMu.Unlock()
+	in := sh.inbox
+	sh.inbox = sh.spare[:0]
+	for _, p := range sh.resume {
+		sh.makeRunnable(p)
+	}
+	sh.resume = sh.resume[:0]
+	sh.inboxFull.Store(false)
+	sh.mbMu.Unlock()
+	for i := range in {
+		sh.enqueue(in[i].to, &in[i].msg)
+	}
+	sh.spare = in
+	sh.n.inboxAbsorbs.Add(1)
+}
+
+// nextBatch absorbs the inbox, then pops the next runnable process off the
+// run queue and says how many of its messages to deliver now (at most max).
+// It returns nil when the run queue is empty. Stale entries (gone, suspended,
+// or drained processes) are skipped. A process with more mail than the batch
+// goes back on the queue first, so heavy receivers round-robin with everyone
+// else.
+func (sh *shard) nextBatch(max int) (*proc, int) {
+	sh.absorb()
 	// A hot run queue (processes re-appended faster than the head drains)
 	// never fully empties, so compact the consumed prefix periodically.
 	if sh.rqHead > 256 && sh.rqHead >= len(sh.runq)/2 {
@@ -231,42 +357,38 @@ func (sh *shard) nextBatch(buf []sim.Message, max int) (*proc, []sim.Message, in
 			sh.runq, sh.rqHead = sh.runq[:0], 0
 		}
 		p := sh.rt.byPid[pid]
-		if p.exitPending.Load() || p.life.Load() == 2 || p.mb.closed || p.mb.len() == 0 {
+		k := p.mb.len()
+		if p.exitPending.Load() || p.life.Load() == 2 || k == 0 {
 			p.inRun = false
 			continue
 		}
-		batch, depth := p.mb.popInto(buf, max)
-		if depth > 0 {
+		if k > max {
+			k = max
 			sh.runq = append(sh.runq, pid)
 		} else {
 			p.inRun = false
 		}
-		return p, batch, depth
+		return p, k
 	}
-	return nil, buf, 0
+	return nil, 0
 }
 
 // deliverRound drains up to deliverBudget messages from the shard's run
 // queue, executing the delivery action of each under the already-held action
 // read lock. Returns the number of deliveries executed.
-func (sh *shard) deliverRound(scratch *[]sim.Message) int {
+func (sh *shard) deliverRound() int {
 	delivered := 0
 	for delivered < deliverBudget {
-		p, batch, depth := sh.nextBatch((*scratch)[:0], min(popBatch, deliverBudget-delivered))
+		p, k := sh.nextBatch(min(popBatch, deliverBudget-delivered))
 		if p == nil {
 			break
 		}
-		*scratch = batch
-		for i := range batch {
+		for ; k > 0; k-- {
+			msg := p.mb.pop()
 			delivered++
-			// Depth mirrors the sequential engine's EvDeliver depth: queue
-			// length right after this message's removal.
-			if p.deliverAction(sh, batch[i], depth+len(batch)-1-i) {
-				// The action exited or suspended the process: the rest of the
-				// batch was never delivered and goes back in flight.
-				sh.mbMu.Lock()
-				p.mb.unpop(batch[i+1:])
-				sh.mbMu.Unlock()
+			if p.deliverAction(sh, &msg) {
+				// The action exited or suspended the process: the rest of its
+				// mail stays in flight, in the mailbox.
 				break
 			}
 		}
@@ -275,7 +397,7 @@ func (sh *shard) deliverRound(scratch *[]sim.Message) int {
 }
 
 // markReady puts p, whose cached oracle answer just turned true, on its
-// shard's ready list, under the shard's queue lock: the worker runs on.
+// shard's ready list, under the shard's inbox lock: the worker runs on.
 // Caller is the coordinator, holding freezeMu (p cannot change shards).
 func (rt *Runtime) markReady(p *proc) {
 	if !p.ready.CompareAndSwap(false, true) {
@@ -341,8 +463,11 @@ func (sh *shard) timeoutRound() int {
 // worker is the shard's goroutine body: run bounded delivery rounds flat
 // out while messages flow, fire a timeout round at most once per
 // timeoutTick, and block entirely once every owned process is asleep or
-// gone (FSP hibernation). A push from any shard raises notify and cuts the
-// idle sleep short. After every productive round the worker yields the
+// gone (FSP hibernation). A batch left in the inbox raises notify and cuts
+// the idle sleep short. Before it lets go of the action lock the worker
+// publishes every outbox: what it admitted is then in an inbox or a mailbox,
+// and the pauser that gets the lock next absorbs the inboxes. After every
+// productive round the worker yields the
 // processor: on a box with few cores a hot shard otherwise monopolizes its
 // P for the ~10ms async-preemption slice and the coordinator (whose epoch
 // refreshes the oracle caches and commits exits) runs an order of magnitude
@@ -356,16 +481,16 @@ func (sh *shard) worker() {
 		<-idleTimer.C
 	}
 	defer idleTimer.Stop()
-	var scratch []sim.Message
 
 	for !rt.stop.Load() {
 		sh.actMu.RLock()
-		delivered := sh.deliverRound(&scratch)
+		delivered := sh.deliverRound()
 		timeouts := 0
 		if now := time.Now(); !now.Before(sh.nextTO) {
 			timeouts = sh.timeoutRound()
 			sh.nextTO = now.Add(timeoutTick)
 		}
+		sh.flushAll()
 		sh.actMu.RUnlock()
 
 		if delivered > 0 || timeouts > 0 {
@@ -410,9 +535,11 @@ func (sh *shard) worker() {
 // pauseAll quiesces the world: freezeMu serializes pausers (the coordinator,
 // Freeze, Mutate, validateExit), then every shard's action lock is taken,
 // starting one shard further round the ring at every pause. With all write
-// sides held no action executes, no send is in flight, and every mailbox,
-// ring and protocol state is safe to read or mutate without further locking.
-// Paired with resumeAll.
+// sides held no action executes and every outbox is empty (a worker flushes
+// before it unlocks); the pauser then absorbs every inbox, so every message
+// in flight sits in its target's mailbox and mailboxes, run queues and
+// protocol state are safe to read or mutate without further locking. Paired
+// with resumeAll.
 //
 // The start rotates because the shard locked first stands still while the
 // pauser waits out the other workers' iterations. With a fixed order shard 0
@@ -431,6 +558,9 @@ func (rt *Runtime) pauseAll() {
 	rt.pauseFirst = (first + 1) % n
 	for i := range rt.shards {
 		rt.shards[(first+i)%n].actMu.Lock()
+	}
+	for _, sh := range rt.shards {
+		sh.absorb()
 	}
 }
 
@@ -461,9 +591,12 @@ const rebalanceRatio = 2
 // rebalanceUnderPause deals the live processes round-robin across shards and
 // rebuilds every run queue from mailbox state and every ready list from the
 // procs' ready flags. Caller holds the world paused, so mailboxes, inRun
-// flags, ready lists and shard assignments are plain data.
+// flags, ready lists and shard assignments are plain data; what the pause's
+// own denials left on a resume list is absorbed first (no inbox may name a
+// process its shard no longer owns).
 func (rt *Runtime) rebalanceUnderPause() {
 	for _, sh := range rt.shards {
+		sh.absorb()
 		sh.pids = sh.pids[:0]
 		sh.runq, sh.rqHead = sh.runq[:0], 0
 		sh.ready = sh.ready[:0]
@@ -492,10 +625,8 @@ func (rt *Runtime) rebalanceUnderPause() {
 		if p.life.Load() == 0 {
 			sh.awake.Add(1)
 		}
-		p.inRun = !p.mb.closed && p.mb.len() > 0 && !p.exitPending.Load()
-		if p.inRun {
-			sh.runq = append(sh.runq, p.pid)
-		}
+		p.inRun = false
+		sh.makeRunnable(p)
 	}
 	for _, sh := range rt.shards {
 		sh.wake()

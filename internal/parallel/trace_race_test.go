@@ -122,12 +122,17 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	rt.AddEventHook(func(sim.Event) { added++ })
 	rt.SetEventSink(func(sim.Event) { sunk++ })
 	p := rt.byPid[0]
-	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+	sh := rt.shards[p.shard.Load()]
+	if sh.note(sim.EvTimeout) {
+		rt.emit(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+	}
 	if added != 0 || sunk != 1 {
 		t.Fatalf("after SetEventSink: displaced hook saw %d events, sink saw %d; want 0 and 1", added, sunk)
 	}
 	rt.SetEventSink(nil)
-	p.record(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+	if sh.note(sim.EvTimeout) {
+		t.Fatal("an event would be built with no hook installed")
+	}
 	if sunk != 1 || rt.KindCount(sim.EvTimeout) != 2 {
 		t.Fatalf("after SetEventSink(nil): sink saw %d events, counter %d; want 1 and 2", sunk, rt.KindCount(sim.EvTimeout))
 	}
