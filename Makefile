@@ -55,7 +55,12 @@ test:
 # runtime left to GOMAXPROCS then has two shards: the cross-shard mail path
 # (outbox, inbox, absorb at a pause) is raced by the internal/parallel tests
 # that force the count with SetShards — TestForcedShardChurn on four shards,
-# TestInFlightConservation on three and four.
+# TestInFlightConservation on three and four. The observers that stripe their
+# state by Event.Lane are raced the same way, by tests that force the lane
+# count: TestStepNonDecreasingPerProcess (internal/parallel, four shards
+# stamping lanes and cached steps through rebalances), TestFlightLanesMergeCausally
+# (internal/trace, four goroutines on four rings) and
+# TestProgressLanesAgreeWithOneLane (internal/obs).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...
 
@@ -160,7 +165,7 @@ node-churn:
 	bin/fdpnode -merge $(NODE_OUT)
 
 bench:
-	$(GO) test -bench . -benchmem -run XXX . ./internal/graph ./internal/parallel
+	$(GO) test -bench . -benchmem -run XXX . ./internal/graph ./internal/parallel ./internal/trace
 
 # bench-baseline regenerates the committed n-scaling series in bench/ (see
 # bench/README.md; nothing gates on it — the yardstick is ./benchmark). Sizes

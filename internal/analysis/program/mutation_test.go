@@ -170,11 +170,11 @@ var _ = (*Registry).mutNested
 		}
 		write(rel, strings.Replace(string(data), old, new, 1))
 	}
-	// Mutation 5: an early return under the flight ring's mutex, on every
-	// observed run's event path.
+	// Mutation 5: an early return under a flight ring's per-lane mutex, on
+	// every observed run's event path.
 	edit("internal/trace/flight.go",
-		"\tf.mu.Lock()\n\tf.buf[f.next] = e\n",
-		"\tf.mu.Lock()\n\tif len(f.buf) == 0 {\n\t\treturn\n\t}\n\tf.buf[f.next] = e\n")
+		"\tr.mu.Lock()\n\tr.buf[r.next] = e\n",
+		"\tr.mu.Lock()\n\tif len(r.buf) == 0 {\n\t\treturn\n\t}\n\tr.buf[r.next] = e\n")
 	// Mutation 6: the same leak under the TCP transport's mutex, which no
 	// directive marks.
 	edit("internal/transport/tcp.go",
@@ -226,7 +226,7 @@ var _ = (*Registry).mutNested
 	find("atomicdiscipline", "plain access to mutCount", "sync/atomic at")
 	find("lockgraph", "lock cycle", "parallel.mutMuA", "via")
 	find("lockgraph", "while holding obs.Registry.mu violates its //fdp:lockleaf declaration", "mutNested", "lookupOrCreate")
-	find("lockgraph", "return while holding trace.Flight.mu", "path: Record (trace/flight.go:")
+	find("lockgraph", "return while holding trace.ring.mu", "path: Record (trace/flight.go:")
 	find("lockgraph", "return while holding transport.TCP.mu", "path: BroadcastControl (transport/tcp.go:")
 	find("lockgraph", "return while holding parallel.Runtime.freezeMu, parallel.shard.actMu", "path: Rebalance (parallel/shard.go:", "→ pauseAll (parallel/shard.go:")
 	find("lockgraph", "oracle.Evaluate outside an oracleMu critical section", "path: validateExitOn (parallel/parallel.go:")

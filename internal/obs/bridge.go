@@ -41,19 +41,10 @@ const (
 	MetricCausalIDs = "fdp_causal_ids"
 )
 
+const eventsHelp = "trace events per kind and engine"
+
 func eventSeries(engine string, k sim.EventKind) string {
 	return MetricEvents + `{engine="` + engine + `",kind="` + k.String() + `"}`
-}
-
-// kindCounters pre-registers one counter per event kind so the hook hot
-// path is a pure array index + atomic add.
-func kindCounters(reg *Registry, engine string) *[sim.NumEventKinds]*Counter {
-	var out [sim.NumEventKinds]*Counter
-	for k := 0; k < sim.NumEventKinds; k++ {
-		out[k] = reg.Counter(eventSeries(engine, sim.EventKind(k)),
-			"trace events per kind and engine")
-	}
-	return &out
 }
 
 // InstrumentWorld attaches a metrics hook to the sequential world via the
@@ -61,7 +52,12 @@ func kindCounters(reg *Registry, engine string) *[sim.NumEventKinds]*Counter {
 // receiving events). The hook is zero-alloc: every series it touches is
 // registered here, before the run.
 func InstrumentWorld(w *sim.World, reg *Registry) {
-	kinds := kindCounters(reg, "sim")
+	// One counter per event kind, registered up front: the hook's hot path is
+	// an array index and an atomic add.
+	var kinds [sim.NumEventKinds]*Counter
+	for k := range kinds {
+		kinds[k] = reg.Counter(eventSeries("sim", sim.EventKind(k)), eventsHelp)
+	}
 	msgAge := reg.Histogram(MetricMessageAge,
 		"steps a message spent enqueued before delivery",
 		ExpBuckets(1, 2, 16))
@@ -92,16 +88,21 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 	})
 }
 
-// InstrumentRuntime wires the concurrent runtime into reg: an event hook
+// InstrumentRuntime wires the concurrent runtime into reg: the per-kind
+// event series the sequential bridge writes (engine="runtime"), collected
+// from the per-shard counts the runtime keeps anyway; an event hook
 // (attached through the runtime's hook fan-out, so a journal writer or
-// flight ring installed beside it keeps receiving events) feeding the same
-// per-kind counters and depth histogram the sequential bridge writes
-// (engine="runtime"), a wall-clock time-to-exit histogram, and collector
-// gauges over the runtime's always-on atomic counters, among them each
-// shard's cross-shard mail. Call before Runtime.Start and after SetShards. The hook runs on the emitting goroutines and touches only
-// atomics.
+// flight ring installed beside it keeps receiving events) feeding the depth
+// histogram and a wall-clock time-to-exit histogram; and collector gauges
+// over the runtime's always-on atomic counters, among them each shard's
+// cross-shard mail. Call before Runtime.Start and after SetShards. The hook
+// runs on the emitting goroutines and touches only atomics.
 func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
-	kinds := kindCounters(reg, "runtime")
+	for k := range sim.NumEventKinds {
+		kind := sim.EventKind(k)
+		reg.CounterFunc(eventSeries("runtime", kind), eventsHelp,
+			func() uint64 { return rt.KindCount(kind) })
+	}
 	depth := reg.Histogram(MetricMailboxDepth,
 		"channel depth after each send",
 		ExpBuckets(1, 2, 12))
@@ -109,9 +110,6 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 		"wall-clock seconds from Start to each committed exit",
 		ExitSecondsBuckets())
 	rt.AddEventHook(func(e sim.Event) {
-		if int(e.Kind) < sim.NumEventKinds {
-			kinds[e.Kind].Inc()
-		}
 		switch e.Kind {
 		case sim.EvSend:
 			depth.Observe(float64(e.Depth))

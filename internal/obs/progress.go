@@ -27,8 +27,9 @@ import (
 //     making (a leaver nothing will ever talk to again).
 //
 // Everything on the hot path (NoteEvent, NoteOracle) is lock-free and
-// zero-alloc: per-leaver slots live behind a map that is read-only after
-// New, and every update is an atomic on pre-allocated state —
+// zero-alloc: per-leaver slots sit in a slice indexed by ref.Index that is
+// read-only after New, the per-event activity counts in one cache line per
+// Event.Lane, and every update is an atomic on pre-allocated state —
 // TestProgressNoteAllocs pins 0 allocs/op. Classification (Check) runs on
 // one driver goroutine and is the only place window deltas are kept.
 
@@ -133,37 +134,46 @@ type leaverSlot struct {
 	lastActive atomic.Uint64
 }
 
+// laneCell is one Event.Lane's share of the per-event activity counts, a
+// cache line to itself: the runtime's workers emit on their own lanes and so
+// count on their own lines. Atomics all the same — a lane is a hint, and two
+// emitters may share one.
+type laneCell struct {
+	timeouts, delivers, sends, hops atomic.Uint64
+	_                               [32]byte
+}
+
 // Progress is the per-run liveness tracker: per-leaver progress slots plus
 // windowed activity counters, feeding the fdp_progress_*/fdp_stall_*
 // series of a Registry. NoteEvent and NoteOracle are the hot path —
 // lock-free, zero-alloc, safe for concurrent use. Check (and the watchdogs
 // wrapping it) must be driven from a single goroutine.
 type Progress struct {
-	slots map[ref.Ref]*leaverSlot // read-only after NewProgress
-	list  []*leaverSlot           // deterministic iteration for Check
+	byIndex []*leaverSlot // by ref.Index, nil where no leaver; read-only after NewProgress
+	list    []*leaverSlot // deterministic iteration for Check
 
-	// Cumulative activity, windowed by Check.
-	timeouts atomic.Uint64
-	delivers atomic.Uint64
-	sends    atomic.Uint64
-	grants   atomic.Uint64
-	denials  atomic.Uint64
-	hops     atomic.Uint64
-	settles  atomic.Uint64
+	// Cumulative activity, windowed by Check: what every event moves is
+	// striped by lane and summed at read (activity), what only an oracle
+	// verdict or a settle moves is one word each.
+	cells *[256]laneCell
 	// window is the current check-window index (slots stamp lastActive
-	// with it).
-	window atomic.Uint64
+	// with it). Every hop reads it and only Check writes it: it sits with
+	// the read-only fields above, not with the counts below.
+	window  atomic.Uint64
+	grants  atomic.Uint64
+	denials atomic.Uint64
+	settles atomic.Uint64
 
 	// Checker-goroutine-only window baselines (not atomics: single caller).
 	lastTimeouts, lastDelivers, lastSends uint64
 	lastGrants, lastDenials, lastHops     uint64
 	lastSettles                           uint64
 
-	// Registry series (nil when constructed without a registry).
+	// Registry series (nil when constructed without a registry). The hop
+	// series is a collector over the lane cells.
 	remainingG *Gauge
 	grantsC    *Counter
 	denialsC   *Counter
-	hopsC      *Counter
 	streakG    *Gauge
 	stateG     *Gauge
 	verdicts   [4]*Counter
@@ -174,14 +184,19 @@ type Progress struct {
 // `node="2"`, ...); empty means unlabeled. reg may be nil for a tracker
 // that only classifies (no exposition).
 func NewProgress(reg *Registry, labels string, leavers []ref.Ref) *Progress {
-	p := &Progress{slots: make(map[ref.Ref]*leaverSlot, len(leavers))}
+	p := &Progress{cells: new([256]laneCell)}
 	for _, r := range leavers {
-		if _, dup := p.slots[r]; dup {
-			continue
+		i := ref.Index(r)
+		if i < 0 {
+			continue // ⊥ names no process
 		}
-		s := &leaverSlot{}
-		p.slots[r] = s
-		p.list = append(p.list, s)
+		if grow := i + 1 - len(p.byIndex); grow > 0 {
+			p.byIndex = append(p.byIndex, make([]*leaverSlot, grow)...)
+		}
+		if p.byIndex[i] == nil {
+			p.byIndex[i] = &leaverSlot{}
+			p.list = append(p.list, p.byIndex[i])
+		}
 	}
 	if reg != nil {
 		suffix := ""
@@ -191,7 +206,8 @@ func NewProgress(reg *Registry, labels string, leavers []ref.Ref) *Progress {
 		p.remainingG = reg.Gauge(MetricProgressLeavers+suffix, "unsettled leavers")
 		p.grantsC = reg.Counter(MetricProgressGrants+suffix, "oracle grants at exit-guard sites")
 		p.denialsC = reg.Counter(MetricProgressDenials+suffix, "oracle denials at exit-guard sites")
-		p.hopsC = reg.Counter(MetricProgressHops+suffix, "sends by unsettled leavers (departure progress hops)")
+		reg.CounterFunc(MetricProgressHops+suffix, "sends by unsettled leavers (departure progress hops)",
+			func() uint64 { _, _, _, hops := p.activity(); return hops })
 		p.streakG = reg.Gauge(MetricProgressDenialStreak+suffix, "largest current consecutive-denial run of any leaver")
 		p.stateG = reg.Gauge(MetricStallState+suffix, "current stall classification (0 none, 1 livelock, 2 starvation, 3 quiescent)")
 		for k := StallLivelock; k <= StallQuiescent; k++ {
@@ -201,6 +217,30 @@ func NewProgress(reg *Registry, labels string, leavers []ref.Ref) *Progress {
 		p.remainingG.Set(int64(len(p.list)))
 	}
 	return p
+}
+
+// slot returns r's leaver slot, or nil when r is no leaver of this run: a
+// stayer, ⊥, or an identity past every leaver or below zero (ref.FromWire
+// hands a node whatever a peer put on the wire).
+func (p *Progress) slot(r ref.Ref) *leaverSlot {
+	if i := ref.Index(r); uint(i) < uint(len(p.byIndex)) {
+		return p.byIndex[i]
+	}
+	return nil
+}
+
+// activity sums the lane cells. Each count is monotone and the lanes are
+// read in a fixed order, so successive sums read by one goroutine never
+// decrease.
+func (p *Progress) activity() (timeouts, delivers, sends, hops uint64) {
+	for i := range p.cells {
+		c := &p.cells[i]
+		timeouts += c.timeouts.Load()
+		delivers += c.delivers.Load()
+		sends += c.sends.Load()
+		hops += c.hops.Load()
+	}
+	return
 }
 
 func mergedKind(labels string, k StallKind) string {
@@ -224,19 +264,17 @@ func (p *Progress) Remaining() int {
 // NoteEvent is the engine event hook: install with AddEventHook on either
 // engine. Zero-alloc; safe for concurrent use.
 func (p *Progress) NoteEvent(e sim.Event) {
+	c := &p.cells[e.Lane]
 	switch e.Kind {
 	case sim.EvTimeout:
-		p.timeouts.Add(1)
+		c.timeouts.Add(1)
 	case sim.EvDeliver:
-		p.delivers.Add(1)
+		c.delivers.Add(1)
 	case sim.EvSend:
-		p.sends.Add(1)
-		if s := p.slots[e.Proc]; s != nil && !s.settled.Load() {
-			p.hops.Add(1)
-			s.lastActive.Store(p.window.Load())
-			if p.hopsC != nil {
-				p.hopsC.Inc()
-			}
+		c.sends.Add(1)
+		if s := p.slot(e.Proc); s != nil && !s.settled.Load() {
+			c.hops.Add(1)
+			s.touch(p.window.Load())
 		}
 	case sim.EvExit:
 		p.settle(e.Proc)
@@ -244,7 +282,7 @@ func (p *Progress) NoteEvent(e sim.Event) {
 		// FSP: hibernation is the settle event.
 		p.settle(e.Proc)
 	case sim.EvWake:
-		if s := p.slots[e.Proc]; s != nil && s.settled.CompareAndSwap(true, false) {
+		if s := p.slot(e.Proc); s != nil && s.settled.CompareAndSwap(true, false) {
 			if p.remainingG != nil {
 				p.remainingG.Add(1)
 			}
@@ -252,8 +290,18 @@ func (p *Progress) NoteEvent(e sim.Event) {
 	}
 }
 
+// touch records activity in the given window. The window moves once per
+// Check and a leaver hops many times in one: storing only a change keeps the
+// slot's cache line shared between the workers whose leavers' slots lie on
+// it.
+func (s *leaverSlot) touch(window uint64) {
+	if s.lastActive.Load() != window {
+		s.lastActive.Store(window)
+	}
+}
+
 func (p *Progress) settle(r ref.Ref) {
-	if s := p.slots[r]; s != nil && s.settled.CompareAndSwap(false, true) {
+	if s := p.slot(r); s != nil && s.settled.CompareAndSwap(false, true) {
 		p.settles.Add(1)
 		if p.remainingG != nil {
 			p.remainingG.Add(-1)
@@ -272,9 +320,9 @@ func (p *Progress) NoteOracle(u ref.Ref, granted bool) {
 		if p.grantsC != nil {
 			p.grantsC.Inc()
 		}
-		if s := p.slots[u]; s != nil {
+		if s := p.slot(u); s != nil {
 			s.denialStreak.Store(0)
-			s.lastActive.Store(p.window.Load())
+			s.touch(p.window.Load())
 		}
 		return
 	}
@@ -282,7 +330,7 @@ func (p *Progress) NoteOracle(u ref.Ref, granted bool) {
 	if p.denialsC != nil {
 		p.denialsC.Inc()
 	}
-	if s := p.slots[u]; s != nil {
+	if s := p.slot(u); s != nil {
 		s.denialStreak.Add(1)
 	}
 }
@@ -294,12 +342,9 @@ func (p *Progress) NoteOracle(u ref.Ref, granted bool) {
 // be called from one goroutine; stalled is true when the window made no
 // settle progress while leavers remain.
 func (p *Progress) Check(step uint64, pending int) (v StallVerdict, stalled bool) {
-	timeouts := p.timeouts.Load()
-	delivers := p.delivers.Load()
-	sends := p.sends.Load()
+	timeouts, delivers, sends, hops := p.activity()
 	grants := p.grants.Load()
 	denials := p.denials.Load()
-	hops := p.hops.Load()
 	settles := p.settles.Load()
 
 	v = StallVerdict{

@@ -175,6 +175,7 @@ func TestProgressNoteAllocs(t *testing.T) {
 	p := NewProgress(reg, `engine="alloc"`, ls)
 	send := ev(sim.EvSend, ls[0])
 	deliver := ev(sim.EvDeliver, ls[1])
+	deliver.Lane = 200 // any lane: the cells are allocated with the tracker
 	if n := testing.AllocsPerRun(1000, func() {
 		p.NoteEvent(send)
 		p.NoteEvent(deliver)
@@ -186,6 +187,96 @@ func TestProgressNoteAllocs(t *testing.T) {
 		p.NoteOracle(ls[1], true)
 	}); n != 0 {
 		t.Fatalf("NoteOracle allocates %v/op", n)
+	}
+}
+
+// TestProgressLanesAgreeWithOneLane: the lane is where an event is counted,
+// never what is counted. One event stream — every kind, leavers and stayers,
+// verdicts and checks interleaved — fed once with every event on lane 0 and
+// once dealt over many lanes yields the same verdict at every Check and the
+// same exposition at the end.
+func TestProgressLanesAgreeWithOneLane(t *testing.T) {
+	ls := leavers3()
+	stayer := ref.ByIndex(7)
+	procs := append(leavers3(), stayer)
+	kinds := []sim.EventKind{sim.EvTimeout, sim.EvSend, sim.EvDeliver, sim.EvSend, sim.EvDrop,
+		sim.EvSleep, sim.EvSend, sim.EvWake, sim.EvDeliver, sim.EvExit}
+	run := func(laneOf func(i int) uint8) ([]StallVerdict, string) {
+		reg := NewRegistry()
+		p := NewProgress(reg, `engine="lanes"`, ls)
+		var verdicts []StallVerdict
+		for i := 0; i < 400; i++ {
+			// Exits only late, so most windows have unsettled leavers hopping.
+			k := kinds[i%len(kinds)]
+			if k == sim.EvExit && i < 300 {
+				k = sim.EvSend
+			}
+			e := ev(k, procs[(i/3)%len(procs)])
+			e.Lane = laneOf(i)
+			p.NoteEvent(e)
+			if i%7 == 0 {
+				p.NoteOracle(procs[i%len(procs)], i%21 == 0)
+			}
+			if i%50 == 49 {
+				v, _ := p.Check(uint64(i), i%3)
+				verdicts = append(verdicts, v)
+			}
+		}
+		return verdicts, reg.String()
+	}
+	oneV, oneText := run(func(int) uint8 { return 0 })
+	manyV, manyText := run(func(i int) uint8 { return uint8(i * 37) })
+	if len(oneV) != 8 || oneV[0].WindowHops == 0 || oneV[0].WindowTimeouts == 0 {
+		t.Fatalf("the stream exercises too little: %+v", oneV)
+	}
+	for i := range oneV {
+		if oneV[i] != manyV[i] {
+			t.Fatalf("check %d: one lane judged\n%+v\nmany lanes\n%+v", i, oneV[i], manyV[i])
+		}
+	}
+	if oneText != manyText {
+		t.Fatalf("exposition differs.\none lane:\n%s\nmany lanes:\n%s", oneText, manyText)
+	}
+	if !strings.Contains(oneText, "# TYPE "+MetricProgressHops+" counter") {
+		t.Fatalf("the collected hop series is not exposed as a counter:\n%s", oneText)
+	}
+}
+
+// TestProgressUnknownAndHostileReferences is the tracker's side of the
+// runtime's TestUnknownAndHostileReferences: leaver slots are found by
+// indexing a slice with ref.Index, and a node's tracker is handed whatever
+// identity a peer put on the wire. A reference that names no leaver — ⊥, a
+// negative or far-out-of-range identity, a stayer, a process just past the
+// last leaver — has no slot: its events and verdicts are counted as activity,
+// settle nobody, grow no streak, and index nothing.
+func TestProgressUnknownAndHostileReferences(t *testing.T) {
+	ls := leavers3()
+	for _, c := range []struct {
+		name string
+		r    ref.Ref
+	}{
+		{"nil", ref.Nil},
+		{"negative", ref.FromWire(^uint32(4))},
+		{"past-the-end", ref.FromWire(1 << 30)},
+		{"just-past-the-last-leaver", ref.ByIndex(3)},
+		{"stayer-between-leavers", ref.ByIndex(1)},
+	} {
+		// Leavers p1 and p3 only, so index 1 is a hole inside the slice.
+		p := NewProgress(nil, "", []ref.Ref{ls[0], ref.Nil, ls[2], ls[0]})
+		if p.Remaining() != 2 {
+			t.Fatalf("%s: %d leavers tracked, want 2 (⊥ and the duplicate are none)", c.name, p.Remaining())
+		}
+		for _, k := range []sim.EventKind{sim.EvSend, sim.EvExit, sim.EvSleep, sim.EvWake, sim.EvTimeout, sim.EvDeliver} {
+			p.NoteEvent(ev(k, c.r))
+		}
+		p.NoteOracle(c.r, false)
+		p.NoteOracle(c.r, true)
+		v, _ := p.Check(1, 0)
+		want := StallVerdict{LeaversRemaining: 2, Step: 1, OldestIdleWindows: 1,
+			WindowTimeouts: 1, WindowDelivers: 1, WindowSends: 1, WindowGrants: 1, WindowDenials: 1}
+		if v != want {
+			t.Errorf("%s: %v judged\n%+v\nwant\n%+v", c.name, c.r, v, want)
+		}
 	}
 }
 

@@ -32,8 +32,16 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing value.
-type Counter struct{ v atomic.Uint64 }
+// Counter is a monotonically increasing value. It fills a cache line of its
+// own: counters registered one after another (one per event kind, say) are
+// allocated side by side, and goroutines bumping different ones would
+// otherwise write the same line.
+type Counter struct {
+	v atomic.Uint64
+	// collect, set by Registry.CounterFunc, supplies the value instead of v.
+	collect func() uint64
+	_       [48]byte
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -42,7 +50,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 {
+	if c.collect != nil {
+		return c.collect()
+	}
+	return c.v.Load()
+}
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomic.Int64 }
@@ -204,8 +217,8 @@ func (g gaugeFunc) expose(w io.Writer, name string) {
 }
 
 // Registry is a named collection of metrics. Registration (the Counter /
-// Gauge / Histogram / GaugeFunc accessors) takes the registry mutex;
-// updating a registered metric never does.
+// Gauge / Histogram / GaugeFunc / CounterFunc accessors) takes the registry
+// mutex; updating a registered metric never does.
 type Registry struct {
 	mu      sync.Mutex //fdp:lockleaf
 	metrics map[string]metric
@@ -256,6 +269,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // time. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.lookupOrCreate(name, help, func() metric { return gaugeFunc{fn: fn} })
+}
+
+// CounterFunc registers a collector counter: a Counter whose Value is fn()
+// at scrape time, for a monotone count the engine already keeps (per shard,
+// per lane) and a hook would only count a second time. fn must be safe for
+// concurrent use. Counter(name, "") returns the same counter for reading.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.lookupOrCreate(name, help, func() metric { return &Counter{collect: fn} })
 }
 
 func (r *Registry) lookupOrCreate(name, help string, mk func() metric) metric {

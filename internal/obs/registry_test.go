@@ -97,6 +97,8 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Gauge("fdp_gone", "gone processes").Set(2)
 	reg.Histogram("fdp_age", "age", []float64{1, 2}).Observe(1.5)
 	reg.GaugeFunc("fdp_live", "live value", func() float64 { return 4 })
+	collected := uint64(6)
+	reg.CounterFunc(`fdp_events_total{kind="wake"}`, "events per kind", func() uint64 { return collected })
 	out := reg.String()
 
 	for _, want := range []string{
@@ -104,6 +106,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP fdp_events_total events per kind",
 		`fdp_events_total{kind="exit"} 1`,
 		`fdp_events_total{kind="send"} 3`,
+		`fdp_events_total{kind="wake"} 6`,
 		"# TYPE fdp_gone gauge",
 		"fdp_gone 2",
 		"# TYPE fdp_age histogram",
@@ -125,6 +128,12 @@ func TestWritePrometheus(t *testing.T) {
 	// Deterministic: series sorted by name.
 	if strings.Index(out, `kind="exit"`) > strings.Index(out, `kind="send"`) {
 		t.Fatalf("series not sorted:\n%s", out)
+	}
+	// A collector counter is a counter of its family (no second TYPE line
+	// above) and reads by name like one, at the value of the moment.
+	collected = 9
+	if got := reg.Counter(`fdp_events_total{kind="wake"}`, "").Value(); got != 9 {
+		t.Fatalf("collector counter read by name = %d, want 9", got)
 	}
 }
 

@@ -12,24 +12,36 @@ import (
 // This file is the runtime's side of the one observer plane both engines
 // share (DESIGN.md §10): the same sim.Event kinds the sequential engine
 // emits, handed to the same hook-shaped consumers (obs bridge, progress
-// tracker, trace.Flight, journal writer), with no global trace lock.
+// tracker, trace.Flight, journal writer), with no global trace lock and no
+// cache line every emitter writes.
 //
 //   - Per-kind counts are always on: one atomic counter per EventKind and
 //     shard, bumped by the shard's worker and summed at read. They are what
 //     the differential event-parity test compares between engines.
 //   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
 //     every event synchronously from the emitting goroutine — a shard
-//     worker under its action read lock, or the coordinator for batched
-//     exit events, with or without a pause. Hooks therefore run
-//     concurrently with each other and must be safe for concurrent use. The
-//     runtime keeps no ring of its own: a consumer that wants the last K
+//     worker under its action read lock, or whoever commits an exit: a
+//     pauser, or the coordinator beside the running workers. Hooks therefore
+//     run concurrently with each other and must be safe for concurrent use.
+//     The runtime keeps no ring of its own: a consumer that wants the last K
 //     events installs trace.Flight.Record. With no hook installed no
-//     sim.Event is built at all (shard.note).
+//     sim.Event is built at all (shard.note) and no step is summed.
 //
-// Event.Step on runtime events is the global executed-action count at
-// emission time — the closest concurrent analogue of the simulator's step
-// counter: non-decreasing per process, good enough to order a dump for
-// post-mortem reading.
+// Event.Lane on runtime events is the index (mod 256) of the shard that owns
+// the process the event is about. It is a hint for observers that stripe
+// their state — one flight ring, one cell of progress counts per lane — so
+// that two workers' events meet on no line; it is not an identity: the
+// coordinator emits an exit on the owner's lane while the owner's worker
+// emits on it too, and a rebalance moves a process to another lane. Striped
+// state therefore stays atomic or locked, just uncontended.
+//
+// Event.Step on runtime events is the executed-action count as the emitter
+// knew it — the closest concurrent analogue of the simulator's step counter.
+// A worker stamps its own count plus a sum of the other shards' counts it
+// refreshes once per iteration (sumOthers), an exit committer the full sum.
+// It is a cached sum, not a clock: up to one worker iteration behind the true
+// total, never ahead of it, and non-decreasing per process (sumOthers says
+// why) — good enough to order a dump for post-mortem reading.
 
 // AddEventHook attaches one more synchronous observer; every installed hook
 // receives every emitted event, in attach order. fn runs on the emitting
@@ -70,9 +82,36 @@ func (sh *shard) note(k sim.EventKind) bool {
 	return len(sh.rt.hooks) > 0
 }
 
-// emit stamps e with the executed-action count and hands it to every hook.
-func (rt *Runtime) emit(e sim.Event) {
-	e.Step = int(rt.Events())
+// sumOthers reads every other shard's action count, for emit to add to the
+// shard's own. The worker calls it at the top of every iteration, and only
+// while a hook is installed: a stamped event then reads no counter another
+// worker writes. Every count is monotone, so the stamps of one worker never
+// decrease; and since a pause (a rebalance, that is) falls between two
+// iterations, the first stamp a process gets from its new worker is computed
+// from counts read after the last stamp it got from the old one.
+func (sh *shard) sumOthers() {
+	var sum uint64
+	for _, o := range sh.rt.shards {
+		if o != sh {
+			sum += o.n.events.Load()
+		}
+	}
+	sh.others = sum
+}
+
+// emit hands e to every hook, stamped with sh's lane and with sh's view of
+// the executed-action count: its own count plus the cached sum of the others.
+// Caller is sh's worker under its action read lock.
+func (rt *Runtime) emit(sh *shard, e sim.Event) {
+	rt.emitAt(sh, sh.n.events.Load()+sh.others, e)
+}
+
+// emitAt is emit for a caller that brings the step: whoever commits an exit —
+// a pauser, or the coordinator running beside sh's worker — sums in full and
+// reads no worker's cache.
+func (rt *Runtime) emitAt(sh *shard, step uint64, e sim.Event) {
+	e.Step = int(step)
+	e.Lane = uint8(sh.idx)
 	for _, fn := range rt.hooks {
 		fn(e)
 	}

@@ -452,7 +452,7 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 		if depth, ok := rt.admit(target, &msg); ok {
 			sh.post(target, &msg)
 			if sh.note(sim.EvSend) {
-				rt.emit(sim.Event{Kind: sim.EvSend, Proc: p.id, Peer: to, Label: msg.Label, Depth: depth,
+				rt.emit(sh, sim.Event{Kind: sim.EvSend, Proc: p.id, Peer: to, Label: msg.Label, Depth: depth,
 					CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
 			}
 			return
@@ -460,7 +460,7 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	}
 	sh.n.dropped.Add(1)
 	if sh.note(sim.EvDrop) {
-		rt.emit(sim.Event{Kind: sim.EvDrop, Proc: p.id, Peer: to, Label: msg.Label,
+		rt.emit(sh, sim.Event{Kind: sim.EvDrop, Proc: p.id, Peer: to, Label: msg.Label,
 			CID: msg.CID(), Parent: msg.CausalParent(), MsgID: msg.CID(), Clock: p.clock})
 	}
 	// Transport-level failure detection, same contract as the sequential
@@ -506,13 +506,13 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		sh.awake.Add(1)
 		rt.asleep.Add(-1)
 		if sh.note(sim.EvWake) {
-			rt.emit(sim.Event{Kind: sim.EvWake, Proc: p.id,
+			rt.emit(sh, sim.Event{Kind: sim.EvWake, Proc: p.id,
 				CID: sh.nextCID(), Parent: msg.CID(), Clock: p.clock})
 		}
 	}
 	p.curCID = sh.nextCID()
 	if sh.note(sim.EvDeliver) {
-		rt.emit(sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
+		rt.emit(sh, sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
 			CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
 	}
 	p.proto.Deliver(&p.ctx, *msg)
@@ -534,7 +534,7 @@ func (p *proc) timeoutAction(sh *shard) bool {
 	p.clock++
 	p.curCID = sh.nextCID()
 	if sh.note(sim.EvTimeout) {
-		p.rt.emit(sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
+		p.rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
 	}
 	p.proto.Timeout(&p.ctx)
 	if p.rt.trackDeg {
@@ -551,7 +551,7 @@ func (p *proc) timeoutAction(sh *shard) bool {
 func (p *proc) finishAction(sh *shard) bool {
 	rt := p.rt
 	if p.wantSleep && !p.wantExit && sh.note(sim.EvSleep) {
-		rt.emit(sim.Event{Kind: sim.EvSleep, Proc: p.id,
+		rt.emit(sh, sim.Event{Kind: sim.EvSleep, Proc: p.id,
 			CID: sh.nextCID(), Parent: p.curCID, Clock: p.clock})
 	}
 	sh.n.events.Add(1)
@@ -601,8 +601,8 @@ func (rt *Runtime) commitExit(p *proc) {
 // turned gone, so what waits there (or is still on its way through an outbox
 // or inbox) was sent before the exit, and nobody pops it. Callers:
 // commitExit, and the coordinator's fast-path epoch with the workers running
-// — it takes leaf locks and neighbors' degMu only, and its causal id comes
-// from the shared counter, not from a worker's block.
+// — it takes leaf locks and neighbors' degMu only, and its causal id and its
+// step come from the shared counters, not from a worker's block or cache.
 func (rt *Runtime) finishExit(p *proc, nbr *nbrRow) {
 	sh := rt.shards[p.shard.Load()]
 	sh.live.Add(-1)
@@ -612,7 +612,10 @@ func (rt *Runtime) finishExit(p *proc, nbr *nbrRow) {
 	sh.exitLat = append(sh.exitLat, time.Since(rt.startTime))
 	sh.latMu.Unlock()
 	if sh.note(sim.EvExit) {
-		rt.emit(sim.Event{Kind: sim.EvExit, Proc: p.id,
+		// The full count, not sh's cached view: the caller may be the
+		// coordinator running beside sh's worker. No earlier stamp of p
+		// exceeds it, and exits are rare.
+		rt.emitAt(sh, rt.Events(), sim.Event{Kind: sim.EvExit, Proc: p.id,
 			CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
 	}
 }

@@ -174,6 +174,11 @@ type shard struct {
 	// reserves the next one from rt.causal (nextCID).
 	cid, cidEnd uint64
 
+	// others is the other shards' executed-action count as of the worker's
+	// last look (sumOthers): what emit adds to the shard's own count for
+	// Event.Step.
+	others uint64
+
 	n tally
 	_ [64]byte
 }
@@ -484,6 +489,9 @@ func (sh *shard) worker() {
 
 	for !rt.stop.Load() {
 		sh.actMu.RLock()
+		if len(rt.hooks) > 0 {
+			sh.sumOthers()
+		}
 		delivered := sh.deliverRound()
 		timeouts := 0
 		if now := time.Now(); !now.Before(sh.nextTO) {

@@ -124,7 +124,7 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	p := rt.byPid[0]
 	sh := rt.shards[p.shard.Load()]
 	if sh.note(sim.EvTimeout) {
-		rt.emit(sim.Event{Kind: sim.EvTimeout, Proc: p.id})
+		rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id})
 	}
 	if added != 0 || sunk != 1 {
 		t.Fatalf("after SetEventSink: displaced hook saw %d events, sink saw %d; want 0 and 1", added, sunk)
@@ -135,5 +135,55 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	}
 	if sunk != 1 || rt.KindCount(sim.EvTimeout) != 2 {
 		t.Fatalf("after SetEventSink(nil): sink saw %d events, counter %d; want 1 and 2", sunk, rt.KindCount(sim.EvTimeout))
+	}
+}
+
+// TestStepNonDecreasingPerProcess holds Event.Step to what events.go says of
+// it on the path that stamps it from a cache: four forced shards (each worker
+// adds its own count to a sum of the others it refreshes once per
+// iteration), with Rebalance moving processes between shards — and so between
+// caches — and Mutate pausing the world while the churn runs. Per process the
+// stamp never goes backwards, whichever worker or exit committer emitted
+// (a worker that stamped its own count alone fails here at the first
+// rebalance); every event carries its emitter's lane; and no stamp runs ahead
+// of the true count. `make race` runs it for the striped stamping the way it
+// runs TestForcedShardChurn for the mail path.
+func TestStepNonDecreasingPerProcess(t *testing.T) {
+	const shards = 4
+	rt, _, leaving := buildShardedRuntime(512, 0.5, 29, core.VariantFDP, oracle.Single{}, shards)
+	log := &eventLog{}
+	rt.AddEventHook(log.record)
+	rt.Start()
+	deadline := time.Now().Add(60 * time.Second)
+	for i := 0; rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline); i++ {
+		if i%2 == 0 {
+			rt.Rebalance()
+		} else {
+			rt.Mutate(func(*MutableView) {})
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	rt.Stop()
+	if rt.Gone() != uint64(leaving.Len()) {
+		t.Fatalf("only %d/%d exits", rt.Gone(), leaving.Len())
+	}
+	total := int(rt.Events())
+	lastStep := make(map[ref.Ref]int)
+	lanes := make(map[uint8]bool)
+	for _, e := range log.snapshot() {
+		if e.Step < lastStep[e.Proc] {
+			t.Fatalf("Step went backwards on %v: %d after %d (%v, lane %d)", e.Proc, e.Step, lastStep[e.Proc], e.Kind, e.Lane)
+		}
+		lastStep[e.Proc] = e.Step
+		if e.Step > total {
+			t.Fatalf("Step %d on %v exceeds the %d actions ever executed", e.Step, e.Proc, total)
+		}
+		if int(e.Lane) >= shards {
+			t.Fatalf("event on lane %d of a %d-shard runtime: %+v", e.Lane, shards, e)
+		}
+		lanes[e.Lane] = true
+	}
+	if len(lanes) != shards {
+		t.Fatalf("events on lanes %v, want all %d shards' lanes", lanes, shards)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fdp/internal/ref"
 )
@@ -19,6 +20,15 @@ func (r *recorder) countByKind() map[EventKind]int {
 		out[e.Kind]++
 	}
 	return out
+}
+
+// Event.Lane rides in the padding after Kind. Every hook takes an Event by
+// value and the flight rings store them: a field that grew the struct would
+// tax every observed event on both engines.
+func TestEventSizeUnchangedByLane(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 112 {
+		t.Fatalf("sim.Event is %d bytes, want 112", got)
+	}
 }
 
 // Regression: attaching a consumer used to overwrite the world's single

@@ -18,8 +18,16 @@ type Oracle interface {
 
 // Event is a trace event emitted by the world.
 type Event struct {
-	Step    int
-	Kind    EventKind
+	Step int
+	Kind EventKind
+	// Lane is a storage hint for observers that stripe their state (DESIGN.md
+	// §10): the concurrent runtime stamps the emitting shard's index mod 256,
+	// the sequential engine and the node pump leave 0. A hint, not an
+	// identity: two goroutines may emit on one lane, so whatever an observer
+	// keeps per lane stays atomic or locked. It carries no semantics and is
+	// never journaled. It sits in the padding after Kind: Event stays 112
+	// bytes.
+	Lane    uint8
 	Proc    ref.Ref
 	Peer    ref.Ref // message target / source where applicable
 	Label   string  // message label where applicable

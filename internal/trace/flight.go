@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fdp/internal/sim"
 )
@@ -14,17 +17,30 @@ import (
 // never wrapped (the snapshot is a complete prefix of the run), replayable
 // by cmd/fdpreplay like any committed journal.
 //
-// Record stores raw sim.Events (no FromEvent conversion, no allocation —
-// the ring is pre-allocated at NewFlight); rendering to Records happens at
-// snapshot time, off the hot path. Locking: the ring mutex is a leaf, held
-// only for the copy-in/copy-out — never across rendering or I/O — which is
-// why the snapshot is taken first and written after (see WriteSnapshot).
+// Record stores raw sim.Events (no FromEvent conversion); rendering to
+// Records happens at snapshot time, off the hot path. There is one ring per
+// Event.Lane, each behind its own leaf mutex and allocated on the lane's
+// first event, so recorders on different lanes (the runtime's shard workers)
+// share no cache line; the memory bound is lanes in use × capacity events.
+// An engine that stamps no lane (the sequential world, the node pump) fills
+// lane 0 only and gets exactly the single ring: its events in recorded
+// order. Several lanes are merged when a snapshot is taken (events).
+// Locking: a ring mutex is held only for the copy-in/copy-out — never across
+// rendering or I/O, never two at once — which is why the snapshot is taken
+// first and written after (see WriteSnapshot).
 type Flight struct {
+	capacity int
+	lanes    [256]atomic.Pointer[ring]
+}
+
+// ring is one lane's share of a Flight. Its 56 bytes take a 64-byte
+// allocation: no two rings' mutexes share a cache line.
+type ring struct {
 	mu   sync.Mutex //fdp:lockleaf
 	buf  []sim.Event
 	next int
 	n    int
-	// total counts every event ever offered, so Snapshot can report
+	// total counts every event ever offered, so a snapshot can report
 	// whether the ring wrapped (total > len(buf)).
 	total uint64
 }
@@ -38,38 +54,51 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &Flight{buf: make([]sim.Event, capacity)}
+	return &Flight{capacity: capacity}
 }
 
-// Record appends one event, evicting the oldest when full. Hook-shaped:
-// install with AddEventHook on either engine. Safe for concurrent use;
-// allocation-free.
+// Record appends one event to its lane's ring, evicting the lane's oldest
+// when full. Hook-shaped: install with AddEventHook on either engine. Safe
+// for concurrent use; allocation-free after a lane's first event.
 func (f *Flight) Record(e sim.Event) {
-	f.mu.Lock()
-	f.buf[f.next] = e
-	f.next++
-	if f.next == len(f.buf) {
-		f.next = 0
+	r := f.lanes[e.Lane].Load()
+	if r == nil {
+		r = f.open(e.Lane)
 	}
-	if f.n < len(f.buf) {
-		f.n++
+	r.mu.Lock()
+	r.buf[r.next] = e
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
 	}
-	f.total++
-	f.mu.Unlock()
+	if r.n < len(r.buf) {
+		r.n++
+	}
+	r.total++
+	r.mu.Unlock()
 }
 
-// Len returns how many events the ring currently holds.
-func (f *Flight) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
+// open allocates lane's ring; of two first recorders one wins and both use
+// the winner's.
+func (f *Flight) open(lane uint8) *ring {
+	r := &ring{buf: make([]sim.Event, f.capacity)}
+	if !f.lanes[lane].CompareAndSwap(nil, r) {
+		r = f.lanes[lane].Load()
+	}
+	return r
 }
 
 // Total returns how many events were ever recorded.
 func (f *Flight) Total() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
+	var total uint64
+	for i := range f.lanes {
+		if r := f.lanes[i].Load(); r != nil {
+			r.mu.Lock()
+			total += r.total
+			r.mu.Unlock()
+		}
+	}
+	return total
 }
 
 // Events returns a copy of the retained raw events, oldest first — what
@@ -80,19 +109,46 @@ func (f *Flight) Events() []sim.Event {
 	return events
 }
 
-// events copies the ring out under the mutex; complete reports that the
-// ring never wrapped.
+// events copies the rings out, each under its own mutex; complete reports
+// that the result is every event ever recorded. One lane in use yields that
+// ring as it is. Several are concatenated and stably sorted on the Lamport
+// clock, then the causal id: an event follows its causes (a delivery's clock
+// exceeds its send's; the events of one action share a clock and draw
+// ascending ids, and an exit the coordinator commits draws its id after the
+// action that asked for it, whichever lane either landed on), and events the
+// order does not relate keep their lane's recorded order. The merge is
+// trimmed to the newest capacity events. The lanes of a running system are
+// not copied at one instant: a snapshot may hold an event whose cause
+// reached an already copied lane later — as a wrapped ring holds deliveries
+// whose sends it evicted.
 func (f *Flight) events() (events []sim.Event, complete bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	events = make([]sim.Event, 0, f.n)
-	if f.n == len(f.buf) && f.total > uint64(f.n) {
-		events = append(events, f.buf[f.next:]...)
-		events = append(events, f.buf[:f.next]...)
-	} else {
-		events = append(events, f.buf[:f.n]...)
+	events, complete = []sim.Event{}, true
+	used := 0
+	for i := range f.lanes {
+		r := f.lanes[i].Load()
+		if r == nil {
+			continue
+		}
+		used++
+		r.mu.Lock()
+		if r.total > uint64(r.n) {
+			complete = false
+			events = append(events, r.buf[r.next:]...)
+			events = append(events, r.buf[:r.next]...)
+		} else {
+			events = append(events, r.buf[:r.n]...)
+		}
+		r.mu.Unlock()
 	}
-	return events, f.total == uint64(f.n)
+	if used > 1 {
+		slices.SortStableFunc(events, func(a, b sim.Event) int {
+			return cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.CID, b.CID))
+		})
+		if drop := len(events) - f.capacity; drop > 0 {
+			events, complete = events[drop:], false
+		}
+	}
+	return events, complete
 }
 
 // Snapshot renders the ring's contents, oldest first, as journal records.
@@ -100,7 +156,7 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 // entire event stream from step 0 and therefore satisfies the replay
 // contract (an incomplete snapshot is still joinable and diffable, but a
 // replay would need the evicted prefix). The events are copied out under
-// the ring mutex and rendered after it is released.
+// the ring mutexes and rendered after they are released.
 func (f *Flight) Snapshot() (recs []Record, complete bool) {
 	events, complete := f.events()
 	return FromEvents(events), complete
