@@ -59,7 +59,8 @@ test:
 # state by Event.Lane are raced the same way, by tests that force the lane
 # count: TestStepNonDecreasingPerProcess (internal/parallel, four shards
 # stamping lanes and cached steps through rebalances), TestFlightLanesMergeCausally
-# (internal/trace, four goroutines on four rings) and
+# (internal/trace, four goroutines on four rings), TestFlightCompleteSnapshotIsACut
+# (snapshots beside a recorder on two lanes) and
 # TestProgressLanesAgreeWithOneLane (internal/obs).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...

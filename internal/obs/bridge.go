@@ -96,7 +96,9 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 // histogram and a wall-clock time-to-exit histogram; and collector gauges
 // over the runtime's always-on atomic counters, among them each shard's
 // cross-shard mail. Call before Runtime.Start and after SetShards. The hook
-// runs on the emitting goroutines and touches only atomics.
+// runs on the emitting goroutines and touches only atomics. Several runtimes
+// instrumented into one registry sum in the counters and histograms (each is
+// a further CounterFunc source); the gauges follow the first.
 func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	for k := range sim.NumEventKinds {
 		kind := sim.EventKind(k)

@@ -156,6 +156,37 @@ func TestInstrumentRuntime(t *testing.T) {
 	}
 }
 
+// TestInstrumentRuntimeSharedRegistry instruments two runs into one registry,
+// as fdpbench -serve does per trial: the per-kind series is the sum of both
+// runtimes' counts and agrees with the histograms beside it.
+func TestInstrumentRuntimeSharedRegistry(t *testing.T) {
+	reg := NewRegistry()
+	var want [sim.NumEventKinds]uint64
+	for _, seed := range []int64{7, 8} {
+		rt := mirror(churnScenario(seed).World, oracle.Single{})
+		InstrumentRuntime(rt, reg)
+		if !rt.RunUntil(func(w *sim.World) bool { return w.Legitimate(sim.FDP) },
+			time.Millisecond, 30*time.Second) {
+			t.Fatalf("seed %d: runtime did not converge", seed)
+		}
+		for k := range want {
+			want[k] += rt.KindCount(sim.EventKind(k))
+		}
+	}
+	for k, n := range want {
+		kind := sim.EventKind(k)
+		if got := reg.Counter(eventSeries("runtime", kind), "").Value(); got != n {
+			t.Fatalf("%s series = %d, want the two runs' sum %d", kind, got, n)
+		}
+	}
+	if got := reg.Histogram(MetricTimeToExitSeconds, "", nil).Count(); got != want[sim.EvExit] || got == 0 {
+		t.Fatalf("time-to-exit count %d, exit series %d", got, want[sim.EvExit])
+	}
+	if got := reg.Histogram(MetricMailboxDepth, "", nil).Count(); got != want[sim.EvSend] {
+		t.Fatalf("depth count %d, send series %d", got, want[sim.EvSend])
+	}
+}
+
 func TestCountOracle(t *testing.T) {
 	reg := NewRegistry()
 	orc := CountOracle(oracle.Single{}, reg)

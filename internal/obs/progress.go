@@ -182,7 +182,10 @@ type Progress struct {
 // NewProgress builds a tracker for the given leavers. labels is the
 // instance label set merged into every series name (`engine="sim"`,
 // `node="2"`, ...); empty means unlabeled. reg may be nil for a tracker
-// that only classifies (no exposition).
+// that only classifies (no exposition). A leaver named twice gets one slot,
+// and a ⊥ in the list none — it names no process, so it is not counted in
+// Remaining or the leavers gauge (the map this slice replaced gave it a slot
+// under the ⊥ key, which only an event of no process could settle).
 func NewProgress(reg *Registry, labels string, leavers []ref.Ref) *Progress {
 	p := &Progress{cells: new([256]laneCell)}
 	for _, r := range leavers {
@@ -274,7 +277,7 @@ func (p *Progress) NoteEvent(e sim.Event) {
 		c.sends.Add(1)
 		if s := p.slot(e.Proc); s != nil && !s.settled.Load() {
 			c.hops.Add(1)
-			s.touch(p.window.Load())
+			s.lastActive.Store(p.window.Load())
 		}
 	case sim.EvExit:
 		p.settle(e.Proc)
@@ -287,16 +290,6 @@ func (p *Progress) NoteEvent(e sim.Event) {
 				p.remainingG.Add(1)
 			}
 		}
-	}
-}
-
-// touch records activity in the given window. The window moves once per
-// Check and a leaver hops many times in one: storing only a change keeps the
-// slot's cache line shared between the workers whose leavers' slots lie on
-// it.
-func (s *leaverSlot) touch(window uint64) {
-	if s.lastActive.Load() != window {
-		s.lastActive.Store(window)
 	}
 }
 
@@ -322,7 +315,7 @@ func (p *Progress) NoteOracle(u ref.Ref, granted bool) {
 		}
 		if s := p.slot(u); s != nil {
 			s.denialStreak.Store(0)
-			s.touch(p.window.Load())
+			s.lastActive.Store(p.window.Load())
 		}
 		return
 	}

@@ -38,8 +38,9 @@ import (
 // otherwise write the same line.
 type Counter struct {
 	v atomic.Uint64
-	// collect, set by Registry.CounterFunc, supplies the value instead of v.
-	collect func() uint64
+	// sources, appended to by Registry.CounterFunc (a fresh slice each time,
+	// under the registry mutex), are summed on top of v.
+	sources atomic.Pointer[[]func() uint64]
 	_       [48]byte
 }
 
@@ -51,10 +52,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
-	if c.collect != nil {
-		return c.collect()
+	n := c.v.Load()
+	if src := c.sources.Load(); src != nil {
+		for _, fn := range *src {
+			n += fn()
+		}
 	}
-	return c.v.Load()
+	return n
 }
 
 // Gauge is a value that can go up and down.
@@ -271,12 +275,24 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.lookupOrCreate(name, help, func() metric { return gaugeFunc{fn: fn} })
 }
 
-// CounterFunc registers a collector counter: a Counter whose Value is fn()
-// at scrape time, for a monotone count the engine already keeps (per shard,
-// per lane) and a hook would only count a second time. fn must be safe for
-// concurrent use. Counter(name, "") returns the same counter for reading.
+// CounterFunc adds fn as a source of the counter registered under name,
+// creating it if needed: Value counts fn() at scrape time, for a monotone
+// count the engine already keeps (per shard, per lane) and a hook would only
+// count a second time. A name registered again keeps its earlier sources and
+// whatever was Inc'd, so several runs instrumented into one registry sum as
+// they do on a plain Counter; the registry keeps every source reachable. fn
+// must be safe for concurrent use. Counter(name, "") returns the same counter
+// for reading.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.lookupOrCreate(name, help, func() metric { return &Counter{collect: fn} })
+	c := r.Counter(name, help)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var src []func() uint64
+	if old := c.sources.Load(); old != nil {
+		src = append(src, *old...)
+	}
+	src = append(src, fn)
+	c.sources.Store(&src)
 }
 
 func (r *Registry) lookupOrCreate(name, help string, mk func() metric) metric {

@@ -99,10 +99,15 @@ func TestWritePrometheus(t *testing.T) {
 	reg.GaugeFunc("fdp_live", "live value", func() float64 { return 4 })
 	collected := uint64(6)
 	reg.CounterFunc(`fdp_events_total{kind="wake"}`, "events per kind", func() uint64 { return collected })
+	// A name registered again sums its sources and what was Inc'd.
+	reg.CounterFunc(`fdp_events_total{kind="sleep"}`, "events per kind", func() uint64 { return 2 })
+	reg.CounterFunc(`fdp_events_total{kind="sleep"}`, "events per kind", func() uint64 { return 5 })
+	reg.Counter(`fdp_events_total{kind="sleep"}`, "").Inc()
 	out := reg.String()
 
 	for _, want := range []string{
 		"# TYPE fdp_events_total counter",
+		`fdp_events_total{kind="sleep"} 8`,
 		"# HELP fdp_events_total events per kind",
 		`fdp_events_total{kind="exit"} 1`,
 		`fdp_events_total{kind="send"} 3`,

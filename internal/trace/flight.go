@@ -90,15 +90,21 @@ func (f *Flight) open(lane uint8) *ring {
 
 // Total returns how many events were ever recorded.
 func (f *Flight) Total() uint64 {
-	var total uint64
+	total, _ := f.tally()
+	return total
+}
+
+// tally sums the lanes' totals and counts the lanes in use.
+func (f *Flight) tally() (total uint64, lanes int) {
 	for i := range f.lanes {
 		if r := f.lanes[i].Load(); r != nil {
+			lanes++
 			r.mu.Lock()
 			total += r.total
 			r.mu.Unlock()
 		}
 	}
-	return total
+	return total, lanes
 }
 
 // Events returns a copy of the retained raw events, oldest first — what
@@ -110,20 +116,24 @@ func (f *Flight) Events() []sim.Event {
 }
 
 // events copies the rings out, each under its own mutex; complete reports
-// that the result is every event ever recorded. One lane in use yields that
-// ring as it is. Several are concatenated and stably sorted on the Lamport
-// clock, then the causal id: an event follows its causes (a delivery's clock
-// exceeds its send's; the events of one action share a clock and draw
-// ascending ids, and an exit the coordinator commits draws its id after the
-// action that asked for it, whichever lane either landed on), and events the
-// order does not relate keep their lane's recorded order. The merge is
-// trimmed to the newest capacity events. The lanes of a running system are
-// not copied at one instant: a snapshot may hold an event whose cause
-// reached an already copied lane later — as a wrapped ring holds deliveries
-// whose sends it evicted.
+// that the result is every event recorded up to one instant. One lane in use
+// yields that ring as it is. Several are concatenated and stably sorted on
+// the Lamport clock, then the causal id: an event follows its causes (a
+// delivery's clock exceeds its send's; the events of one action share a clock
+// and draw ascending ids, and an exit the coordinator commits draws its id
+// after the action that asked for it, whichever lane either landed on), and
+// events the order does not relate keep their lane's recorded order. The
+// merge is trimmed to the newest capacity events. The lanes of a running
+// system are not copied at one instant, so a snapshot may hold an event whose
+// cause reached an already copied lane later — as a wrapped ring holds
+// deliveries whose sends it evicted — and is then not complete: the totals
+// are read again after the last copy, and only if no lane moved between its
+// copy and that second read (every copy precedes every second read, so all
+// lanes stood still at one moment in between) is the copy a cut of the run.
 func (f *Flight) events() (events []sim.Event, complete bool) {
 	events, complete = []sim.Event{}, true
 	used := 0
+	var copied uint64
 	for i := range f.lanes {
 		r := f.lanes[i].Load()
 		if r == nil {
@@ -131,6 +141,7 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 		}
 		used++
 		r.mu.Lock()
+		copied += r.total
 		if r.total > uint64(r.n) {
 			complete = false
 			events = append(events, r.buf[r.next:]...)
@@ -139,6 +150,10 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 			events = append(events, r.buf[:r.n]...)
 		}
 		r.mu.Unlock()
+	}
+	// One lane all along was copied under one lock.
+	if total, lanes := f.tally(); lanes > 1 && total != copied {
+		complete = false
 	}
 	if used > 1 {
 		slices.SortStableFunc(events, func(a, b sim.Event) int {
@@ -151,12 +166,14 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 	return events, complete
 }
 
-// Snapshot renders the ring's contents, oldest first, as journal records.
-// complete reports that the ring never wrapped — the snapshot is the run's
-// entire event stream from step 0 and therefore satisfies the replay
-// contract (an incomplete snapshot is still joinable and diffable, but a
-// replay would need the evicted prefix). The events are copied out under
-// the ring mutexes and rendered after they are released.
+// Snapshot renders the rings' contents, oldest first, as journal records.
+// complete reports that no ring wrapped, nothing was trimmed and no lane took
+// an event while another was being copied — the snapshot is the run's entire
+// event stream from step 0 up to one instant and therefore satisfies the
+// replay contract (an incomplete snapshot is still joinable and diffable, but
+// a replay would need the evicted prefix or the missed events; snapshot a
+// quiesced run, or again, for a complete one). The events are copied out
+// under the ring mutexes and rendered after they are released.
 func (f *Flight) Snapshot() (recs []Record, complete bool) {
 	events, complete := f.events()
 	return FromEvents(events), complete

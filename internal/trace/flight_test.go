@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,5 +270,55 @@ func TestFlightRecordAllocs(t *testing.T) {
 		fl.Record(b)
 	}); n != 0 {
 		t.Fatalf("Record allocates %v/op after the lanes' first events", n)
+	}
+}
+
+// TestFlightCompleteSnapshotIsACut snapshots while a recorder runs: it sends
+// on lane 0 and delivers on lane 2, and the long lane 1 between them keeps the
+// copy busy for many such pairs. A snapshot that calls itself complete holds
+// the send of every delivery it holds; one taken at rest is complete.
+func TestFlightCompleteSnapshotIsACut(t *testing.T) {
+	const pairs, filler = 12000, 40000
+	fl := trace.NewFlight(1 << 16)
+	for i := 0; i < filler; i++ {
+		fl.Record(sim.Event{Kind: sim.EvTimeout, Lane: 1})
+	}
+	fl.Record(sim.Event{Kind: sim.EvTimeout, Lane: 0})
+	fl.Record(sim.Event{Kind: sim.EvTimeout, Lane: 2})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := uint64(1); id <= pairs; id++ {
+			fl.Record(sim.Event{Kind: sim.EvSend, Lane: 0, MsgID: id, Clock: 2 * id, CID: 2 * id})
+			fl.Record(sim.Event{Kind: sim.EvDeliver, Lane: 2, MsgID: id, Clock: 2*id + 1, CID: 2*id + 1})
+			if id%256 == 0 {
+				runtime.Gosched() // last through several snapshots
+			}
+		}
+	}()
+	closed := func(recs []trace.Record) bool {
+		sent := make(map[uint64]bool)
+		for _, r := range recs {
+			if r.Kind == "send" {
+				sent[r.MsgID] = true
+			} else if r.Kind == "deliver" && !sent[r.MsgID] {
+				return false
+			}
+		}
+		return true
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if recs, complete := fl.Snapshot(); complete && !closed(recs) {
+			t.Fatal("a snapshot reported complete holds a delivery without its send")
+		}
+	}
+	recs, complete := fl.Snapshot()
+	if !complete || len(recs) != filler+2+2*pairs || !closed(recs) {
+		t.Fatalf("snapshot at rest: complete=%v, %d records, want true and %d", complete, len(recs), filler+2+2*pairs)
 	}
 }
