@@ -228,24 +228,38 @@ func BenchmarkPhi(b *testing.B) {
 	}
 }
 
+// degreeStates are the two structures a sequential world answers SINGLE
+// from: the leaver-only degree ledger a sealed world starts on, and the full
+// process graph the first PG() moves it to.
+var degreeStates = []string{"ledger", "pg"}
+
+// onState leaves the sealed world w on the ledger or moves it to the PG.
+func onState(w *sim.World, state string) {
+	if state == "pg" {
+		w.PG()
+	}
+}
+
 // BenchmarkOracleSingle measures one SINGLE evaluation on the incrementally
-// maintained process graph, per system size.
+// maintained degree ledger and on the process graph, per system size.
 func BenchmarkOracleSingle(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := churn.Build(churn.Config{
-				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
-				Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 4,
+		for _, state := range degreeStates {
+			b.Run(fmt.Sprintf("n=%d/state=%s", n, state), func(b *testing.B) {
+				s := churn.Build(churn.Config{
+					N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
+					Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 4,
+				})
+				u := s.LeavingNodes()[0]
+				o := oracle.Single{}
+				onState(s.World, state)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					o.Evaluate(s.World, u)
+				}
 			})
-			u := s.LeavingNodes()[0]
-			o := oracle.Single{}
-			s.World.PG() // seed the incremental graph outside the timed loop
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o.Evaluate(s.World, u)
-			}
-		})
+		}
 	}
 }
 
@@ -274,27 +288,29 @@ func BenchmarkOracleSingleRebuild(b *testing.B) {
 }
 
 // BenchmarkWorldStep measures full scheduler-pick + Execute throughput per
-// system size, with the incremental graph live (as during an oracle-driven
-// run): every step pays its O(Δ) maintenance cost.
+// system size, with the degree ledger or the process graph live (as during
+// an oracle-driven run): every step pays its O(Δ) maintenance cost.
 func BenchmarkWorldStep(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := churn.Build(churn.Config{
-				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
-				Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 7,
-			})
-			sched := sim.NewRandomScheduler(7, 512)
-			s.World.PG() // seed the incremental graph outside the timed loop
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a, ok := sched.Next(s.World)
-				if !ok {
-					b.Fatal("quiescent")
+		for _, state := range degreeStates {
+			b.Run(fmt.Sprintf("n=%d/state=%s", n, state), func(b *testing.B) {
+				s := churn.Build(churn.Config{
+					N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
+					Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 7,
+				})
+				sched := sim.NewRandomScheduler(7, 512)
+				onState(s.World, state)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a, ok := sched.Next(s.World)
+					if !ok {
+						b.Fatal("quiescent")
+					}
+					s.World.Execute(a)
 				}
-				s.World.Execute(a)
-			}
-		})
+			})
+		}
 	}
 }
 

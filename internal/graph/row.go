@@ -50,17 +50,47 @@ func (r *Row[K, V]) Find(k K) int {
 
 // Slot returns k's value, appending a zero entry if there is none.
 func (r *Row[K, V]) Slot(k K) *V {
-	i := r.Find(k)
-	if i < 0 {
-		i = len(r.ents)
-		r.ents = append(r.ents, Entry[K, V]{Key: k})
-		if r.idx != nil {
-			r.idx[k] = int32(i)
-		} else if len(r.ents) > wideRow {
-			r.buildIndex()
-		}
+	if i := r.Find(k); i >= 0 {
+		return &r.ents[i].Val
+	}
+	return r.push(k)
+}
+
+// push appends a zero entry for k, which the row must not hold, and returns
+// its value.
+func (r *Row[K, V]) push(k K) *V {
+	i := len(r.ents)
+	r.ents = append(r.ents, Entry[K, V]{Key: k})
+	if r.idx != nil {
+		r.idx[k] = int32(i)
+	} else if len(r.ents) > wideRow {
+		r.buildIndex()
 	}
 	return &r.ents[i].Val
+}
+
+// Bump adds d to k's count in r — an increment of a key r does not hold
+// creates its entry, a count that falls to zero swap-removes it, a decrement
+// of a key r does not hold is a no-op — and reports whether r's length
+// changed. It is the one count update of both relevant-degree ledgers, the
+// sequential engine's and the concurrent runtime's: a leaver's row maps each
+// neighbour to the number of edges joining the pair, so its length is the
+// leaver's degree.
+func Bump[K comparable](r *Row[K, int32], k K, d int32) bool {
+	i := r.Find(k)
+	if i < 0 {
+		if d <= 0 {
+			return false
+		}
+		*r.push(k) = d
+		return true
+	}
+	c := &r.ents[i].Val
+	if *c += d; *c > 0 {
+		return false
+	}
+	r.Remove(i)
+	return true
 }
 
 // buildIndex (re)creates idx from ents.

@@ -111,8 +111,13 @@ func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	lo.degMu.Lock()
 	hi.degMu.Lock()
 	if d < 0 || (a.life.Load() != 2 && b.life.Load() != 2) {
-		aMoved = bumpNbr(a.nbr, b.pid, d)
-		bMoved = bumpNbr(b.nbr, a.pid, d)
+		// A nil row (a stayer, or a leaver that is gone) holds nothing.
+		if a.nbr != nil {
+			aMoved = graph.Bump(a.nbr, b.pid, d)
+		}
+		if b.nbr != nil {
+			bMoved = graph.Bump(b.nbr, a.pid, d)
+		}
 	}
 	hi.degMu.Unlock()
 	lo.degMu.Unlock()
@@ -122,28 +127,6 @@ func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if bMoved {
 		rt.markDirty(b)
 	}
-}
-
-// bumpNbr adds d (+1 or -1) to m's count for v and reports whether m's length
-// changed. A nil m (a stayer, or a leaver that is gone) holds nothing, and a
-// remove of what is not there is a no-op.
-func bumpNbr(m *nbrRow, v uint32, d int32) bool {
-	if m == nil {
-		return false
-	}
-	i := m.Find(v)
-	if i < 0 {
-		if d > 0 {
-			*m.Slot(v) = d
-		}
-		return d > 0
-	}
-	c := &m.Entries()[i].Val
-	if *c += d; *c > 0 {
-		return false
-	}
-	m.Remove(i)
-	return true
 }
 
 // markDirty queues p, whose distinct-neighbor count just changed, for the
@@ -277,31 +260,6 @@ func (rt *Runtime) dropPairsOf(p *proc, nbr *nbrRow) {
 	}
 }
 
-// unionFind partitions the pids into the classes its union calls connect.
-type unionFind []uint32
-
-func newUnionFind(n int) unionFind {
-	uf := make(unionFind, n)
-	for i := range uf {
-		uf[i] = uint32(i)
-	}
-	return uf
-}
-
-func (uf unionFind) find(x uint32) uint32 {
-	for uf[x] != x {
-		uf[x] = uf[uf[x]] // path halving
-		x = uf[x]
-	}
-	return x
-}
-
-func (uf unionFind) union(x, y uint32) {
-	if x, y = uf.find(x), uf.find(y); x != y {
-		uf[max(x, y)] = min(x, y)
-	}
-}
-
 // forEachEdge calls edge(p, q) once for every edge of the current process
 // graph, from the end that holds the reference: every reference a live
 // process p stores or has queued in its mailbox, to a live process q other
@@ -361,30 +319,22 @@ func (rt *Runtime) reseedDegrees() {
 // members and components in the same (reference) order — without building
 // the world. Same caller contract.
 func (rt *Runtime) components() [][]ref.Ref {
-	uf := newUnionFind(len(rt.byPid))
-	rt.forEachEdge(func(p, q *proc) { uf.union(p.pid, q.pid) })
-	return rt.partition(uf)
+	var uf graph.UnionFind
+	uf.Reset(len(rt.procs))
+	rt.forEachEdge(func(p, q *proc) { uf.Union(p.id, q.id) })
+	return rt.partition(&uf)
 }
 
 // partition lists uf's classes of live processes, members and classes in
 // reference order.
-func (rt *Runtime) partition(uf unionFind) [][]ref.Ref {
-	var comps [][]ref.Ref
-	at := make(map[uint32]int) // class root -> index in comps
+func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
+	var live []ref.Ref
 	for _, p := range rt.procs {
-		if p == nil || p.life.Load() == 2 {
-			continue
+		if p != nil && p.life.Load() != 2 {
+			live = append(live, p.id)
 		}
-		root := uf.find(p.pid)
-		i, seen := at[root]
-		if !seen {
-			i = len(comps)
-			at[root] = i
-			comps = append(comps, nil)
-		}
-		comps[i] = append(comps[i], p.id)
 	}
-	return comps
+	return uf.Partition(live)
 }
 
 // epochFast is the coordinator's round on the degree-judged path: it

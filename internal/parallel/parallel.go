@@ -65,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -707,13 +708,14 @@ func (rt *Runtime) seal() {
 	// admit/deliver/action-diff keep them current from here on (degree.go).
 	_, rt.trackDeg = rt.oracle.(degreeOracle)
 	if rt.trackDeg {
-		uf := newUnionFind(len(rt.byPid))
+		var uf graph.UnionFind
+		uf.Reset(len(rt.procs))
 		rt.resetLedger()
 		rt.forEachEdge(func(p, q *proc) {
-			uf.union(p.pid, q.pid)
+			uf.Union(p.id, q.id)
 			rt.pairBump(p, q, 1)
 		})
-		rt.initially = rt.partition(uf)
+		rt.initially = rt.partition(&uf)
 	} else {
 		rt.initially = rt.components()
 	}

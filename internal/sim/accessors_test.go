@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"fdp/internal/ref"
@@ -150,4 +151,44 @@ func TestCloneRejectsNonCloneable(t *testing.T) {
 		}
 	}()
 	w.Clone()
+}
+
+// labelSender sends one message per label to its peer on every timeout.
+type labelSender struct {
+	peer   ref.Ref
+	labels []string
+}
+
+func (l *labelSender) Timeout(ctx Context) {
+	for _, lb := range l.labels {
+		ctx.Send(l.peer, NewMessage(lb))
+	}
+}
+func (l *labelSender) Deliver(Context, Message) {}
+func (l *labelSender) Refs() []ref.Ref          { return nil }
+func (l *labelSender) CloneProtocol() Protocol  { c := *l; return &c }
+
+// TestSentByLabelTally: Stats renders the per-label send tally as a fresh
+// map on every call, and a clone's tally diverges from its source's.
+func TestSentByLabelTally(t *testing.T) {
+	space := ref.NewSpace()
+	a, b := space.New(), space.New()
+	w := NewWorld(nil)
+	w.AddProcess(a, Staying, &labelSender{peer: b, labels: []string{"x", "y", "x", "z", "x"}})
+	w.AddProcess(b, Staying, &labelSender{})
+	w.Execute(Action{Proc: a, IsTimeout: true})
+	want := map[string]uint64{"x": 3, "y": 1, "z": 1}
+	st := w.Stats()
+	if !reflect.DeepEqual(st.SentByLabel, want) {
+		t.Fatalf("SentByLabel = %v, want %v", st.SentByLabel, want)
+	}
+	st.SentByLabel["x"] = 99
+	c := w.Clone()
+	c.Execute(Action{Proc: a, IsTimeout: true})
+	if got := w.Stats().SentByLabel; !reflect.DeepEqual(got, want) {
+		t.Fatalf("source SentByLabel = %v after a caller's write and the clone's sends, want %v", got, want)
+	}
+	if got := c.Stats().SentByLabel; !reflect.DeepEqual(got, map[string]uint64{"x": 6, "y": 2, "z": 2}) {
+		t.Fatalf("clone SentByLabel = %v", got)
+	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CloneableProtocol is implemented by protocol states that can be deep-
 // copied, enabling World.Clone and with it the exhaustive schedule
@@ -20,7 +23,8 @@ func (w *World) Clone() *World {
 	c.seq = w.seq
 	c.causal = w.causal
 	c.curCID = w.curCID
-	c.stats = w.Stats()
+	c.stats = w.stats
+	c.sent = slices.Clone(w.sent)
 	c.initialComponents = w.initialComponents
 	c.procs = make([]*process, len(w.procs))
 	for i, p := range w.procs {
@@ -48,8 +52,8 @@ func (w *World) Clone() *World {
 			c.asleep++
 		}
 	}
-	// The incremental PG is not copied; the clone reseeds it lazily on its
-	// first graph query.
+	// Neither the ledger nor the PG is copied; the clone seeds what its first
+	// query needs.
 	return c
 }
 

@@ -123,6 +123,63 @@ func checkAgainstRebuild(t *testing.T, w *World, step int) {
 	}
 }
 
+// chaosSchedulers are the four schedulers the differential tests run under.
+var chaosSchedulers = []struct {
+	name string
+	mk   func(seed int64) Scheduler
+}{
+	{"random", func(seed int64) Scheduler { return NewRandomScheduler(seed, 32) }},
+	{"adversarial", func(seed int64) Scheduler { return NewAdversarialScheduler(seed, 32) }},
+	{"rounds", func(int64) Scheduler { return NewRoundScheduler() }},
+	{"fifo", func(int64) Scheduler { return NewFIFOScheduler() }},
+}
+
+// runChaos builds a sealed world of n chaosProto processes (every third one
+// leaving) with random initial refs and in-flight messages, then drives it
+// under sched for up to maxSteps, interleaving external enqueues, and calls
+// check after every step.
+func runChaos(seed int64, n, maxSteps int, variant Variant, orc Oracle, sched Scheduler, check func(w *World)) {
+	rng := rand.New(rand.NewSource(seed))
+	space := ref.NewSpace()
+	nodes := space.NewN(n)
+	w := NewWorld(orc)
+	for i, r := range nodes {
+		mode := Staying
+		if i%3 == 0 {
+			mode = Leaving
+		}
+		p := &chaosProto{
+			all: nodes,
+			rng: rand.New(rand.NewSource(seed + int64(i) + 1)),
+			fsp: variant == FSP,
+		}
+		// Random initial refs, duplicates allowed.
+		for k := rng.Intn(4); k > 0; k-- {
+			p.refs = append(p.refs, nodes[rng.Intn(n)])
+		}
+		w.AddProcess(r, mode, p)
+	}
+	// Random initial in-flight messages.
+	for k := rng.Intn(6); k > 0; k-- {
+		w.Enqueue(nodes[rng.Intn(n)], NewMessage("init",
+			RefInfo{Ref: nodes[rng.Intn(n)], Mode: Staying}))
+	}
+	w.SealInitialState()
+	for w.Steps() < maxSteps {
+		a, ok := sched.Next(w)
+		if !ok {
+			break
+		}
+		w.Execute(a)
+		// External enqueues interleave with scheduled actions.
+		if w.Steps()%37 == 0 {
+			w.Enqueue(nodes[rng.Intn(n)], NewMessage("ext",
+				RefInfo{Ref: nodes[rng.Intn(n)], Mode: Leaving}))
+		}
+		check(w)
+	}
+}
+
 // TestIncrementalPGMatchesRebuild is the differential property test of the
 // incremental process-graph maintenance: under every scheduler and both
 // problem variants, after every step (and mid-action, via diffOracle) the
@@ -130,59 +187,13 @@ func checkAgainstRebuild(t *testing.T, w *World, step int) {
 // hibernating set must match a first-principles recomputation, and the fast
 // degree query must agree with the materialized relevant PG.
 func TestIncrementalPGMatchesRebuild(t *testing.T) {
-	const n, maxSteps = 10, 300
-	schedulers := []func(seed int64) Scheduler{
-		func(seed int64) Scheduler { return NewRandomScheduler(seed, 32) },
-		func(seed int64) Scheduler { return NewAdversarialScheduler(seed, 32) },
-		func(seed int64) Scheduler { return NewRoundScheduler() },
-		func(seed int64) Scheduler { return NewFIFOScheduler() },
-	}
-	names := []string{"random", "adversarial", "rounds", "fifo"}
-	for si, mk := range schedulers {
+	for si, sc := range chaosSchedulers {
 		for _, variant := range []Variant{FDP, FSP} {
-			t.Run(fmt.Sprintf("%s/%v", names[si], variant), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v", sc.name, variant), func(t *testing.T) {
 				seed := int64(si)*97 + int64(variant)*13 + 5
-				rng := rand.New(rand.NewSource(seed))
-				space := ref.NewSpace()
-				nodes := space.NewN(n)
-				w := NewWorld(diffOracle{t})
-				protos := make([]*chaosProto, n)
-				for i, r := range nodes {
-					mode := Staying
-					if i%3 == 0 {
-						mode = Leaving
-					}
-					protos[i] = &chaosProto{
-						all: nodes,
-						rng: rand.New(rand.NewSource(seed + int64(i) + 1)),
-						fsp: variant == FSP,
-					}
-					// Random initial refs, duplicates allowed.
-					for k := rng.Intn(4); k > 0; k-- {
-						protos[i].refs = append(protos[i].refs, nodes[rng.Intn(n)])
-					}
-					w.AddProcess(r, mode, protos[i])
-				}
-				// Random initial in-flight messages.
-				for k := rng.Intn(6); k > 0; k-- {
-					w.Enqueue(nodes[rng.Intn(n)], NewMessage("init",
-						RefInfo{Ref: nodes[rng.Intn(n)], Mode: Staying}))
-				}
-				w.SealInitialState()
-				s := mk(seed)
-				for w.Steps() < maxSteps {
-					a, ok := s.Next(w)
-					if !ok {
-						break
-					}
-					w.Execute(a)
-					// External enqueues interleave with scheduled actions.
-					if w.Steps()%37 == 0 {
-						w.Enqueue(nodes[rng.Intn(n)], NewMessage("ext",
-							RefInfo{Ref: nodes[rng.Intn(n)], Mode: Leaving}))
-					}
+				runChaos(seed, 10, 300, variant, diffOracle{t}, sc.mk(seed), func(w *World) {
 					checkAgainstRebuild(t, w, w.Steps())
-				}
+				})
 			})
 		}
 	}

@@ -261,3 +261,86 @@ func TestValidateActionStaleness(t *testing.T) {
 		t.Fatal("gone process's timeout must not validate")
 	}
 }
+
+// TestValidateActionSearchesDown: a delivery is re-resolved by searching
+// down from the index its message was seen at. Through deliveries from the
+// head, the middle and the tail, appends by Enqueue, Inject and Send, and an
+// exit, every action ever enumerated — its index as first seen, however stale
+// — must resolve exactly as a scan of the whole channel says.
+func TestValidateActionSearchesDown(t *testing.T) {
+	type op struct {
+		deliver uint64 // deliver the message with this seq
+		enqueue int    // append this many by Enqueue, then one by Inject and one by Send
+		exit    bool
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+	}{
+		{"head deliveries", []op{{deliver: 1}, {deliver: 2}, {deliver: 3}}},
+		{"middle then tail", []op{{deliver: 4}, {deliver: 6}, {deliver: 2}}},
+		{"appends between deliveries", []op{{enqueue: 2}, {deliver: 3}, {enqueue: 1}, {deliver: 8}, {deliver: 1}, {enqueue: 3}}},
+		{"everything delivered", []op{{deliver: 6}, {deliver: 5}, {deliver: 4}, {deliver: 3}, {deliver: 2}, {deliver: 1}, {enqueue: 1}}},
+		{"exit", []op{{deliver: 3}, {enqueue: 2}, {exit: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, a, _, fa, fb := twoProcWorld(t)
+			fb.onTimeout = func(ctx Context, _ *fixtureProto) { ctx.Send(a, NewMessage("sent")) }
+			for i := 0; i < 6; i++ {
+				w.Enqueue(a, NewMessage("m"))
+			}
+			// scan is the reference: where the message with seq is now.
+			scan := func(seq uint64) (int, bool) {
+				for i, m := range w.ChannelSnapshot(a) {
+					if m.Seq() == seq {
+						return i, true
+					}
+				}
+				return 0, false
+			}
+			var seen []Action // every delivery of a ever enumerated, index as first seen
+			known := map[uint64]bool{}
+			enumerate := func() {
+				for _, act := range w.EnabledActions() {
+					if act.Proc == a && !act.IsTimeout && !known[act.MsgSeq] {
+						known[act.MsgSeq] = true
+						seen = append(seen, act)
+					}
+				}
+			}
+			enumerate()
+			for step, o := range tc.ops {
+				switch {
+				case o.exit:
+					fa.onTimeout = func(ctx Context, _ *fixtureProto) { ctx.Exit() }
+					w.Execute(Action{Proc: a, IsTimeout: true})
+				case o.enqueue > 0:
+					for i := 0; i < o.enqueue; i++ {
+						w.Enqueue(a, NewMessage("m"))
+					}
+					w.Inject(a, NewMessage("injected"))
+					w.Execute(Action{Proc: w.Refs()[1], IsTimeout: true})
+				default:
+					i, ok := scan(o.deliver)
+					if !ok {
+						t.Fatalf("op %d: seq %d is not queued", step, o.deliver)
+					}
+					w.Execute(Action{Proc: a, MsgIndex: i, MsgSeq: o.deliver})
+				}
+				for _, s := range seen {
+					got := s
+					ok := w.ValidateAction(&got)
+					wi, wok := scan(s.MsgSeq)
+					if w.LifeOf(a) == Gone {
+						wok = false
+					}
+					if ok != wok || ok && got.MsgIndex != wi {
+						t.Fatalf("op %d: seq %d seen at %d resolves to (%d, %v), the channel says (%d, %v)",
+							step, s.MsgSeq, s.MsgIndex, got.MsgIndex, ok, wi, wok)
+					}
+				}
+				enumerate()
+			}
+		})
+	}
+}

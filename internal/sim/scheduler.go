@@ -136,7 +136,7 @@ func (s *RoundScheduler) Next(w *World) (Action, bool) {
 		for s.pos < len(s.plan) {
 			a := s.plan[s.pos]
 			s.pos++
-			if !s.stillEnabled(w, &a) {
+			if !w.ValidateAction(&a) {
 				continue
 			}
 			return a, true
@@ -162,7 +162,7 @@ func (s *RoundScheduler) buildRound(w *World) {
 			continue
 		}
 		for i := range p.ch {
-			s.plan = append(s.plan, Action{Proc: p.id, MsgSeq: p.ch[i].seq, MsgStep: p.ch[i].enqStep})
+			s.plan = append(s.plan, Action{Proc: p.id, MsgIndex: i, MsgSeq: p.ch[i].seq, MsgStep: p.ch[i].enqStep})
 		}
 	}
 	for _, p := range w.procs {
@@ -171,26 +171,6 @@ func (s *RoundScheduler) buildRound(w *World) {
 		}
 		s.plan = append(s.plan, Action{Proc: p.id, IsTimeout: true})
 	}
-}
-
-// stillEnabled revalidates a planned action against the live state and, for
-// message deliveries, resolves the current index of the message by its
-// sequence number.
-func (s *RoundScheduler) stillEnabled(w *World, a *Action) bool {
-	p := w.lookup(a.Proc)
-	if p == nil || p.life == Gone {
-		return false
-	}
-	if a.IsTimeout {
-		return p.life == Awake
-	}
-	for i, m := range p.ch {
-		if m.seq == a.MsgSeq {
-			a.MsgIndex = i
-			return true
-		}
-	}
-	return false
 }
 
 // --- Adversarial scheduler ----------------------------------------------

@@ -12,9 +12,9 @@ import (
 // edges, so edges to gone processes are omitted.
 //
 // The graph is maintained incrementally (see pg.go), so this is O(1) after
-// the first call. The returned graph is a live read-only view: callers must
-// not mutate it and must Clone it to retain a snapshot across world
-// mutations.
+// the first call, which seeds it and drops the degree ledger. The returned
+// graph is a live read-only view: callers must not mutate it and must Clone
+// it to retain a snapshot across world mutations.
 func (w *World) PG() *graph.Graph {
 	return w.pgView()
 }
@@ -140,8 +140,20 @@ func (w *World) RelevantPG() *graph.Graph {
 // RelevantDegree returns the number of relevant processes u has edges with
 // (in either direction, any kind) in the relevant process graph, plus
 // whether u itself is relevant — the quantity the SINGLE oracle decides on.
-// O(1) when nothing hibernates, O(deg(u)) otherwise, with no allocation.
+// A leaver's degree while nothing is asleep comes from the ledger, unless
+// the full PG is already kept; any other query is answered on the PG. O(1)
+// when nothing hibernates, O(deg(u)) otherwise, with no allocation.
 func (w *World) RelevantDegree(u ref.Ref) (int, bool) {
+	if w.pg == nil && w.asleep == 0 {
+		p := w.lookup(u)
+		if p == nil || p.life == Gone {
+			return 0, false
+		}
+		if p.mode == Leaving {
+			w.syncView()
+			return w.ledger[ref.Index(u)].Len(), true
+		}
+	}
 	pg := w.pgView()
 	hib := w.Hibernating()
 	if hib.Len() == 0 {
@@ -218,30 +230,31 @@ func (w *World) Legitimate(v Variant) bool {
 // StayingComponentsPreserved checks legitimacy condition (iii): per initial
 // component, the staying processes are still weakly connected in the current
 // PG (paths may only use staying processes, since in a legitimate state all
-// other processes are excluded from the overlay).
+// other processes are excluded from the overlay). A component with two
+// staying members or more fails if one of them is gone. Union-find over the
+// staying processes' synced references; no graph is built.
 func (w *World) StayingComponentsPreserved() bool {
-	staying := ref.NewSet()
-	for _, p := range w.procs {
-		if p != nil && p.mode == Staying {
-			staying.Add(p.id)
-		}
-	}
-	pg := w.PG().InducedSubgraph(staying)
+	uf := w.unite(true)
 	for _, comp := range w.initialComponents {
-		var members []ref.Ref
+		var first ref.Ref
+		members, joined := 0, true
 		for _, r := range comp {
-			if staying.Has(r) {
-				members = append(members, r)
+			p := w.lookup(r)
+			if p == nil || p.mode != Staying {
+				continue
+			}
+			members++
+			switch {
+			case p.life == Gone:
+				joined = false
+			case first.IsNil():
+				first = r
+			case !uf.Same(first, r):
+				joined = false
 			}
 		}
-		if len(members) < 2 {
-			continue
-		}
-		reach := pg.UndirectedReach(members[0])
-		for _, m := range members[1:] {
-			if !reach.Has(m) {
-				return false
-			}
+		if members >= 2 && !joined {
+			return false
 		}
 	}
 	return true

@@ -119,7 +119,11 @@ type Stats struct {
 	TotalInQueue int // current in-flight messages (maintained incrementally)
 }
 
-func newStats() Stats { return Stats{SentByLabel: make(map[string]uint64)} }
+// labelCount is one label's entry in the world's send tally.
+type labelCount struct {
+	label string
+	n     uint64
+}
 
 type process struct {
 	id    ref.Ref
@@ -134,8 +138,8 @@ type process struct {
 	// executes, merged (max) with the sender's clock on every delivery.
 	clock uint64
 
-	// pgRefs is the copy of proto.Refs() the incremental process graph was
-	// last synced against (see pg.go). nil until the graph is seeded.
+	// pgRefs is the copy of proto.Refs() the world's ledger or process graph
+	// was last synced against (see pg.go); current only while one is seeded.
 	pgRefs []ref.Ref
 }
 
@@ -144,8 +148,12 @@ type process struct {
 type World struct {
 	procs  []*process // dense, indexed by ref.Index; nil where no process was added
 	oracle Oracle
-	stats  Stats
+	stats  Stats // SentByLabel stays nil: sent is the tally Stats renders
 	seq    uint64
+
+	// sent counts sends per label, in first-send order. A run has a handful
+	// of labels, so a scan of a short slice beats hashing the label per send.
+	sent []labelCount
 
 	// causal is the causal-ID counter: every emitted event and every
 	// message draws a fresh CID from it. curCID is the CID of the current
@@ -188,9 +196,11 @@ type World struct {
 	// process by begin: actions are atomic and never nest, so one will do.
 	ctx procCtx
 
-	// Incrementally maintained process graph and generation-stamped caches
-	// of the derived views; see pg.go. pg is nil until first seeded by a
-	// graph query — worlds that never ask for PG pay nothing.
+	// The incrementally maintained ledger or process graph — at most one of
+	// them, neither until a query needs one — and generation-stamped caches
+	// of the derived views; see pg.go. ledger is indexed by ref.Index; only
+	// leavers' rows hold entries.
+	ledger     []ledgerRow
 	pg         *graph.Graph
 	gen        uint64 // bumped on every mutation that can change a view
 	hibGen     uint64
@@ -200,13 +210,14 @@ type World struct {
 	relPGGen   uint64
 	relPGCache *graph.Graph
 
-	oldRefs, newRefs []ref.Ref // reusable diff buffers for pgSyncRefs
+	oldRefs, newRefs []ref.Ref       // reusable diff buffers for pgSyncRefs
+	uf               graph.UnionFind // reusable component partition for unite
 }
 
 // NewWorld returns an empty world using the given oracle (nil = no oracle;
 // OracleSays always false).
 func NewWorld(oracle Oracle) *World {
-	return &World{oracle: oracle, stats: newStats()}
+	return &World{oracle: oracle}
 }
 
 // lookup returns the process r names, or nil if r names none of this world:
@@ -263,10 +274,10 @@ func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
 	}
 	w.procs[idx] = p
 	// A new node can legitimize edges other processes already hold toward
-	// it; rather than scanning everyone, drop the incremental graph and let
-	// the next query reseed it (process addition is a construction-time or
-	// rare join-time event, not a hot-path one).
-	if w.pg != nil {
+	// it; rather than scanning everyone, drop the ledger or graph and let the
+	// next query reseed (process addition is a construction-time or rare
+	// join-time event, not a hot-path one).
+	if w.tracking() {
 		w.InvalidatePG()
 	} else {
 		w.gen++
@@ -296,7 +307,7 @@ func (w *World) Enqueue(to ref.Ref, msg Message) {
 	if len(p.ch) > w.stats.MaxChannel {
 		w.stats.MaxChannel = len(p.ch)
 	}
-	w.pgEnqueue(p.id, &msg)
+	w.pgEnqueue(p, &msg)
 }
 
 // SetRouter installs the outbound transport hook. When a process sends to a
@@ -340,7 +351,7 @@ func (w *World) Inject(to ref.Ref, msg Message) bool {
 	if len(p.ch) > w.stats.MaxChannel {
 		w.stats.MaxChannel = len(p.ch)
 	}
-	w.pgEnqueue(p.id, &msg)
+	w.pgEnqueue(p, &msg)
 	return true
 }
 
@@ -422,9 +433,18 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 }
 
 // SealInitialState captures the weakly-connected-component partition of the
-// current PG. Call it after scenario construction, before the first step.
+// current PG — what PG().WeaklyConnectedComponents() returns, computed by
+// union-find over the synced references without building the graph. Call it
+// after scenario construction, before the first step.
 func (w *World) SealInitialState() {
-	w.initialComponents = w.PG().WeaklyConnectedComponents()
+	uf := w.unite(false)
+	var live []ref.Ref
+	for _, p := range w.procs {
+		if p != nil && p.life != Gone {
+			live = append(live, p.id)
+		}
+	}
+	w.initialComponents = uf.Partition(live)
 }
 
 // InitialComponents returns the sealed initial component partition.
@@ -526,9 +546,9 @@ func (w *World) MarkGone(r ref.Ref) {
 // Stats returns a copy of the run counters.
 func (w *World) Stats() Stats {
 	s := w.stats
-	s.SentByLabel = make(map[string]uint64, len(w.stats.SentByLabel))
-	for k, v := range w.stats.SentByLabel {
-		s.SentByLabel[k] = v
+	s.SentByLabel = make(map[string]uint64, len(w.sent))
+	for _, lc := range w.sent {
+		s.SentByLabel[lc.label] = lc.n
 	}
 	return s
 }
@@ -590,9 +610,9 @@ func (w *World) PickEnabled(k int) Action {
 }
 
 // ValidateAction re-checks that a previously enumerated action is still
-// enabled, re-resolving a message's index by its sequence number. It
-// returns false for actions that became stale (process gone or asleep,
-// message already delivered).
+// enabled, re-resolving a message's index by its sequence number (see
+// resolve: the search starts at a.MsgIndex). It returns false for actions
+// that became stale (process gone or asleep, message already delivered).
 func (w *World) ValidateAction(a *Action) bool {
 	p := w.lookup(a.Proc)
 	if p == nil || p.life == Gone {
@@ -601,8 +621,18 @@ func (w *World) ValidateAction(a *Action) bool {
 	if a.IsTimeout {
 		return p.life == Awake
 	}
-	for i, m := range p.ch {
-		if m.seq == a.MsgSeq {
+	return p.resolve(a)
+}
+
+// resolve finds a's message in p's channel by its sequence number and sets
+// a.MsgIndex to where it is now. A queued message only ever moves left — a
+// delivery shifts what follows it, Enqueue, Inject and Send append — so the
+// index it was seen at bounds where it can be, and the search runs down from
+// there. An action whose index was never seen (a journal's schedule) carries
+// one past any channel's end.
+func (p *process) resolve(a *Action) bool {
+	for i := min(a.MsgIndex, len(p.ch)-1); i >= 0; i-- {
+		if p.ch[i].seq == a.MsgSeq {
 			a.MsgIndex = i
 			return true
 		}
@@ -670,7 +700,7 @@ func (w *World) Execute(a Action) {
 		// Remove the message from the channel (processed exactly once).
 		p.ch = append(p.ch[:a.MsgIndex], p.ch[a.MsgIndex+1:]...)
 		w.stats.TotalInQueue--
-		w.pgDequeue(p.id, &msg)
+		w.pgDequeue(p, &msg)
 		// Lamport merge: the delivery happens after the send.
 		if msg.lclock > p.clock {
 			p.clock = msg.lclock
@@ -761,7 +791,7 @@ func (c *procCtx) Send(to ref.Ref, msg Message) {
 	msg.lclock = c.p.clock
 	target := c.w.lookup(to)
 	c.w.stats.Sent++
-	c.w.stats.SentByLabel[msg.Label]++
+	c.w.countSent(msg.Label)
 	if target == nil && c.w.router != nil && c.w.router(to, msg) {
 		// The transport accepted the message for remote delivery. Depth and
 		// MsgSeq are unknowable here (the receiving engine assigns them); the
@@ -787,9 +817,20 @@ func (c *procCtx) Send(to ref.Ref, msg Message) {
 	if len(target.ch) > c.w.stats.MaxChannel {
 		c.w.stats.MaxChannel = len(target.ch)
 	}
-	c.w.pgEnqueue(target.id, &msg)
+	c.w.pgEnqueue(target, &msg)
 	c.w.emit(Event{Kind: EvSend, Proc: c.p.id, Peer: to, Label: msg.Label, Depth: len(target.ch),
 		CID: msg.cid, Parent: msg.parent, MsgID: msg.cid, MsgSeq: msg.seq, Clock: c.p.clock})
+}
+
+// countSent adds one send of label to the per-label tally.
+func (w *World) countSent(label string) {
+	for i := range w.sent {
+		if w.sent[i].label == label {
+			w.sent[i].n++
+			return
+		}
+	}
+	w.sent = append(w.sent, labelCount{label: label, n: 1})
 }
 
 func (c *procCtx) Exit() { c.w.exitRequested = true }

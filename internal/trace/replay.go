@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"fdp/internal/churn"
 	"fdp/internal/faults"
@@ -88,9 +89,13 @@ func Schedule(recs []Record) ([]sim.Action, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: record %d: %w", i, err)
 			}
+			// A journal does not record where in the channel a message sat:
+			// the index past every channel's end makes ValidateAction search
+			// all of it.
 			out = append(out, sim.Action{
 				Proc:      proc,
 				IsTimeout: kind == sim.EvTimeout,
+				MsgIndex:  math.MaxInt,
 				MsgSeq:    rec.MsgSeq,
 			})
 		}
