@@ -2,13 +2,13 @@ GO ?= go
 
 FDPLINT := bin/fdplint
 
-.PHONY: all ci vet fmt lint loc build test race bench bench-baseline replay-golden fuzz-smoke fuzz-hunt node-churn
+.PHONY: all ci vet fmt lint loc build test race bench bench-smoke bench-baseline replay-golden fuzz-smoke fuzz-hunt node-churn
 
-all: vet fmt lint build test race replay-golden fuzz-smoke
+all: vet fmt lint build test race replay-golden fuzz-smoke bench-smoke
 
 # ci runs what the test, lint and race jobs of .github/workflows/ci.yml run.
 # The workflow's fourth job is a target of its own: node-churn.
-ci: vet fmt lint build test race replay-golden fuzz-smoke
+ci: vet fmt lint build test race replay-golden fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -168,8 +168,16 @@ node-churn:
 	rc=0; for p in $$pids; do wait $$p || rc=1; done; [ $$rc -eq 0 ]
 	bin/fdpnode -merge $(NODE_OUT)
 
+BENCH_PKGS := . ./internal/graph ./internal/parallel ./internal/trace
+
 bench:
-	$(GO) test -bench . -benchmem -run XXX . ./internal/graph ./internal/parallel ./internal/trace
+	$(GO) test -bench . -benchmem -run XXX $(BENCH_PKGS)
+
+# bench-smoke runs every benchmark of bench's packages once, so a benchmark
+# that fails at run time fails the build; the experiment benchmarks among
+# them run E9's NIDEC baseline and the ablation oracles end to end.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # bench-baseline regenerates the committed n-scaling series in bench/ (see
 # bench/README.md; nothing gates on it — the yardstick is ./benchmark). Sizes

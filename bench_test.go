@@ -198,9 +198,9 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
-// BenchmarkPG measures from-scratch process-graph construction — what every
-// global predicate and oracle evaluation used to pay per call before the
-// graph became incrementally maintained (PG() itself is now O(1) amortized).
+// BenchmarkPG measures PG(), which builds the process graph from scratch —
+// what each whole-graph query pays per call: RelevantPG and EXITSAFE, the
+// hibernating set while a process sleeps, a staying process's degree.
 func BenchmarkPG(b *testing.B) {
 	s := churn.Build(churn.Config{
 		N: 64, Topology: churn.TopoRandom, LeaveFraction: 0.5,
@@ -209,7 +209,7 @@ func BenchmarkPG(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.World.RebuildPG().NumNodes() == 0 {
+		if s.World.PG().NumNodes() == 0 {
 			b.Fatal("empty PG")
 		}
 	}
@@ -228,40 +228,31 @@ func BenchmarkPhi(b *testing.B) {
 	}
 }
 
-// degreeStates are the two structures a sequential world answers SINGLE
-// from: the leaver-only degree ledger a sealed world starts on, and the full
-// process graph the first PG() moves it to.
-var degreeStates = []string{"ledger", "pg"}
-
-// onState leaves the sealed world w on the ledger or moves it to the PG.
-func onState(w *sim.World, state string) {
-	if state == "pg" {
-		w.PG()
-	}
-}
-
-// BenchmarkOracleSingle measures one SINGLE evaluation on the incrementally
-// maintained degree ledger and on the process graph, per system size.
-func BenchmarkOracleSingle(b *testing.B) {
+// benchOracle measures one evaluation of o for a leaver on the incrementally
+// maintained degree ledger, per system size.
+func benchOracle(b *testing.B, o sim.Oracle) {
 	for _, n := range []int{16, 64, 256} {
-		for _, state := range degreeStates {
-			b.Run(fmt.Sprintf("n=%d/state=%s", n, state), func(b *testing.B) {
-				s := churn.Build(churn.Config{
-					N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
-					Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 4,
-				})
-				u := s.LeavingNodes()[0]
-				o := oracle.Single{}
-				onState(s.World, state)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o.Evaluate(s.World, u)
-				}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := churn.Build(churn.Config{
+				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
+				Pattern: churn.LeaveRandom, Oracle: o, Seed: 4,
 			})
-		}
+			u := s.LeavingNodes()[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Evaluate(s.World, u)
+			}
+		})
 	}
 }
+
+// BenchmarkOracleSingle measures one SINGLE evaluation: a row length.
+func BenchmarkOracleSingle(b *testing.B) { benchOracle(b, oracle.Single{}) }
+
+// BenchmarkOracleNIDEC measures one NIDEC evaluation: a pass over the
+// leaver's row and its stored references.
+func BenchmarkOracleNIDEC(b *testing.B) { benchOracle(b, oracle.NIDEC{}) }
 
 // BenchmarkOracleSingleRebuild is the from-scratch baseline for
 // BenchmarkOracleSingle: it reconstructs the process graph on every
@@ -277,7 +268,7 @@ func BenchmarkOracleSingleRebuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pg := s.World.RebuildPG()
+				pg := s.World.PG()
 				if !pg.HasNode(u) {
 					b.Fatal("leaver missing from PG")
 				}
@@ -288,29 +279,26 @@ func BenchmarkOracleSingleRebuild(b *testing.B) {
 }
 
 // BenchmarkWorldStep measures full scheduler-pick + Execute throughput per
-// system size, with the degree ledger or the process graph live (as during
-// an oracle-driven run): every step pays its O(Δ) maintenance cost.
+// system size, with the degree ledger live (as during an oracle-driven run):
+// every step pays its O(Δ) maintenance cost.
 func BenchmarkWorldStep(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
-		for _, state := range degreeStates {
-			b.Run(fmt.Sprintf("n=%d/state=%s", n, state), func(b *testing.B) {
-				s := churn.Build(churn.Config{
-					N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
-					Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 7,
-				})
-				sched := sim.NewRandomScheduler(7, 512)
-				onState(s.World, state)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a, ok := sched.Next(s.World)
-					if !ok {
-						b.Fatal("quiescent")
-					}
-					s.World.Execute(a)
-				}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := churn.Build(churn.Config{
+				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5,
+				Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 7,
 			})
-		}
+			sched := sim.NewRandomScheduler(7, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, ok := sched.Next(s.World)
+				if !ok {
+					b.Fatal("quiescent")
+				}
+				s.World.Execute(a)
+			}
+		})
 	}
 }
 

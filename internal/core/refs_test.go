@@ -193,15 +193,13 @@ func TestRefsOnUnchangedProcIsFree(t *testing.T) {
 // neighbour, each carrying the one shared list that names only the sender —
 // and the delivery of a present for a reference already stored. First the
 // protocol's own share, against a context that discards sends; then the same
-// actions through World.Execute with the degree ledger, then the process
-// graph, live and every channel already grown to what a round needs.
+// actions through World.Execute with the degree ledger live and every channel
+// already grown to what a round needs.
 func TestSettledActionsAllocateNothing(t *testing.T) {
-	for _, state := range []string{"ledger", "pg"} {
-		t.Run("state="+state, func(t *testing.T) { settledActionsAllocateNothing(t, state) })
-	}
+	t.Run("state=ledger", settledActionsAllocateNothing)
 }
 
-func settledActionsAllocateNothing(t *testing.T, state string) {
+func settledActionsAllocateNothing(t *testing.T) {
 	space := ref.NewSpace()
 	nodes := space.NewN(6)
 	w := sim.NewWorld(oracle.Single{})
@@ -228,12 +226,8 @@ func settledActionsAllocateNothing(t *testing.T, state string) {
 		t.Errorf("Deliver of a present for a stored reference allocates %.0f times", n)
 	}
 
-	// Seed the structure every step then pays the upkeep of.
-	if state == "pg" {
-		w.PG()
-	} else {
-		w.SealInitialState()
-	}
+	// Seed the ledger every step then pays the upkeep of.
+	w.SealInitialState()
 	round := func() {
 		w.Execute(sim.Action{Proc: u, IsTimeout: true})
 		for _, v := range nodes[1:] {
@@ -247,7 +241,7 @@ func settledActionsAllocateNothing(t *testing.T, state string) {
 }
 
 // TestWorldStepAllocBudget holds the sequential engine's cost per Execute,
-// process graph live, under a random schedule. Once the departures are over
+// degree ledger live, under a random schedule. Once the departures are over
 // nothing allocates: what is sent names only its sender and shares one list,
 // Refs is the process's own storage, the action context is the world's. What
 // still allocates happens while processes leave — the one-element list of a
@@ -255,23 +249,17 @@ func settledActionsAllocateNothing(t *testing.T, state string) {
 // Algorithm 1, a delegation to the anchor), the copy a writer takes of a
 // handed-out Refs slice, a channel growing — 0.45 allocations per step over
 // the departures of an n=2000 run (2.11 with a map for u.N and a list per
-// message). It holds on the degree ledger a SINGLE run keeps and on the full
-// process graph.
+// message).
 func TestWorldStepAllocBudget(t *testing.T) {
-	for _, state := range []string{"ledger", "pg"} {
-		t.Run("state="+state, func(t *testing.T) { worldStepAllocBudget(t, state) })
-	}
+	t.Run("state=ledger", worldStepAllocBudget)
 }
 
-func worldStepAllocBudget(t *testing.T, state string) {
+func worldStepAllocBudget(t *testing.T) {
 	s := churn.Build(churn.Config{
 		N: 64, Topology: churn.TopoRandom, LeaveFraction: 0.5,
 		Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 7,
 	})
 	sched := sim.NewRandomScheduler(7, 512)
-	if state == "pg" {
-		s.World.PG() // the sealed world is on the ledger; this moves it to the PG
-	}
 	step := func() {
 		a, ok := sched.Next(s.World)
 		if !ok {

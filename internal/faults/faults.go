@@ -105,7 +105,7 @@ type system interface {
 func (i *Injector) Strike(w *sim.World) Report {
 	rep := i.strike(worldSystem{w})
 	// The strike mutated protocol variables outside any atomic action, so the
-	// incrementally maintained process graph must be rebuilt.
+	// degree ledger must be rebuilt.
 	w.InvalidatePG()
 	// The post-fault state is the new reference point for condition (iii).
 	w.SealInitialState()

@@ -348,30 +348,6 @@ func (g *Graph) UndirectedNeighbors(a ref.Ref) []ref.Ref { return g.peers(a, dir
 // O(1): a's row has one entry per such neighbor.
 func (g *Graph) Degree(a ref.Ref) int { return len(g.adj(a)) }
 
-// UndirectedDegreeIn returns the number of distinct undirected neighbors of
-// a that lie in keep — the degree a would have in InducedSubgraph(keep) —
-// without materializing the subgraph or any neighbor slice. O(deg(a)).
-func (g *Graph) UndirectedDegreeIn(a ref.Ref, keep ref.Set) int {
-	n := 0
-	for _, e := range g.adj(a) {
-		if keep.Has(e.Key) {
-			n++
-		}
-	}
-	return n
-}
-
-// HasPredIn reports whether a has at least one predecessor in keep, without
-// materializing the predecessor slice.
-func (g *Graph) HasPredIn(a ref.Ref, keep ref.Set) bool {
-	for _, e := range g.adj(a) {
-		if e.Val.in > 0 && keep.Has(e.Key) {
-			return true
-		}
-	}
-	return false
-}
-
 // InducedSubgraph returns the subgraph on the node set keep, dropping all
 // edges with an endpoint outside keep. This is PG restricted to relevant
 // processes.

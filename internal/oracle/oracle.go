@@ -54,18 +54,9 @@ type NIDEC struct{}
 func (NIDEC) Name() string { return "NIDEC" }
 
 // Evaluate implements sim.Oracle. Like Single it avoids materializing the
-// relevant process graph: it checks for a relevant predecessor directly on
-// the incrementally maintained PG.
-func (NIDEC) Evaluate(w *sim.World, u ref.Ref) bool {
-	if w.ChannelLen(u) != 0 {
-		return false
-	}
-	rel := w.Relevant()
-	if !rel.Has(u) {
-		return false
-	}
-	return !w.PG().HasPredIn(u, rel)
-}
+// relevant process graph: the world judges a leaver from its degree-ledger
+// row (sim.World.NIDEC).
+func (NIDEC) Evaluate(w *sim.World, u ref.Ref) bool { return w.NIDEC(u) }
 
 // ExitSafe is the ideal "ground truth" oracle used to *verify* exits in
 // tests, not by protocols: true iff removing u and its incident edges from
@@ -77,39 +68,20 @@ type ExitSafe struct{}
 // Name returns "EXITSAFE".
 func (ExitSafe) Name() string { return "EXITSAFE" }
 
-// Evaluate implements sim.Oracle.
+// Evaluate implements sim.Oracle: the other members of u's weakly connected
+// component must remain weakly connected once u and its incident edges are
+// removed. O(n+m) per call.
 func (ExitSafe) Evaluate(w *sim.World, u ref.Ref) bool {
 	pg := w.RelevantPG()
-	if !pg.HasNode(u) {
+	others := pg.UndirectedReach(u) // nil if u is not relevant
+	if others.Len() <= 2 {
 		return true
 	}
-	// The other members of u's weakly connected component must remain
-	// weakly connected once u and its incident edges are removed.
-	var others []ref.Ref
-	for _, comp := range pg.WeaklyConnectedComponents() {
-		for _, m := range comp {
-			if m == u {
-				for _, x := range comp {
-					if x != u {
-						others = append(others, x)
-					}
-				}
-				break
-			}
-		}
-	}
-	if len(others) <= 1 {
-		return true
-	}
-	h := pg.Clone()
-	h.RemoveNode(u)
-	reach := h.UndirectedReach(others[0])
-	for _, x := range others[1:] {
-		if !reach.Has(x) {
-			return false
-		}
-	}
-	return true
+	others.Remove(u)
+	pg.RemoveNode(u)
+	// Removing u cannot join anything, so the reach of one other member
+	// covers them all iff it is as large.
+	return pg.UndirectedReach(others.Sorted()[0]).Len() == others.Len()
 }
 
 // Always answers a constant; Always(true) is deliberately unsafe (a leaving

@@ -6,16 +6,15 @@ package parallel
 // degree in the relevant process graph: the number of distinct other live
 // processes u shares an edge with, explicit (a stored reference, either
 // direction) or implicit (a reference in a message queued to either side).
-// The sequential engine answers that in O(1) from its incrementally
-// maintained PG; the concurrent runtime used to rebuild a full sim.World
+// The sequential engine answers that in O(1) from its degree ledger, one
+// row per leaver; the concurrent runtime used to rebuild a full sim.World
 // clone every epoch just to ask it — an O(n+m) rebuild whose allocation and
 // GC cost dominates the machine at n=100k (profiled at ~80% of total CPU).
 //
 // Instead, the runtime mirrors the sequential engine's bookkeeping: every
 // LEAVING process carries a neighbor multiset (nbr: one entry per distinct
-// neighbor pid with the number of current edges with it — the dense row the
-// sequential PG keeps per node, graph.Row), updated at the three places edges
-// change —
+// neighbor pid with the number of current edges with it — a graph.Row, like
+// the sequential ledger's), updated at the three places edges change —
 //
 //   - admitting a message adds one edge (receiver, r) per reference r it
 //     carries, at send time, wherever the message then waits (outbox, inbox,
@@ -80,7 +79,7 @@ type degreeOracle interface {
 
 // pairDelta applies d (+1 add, -1 remove) to the edge pair (a, r); see
 // pairBump. Unregistered and self references contribute nothing, like
-// sim.World.isLiveTarget.
+// sim.World.edge.
 func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
 	if b := rt.lookup(r); b != nil && b != a {
 		rt.pairBump(a, b, d)
@@ -95,7 +94,8 @@ func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
 // checks again under both locks, where a commit in progress cannot be missed
 // (retire sets life under the same lock). Removes clamp: a pair the commit
 // already erased, or an add that found an endpoint gone, is a no-op, which
-// is exactly the sequential engine's "removals no-op after RemoveNode".
+// is exactly the sequential ledger's "removals no-op once an endpoint is
+// gone".
 func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if a.mode != sim.Leaving && b.mode != sim.Leaving {
 		return // stayer-stayer pair: untracked
@@ -232,7 +232,7 @@ func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr *nbrRow, ok bool) {
 }
 
 // dropPairsOf erases the retired p from every neighbor's multiset, one
-// degMu at a time, mirroring the sequential PG's RemoveNode. Until a
+// degMu at a time, mirroring the sequential ledger's exit (pgExit). Until a
 // neighbor's turn comes it over-counts by the gone p, which only delays its
 // own grant; stale references to p left behind in stores or in flight are
 // inert (adds are life-gated, removes clamp).

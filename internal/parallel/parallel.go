@@ -950,10 +950,6 @@ func (rt *Runtime) freezeUnderPause() *sim.World {
 	if rt.initially != nil {
 		w.SetInitialComponents(rt.initially)
 	}
-	// Seed the incremental process graph while the world is still paused:
-	// the frozen world is immutable afterwards, so the coordinator and
-	// predicates hit warm per-generation caches on every query.
-	w.PG()
 	return w
 }
 

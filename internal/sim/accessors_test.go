@@ -102,8 +102,8 @@ func TestRelevantPGAndGraphString(t *testing.T) {
 		t.Fatal("reachable sleeper is relevant")
 	}
 	// After a drops the ref, b hibernates and leaves the relevant PG. The
-	// removal happens outside an atomic action, so the incremental graph
-	// must be invalidated explicitly.
+	// removal happens outside an atomic action, so the ledger and the
+	// hibernation memo must be invalidated explicitly.
 	fa.refs.Remove(b)
 	w.InvalidatePG()
 	if w.RelevantPG().HasNode(b) {

@@ -1,5 +1,5 @@
 package sim
 
-// DegreeState names the structure a world keeps for its external tests:
-// "none", "ledger" or "pg".
+// DegreeState names what a world keeps for its external tests: "none" or
+// "ledger".
 var DegreeState = degreeState

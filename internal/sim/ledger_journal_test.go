@@ -18,22 +18,42 @@ import (
 )
 
 // journalOf runs w to convergence under sched and returns its journal.
-func journalOf(t *testing.T, w *sim.World, sched sim.Scheduler) ([]byte, sim.RunResult) {
+// A queried run also checks Lemma 2 at every legitimacy check, asks every
+// leaver's NIDEC verdict after every step and the whole-graph queries every
+// 97 steps.
+func journalOf(t *testing.T, w *sim.World, sched sim.Scheduler, queried bool) ([]byte, sim.RunResult) {
 	t.Helper()
 	var buf bytes.Buffer
 	jw := trace.NewWriter(&buf, trace.Header{Version: trace.Version, Engine: trace.EngineSim})
 	w.AddEventHook(jw.Record)
-	res := sim.Run(w, sched, sim.RunOptions{Variant: sim.FDP, MaxSteps: 50000})
+	opts := sim.RunOptions{Variant: sim.FDP, MaxSteps: 50000}
+	if queried {
+		opts.CheckSafety = true
+		opts.OnStep = func(w *sim.World) {
+			if w.Steps()%97 == 0 {
+				w.PG()
+				w.RelevantPG()
+				w.Relevant()
+				w.Hibernating()
+			}
+			for _, r := range w.Refs() {
+				if w.ModeOf(r) == sim.Leaving && w.LifeOf(r) != sim.Gone {
+					w.NIDEC(r)
+				}
+			}
+		}
+	}
+	res := sim.Run(w, sched, opts)
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res
 }
 
-// TestLedgerAndPGJournalsAreIdentical: the same seed run twice, one world
-// left on the ledger and one forced onto the PG before step 0, must journal
-// byte for byte the same run — under every scheduler, on a corrupted churn
-// scenario and on P' over a sorted list.
+// TestLedgerAndPGJournalsAreIdentical: the same seed run twice, once asking
+// nothing and once asking every query (journalOf), must journal byte for
+// byte the same run, and both must end on the ledger — under every
+// scheduler, on a corrupted churn scenario and on P' over a sorted list.
 func TestLedgerAndPGJournalsAreIdentical(t *testing.T) {
 	scheds := map[string]func() sim.Scheduler{
 		"random":      func() sim.Scheduler { return sim.NewRandomScheduler(5, 64) },
@@ -60,21 +80,19 @@ func TestLedgerAndPGJournalsAreIdentical(t *testing.T) {
 	for _, wn := range []string{"churn", "framework"} {
 		for _, sn := range []string{"random", "adversarial", "rounds", "fifo"} {
 			t.Run(wn+"/"+sn, func(t *testing.T) {
-				onLedger, onPG := worlds[wn](), worlds[wn]()
-				onPG.PG()
-				a, ra := journalOf(t, onLedger, scheds[sn]())
-				b, rb := journalOf(t, onPG, scheds[sn]())
-				if ra.Converged != rb.Converged || ra.Stats.Exits == 0 {
-					t.Fatalf("converged: ledger %v, PG %v; %d exits", ra.Converged, rb.Converged, ra.Stats.Exits)
+				plain, queried := worlds[wn](), worlds[wn]()
+				a, ra := journalOf(t, plain, scheds[sn](), false)
+				b, rb := journalOf(t, queried, scheds[sn](), true)
+				if ra.Converged != rb.Converged || ra.Stats.Exits == 0 || rb.SafetyViolation != nil {
+					t.Fatalf("converged: plain %v, queried %v (%v); %d exits", ra.Converged, rb.Converged, rb.SafetyViolation, ra.Stats.Exits)
 				}
-				if st := sim.DegreeState(onLedger); st != "ledger" {
-					t.Fatalf("ledger world ended on %q", st)
-				}
-				if st := sim.DegreeState(onPG); st != "pg" {
-					t.Fatalf("PG world ended on %q", st)
+				for _, w := range []*sim.World{plain, queried} {
+					if st := sim.DegreeState(w); st != "ledger" {
+						t.Fatalf("world ended on %q, want the ledger", st)
+					}
 				}
 				if !bytes.Equal(a, b) {
-					t.Fatalf("journals differ: %d bytes on the ledger, %d on the PG", len(a), len(b))
+					t.Fatalf("journals differ: %d bytes asking nothing, %d asking every query", len(a), len(b))
 				}
 			})
 		}
@@ -82,10 +100,10 @@ func TestLedgerAndPGJournalsAreIdentical(t *testing.T) {
 }
 
 // checkDegrees compares every live leaver's RelevantDegree with its degree
-// in a rebuilt PG (nothing sleeps in these runs).
+// in a built PG (nothing sleeps in these runs).
 func checkDegrees(t *testing.T, w *sim.World, where string) {
 	t.Helper()
-	pg := w.RebuildPG()
+	pg := w.PG()
 	for _, r := range w.Refs() {
 		if w.ModeOf(r) != sim.Leaving || w.LifeOf(r) == sim.Gone {
 			continue
@@ -98,7 +116,7 @@ func checkDegrees(t *testing.T, w *sim.World, where string) {
 
 // TestLedgerAfterStrike: a fault strike rewrites protocol state outside any
 // action; its InvalidatePG drops the ledger and its re-seal seeds a fresh
-// one, whose degrees and components match the rebuilt PG from then on.
+// one, whose degrees and components match the built PG from then on.
 func TestLedgerAfterStrike(t *testing.T) {
 	s := churn.Build(churn.Config{
 		N: 40, Topology: churn.TopoRandom, LeaveFraction: 0.5, Pattern: churn.LeaveRandom,
@@ -121,7 +139,7 @@ func TestLedgerAfterStrike(t *testing.T) {
 	if st := sim.DegreeState(w); st != "ledger" {
 		t.Fatalf("after the strike's re-seal the world is on %q, want a fresh ledger", st)
 	}
-	if got, want := w.InitialComponents(), w.RebuildPG().WeaklyConnectedComponents(); !reflect.DeepEqual(got, want) {
+	if got, want := w.InitialComponents(), w.PG().WeaklyConnectedComponents(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-sealed components %v, rebuilt PG %v", got, want)
 	}
 	checkDegrees(t, w, "after the strike")
@@ -145,7 +163,7 @@ func TestInitialComponentsOfEveryTopology(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := s.World.InitialComponents(), s.World.RebuildPG().WeaklyConnectedComponents()
+			got, want := s.World.InitialComponents(), s.World.PG().WeaklyConnectedComponents()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("SealInitialState %v, rebuilt PG %v", got, want)
 			}
@@ -160,5 +178,45 @@ func TestInitialComponentsOfEveryTopology(t *testing.T) {
 				t.Fatalf("components hold %d processes, want 32", len(all))
 			}
 		})
+	}
+}
+
+// TestRunTimeQueriesBuildNoGraph: what a run asks while it runs — the Lemma
+// 2 check of CheckSafety, a leaver's NIDEC verdict — allocates nothing on an
+// FDP churn world at n = 1000: the ledger rows and the union-find answer,
+// and no graph is built.
+func TestRunTimeQueriesBuildNoGraph(t *testing.T) {
+	s := churn.Build(churn.Config{
+		N: 1000, Topology: churn.TopoRandom, LeaveFraction: 0.5, Pattern: churn.LeaveRandom,
+		Oracle: oracle.Single{}, Seed: 6,
+	})
+	w := s.World
+	sched := sim.NewRandomScheduler(6, 64)
+	for i := 0; i < 5000; i++ {
+		a, ok := sched.Next(w)
+		if !ok {
+			t.Fatal("quiescent")
+		}
+		w.Execute(a)
+	}
+	if n := testing.AllocsPerRun(20, func() { w.RelevantComponentsIntact() }); n != 0 {
+		t.Errorf("RelevantComponentsIntact allocates %.0f times", n)
+	}
+	var judged []ref.Ref // live leavers with an empty channel, judged on their rows
+	for _, u := range s.LeavingNodes() {
+		if w.LifeOf(u) != sim.Gone && w.ChannelLen(u) == 0 {
+			judged = append(judged, u)
+		}
+	}
+	if len(judged) == 0 {
+		t.Fatal("no live leaver with an empty channel to judge")
+	}
+	o := oracle.NIDEC{}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, u := range judged {
+			o.Evaluate(w, u)
+		}
+	}); n != 0 {
+		t.Errorf("NIDEC.Evaluate of %d leavers allocates %.0f times", len(judged), n)
 	}
 }

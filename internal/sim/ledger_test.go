@@ -8,23 +8,18 @@ import (
 	"fdp/internal/ref"
 )
 
-// degreeState names the structure w keeps: "none", "ledger" or "pg".
+// degreeState names what w keeps: "none" or "ledger".
 func degreeState(w *World) string {
-	switch {
-	case w.pg != nil && w.ledger != nil:
-		return "both"
-	case w.pg != nil:
-		return "pg"
-	case w.ledger != nil:
+	if w.ledger != nil {
 		return "ledger"
 	}
 	return "none"
 }
 
-// wantDegree is RelevantDegree from first principles: a rebuilt PG and the
+// wantDegree is RelevantDegree from first principles: a built PG and the
 // hibernating set recomputed on it.
 func wantDegree(w *World, u ref.Ref) (int, bool) {
-	pg := w.RebuildPG()
+	pg := w.PG()
 	hib := referenceHibernating(w)
 	if !pg.HasNode(u) || hib.Has(u) {
 		return 0, false
@@ -38,61 +33,44 @@ func wantDegree(w *World, u ref.Ref) (int, bool) {
 	return n, true
 }
 
-// checkLeaverDegrees compares every live leaver's RelevantDegree with
-// wantDegree. It asks nothing else, so a world on the ledger stays there.
-func checkLeaverDegrees(t *testing.T, w *World, where string) {
+// checkEveryDegree compares every live process's RelevantDegree with
+// wantDegree: a leaver's comes from the ledger, a stayer's from RelevantPG.
+func checkEveryDegree(t *testing.T, w *World, where string) {
 	t.Helper()
 	for _, r := range w.Refs() {
-		if w.ModeOf(r) != Leaving || w.LifeOf(r) == Gone {
+		if w.LifeOf(r) == Gone {
 			continue
 		}
 		gd, gok := w.RelevantDegree(r)
 		if wd, wok := wantDegree(w, r); gd != wd || gok != wok {
-			t.Fatalf("%s: RelevantDegree(%v) = %d, %v on the %s; rebuilt PG says %d, %v",
-				where, r, gd, gok, degreeState(w), wd, wok)
+			t.Fatalf("%s: RelevantDegree(%v) of a %v process = %d, %v; rebuilt PG says %d, %v",
+				where, r, w.ModeOf(r), gd, gok, wd, wok)
 		}
 	}
 }
 
-// ledgerOracle checks every leaver's degree from inside an atomic action,
-// where the acting process's refs may have changed since its last sync.
-type ledgerOracle struct{ t *testing.T }
-
-func (ledgerOracle) Name() string { return "ledger-check" }
-
-func (o ledgerOracle) Evaluate(w *World, u ref.Ref) bool {
-	o.t.Helper()
-	checkLeaverDegrees(o.t, w, fmt.Sprintf("mid-action of %v, step %d", u, w.Steps()))
-	return false
-}
-
-// TestLedgerDegreeMatchesRebuild is TestIncrementalPGMatchesRebuild for the
-// leaver-only ledger: under every scheduler and both variants, after every
-// step and mid-action, every live leaver's RelevantDegree equals its degree
-// in a rebuilt PG. The test asks only leavers' degrees, so the world stays on
-// the ledger until a process sleeps (FSP), when the answer must come from the
-// PG instead; nothing else may make it build the PG.
+// TestLedgerDegreeMatchesRebuild: under every scheduler and both variants,
+// after every step and mid-action, every live process's RelevantDegree
+// equals its degree in a built PG with the hibernating set derived from
+// first principles, while processes sleep and while none does.
 func TestLedgerDegreeMatchesRebuild(t *testing.T) {
 	for si, sc := range chaosSchedulers {
 		for _, variant := range []Variant{FDP, FSP} {
 			t.Run(fmt.Sprintf("%s/%v", sc.name, variant), func(t *testing.T) {
-				onLedger := 0
+				asleep, awake := 0, 0
 				for k := int64(0); k < 4; k++ {
 					seed := int64(si)*97 + int64(variant)*13 + 11 + 1000*k
-					slept := false
-					runChaos(seed, 12, 400, variant, ledgerOracle{t}, sc.mk(seed), func(w *World) {
-						checkLeaverDegrees(t, w, fmt.Sprintf("seed %d, step %d", seed, w.Steps()))
-						slept = slept || w.asleep > 0
-						switch st := degreeState(w); {
-						case st == "ledger":
-							onLedger++
-						case st != "pg" || !slept:
-							t.Fatalf("seed %d, step %d: world on %q with no process ever asleep", seed, w.Steps(), st)
+					runChaos(seed, 12, 400, variant, checkOracle{t, checkEveryDegree}, sc.mk(seed), func(w *World) {
+						checkEveryDegree(t, w, fmt.Sprintf("seed %d, step %d", seed, w.Steps()))
+						if w.asleep > 0 {
+							asleep++
+						} else {
+							awake++
 						}
 					})
 				}
-				if onLedger == 0 {
-					t.Fatal("no step ran on the ledger")
+				if asleep == 0 || awake == 0 {
+					t.Fatalf("%d steps with a process asleep, %d with none: want both", asleep, awake)
 				}
 			})
 		}
@@ -127,8 +105,9 @@ func ledgerWorld(t *testing.T) (*World, []ref.Ref, []*fixtureProto) {
 	return w, n, fx
 }
 
-// TestLedgerFallbacks pins which structure each event leaves the world on,
-// and that every live leaver's degree is right afterwards.
+// TestLedgerFallbacks pins which events drop the ledger and which keep it,
+// and that every degree, NIDEC verdict and the Lemma 2 check are right
+// afterwards.
 func TestLedgerFallbacks(t *testing.T) {
 	exit := func(w *World, fx *fixtureProto, r ref.Ref) {
 		fx.onTimeout = func(ctx Context, _ *fixtureProto) { ctx.Exit() }
@@ -152,24 +131,23 @@ func TestLedgerFallbacks(t *testing.T) {
 		{"MarkGone of a stayer drops the ledger", func(w *World, n []ref.Ref, _ []*fixtureProto) {
 			w.MarkGone(n[4])
 		}, "none"},
-		{"ForceAsleep sends a degree query to the PG", func(w *World, n []ref.Ref, _ []*fixtureProto) {
+		{"ForceAsleep keeps the ledger", func(w *World, n []ref.Ref, _ []*fixtureProto) {
 			w.ForceAsleep(n[5])
 			w.RelevantDegree(n[0])
-		}, "pg"},
-		{"a stayer's degree seeds the PG", func(w *World, n []ref.Ref, _ []*fixtureProto) {
+		}, "ledger"},
+		{"a stayer's degree keeps the ledger", func(w *World, n []ref.Ref, _ []*fixtureProto) {
 			w.RelevantDegree(n[3])
-		}, "pg"},
-		{"PG drops the ledger", func(w *World, _ []ref.Ref, _ []*fixtureProto) {
+		}, "ledger"},
+		{"PG keeps the ledger", func(w *World, _ []ref.Ref, _ []*fixtureProto) {
 			w.PG()
-		}, "pg"},
-		{"Relevant seeds the PG", func(w *World, _ []ref.Ref, _ []*fixtureProto) {
+		}, "ledger"},
+		{"Relevant keeps the ledger", func(w *World, _ []ref.Ref, _ []*fixtureProto) {
 			w.Relevant()
-		}, "pg"},
-		{"a degree query on the PG keeps it", func(w *World, n []ref.Ref, fx []*fixtureProto) {
-			w.PG()
+		}, "ledger"},
+		{"a degree query after a stayer's exit reseeds the ledger", func(w *World, n []ref.Ref, fx []*fixtureProto) {
 			exit(w, fx[3], n[3])
 			w.RelevantDegree(n[0])
-		}, "pg"},
+		}, "ledger"},
 		{"InvalidatePG drops the ledger", func(w *World, n []ref.Ref, fx []*fixtureProto) {
 			fx[4].refs.Add(n[1]) // outside any action
 			w.InvalidatePG()
@@ -200,7 +178,8 @@ func TestLedgerFallbacks(t *testing.T) {
 			if st := degreeState(w); st != tc.want {
 				t.Fatalf("world on %q, want %q", st, tc.want)
 			}
-			checkLeaverDegrees(t, w, tc.name)
+			checkEveryDegree(t, w, tc.name)
+			checkVerdicts(t, w, tc.name)
 		})
 	}
 }
@@ -221,11 +200,34 @@ func TestLedgerMidActionQuery(t *testing.T) {
 	if got != want {
 		t.Fatalf("mid-action degree %d, rebuilt %d", got, want)
 	}
-	checkLeaverDegrees(t, w, "after the action")
+	checkEveryDegree(t, w, "after the action")
 }
 
-// TestLedgerClone: a clone starts with neither structure, seeds its own,
-// and diverges from its source independently.
+// TestNIDECMidActionQuery: a NIDEC verdict asked from inside an action sees
+// the edge into the leaver that the acting process stored earlier in the
+// same action.
+func TestNIDECMidActionQuery(t *testing.T) {
+	space := ref.NewSpace()
+	a, u := space.New(), space.New()
+	w := NewWorld(nil)
+	fa := newFixture()
+	w.AddProcess(a, Staying, fa)
+	w.AddProcess(u, Leaving, newFixture())
+	w.SealInitialState()
+	var before, after bool
+	fa.onTimeout = func(Context, *fixtureProto) {
+		before = w.NIDEC(u)
+		fa.refs.Add(u)
+		after = w.NIDEC(u)
+	}
+	w.Execute(Action{Proc: a, IsTimeout: true})
+	if !before || after {
+		t.Fatalf("NIDEC(u) mid-action: %v before a stores u, %v after; want true, false", before, after)
+	}
+}
+
+// TestLedgerClone: a clone starts with no ledger, seeds its own, and
+// diverges from its source independently.
 func TestLedgerClone(t *testing.T) {
 	space := ref.NewSpace()
 	n := space.NewN(4)
@@ -248,18 +250,18 @@ func TestLedgerClone(t *testing.T) {
 		t.Fatalf("clone on %q, want none", st)
 	}
 	c.MarkGone(n[1])
-	checkLeaverDegrees(t, c, "clone")
-	checkLeaverDegrees(t, w, "source")
+	checkEveryDegree(t, c, "clone")
+	checkEveryDegree(t, w, "source")
 	if d, _ := w.RelevantDegree(n[0]); d != 2 {
 		t.Fatalf("source degree of %v = %d after the clone's exit, want 2", n[0], d)
 	}
 }
 
 // TestInitialComponentsMatchRebuild: the union-find partition equals the
-// rebuilt PG's weakly connected components element for element, and
+// built PG's weakly connected components element for element, and
 // StayingComponentsPreserved equals the induced-subgraph check it replaced,
 // at every step of chaos runs — gone processes, duplicates, self and ⊥
-// references included — on either structure.
+// references included — whether or not PG() is built between steps.
 func TestInitialComponentsMatchRebuild(t *testing.T) {
 	for si, sc := range chaosSchedulers {
 		for _, full := range []bool{false, true} {
@@ -273,7 +275,7 @@ func TestInitialComponentsMatchRebuild(t *testing.T) {
 					if w.Steps()%50 == 0 {
 						sealed = w.InitialComponents()
 						w.SealInitialState()
-						if got, want := w.InitialComponents(), w.RebuildPG().WeaklyConnectedComponents(); !reflect.DeepEqual(got, want) {
+						if got, want := w.InitialComponents(), w.PG().WeaklyConnectedComponents(); !reflect.DeepEqual(got, want) {
 							t.Fatalf("step %d: SealInitialState %v, rebuilt PG %v", w.Steps(), got, want)
 						}
 						w.SetInitialComponents(sealed)
@@ -287,7 +289,7 @@ func TestInitialComponentsMatchRebuild(t *testing.T) {
 	}
 }
 
-// stayingPreservedOnRebuild is legitimacy condition (iii) on the rebuilt PG
+// stayingPreservedOnRebuild is legitimacy condition (iii) on the built PG
 // induced on the staying processes.
 func stayingPreservedOnRebuild(w *World) bool {
 	staying := ref.NewSet()
@@ -296,7 +298,7 @@ func stayingPreservedOnRebuild(w *World) bool {
 			staying.Add(r)
 		}
 	}
-	pg := w.RebuildPG().InducedSubgraph(staying)
+	pg := w.PG().InducedSubgraph(staying)
 	for _, comp := range w.InitialComponents() {
 		var members []ref.Ref
 		for _, r := range comp {

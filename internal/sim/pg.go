@@ -1,32 +1,26 @@
 package sim
 
-// Incremental relevant-degree and process-graph maintenance (DESIGN.md §7).
-// The world keeps at most one of two structures, neither until a query
-// needs one, and applies O(Δ) deltas to it at every mutation point:
+// The degree ledger: the world's one incrementally maintained structure
+// (DESIGN.md §7). One graph.Row per leaving process, neighbour → number of
+// edges joining the pair, explicit or implicit, either direction. A pair is
+// counted only if an endpoint is leaving, and only in a leaving side's row. A
+// live leaver's row length is its PG degree: RelevantDegree and NIDEC answer
+// a leaver from its row, and the union-find below answers the component
+// checks from the synced references. Nothing keeps the full PG; PG() builds
+// it.
 //
-//   - the ledger: one graph.Row per leaving process, neighbour → number of
-//     edges joining the pair. A pair is counted only if an endpoint is
-//     leaving, and only in a leaving side's row. A live leaver's row length
-//     is its PG degree: RelevantDegree answers SINGLE from it while nothing
-//     is asleep. The first degree or component query seeds it.
-//   - the full PG, a graph.Graph, seeded by the first query the ledger
-//     cannot answer (PG, Relevant, Hibernating, RelevantPG, a staying
-//     process's degree, any degree while a process is asleep). Seeding it
-//     drops the ledger; it is then maintained for good.
-//
-// InvalidatePG and AddProcess drop either; a staying process's exit drops
-// the ledger (no row lists the leavers that count it). Code that mutates
-// protocol variables outside an atomic action after a query (fault
-// injectors, surgical tests) must call InvalidatePG. The mutation points:
-// message enqueue and removal (the implicit edges of the references it
-// carries), the end of an atomic action (the acting process's stored refs
-// re-diffed against the copy synced last, pgRefs — only the acting process
-// can have changed), and exit. Only edges between two live, distinct
-// processes exist: additions are filtered on both endpoints, removals no-op
-// once an endpoint is gone. The synced copies also feed the union-find of
-// SealInitialState and StayingComponentsPreserved, so neither builds a graph
-// nor calls Refs. Derived views (Hibernating, Relevant, RelevantPG) are
-// cached per w.gen, which every mutation that can change them bumps.
+// The first query seeds the ledger. InvalidatePG and AddProcess drop it, and
+// so does a staying process's exit (no row lists the leavers that count it);
+// the next query reseeds. Code that mutates protocol variables outside an
+// atomic action after a query (fault injectors, surgical tests) must call
+// InvalidatePG. The mutation points apply O(Δ) deltas: message enqueue and
+// removal (the implicit edges of the references it carries), the end of an
+// atomic action (the acting process's stored refs re-diffed against the copy
+// synced last, pgRefs — only the acting process can have changed), and exit.
+// Only edges between two live, distinct processes exist: additions are
+// filtered on both endpoints, removals no-op once an endpoint is gone. Every
+// mutation that can change the hibernating set bumps w.gen, which stamps the
+// one derived memo, Hibernating's.
 
 import (
 	"slices"
@@ -39,83 +33,49 @@ import (
 // pair.
 type ledgerRow = graph.Row[ref.Ref, int32]
 
-// tracking reports whether a structure is seeded, which is when every live
-// process's pgRefs is its synced copy.
-func (w *World) tracking() bool { return w.pg != nil || w.ledger != nil }
-
-// pgView returns the incrementally maintained process graph, seeding it (and
-// dropping the ledger) on first use. Mid-action it first folds in any
-// not-yet-synced ref changes of the acting process, so oracle calls made from
-// inside Timeout/Deliver see the exact current state.
-func (w *World) pgView() *graph.Graph {
-	if w.pg == nil {
-		w.seed(true)
-	} else if w.current != nil {
-		w.pgSyncRefs(w.current)
-	}
-	return w.pg
-}
-
-// syncView makes the synced copies current without asking for the full
-// graph: it seeds the ledger if nothing is seeded, and otherwise folds in the
-// acting process's pending delta as pgView does.
+// syncView makes the ledger and the synced copies current: it seeds the
+// ledger if there is none and otherwise folds in the acting process's pending
+// ref delta, so oracle calls made from inside Timeout/Deliver see the exact
+// current state.
 func (w *World) syncView() {
-	if !w.tracking() {
-		w.seed(false)
+	if w.ledger == nil {
+		w.seed()
 	} else if w.current != nil {
 		w.pgSyncRefs(w.current)
 	}
 }
 
-// seed builds the full PG (full) or the ledger from scratch, dropping the
-// other, and records per process the refs snapshot future diffs are computed
-// against.
-func (w *World) seed(full bool) {
+// seed builds the ledger from scratch and records per process the refs
+// snapshot future diffs are computed against.
+func (w *World) seed() {
 	w.gen++
-	w.pg, w.ledger = nil, nil
-	if full {
-		w.pg = graph.New()
-	} else {
-		w.ledger = make([]ledgerRow, len(w.procs))
-	}
+	w.ledger = make([]ledgerRow, len(w.procs))
 	for _, p := range w.procs {
-		if p == nil || p.life == Gone {
-			continue
+		if p != nil && p.life != Gone {
+			p.pgRefs = append(p.pgRefs[:0], p.proto.Refs()...)
 		}
-		if full {
-			w.pg.AddNode(p.id)
-		}
-		p.pgRefs = append(p.pgRefs[:0], p.proto.Refs()...)
 	}
 	for _, p := range w.procs {
 		if p == nil || p.life == Gone {
 			continue
 		}
 		for _, r := range p.pgRefs {
-			w.edge(p, r, graph.Explicit, 1)
+			w.edge(p, r, 1)
 		}
 		for i := range p.ch {
 			for _, ri := range p.ch[i].Refs {
-				w.edge(p, ri.Ref, graph.Implicit, 1)
+				w.edge(p, ri.Ref, 1)
 			}
 		}
 	}
 }
 
-// edge applies d (+1 or -1) copies of the edge p->r of the given kind to the
-// seeded structure. A reference to ⊥, to no process of this world, to a gone
-// process or to p itself is no edge.
-func (w *World) edge(p *process, r ref.Ref, kind graph.EdgeKind, d int32) {
+// edge applies d (+1 or -1) copies of an edge p->r to the ledger. A reference
+// to ⊥, to no process of this world, to a gone process or to p itself is no
+// edge.
+func (w *World) edge(p *process, r ref.Ref, d int32) {
 	q := w.lookup(r)
 	if q == nil || q == p || q.life == Gone {
-		return
-	}
-	if w.pg != nil {
-		if d > 0 {
-			w.pg.AddEdge(p.id, r, kind)
-		} else {
-			w.pg.RemoveEdge(p.id, r, kind)
-		}
 		return
 	}
 	if p.mode == Leaving {
@@ -126,33 +86,24 @@ func (w *World) edge(p *process, r ref.Ref, kind graph.EdgeKind, d int32) {
 	}
 }
 
-// InvalidatePG discards the incremental process graph or ledger and every
-// derived cache; the next query reseeds from scratch. Must be called by any
-// code that mutates protocol variables (stored references) outside an atomic
-// action after a query — fault injectors and tests that reach into protocol
-// state directly.
+// InvalidatePG drops the ledger and the hibernation memo; the next query
+// reseeds from scratch. Must be called by any code that mutates protocol
+// variables (stored references) outside an atomic action after a query —
+// fault injectors and tests that reach into protocol state directly.
 func (w *World) InvalidatePG() {
 	w.gen++
-	w.pg, w.ledger = nil, nil
-	w.hibCache = nil
-	w.relCache = nil
-	w.relPGCache = nil
-	for _, p := range w.procs {
-		if p != nil {
-			p.pgRefs = nil
-		}
-	}
+	w.ledger = nil
 }
 
 // pgEnqueue records the implicit edges of a message just placed in to's
 // channel.
 func (w *World) pgEnqueue(to *process, msg *Message) {
 	w.gen++
-	if !w.tracking() {
+	if w.ledger == nil {
 		return
 	}
 	for _, ri := range msg.Refs {
-		w.edge(to, ri.Ref, graph.Implicit, 1)
+		w.edge(to, ri.Ref, 1)
 	}
 }
 
@@ -160,24 +111,21 @@ func (w *World) pgEnqueue(to *process, msg *Message) {
 // channel.
 func (w *World) pgDequeue(from *process, msg *Message) {
 	w.gen++
-	if !w.tracking() {
+	if w.ledger == nil {
 		return
 	}
 	for _, ri := range msg.Refs {
-		w.edge(from, ri.Ref, graph.Implicit, -1)
+		w.edge(from, ri.Ref, -1)
 	}
 }
 
-// pgExit removes an exiting process with every edge it has — its stored
-// refs, its channel's implicit edges, and all edges other processes hold
-// toward it: PG drops the node; the ledger erases a leaver from its leaving
-// neighbours' rows and empties its own, and is dropped on a stayer's exit.
+// pgExit removes an exiting process with every edge it has: a leaver is
+// erased from its leaving neighbours' rows and its own row emptied; a
+// stayer's exit drops the ledger.
 func (w *World) pgExit(p *process) {
 	w.gen++
 	p.pgRefs = nil
 	switch {
-	case w.pg != nil:
-		w.pg.RemoveNode(p.id)
 	case w.ledger == nil:
 	case p.mode == Leaving:
 		row := &w.ledger[ref.Index(p.id)]
@@ -197,9 +145,9 @@ func (w *World) pgExit(p *process) {
 // the last sync and applies the explicit-edge delta. Only the acting process
 // can have changed, so this is O(|refs(p)|) per action. The diff is
 // multiset-aware: a protocol storing the same reference twice contributes
-// explicit multiplicity 2, exactly as the from-scratch build does.
+// explicit multiplicity 2, exactly as PG() does.
 func (w *World) pgSyncRefs(p *process) {
-	if !w.tracking() || p.life == Gone {
+	if w.ledger == nil || p.life == Gone {
 		return
 	}
 	// Protocols enumerate Refs deterministically, so an unchanged state
@@ -211,8 +159,7 @@ func (w *World) pgSyncRefs(p *process) {
 	w.gen++
 	// Sort both sides and merge: equal references cancel pairwise, what is
 	// left of the old side loses an edge, what is left of the new side gains
-	// one. The structure sees the delta in reference order, never in map
-	// order.
+	// one. The ledger sees the delta in reference order, never in map order.
 	old := append(w.oldRefs[:0], p.pgRefs...)
 	nu := append(w.newRefs[:0], cur...)
 	ref.Sort(old)
@@ -221,10 +168,10 @@ func (w *World) pgSyncRefs(p *process) {
 	for len(old) > 0 || len(nu) > 0 {
 		switch {
 		case len(nu) == 0 || len(old) > 0 && ref.Less(old[0], nu[0]):
-			w.edge(p, old[0], graph.Explicit, -1)
+			w.edge(p, old[0], -1)
 			old = old[1:]
 		case len(old) == 0 || ref.Less(nu[0], old[0]):
-			w.edge(p, nu[0], graph.Explicit, 1)
+			w.edge(p, nu[0], 1)
 			nu = nu[1:]
 		default:
 			old, nu = old[1:], nu[1:]
@@ -233,31 +180,60 @@ func (w *World) pgSyncRefs(p *process) {
 	p.pgRefs = append(p.pgRefs[:0], cur...)
 }
 
-// unite resets w.uf to the weak components of PG over the live processes
-// counted (all, or the staying ones alone): the edges of their synced stored
-// references and queued messages, between two counted processes.
-func (w *World) unite(stayingOnly bool) *graph.UnionFind {
+// unite resets w.uf to the weak components of PG restricted to the live
+// processes counted: the edges of their synced stored references and queued
+// messages, between two counted processes.
+func (w *World) unite(counted func(*process) bool) *graph.UnionFind {
 	w.syncView()
 	w.uf.Reset(len(w.procs))
-	counted := func(p *process) bool {
-		return p != nil && p.life != Gone && (!stayingOnly || p.mode == Staying)
-	}
+	in := func(p *process) bool { return p != nil && p.life != Gone && counted(p) }
 	for _, p := range w.procs {
-		if !counted(p) {
+		if !in(p) {
 			continue
 		}
 		for _, r := range p.pgRefs {
-			if counted(w.lookup(r)) {
+			if in(w.lookup(r)) {
 				w.uf.Union(p.id, r)
 			}
 		}
 		for i := range p.ch {
 			for _, ri := range p.ch[i].Refs {
-				if counted(w.lookup(ri.Ref)) {
+				if in(w.lookup(ri.Ref)) {
 					w.uf.Union(p.id, ri.Ref)
 				}
 			}
 		}
 	}
 	return &w.uf
+}
+
+// joined reports whether, in every initial component with two members or
+// more, the members are live and in one class of the union-find over the
+// members. Components may name processes this world does not hold (frozen
+// runtime worlds omit the gone); those are no members.
+func (w *World) joined(member func(*process) bool) bool {
+	uf := w.unite(member)
+	for _, comp := range w.initialComponents {
+		var first ref.Ref
+		members, ok := 0, true
+		for _, r := range comp {
+			p := w.lookup(r)
+			if p == nil || !member(p) {
+				continue
+			}
+			members++
+			switch {
+			case p.life == Gone:
+				ok = false
+			case first.IsNil():
+				first = r
+			case !uf.Same(first, r):
+				ok = false
+			}
+		}
+		if members >= 2 && !ok {
+			return false
+		}
+	}
+	return true
 }

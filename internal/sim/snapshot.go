@@ -5,25 +5,13 @@ import (
 	"fdp/internal/ref"
 )
 
-// PG returns the current process graph: one node per non-gone process, an
-// explicit edge (a,b) for every reference of b stored in a's variables, and
-// an implicit edge (a,b) for every reference of b carried by a message in
-// a.Ch. Gone processes are removed from PG together with their incident
-// edges, so edges to gone processes are omitted.
-//
-// The graph is maintained incrementally (see pg.go), so this is O(1) after
-// the first call, which seeds it and drops the degree ledger. The returned
-// graph is a live read-only view: callers must not mutate it and must Clone
-// it to retain a snapshot across world mutations.
+// PG returns the current process graph, built from scratch: one node per
+// non-gone process, an explicit edge (a,b) for every reference of b stored in
+// a's variables, and an implicit edge (a,b) for every reference of b carried
+// by a message in a.Ch. Gone processes are removed from PG together with
+// their incident edges, so edges to gone processes are omitted. O(n+m) per
+// call; the caller owns the graph.
 func (w *World) PG() *graph.Graph {
-	return w.pgView()
-}
-
-// RebuildPG constructs the process graph from scratch, ignoring the
-// incrementally maintained one. It is the reference implementation the
-// differential tests compare against, and what callers should use when they
-// intend to mutate the result.
-func (w *World) RebuildPG() *graph.Graph {
 	g := graph.New()
 	for _, p := range w.procs {
 		if p == nil || p.life == Gone {
@@ -60,112 +48,133 @@ func (w *World) isLiveTarget(r ref.Ref) bool {
 // p is asleep, p.Ch is empty, and all processes q with a directed path to p
 // in PG are also asleep with empty channels. By the claim of Foreback et
 // al. quoted in Section 1.1, a hibernating process is permanently asleep
-// under any copy-store-send protocol.
+// under any copy-store-send protocol. Only asleep processes can hibernate:
+// with none — every FDP state — the set is empty, nil, and nothing is
+// swept. Otherwise this builds PG; the set is memoized per w.gen and is a
+// read-only view.
 func (w *World) Hibernating() ref.Set {
-	pg := w.pgView()
+	if w.asleep == 0 {
+		return nil
+	}
+	w.syncView()
 	if w.hibCache != nil && w.hibGen == w.gen {
 		return w.hibCache
 	}
-	out := ref.NewSet()
-	// Only asleep processes can hibernate: with none, skip the sweep. This
-	// is the steady state of every FDP run, where sleep is never used.
-	if w.asleep > 0 {
-		// S: the "active" processes — awake, or asleep with a nonempty
-		// channel.
-		var active []ref.Ref
-		for _, p := range w.procs {
-			if p == nil || p.life == Gone {
-				continue
-			}
-			if p.life == Awake || len(p.ch) > 0 {
-				active = append(active, p.id)
-			}
+	// S: the "active" processes — awake, or asleep with a nonempty channel.
+	var active []ref.Ref
+	for _, p := range w.procs {
+		if p != nil && p.life != Gone && (p.life == Awake || len(p.ch) > 0) {
+			active = append(active, p.id)
 		}
-		tainted := pg.ForwardReachAll(active)
-		for _, p := range w.procs {
-			if p == nil || p.life != Asleep || len(p.ch) > 0 {
-				continue
-			}
-			if !tainted.Has(p.id) {
-				out.Add(p.id)
-			}
+	}
+	tainted := w.PG().ForwardReachAll(active)
+	out := ref.NewSet()
+	for _, p := range w.procs {
+		if p != nil && p.life == Asleep && len(p.ch) == 0 && !tainted.Has(p.id) {
+			out.Add(p.id)
 		}
 	}
 	w.hibCache, w.hibGen = out, w.gen
 	return out
 }
 
+// relevant reports whether p is relevant: neither gone nor in hib, the
+// hibernating set.
+func relevant(p *process, hib ref.Set) bool {
+	return p != nil && p.life != Gone && !hib.Has(p.id)
+}
+
 // Relevant returns the set of relevant processes: neither gone nor
-// hibernating (Section 1.2). Cached per generation; the returned set is a
-// read-only view.
+// hibernating (Section 1.2).
 func (w *World) Relevant() ref.Set {
-	w.pgView()
-	if w.relCache != nil && w.relGen == w.gen {
-		return w.relCache
-	}
 	hib := w.Hibernating()
 	out := ref.NewSet()
 	for _, p := range w.procs {
-		if p == nil || p.life == Gone {
-			continue
-		}
-		if !hib.Has(p.id) {
+		if relevant(p, hib) {
 			out.Add(p.id)
 		}
 	}
-	w.relCache, w.relGen = out, w.gen
 	return out
 }
 
 // RelevantPG returns PG restricted to relevant processes — the graph oracles
-// are defined over. Cached per generation; when nothing hibernates (every
-// FDP state) it is PG itself. Like PG, the result is a read-only view.
+// are defined over. Built per call, like PG; the caller owns it.
 func (w *World) RelevantPG() *graph.Graph {
-	pg := w.pgView()
-	if w.relPGCache != nil && w.relPGGen == w.gen {
-		return w.relPGCache
+	hib := w.Hibernating()
+	pg := w.PG()
+	for _, r := range hib.Sorted() {
+		pg.RemoveNode(r)
 	}
-	var out *graph.Graph
-	if w.Hibernating().Len() == 0 {
-		// Every non-gone process is relevant and PG has exactly the
-		// non-gone processes as nodes: the induced subgraph is PG.
-		out = pg
-	} else {
-		out = pg.InducedSubgraph(w.Relevant())
-	}
-	w.relPGCache, w.relPGGen = out, w.gen
-	return out
+	return pg
 }
 
 // RelevantDegree returns the number of relevant processes u has edges with
 // (in either direction, any kind) in the relevant process graph, plus
 // whether u itself is relevant — the quantity the SINGLE oracle decides on.
-// A leaver's degree while nothing is asleep comes from the ledger, unless
-// the full PG is already kept; any other query is answered on the PG. O(1)
-// when nothing hibernates, O(deg(u)) otherwise, with no allocation.
+// A leaver's degree is its ledger row's length less the neighbours that
+// hibernate (none while nothing is asleep): O(1) then, O(deg(u)) otherwise,
+// with no allocation. A staying process's degree is read off RelevantPG.
 func (w *World) RelevantDegree(u ref.Ref) (int, bool) {
-	if w.pg == nil && w.asleep == 0 {
-		p := w.lookup(u)
-		if p == nil || p.life == Gone {
-			return 0, false
-		}
-		if p.mode == Leaving {
-			w.syncView()
-			return w.ledger[ref.Index(u)].Len(), true
-		}
-	}
-	pg := w.pgView()
-	hib := w.Hibernating()
-	if hib.Len() == 0 {
-		if !pg.HasNode(u) {
-			return 0, false
-		}
-		return pg.Degree(u), true
-	}
-	if !pg.HasNode(u) || hib.Has(u) {
+	p := w.lookup(u)
+	if p == nil || p.life == Gone {
 		return 0, false
 	}
-	return pg.UndirectedDegreeIn(u, w.Relevant()), true
+	if p.mode != Leaving {
+		g := w.RelevantPG()
+		return g.Degree(u), g.HasNode(u)
+	}
+	w.syncView()
+	hib := w.Hibernating()
+	if hib.Has(u) {
+		return 0, false
+	}
+	row := &w.ledger[ref.Index(u)]
+	if hib == nil {
+		return row.Len(), true
+	}
+	n := 0
+	for _, e := range row.Entries() {
+		if !hib.Has(e.Key) {
+			n++
+		}
+	}
+	return n, true
+}
+
+// NIDEC reports the verdict of the NIDEC oracle for u: u is relevant, its
+// channel is empty and no relevant process has an edge into u. A leaver is
+// judged on its ledger row with no allocation. With the channel empty u has
+// no implicit edge of its own, so the edges into u from a neighbour q are
+// the row's count for q less the copies of q among u's synced stored
+// references; the row never counts fewer, so they are all zero exactly when
+// the two sums over relevant neighbours agree. A staying process is judged
+// on RelevantPG.
+func (w *World) NIDEC(u ref.Ref) bool {
+	p := w.lookup(u)
+	if p == nil || p.life == Gone || len(p.ch) > 0 {
+		return false
+	}
+	if p.mode != Leaving {
+		g := w.RelevantPG()
+		return g.HasNode(u) && len(g.Pred(u)) == 0
+	}
+	w.syncView()
+	hib := w.Hibernating()
+	if hib.Has(u) {
+		return false
+	}
+	in := 0
+	for _, e := range w.ledger[ref.Index(u)].Entries() {
+		if !hib.Has(e.Key) {
+			in += int(e.Val)
+		}
+	}
+	for _, r := range p.pgRefs {
+		if q := w.lookup(r); q != p && relevant(q, hib) {
+			in--
+		}
+	}
+	return in == 0
 }
 
 // Variant selects the problem being solved: FDP (exit available) or FSP
@@ -234,58 +243,18 @@ func (w *World) Legitimate(v Variant) bool {
 // staying members or more fails if one of them is gone. Union-find over the
 // staying processes' synced references; no graph is built.
 func (w *World) StayingComponentsPreserved() bool {
-	uf := w.unite(true)
-	for _, comp := range w.initialComponents {
-		var first ref.Ref
-		members, joined := 0, true
-		for _, r := range comp {
-			p := w.lookup(r)
-			if p == nil || p.mode != Staying {
-				continue
-			}
-			members++
-			switch {
-			case p.life == Gone:
-				joined = false
-			case first.IsNil():
-				first = r
-			case !uf.Same(first, r):
-				joined = false
-			}
-		}
-		if members >= 2 && !joined {
-			return false
-		}
-	}
-	return true
+	return w.joined(func(p *process) bool { return p.mode == Staying })
 }
 
 // RelevantComponentsIntact checks the Lemma 2 safety invariant during a run:
 // relevant processes that started in the same initial component are still
 // weakly connected in the subgraph of PG induced by relevant processes. This
 // is strictly stronger than condition (iii) and must hold in *every* state
-// of a computation of a safe protocol.
+// of a computation of a safe protocol. Union-find over the relevant
+// processes' synced references; while nothing is asleep no graph is built.
 func (w *World) RelevantComponentsIntact() bool {
-	relevant := w.Relevant()
-	pg := w.RelevantPG()
-	for _, comp := range w.initialComponents {
-		var members []ref.Ref
-		for _, r := range comp {
-			if relevant.Has(r) {
-				members = append(members, r)
-			}
-		}
-		if len(members) < 2 {
-			continue
-		}
-		reach := pg.UndirectedReach(members[0])
-		for _, m := range members[1:] {
-			if !reach.Has(m) {
-				return false
-			}
-		}
-	}
-	return true
+	hib := w.Hibernating()
+	return w.joined(func(p *process) bool { return relevant(p, hib) })
 }
 
 // AwakeCount returns the number of awake processes. O(1): the counter is

@@ -138,8 +138,8 @@ type process struct {
 	// executes, merged (max) with the sender's clock on every delivery.
 	clock uint64
 
-	// pgRefs is the copy of proto.Refs() the world's ledger or process graph
-	// was last synced against (see pg.go); current only while one is seeded.
+	// pgRefs is the copy of proto.Refs() the world's ledger was last synced
+	// against (see pg.go); current only while the ledger is seeded.
 	pgRefs []ref.Ref
 }
 
@@ -196,19 +196,13 @@ type World struct {
 	// process by begin: actions are atomic and never nest, so one will do.
 	ctx procCtx
 
-	// The incrementally maintained ledger or process graph — at most one of
-	// them, neither until a query needs one — and generation-stamped caches
-	// of the derived views; see pg.go. ledger is indexed by ref.Index; only
-	// leavers' rows hold entries.
-	ledger     []ledgerRow
-	pg         *graph.Graph
-	gen        uint64 // bumped on every mutation that can change a view
-	hibGen     uint64
-	hibCache   ref.Set
-	relGen     uint64
-	relCache   ref.Set
-	relPGGen   uint64
-	relPGCache *graph.Graph
+	// The incrementally maintained degree ledger, nil until a query needs
+	// it, and the generation-stamped hibernating set; see pg.go. ledger is
+	// indexed by ref.Index; only leavers' rows hold entries.
+	ledger   []ledgerRow
+	gen      uint64 // bumped on every mutation that can change Hibernating
+	hibGen   uint64
+	hibCache ref.Set
 
 	oldRefs, newRefs []ref.Ref       // reusable diff buffers for pgSyncRefs
 	uf               graph.UnionFind // reusable component partition for unite
@@ -274,14 +268,10 @@ func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
 	}
 	w.procs[idx] = p
 	// A new node can legitimize edges other processes already hold toward
-	// it; rather than scanning everyone, drop the ledger or graph and let the
-	// next query reseed (process addition is a construction-time or rare
-	// join-time event, not a hot-path one).
-	if w.tracking() {
-		w.InvalidatePG()
-	} else {
-		w.gen++
-	}
+	// it; rather than scanning everyone, drop the ledger and let the next
+	// query reseed (process addition is a construction-time or rare join-time
+	// event, not a hot-path one).
+	w.InvalidatePG()
 }
 
 // Enqueue places a message directly into to's channel, used to set up
@@ -384,52 +374,13 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 	}
 	w.stats.Dropped++
 	ctx := w.begin(p)
-	if msg.lclock > p.clock {
-		p.clock = msg.lclock
-	}
-	p.clock++
-	if p.life == Asleep {
-		p.life = Awake
-		w.awake++
-		w.asleep--
-		w.stats.Wakes++
-		w.causal++
-		w.emit(Event{Kind: EvWake, Proc: p.id, CID: w.causal, Parent: msg.cid, Clock: p.clock})
-	}
+	w.wake(p, &msg)
 	w.causal++
 	w.curCID = w.causal
 	w.emit(Event{Kind: EvDrop, Proc: p.id, Peer: to, Label: msg.Label,
 		CID: w.curCID, Parent: msg.cid, MsgID: msg.cid, Clock: p.clock})
 	h.Undeliverable(ctx, to, msg)
-
-	if w.exitRequested {
-		if p.life == Awake {
-			w.awake--
-		} else if p.life == Asleep {
-			w.asleep--
-		}
-		p.life = Gone
-		w.stats.Exits++
-		w.stats.TotalInQueue -= len(p.ch)
-		p.ch = nil
-		w.pgExit(p)
-		w.causal++
-		w.emit(Event{Kind: EvExit, Proc: p.id, CID: w.causal, Parent: w.curCID, Clock: p.clock})
-	} else {
-		w.pgSyncRefs(p)
-		if w.sleepRequested {
-			if p.life == Awake {
-				w.awake--
-				w.asleep++
-			}
-			p.life = Asleep
-			w.stats.Sleeps++
-			w.gen++
-			w.causal++
-			w.emit(Event{Kind: EvSleep, Proc: p.id, CID: w.causal, Parent: w.curCID, Clock: p.clock})
-		}
-	}
-	w.current = nil
+	w.end(p)
 }
 
 // SealInitialState captures the weakly-connected-component partition of the
@@ -437,7 +388,7 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 // union-find over the synced references without building the graph. Call it
 // after scenario construction, before the first step.
 func (w *World) SealInitialState() {
-	uf := w.unite(false)
+	uf := w.unite(func(*process) bool { return true })
 	var live []ref.Ref
 	for _, p := range w.procs {
 		if p != nil && p.life != Gone {
@@ -531,16 +482,7 @@ func (w *World) MarkGone(r ref.Ref) {
 	if p.life == Gone {
 		return
 	}
-	if p.life == Awake {
-		w.awake--
-	} else {
-		w.asleep--
-	}
-	p.life = Gone
-	w.stats.Exits++
-	w.stats.TotalInQueue -= len(p.ch)
-	p.ch = nil
-	w.pgExit(p)
+	w.retire(p)
 }
 
 // Stats returns a copy of the run counters.
@@ -701,19 +643,7 @@ func (w *World) Execute(a Action) {
 		p.ch = append(p.ch[:a.MsgIndex], p.ch[a.MsgIndex+1:]...)
 		w.stats.TotalInQueue--
 		w.pgDequeue(p, &msg)
-		// Lamport merge: the delivery happens after the send.
-		if msg.lclock > p.clock {
-			p.clock = msg.lclock
-		}
-		p.clock++
-		if p.life == Asleep {
-			p.life = Awake
-			w.awake++
-			w.asleep--
-			w.stats.Wakes++
-			w.causal++
-			w.emit(Event{Kind: EvWake, Proc: p.id, CID: w.causal, Parent: msg.cid, Clock: p.clock})
-		}
+		w.wake(p, &msg)
 		w.stats.Deliveries++
 		w.causal++
 		w.curCID = w.causal
@@ -722,26 +652,39 @@ func (w *World) Execute(a Action) {
 			CID: w.curCID, Parent: msg.cid, MsgID: msg.cid, MsgSeq: msg.seq, Clock: p.clock})
 		p.proto.Deliver(ctx, msg)
 	}
+	w.end(p)
+}
 
-	// Apply deferred lifecycle transitions after the atomic action.
+// wake merges the Lamport clock of msg, which p is about to handle, into p's
+// and moves p from asleep to awake if it sleeps.
+func (w *World) wake(p *process, msg *Message) {
+	// The handling happens after the send.
+	if msg.lclock > p.clock {
+		p.clock = msg.lclock
+	}
+	p.clock++
+	if p.life != Asleep {
+		return
+	}
+	p.life = Awake
+	w.awake++
+	w.asleep--
+	w.stats.Wakes++
+	w.gen++
+	w.causal++
+	w.emit(Event{Kind: EvWake, Proc: p.id, CID: w.causal, Parent: msg.cid, Clock: p.clock})
+}
+
+// end closes p's atomic action, applying the lifecycle transition it
+// requested.
+func (w *World) end(p *process) {
 	if w.exitRequested {
-		if p.life == Awake {
-			w.awake--
-		} else if p.life == Asleep {
-			w.asleep--
-		}
-		p.life = Gone
-		w.stats.Exits++
-		// A gone process's channel contents can never be processed and are
-		// no longer part of PG (the process is removed with its edges).
-		w.stats.TotalInQueue -= len(p.ch)
-		p.ch = nil
-		w.pgExit(p)
+		w.retire(p)
 		w.causal++
 		w.emit(Event{Kind: EvExit, Proc: p.id, CID: w.causal, Parent: w.curCID, Clock: p.clock})
 	} else {
 		// Only the acting process's stored refs can change during an atomic
-		// action: fold its explicit-edge delta into the incremental PG.
+		// action: fold its explicit-edge delta into the ledger.
 		w.pgSyncRefs(p)
 		if w.sleepRequested {
 			if p.life == Awake {
@@ -756,6 +699,22 @@ func (w *World) Execute(a Action) {
 		}
 	}
 	w.current = nil
+}
+
+// retire makes the live p gone. A gone process's channel contents can never
+// be processed and are no longer part of PG (the process is removed with its
+// edges).
+func (w *World) retire(p *process) {
+	if p.life == Awake {
+		w.awake--
+	} else {
+		w.asleep--
+	}
+	p.life = Gone
+	w.stats.Exits++
+	w.stats.TotalInQueue -= len(p.ch)
+	p.ch = nil
+	w.pgExit(p)
 }
 
 type procCtx struct {

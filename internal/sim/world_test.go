@@ -259,6 +259,34 @@ func TestHibernationDetection(t *testing.T) {
 	}
 }
 
+// silentBouncer is a fixture whose undeliverable handler does nothing.
+type silentBouncer struct{ fixtureProto }
+
+func (*silentBouncer) Undeliverable(Context, ref.Ref, Message) {}
+
+// TestBounceWakeEndsHibernation: a bounce wakes an asleep sender even when
+// its handler changes neither a reference nor a channel, and the hibernating
+// set asked before the bounce must not be answered again after it.
+func TestBounceWakeEndsHibernation(t *testing.T) {
+	space := ref.NewSpace()
+	a, b := space.New(), space.New()
+	w := NewWorld(nil)
+	w.AddProcess(a, Leaving, &silentBouncer{*newFixture()})
+	w.AddProcess(b, Leaving, newFixture())
+	w.ForceAsleep(a)
+	w.ForceAsleep(b)
+	if hib := w.Hibernating(); !hib.Has(a) || !hib.Has(b) {
+		t.Fatalf("two asleep processes with no edges: hibernating %v", hib.Sorted())
+	}
+	w.Bounce(a, b, NewMessage("m"))
+	if w.LifeOf(a) != Awake {
+		t.Fatalf("bounced sender is %v, want awake", w.LifeOf(a))
+	}
+	if hib := w.Hibernating(); hib.Has(a) || !hib.Has(b) {
+		t.Fatalf("after the bounce woke %v: hibernating %v, want only %v", a, hib.Sorted(), b)
+	}
+}
+
 func TestRelevantExcludesGoneAndHibernating(t *testing.T) {
 	space := ref.NewSpace()
 	a, b := space.New(), space.New()
@@ -406,7 +434,7 @@ func TestForeignRefsAreNotProcesses(t *testing.T) {
 		}
 		var kinds []EventKind
 		w.AddEventHook(func(e Event) { kinds = append(kinds, e.Kind) })
-		w.PG() // seed the incremental graph, so every path below maintains it
+		w.SealInitialState() // seed the ledger, so every path below maintains it
 
 		if w.Has(r) {
 			t.Fatalf("%v: Has", r)
@@ -451,9 +479,11 @@ func TestForeignRefsAreNotProcesses(t *testing.T) {
 		if want := 2; !r.IsNil() && routed != want {
 			t.Fatalf("%v: router consulted %d times, want %d", r, routed, want)
 		}
-		if len(w.procs) != 2 || w.PG().HasNode(r) || !w.PG().Equal(w.RebuildPG()) {
+		if len(w.procs) != 2 || w.PG().HasNode(r) {
 			t.Fatalf("%v: world grew to %d slots, PG %v", r, len(w.procs), w.PG())
 		}
+		checkEveryDegree(t, w, r.String())
+		checkVerdicts(t, w, r.String())
 	}
 }
 
