@@ -42,7 +42,8 @@
 // (*sim.World).Enqueue / (*sim.World).AddProcess; stores into
 // struct-field-rooted locations whose type involves ref.Ref (fields,
 // ref-keyed or ref-valued maps, slices, nested structs); delete on such
-// maps; and ref.Set Add/Remove on field-rooted sets. Purely local
+// maps; and ref.Set Add/Remove and ref.List Add/Remove/Clear on
+// field-rooted sets. Purely local
 // bookkeeping (locals, parameters, return-value assembly) moves nothing in
 // the process graph and is exempt. ctx.Exit and ctx.Sleep are the model's
 // own actions and need no marker.
@@ -111,10 +112,13 @@ var senders = map[string]string{
 	"(*fdp/internal/sim.World).AddProcess": "adds a process to the world",
 }
 
-// refSetMutators mutate a ref.Set in place.
+// refSetMutators mutate a ref.Set or ref.List in place.
 var refSetMutators = map[string]bool{
-	"(fdp/internal/ref.Set).Add":    true,
-	"(fdp/internal/ref.Set).Remove": true,
+	"(fdp/internal/ref.Set).Add":      true,
+	"(fdp/internal/ref.Set).Remove":   true,
+	"(*fdp/internal/ref.List).Add":    true,
+	"(*fdp/internal/ref.List).Remove": true,
+	"(*fdp/internal/ref.List).Clear":  true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -499,7 +503,7 @@ func fieldRooted(pass *analysis.Pass, expr ast.Expr) bool {
 }
 
 // involvesRef reports whether t can hold a reference: ref.Ref itself, or
-// any composite reachable from it (ref.Set, []ref.Ref, maps keyed or
+// any composite reachable from it (ref.Set, ref.List, []ref.Ref, maps keyed or
 // valued by refs, structs with ref fields, sim.RefInfo, messages, …).
 func involvesRef(t types.Type) bool {
 	return involves(t, make(map[types.Type]bool))
@@ -512,7 +516,7 @@ func involves(t types.Type, seen map[types.Type]bool) bool {
 	seen[t] = true
 	if named, ok := t.(*types.Named); ok {
 		obj := named.Obj()
-		if obj.Pkg() != nil && analysis.PkgPath(obj.Pkg()) == "fdp/internal/ref" && (obj.Name() == "Ref" || obj.Name() == "Set") {
+		if obj.Pkg() != nil && analysis.PkgPath(obj.Pkg()) == "fdp/internal/ref" && (obj.Name() == "Ref" || obj.Name() == "Set" || obj.Name() == "List") {
 			return true
 		}
 		return involves(named.Underlying(), seen)

@@ -15,6 +15,7 @@ import (
 // P implements sim.Protocol.
 type P struct {
 	n       ref.Set
+	shed    ref.List
 	beliefs map[ref.Ref]sim.Mode
 	anchor  ref.Ref
 }
@@ -40,6 +41,13 @@ func (p *P) Refs() []ref.Ref {
 // Absorb stores an incoming reference without declaring a primitive.
 func (p *P) Absorb(v ref.Ref) {
 	p.n.Add(v) // want "unsanctioned reference move outside the primitive vocabulary: Absorb .*: mutates the reference set p.n"
+}
+
+// Shed keeps a reference in a sorted list without declaring a primitive;
+// clearing the list afterwards is sanctioned by its marker.
+func (p *P) Shed(v ref.Ref) {
+	p.shed.Add(v)  // want "unsanctioned reference move outside the primitive vocabulary: Shed .*: mutates the reference set p.shed"
+	p.shed.Clear() // ♣ handed back
 }
 
 // Believe writes through a ref-keyed map: the key is the reference, so the

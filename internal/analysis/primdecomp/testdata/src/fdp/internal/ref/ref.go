@@ -24,3 +24,12 @@ func (s Set) Add(r Ref) { s[r] = struct{}{} }
 
 // Remove deletes r.
 func (s Set) Remove(r Ref) { delete(s, r) }
+
+// List stubs ref.List.
+type List struct{ refs []Ref }
+
+// Add inserts r.
+func (l *List) Add(r Ref) bool { l.refs = append(l.refs, r); return true }
+
+// Clear empties the list.
+func (l *List) Clear() { l.refs = nil }

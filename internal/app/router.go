@@ -63,6 +63,7 @@ type Routed struct {
 
 var _ overlay.Protocol = (*Routed)(nil)
 var _ overlay.TargetChecker = (*Routed)(nil)
+var _ overlay.Cloneable = (*Routed)(nil)
 
 // NewRouted wraps the given overlay protocol.
 func NewRouted(inner overlay.Protocol, keys overlay.Keys) *Routed {
@@ -78,6 +79,15 @@ func NewRoutedList(keys overlay.Keys) *Routed {
 // level-1 shortcuts roughly halve hop counts.
 func NewRoutedSkip(keys overlay.Keys) *Routed {
 	return NewRouted(overlay.NewSkipList(keys), keys)
+}
+
+// CloneOverlay implements overlay.Cloneable: the wrapped overlay is deep-
+// copied (it panics if that one is not cloneable), the key order is shared,
+// and the clone starts from this process's counters.
+//
+//fdp:primitive init
+func (r *Routed) CloneOverlay() overlay.Protocol {
+	return &Routed{inner: overlay.CloneOf(r.inner), keys: r.keys, stats: r.stats}
 }
 
 // Inner exposes the wrapped overlay.

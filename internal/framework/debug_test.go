@@ -8,8 +8,11 @@ import (
 	"fdp/internal/sim"
 )
 
-// TestDebugSingleScenario is a diagnostic: one small scenario with progress
-// reporting every 20k steps. Skipped unless run with -run DebugSingle.
+// TestDebugSingleScenario runs one small scenario to convergence and, every
+// 20k steps, logs a progress line per process (mlist length, P's and the
+// wrapper's reference counts, anchor). It converges in a few thousand steps,
+// so it runs with every go test (not under -short); as a diagnostic, run it
+// alone with -run DebugSingle -v.
 func TestDebugSingleScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
@@ -35,7 +38,7 @@ func TestDebugSingleScenario(t *testing.T) {
 					continue
 				}
 				wr := s.Wrappers[r]
-				t.Logf("  node=%v mode=%v ch=%d mlist=%d inner=%d shed=%d anchor=%v",
+				t.Logf("  node=%v mode=%v ch=%d mlist=%d inner=%d refs=%d anchor=%v",
 					r, s.World.ModeOf(r), s.World.ChannelLen(r), wr.PendingCount(),
 					len(wr.Overlay().Refs()), len(wr.Refs()), wr.Anchor())
 			}

@@ -35,6 +35,8 @@
 package framework
 
 import (
+	"slices"
+
 	"fdp/internal/core"
 	"fdp/internal/overlay"
 	"fdp/internal/ref"
@@ -52,54 +54,61 @@ const (
 	LabelProcess = "pprocess"
 )
 
-// entry is one saved message of P awaiting mode verification.
+// entry is one saved message of P awaiting mode verification. Everything
+// but modes is fixed when the entry is created and never written again, so
+// a clone of the wrapper shares it: a payload must therefore be immutable
+// (the payloads in the tree, app.RoutePayload and app.DonePayload, are value
+// structs).
 type entry struct {
 	to      ref.Ref
 	label   string
 	refs    []ref.Ref
 	payload any
-	// modes holds the verified mode per referenced process; absent means
-	// unknown (the paper's additional mode value "unknown"). Like any other
-	// variable it may hold arbitrary values in the initial state.
-	modes map[ref.Ref]sim.Mode
+	// every is to plus all parameter references, deduplicated, in ref.Sort
+	// order, without ⊥: the references the entry stores.
+	every []ref.Ref
+	// modes[i] is the verified mode of every[i]; sim.Unknown (the paper's
+	// additional mode value "unknown") means not verified yet. Like any
+	// other variable it may hold arbitrary values in the initial state.
+	modes []sim.Mode
 }
 
-// every returns to plus all parameter references, deduplicated, sorted.
-func (e *entry) every() []ref.Ref {
-	set := ref.NewSet(e.to)
-	for _, r := range e.refs {
-		set.Add(r)
+// newEntry saves a message of P with every referenced mode unknown.
+func newEntry(to ref.Ref, label string, refs []ref.Ref, payload any) *entry {
+	every := append(append(make([]ref.Ref, 0, len(refs)+1), to), refs...)
+	ref.Sort(every)
+	every = slices.Compact(every)
+	if len(every) > 0 && every[0].IsNil() { // ⊥ sorts first
+		every = every[1:]
 	}
-	return set.Sorted()
+	modes := make([]sim.Mode, len(every))
+	for i := range modes {
+		modes[i] = sim.Unknown
+	}
+	return &entry{to: to, label: label, refs: refs, payload: payload, every: every, modes: modes}
 }
 
-// sameMessage reports whether two entries describe the same P message
-// (target, label and reference list; payloads are not compared — periodic
-// P messages are reference-driven).
-func (e *entry) sameMessage(o *entry) bool {
-	if e.to != o.to || e.label != o.label || len(e.refs) != len(o.refs) {
-		return false
+// sameMessage reports whether the entry describes the P message to <-
+// label(refs) (payloads are not compared — periodic P messages are
+// reference-driven).
+func (e *entry) sameMessage(to ref.Ref, label string, refs []ref.Ref) bool {
+	return e.to == to && e.label == label && slices.Equal(e.refs, refs)
+}
+
+// learn records m as r's verified mode if the entry references r.
+func (e *entry) learn(r ref.Ref, m sim.Mode) {
+	if i, ok := ref.Search(e.every, r); ok {
+		e.modes[i] = m
 	}
-	for i := range e.refs {
-		if e.refs[i] != o.refs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (e *entry) complete() bool {
-	for _, r := range e.every() {
-		if m, ok := e.modes[r]; !ok || m == sim.Unknown {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(e.modes, sim.Unknown)
 }
 
 func (e *entry) allStaying() bool {
-	for _, r := range e.every() {
-		if e.modes[r] != sim.Staying {
+	for _, m := range e.modes {
+		if m != sim.Staying {
 			return false
 		}
 	}
@@ -121,15 +130,57 @@ type Wrapper struct {
 
 	// shed (leaving processes): references stripped out of P awaiting mode
 	// verification before being delegated to the anchor.
-	shed ref.Set
+	shed ref.List
+
+	// refs is the enumeration Refs last handed out, read-only and shared
+	// like core.Proc's. It was built from inner's enumeration refsInner, the
+	// shed enumeration refsShed, the anchor refsAnchor and the mlist as it
+	// was when mlistMoved was last cleared; Refs hands it out again until
+	// one of those changes. buf is Refs' scratch, never handed out.
+	refs, refsInner, refsShed []ref.Ref
+	refsAnchor                ref.Ref
+	mlistMoved                bool
+	buf                       []ref.Ref
+
+	// self holds, per mode, the one-element parameter list of a message that
+	// carries only u's own reference, shared by every such message (see
+	// selfList).
+	self [2][]sim.RefInfo
+	// pc is the overlay context of the action in progress (see pctx).
+	pc pctx
 }
 
-var _ sim.Protocol = (*Wrapper)(nil)
+var _ sim.CloneableProtocol = (*Wrapper)(nil)
 var _ core.BeliefHolder = (*Wrapper)(nil)
 
 // New wraps an overlay protocol instance into P′.
 func New(inner overlay.Protocol, variant core.Variant) *Wrapper {
-	return &Wrapper{inner: inner, variant: variant, shed: ref.NewSet()}
+	return &Wrapper{inner: inner, variant: variant}
+}
+
+// CloneProtocol implements sim.CloneableProtocol: the overlay state, the
+// shed set and every entry's modes are copied; what never changes after it
+// is written (entries' references and payloads, the self lists, handed-out
+// enumerations) is shared. It panics if the overlay is not
+// overlay.Cloneable.
+//
+//fdp:primitive init
+func (w *Wrapper) CloneProtocol() sim.Protocol {
+	c := &Wrapper{
+		inner: overlay.CloneOf(w.inner), variant: w.variant,
+		anchor: w.anchor, anchorMode: w.anchorMode,
+		mlist: make([]*entry, len(w.mlist)),
+		shed:  w.shed.Clone(),
+		self:  w.self,
+		// The first Refs builds the clone's own enumeration.
+		mlistMoved: true,
+	}
+	for i, e := range w.mlist {
+		ce := *e
+		ce.modes = slices.Clone(e.modes)
+		c.mlist[i] = &ce
+	}
+	return c
 }
 
 // Overlay exposes the wrapped P instance (for target-topology checks).
@@ -150,34 +201,60 @@ func (w *Wrapper) SetAnchor(v ref.Ref, belief sim.Mode) {
 func (w *Wrapper) Anchor() ref.Ref { return w.anchor }
 
 // InjectPending adds a (possibly corrupted) mlist entry — scenario
-// construction only.
+// construction only. modes gives pre-"verified" modes; a reference it does
+// not name is unknown.
 //
 //fdp:primitive init
 func (w *Wrapper) InjectPending(to ref.Ref, label string, refs []ref.Ref, modes map[ref.Ref]sim.Mode) {
-	if modes == nil {
-		modes = make(map[ref.Ref]sim.Mode)
+	e := newEntry(to, label, refs, nil)
+	for i, r := range e.every {
+		if m, ok := modes[r]; ok {
+			e.modes[i] = m
+		}
 	}
-	w.mlist = append(w.mlist, &entry{to: to, label: label, refs: refs, modes: modes})
+	w.mlist = append(w.mlist, e)
+	w.mlistMoved = true
 }
 
 // PendingCount returns the number of unverified saved messages.
 func (w *Wrapper) PendingCount() int { return len(w.mlist) }
 
 // Refs implements sim.Protocol: every stored reference — P's neighborhood,
-// the anchor, the shed set, and everything referenced by pending entries.
-// Completeness here is what lets SINGLE protect verify round-trips.
+// the anchor, the shed set, and everything referenced by pending entries —
+// once each, in ref.Sort order. Completeness here is what lets SINGLE
+// protect verify round-trips. The slice follows core.Proc's contract: it is
+// shared with every caller until a stored reference changes, and never
+// written after it was handed out.
 func (w *Wrapper) Refs() []ref.Ref {
-	set := ref.NewSet(w.inner.Refs()...)
-	set.Add(w.anchor)
-	for r := range w.shed {
-		set.Add(r)
+	inner, shed := w.inner.Refs(), w.shed.Refs()
+	if w.mlistMoved || w.anchor != w.refsAnchor || !slices.Equal(inner, w.refsInner) || !slices.Equal(shed, w.refsShed) {
+		w.rebuildRefs(inner, shed)
 	}
+	return w.refs
+}
+
+// rebuildRefs recomputes the enumeration from inner's and the shed set's,
+// the anchor and the mlist, and replaces the handed-out slice only if the
+// result differs. Every store here is a second enumeration of references
+// the wrapper already stores: no edge of PG is gained, lost or moved.
+func (w *Wrapper) rebuildRefs(inner, shed []ref.Ref) {
+	buf := append(append(w.buf[:0], inner...), shed...)
+	buf = append(buf, w.anchor)
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
-			set.Add(r)
-		}
+		buf = append(buf, e.every...)
 	}
-	return set.Sorted()
+	ref.Sort(buf)
+	buf = slices.Compact(buf)
+	w.buf = buf // fdp:primitive
+
+	if len(buf) > 0 && buf[0].IsNil() { // ⊥ sorts first
+		buf = buf[1:]
+	}
+	if !slices.Equal(buf, w.refs) {
+		w.refs = append(make([]ref.Ref, 0, len(buf)), buf...) // fdp:primitive
+	}
+	w.refsInner, w.refsShed, w.refsAnchor = inner, shed, w.anchor // fdp:primitive
+	w.mlistMoved = false
 }
 
 // Beliefs implements core.BeliefHolder for the potential function: the
@@ -189,13 +266,36 @@ func (w *Wrapper) Beliefs() []sim.RefInfo {
 		out = append(out, sim.RefInfo{Ref: w.anchor, Mode: w.anchorMode})
 	}
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
-			if m, ok := e.modes[r]; ok {
-				out = append(out, sim.RefInfo{Ref: r, Mode: m})
+		for i, r := range e.every {
+			if e.modes[i] != sim.Unknown {
+				out = append(out, sim.RefInfo{Ref: r, Mode: e.modes[i]})
 			}
 		}
 	}
 	return out
+}
+
+// selfList returns the parameter list of a message carrying only u's own
+// reference with the given mode, built once per mode and then shared by
+// every such message: a message's parameter list is read-only once sent
+// (sim.Message), so the list is never written again.
+func (w *Wrapper) selfList(u ref.Ref, mode sim.Mode) []sim.RefInfo {
+	if l := w.self[mode]; len(l) == 1 && l[0].Ref == u {
+		return l
+	}
+	// A second copy of u's own reference is no edge of PG (fdp:primitive).
+	w.self[mode] = []sim.RefInfo{{Ref: u, Mode: mode}}
+	return w.self[mode]
+}
+
+// selfMsg builds label(u) with u's reference claiming the given mode.
+func (w *Wrapper) selfMsg(label string, u ref.Ref, mode sim.Mode) sim.Message {
+	return sim.Message{Label: label, Refs: w.selfList(u, mode)}
+}
+
+// verifyMsg builds verify(u), which carries u's reference and true mode.
+func (w *Wrapper) verifyMsg(ctx sim.Context) sim.Message {
+	return w.selfMsg(LabelVerify, ctx.Self(), ctx.Mode())
 }
 
 // pctx adapts sim.Context to overlay.Context, routing P's sends through
@@ -203,6 +303,13 @@ func (w *Wrapper) Beliefs() []sim.RefInfo {
 type pctx struct {
 	w   *Wrapper
 	ctx sim.Context
+}
+
+// p returns the overlay context for an action running under ctx. It is the
+// wrapper's own field, so handing it to P allocates nothing.
+func (w *Wrapper) p(ctx sim.Context) *pctx {
+	w.pc = pctx{w: w, ctx: ctx} // fdp:primitive: the action's context, no reference of PG
+	return &w.pc
 }
 
 func (p *pctx) Self() ref.Ref { return p.ctx.Self() }
@@ -222,26 +329,23 @@ func (w *Wrapper) preprocess(ctx sim.Context, to ref.Ref, label string, refs []r
 	if to.IsNil() {
 		return
 	}
-	e := &entry{to: to, label: label, refs: refs, payload: payload, modes: make(map[ref.Ref]sim.Mode)}
 	for _, old := range w.mlist {
-		if old.sameMessage(e) {
+		if old.sameMessage(to, label, refs) {
 			return
 		}
 	}
+	e := newEntry(to, label, refs, payload)
 	w.mlist = append(w.mlist, e)
-	for _, r := range e.every() {
+	w.mlistMoved = true
+	for i, r := range e.every {
 		if r == ctx.Self() {
 			// A process's knowledge of its own mode is always valid — no
 			// verification round-trip needed (or possible).
-			e.modes[r] = ctx.Mode()
+			e.modes[i] = ctx.Mode()
 			continue
 		}
-		ctx.Send(r, verifyMsg(ctx))
+		ctx.Send(r, w.verifyMsg(ctx))
 	}
-}
-
-func verifyMsg(ctx sim.Context) sim.Message {
-	return sim.NewMessage(LabelVerify, sim.RefInfo{Ref: ctx.Self(), Mode: ctx.Mode()})
 }
 
 // Timeout implements sim.Protocol.
@@ -272,32 +376,35 @@ func (w *Wrapper) stayingTimeout(ctx sim.Context) {
 	}
 	// An arbitrary initial state may have put references into shed; a
 	// staying process treats them as unknown candidates for P.
-	for _, r := range w.shed.Sorted() {
-		w.inner.Reintegrate(&pctx{w: w, ctx: ctx}, r)
+	for _, r := range w.shed.Refs() {
+		w.inner.Reintegrate(w.p(ctx), r)
 	}
-	w.shed = ref.NewSet()
+	w.shed.Clear()
 	// Re-send verify for every still-unknown reference of every pending
 	// message ("these verify messages are resent in timeout") — one verify
 	// per distinct reference, not per entry.
-	unknown := ref.NewSet()
+	// Collected on the stack, not in w.buf: a send may ask for Refs.
+	var arr [16]ref.Ref
+	unknown := arr[:0]
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
+		for i, r := range e.every {
 			if r == ctx.Self() {
-				e.modes[r] = ctx.Mode() // own mode needs no round-trip
+				e.modes[i] = ctx.Mode() // own mode needs no round-trip
 				continue
 			}
-			if m, ok := e.modes[r]; !ok || m == sim.Unknown {
-				unknown.Add(r)
+			if e.modes[i] == sim.Unknown {
+				unknown = append(unknown, r)
 			}
 		}
 	}
-	for _, r := range unknown.Sorted() {
-		ctx.Send(r, verifyMsg(ctx))
+	ref.Sort(unknown)
+	for _, r := range slices.Compact(unknown) {
+		ctx.Send(r, w.verifyMsg(ctx))
 	}
 	w.flush(ctx)
 	// P-timeout: the overlay's own periodic action (self-introduction and
 	// maintenance), with every send intercepted by preprocess.
-	w.inner.Timeout(&pctx{w: w, ctx: ctx})
+	w.inner.Timeout(w.p(ctx))
 }
 
 //fdp:primitive reversal,introduction
@@ -313,18 +420,19 @@ func (w *Wrapper) leavingTimeout(ctx sim.Context) {
 		}
 	}
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
+		for _, r := range e.every {
 			if r != u && r != w.anchor {
 				w.shed.Add(r)
 			}
 		}
 	}
+	w.mlistMoved = w.mlistMoved || len(w.mlist) > 0
 	w.mlist = nil
 
 	if w.shed.Len() > 0 {
 		// Verify each stripped reference's mode; the answers route them.
-		for _, r := range w.shed.Sorted() {
-			ctx.Send(r, verifyMsg(ctx))
+		for _, r := range w.shed.Refs() {
+			ctx.Send(r, w.verifyMsg(ctx))
 		}
 		if w.variant == core.VariantFSP {
 			ctx.Sleep() // the pending answers will wake us
@@ -340,7 +448,7 @@ func (w *Wrapper) leavingTimeout(ctx sim.Context) {
 	// silent; a leaving one answers with its true mode, clearing invalid
 	// (e.g. mutual leaver-to-leaver) anchors.
 	if !w.anchor.IsNil() {
-		ctx.Send(w.anchor, sim.NewMessage(core.LabelPresent, sim.RefInfo{Ref: u, Mode: sim.Leaving}))
+		ctx.Send(w.anchor, w.selfMsg(core.LabelPresent, u, sim.Leaving))
 	}
 	if w.variant == core.VariantFSP {
 		ctx.Sleep()
@@ -369,26 +477,27 @@ func (w *Wrapper) flush(ctx sim.Context) {
 		}
 		// postprocess: exclude the leaving and the gone, reintegrate the
 		// staying.
-		for _, r := range e.every() {
+		for i, r := range e.every {
 			if r == u {
 				continue
 			}
-			switch e.modes[r] {
+			switch e.modes[i] {
 			case sim.Leaving:
 				w.inner.Exclude(r)
 				// Reversal ♣: hand the leaver our reference; its anchor
 				// machinery will absorb it.
-				ctx.Send(r, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: ctx.Mode()}))
+				ctx.Send(r, w.selfMsg(core.LabelForward, u, ctx.Mode()))
 			case sim.Absent:
 				// The process is gone: its reference is dead weight and is
 				// simply dropped from P (a gone process is removed from PG
 				// with all incident edges, so no connectivity is at stake).
 				w.inner.Exclude(r)
 			default:
-				w.inner.Reintegrate(&pctx{w: w, ctx: ctx}, r)
+				w.inner.Reintegrate(w.p(ctx), r)
 			}
 		}
 	}
+	w.mlistMoved = w.mlistMoved || len(kept) < len(w.mlist)
 	w.mlist = kept
 }
 
@@ -426,7 +535,7 @@ func (w *Wrapper) onVerify(ctx sim.Context, msg sim.Message) {
 		return
 	}
 	w.learn(ctx, x)
-	ctx.Send(x.Ref, sim.NewMessage(LabelProcess, sim.RefInfo{Ref: ctx.Self(), Mode: ctx.Mode()}))
+	ctx.Send(x.Ref, w.selfMsg(LabelProcess, ctx.Self(), ctx.Mode()))
 }
 
 // onProcess records the answered mode and routes accordingly.
@@ -448,11 +557,7 @@ func (w *Wrapper) onProcess(ctx sim.Context, msg sim.Message) {
 func (w *Wrapper) learn(ctx sim.Context, v sim.RefInfo) {
 	u := ctx.Self()
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
-			if r == v.Ref {
-				e.modes[r] = v.Mode
-			}
-		}
+		e.learn(v.Ref, v.Mode)
 	}
 	if v.Ref == w.anchor {
 		w.anchorMode = v.Mode
@@ -462,7 +567,6 @@ func (w *Wrapper) learn(ctx sim.Context, v sim.RefInfo) {
 	}
 	if ctx.Mode() == sim.Leaving {
 		// Route a shed reference now that its mode is known.
-		held := w.shed.Has(v.Ref)
 		w.shed.Remove(v.Ref)
 		switch v.Mode {
 		case sim.Staying:
@@ -475,30 +579,20 @@ func (w *Wrapper) learn(ctx sim.Context, v sim.RefInfo) {
 			}
 		case sim.Leaving:
 			// Mutual shedding ♣.
-			ctx.Send(v.Ref, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Leaving}))
+			ctx.Send(v.Ref, w.selfMsg(core.LabelForward, u, sim.Leaving))
 		}
-		_ = held
 		return
 	}
 	// Staying process: verified-leaving references are excluded from P
 	// (with the Reversal handing over our own reference); verified-staying
 	// ones it may simply keep. flush() completes pending messages.
 	if v.Mode == sim.Leaving {
-		if has(w.inner.Refs(), v.Ref) {
+		if slices.Contains(w.inner.Refs(), v.Ref) {
 			w.inner.Exclude(v.Ref)
-			ctx.Send(v.Ref, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Staying}))
+			ctx.Send(v.Ref, w.selfMsg(core.LabelForward, u, sim.Staying))
 		}
 	}
 	w.flush(ctx)
-}
-
-func has(refs []ref.Ref, r ref.Ref) bool {
-	for _, x := range refs {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }
 
 // onPF handles the departure protocol's present/forward actions, adapted as
@@ -526,7 +620,7 @@ func (w *Wrapper) onPF(ctx sim.Context, v sim.RefInfo, isForward bool) {
 				return
 			}
 			// Reversal ♣ (Algorithm 2 line 5 / Algorithm 3 line 6).
-			ctx.Send(v.Ref, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Leaving}))
+			ctx.Send(v.Ref, w.selfMsg(core.LabelForward, u, sim.Leaving))
 			return
 		}
 		// Staying: shed from P and reverse (Algorithm 2 lines 7-9 /
@@ -534,11 +628,11 @@ func (w *Wrapper) onPF(ctx sim.Context, v sim.RefInfo, isForward bool) {
 		// always be bounced — its sender deleted its copy; an introduced
 		// one (present) is bounced only if we actually stored it, so that
 		// re-verifications from already-shed leavers quiesce.
-		held := has(w.inner.Refs(), v.Ref) || w.shed.Has(v.Ref)
+		held := slices.Contains(w.inner.Refs(), v.Ref) || w.shed.Has(v.Ref)
 		w.inner.Exclude(v.Ref)
 		w.shed.Remove(v.Ref)
 		if isForward || held {
-			ctx.Send(v.Ref, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Staying}))
+			ctx.Send(v.Ref, w.selfMsg(core.LabelForward, u, sim.Staying))
 		}
 		return
 	}
@@ -548,7 +642,7 @@ func (w *Wrapper) onPF(ctx sim.Context, v sim.RefInfo, isForward bool) {
 			if isForward {
 				ctx.Send(w.anchor, sim.NewMessage(core.LabelForward, v)) // ♥
 			} else {
-				ctx.Send(v.Ref, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Leaving})) // ♣
+				ctx.Send(v.Ref, w.selfMsg(core.LabelForward, u, sim.Leaving)) // ♣
 			}
 			return
 		}
@@ -557,7 +651,7 @@ func (w *Wrapper) onPF(ctx sim.Context, v sim.RefInfo, isForward bool) {
 		return
 	}
 	// Staying-to-staying: into P (the Section 4 adaptation).
-	w.inner.Reintegrate(&pctx{w: w, ctx: ctx}, v.Ref)
+	w.inner.Reintegrate(w.p(ctx), v.Ref)
 }
 
 // Undeliverable implements sim.UndeliverableHandler: a message to a gone
@@ -572,11 +666,7 @@ func (w *Wrapper) Undeliverable(ctx sim.Context, to ref.Ref, msg sim.Message) {
 		return
 	}
 	for _, e := range w.mlist {
-		for _, r := range e.every() {
-			if r == to {
-				e.modes[r] = sim.Absent // ♠ belief update on an already-saved entry
-			}
-		}
+		e.learn(to, sim.Absent) // ♠ belief update on an already-saved entry
 	}
 	w.shed.Remove(to) // reference to an absent process: no PG edge to keep (fdp:primitive)
 	w.inner.Exclude(to)
@@ -596,7 +686,7 @@ func (w *Wrapper) onPMessage(ctx sim.Context, msg sim.Message) {
 		// to every referenced process so references to it disappear.
 		for _, ri := range msg.Refs {
 			if ri.Ref != u {
-				ctx.Send(ri.Ref, sim.NewMessage(core.LabelPresent, sim.RefInfo{Ref: u, Mode: sim.Leaving})) // ♦ presents its own reference
+				ctx.Send(ri.Ref, w.selfMsg(core.LabelPresent, u, sim.Leaving)) // ♦ presents its own reference
 			}
 		}
 		return
@@ -605,5 +695,5 @@ func (w *Wrapper) onPMessage(ctx sim.Context, msg sim.Message) {
 	for _, ri := range msg.Refs {
 		refs = append(refs, ri.Ref)
 	}
-	w.inner.Deliver(&pctx{w: w, ctx: ctx}, msg.Label, refs, msg.Payload)
+	w.inner.Deliver(w.p(ctx), msg.Label, refs, msg.Payload)
 }

@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"slices"
 	"testing"
 
 	"fdp/internal/core"
@@ -247,7 +248,7 @@ func TestPostprocessExcludesLeaving(t *testing.T) {
 		}
 	}
 	// The staying target was reintegrated.
-	if !has(cl.Refs(), nodes[1]) {
+	if !slices.Contains(cl.Refs(), nodes[1]) {
 		t.Fatal("staying target must be reintegrated")
 	}
 }

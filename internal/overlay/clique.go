@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 )
 
@@ -12,14 +14,15 @@ const LabelIntro = "ointro"
 // its neighbors to each other and itself to all of them. Only Introduction
 // and Fusion are used, so the protocol trivially belongs to 𝒫.
 type CliqueTC struct {
-	n ref.Set
+	n ref.List
 }
 
 var _ Protocol = (*CliqueTC)(nil)
 var _ TargetChecker = (*CliqueTC)(nil)
+var _ Cloneable = (*CliqueTC)(nil)
 
 // NewCliqueTC returns a clique-formation process.
-func NewCliqueTC() *CliqueTC { return &CliqueTC{n: ref.NewSet()} }
+func NewCliqueTC() *CliqueTC { return &CliqueTC{} }
 
 // Name implements Protocol.
 func (c *CliqueTC) Name() string { return "clique" }
@@ -29,14 +32,20 @@ func (c *CliqueTC) Name() string { return "clique" }
 //fdp:primitive init
 func (c *CliqueTC) AddNeighbor(v ref.Ref) { c.n.Add(v) }
 
-// Refs implements Protocol.
-func (c *CliqueTC) Refs() []ref.Ref { return c.n.Sorted() }
+// Refs implements Protocol: the neighborhood in ref.Sort order, shared and
+// read-only until it changes.
+func (c *CliqueTC) Refs() []ref.Ref { return c.n.Refs() }
+
+// CloneOverlay implements Cloneable.
+//
+//fdp:primitive init
+func (c *CliqueTC) CloneOverlay() Protocol { return &CliqueTC{n: c.n.Clone()} }
 
 // Timeout implements Protocol: all-pairs introduction plus
 // self-introduction.
 func (c *CliqueTC) Timeout(ctx Context) {
 	u := ctx.Self()
-	members := c.n.Sorted()
+	members := c.n.Refs()
 	for _, v := range members {
 		ctx.Send(v, LabelIntro, []ref.Ref{u}, nil) // ♦ self-introduction
 		for _, w := range members {
@@ -69,15 +78,11 @@ func (c *CliqueTC) Reintegrate(ctx Context, r ref.Ref) {
 // InTarget implements TargetChecker: every member stores exactly all other
 // members.
 func (c *CliqueTC) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) bool {
-	all := ref.NewSet(members...)
-	for _, m := range members {
+	all := slices.Clone(members)
+	ref.Sort(all)
+	for i, m := range all {
 		p, ok := lookup(m).(*CliqueTC)
-		if !ok {
-			return false
-		}
-		want := all.Clone()
-		want.Remove(m)
-		if !p.n.Equal(want) {
+		if !ok || !slices.Equal(p.n.Refs(), slices.Delete(slices.Clone(all), i, i+1)) {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 )
 
@@ -16,15 +18,16 @@ const LabelLink = "olink"
 // to both kept neighbors (introduction).
 type Linearize struct {
 	keys Keys
-	n    ref.Set
+	n    ref.List
 }
 
 var _ Protocol = (*Linearize)(nil)
 var _ TargetChecker = (*Linearize)(nil)
+var _ Cloneable = (*Linearize)(nil)
 
 // NewLinearize returns a linearization process using the given key order.
 func NewLinearize(keys Keys) *Linearize {
-	return &Linearize{keys: keys, n: ref.NewSet()}
+	return &Linearize{keys: keys}
 }
 
 // Name implements Protocol.
@@ -35,16 +38,22 @@ func (l *Linearize) Name() string { return "linearize" }
 //fdp:primitive init
 func (l *Linearize) AddNeighbor(v ref.Ref) { l.n.Add(v) }
 
-// Refs implements Protocol.
-func (l *Linearize) Refs() []ref.Ref { return l.n.Sorted() }
+// Refs implements Protocol: the neighborhood in ref.Sort order, shared and
+// read-only until it changes.
+func (l *Linearize) Refs() []ref.Ref { return l.n.Refs() }
 
 // Neighbors returns a copy of the stored neighborhood.
-func (l *Linearize) Neighbors() ref.Set { return l.n.Clone() }
+func (l *Linearize) Neighbors() ref.Set { return ref.NewSet(l.n.Refs()...) }
+
+// CloneOverlay implements Cloneable. The key order is immutable and shared.
+//
+//fdp:primitive init
+func (l *Linearize) CloneOverlay() Protocol { return &Linearize{keys: l.keys, n: l.n.Clone()} }
 
 // sides splits the neighborhood into left (smaller key) and right (larger
 // key) of self, each sorted by distance from self (closest first).
 func (l *Linearize) sides(self ref.Ref) (left, right []ref.Ref) {
-	for r := range l.n {
+	for _, r := range l.n.Refs() {
 		if l.keys.Less(r, self) {
 			left = append(left, r)
 		} else if l.keys.Less(self, r) {
@@ -136,14 +145,7 @@ func (l *Linearize) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) b
 		if p == nil {
 			return false
 		}
-		want := ref.NewSet()
-		if i > 0 {
-			want.Add(sorted[i-1])
-		}
-		if i+1 < len(sorted) {
-			want.Add(sorted[i+1])
-		}
-		if !p.n.Equal(want) {
+		if !slices.Equal(p.n.Refs(), listNeighbors(sorted, i)) {
 			return false
 		}
 	}
@@ -154,3 +156,17 @@ func (l *Linearize) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) b
 //
 //fdp:primitive reversal
 func (l *Linearize) Exclude(r ref.Ref) { l.n.Remove(r) }
+
+// listNeighbors returns, in ref.Sort order, the members beside position i of
+// a key-sorted list: what a process at i stores in the doubly-linked list.
+func listNeighbors(sorted []ref.Ref, i int) []ref.Ref {
+	var want []ref.Ref
+	if i > 0 {
+		want = append(want, sorted[i-1])
+	}
+	if i+1 < len(sorted) {
+		want = append(want, sorted[i+1])
+	}
+	ref.Sort(want)
+	return want
+}

@@ -65,7 +65,11 @@ type Protocol interface {
 	// Deliver executes the overlay action label. Unknown labels are
 	// ignored.
 	Deliver(ctx Context, label string, refs []ref.Ref, payload any)
-	// Refs enumerates all stored references (explicit edges).
+	// Refs enumerates all stored references (explicit edges). Like
+	// sim.Protocol's, the slice is read-only: the protocol may hand the same
+	// slice to every caller until its stored references change, and never
+	// writes a slice it has handed out. The Section 4 wrapper relies on that
+	// to keep one handed-out slice until something changes.
 	Refs() []ref.Ref
 	// Reintegrate is the postprocess hook: it re-absorbs a (staying)
 	// reference extracted from a message that could not be delivered as
@@ -76,6 +80,16 @@ type Protocol interface {
 	// keeping the overlay connected (it hands r's process the caller's own
 	// reference, a Reversal).
 	Exclude(r ref.Ref)
+}
+
+// Cloneable is implemented by overlay states that can be deep-copied, which
+// is what lets a world running them be cloned (Standalone and the Section 4
+// wrapper implement sim.CloneableProtocol through it). All four overlays
+// and the routing layer of internal/app implement it.
+type Cloneable interface {
+	Protocol
+	// CloneOverlay returns a deep copy sharing no mutable state.
+	CloneOverlay() Protocol
 }
 
 // TargetChecker is implemented by protocols that can recognize their own
@@ -98,7 +112,7 @@ type Standalone struct {
 	P Protocol
 }
 
-var _ sim.Protocol = (*Standalone)(nil)
+var _ sim.CloneableProtocol = (*Standalone)(nil)
 
 // Timeout implements sim.Protocol.
 func (s *Standalone) Timeout(ctx sim.Context) {
@@ -116,6 +130,23 @@ func (s *Standalone) Deliver(ctx sim.Context, msg sim.Message) {
 
 // Refs implements sim.Protocol.
 func (s *Standalone) Refs() []ref.Ref { return s.P.Refs() }
+
+// CloneProtocol implements sim.CloneableProtocol; it panics if P is not
+// Cloneable.
+//
+//fdp:primitive init
+func (s *Standalone) CloneProtocol() sim.Protocol {
+	return &Standalone{P: CloneOf(s.P)}
+}
+
+// CloneOf deep-copies an overlay state, panicking if it is not Cloneable.
+func CloneOf(p Protocol) Protocol {
+	c, ok := p.(Cloneable)
+	if !ok {
+		panic(fmt.Sprintf("overlay: protocol %s is not cloneable", p.Name()))
+	}
+	return c.CloneOverlay()
+}
 
 type standaloneCtx struct{ inner sim.Context }
 

@@ -3,6 +3,7 @@ package overlay
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fdp/internal/graph"
@@ -335,5 +336,41 @@ func TestReintegrateAndExcludeAcrossProtocols(t *testing.T) {
 		if len(p.Refs()) != 0 {
 			t.Fatalf("%s: exclude broken", p.Name())
 		}
+	}
+}
+
+// A world of standalone overlays clones (Standalone is a
+// sim.CloneableProtocol through Cloneable): driving the original to its
+// target moves no clone's references, and the clone then gets there itself.
+func TestStandaloneCloneIndependence(t *testing.T) {
+	nodes := ref.NewSpace().NewN(8)
+	keys := mkKeys(nodes)
+	for _, mk := range []func() Protocol{
+		func() Protocol { return NewLinearize(keys) },
+		func() Protocol { return NewSortRing(keys) },
+		func() Protocol { return NewSkipList(keys) },
+		func() Protocol { return NewCliqueTC() },
+	} {
+		name := mk().Name()
+		g := graph.RandomConnected(nodes, 4, rand.New(rand.NewSource(3)))
+		w, members := buildWorld(g, func(ref.Ref) Protocol { return mk() })
+		sched := sim.NewRandomScheduler(3, 256)
+		for i := 0; i < 40; i++ {
+			if a, ok := sched.Next(w); ok {
+				w.Execute(a)
+			}
+		}
+		c := w.Clone()
+		before := make(map[ref.Ref][]ref.Ref)
+		for _, r := range members {
+			before[r] = append([]ref.Ref(nil), c.ProtocolOf(r).Refs()...)
+		}
+		runToTarget(t, w, members, sched, 600000)
+		for _, r := range members {
+			if got := c.ProtocolOf(r).Refs(); !slices.Equal(got, before[r]) {
+				t.Fatalf("%s %v: driving the original moved the clone from %v to %v", name, r, before[r], got)
+			}
+		}
+		runToTarget(t, c, members, sim.NewRandomScheduler(4, 256), 600000)
 	}
 }

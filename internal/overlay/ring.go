@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 )
 
@@ -24,10 +26,15 @@ type SortRing struct {
 	// wrap is the ring-closing reference, meaningful only at the two
 	// endpoints; ⊥ elsewhere.
 	wrap ref.Ref
+	// refs is the last enumeration Refs handed out (lin's, then wrap), and
+	// refsLin the slice of lin's it was built from: while lin hands out an
+	// equal slice and wrap is its last element, refs is handed out again.
+	refs, refsLin []ref.Ref
 }
 
 var _ Protocol = (*SortRing)(nil)
 var _ TargetChecker = (*SortRing)(nil)
+var _ Cloneable = (*SortRing)(nil)
 
 // NewSortRing returns a sorted-ring process using the given key order.
 func NewSortRing(keys Keys) *SortRing {
@@ -45,13 +52,28 @@ func (s *SortRing) AddNeighbor(v ref.Ref) { s.lin.AddNeighbor(v) }
 // Wrap returns the ring-closing reference (⊥ if none).
 func (s *SortRing) Wrap() ref.Ref { return s.wrap }
 
-// Refs implements Protocol.
+// Refs implements Protocol: the list neighborhood in ref.Sort order, then
+// the wrap reference if one is stored. Shared and read-only until either
+// changes.
 func (s *SortRing) Refs() []ref.Ref {
-	out := s.lin.Refs()
-	if !s.wrap.IsNil() {
-		out = append(out, s.wrap)
+	lin := s.lin.Refs()
+	if s.wrap.IsNil() {
+		return lin
 	}
-	return out
+	if len(s.refs) != len(lin)+1 || s.refs[len(lin)] != s.wrap || !slices.Equal(s.refsLin, lin) {
+		// A second enumeration of references lin and wrap already store: no
+		// edge of PG is gained, lost or moved (fdp:primitive).
+		s.refs = append(append(make([]ref.Ref, 0, len(lin)+1), lin...), s.wrap)
+		s.refsLin = lin // fdp:primitive: lin's own read-only enumeration
+	}
+	return s.refs
+}
+
+// CloneOverlay implements Cloneable.
+//
+//fdp:primitive init
+func (s *SortRing) CloneOverlay() Protocol {
+	return &SortRing{lin: s.lin.CloneOverlay().(*Linearize), keys: s.keys, wrap: s.wrap}
 }
 
 // setWrap replaces the wrap reference; the old one is not deleted (that

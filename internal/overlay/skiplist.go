@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"fdp/internal/ref"
 )
 
@@ -23,15 +25,20 @@ type SkipList struct {
 	keys Keys
 	// l1 is the level-1 neighborhood (even-key nodes only; drained into
 	// level 0 at odd nodes, where any content is initial-state garbage).
-	l1 ref.Set
+	l1 ref.List
+	// refs is the last union Refs handed out, and refsLin and refsL1 the
+	// enumerations of the two levels it was built from: while both levels
+	// hand out equal slices, refs is handed out again.
+	refs, refsLin, refsL1 []ref.Ref
 }
 
 var _ Protocol = (*SkipList)(nil)
 var _ TargetChecker = (*SkipList)(nil)
+var _ Cloneable = (*SkipList)(nil)
 
 // NewSkipList returns a skip-list process using the given key order.
 func NewSkipList(keys Keys) *SkipList {
-	return &SkipList{lin: NewLinearize(keys), keys: keys, l1: ref.NewSet()}
+	return &SkipList{lin: NewLinearize(keys), keys: keys}
 }
 
 // Name implements Protocol.
@@ -49,15 +56,38 @@ func (s *SkipList) AddNeighbor(v ref.Ref) { s.lin.AddNeighbor(v) }
 func (s *SkipList) AddLevel1(v ref.Ref) { s.l1.Add(v) }
 
 // Level1 returns a copy of the level-1 neighborhood.
-func (s *SkipList) Level1() ref.Set { return s.l1.Clone() }
+func (s *SkipList) Level1() ref.Set { return ref.NewSet(s.l1.Refs()...) }
 
-// Refs implements Protocol.
+// Refs implements Protocol: the union of both levels in ref.Sort order,
+// shared and read-only until either level changes.
 func (s *SkipList) Refs() []ref.Ref {
-	out := ref.NewSet(s.lin.Refs()...)
-	for r := range s.l1 {
-		out.Add(r)
+	lin, l1 := s.lin.Refs(), s.l1.Refs()
+	if len(l1) == 0 {
+		return lin
 	}
-	return out.Sorted()
+	if s.refs == nil || !slices.Equal(s.refsLin, lin) || !slices.Equal(s.refsL1, l1) {
+		// A second enumeration of references the two levels already store:
+		// no edge of PG is gained, lost or moved (fdp:primitive).
+		s.refs = union(lin, l1)
+		s.refsLin, s.refsL1 = lin, l1 // fdp:primitive: the levels' own read-only enumerations
+	}
+	return s.refs
+}
+
+// union merges two lists in ref.Sort order without duplicates into a new
+// slice of exactly the union's length.
+func union(a, b []ref.Ref) []ref.Ref {
+	out := append(append(make([]ref.Ref, 0, len(a)+len(b)), a...), b...)
+	ref.Sort(out)
+	out = slices.Compact(out)
+	return out[:len(out):len(out)]
+}
+
+// CloneOverlay implements Cloneable.
+//
+//fdp:primitive init
+func (s *SkipList) CloneOverlay() Protocol {
+	return &SkipList{lin: s.lin.CloneOverlay().(*Linearize), keys: s.keys, l1: s.l1.Clone()}
 }
 
 func (s *SkipList) even(r ref.Ref) bool { return s.keys[r]%2 == 0 }
@@ -71,14 +101,14 @@ func (s *SkipList) Timeout(ctx Context) {
 	if !s.even(u) {
 		// Initial-state garbage: an odd node has no level 1; the refs are
 		// kept by handing them to level 0 (local move, no edge change). ♠
-		for r := range s.l1 {
+		for _, r := range s.l1.Refs() {
 			s.lin.n.Add(r)
 		}
-		s.l1 = ref.NewSet() // ♠ refs kept at level 0 above
+		s.l1.Clear() // ♠ refs kept at level 0 above
 		return
 	}
 	// Drop any odd-key refs from level 1 into level 0 (local move). ♠
-	for r := range s.l1 {
+	for _, r := range s.l1.Refs() {
 		if !s.even(r) {
 			s.lin.n.Add(r)
 			s.l1.Remove(r)
@@ -110,7 +140,7 @@ func (s *SkipList) Timeout(ctx Context) {
 
 // l1Sides splits the level-1 neighborhood, closest first.
 func (s *SkipList) l1Sides(self ref.Ref) (left, right []ref.Ref) {
-	for r := range s.l1 {
+	for _, r := range s.l1.Refs() {
 		if s.keys.Less(r, self) {
 			left = append(left, r)
 		} else if s.keys.Less(self, r) {
@@ -198,14 +228,7 @@ func (s *SkipList) InTarget(members []ref.Ref, lookup func(ref.Ref) Protocol) bo
 	}
 	s.keys.SortAsc(evens)
 	for i, m := range evens {
-		want := ref.NewSet()
-		if i > 0 {
-			want.Add(evens[i-1])
-		}
-		if i+1 < len(evens) {
-			want.Add(evens[i+1])
-		}
-		if !lookup(m).(*SkipList).l1.Equal(want) {
+		if !slices.Equal(lookup(m).(*SkipList).l1.Refs(), listNeighbors(evens, i)) {
 			return false
 		}
 	}

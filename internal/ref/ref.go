@@ -106,6 +106,70 @@ func Search(sorted []Ref, r Ref) (int, bool) {
 	return lo, lo < len(sorted) && sorted[lo] == r
 }
 
+// List is a set of references held as a slice in Sort order, without ⊥.
+// Refs hands that slice out, read-only and shared with every caller until
+// the set changes: a write that would change a handed-out slice copies
+// first, so a slice once handed out is never written again — the contract
+// sim.Protocol.Refs asks of every protocol. The zero value is empty.
+type List struct {
+	refs      []Ref
+	handedOut bool
+}
+
+// Refs returns the members in Sort order. The caller must not modify the
+// slice; it stays valid (unchanged) for as long as the caller holds it.
+func (l *List) Refs() []Ref {
+	l.handedOut = true
+	return l.refs[:len(l.refs):len(l.refs)]
+}
+
+// Len returns the cardinality.
+func (l *List) Len() int { return len(l.refs) }
+
+// Has reports membership.
+func (l *List) Has(r Ref) bool {
+	_, ok := Search(l.refs, r)
+	return ok
+}
+
+// own makes refs safe to write in place, with room for one more element: if
+// the backing array was handed out, the writers go on with a copy of it.
+func (l *List) own() {
+	if l.handedOut {
+		l.refs = append(make([]Ref, 0, len(l.refs)+1), l.refs...)
+		l.handedOut = false
+	}
+}
+
+// Add inserts r and reports whether it was new. Adding ⊥ is a no-op.
+func (l *List) Add(r Ref) bool {
+	i, ok := Search(l.refs, r)
+	if ok || r.IsNil() {
+		return false
+	}
+	l.own()
+	l.refs = slices.Insert(l.refs, i, r)
+	return true
+}
+
+// Remove deletes r and reports whether it was a member.
+func (l *List) Remove(r Ref) bool {
+	i, ok := Search(l.refs, r)
+	if !ok {
+		return false
+	}
+	l.own()
+	l.refs = slices.Delete(l.refs, i, i+1)
+	return true
+}
+
+// Clear empties the list. Shortening writes no element, so a handed-out
+// slice needs no copy (the next Add makes one).
+func (l *List) Clear() { l.refs = l.refs[:0] }
+
+// Clone returns a copy with storage of its own.
+func (l *List) Clone() List { return List{refs: slices.Clone(l.refs)} }
+
 // Set is a set of references with deterministic iteration support.
 type Set map[Ref]struct{}
 

@@ -1,6 +1,8 @@
 package ref
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +194,54 @@ func TestQuickIndexInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A List behaves as a Set enumerated in Sort order, and no slice it handed
+// out ever changes: random Add/Remove/Clear/Clone against a map model, with
+// every handout held to its contents at the time.
+func TestListMatchesSetAndKeepsHandouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	refs := append([]Ref{Nil}, NewSpace().NewN(6)...)
+	var l List
+	model := NewSet()
+	type handout struct{ got, want []Ref }
+	var held []handout
+	for op := 0; op < 5000; op++ {
+		r := refs[rng.Intn(len(refs))]
+		switch rng.Intn(6) {
+		case 0, 1:
+			if got, want := l.Add(r), !r.IsNil() && !model.Has(r); got != want {
+				t.Fatalf("op %d: Add(%v) = %v, want %v", op, r, got, want)
+			}
+			model.Add(r)
+		case 2:
+			if got, want := l.Remove(r), model.Has(r); got != want {
+				t.Fatalf("op %d: Remove(%v) = %v, want %v", op, r, got, want)
+			}
+			model.Remove(r)
+		case 3:
+			if rng.Intn(8) == 0 {
+				l.Clear()
+				model = NewSet()
+			}
+		case 4:
+			c := l.Clone()
+			c.Add(refs[1+rng.Intn(len(refs)-1)])
+			c.Clear()
+		default:
+			got := l.Refs()
+			held = append(held, handout{got, slices.Clone(got)})
+		}
+		// l.refs, not l.Refs(): handing out on every op would keep the
+		// in-place write path from ever running.
+		if !slices.Equal(l.refs, model.Sorted()) || l.Len() != model.Len() || l.Has(r) != model.Has(r) {
+			t.Fatalf("op %d: list %v (len %d), model %v", op, l.refs, l.Len(), model.Sorted())
+		}
+		for i, h := range held {
+			if !slices.Equal(h.got, h.want) {
+				t.Fatalf("op %d: handout %d moved from %v to %v", op, i, h.want, h.got)
+			}
+		}
 	}
 }
