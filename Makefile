@@ -75,17 +75,18 @@ replay-golden:
 # (internal/fuzz/testdata), runs the mutation harness end to end (the
 # injected MUTANT-SINGLE bug must be found, shrunk, journaled and replayed),
 # then takes a short fresh-fuzz pass over a fixed seed. Single shard,
-# deterministic, budgeted well under 30s on one core. Last, five 5s native
-# go-fuzz passes: two on the producing side — the journal's hand-rolled
+# deterministic, budgeted well under 30s on one core. Last, six 5s native
+# go-fuzz passes: three on the producing side — the journal's hand-rolled
 # record encoder against encoding/json (internal/trace FuzzRecordLine), the
-# dense process graph against a map-of-pairs model (internal/graph
-# FuzzGraphOps) — and three on the consuming side: arbitrary bytes through
+# dense process graph and the degree ledger against map-of-pairs models
+# (internal/graph FuzzGraphOps, FuzzLedgerOps) — and three on the consuming
+# side: arbitrary bytes through
 # the journal reader (internal/trace FuzzReadJournal; its inputs are whole
 # journals, so minimizing a new one is capped at 200 runs instead of 60 s),
 # and on the mesh's wire arbitrary frame bytes through the codec and the
 # engine's Inject (internal/transport FuzzDecodeFrame), arbitrary control
 # payloads and sender ids through a node with an oracle round open
-# (internal/node FuzzControl). These five are not deterministic — a failure
+# (internal/node FuzzControl). These six are not deterministic — a failure
 # lands as a seed file under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -count=1
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRecordLine -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime 5s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLedgerOps -fuzztime 5s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s
 	$(GO) test ./internal/node -run '^$$' -fuzz FuzzControl -fuzztime 5s
 
@@ -168,7 +170,7 @@ node-churn:
 	rc=0; for p in $$pids; do wait $$p || rc=1; done; [ $$rc -eq 0 ]
 	bin/fdpnode -merge $(NODE_OUT)
 
-BENCH_PKGS := . ./internal/framework ./internal/graph ./internal/parallel ./internal/trace
+BENCH_PKGS := . ./internal/framework ./internal/graph ./internal/metrics ./internal/obs ./internal/parallel ./internal/trace
 
 bench:
 	$(GO) test -bench . -benchmem -run XXX $(BENCH_PKGS)

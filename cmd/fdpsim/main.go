@@ -95,19 +95,9 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		}()
 	}
 
-	// On stop the sequential engine ends at the next step boundary and reports
-	// Interrupted. The concurrent runtime has no stop hook, so for -parallel
-	// the journal file is flushed and the process exits directly.
+	// On stop either engine winds down — the simulator at the next step
+	// boundary, the runtime at its next poll — and reports Interrupted.
 	cfg.Stop = stop
-	if *par {
-		go func() {
-			<-stop
-			if f, ok := cfg.Journal.(*os.File); ok {
-				f.Sync()
-			}
-			os.Exit(130)
-		}()
-	}
 
 	var (
 		rep fdp.Report

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -87,5 +88,37 @@ func TestUnknownNamesExitTwo(t *testing.T) {
 	}
 	if code, _, errs := runSim("-n", "12", "-topology", "hypercube"); code != 2 || !strings.Contains(errs, "power-of-two") {
 		t.Errorf("hypercube on 12 nodes: exit %d, stderr %q", code, errs)
+	}
+}
+
+// TestParallelReportsSafetyViolations: -parallel judges Lemma 2 on the frozen
+// world once the runtime stopped. Under the unsafe oracle, leavers at the
+// articulation points of a line exit at once and split it; at the parent
+// -parallel printed "safety violated:  false" whatever happened.
+func TestParallelReportsSafetyViolations(t *testing.T) {
+	for seed := 1; seed <= 20; seed++ {
+		code, out, errs := runSim("-parallel", "-oracle", "unsafe", "-topology", "line", "-pattern", "articulation",
+			"-n", "16", "-timeout", "300ms", "-seed", strconv.Itoa(seed))
+		if strings.Contains(out, "safety violated:  true") {
+			if code != 1 || strings.Contains(out, "converged:        true") {
+				t.Fatalf("seed %d: a violation reported with exit %d\n%s%s", seed, code, out, errs)
+			}
+			return
+		}
+	}
+	t.Fatal("no -parallel -oracle unsafe run on an articulation line reported a violation in 20 seeds")
+}
+
+// TestParallelStops: a closed stop channel ends a -parallel run like a
+// sequential one, with "interrupted before convergence" and exit 0. At the
+// parent a goroutine called os.Exit(130) instead, which killed the test
+// binary.
+func TestParallelStops(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	var out, errb bytes.Buffer
+	code := run([]string{"-parallel", "-n", "64", "-seed", "3"}, &out, &errb, stop)
+	if code != 0 || !strings.Contains(out.String(), "interrupted before convergence") {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
 }

@@ -427,9 +427,12 @@ func SimulateOverlay(cfg OverlayConfig) (OverlayReport, error) {
 
 // SimulateParallel runs the same scenario as Simulate — same topology,
 // leave pattern, corruption and seed, built by the same churn.Build and
-// transplanted onto the concurrent runtime — until legitimacy or the
-// wall-clock timeout. Scheduler, MaxSteps, CheckSafety and Stop have no
-// meaning on the runtime and are ignored.
+// transplanted onto the concurrent runtime — until legitimacy, the
+// wall-clock timeout or Stop. CheckSafety judges the Lemma 2 invariant once,
+// on the frozen world after the runtime stopped: a lost connection is never
+// restored, so that one check gives the answer a check after every action
+// would. Scheduler and MaxSteps have no meaning on the runtime and are
+// ignored.
 func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 	s, simVariant, err := cfg.build(nil)
 	if err != nil {
@@ -450,14 +453,26 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 		})
 		rt.AddEventHook(jw.Record)
 	}
-	ok := rt.RunUntil(func(w *sim.World) bool {
-		return w.Legitimate(simVariant)
+	interrupted := false
+	rt.Start()
+	ok := rt.WaitUntil(func(w *sim.World) bool {
+		select {
+		case <-cfg.Stop:
+			interrupted = true
+			return true
+		default:
+			return w.Legitimate(simVariant)
+		}
 	}, 2*time.Millisecond, timeout)
+	rt.Stop()
+	violated := cfg.CheckSafety && !rt.Freeze().RelevantComponentsIntact()
 	rep := Report{
-		Converged:    ok,
-		Steps:        int(rt.Events()),
-		MessagesSent: rt.Sent(),
-		Exits:        int(rt.Gone()), // bounded by Config.N
+		Converged:      ok && !interrupted && !violated,
+		Steps:          int(rt.Events()),
+		MessagesSent:   rt.Sent(),
+		Exits:          int(rt.Gone()), // bounded by Config.N
+		SafetyViolated: violated,
+		Interrupted:    interrupted,
 	}
 	if jw != nil {
 		if err := jw.Err(); err != nil {

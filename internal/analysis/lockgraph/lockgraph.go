@@ -70,7 +70,7 @@ const LeafDirective = "//fdp:lockleaf"
 
 // OrderedDirective marks a mutex whose instances (the analysis merges all
 // instances of a field into one node) are always acquired in a globally
-// consistent instance order — ascending shard index, ascending pid — so a
+// consistent instance order — ascending shard index, reference order — so a
 // self-edge on the merged node is sanctioned rather than a deadlock.
 const OrderedDirective = "//fdp:lockordered"
 

@@ -201,12 +201,6 @@ type Corruption struct {
 	// JunkMessages injects this many random present/forward messages with
 	// random references and random (often wrong) mode claims.
 	JunkMessages int
-	// AsleepLeavers (FSP only) starts this fraction of leaving processes
-	// asleep... the model only allows initial states where processes are
-	// relevant; an asleep process with a pending message is relevant, so
-	// the builder pairs each asleep start with a wake-up message.
-	// (Unused in FDP, where sleep does not exist.)
-	AsleepLeavers float64
 }
 
 // Config describes a scenario.

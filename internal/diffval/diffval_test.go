@@ -10,6 +10,7 @@ import (
 	"fdp/internal/faults"
 	"fdp/internal/oracle"
 	"fdp/internal/parallel"
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -125,15 +126,33 @@ func goneWanted(cfg Config, seed int64) uint64 {
 }
 
 // MirrorWorld must transplant the full state: modes, protocol clones (not
-// aliases), sleep states, and channel contents.
+// aliases), sleep states, and channel contents. An FSP leaver with a queued
+// message is put to sleep first — asleep, and still relevant — so the
+// transplant has a sleeper to carry over.
 func TestMirrorWorldTransplantsState(t *testing.T) {
 	scn := fspConfig().Scenario
-	scn.Seed = 3
-	scn.Corrupt.AsleepLeavers = 1.0
-	s := churn.Build(scn)
+	var s *churn.Scenario
+	var sleeper ref.Ref
+	for scn.Seed = 3; sleeper.IsNil() && scn.Seed < 40; scn.Seed++ {
+		s = churn.Build(scn)
+		for _, u := range s.LeavingNodes() {
+			if s.World.ChannelLen(u) > 0 {
+				sleeper = u
+				break
+			}
+		}
+	}
+	if sleeper.IsNil() {
+		t.Fatal("no FSP scenario with a leaver that has a queued message")
+	}
+	s.World.ForceAsleep(sleeper)
 	rt := MirrorWorld(s.World, nil)
 
 	w := rt.Freeze()
+	if w.LifeOf(sleeper) != sim.Asleep || w.ChannelLen(sleeper) == 0 {
+		t.Fatalf("the runtime's frozen world shows %v %v with %d queued messages; want asleep with its mail",
+			sleeper, w.LifeOf(sleeper), w.ChannelLen(sleeper))
+	}
 	if len(w.Refs()) != len(s.World.Refs()) {
 		t.Fatalf("process count differs: %d vs %d", len(w.Refs()), len(s.World.Refs()))
 	}

@@ -54,7 +54,6 @@ func Shrink(f *Failure, opts Options, budget int) (Case, int) {
 			func(s *trace.Scenario) { s.FlipBeliefs = 0 },
 			func(s *trace.Scenario) { s.RandomAnchors = 0 },
 			func(s *trace.Scenario) { s.JunkMessages = 0 },
-			func(s *trace.Scenario) { s.AsleepLeavers = 0 },
 		} {
 			cand := c
 			zero(&cand.Scenario)

@@ -1,0 +1,165 @@
+package graph
+
+import (
+	"slices"
+
+	"fdp/internal/ref"
+)
+
+// Pair is one entry of a ledger row: a neighbour and the number of edges
+// joining the pair.
+type Pair = Entry[ref.Ref, int32]
+
+// Ledger is the relevant-degree ledger both engines keep (DESIGN.md §7,
+// §12): one Row per leaving process, neighbour → process-graph edges joining
+// the pair, explicit or implicit, either direction. The pair rule: a pair
+// counts only in the row of an endpoint that leaves, so a leaver's row length
+// is its degree. Which edges exist (both engines: only between two live,
+// distinct processes) and locking are the caller's. The zero value holds no
+// process; Reset sizes it.
+type Ledger struct {
+	// slot maps ref.Index to 1 + the index of the process's row in rows, 0
+	// for a staying process: no pointer for the collector to scan.
+	slot []int32
+	rows []Row[ref.Ref, int32]
+}
+
+// Reset empties the ledger and sizes it for the processes indexed below n,
+// none of them leaving.
+func (l *Ledger) Reset(n int) {
+	l.slot = make([]int32, n)
+	l.rows = nil
+}
+
+// Leave gives the leaver u its row, after Reset and before anything is
+// counted.
+func (l *Ledger) Leave(u ref.Ref) {
+	l.rows = append(l.rows, Row[ref.Ref, int32]{})
+	l.slot[ref.Index(u)] = int32(len(l.rows))
+}
+
+// row returns u's row, or nil if u stays.
+func (l *Ledger) row(u ref.Ref) *Row[ref.Ref, int32] {
+	if s := l.slot[ref.Index(u)]; s > 0 {
+		return &l.rows[s-1]
+	}
+	return nil
+}
+
+// Count applies d (+1 or -1) copies of an edge between the distinct
+// processes a and b, in the row of each endpoint that leaves, and reports
+// whether each row's length changed. A decrement of a pair a row does not
+// hold is a no-op.
+func (l *Ledger) Count(a, b ref.Ref, d int32) (aMoved, bMoved bool) {
+	if r := l.row(a); r != nil {
+		aMoved = bump(r, b, d)
+	}
+	if r := l.row(b); r != nil {
+		bMoved = bump(r, a, d)
+	}
+	return aMoved, bMoved
+}
+
+// bump adds d to k's count in r — an increment of a key r does not hold
+// creates its entry, a count that falls to zero swap-removes it, a decrement
+// of a key r does not hold is a no-op — and reports whether r's length
+// changed.
+func bump(r *Row[ref.Ref, int32], k ref.Ref, d int32) bool {
+	i := r.Find(k)
+	if i < 0 {
+		if d <= 0 {
+			return false
+		}
+		*r.push(k) = d
+		return true
+	}
+	c := &r.ents[i].Val
+	if *c += d; *c > 0 {
+		return false
+	}
+	r.Remove(i)
+	return true
+}
+
+// Degree returns the number of neighbours in u's row.
+func (l *Ledger) Degree(u ref.Ref) int { return len(l.Pairs(u)) }
+
+// Pairs returns u's row, empty if u stays. The caller must not retain it
+// across a change of the row.
+func (l *Ledger) Pairs(u ref.Ref) []Pair {
+	if r := l.row(u); r != nil {
+		return r.Entries()
+	}
+	return nil
+}
+
+// Retire empties the leaver u's row and hands what it held to the caller,
+// which erases u from each neighbour's row with Forget. A stayer has no row
+// listing the leavers that count it: an engine rebuilds after its exit.
+func (l *Ledger) Retire(u ref.Ref) []Pair {
+	r := l.row(u)
+	if r == nil {
+		return nil
+	}
+	pairs := r.Entries()
+	*r = Row[ref.Ref, int32]{}
+	return pairs
+}
+
+// Forget erases u from q's row and reports whether it was there.
+func (l *Ledger) Forget(q, u ref.Ref) bool {
+	if r := l.row(q); r != nil {
+		if i := r.Find(u); i >= 0 {
+			r.Remove(i)
+			return true
+		}
+	}
+	return false
+}
+
+// Exit removes the leaver u with every pair it has: Retire, then Forget in
+// each neighbour's row.
+func (l *Ledger) Exit(u ref.Ref) {
+	for _, p := range l.Retire(u) {
+		l.Forget(p.Key, u)
+	}
+}
+
+// RefDiff holds the sort buffers of Resync; the zero value is ready. One
+// per goroutine that resyncs.
+type RefDiff struct{ was, now []ref.Ref }
+
+// Resync is the end-of-action diff of cur, a process's stored references,
+// against *synced, the copy taken at its last sync, which it then makes a
+// copy of cur. It returns the multiset delta in reference order, in diff's
+// buffers until the next call: added holds each copy cur has beyond
+// *synced's, gone each copy *synced had beyond cur's. An unchanged store
+// (Refs is deterministic) costs one comparison. Copies are sorted, never cur
+// itself: it may be a slice the protocol handed out, which nobody modifies.
+func (diff *RefDiff) Resync(synced *[]ref.Ref, cur []ref.Ref) (added, gone []ref.Ref) {
+	if slices.Equal(cur, *synced) {
+		return nil, nil
+	}
+	was := append(diff.was[:0], *synced...)
+	now := append(diff.now[:0], cur...)
+	diff.was, diff.now = was, now
+	*synced = append((*synced)[:0], cur...)
+	ref.Sort(was)
+	ref.Sort(now)
+	// Merge, compacting each side's surplus behind its read position.
+	added, gone = now[:0], was[:0]
+	i, j := 0, 0
+	for i < len(was) || j < len(now) {
+		switch {
+		case j == len(now) || i < len(was) && ref.Less(was[i], now[j]):
+			gone = append(gone, was[i])
+			i++
+		case i == len(was) || ref.Less(now[j], was[i]):
+			added = append(added, now[j])
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return added, gone
+}

@@ -14,9 +14,10 @@ const wideRow = 32
 
 // Row is a dense keyed row with one entry per distinct key, so its length is
 // the number of keys — a node's adjacency in Graph (one entry per distinct
-// undirected neighbour, Degree is a length) and a leaver's neighbour multiset
-// in the concurrent runtime's degree ledger. Order is insertion order
-// perturbed by swap-removal. The zero value is an empty row.
+// undirected neighbour, Degree is a length) and a leaver's row of the degree
+// ledger both engines keep (Ledger: neighbour → edges joining the pair).
+// Order is insertion order perturbed by swap-removal. The zero value is an
+// empty row.
 type Row[K comparable, V any] struct {
 	ents []Entry[K, V]
 	// idx maps key to slot. Built when the row grows past wideRow, dropped
@@ -67,30 +68,6 @@ func (r *Row[K, V]) push(k K) *V {
 		r.buildIndex()
 	}
 	return &r.ents[i].Val
-}
-
-// Bump adds d to k's count in r — an increment of a key r does not hold
-// creates its entry, a count that falls to zero swap-removes it, a decrement
-// of a key r does not hold is a no-op — and reports whether r's length
-// changed. It is the one count update of both relevant-degree ledgers, the
-// sequential engine's and the concurrent runtime's: a leaver's row maps each
-// neighbour to the number of edges joining the pair, so its length is the
-// leaver's degree.
-func Bump[K comparable](r *Row[K, int32], k K, d int32) bool {
-	i := r.Find(k)
-	if i < 0 {
-		if d <= 0 {
-			return false
-		}
-		*r.push(k) = d
-		return true
-	}
-	c := &r.ents[i].Val
-	if *c += d; *c > 0 {
-		return false
-	}
-	r.Remove(i)
-	return true
 }
 
 // buildIndex (re)creates idx from ents.

@@ -1,78 +1,37 @@
 package parallel
 
-// Incremental relevant-degree tracking — the fast path of epoch validation.
+// The runtime's side of the degree ledger, graph.Ledger (DESIGN.md §7), the
+// one both engines keep — the fast path of epoch validation: SINGLE judges a
+// leaver on its row's length. What concurrency adds (DESIGN.md §12):
 //
-// The SINGLE oracle's verdict for a process u is a pure function of u's
-// degree in the relevant process graph: the number of distinct other live
-// processes u shares an edge with, explicit (a stored reference, either
-// direction) or implicit (a reference in a message queued to either side).
-// The sequential engine answers that in O(1) from its degree ledger, one
-// row per leaver; the concurrent runtime used to rebuild a full sim.World
-// clone every epoch just to ask it — an O(n+m) rebuild whose allocation and
-// GC cost dominates the machine at n=100k (profiled at ~80% of total CPU).
-//
-// Instead, the runtime mirrors the sequential engine's bookkeeping: every
-// LEAVING process carries a neighbor multiset (nbr: one entry per distinct
-// neighbor pid with the number of current edges with it — a graph.Row, like
-// the sequential ledger's), updated at the three places edges change —
-//
-//   - admitting a message adds one edge (receiver, r) per reference r it
-//     carries, at send time, wherever the message then waits (outbox, inbox,
-//     mailbox); its delivery removes them once the handler has run
-//     (in-flight references are implicit PG edges);
-//   - after every action the acting process's stored references are
-//     compared with the copy taken at its last sync (syncRefs) and, when
-//     they differ, diffed as multisets — only the acting process's own
-//     explicit edges can change, so the diff is local;
-//   - an exit commit deletes every pair involving the leaver (PG drops the
-//     node), and additions are gated on both endpoints being alive, so a
-//     stale stored reference to a gone process never re-counts.
-//
-// Pairs with both endpoints staying are not tracked — no oracle ever asks
-// for a stayer's degree. len(nbr) then IS the leaver's relevant degree
-// whenever nothing in the system is asleep and no action is in progress
-// (every FDP state at a full pause; asleep processes require the sequential
-// hibernation sweep, so the coordinator falls back to the frozen-world path
-// while rt.asleep is nonzero).
-//
-// While actions run the ledger is not exact, it OVER-COUNTS, and that is
-// what lets the coordinator judge and commit exits without stopping the
-// workers. The invariant is "adds precede removes": a reference an action
-// stores or sends was in the actor's store or in the message it is
-// delivering, and the pair that accounted for it there is dropped only after
-// the handler ran, every send counted what it carries (before the message
-// became poppable) and syncRefs counted what was stored. So at every instant
-// each leaver's multiset holds every pair of the state before each action in
-// progress, or every pair of the state after it — in either case len(nbr) is
-// at least the relevant degree in some sequential order of the actions, and
-// a grant on it is a grant the sequential model could have given (Lemma 2;
-// DESIGN.md §12).
-//
-// Synchronization: each pair update locks the two endpoints' degMu in
-// ascending pid order (plain mutexes unrelated to the §12 ranked locks; they
-// guard only the nbr rows and nest under nothing but each other). A process
-// of a degree-tracked run becomes gone under its own degMu, and every add
-// re-checks both endpoints' life under the same locks: an add is either
-// counted in the degree an exit is judged on, or sees the gone endpoint and
-// counts nothing. Whenever len(nbr) changes the leaver goes on the runtime's
-// dirty queue, which is all the coordinator's epoch re-judges.
+//   - Pair locks. Each pair update locks the two endpoints' degMu in
+//     reference order; they guard only the endpoints' rows and nest under
+//     nothing but each other. A process becomes gone under its own degMu and
+//     every add re-checks both endpoints' life under the same locks, so an
+//     add is either counted in the degree an exit is judged on or counts
+//     nothing.
+//   - The over-count invariant, "adds precede removes". A message's pairs
+//     are added before it can be popped and removed after its handler ran,
+//     and the acting process's resync runs after the handler too. So each
+//     row holds every pair of the state before, or after, each action in
+//     progress: its length is at least the relevant degree in some
+//     sequential order of the actions, and a grant on it is one the model
+//     could have given (Lemma 2). At a full pause with nothing asleep it is
+//     exact; asleep processes need the hibernation sweep, so the coordinator
+//     judges on a frozen world while rt.asleep is nonzero.
+//   - The dirty queue. A leaver whose row length changed is queued once for
+//     the coordinator's next epoch, which re-judges only those.
 
 import (
-	"slices"
-
 	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
 
-// nbrRow is a leaver's neighbor multiset: neighbor pid → edge count, one
-// entry per distinct neighbor.
-type nbrRow = graph.Row[uint32, int32]
-
 // degreeOracle is implemented by oracles whose verdict is a pure function
 // of the SINGLE-style relevant degree (oracle.Single, oracle.Always). For
 // these the coordinator validates exits and refreshes caches from the
-// runtime's incremental counters, skipping the per-epoch world clone.
+// runtime's ledger, skipping the per-epoch world clone.
 type degreeOracle interface {
 	JudgeDegree(deg int) bool
 }
@@ -87,37 +46,30 @@ func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
 }
 
 // pairBump applies d (+1 add, -1 remove) to the edge pair (a, b) and queues
-// every leaver whose distinct-neighbor count changed for re-judgement.
-// Whether the pair is tracked is decided from the immutable modes. A pair
-// with a gone endpoint needs no update — gone is final and the exit commit
-// erases the pair (dropPairsOf) — so it is skipped before locking; an add
-// checks again under both locks, where a commit in progress cannot be missed
-// (retire sets life under the same lock). Removes clamp: a pair the commit
-// already erased, or an add that found an endpoint gone, is a no-op, which
-// is exactly the sequential ledger's "removals no-op once an endpoint is
-// gone".
+// every leaver whose row length changed for re-judgement. A pair of two
+// stayers is skipped before locking, from the immutable modes. So is a pair
+// with a gone endpoint — gone is final and the exit commit erases the pair
+// (dropPairsOf) — and an add checks again under both locks, where a commit
+// in progress cannot be missed (retire sets life under the same lock).
+// Removes are no-ops on a pair the commit already erased, or that an add
+// skipped, which is exactly the sequential ledger's "removals no-op once an
+// endpoint is gone".
 func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if a.mode != sim.Leaving && b.mode != sim.Leaving {
-		return // stayer-stayer pair: untracked
+		return
 	}
 	if a.life.Load() == 2 || b.life.Load() == 2 {
 		return
 	}
 	lo, hi := a, b
-	if lo.pid > hi.pid {
+	if ref.Less(hi.id, lo.id) {
 		lo, hi = hi, lo
 	}
 	var aMoved, bMoved bool
 	lo.degMu.Lock()
 	hi.degMu.Lock()
 	if d < 0 || (a.life.Load() != 2 && b.life.Load() != 2) {
-		// A nil row (a stayer, or a leaver that is gone) holds nothing.
-		if a.nbr != nil {
-			aMoved = graph.Bump(a.nbr, b.pid, d)
-		}
-		if b.nbr != nil {
-			bMoved = graph.Bump(b.nbr, a.pid, d)
-		}
+		aMoved, bMoved = rt.ledger.Count(a.id, b.id, d)
 	}
 	hi.degMu.Unlock()
 	lo.degMu.Unlock()
@@ -129,9 +81,9 @@ func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	}
 }
 
-// markDirty queues p, whose distinct-neighbor count just changed, for the
-// coordinator's next epoch; proc.dirty keeps it on the queue at most once.
-// Called with no degMu held.
+// markDirty queues p, whose degree just changed, for the coordinator's next
+// epoch; proc.dirty keeps it on the queue at most once. Called with no degMu
+// held.
 func (rt *Runtime) markDirty(p *proc) {
 	if p.dirty.CompareAndSwap(false, true) {
 		rt.dirtyMu.Lock()
@@ -149,76 +101,48 @@ func (rt *Runtime) takeDirty() []*proc {
 	return batch
 }
 
-// addMsgPairs counts the implicit edges of a message about to be admitted to
-// p, by the references it carries. Called before the message becomes
-// poppable, so a racing delivery can never remove a pair before it was added.
-func (rt *Runtime) addMsgPairs(p *proc, refs []sim.RefInfo) {
+// msgPairs applies d to the implicit edges of a message to p, one per
+// reference it carries: +1 before the message is admitted — before it can be
+// popped, so a racing delivery never removes a pair before it was added — and
+// -1 once its delivery is over (the handler ran, and what it stored or sent
+// on is counted) or its admission was refused.
+func (rt *Runtime) msgPairs(p *proc, refs []sim.RefInfo, d int32) {
 	for _, ri := range refs {
-		rt.pairDelta(p, ri.Ref, 1)
-	}
-}
-
-// removeMsgPairs drops the implicit edges of a message to p: either its
-// delivery is over (the handler ran, and what it stored or sent on is already
-// counted), or the admission that counted it was refused (the target is gone)
-// and is being undone.
-func (rt *Runtime) removeMsgPairs(p *proc, refs []sim.RefInfo) {
-	for _, ri := range refs {
-		rt.pairDelta(p, ri.Ref, -1)
+		rt.pairDelta(p, ri.Ref, d)
 	}
 }
 
 // syncRefs folds the acting process's explicit-edge changes into the ledger
-// after an action, the way sim.World.pgSyncRefs does: p.synced is the copy of
-// proto.Refs() taken at the last sync (by resetLedger at Start and after every
-// Mutate, here since). Protocols enumerate Refs deterministically, so an
-// action that stored nothing yields an equal slice and costs one Refs call
-// and one scan; otherwise the two multisets are sorted and merged, and only
-// the acting process's own pairs move. A reference stored here for the first
-// time came out of the message being delivered, whose implicit pair is still
-// counted (deliverAction drops it afterwards), so the merge may remove and
-// add in any order. sh is the shard whose worker runs the action; its
-// scratch buffer holds the sorted copy of the new refs.
+// after an action, with the end-of-action diff the sequential engine runs
+// (graph.RefDiff): p.synced is the copy of proto.Refs() taken at the last
+// sync (by resetLedger at Start and after every Mutate, here since). A
+// reference stored here for the first time came out of the message being
+// delivered, whose implicit pair is still counted (deliverAction drops it
+// afterwards). sh is the shard whose worker runs the action, and owns the
+// sort buffers.
 func (p *proc) syncRefs(sh *shard) {
-	cur := p.proto.Refs()
-	if slices.Equal(cur, p.synced) {
-		return
+	added, gone := sh.diff.Resync(&p.synced, p.proto.Refs())
+	for _, r := range added {
+		p.rt.pairDelta(p, r, 1)
 	}
-	was := p.synced
-	now := append(sh.refScratch[:0], cur...)
-	sh.refScratch = now
-	ref.Sort(was)
-	ref.Sort(now)
-	i, j := 0, 0
-	for i < len(was) || j < len(now) {
-		switch {
-		case j >= len(now) || (i < len(was) && ref.Less(was[i], now[j])):
-			p.rt.pairDelta(p, was[i], -1)
-			i++
-		case i >= len(was) || ref.Less(now[j], was[i]):
-			p.rt.pairDelta(p, now[j], 1)
-			j++
-		default:
-			i++
-			j++
-		}
+	for _, r := range gone {
+		p.rt.pairDelta(p, r, -1)
 	}
-	p.synced = append(was[:0], cur...)
 }
 
 // retire makes p gone — unconditionally if jd is nil, otherwise only if jd
 // grants the degree the ledger holds — in ONE critical section of p.degMu:
 // every add re-checks life under the same lock, so it is either part of the
-// judged degree or finds p gone. It returns the neighbor multiset p had, for
+// judged degree or finds p gone. It returns the pairs p's row held, for
 // finishExit to erase from the other side. A process that is gone already is
-// refused, whatever jd says of its empty multiset: nobody exits twice.
-// Callers: the coordinator's fast-path epoch (no pause: p is suspended, nobody
-// else writes its life), or commitExit.
-func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr *nbrRow, ok bool) {
+// refused, whatever jd says of its empty row: nobody exits twice. Callers:
+// the coordinator's fast-path epoch (no pause: p is suspended, nobody else
+// writes its life), or commitExit.
+func (rt *Runtime) retire(p *proc, jd degreeOracle) (pairs []graph.Pair, ok bool) {
 	p.degMu.Lock()
 	defer p.degMu.Unlock()
 	was := p.life.Load()
-	if was == 2 || (jd != nil && !jd.JudgeDegree(p.nbr.Len())) {
+	if was == 2 || (jd != nil && !jd.JudgeDegree(rt.ledger.Degree(p.id))) {
 		return nil, false
 	}
 	p.life.Store(2)
@@ -227,32 +151,25 @@ func (rt *Runtime) retire(p *proc, jd degreeOracle) (nbr *nbrRow, ok bool) {
 	} else {
 		rt.asleep.Add(-1)
 	}
-	nbr, p.nbr = p.nbr, nil
-	return nbr, true
+	if rt.trackDeg {
+		pairs = rt.ledger.Retire(p.id)
+	}
+	return pairs, true
 }
 
-// dropPairsOf erases the retired p from every neighbor's multiset, one
-// degMu at a time, mirroring the sequential ledger's exit (pgExit). Until a
+// dropPairsOf erases the retired p from every leaving neighbor's row, one
+// degMu at a time: the sequential ledger's Exit, split at the locks. Until a
 // neighbor's turn comes it over-counts by the gone p, which only delays its
 // own grant; stale references to p left behind in stores or in flight are
-// inert (adds are life-gated, removes clamp).
-func (rt *Runtime) dropPairsOf(p *proc, nbr *nbrRow) {
-	if nbr == nil {
-		return
-	}
-	for _, e := range nbr.Entries() {
-		q := rt.byPid[e.Key]
+// inert (adds are life-gated, removes of an erased pair no-op).
+func (rt *Runtime) dropPairsOf(p *proc, pairs []graph.Pair) {
+	for _, e := range pairs {
+		q := rt.lookup(e.Key)
 		if q.mode != sim.Leaving {
 			continue
 		}
 		q.degMu.Lock()
-		had := false
-		if q.nbr != nil {
-			if i := q.nbr.Find(p.pid); i >= 0 {
-				q.nbr.Remove(i)
-				had = true
-			}
-		}
+		had := rt.ledger.Forget(q.id, p.id)
 		q.degMu.Unlock()
 		if had {
 			rt.markDirty(q)
@@ -272,8 +189,8 @@ func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 			edge(p, q)
 		}
 	}
-	for _, p := range rt.byPid {
-		if p.life.Load() == 2 {
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		for _, r := range p.proto.Refs() {
@@ -287,18 +204,19 @@ func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 	}
 }
 
-// resetLedger empties every live leaver's neighbor multiset, queues it for
-// judgement and re-takes every live process's synced copy of its stored
-// references: the ledger then holds no pair and expects one pairBump per
-// edge forEachEdge walks. Same caller contract.
+// resetLedger empties the ledger, gives every live leaver a row and queues
+// it for judgement, and re-takes every live process's synced copy of its
+// stored references: the ledger then holds no pair and expects one pairBump
+// per edge forEachEdge walks. Same caller contract.
 func (rt *Runtime) resetLedger() {
-	for _, p := range rt.byPid {
-		if p.life.Load() == 2 {
+	rt.ledger.Reset(len(rt.procs))
+	for _, p := range rt.procs {
+		if p == nil || p.life.Load() == 2 {
 			continue
 		}
 		p.synced = append(p.synced[:0], p.proto.Refs()...)
 		if p.mode == sim.Leaving {
-			p.nbr = new(nbrRow)
+			rt.ledger.Leave(p.id)
 			rt.markDirty(p)
 		}
 	}
@@ -363,14 +281,14 @@ func (rt *Runtime) epochFast(jd degreeOracle) (offLedger []*proc) {
 			offLedger = append(offLedger, p)
 			continue
 		}
-		nbr, ok := rt.retire(p, jd)
+		pairs, ok := rt.retire(p, jd)
 		if rt.oracleHook != nil {
 			rt.oracleHook(p.id, ok)
 		}
 		if ok {
 			// exitPending stays set: a gone process is suspended for good,
 			// so no worker's check can fall between the two writes.
-			rt.finishExit(p, nbr)
+			rt.finishExit(p, pairs)
 		} else {
 			p.oracleOK.Store(false) // the cache was stale; stop re-requesting
 			rt.exitDenied.Add(1)
@@ -386,7 +304,7 @@ func (rt *Runtime) epochFast(jd degreeOracle) (offLedger []*proc) {
 			continue
 		}
 		p.degMu.Lock()
-		deg := p.nbr.Len()
+		deg := rt.ledger.Degree(p.id)
 		p.degMu.Unlock()
 		if ok := jd.JudgeDegree(deg); ok != p.oracleOK.Load() {
 			p.oracleOK.Store(ok)

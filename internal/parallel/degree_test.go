@@ -15,14 +15,14 @@ import (
 )
 
 // TestIncrementalDegreeMatchesFrozenWorld pauses a running churn system at
-// random moments and checks, for every live leaver, that the incremental
-// neighbor multiset (degree.go) reports exactly the frozen world's
+// random moments and checks, for every live leaver, that its ledger row
+// (degree.go) reports exactly the frozen world's
 // RelevantDegree — the quantity the epoch fast path judges exits on — and,
 // per neighbor, exactly as many edges as the frozen process graph holds
 // between the two. A full pause is a quiescent point: no action is open and
 // no commit is half done. The ledger's other promise is checked where it is
 // least exact: the oracle hook runs on the coordinator between a grant and
-// the erasure of the gone leaver from its neighbors' multisets, and from
+// the erasure of the gone leaver from its neighbors' rows, and from
 // there (freezeMu is held, so stopping the shards is pauseAll's own second
 // half) every live leaver's count must be at least the frozen degree — and
 // above it for a leaver next to the one just gone, which the protocol
@@ -62,12 +62,12 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 				sh.actMu.Lock()
 			}
 			w := rt.freezeUnderPause()
-			for _, p := range rt.byPid {
-				if p.mode != sim.Leaving || p.life.Load() == 2 {
+			for _, p := range rt.procs {
+				if p == nil || p.mode != sim.Leaving || p.life.Load() == 2 {
 					continue
 				}
 				want, _ := w.RelevantDegree(p.id)
-				switch got := p.nbr.Len(); {
+				switch got := rt.ledger.Degree(p.id); {
 				case got < want:
 					t.Errorf("shards=%d: %v just granted: leaver %v counts %d neighbors, frozen world %d",
 						shards, u, p.id, got, want)
@@ -107,8 +107,8 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 			rt.pauseAll()
 			w := rt.freezeUnderPause()
 			pg := w.PG()
-			for _, p := range rt.byPid {
-				if p.mode != sim.Leaving || p.life.Load() == 2 {
+			for _, p := range rt.procs {
+				if p == nil || p.mode != sim.Leaving || p.life.Load() == 2 {
 					continue
 				}
 				want, rel := w.RelevantDegree(p.id)
@@ -116,13 +116,13 @@ func TestIncrementalDegreeMatchesFrozenWorld(t *testing.T) {
 					rt.resumeAll()
 					t.Fatalf("shards=%d: live leaver %v not relevant in frozen world", shards, p.id)
 				}
-				if got := p.nbr.Len(); got != want {
+				if got := rt.ledger.Degree(p.id); got != want {
 					rt.resumeAll()
 					t.Fatalf("shards=%d: leaver %v incremental degree %d, frozen world says %d (checks=%d)",
 						shards, p.id, got, want, checks)
 				}
-				for _, e := range p.nbr.Entries() {
-					got, q := e.Val, rt.byPid[e.Key].id
+				for _, e := range rt.ledger.Pairs(p.id) {
+					got, q := e.Val, e.Key
 					if want := pg.EdgeCount(p.id, q) + pg.EdgeCount(q, p.id); int(got) != want {
 						rt.resumeAll()
 						t.Fatalf("shards=%d: ledger holds %d edges between %v and %v, frozen world %d (checks=%d)",
@@ -226,14 +226,14 @@ func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 	})
 	rt.seal()
 	sh, p := rt.shards[0], rt.lookup(leaver)
-	sh.cursor = 1 // the scan has just passed the leaver (pid 0)
+	sh.cursor = 1 // the scan has just passed the leaver (index 0)
 
 	rt.epochFast(oracle.Single{})
 	if !p.oracleOK.Load() || !p.ready.Load() || len(sh.ready) != 1 {
 		t.Fatalf("epoch did not queue the leaver: oracleOK=%v ready=%v list=%v", p.oracleOK.Load(), p.ready.Load(), sh.ready)
 	}
 	rt.rebalanceUnderPause()
-	if !p.ready.Load() || len(sh.ready) != 1 || sh.ready[0] != p.pid {
+	if !p.ready.Load() || len(sh.ready) != 1 || sh.ready[0] != int32(ref.Index(p.id)) {
 		t.Fatalf("rebalance lost or duplicated the ready leaver: ready=%v list=%v", p.ready.Load(), sh.ready)
 	}
 	sh.cursor = 1
@@ -276,7 +276,7 @@ func TestDegreeSeedCountsInitialInFlight(t *testing.T) {
 	// the ledger here cannot race a delivery of the intro (after Start a
 	// worker may consume it first, and both degrees then read 0).
 	rt.seal()
-	got := rt.lookup(nodes[2]).nbr.Len()
+	got := rt.ledger.Degree(nodes[2])
 	want, _ := rt.freezeUnderPause().RelevantDegree(nodes[2])
 	if got != want || want == 0 {
 		t.Fatalf("seeded degree %d, frozen world %d (want equal and nonzero)", got, want)
@@ -509,7 +509,7 @@ func TestComponentsMatchFrozenWorld(t *testing.T) {
 		rt := NewRuntime(oracle.Single{})
 		rt.SetShards(1 + rng.Intn(3))
 		protos := make([]*fixedRefsProto, n)
-		for _, i := range rng.Perm(n) { // pid order differs from reference order
+		for _, i := range rng.Perm(n) { // registration order differs from reference order
 			protos[i] = &fixedRefsProto{refs: someRefs(3)}
 			mode := sim.Staying
 			if rng.Intn(2) == 0 {

@@ -189,7 +189,7 @@ func (rt *Runtime) ExitLatencies() []time.Duration {
 func (rt *Runtime) MailboxDepths() []int {
 	rt.pauseAll()
 	defer rt.resumeAll()
-	out := make([]int, 0, len(rt.byPid))
+	out := make([]int, 0, len(rt.procs))
 	for _, p := range rt.procs {
 		if p == nil || p.life.Load() == 2 {
 			continue

@@ -49,8 +49,8 @@ func TestInFlightConservation(t *testing.T) {
 				}
 			}
 			w := rt.freezeUnderPause()
-			for _, p := range rt.byPid {
-				if p.life.Load() == 2 {
+			for _, p := range rt.procs {
+				if p == nil || p.life.Load() == 2 {
 					continue
 				}
 				depth := int(p.depth.Load())
@@ -62,8 +62,9 @@ func TestInFlightConservation(t *testing.T) {
 				if p.mode != sim.Leaving {
 					continue
 				}
-				if want, _ := w.RelevantDegree(p.id); p.nbr.Len() != want {
-					t.Errorf("shards=%d: leaver %v incremental degree %d, frozen world says %d", shards, p.id, p.nbr.Len(), want)
+				want, _ := w.RelevantDegree(p.id)
+				if got := rt.ledger.Degree(p.id); got != want {
+					t.Errorf("shards=%d: leaver %v incremental degree %d, frozen world says %d", shards, p.id, got, want)
 				}
 			}
 			rt.resumeAll()
@@ -180,8 +181,8 @@ func TestForcedShardChurn(t *testing.T) {
 // before delivering them (Stop has absorbed every inbox).
 func lostWithTheGone(rt *Runtime) uint64 {
 	var n uint64
-	for _, p := range rt.byPid {
-		if p.life.Load() == 2 {
+	for _, p := range rt.procs {
+		if p != nil && p.life.Load() == 2 {
 			n += uint64(p.mb.len())
 		}
 	}

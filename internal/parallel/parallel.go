@@ -9,7 +9,7 @@
 // Architecture (DESIGN.md §12):
 //
 //   - The runtime is split into shards, one worker goroutine each (default
-//     GOMAXPROCS). Every process is interned to a compact uint32 pid and
+//     GOMAXPROCS). Every process is addressed by its reference's index and
 //     owned by exactly one shard; each worker alternates bounded delivery
 //     and timeout rounds over its own processes, so scheduling costs O(work)
 //     instead of O(goroutines).
@@ -86,7 +86,6 @@ const (
 // proc is one concurrent process.
 type proc struct {
 	id    ref.Ref
-	pid   uint32 // dense index into Runtime.byPid
 	mode  sim.Mode
 	proto sim.Protocol
 	mb    mailbox // the owning worker's (or a pauser's)
@@ -136,17 +135,13 @@ type proc struct {
 	oracleOK atomic.Bool
 
 	// dirty reports that the process sits on the runtime's dirty queue: its
-	// distinct-neighbor count changed since the coordinator last judged it.
+	// degree changed since the coordinator last judged it.
 	dirty atomic.Bool
 
-	// nbr is the incremental relevant-degree multiset: one entry per
-	// distinct neighbor pid, holding the number of current PG edges with it,
-	// so its length is the relevant degree (see degree.go). Non-nil only for
-	// live leaving processes of degree-tracked runs; guarded by degMu (pair
-	// updates lock both endpoints in ascending pid order, an exit commit
-	// takes its neighbors' one at a time).
-	nbr   *nbrRow
-	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in ascending pid order
+	// degMu guards the process's row of the runtime's ledger (see degree.go):
+	// pair updates lock both endpoints in reference order, an exit commit
+	// takes its neighbors' one at a time.
+	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in reference order
 
 	// synced is the copy of proto.Refs() the degree ledger last accounted for
 	// (syncRefs after every action, resetLedger at Start and after Mutate).
@@ -154,7 +149,7 @@ type proc struct {
 	synced []ref.Ref
 
 	// ready reports that the process sits on its shard's ready list
-	// (shard.ready). Set by the coordinator before it appends the pid,
+	// (shard.ready). Set by the coordinator before it appends the index,
 	// cleared by the owning worker once it has popped it.
 	ready atomic.Bool
 
@@ -167,7 +162,6 @@ type proc struct {
 // Runtime drives a set of processes concurrently.
 type Runtime struct {
 	procs  []*proc // dense, indexed by ref.Index; nil where no process was added
-	byPid  []*proc // dense, in registration order
 	shards []*shard
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
 
@@ -206,11 +200,10 @@ type Runtime struct {
 	// vocabulary is identical across engines and fresh IDs never collide.
 	causal atomic.Uint64
 
-	// trackDeg enables incremental relevant-degree counters (degree.go):
-	// set at Start when the oracle's verdict is a pure degree function.
-	// asleep counts processes with life==1 — while it is zero nothing can
-	// hibernate and the counters are never below the frozen world's
-	// RelevantDegree (equal to it at a full pause).
+	// trackDeg enables the ledger (degree.go): set at Start when the oracle's
+	// verdict is a pure degree function. asleep counts processes with
+	// life==1 — while it is zero nothing can hibernate and no ledger row is
+	// below the frozen world's RelevantDegree (equal to it at a full pause).
 	trackDeg bool
 	asleep   atomic.Int64
 
@@ -242,6 +235,10 @@ type Runtime struct {
 	// Start (and re-captured by MutableView.Reseal after a fault strike).
 	// Written only before the goroutines exist or under a full pause.
 	initially [][]ref.Ref
+
+	// ledger holds the leavers' degree rows (degree.go), each guarded by its
+	// process's degMu; the table is rebuilt only under a full pause.
+	ledger graph.Ledger
 }
 
 // Oracle is re-exported so callers pass the same oracles as the simulator.
@@ -260,12 +257,12 @@ func NewRuntime(oracle Oracle) *Runtime {
 }
 
 // SetShards fixes the worker count. Must be called before any AddProcess;
-// processes are dealt pid-modulo-k until a rebalance.
+// processes are dealt reference-index-modulo-k until a rebalance.
 func (rt *Runtime) SetShards(k int) {
 	if k < 1 {
 		panic("parallel: SetShards needs at least one shard")
 	}
-	if len(rt.byPid) > 0 {
+	if len(rt.procs) > 0 {
 		panic("parallel: SetShards after AddProcess")
 	}
 	rt.makeShards(k)
@@ -310,12 +307,11 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	if rt.lookup(r) != nil {
 		panic(fmt.Sprintf("parallel: duplicate process %v", r))
 	}
-	p := &proc{id: r, pid: uint32(len(rt.byPid)), mode: mode, proto: proto, rt: rt}
+	p := &proc{id: r, mode: mode, proto: proto, rt: rt}
 	p.ctx.p = p
-	sh := rt.shards[int(p.pid)%len(rt.shards)]
+	sh := rt.shards[idx%len(rt.shards)]
 	p.shard.Store(uint32(sh.idx))
-	sh.pids = append(sh.pids, p.pid)
-	rt.byPid = append(rt.byPid, p)
+	sh.pids = append(sh.pids, int32(idx))
 	if grow := idx + 1 - len(rt.procs); grow > 0 {
 		rt.procs = append(rt.procs, make([]*proc, grow)...)
 	}
@@ -523,7 +519,7 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		// a reference it carried is never off the ledger while the delivery
 		// is open.
 		p.syncRefs(sh)
-		rt.removeMsgPairs(p, msg.Refs)
+		rt.msgPairs(p, msg.Refs, -1)
 	}
 	return p.finishAction(sh)
 }
@@ -591,23 +587,23 @@ func (rt *Runtime) requestExit(p *proc) {
 // validateExit under a full pause, after the oracle granted on the sealed
 // snapshot. No action of p may be running or able to start.
 func (rt *Runtime) commitExit(p *proc) {
-	if nbr, ok := rt.retire(p, nil); ok {
-		rt.finishExit(p, nbr)
+	if pairs, ok := rt.retire(p, nil); ok {
+		rt.finishExit(p, pairs)
 	}
 }
 
-// finishExit completes the exit of p, already retired with neighbor
-// multiset nbr: shard bookkeeping updated, pairs erased, latency recorded,
+// finishExit completes the exit of p, already retired with what its ledger
+// row held: shard bookkeeping updated, pairs erased, latency recorded,
 // EvExit emitted. The mailbox is left as it is: admit has refused since p
 // turned gone, so what waits there (or is still on its way through an outbox
 // or inbox) was sent before the exit, and nobody pops it. Callers:
 // commitExit, and the coordinator's fast-path epoch with the workers running
 // — it takes leaf locks and neighbors' degMu only, and its causal id and its
 // step come from the shared counters, not from a worker's block or cache.
-func (rt *Runtime) finishExit(p *proc, nbr *nbrRow) {
+func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 	sh := rt.shards[p.shard.Load()]
 	sh.live.Add(-1)
-	rt.dropPairsOf(p, nbr)
+	rt.dropPairsOf(p, pairs)
 	rt.exits.Add(1)
 	sh.latMu.Lock()
 	sh.exitLat = append(sh.exitLat, time.Since(rt.startTime))
@@ -665,8 +661,8 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 }
 
 // settleOn validates a batch of exit requests against the sealed snapshot w,
-// in order. The exit of a process that is no leaver leaves its pid in its
-// leaver neighbors' rows (it has no row of its own to erase them from), so
+// in order. The exit of a process that is no leaver leaves it in its leaver
+// neighbors' rows (it has no row of its own to erase them from), so
 // the ledger is rebuilt before the world resumes. Caller holds the world
 // paused.
 func (rt *Runtime) settleOn(w *sim.World, batch []*proc) {
@@ -721,8 +717,8 @@ func (rt *Runtime) seal() {
 	}
 	for _, sh := range rt.shards {
 		var awake, live int32
-		for _, pid := range sh.pids {
-			switch rt.byPid[pid].life.Load() {
+		for _, i := range sh.pids {
+			switch rt.procs[i].life.Load() {
 			case 0:
 				awake++
 				live++
@@ -999,7 +995,7 @@ func (rt *Runtime) Mutate(fn func(v *MutableView)) {
 // Live returns the references of all non-gone processes in deterministic
 // order.
 func (v *MutableView) Live() []ref.Ref {
-	out := make([]ref.Ref, 0, len(v.rt.byPid))
+	out := make([]ref.Ref, 0, len(v.rt.procs))
 	for _, p := range v.rt.procs {
 		if p != nil && p.life.Load() != 2 {
 			out = append(out, p.id)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -122,7 +123,7 @@ type shard struct {
 	// timeoutRound serves them ahead of the scan. Guarded by mbMu: the
 	// coordinator appends while the worker runs (markReady), the worker pops
 	// into readyBuf (worker-private); a rebalance rebuilds it under the pause.
-	ready []uint32
+	ready []int32
 
 	// notify is a capacity-1 wakeup: raised with every batch left in the
 	// inbox (not per message), when a denied exiter is rescheduled, and after
@@ -148,9 +149,9 @@ type shard struct {
 	// goroutines write above.
 	_ [64]byte
 
-	// runq lists the owned processes with deliverable messages, each at most
-	// once (proc.inRun).
-	runq   []uint32
+	// runq lists the owned processes with deliverable messages, by reference
+	// index, each at most once (proc.inRun).
+	runq   []int32
 	rqHead int
 
 	// outbox[k] collects the messages this worker admitted for processes of
@@ -160,15 +161,15 @@ type shard struct {
 	outbox [][]parcel
 	spare  []parcel
 
-	// pids are the owned processes. Written only under a full pause
-	// (AddProcess pre-Start, rebalance); read by the worker.
-	pids     []uint32
+	// pids are the owned processes, by reference index. Written only under a
+	// full pause (AddProcess pre-Start, rebalance); read by the worker.
+	pids     []int32
 	cursor   int       // round-robin position of the timeout scan
 	nextTO   time.Time // earliest moment of the next timeout round
-	readyBuf []uint32
+	readyBuf []int32
 
-	// refScratch is syncRefs' sort buffer.
-	refScratch []ref.Ref
+	// diff holds syncRefs' sort buffers.
+	diff graph.RefDiff
 
 	// cid..cidEnd is the block of causal ids the worker hands out before it
 	// reserves the next one from rt.causal (nextCID).
@@ -206,7 +207,7 @@ func (sh *shard) nextCID() uint64 {
 }
 
 // admit decides, at send time, whether msg enters p's channel. The implicit
-// edges are counted first (addMsgPairs re-checks life under both degMu's, so
+// edges are counted first (msgPairs re-checks life under both degMu's, so
 // a pair is either part of the degree p's exit is judged on or finds p gone
 // and counts nothing); then a live p takes the message — it is in flight from
 // here on, wherever it waits — and a gone p refuses it, the count undone.
@@ -215,11 +216,11 @@ func (sh *shard) nextCID() uint64 {
 func (rt *Runtime) admit(p *proc, msg *sim.Message) (int, bool) {
 	tracked := rt.trackDeg && len(msg.Refs) > 0
 	if tracked {
-		rt.addMsgPairs(p, msg.Refs)
+		rt.msgPairs(p, msg.Refs, 1)
 	}
 	if p.life.Load() == 2 {
 		if tracked {
-			rt.removeMsgPairs(p, msg.Refs)
+			rt.msgPairs(p, msg.Refs, -1)
 		}
 		return 0, false
 	}
@@ -254,7 +255,7 @@ func (sh *shard) enqueue(p *proc, msg *sim.Message) {
 func (sh *shard) makeRunnable(p *proc) {
 	if !p.inRun && p.mb.len() > 0 && !p.exitPending.Load() {
 		p.inRun = true
-		sh.runq = append(sh.runq, p.pid)
+		sh.runq = append(sh.runq, int32(ref.Index(p.id)))
 	}
 }
 
@@ -356,12 +357,12 @@ func (sh *shard) nextBatch(max int) (*proc, int) {
 		sh.runq, sh.rqHead = sh.runq[:n], 0
 	}
 	for sh.rqHead < len(sh.runq) {
-		pid := sh.runq[sh.rqHead]
+		i := sh.runq[sh.rqHead]
 		sh.rqHead++
 		if sh.rqHead == len(sh.runq) {
 			sh.runq, sh.rqHead = sh.runq[:0], 0
 		}
-		p := sh.rt.byPid[pid]
+		p := sh.rt.procs[i]
 		k := p.mb.len()
 		if p.exitPending.Load() || p.life.Load() == 2 || k == 0 {
 			p.inRun = false
@@ -369,7 +370,7 @@ func (sh *shard) nextBatch(max int) (*proc, int) {
 		}
 		if k > max {
 			k = max
-			sh.runq = append(sh.runq, pid)
+			sh.runq = append(sh.runq, i)
 		} else {
 			p.inRun = false
 		}
@@ -410,12 +411,13 @@ func (rt *Runtime) markReady(p *proc) {
 	}
 	sh := rt.shards[p.shard.Load()]
 	sh.mbMu.Lock()
-	sh.ready = append(sh.ready, p.pid)
+	sh.ready = append(sh.ready, int32(ref.Index(p.id)))
 	sh.mbMu.Unlock()
 }
 
-// takeReady pops up to max pids off the ready list into the worker's buffer.
-func (sh *shard) takeReady(max int) []uint32 {
+// takeReady pops up to max processes off the ready list into the worker's
+// buffer.
+func (sh *shard) takeReady(max int) []int32 {
 	sh.mbMu.Lock()
 	k := min(len(sh.ready), max)
 	sh.readyBuf = append(sh.readyBuf[:0], sh.ready[:k]...)
@@ -440,8 +442,8 @@ func (sh *shard) takeReady(max int) []uint32 {
 // coordinator writes life before it touches the flag.)
 func (sh *shard) timeoutRound() int {
 	ran := 0
-	for _, pid := range sh.takeReady(timeoutBudget / 2) {
-		p := sh.rt.byPid[pid]
+	for _, i := range sh.takeReady(timeoutBudget / 2) {
+		p := sh.rt.procs[i]
 		p.ready.Store(false)
 		if p.exitPending.Load() || p.life.Load() != 0 {
 			continue
@@ -454,7 +456,7 @@ func (sh *shard) timeoutRound() int {
 		if sh.cursor >= n {
 			sh.cursor = 0
 		}
-		p := sh.rt.byPid[sh.pids[sh.cursor]]
+		p := sh.rt.procs[sh.pids[sh.cursor]]
 		sh.cursor++
 		if p.exitPending.Load() || p.life.Load() != 0 {
 			continue
@@ -583,7 +585,7 @@ func (rt *Runtime) resumeAll() {
 // --- rebalance -----------------------------------------------------------
 
 // Rebalance redistributes the live processes evenly across the shards under
-// a full pause. Long churn runs decay the initial pid-modulo balance as
+// a full pause. Long churn runs decay the initial index-modulo balance as
 // processes exit; the coordinator triggers this automatically when the
 // spread exceeds rebalanceRatio, and tests drive it directly.
 func (rt *Runtime) Rebalance() {
@@ -612,8 +614,8 @@ func (rt *Runtime) rebalanceUnderPause() {
 		sh.awake.Store(0)
 		sh.live.Store(0)
 	}
-	i := 0
-	for _, p := range rt.procs {
+	k := 0
+	for i, p := range rt.procs {
 		if p == nil {
 			continue
 		}
@@ -622,13 +624,13 @@ func (rt *Runtime) rebalanceUnderPause() {
 			p.ready.Store(false)
 			continue
 		}
-		sh := rt.shards[i%len(rt.shards)]
-		i++
+		sh := rt.shards[k%len(rt.shards)]
+		k++
 		p.shard.Store(uint32(sh.idx))
-		sh.pids = append(sh.pids, p.pid)
+		sh.pids = append(sh.pids, int32(i))
 		sh.live.Add(1)
 		if p.ready.Load() {
-			sh.ready = append(sh.ready, p.pid)
+			sh.ready = append(sh.ready, int32(i))
 		}
 		if p.life.Load() == 0 {
 			sh.awake.Add(1)

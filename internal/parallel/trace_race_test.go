@@ -121,7 +121,7 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	var added, sunk int
 	rt.AddEventHook(func(sim.Event) { added++ })
 	rt.SetEventSink(func(sim.Event) { sunk++ })
-	p := rt.byPid[0]
+	p := rt.procs[0]
 	sh := rt.shards[p.shard.Load()]
 	if sh.note(sim.EvTimeout) {
 		rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id})

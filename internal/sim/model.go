@@ -172,9 +172,9 @@ type Protocol interface {
 	//
 	// Order: the enumeration is a deterministic function of the stored
 	// references — reference sets in ref.Sort order, special variables at
-	// fixed positions — so an unchanged state yields an equal slice; the
-	// engines' per-action accounting (World.pgSyncRefs, the runtime's
-	// syncRefs) relies on that to skip the diff with one equality scan.
+	// fixed positions — so an unchanged state yields an equal slice; both
+	// engines' per-action accounting (graph.RefDiff.Resync) relies on that to
+	// skip the diff with one equality scan.
 	//
 	// Read-only: the returned slice is never modified after it was handed
 	// out, neither by the protocol (which may hand the same slice to every

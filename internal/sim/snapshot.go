@@ -128,12 +128,11 @@ func (w *World) RelevantDegree(u ref.Ref) (int, bool) {
 	if hib.Has(u) {
 		return 0, false
 	}
-	row := &w.ledger[ref.Index(u)]
 	if hib == nil {
-		return row.Len(), true
+		return w.ledger.Degree(u), true
 	}
 	n := 0
-	for _, e := range row.Entries() {
+	for _, e := range w.ledger.Pairs(u) {
 		if !hib.Has(e.Key) {
 			n++
 		}
@@ -164,7 +163,7 @@ func (w *World) NIDEC(u ref.Ref) bool {
 		return false
 	}
 	in := 0
-	for _, e := range w.ledger[ref.Index(u)].Entries() {
+	for _, e := range w.ledger.Pairs(u) {
 		if !hib.Has(e.Key) {
 			in += int(e.Val)
 		}

@@ -197,15 +197,14 @@ type World struct {
 	ctx procCtx
 
 	// The incrementally maintained degree ledger, nil until a query needs
-	// it, and the generation-stamped hibernating set; see pg.go. ledger is
-	// indexed by ref.Index; only leavers' rows hold entries.
-	ledger   []ledgerRow
+	// it, and the generation-stamped hibernating set; see pg.go.
+	ledger   *graph.Ledger
 	gen      uint64 // bumped on every mutation that can change Hibernating
 	hibGen   uint64
 	hibCache ref.Set
 
-	oldRefs, newRefs []ref.Ref       // reusable diff buffers for pgSyncRefs
-	uf               graph.UnionFind // reusable component partition for unite
+	diff graph.RefDiff   // pgSyncRefs' sort buffers
+	uf   graph.UnionFind // reusable component partition for unite
 }
 
 // NewWorld returns an empty world using the given oracle (nil = no oracle;
@@ -297,7 +296,7 @@ func (w *World) Enqueue(to ref.Ref, msg Message) {
 	if len(p.ch) > w.stats.MaxChannel {
 		w.stats.MaxChannel = len(p.ch)
 	}
-	w.pgEnqueue(p, &msg)
+	w.pgMessage(p, &msg, 1)
 }
 
 // SetRouter installs the outbound transport hook. When a process sends to a
@@ -341,7 +340,7 @@ func (w *World) Inject(to ref.Ref, msg Message) bool {
 	if len(p.ch) > w.stats.MaxChannel {
 		w.stats.MaxChannel = len(p.ch)
 	}
-	w.pgEnqueue(p, &msg)
+	w.pgMessage(p, &msg, 1)
 	return true
 }
 
@@ -642,7 +641,7 @@ func (w *World) Execute(a Action) {
 		// Remove the message from the channel (processed exactly once).
 		p.ch = append(p.ch[:a.MsgIndex], p.ch[a.MsgIndex+1:]...)
 		w.stats.TotalInQueue--
-		w.pgDequeue(p, &msg)
+		w.pgMessage(p, &msg, -1)
 		w.wake(p, &msg)
 		w.stats.Deliveries++
 		w.causal++
@@ -776,7 +775,7 @@ func (c *procCtx) Send(to ref.Ref, msg Message) {
 	if len(target.ch) > c.w.stats.MaxChannel {
 		c.w.stats.MaxChannel = len(target.ch)
 	}
-	c.w.pgEnqueue(target, &msg)
+	c.w.pgMessage(target, &msg, 1)
 	c.w.emit(Event{Kind: EvSend, Proc: c.p.id, Peer: to, Label: msg.Label, Depth: len(target.ch),
 		CID: msg.cid, Parent: msg.parent, MsgID: msg.cid, MsgSeq: msg.seq, Clock: c.p.clock})
 }

@@ -34,7 +34,6 @@ type Scenario struct {
 	FlipBeliefs   float64 `json:"flip_beliefs,omitempty"`
 	RandomAnchors float64 `json:"random_anchors,omitempty"`
 	JunkMessages  int     `json:"junk_messages,omitempty"`
-	AsleepLeavers float64 `json:"asleep_leavers,omitempty"`
 	Components    int     `json:"components,omitempty"`
 	// LeaverIndices, when non-empty, pins the leaving set to these node
 	// indices instead of drawing it from Pattern/LeaveFraction. The shrinker
@@ -97,7 +96,6 @@ func ScenarioFor(cfg churn.Config, scheduler string) Scenario {
 		FlipBeliefs:   cfg.Corrupt.FlipBeliefs,
 		RandomAnchors: cfg.Corrupt.RandomAnchors,
 		JunkMessages:  cfg.Corrupt.JunkMessages,
-		AsleepLeavers: cfg.Corrupt.AsleepLeavers,
 		Components:    cfg.Components,
 		LeaverIndices: cfg.LeaverIndices,
 	}
@@ -135,7 +133,6 @@ func (s Scenario) ChurnConfig() (churn.Config, error) {
 			FlipBeliefs:   s.FlipBeliefs,
 			RandomAnchors: s.RandomAnchors,
 			JunkMessages:  s.JunkMessages,
-			AsleepLeavers: s.AsleepLeavers,
 		},
 		Variant:       variant,
 		Oracle:        orc,
