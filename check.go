@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fdp/internal/check"
+	"fdp/internal/churn"
 )
 
 // CheckConfig describes a bounded exhaustive schedule exploration: EVERY
@@ -70,7 +71,7 @@ func CheckSchedules(cfg CheckConfig) (CheckReport, error) {
 		leavers = append(leavers, i)
 	}
 	sc := Config{N: cfg.N, Topology: cfg.Topology, Variant: cfg.Variant, Oracle: cfg.Oracle}
-	s, simVariant, err := sc.build(leavers)
+	s, simVariant, err := sc.build(churn.Config{LeaverIndices: leavers})
 	if err != nil {
 		return CheckReport{}, err
 	}

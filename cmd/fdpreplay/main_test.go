@@ -35,6 +35,11 @@ var goldens = []struct {
 		N: 16, Topology: "ring", LeaveFraction: 0.5, Pattern: "random",
 		Variant: "FSP", Seed: 9, Scheduler: "random",
 	}},
+	{"seq_fdp_sortring_n8", trace.Scenario{
+		N: 8, Topology: "random", LeaveFraction: 0.3, Pattern: "random",
+		Variant: "FDP", Overlay: "sortring", Oracle: "SINGLE", Seed: 5, Scheduler: "random",
+		RandomAnchors: 0.3, JunkPending: 4,
+	}},
 }
 
 func goldenPath(name string) string {

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"fdp/internal/app"
+	"fdp/internal/churn"
 	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
@@ -17,10 +18,10 @@ import (
 
 func main() {
 	const n = 16
-	sc := framework.Build(framework.Config{
-		N: n, LeaveFraction: 0.3, Oracle: oracle.Single{}, Seed: 4, ExtraEdges: n / 2,
-		MakeOverlay: func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) },
-	})
+	sc := framework.Of(churn.Build(churn.Config{
+		N: n, Topology: churn.TopoRandom, LeaveFraction: 0.3, Oracle: oracle.Single{}, Seed: 4,
+		Overlay: framework.Factory(func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) }),
+	}))
 	sched := sim.NewRandomScheduler(4, 512)
 	staying := sc.StayingNodes()
 
@@ -58,9 +59,7 @@ func main() {
 	// Mid-churn lookups.
 	run(5 * n)
 	launched := launch()
-	for !(sc.World.Legitimate(sim.FDP) && sc.InTarget()) {
-		run(n)
-	}
+	sim.Run(sc.World, sched, sim.RunOptions{Variant: sim.FDP, CheckEvery: n, Target: sc.Scenario.InTarget})
 	d1, f1 := totals()
 	fmt.Printf("  during departures: %d launched, %d delivered, %d failed, %d lost\n",
 		launched, d1, f1, launched-d1-f1)

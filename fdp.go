@@ -229,14 +229,15 @@ func (v Variant) engine() (core.Variant, sim.Variant) {
 	return core.VariantFDP, sim.FDP
 }
 
-// build validates cfg and builds the scenario Simulate, SimulateParallel and
-// CheckSchedules start from, plus the legitimacy variant the run is judged
-// by. It is the one place the façade turns a description into a world:
-// churn.TryBuild, its typed errors (a topology the size cannot host, a leaver
-// set that empties a component) reported as ErrBadConfig. The Oracle is the
-// configured one (nil for FSP), wrapped to count calls when the run is
-// observed. A non-empty leavers names the leaving processes by index.
-func (c *Config) build(leavers []int) (*churn.Scenario, sim.Variant, error) {
+// build validates cfg and builds the scenario Simulate, SimulateParallel,
+// SimulateOverlay and CheckSchedules start from, plus the legitimacy variant
+// the run is judged by. It is the one place the façade turns a description
+// into a world: churn.TryBuild, its typed errors (a topology the size cannot
+// host, a leaver set that empties a component) reported as ErrBadConfig.
+// extra carries what Config cannot say: explicit leavers by index, or the
+// overlay P′ wraps and its pending junk. The Oracle is the configured one
+// (nil for FSP), wrapped to count calls when the run is observed.
+func (c *Config) build(extra churn.Config) (*churn.Scenario, sim.Variant, error) {
 	if c.N < 1 {
 		return nil, 0, fmt.Errorf("%w: N = %d", ErrBadConfig, c.N)
 	}
@@ -252,19 +253,13 @@ func (c *Config) build(leavers []int) (*churn.Scenario, sim.Variant, error) {
 		}
 	}
 	s, err := churn.TryBuild(churn.Config{
-		N:             c.N,
-		Topology:      c.Topology,
-		LeaveFraction: c.LeaveFraction,
-		Pattern:       c.Pattern,
+		N: c.N, Topology: c.Topology, LeaveFraction: c.LeaveFraction, Pattern: c.Pattern,
 		Corrupt: churn.Corruption{
-			FlipBeliefs:   c.CorruptBeliefs,
-			RandomAnchors: c.CorruptAnchors,
-			JunkMessages:  c.JunkMessages,
+			FlipBeliefs: c.CorruptBeliefs, RandomAnchors: c.CorruptAnchors,
+			JunkMessages: c.JunkMessages, JunkPending: extra.Corrupt.JunkPending,
 		},
-		Variant:       coreVariant,
-		Oracle:        orc,
-		Seed:          c.Seed,
-		LeaverIndices: leavers,
+		Variant: coreVariant, Oracle: orc, Seed: c.Seed,
+		LeaverIndices: extra.LeaverIndices, Overlay: extra.Overlay,
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -275,39 +270,51 @@ func (c *Config) build(leavers []int) (*churn.Scenario, sim.Variant, error) {
 // Simulate runs the departure protocol of Section 3 on the configured
 // scenario and reports the outcome.
 func Simulate(cfg Config) (Report, error) {
-	s, simVariant, err := cfg.build(nil)
+	s, simVariant, err := cfg.build(churn.Config{})
 	if err != nil {
 		return Report{}, err
 	}
+	return cfg.run(s, simVariant)
+}
+
+// run drives s on the sequential engine under cfg's scheduler until it is
+// legitimate and in its overlay's target topology, journaling and observing
+// it as cfg asks.
+func (c *Config) run(s *churn.Scenario, simVariant sim.Variant) (Report, error) {
 	// The scheduler is resolved by the name it stamps into the journal header.
-	sched, err := trace.SchedulerByName(cfg.Scheduler.String(), cfg.Seed)
+	sched, err := trace.SchedulerByName(c.Scheduler.String(), c.Seed)
 	if err != nil {
 		return Report{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if cfg.Observe != nil {
-		obs.InstrumentWorld(s.World, cfg.Observe)
+	if c.Observe != nil {
+		obs.InstrumentWorld(s.World, c.Observe)
 	}
-	var jw *trace.Writer
-	if cfg.Journal != nil {
-		jw = trace.NewWriter(cfg.Journal, trace.Header{
-			Version:  trace.Version,
-			Engine:   trace.EngineSim,
-			Scenario: trace.ScenarioFor(s.Config, sched.Name()),
-		})
-		s.World.AddEventHook(jw.Record)
-	}
+	journalErr := c.journal(trace.EngineSim, s.Config, sched.Name(), s.World.AddEventHook)
 	res := sim.Run(s.World, sched, sim.RunOptions{
 		Variant:     simVariant,
-		MaxSteps:    cfg.MaxSteps,
-		CheckSafety: cfg.CheckSafety,
-		Stop:        cfg.Stop,
+		MaxSteps:    c.MaxSteps,
+		CheckSafety: c.CheckSafety,
+		Target:      s.InTarget,
+		Stop:        c.Stop,
 	})
-	if jw != nil {
-		if err := jw.Err(); err != nil {
-			return reportFrom(res), fmt.Errorf("fdp: journal write: %w", err)
-		}
+	return reportFrom(res), journalErr()
+}
+
+// journal records the run into c.Journal, when set, under a header naming
+// the engine, the scenario scn and the scheduler, through addHook. The
+// returned func reports a write error once the run is over.
+func (c *Config) journal(engine string, scn churn.Config, sched string, addHook func(func(sim.Event))) func() error {
+	if c.Journal == nil {
+		return func() error { return nil }
 	}
-	return reportFrom(res), nil
+	jw := trace.NewWriter(c.Journal, trace.Header{Version: trace.Version, Engine: engine, Scenario: trace.ScenarioFor(scn, sched)})
+	addHook(jw.Record)
+	return func() error {
+		if err := jw.Err(); err != nil {
+			return fmt.Errorf("fdp: journal write: %w", err)
+		}
+		return nil
+	}
 }
 
 func reportFrom(res sim.RunResult) Report {
@@ -347,7 +354,7 @@ type OverlayConfig struct {
 	N int
 	// Overlay is the wrapped maintenance protocol.
 	Overlay Overlay
-	// LeaveFraction marks that share of processes as leaving.
+	// LeaveFraction in [0,1] marks that share of processes as leaving.
 	LeaveFraction float64
 	// Variant selects FDP (default) or FSP.
 	Variant Variant
@@ -369,60 +376,29 @@ type OverlayReport struct {
 }
 
 // SimulateOverlay runs the framework P′ of Section 4: the chosen overlay
-// maintenance protocol combined with the departure protocol.
+// maintenance protocol combined with the departure protocol, from a random
+// connected topology, under the SINGLE oracle (FDP) and the random
+// scheduler, until the run is legitimate and the staying processes form the
+// overlay's target topology.
 func SimulateOverlay(cfg OverlayConfig) (OverlayReport, error) {
-	if cfg.N < 1 {
-		return OverlayReport{}, fmt.Errorf("%w: N = %d", ErrBadConfig, cfg.N)
+	p, err := churn.ByName("overlay", cfg.Overlay.String(), framework.Overlays())
+	if err != nil {
+		return OverlayReport{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	coreVariant, simVariant := cfg.Variant.engine()
-	var orc sim.Oracle
-	if coreVariant == core.VariantFDP {
-		orc = oracle.Single{}
-	}
-	s := framework.Build(framework.Config{
-		N:              cfg.N,
-		Overlay:        cfg.Overlay,
-		LeaveFraction:  cfg.LeaveFraction,
-		Variant:        coreVariant,
-		Oracle:         orc,
-		Seed:           cfg.Seed,
-		ExtraEdges:     cfg.N / 2,
+	c := Config{
+		N: cfg.N, Topology: Random, LeaveFraction: cfg.LeaveFraction,
+		Variant: cfg.Variant, Seed: cfg.Seed, MaxSteps: cfg.MaxSteps,
 		CorruptAnchors: cfg.CorruptAnchors,
-		JunkPending:    cfg.JunkPending,
-	})
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 21
 	}
-	sched := sim.NewRandomScheduler(cfg.Seed, 0)
-	check := cfg.N
-	done := false
-	for s.World.Steps() < maxSteps {
-		if s.World.Steps()%check == 0 && s.World.Legitimate(simVariant) && s.InTarget() {
-			done = true
-			break
-		}
-		a, ok := sched.Next(s.World)
-		if !ok {
-			break
-		}
-		s.World.Execute(a)
+	if c.MaxSteps <= 0 {
+		c.MaxSteps = 1 << 21
 	}
-	if !done {
-		done = s.World.Legitimate(simVariant) && s.InTarget()
+	s, simVariant, err := c.build(churn.Config{Overlay: p, Corrupt: churn.Corruption{JunkPending: cfg.JunkPending}})
+	if err != nil {
+		return OverlayReport{}, err
 	}
-	st := s.World.Stats()
-	return OverlayReport{
-		Report: Report{
-			Converged:       done,
-			Steps:           s.World.Steps(),
-			MessagesSent:    st.Sent,
-			MessagesByLabel: st.SentByLabel,
-			Exits:           st.Exits,
-			MaxChannel:      st.MaxChannel,
-		},
-		TargetReached: s.InTarget(),
-	}, nil
+	rep, err := c.run(s, simVariant)
+	return OverlayReport{Report: rep, TargetReached: s.InTarget(s.World)}, err
 }
 
 // SimulateParallel runs the same scenario as Simulate — same topology,
@@ -434,7 +410,7 @@ func SimulateOverlay(cfg OverlayConfig) (OverlayReport, error) {
 // would. Scheduler and MaxSteps have no meaning on the runtime and are
 // ignored.
 func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
-	s, simVariant, err := cfg.build(nil)
+	s, simVariant, err := cfg.build(churn.Config{})
 	if err != nil {
 		return Report{}, err
 	}
@@ -442,17 +418,9 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 	if cfg.Observe != nil {
 		obs.InstrumentRuntime(rt, cfg.Observe)
 	}
-	var jw *trace.Writer
-	if cfg.Journal != nil {
-		// The header names the scenario the run was built from; runtime
-		// journals are diff-able but not replayable (no scheduler to re-drive).
-		jw = trace.NewWriter(cfg.Journal, trace.Header{
-			Version:  trace.Version,
-			Engine:   trace.EngineRuntime,
-			Scenario: trace.ScenarioFor(s.Config, ""),
-		})
-		rt.AddEventHook(jw.Record)
-	}
+	// Runtime journals are diff-able but not replayable: no scheduler to
+	// re-drive.
+	journalErr := cfg.journal(trace.EngineRuntime, s.Config, "", rt.AddEventHook)
 	interrupted := false
 	rt.Start()
 	ok := rt.WaitUntil(func(w *sim.World) bool {
@@ -474,10 +442,5 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 		SafetyViolated: violated,
 		Interrupted:    interrupted,
 	}
-	if jw != nil {
-		if err := jw.Err(); err != nil {
-			return rep, fmt.Errorf("fdp: journal write: %w", err)
-		}
-	}
-	return rep, nil
+	return rep, journalErr()
 }

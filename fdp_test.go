@@ -115,6 +115,15 @@ func TestSimulateBadConfig(t *testing.T) {
 	if _, err := SimulateOverlay(OverlayConfig{N: 0}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("overlay N=0 must be rejected")
 	}
+	if _, err := SimulateOverlay(OverlayConfig{N: 10, LeaveFraction: -0.5}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("overlay negative fraction: err = %v", err)
+	}
+	if _, err := SimulateOverlay(OverlayConfig{N: 10, LeaveFraction: 2}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("overlay fraction 2: err = %v", err)
+	}
+	if _, err := SimulateOverlay(OverlayConfig{N: 10, Overlay: Overlay(9)}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("unknown overlay: err = %v", err)
+	}
 	if _, err := Morph(0, nil, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("morph n=0 must be rejected")
 	}

@@ -2,7 +2,9 @@
 // of leaving processes, and optional corruption of the initial state
 // (invalid mode beliefs, stale anchors, junk in-flight messages) — the
 // "arbitrary initial states" the self-stabilizing protocol must recover
-// from.
+// from. A scenario seats either process type on the same construction: the
+// departure protocol's core.Proc, or, with an Overlay, the framework P′
+// around an overlay-maintenance protocol P.
 //
 // The builder enforces the paper's constraints on initial states (Section
 // 1.2 and the Section 1.5 note): every process is relevant, only finitely
@@ -19,6 +21,7 @@ import (
 
 	"fdp/internal/core"
 	"fdp/internal/graph"
+	"fdp/internal/overlay"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -201,6 +204,38 @@ type Corruption struct {
 	// JunkMessages injects this many random present/forward messages with
 	// random references and random (often wrong) mode claims.
 	JunkMessages int
+	// JunkPending injects this many saved messages of P, each with random
+	// (often wrong) pre-"verified" modes, into random P′ processes. It needs
+	// an Overlay.
+	JunkPending int
+}
+
+// Process is what TryBuild seats on a node, seeds with the topology's edges
+// and corrupts: the departure protocol's *core.Proc, or P′'s
+// *framework.Wrapper.
+type Process interface {
+	sim.Protocol
+	// SetNeighbor stores v, an edge of the initial topology, believed to be
+	// in the given mode.
+	SetNeighbor(v ref.Ref, belief sim.Mode)
+	// SetAnchor sets the anchor variable.
+	SetAnchor(v ref.Ref, belief sim.Mode)
+}
+
+// pendingHolder is a process that saves P's messages until their
+// references' modes are verified, which JunkPending corrupts.
+type pendingHolder interface {
+	InjectPending(to ref.Ref, label string, refs []ref.Ref, modes map[ref.Ref]sim.Mode)
+}
+
+// Overlay is the overlay-maintenance protocol P that the framework P′ wraps
+// (internal/framework implements it). Like an Oracle, it is a value that
+// names itself: a journal header records String, and replay resolves the
+// name back.
+type Overlay interface {
+	fmt.Stringer
+	// Processes returns one P′ process per node, in node order.
+	Processes(nodes []ref.Ref, variant core.Variant) []Process
 }
 
 // Config describes a scenario.
@@ -225,6 +260,9 @@ type Config struct {
 	// rest of the construction identical; journals serialize it so shrunk
 	// scenarios stay replayable.
 	LeaverIndices []int
+	// Overlay, when non-nil, is the P that every process runs inside P′;
+	// nil seats the bare departure protocol.
+	Overlay Overlay
 }
 
 // Scenario is a built world ready to run.
@@ -233,12 +271,14 @@ type Scenario struct {
 	Space   *ref.Space
 	Nodes   []ref.Ref
 	World   *sim.World
-	Procs   map[ref.Ref]*core.Proc
+	Procs   []Process // Procs[i] runs on Nodes[i]
 	Leaving ref.Set
 	Initial *graph.Graph
 	// parts is the component partition; corruption stays within a part so
 	// components are never accidentally merged.
 	parts [][]ref.Ref
+	// staying is what StayingNodes hands out.
+	staying []ref.Ref
 }
 
 // partOf returns the component slice containing r.
@@ -280,8 +320,9 @@ func (e *ConfigError) Error() string {
 // TryBuild constructs the scenario, returning a typed error (*BuildError or
 // *ConfigError) for configurations that cannot produce a valid initial
 // state: N < 1, a topology undefined at the component size, out-of-range
-// explicit leaver indices, or a leaver set that strips some weak component
-// of its last staying process (the Section 1.5 invariant).
+// explicit leaver indices, a leaver set that strips some weak component
+// of its last staying process (the Section 1.5 invariant), or a corruption
+// the seated process type cannot hold.
 //
 //fdp:primitive init
 func TryBuild(cfg Config) (*Scenario, error) {
@@ -299,10 +340,10 @@ func TryBuild(cfg Config) (*Scenario, error) {
 	if comps > cfg.N {
 		comps = cfg.N
 	}
-	// Build each component's topology separately and take the union, then
-	// pick leavers per component (so every component keeps one staying
-	// process, the Section 1.5 requirement).
-	g := graph.New()
+	// Build each component's topology separately and take the union (of one
+	// graph: itself), then pick leavers per component (so every component
+	// keeps one staying process, the Section 1.5 requirement).
+	var g *graph.Graph
 	leaving := ref.NewSet()
 	var parts [][]ref.Ref
 	per := cfg.N / comps
@@ -318,16 +359,28 @@ func TryBuild(cfg Config) (*Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range sub.Edges() {
-			g.AddEdge(e.From, e.To, e.Kind)
-		}
-		for _, n := range part {
-			g.AddNode(n)
+		if comps == 1 {
+			g = sub
+		} else {
+			if g == nil {
+				g = graph.New()
+			}
+			for _, e := range sub.Edges() {
+				g.AddEdge(e.From, e.To, e.Kind)
+			}
+			for _, n := range part {
+				g.AddNode(n)
+			}
 		}
 		if len(cfg.LeaverIndices) == 0 {
 			subCfg := cfg
 			subCfg.N = len(part)
-			for _, r := range pickLeavers(sub, part, subCfg, rng).Sorted() {
+			picked := pickLeavers(sub, part, subCfg, rng)
+			if comps == 1 {
+				leaving = picked
+				break
+			}
+			for _, r := range picked.Sorted() {
 				leaving.Add(r)
 			}
 		}
@@ -342,52 +395,68 @@ func TryBuild(cfg Config) (*Scenario, error) {
 		}
 	}
 	// Builder invariant: every weakly connected component keeps at least one
-	// staying process. Pattern-based picking guarantees it per part; an
-	// explicit leaver set must be validated.
-	for _, comp := range g.WeaklyConnectedComponents() {
-		stays := false
-		for _, r := range comp {
-			if !leaving.Has(r) {
-				stays = true
-				break
-			}
-		}
-		if !stays {
-			return nil, &ConfigError{Field: "LeaverIndices",
-				Reason: "a weak component has no staying process"}
+	// staying process, so the staying processes reach every node.
+	// Pattern-based picking guarantees it per part; an explicit leaver set
+	// must be validated.
+	staying := make([]ref.Ref, 0, cfg.N-leaving.Len())
+	for _, r := range nodes {
+		if !leaving.Has(r) {
+			staying = append(staying, r)
 		}
 	}
+	if !g.ReachesAll(staying...) {
+		return nil, &ConfigError{Field: "LeaverIndices",
+			Reason: "a weak component has no staying process"}
+	}
 
+	var procs []Process
+	if cfg.Overlay != nil {
+		procs = cfg.Overlay.Processes(nodes, cfg.Variant)
+	} else {
+		procs = make([]Process, cfg.N)
+		for i := range procs {
+			procs[i] = core.New(cfg.Variant)
+		}
+	}
+	// A corruption the seated type cannot hold is refused, not skipped.
+	if _, ok := procs[0].(*core.Proc); cfg.Corrupt.FlipBeliefs > 0 && !ok {
+		return nil, &ConfigError{Field: "Corrupt.FlipBeliefs", Reason: fmt.Sprintf("%T stores no neighbour beliefs", procs[0])}
+	}
+	if _, ok := procs[0].(pendingHolder); cfg.Corrupt.JunkPending > 0 && !ok {
+		return nil, &ConfigError{Field: "Corrupt.JunkPending", Reason: fmt.Sprintf("%T saves no messages (JunkPending needs an Overlay)", procs[0])}
+	}
 	w := sim.NewWorld(cfg.Oracle)
-	procs := make(map[ref.Ref]*core.Proc, cfg.N)
-	for _, r := range nodes {
-		p := core.New(cfg.Variant)
-		procs[r] = p
+	for i, r := range nodes {
 		mode := sim.Staying
 		if leaving.Has(r) {
 			mode = sim.Leaving
 		}
-		w.AddProcess(r, mode, p)
-	}
-	trueMode := func(r ref.Ref) sim.Mode {
-		if leaving.Has(r) {
-			return sim.Leaving
-		}
-		return sim.Staying
+		w.AddProcess(r, mode, procs[i])
 	}
 
 	// Install the topology's explicit edges with (initially valid) beliefs.
 	for _, e := range g.Edges() {
-		procs[e.From].SetNeighbor(e.To, trueMode(e.To))
+		w.ProtocolOf(e.From).(Process).SetNeighbor(e.To, w.ModeOf(e.To))
 	}
 
 	s := &Scenario{
 		Config: cfg, Space: space, Nodes: nodes, World: w,
-		Procs: procs, Leaving: leaving, Initial: g, parts: parts,
+		Procs: procs, Leaving: leaving, Initial: g, parts: parts, staying: staying,
 	}
 	s.corrupt(rng)
 	w.SealInitialState()
 	return s, nil
+}
+
+// InTarget reports whether the staying processes have reached the Overlay's
+// target topology among themselves in w: s.World, a clone of it, or a
+// runtime's frozen snapshot. Without an Overlay there is no target, and it
+// holds.
+func (s *Scenario) InTarget(w *sim.World) bool {
+	if s.Config.Overlay == nil {
+		return true
+	}
+	return overlay.CheckTarget(w, s.StayingNodes())
 }
 
 // LeaverIndexes returns the node indices of the leaving processes in
@@ -476,10 +545,10 @@ func (s *Scenario) corrupt(rng *rand.Rand) {
 		}
 		return sim.Staying
 	}
-	for _, r := range s.Nodes {
-		p := s.Procs[r]
+	for i, r := range s.Nodes {
+		p := s.Procs[i]
 		if c.FlipBeliefs > 0 {
-			for _, b := range p.NeighborBeliefs() { // reference order
+			for _, b := range p.(*core.Proc).NeighborBeliefs() { // reference order
 				if rng.Float64() < c.FlipBeliefs {
 					p.SetNeighbor(b.Ref, flip(b.Mode))
 				}
@@ -512,18 +581,27 @@ func (s *Scenario) corrupt(rng *rand.Rand) {
 		}
 		s.World.Enqueue(to, sim.NewMessage(label, sim.RefInfo{Ref: carried, Mode: claim}))
 	}
+	for i := 0; i < c.JunkPending; i++ {
+		owner := rng.Intn(len(s.Nodes))
+		part := s.partOf(s.Nodes[owner])
+		to := part[rng.Intn(len(part))]
+		carried := part[rng.Intn(len(part))]
+		modes := map[ref.Ref]sim.Mode{}
+		for _, r := range []ref.Ref{to, carried} {
+			switch rng.Intn(3) { // the third draw leaves r unknown
+			case 0:
+				modes[r] = sim.Staying
+			case 1:
+				modes[r] = sim.Leaving
+			}
+		}
+		s.Procs[owner].(pendingHolder).InjectPending(to, overlay.LabelLink, []ref.Ref{carried}, modes)
+	}
 }
 
-// StayingNodes returns the staying processes in deterministic order.
-func (s *Scenario) StayingNodes() []ref.Ref {
-	var out []ref.Ref
-	for _, r := range s.Nodes {
-		if !s.Leaving.Has(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// StayingNodes returns the staying processes in node order. The slice is
+// shared: callers must not write it.
+func (s *Scenario) StayingNodes() []ref.Ref { return s.staying }
 
 // LeavingNodes returns the leaving processes in deterministic order.
 func (s *Scenario) LeavingNodes() []ref.Ref {

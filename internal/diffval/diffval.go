@@ -12,10 +12,12 @@
 // leaving process eventually departs) hold for EVERY admissible schedule —
 // so the engines must agree on the outcome classification: converged or
 // not, safety intact or violated, leavers settled or not, staying
-// components preserved or not. Any disagreement is a bug in one of the
-// engines (historically: in the concurrent one; this harness flushed out
-// the frozen-snapshot re-seal bug, the mailbox close that discarded
-// in-flight references, and the missing drop accounting in parallel sends).
+// components preserved or not, and, for the framework P′ (a scenario with an
+// Overlay), the staying processes in P's target topology or not (Theorem 4).
+// Any disagreement is a bug in one of the engines (historically: in the
+// concurrent one; this harness flushed out the frozen-snapshot re-seal bug,
+// the mailbox close that discarded in-flight references, and the missing
+// drop accounting in parallel sends).
 package diffval
 
 import (
@@ -109,6 +111,10 @@ type Outcome struct {
 	// StayingPreserved reports that the staying processes of each initial
 	// component still form one weakly connected cluster.
 	StayingPreserved bool
+	// InTarget reports that the staying processes form the scenario's
+	// overlay target topology (Theorem 4 for P′; always true without an
+	// overlay). Converged includes it.
+	InTarget bool
 	// Steps is the executed sequential steps / concurrent events
 	// (informational; never compared).
 	Steps uint64
@@ -180,7 +186,8 @@ func (v Verdict) Agree() bool {
 		a.SafetyViolated == b.SafetyViolated &&
 		a.Gone == b.Gone &&
 		a.LeaversSettled == b.LeaversSettled &&
-		a.StayingPreserved == b.StayingPreserved
+		a.StayingPreserved == b.StayingPreserved &&
+		a.InTarget == b.InTarget
 }
 
 // MirrorWorld builds a concurrent runtime from a sequential world: the
@@ -214,12 +221,7 @@ func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 
 // Run executes the scenario on both engines and returns the paired verdict.
 func Run(cfg Config, seed int64) Verdict {
-	scn := cfg.Scenario
-	scn.Seed = seed
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 400000
-	}
+	scn, variant := cfg.scenario(seed)
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 20 * time.Second
@@ -228,11 +230,7 @@ func Run(cfg Config, seed int64) Verdict {
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
-	variant := sim.FDP
-	if scn.Variant == core.VariantFSP {
-		variant = sim.FSP
-	}
-	seqOut, seqFlight, seqStall := runSequential(cfg, scn, variant, maxSteps, seed)
+	seqOut, seqFlight, seqStall := runSequential(cfg, scn, variant, seed)
 	concOut, concFlight, concStall := runConcurrent(cfg, scn, variant, timeout, poll, seed)
 	v := Verdict{Seed: seed, Sequential: seqOut, Concurrent: concOut,
 		SequentialStall: seqStall, ConcurrentStall: concStall}
@@ -245,22 +243,24 @@ func Run(cfg Config, seed int64) Verdict {
 	return v
 }
 
+// scenario returns the run's churn config, seeded, and its legitimacy
+// variant.
+func (c Config) scenario(seed int64) (churn.Config, sim.Variant) {
+	scn := c.Scenario
+	scn.Seed = seed
+	if scn.Variant == core.VariantFSP {
+		return scn, sim.FSP
+	}
+	return scn, sim.FDP
+}
+
 // SequentialOutcome runs only the sequential engine of the scenario —
 // exactly the sequential side of Run (same scheduler, same wave seeds, same
 // journal hook), without paying for a concurrent run. The fuzz shrinker uses
 // it as the fast still-failing predicate for sequential-side failures.
 func SequentialOutcome(cfg Config, seed int64) Outcome {
-	scn := cfg.Scenario
-	scn.Seed = seed
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 400000
-	}
-	variant := sim.FDP
-	if scn.Variant == core.VariantFSP {
-		variant = sim.FSP
-	}
-	out, _, _ := runSequential(cfg, scn, variant, maxSteps, seed)
+	scn, variant := cfg.scenario(seed)
+	out, _, _ := runSequential(cfg, scn, variant, seed)
 	return out
 }
 
@@ -276,11 +276,15 @@ func RunSeeds(cfg Config, n int) []Verdict {
 // runSequential and runConcurrent each return their engine's flight ring
 // beside the outcome: the stall watchdog snapshots it mid-run, Run renders
 // it when the verdicts disagree.
-func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps int, seed int64) (Outcome, *trace.Flight, *StallReport) {
+func runSequential(cfg Config, scn churn.Config, variant sim.Variant, seed int64) (Outcome, *trace.Flight, *StallReport) {
 	s := churn.Build(scn)
+	maxSteps := cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = 400000
+	}
 	leavers := s.LeavingNodes()
 	sched, schedName := cfg.scheduler(seed)
-	opts := sim.RunOptions{Variant: variant, CheckSafety: true}
+	opts := sim.RunOptions{Variant: variant, CheckSafety: true, Target: s.InTarget}
 
 	flight := trace.NewFlight(cfg.FlightK)
 	s.World.AddEventHook(flight.Record)
@@ -300,16 +304,9 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 		opts.OnStep = func(*sim.World) {
 			v, stalled := wd.Tick(w.Steps(), func() int { return w.Stats().TotalInQueue })
 			if stalled && stall == nil {
-				fl, complete := flight.Snapshot()
 				hs := trace.ScenarioFor(scn, schedName)
 				hs.Strikes = append([]trace.StrikeSpec(nil), fired...)
-				stall = &StallReport{
-					Verdict:  v,
-					Header:   trace.Header{Version: trace.Version, Engine: trace.EngineSim, Scenario: hs},
-					Flight:   fl,
-					Complete: complete,
-					Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, leaverNames(leavers))),
-				}
+				stall = newStallReport(v, flight, trace.EngineSim, hs, leavers)
 			}
 		}
 	}
@@ -346,8 +343,9 @@ func runSequential(cfg Config, scn churn.Config, variant sim.Variant, maxSteps i
 		Converged:        res.Converged && res.SafetyViolation == nil,
 		SafetyViolated:   res.SafetyViolation != nil,
 		Gone:             goneCount(s.World, s.Nodes),
-		LeaversSettled:   leaversSettledWorld(s.World, leavers, variant),
+		LeaversSettled:   leaversSettled(s.World, leavers, variant),
 		StayingPreserved: res.SafetyViolation == nil && s.World.StayingComponentsPreserved(),
+		InTarget:         s.InTarget(s.World),
 		Steps:            uint64(s.World.Steps()),
 	}
 	if !out.Converged && stall != nil {
@@ -382,15 +380,7 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 			return int(rt.Sent() - rt.KindCount(sim.EvDeliver) - rt.Dropped())
 		}
 		if v, stalled := wd.Tick(rt.Events(), pending); stalled && stall == nil {
-			fl, complete := flight.Snapshot()
-			hs := trace.ScenarioFor(scn, "")
-			stall = &StallReport{
-				Verdict:  v,
-				Header:   trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs},
-				Flight:   fl,
-				Complete: complete,
-				Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, leaverNames(leavers))),
-			}
+			stall = newStallReport(v, flight, trace.EngineRuntime, trace.ScenarioFor(scn, ""), leavers)
 		}
 	}
 
@@ -409,9 +399,16 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 		faults.New(wv.Config, faults.WaveSeed(seed, i)).StrikeRuntime(rt)
 	}
 
+	// P′'s target is judged where convergence is, at the last poll, as the
+	// sequential side judges it where its run stopped: stale P messages still
+	// in flight when the staying processes first form the target may break
+	// it for a while, so the world after Stop can be out of it again.
+	var inTarget bool
 	converged := waitFor(func() bool {
 		checkStall()
-		return rt.Freeze().Legitimate(variant)
+		w := rt.Freeze()
+		inTarget = s.InTarget(w)
+		return inTarget && w.Legitimate(variant)
 	}, poll, deadline)
 	rt.Stop()
 	final := rt.Freeze()
@@ -421,8 +418,9 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 		Converged:        converged && !violated,
 		SafetyViolated:   violated,
 		Gone:             rt.Gone(),
-		LeaversSettled:   leaversSettledRuntime(final, leavers, variant),
+		LeaversSettled:   leaversSettled(final, leavers, variant),
 		StayingPreserved: !violated && final.StayingComponentsPreserved(),
+		InTarget:         inTarget,
 		Steps:            rt.Events(),
 	}
 	if !out.Converged && stall != nil {
@@ -431,15 +429,23 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 	return out, flight, stall
 }
 
-// leaverNames renders the leaver set as journal proc names — the seeds a
-// stall dump's span trees are built from (a stuck departure has no exit
-// record to be discovered by).
-func leaverNames(leavers []ref.Ref) []string {
+// newStallReport captures an engine's first stall verdict with its flight
+// ring's snapshot, framed as a journal fragment of scenario hs. The span
+// trees are seeded with the leavers' names: a stuck departure has no exit
+// record to be discovered by.
+func newStallReport(v obs.StallVerdict, flight *trace.Flight, engine string, hs trace.Scenario, leavers []ref.Ref) *StallReport {
+	fl, complete := flight.Snapshot()
 	names := make([]string, len(leavers))
 	for i, l := range leavers {
 		names[i] = l.String()
 	}
-	return names
+	return &StallReport{
+		Verdict:  v,
+		Header:   trace.Header{Version: trace.Version, Engine: engine, Scenario: hs},
+		Flight:   fl,
+		Complete: complete,
+		Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, names)),
+	}
 }
 
 // waitFor re-evaluates cond every poll tick until it holds or deadline is
@@ -477,39 +483,20 @@ func goneCount(w *sim.World, nodes []ref.Ref) uint64 {
 	return n
 }
 
-// leaversSettledWorld checks Lemma 3 on the simulator's terminal state.
-func leaversSettledWorld(w *sim.World, leavers []ref.Ref, variant sim.Variant) bool {
-	if variant == sim.FDP {
-		for _, r := range leavers {
-			if w.LifeOf(r) != sim.Gone {
+// leaversSettled checks Lemma 3 on an engine's terminal state: the
+// simulator's world, where a gone process is Gone, or a frozen runtime
+// snapshot, where it is absent.
+func leaversSettled(w *sim.World, leavers []ref.Ref, variant sim.Variant) bool {
+	var hib ref.Set
+	if variant == sim.FSP {
+		hib = w.Hibernating()
+	}
+	for _, r := range leavers {
+		if variant == sim.FSP {
+			if !hib.Has(r) {
 				return false
 			}
-		}
-		return true
-	}
-	hib := w.Hibernating()
-	for _, r := range leavers {
-		if !hib.Has(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// leaversSettledRuntime checks Lemma 3 on a frozen runtime snapshot, where
-// gone processes are simply absent.
-func leaversSettledRuntime(final *sim.World, leavers []ref.Ref, variant sim.Variant) bool {
-	if variant == sim.FDP {
-		for _, r := range leavers {
-			if final.Has(r) {
-				return false
-			}
-		}
-		return true
-	}
-	hib := final.Hibernating()
-	for _, r := range leavers {
-		if !hib.Has(r) {
+		} else if w.Has(r) && w.LifeOf(r) != sim.Gone {
 			return false
 		}
 	}

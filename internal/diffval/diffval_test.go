@@ -8,6 +8,7 @@ import (
 	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/faults"
+	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/parallel"
 	"fdp/internal/ref"
@@ -174,7 +175,7 @@ func TestMirrorWorldTransplantsState(t *testing.T) {
 	rt.Mutate(func(v *parallel.MutableView) {
 		v.ProtocolOf(r0).(*core.Proc).SetNeighbor(extra, sim.Staying)
 	})
-	for _, held := range s.Procs[r0].Refs() {
+	for _, held := range s.Procs[0].Refs() {
 		if held == extra {
 			t.Fatal("MirrorWorld aliased protocol state instead of cloning it")
 		}
@@ -234,5 +235,35 @@ func TestDifferentialNamedSchedulers(t *testing.T) {
 		cfg := fdpConfig()
 		cfg.Scheduler = name
 		assertAgreement(t, "scheduler-"+name, RunSeeds(cfg, 2), true)
+	}
+}
+
+// Theorem 4 on two engines: P′ over each overlay, from a random topology
+// with 30 % leaving, reaches the same verdict on the sequential engine and
+// on the runtime — Lemma 2, Lemma 3 and the staying processes in P's target
+// topology — and converges. The scenario is a churn.Config like any other.
+// -short runs 5 seeds per overlay instead of 50.
+func TestDifferentialOverlay(t *testing.T) {
+	seeds := 50
+	if testing.Short() {
+		seeds = 5
+	}
+	for _, kind := range framework.Overlays() {
+		n := 16
+		if kind == framework.OverlayClique {
+			n = 8 // Θ(n²) P traffic per timeout
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			vs := RunSeeds(Config{Scenario: churn.Config{
+				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.3,
+				Oracle: oracle.Single{}, Overlay: kind,
+			}}, seeds)
+			assertAgreement(t, kind.String(), vs, true)
+			for _, v := range vs {
+				if !v.Sequential.InTarget {
+					t.Errorf("%v seed %d: staying processes not in the target topology: %+v", kind, v.Seed, v.Sequential)
+				}
+			}
+		})
 	}
 }

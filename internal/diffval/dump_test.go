@@ -22,12 +22,13 @@ func TestDumpJoinableByCausalID(t *testing.T) {
 			N: 10, Topology: churn.TopoLine, LeaveFraction: 0.3,
 			Pattern: churn.LeaveRandom, Oracle: oracle.Single{},
 		},
-		FlightK: 4096,
+		MaxSteps: 50000,
+		FlightK:  4096,
 	}
 	scn := cfg.Scenario
 	scn.Seed = 5
 
-	_, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 50000, 5)
+	_, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 5)
 	_, concFlight, _ := runConcurrent(cfg, scn, sim.FDP, 10*time.Second, time.Millisecond, 5)
 	seqTrace := sim.FormatEvents(seqFlight.Events())
 	concTrace := sim.FormatEvents(concFlight.Events())

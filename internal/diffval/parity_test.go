@@ -80,7 +80,7 @@ func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	scn := cfg.Scenario
 	scn.Seed = 3
 
-	seqOut, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 400000, 3)
+	seqOut, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 3)
 	if !seqOut.Converged {
 		t.Fatalf("sequential runner did not converge: %+v", seqOut)
 	}

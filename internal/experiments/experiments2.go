@@ -46,51 +46,28 @@ func E7Embedding(s Scale) Result {
 		var steps, msgs, verifies metrics.Sample
 		allOK := true
 		for trial := 0; trial < s.Trials; trial++ {
-			sc := framework.Build(framework.Config{
-				N: n, Overlay: kind, LeaveFraction: 0.4,
-				Oracle: oracle.Single{}, Seed: int64(trial), ExtraEdges: n / 2,
-				CorruptAnchors: 0.3, JunkPending: 4,
+			sc := churn.Build(churn.Config{
+				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.4,
+				Oracle: oracle.Single{}, Seed: int64(trial), Overlay: kind,
+				Corrupt: churn.Corruption{RandomAnchors: 0.3, JunkPending: 4},
 			})
-			ok, st := runFramework(sc, s.MaxSteps)
-			if !ok {
+			run := sim.Run(sc.World, sim.NewRandomScheduler(int64(trial)+7, 512), sim.RunOptions{
+				Variant: sim.FDP, MaxSteps: s.MaxSteps, CheckSafety: true, Target: sc.InTarget,
+			})
+			if !run.Converged {
 				allOK = false
 				res.Pass = false
 				continue
 			}
-			steps.AddInt(sc.World.Steps())
-			msgs.AddInt(int(st.Sent))
-			verifies.AddInt(int(st.SentByLabel[framework.LabelVerify]))
+			steps.AddInt(run.Steps)
+			msgs.AddInt(int(run.Stats.Sent))
+			verifies.AddInt(int(run.Stats.SentByLabel[framework.LabelVerify]))
 		}
 		tb.AddRow(kind.String(), n, allOK, steps.Mean(), msgs.Mean(), verifies.Mean())
 	}
 	res.Tables = append(res.Tables, tb)
 	res.note("converged means: leavers gone AND staying nodes form P's target topology")
 	return res
-}
-
-func runFramework(sc *framework.Scenario, maxSteps int) (bool, sim.Stats) {
-	variant := sim.FDP
-	if sc.Config.Variant == core.VariantFSP {
-		variant = sim.FSP
-	}
-	sched := sim.NewRandomScheduler(sc.Config.Seed+7, 512)
-	check := len(sc.Nodes)
-	for sc.World.Steps() < maxSteps {
-		if sc.World.Steps()%check == 0 {
-			if !sc.World.RelevantComponentsIntact() {
-				return false, sc.World.Stats()
-			}
-			if sc.World.Legitimate(variant) && sc.InTarget() {
-				return true, sc.World.Stats()
-			}
-		}
-		a, ok := sched.Next(sc.World)
-		if !ok {
-			break
-		}
-		sc.World.Execute(a)
-	}
-	return sc.World.Legitimate(variant) && sc.InTarget(), sc.World.Stats()
 }
 
 // --- E8: the FSP variant -------------------------------------------------

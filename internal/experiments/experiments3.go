@@ -36,11 +36,11 @@ func E12Routing(s Scale) Result {
 	var during, after phaseTotals
 
 	for trial := 0; trial < s.Trials; trial++ {
-		sc := framework.Build(framework.Config{
-			N: n, LeaveFraction: 0.3, Oracle: oracle.Single{},
-			Seed: int64(trial), ExtraEdges: n / 2,
-			MakeOverlay: func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) },
-		})
+		sc := framework.Of(churn.Build(churn.Config{
+			N: n, Topology: churn.TopoRandom, LeaveFraction: 0.3, Oracle: oracle.Single{},
+			Seed:    int64(trial),
+			Overlay: framework.Factory(func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) }),
+		}))
 		sched := sim.NewRandomScheduler(int64(trial), 512)
 		staying := sc.StayingNodes()
 		routers := func() map[ref.Ref]*app.Routed {
@@ -78,7 +78,7 @@ func E12Routing(s Scale) Result {
 		step(sc, sched, 5*n)
 		base := snapshot()
 		during.launched += launchAll()
-		runToLegit(sc, sched, s.MaxSteps)
+		sim.Run(sc.World, sched, sim.RunOptions{Variant: sim.FDP, MaxSteps: s.MaxSteps, Target: sc.Scenario.InTarget})
 		drained := snapshot()
 		during.delivered += drained.delivered - base.delivered
 		during.failed += drained.failed - base.failed
@@ -124,21 +124,6 @@ func step(sc *framework.Scenario, sched sim.Scheduler, steps int) {
 		}
 		sc.World.Execute(a)
 	}
-}
-
-func runToLegit(sc *framework.Scenario, sched sim.Scheduler, maxSteps int) bool {
-	check := len(sc.Nodes)
-	for sc.World.Steps() < maxSteps {
-		if sc.World.Steps()%check == 0 && sc.World.Legitimate(sim.FDP) && sc.InTarget() {
-			return true
-		}
-		a, ok := sched.Next(sc.World)
-		if !ok {
-			break
-		}
-		sc.World.Execute(a)
-	}
-	return sc.World.Legitimate(sim.FDP) && sc.InTarget()
 }
 
 // --- E13: transient-fault recovery ----------------------------------------

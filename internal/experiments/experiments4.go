@@ -75,17 +75,10 @@ func meanHops(n int, skip bool, maxSteps int) (float64, bool) {
 	}
 	w.SealInitialState()
 	sched := sim.NewRandomScheduler(int64(n), 256)
-	for w.Steps() < maxSteps {
-		if w.Steps()%n == 0 && overlay.CheckTarget(w, nodes) {
-			break
-		}
-		a, ok := sched.Next(w)
-		if !ok {
-			break
-		}
-		w.Execute(a)
-	}
-	if !overlay.CheckTarget(w, nodes) {
+	if !sim.Run(w, sched, sim.RunOptions{
+		Variant: sim.FDP, MaxSteps: maxSteps, CheckEvery: n,
+		Target: func(w *sim.World) bool { return overlay.CheckTarget(w, nodes) },
+	}).Converged {
 		return 0, false
 	}
 	launched := 0

@@ -2,16 +2,16 @@ package framework
 
 import (
 	"fmt"
-	"math/rand"
 
+	"fdp/internal/churn"
 	"fdp/internal/core"
-	"fdp/internal/graph"
 	"fdp/internal/overlay"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
 
-// OverlayKind selects the wrapped protocol P.
+// OverlayKind selects one of the overlay protocols of internal/overlay as the
+// wrapped P. It is a churn.Overlay: a churn.Config with it builds P′ worlds.
 type OverlayKind uint8
 
 // Overlay kinds.
@@ -22,162 +22,116 @@ const (
 	OverlaySkip
 )
 
-// String names the overlay kind.
+// kinds names and makes each OverlayKind, indexed by kind.
+var kinds = [...]struct {
+	name string
+	make Factory
+}{
+	OverlayLinearize: {"linearize", func(keys overlay.Keys) overlay.Protocol { return overlay.NewLinearize(keys) }},
+	OverlayRing:      {"sortring", func(keys overlay.Keys) overlay.Protocol { return overlay.NewSortRing(keys) }},
+	OverlayClique:    {"clique", func(overlay.Keys) overlay.Protocol { return overlay.NewCliqueTC() }},
+	OverlaySkip:      {"skiplist", func(keys overlay.Keys) overlay.Protocol { return overlay.NewSkipList(keys) }},
+}
+
+// Overlays lists every overlay kind, in declaration order. Names resolve
+// through it (churn.ByName("overlay", name, Overlays())).
+func Overlays() []OverlayKind {
+	return []OverlayKind{OverlayLinearize, OverlayRing, OverlayClique, OverlaySkip}
+}
+
+// String names the overlay kind; a value outside Overlays names no overlay.
 func (k OverlayKind) String() string {
-	switch k {
-	case OverlayLinearize:
-		return "linearize"
-	case OverlayRing:
-		return "sortring"
-	case OverlaySkip:
-		return "skiplist"
-	default:
-		return "clique"
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("OverlayKind(%d)", uint8(k))
 }
 
-// Config describes a P′ scenario: an initial topology (possibly far from
-// P's target), a set of leaving processes, and optional corruption.
-type Config struct {
-	N             int
-	Overlay       OverlayKind
-	LeaveFraction float64
-	Variant       core.Variant
-	Oracle        sim.Oracle
-	Seed          int64
-	// ExtraEdges adds random edges beyond the random spanning tree of the
-	// initial topology.
-	ExtraEdges int
-	// CorruptAnchors gives each process a random anchor with probability p.
-	CorruptAnchors float64
-	// JunkPending injects this many corrupted mlist entries (with random,
-	// often wrong, verified modes) into random staying processes.
-	JunkPending int
-	// MakeOverlay, if non-nil, overrides Overlay with a custom factory
-	// (e.g. the routed list of internal/app). The produced protocol must
-	// accept AddNeighbor seeding.
-	MakeOverlay func(keys overlay.Keys) overlay.Protocol
+// Processes implements churn.Overlay. It panics on a kind outside Overlays.
+func (k OverlayKind) Processes(nodes []ref.Ref, variant core.Variant) []churn.Process {
+	return kinds[k].make.Processes(nodes, variant)
 }
 
-// Scenario is a built P′ world.
-type Scenario struct {
-	Config   Config
-	Nodes    []ref.Ref
-	Keys     overlay.Keys
-	World    *sim.World
-	Wrappers map[ref.Ref]*Wrapper
-	Leaving  ref.Set
-}
+// Factory is a P given by its constructor, such as app.NewRoutedList. The
+// produced protocol must accept AddNeighbor seeding. A journal records it as
+// "custom", a name replay refuses: only the code that made it can rebuild it.
+type Factory func(keys overlay.Keys) overlay.Protocol
 
-// Build constructs the scenario: a random weakly connected initial graph
-// whose edges seed P's neighborhoods, random leavers (at least one staying
-// process), and the requested corruption.
+// String implements churn.Overlay.
+func (Factory) String() string { return "custom" }
+
+// Processes implements churn.Overlay: one wrapper per node around its own
+// instance of P, with node i's key i.
 //
 //fdp:primitive init
-func Build(cfg Config) *Scenario {
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("framework: N = %d", cfg.N))
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	//fdplint:ignore refopacity scenario construction — Build mints the scenario's refs; the wrapper protocol only receives them
-	space := ref.NewSpace()
-	nodes := space.NewN(cfg.N)
-	keys := make(overlay.Keys, cfg.N)
-	for i, r := range nodes {
-		keys[r] = i
-	}
-	g := graph.RandomConnected(nodes, cfg.ExtraEdges, rng)
-
-	k := int(cfg.LeaveFraction*float64(cfg.N) + 0.5)
-	if k > cfg.N-1 {
-		k = cfg.N - 1
-	}
-	leaving := ref.NewSet()
-	for _, i := range rng.Perm(cfg.N)[:k] {
-		leaving.Add(nodes[i])
-	}
-
-	w := sim.NewWorld(cfg.Oracle)
-	wrappers := make(map[ref.Ref]*Wrapper, cfg.N)
-	mkOverlay := func() overlay.Protocol {
-		if cfg.MakeOverlay != nil {
-			return cfg.MakeOverlay(keys)
-		}
-		switch cfg.Overlay {
-		case OverlayLinearize:
-			return overlay.NewLinearize(keys)
-		case OverlayRing:
-			return overlay.NewSortRing(keys)
-		case OverlaySkip:
-			return overlay.NewSkipList(keys)
-		default:
-			return overlay.NewCliqueTC()
-		}
-	}
-	type seeder interface{ AddNeighbor(ref.Ref) }
-	for _, r := range nodes {
-		wr := New(mkOverlay(), cfg.Variant)
-		wrappers[r] = wr
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		w.AddProcess(r, mode, wr)
-	}
-	for _, e := range g.Edges() {
-		wrappers[e.From].Overlay().(seeder).AddNeighbor(e.To)
-	}
-
-	// Corruption.
-	for _, r := range nodes {
-		if cfg.CorruptAnchors > 0 && rng.Float64() < cfg.CorruptAnchors {
-			a := nodes[rng.Intn(cfg.N)]
-			if a != r {
-				belief := sim.Staying
-				if rng.Intn(2) == 0 {
-					belief = sim.Leaving
-				}
-				wrappers[r].SetAnchor(a, belief)
-			}
-		}
-	}
-	for i := 0; i < cfg.JunkPending; i++ {
-		owner := nodes[rng.Intn(cfg.N)]
-		to := nodes[rng.Intn(cfg.N)]
-		carried := nodes[rng.Intn(cfg.N)]
-		modes := map[ref.Ref]sim.Mode{}
-		// Random pre-"verified" modes, frequently wrong.
-		for _, r := range []ref.Ref{to, carried} {
-			switch rng.Intn(3) {
-			case 0:
-				modes[r] = sim.Staying
-			case 1:
-				modes[r] = sim.Leaving
-			}
-		}
-		wrappers[owner].InjectPending(to, overlay.LabelLink, []ref.Ref{carried}, modes)
-	}
-
-	w.SealInitialState()
-	return &Scenario{
-		Config: cfg, Nodes: nodes, Keys: keys, World: w,
-		Wrappers: wrappers, Leaving: leaving,
-	}
-}
-
-// StayingNodes returns the staying processes in deterministic order.
-func (s *Scenario) StayingNodes() []ref.Ref {
-	var out []ref.Ref
-	for _, r := range s.Nodes {
-		if !s.Leaving.Has(r) {
-			out = append(out, r)
-		}
+func (f Factory) Processes(nodes []ref.Ref, variant core.Variant) []churn.Process {
+	keys := keysOf(nodes)
+	out := make([]churn.Process, len(nodes))
+	for i := range nodes {
+		out[i] = New(f(keys), variant)
 	}
 	return out
 }
 
-// InTarget reports whether the staying processes have reached P's target
-// topology among themselves.
-func (s *Scenario) InTarget() bool {
-	return overlay.CheckTarget(s.World, s.StayingNodes())
+// keysOf keys each node by its index.
+func keysOf(nodes []ref.Ref) overlay.Keys {
+	keys := make(overlay.Keys, len(nodes))
+	for i, r := range nodes {
+		keys[r] = i
+	}
+	return keys
 }
+
+// Config is the P′ scenario overlay_lookup builds: a random connected graph
+// with N/2 extra edges, random leavers and no corruption. Every other P′
+// scenario is a churn.Config with an Overlay.
+type Config struct {
+	N             int
+	LeaveFraction float64
+	Variant       core.Variant
+	Oracle        sim.Oracle
+	Seed          int64
+	// ExtraEdges must be N/2, the extra edges of churn.TopoRandom.
+	ExtraEdges int
+	// MakeOverlay makes P; nil selects the sorted list.
+	MakeOverlay Factory
+}
+
+// Scenario is a built P′ world: the churn scenario, with each process's
+// wrapper and P's key of each node.
+type Scenario struct {
+	*churn.Scenario
+	Keys     overlay.Keys
+	Wrappers map[ref.Ref]*Wrapper
+}
+
+// Build builds cfg through churn.Build. It panics where churn.Build does, and
+// on ExtraEdges ≠ N/2.
+func Build(cfg Config) *Scenario {
+	if cfg.ExtraEdges != cfg.N/2 {
+		panic(fmt.Sprintf("framework: ExtraEdges = %d, want N/2 = %d", cfg.ExtraEdges, cfg.N/2))
+	}
+	var p churn.Overlay = OverlayLinearize
+	if cfg.MakeOverlay != nil {
+		p = cfg.MakeOverlay
+	}
+	return Of(churn.Build(churn.Config{
+		N: cfg.N, Topology: churn.TopoRandom, LeaveFraction: cfg.LeaveFraction,
+		Variant: cfg.Variant, Oracle: cfg.Oracle, Seed: cfg.Seed, Overlay: p,
+	}))
+}
+
+// Of views a churn scenario built with an Overlay as a P′ scenario.
+//
+//fdp:primitive init
+func Of(s *churn.Scenario) *Scenario {
+	sc := &Scenario{Scenario: s, Keys: keysOf(s.Nodes), Wrappers: make(map[ref.Ref]*Wrapper, len(s.Nodes))}
+	for i, r := range s.Nodes {
+		sc.Wrappers[r] = s.Procs[i].(*Wrapper)
+	}
+	return sc
+}
+
+// InTarget reports whether the staying processes have reached P's target
+// topology in the scenario's world.
+func (s *Scenario) InTarget() bool { return s.Scenario.InTarget(s.World) }

@@ -3,6 +3,7 @@ package framework
 import (
 	"testing"
 
+	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/oracle"
 	"fdp/internal/sim"
@@ -17,37 +18,34 @@ func TestDebugSingleScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	s := Build(Config{
-		N: 8, Overlay: OverlayLinearize, LeaveFraction: 0.4,
-		Oracle: oracle.Single{}, Seed: 0, ExtraEdges: 4,
+	s := build(churn.Config{
+		N: 8, Topology: churn.TopoRandom, Overlay: OverlayLinearize, LeaveFraction: 0.4,
+		Oracle: oracle.Single{}, Seed: 0,
 	})
-	sched := sim.NewRandomScheduler(0, 256)
-	for s.World.Steps() < 400000 {
-		a, ok := sched.Next(s.World)
-		if !ok {
-			break
-		}
-		s.World.Execute(a)
-		if s.World.Steps()%20000 == 0 {
-			st := s.World.Stats()
+	res := sim.Run(s.World, sim.NewRandomScheduler(0, 256), sim.RunOptions{
+		Variant: sim.FDP, MaxSteps: 400000, CheckEvery: 1000, Target: s.Scenario.InTarget,
+		OnStep: func(w *sim.World) {
+			if w.Steps()%20000 != 0 {
+				return
+			}
+			st := w.Stats()
 			t.Logf("step=%d legit=%v target=%v leavers=%d pending=%d inflight=%d phi=%d sentByLabel=%v",
-				s.World.Steps(), s.World.Legitimate(sim.FDP), s.InTarget(),
-				s.World.LeavingRemaining(), pendingTotal(s), st.TotalInQueue, core.Phi(s.World), st.SentByLabel)
+				w.Steps(), w.Legitimate(sim.FDP), s.InTarget(),
+				w.LeavingRemaining(), pendingTotal(s), st.TotalInQueue, core.Phi(w), st.SentByLabel)
 			for _, r := range s.Nodes {
-				if s.World.LifeOf(r) == sim.Gone {
+				if w.LifeOf(r) == sim.Gone {
 					continue
 				}
 				wr := s.Wrappers[r]
 				t.Logf("  node=%v mode=%v ch=%d mlist=%d inner=%d refs=%d anchor=%v",
-					r, s.World.ModeOf(r), s.World.ChannelLen(r), wr.PendingCount(),
+					r, w.ModeOf(r), w.ChannelLen(r), wr.PendingCount(),
 					len(wr.Overlay().Refs()), len(wr.Refs()), wr.Anchor())
 			}
-		}
-		if s.World.Steps()%1000 == 0 && s.World.Legitimate(sim.FDP) && s.InTarget() {
-			t.Logf("converged at step %d", s.World.Steps())
-			return
-		}
+		},
+	})
+	if !res.Converged {
+		t.Fatalf("no convergence: legit=%v target=%v leavers=%d pending=%d",
+			s.World.Legitimate(sim.FDP), s.InTarget(), s.World.LeavingRemaining(), pendingTotal(s))
 	}
-	t.Fatalf("no convergence: legit=%v target=%v leavers=%d pending=%d",
-		s.World.Legitimate(sim.FDP), s.InTarget(), s.World.LeavingRemaining(), pendingTotal(s))
+	t.Logf("converged at step %d", res.Steps)
 }

@@ -183,6 +183,10 @@ func (w *Wrapper) CloneProtocol() sim.Protocol {
 	return c
 }
 
+// Snapshot is the wrapper's stand-in in a frozen runtime world: a clone, so
+// the target topology is judged there as on the sequential engine.
+func (w *Wrapper) Snapshot() sim.Protocol { return w.CloneProtocol() }
+
 // Overlay exposes the wrapped P instance (for target-topology checks).
 func (w *Wrapper) Overlay() overlay.Protocol { return w.inner }
 
@@ -195,6 +199,14 @@ func (w *Wrapper) Variant() core.Variant { return w.variant }
 func (w *Wrapper) SetAnchor(v ref.Ref, belief sim.Mode) {
 	w.anchor = v
 	w.anchorMode = belief
+}
+
+// SetNeighbor hands v to P as an initial neighbour — scenario construction
+// only. P's references carry no mode knowledge, so the belief is dropped.
+//
+//fdp:primitive init
+func (w *Wrapper) SetNeighbor(v ref.Ref, _ sim.Mode) {
+	w.inner.(interface{ AddNeighbor(ref.Ref) }).AddNeighbor(v)
 }
 
 // Anchor returns the anchor reference (⊥ = ref.Nil).

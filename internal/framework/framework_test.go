@@ -1,9 +1,11 @@
 package framework
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
+	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
@@ -11,37 +13,28 @@ import (
 	"fdp/internal/sim"
 )
 
-// runToLegitAndTarget drives the scenario until the FDP legitimacy
-// predicate holds AND the staying processes reach P's target topology.
-func runToLegitAndTarget(t *testing.T, s *Scenario, sched sim.Scheduler, maxSteps int) int {
+// build builds a P′ scenario.
+func build(cfg churn.Config) *Scenario { return Of(churn.Build(cfg)) }
+
+// runToLegitAndTarget drives w, the scenario's world or a clone of it, until
+// the legitimacy predicate holds AND the staying processes reach P's target
+// topology, checking Lemma 2 on the way.
+func runToLegitAndTarget(t *testing.T, s *Scenario, w *sim.World, sched sim.Scheduler, maxSteps int) int {
 	t.Helper()
 	variant := sim.FDP
 	if s.Config.Variant == core.VariantFSP {
 		variant = sim.FSP
 	}
-	check := len(s.Nodes)
-	for s.World.Steps() < maxSteps {
-		if s.World.Steps()%check == 0 {
-			if !s.World.RelevantComponentsIntact() {
-				t.Fatalf("SAFETY violated at step %d (seed %d)", s.World.Steps(), s.Config.Seed)
-			}
-			if s.World.Legitimate(variant) && s.InTarget() {
-				return s.World.Steps()
-			}
-		}
-		a, ok := sched.Next(s.World)
-		if !ok {
-			break
-		}
-		s.World.Execute(a)
+	res := sim.Run(w, sched, sim.RunOptions{Variant: variant, MaxSteps: maxSteps, CheckSafety: true, Target: s.Scenario.InTarget})
+	if res.SafetyViolation != nil {
+		t.Fatalf("seed %d: %v", s.Config.Seed, res.SafetyViolation)
 	}
-	if s.World.Legitimate(variant) && s.InTarget() {
-		return s.World.Steps()
+	if !res.Converged {
+		t.Fatalf("no convergence in %d steps (seed %d, overlay %v): legit=%v target=%v leavers-left=%d pending=%d",
+			res.Steps, s.Config.Seed, s.Config.Overlay,
+			w.Legitimate(variant), s.Scenario.InTarget(w), w.LeavingRemaining(), pendingTotal(s))
 	}
-	t.Fatalf("no convergence in %d steps (seed %d, overlay %v): legit=%v target=%v leavers-left=%d pending=%d",
-		s.World.Steps(), s.Config.Seed, s.Config.Overlay,
-		s.World.Legitimate(variant), s.InTarget(), s.World.LeavingRemaining(), pendingTotal(s))
-	return 0
+	return res.Steps
 }
 
 func pendingTotal(s *Scenario) int {
@@ -55,18 +48,17 @@ func pendingTotal(s *Scenario) int {
 // Theorem 4 for all three overlay families: P′ solves the FDP and still
 // solves P's own problem (staying processes reach the target topology).
 func TestTheorem4AllOverlays(t *testing.T) {
-	for _, kind := range []OverlayKind{OverlayLinearize, OverlayRing, OverlaySkip, OverlayClique} {
+	for _, kind := range Overlays() {
 		for seed := int64(0); seed < 3; seed++ {
-			s := Build(Config{
-				N: 12, Overlay: kind, LeaveFraction: 0.4,
-				Oracle: oracle.Single{}, Seed: seed, ExtraEdges: 6,
+			s := build(churn.Config{
+				N: 12, Topology: churn.TopoRandom, Overlay: kind, LeaveFraction: 0.4,
+				Oracle: oracle.Single{}, Seed: seed,
 			})
-			steps := runToLegitAndTarget(t, s, sim.NewRandomScheduler(seed, 256), 2000000)
+			runToLegitAndTarget(t, s, s.World, sim.NewRandomScheduler(seed, 256), 2000000)
 			if s.World.GoneCount() != s.Leaving.Len() {
 				t.Fatalf("%v seed %d: %d of %d leavers gone", kind, seed,
 					s.World.GoneCount(), s.Leaving.Len())
 			}
-			_ = steps
 		}
 	}
 }
@@ -75,23 +67,23 @@ func TestTheorem4AllOverlays(t *testing.T) {
 // wrong "verified" modes.
 func TestTheorem4Corrupted(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		s := Build(Config{
-			N: 10, Overlay: OverlayLinearize, LeaveFraction: 0.4,
-			Oracle: oracle.Single{}, Seed: seed, ExtraEdges: 4,
-			CorruptAnchors: 0.6, JunkPending: 8,
+		s := build(churn.Config{
+			N: 10, Topology: churn.TopoRandom, Overlay: OverlayLinearize, LeaveFraction: 0.4,
+			Oracle: oracle.Single{}, Seed: seed,
+			Corrupt: churn.Corruption{RandomAnchors: 0.6, JunkPending: 8},
 		})
-		runToLegitAndTarget(t, s, sim.NewRandomScheduler(seed+100, 256), 2000000)
+		runToLegitAndTarget(t, s, s.World, sim.NewRandomScheduler(seed+100, 256), 2000000)
 	}
 }
 
 // The FSP flavour of the framework: leavers hibernate instead of exiting.
 func TestFrameworkFSP(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		s := Build(Config{
-			N: 10, Overlay: OverlayLinearize, LeaveFraction: 0.4,
-			Variant: core.VariantFSP, Seed: seed, ExtraEdges: 4,
+		s := build(churn.Config{
+			N: 10, Topology: churn.TopoRandom, Overlay: OverlayLinearize, LeaveFraction: 0.4,
+			Variant: core.VariantFSP, Seed: seed,
 		})
-		runToLegitAndTarget(t, s, sim.NewRandomScheduler(seed, 256), 2000000)
+		runToLegitAndTarget(t, s, s.World, sim.NewRandomScheduler(seed, 256), 2000000)
 		if s.World.GoneCount() != 0 {
 			t.Fatalf("seed %d: FSP produced gone processes", seed)
 		}
@@ -107,20 +99,35 @@ func TestFrameworkFSP(t *testing.T) {
 // No leavers: P′ must behave exactly like a self-stabilizing P and reach
 // the target topology.
 func TestFrameworkNoLeaversStillSolvesDP(t *testing.T) {
-	s := Build(Config{
-		N: 10, Overlay: OverlayLinearize, LeaveFraction: 0,
-		Oracle: oracle.Single{}, Seed: 5, ExtraEdges: 5,
+	s := build(churn.Config{
+		N: 10, Topology: churn.TopoRandom, Overlay: OverlayLinearize, LeaveFraction: 0,
+		Oracle: oracle.Single{}, Seed: 5,
 	})
-	runToLegitAndTarget(t, s, sim.NewRoundScheduler(), 2000000)
+	runToLegitAndTarget(t, s, s.World, sim.NewRoundScheduler(), 2000000)
 }
 
 // Under the round scheduler too (different message orderings).
 func TestTheorem4RoundScheduler(t *testing.T) {
-	s := Build(Config{
-		N: 10, Overlay: OverlayRing, LeaveFraction: 0.3,
-		Oracle: oracle.Single{}, Seed: 2, ExtraEdges: 5,
+	s := build(churn.Config{
+		N: 10, Topology: churn.TopoRandom, Overlay: OverlayRing, LeaveFraction: 0.3,
+		Oracle: oracle.Single{}, Seed: 2,
 	})
-	runToLegitAndTarget(t, s, sim.NewRoundScheduler(), 2000000)
+	runToLegitAndTarget(t, s, s.World, sim.NewRoundScheduler(), 2000000)
+}
+
+// A corruption the seated process type cannot hold is refused, not skipped:
+// P′ stores no neighbour beliefs to flip, and the bare departure protocol
+// saves no messages to junk.
+func TestBuildRefusesUnholdableCorruption(t *testing.T) {
+	for _, cfg := range []churn.Config{
+		{N: 6, Overlay: OverlaySkip, Corrupt: churn.Corruption{FlipBeliefs: 0.1}},
+		{N: 6, Corrupt: churn.Corruption{JunkPending: 1}},
+	} {
+		var ce *churn.ConfigError
+		if _, err := churn.TryBuild(cfg); !errors.As(err, &ce) {
+			t.Errorf("%+v: err = %v, want a *churn.ConfigError", cfg.Corrupt, err)
+		}
+	}
 }
 
 // --- Wrapper unit behaviour -------------------------------------------

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fdp/internal/churn"
 	"fdp/internal/core"
+	"fdp/internal/oracle"
 	"fdp/internal/overlay"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -143,61 +145,45 @@ func TestQuickWrapperTimeoutInvariants(t *testing.T) {
 	}
 }
 
-// End-to-end fuzz: random framework scenarios with random corruption all
-// converge with safety intact.
+// End-to-end fuzz: random framework scenarios — every topology and leave
+// pattern the scenario builder knows, random corruption — all converge with
+// safety intact.
 func TestQuickFrameworkConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long fuzz")
 	}
 	f := func(seedRaw uint16) bool {
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
-		sc := Build(Config{
-			N: 6 + rng.Intn(5),
+		topos, pats := churn.Topologies(), churn.Patterns()
+		topo := topos[rng.Intn(len(topos))]
+		n := 6 + rng.Intn(5)
+		if topo == churn.TopoHypercube {
+			n = 8
+		}
+		sc := churn.Build(churn.Config{
+			N: n, Topology: topo, Pattern: pats[rng.Intn(len(pats))],
 			// Clique's Θ(n²) traffic is covered by TestTheorem4AllOverlays;
 			// fuzz the cheaper three for breadth at speed.
 			Overlay: []OverlayKind{
 				OverlayLinearize, OverlayRing, OverlaySkip,
 			}[rng.Intn(3)],
-			LeaveFraction:  float64(rng.Intn(50)) / 100,
-			Oracle:         singleOracle{},
-			Seed:           int64(seedRaw),
-			ExtraEdges:     rng.Intn(6),
-			CorruptAnchors: float64(rng.Intn(60)) / 100,
-			JunkPending:    rng.Intn(5),
+			LeaveFraction: float64(rng.Intn(50)) / 100,
+			Oracle:        oracle.Single{},
+			Seed:          int64(seedRaw),
+			Corrupt: churn.Corruption{
+				RandomAnchors: float64(rng.Intn(60)) / 100,
+				JunkPending:   rng.Intn(5),
+			},
 		})
-		sched := sim.NewRandomScheduler(int64(seedRaw), 256)
-		check := len(sc.Nodes)
-		for sc.World.Steps() < 2_000_000 {
-			if sc.World.Steps()%check == 0 {
-				if !sc.World.RelevantComponentsIntact() {
-					return false
-				}
-				if sc.World.Legitimate(sim.FDP) && sc.InTarget() {
-					return true
-				}
-			}
-			a, ok := sched.Next(sc.World)
-			if !ok {
-				break
-			}
-			sc.World.Execute(a)
+		res := sim.Run(sc.World, sim.NewRandomScheduler(int64(seedRaw), 256), sim.RunOptions{
+			Variant: sim.FDP, MaxSteps: 2_000_000, CheckSafety: true, Target: sc.InTarget,
+		})
+		if !res.Converged {
+			t.Logf("seed %d, %v/%v/%v: %+v", seedRaw, topo, sc.Config.Pattern, sc.Config.Overlay, res.SafetyViolation)
 		}
-		return false
+		return res.Converged
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// singleOracle avoids an import cycle with internal/oracle in this test
-// file's property (identical to oracle.Single).
-type singleOracle struct{}
-
-func (singleOracle) Name() string { return "SINGLE" }
-func (singleOracle) Evaluate(w *sim.World, u ref.Ref) bool {
-	pg := w.RelevantPG()
-	if !pg.HasNode(u) {
-		return false
-	}
-	return pg.Degree(u) <= 1
 }

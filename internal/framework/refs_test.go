@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fdp/internal/app"
+	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
@@ -16,19 +17,20 @@ import (
 // refsConfigs are the P′ scenarios the Refs and clone properties range over:
 // all four overlays and the routed list, with corrupted anchors and injected
 // junk entries, under both departure flavours.
-func refsConfigs() []Config {
-	var out []Config
+func refsConfigs() []churn.Config {
+	var out []churn.Config
 	for _, kind := range []OverlayKind{OverlayLinearize, OverlayRing, OverlaySkip, OverlayClique} {
 		for _, v := range []core.Variant{core.VariantFDP, core.VariantFSP} {
-			out = append(out, Config{
-				N: 9, Overlay: kind, LeaveFraction: 0.4, Variant: v, ExtraEdges: 5,
-				CorruptAnchors: 0.5, JunkPending: 6,
+			out = append(out, churn.Config{
+				N: 9, Topology: churn.TopoRandom, Overlay: kind, LeaveFraction: 0.4, Variant: v,
+				Corrupt: churn.Corruption{RandomAnchors: 0.5, JunkPending: 6},
 			})
 		}
 	}
-	out = append(out, Config{
-		N: 9, LeaveFraction: 0.3, ExtraEdges: 4, JunkPending: 4,
-		MakeOverlay: func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) },
+	out = append(out, churn.Config{
+		N: 9, Topology: churn.TopoRandom, LeaveFraction: 0.3,
+		Overlay: Factory(func(keys overlay.Keys) overlay.Protocol { return app.NewRoutedList(keys) }),
+		Corrupt: churn.Corruption{JunkPending: 4},
 	})
 	for i := range out {
 		if out[i].Variant == core.VariantFDP {
@@ -38,8 +40,8 @@ func refsConfigs() []Config {
 	return out
 }
 
-func configName(cfg Config) string {
-	if cfg.MakeOverlay != nil {
+func configName(cfg churn.Config) string {
+	if _, custom := cfg.Overlay.(Factory); custom {
 		return fmt.Sprintf("routed-list/%v", cfg.Variant)
 	}
 	return fmt.Sprintf("%v/%v", cfg.Overlay, cfg.Variant)
@@ -101,7 +103,7 @@ func TestWrapperRefsMatchRecompute(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			cfg.Seed = seed
 			t.Run(fmt.Sprintf("%s/seed%d", configName(cfg), seed), func(t *testing.T) {
-				s := Build(cfg)
+				s := build(cfg)
 				sched := sim.NewRandomScheduler(seed, 256)
 				type key struct {
 					first *ref.Ref
@@ -153,7 +155,7 @@ func TestWrapperRefsMatchRecompute(t *testing.T) {
 func TestUnchangedWrapperRefsAllocateNothing(t *testing.T) {
 	for _, cfg := range refsConfigs() {
 		cfg.Seed = 1
-		s := Build(cfg)
+		s := build(cfg)
 		sched := sim.NewRandomScheduler(1, 256)
 		for i := 0; i < 500; i++ {
 			a, ok := sched.Next(s.World)
@@ -199,7 +201,7 @@ func TestWrapperCloneIndependence(t *testing.T) {
 	for _, cfg := range refsConfigs() {
 		cfg.Seed = 2
 		t.Run(configName(cfg), func(t *testing.T) {
-			s := Build(cfg)
+			s := build(cfg)
 			sched := sim.NewRandomScheduler(2, 256)
 			for i := 0; i < 300; i++ {
 				if a, ok := sched.Next(s.World); ok {
@@ -226,13 +228,7 @@ func TestWrapperCloneIndependence(t *testing.T) {
 					t.Fatalf("%v: stepping the original moved the clone from\n  %s\nto\n  %s", r, before[r], got)
 				}
 			}
-			cs := &Scenario{Config: cfg, Nodes: s.Nodes, Keys: s.Keys, World: c, Leaving: s.Leaving, Wrappers: make(map[ref.Ref]*Wrapper)}
-			for _, r := range s.Nodes {
-				if c.LifeOf(r) != sim.Gone {
-					cs.Wrappers[r] = c.ProtocolOf(r).(*Wrapper)
-				}
-			}
-			runToLegitAndTarget(t, cs, sim.NewRandomScheduler(3, 256), 2000000)
+			runToLegitAndTarget(t, s, c, sim.NewRandomScheduler(3, 256), 2000000)
 		})
 	}
 }

@@ -10,7 +10,18 @@ import (
 // nodes u, v there is a (not necessarily directed) path between them. The
 // empty graph and singleton graphs are weakly connected.
 func (g *Graph) WeaklyConnected() bool {
-	return len(g.WeaklyConnectedComponents()) <= 1
+	for i, p := range g.present {
+		if p {
+			return g.ReachesAll(ref.ByIndex(i))
+		}
+	}
+	return true
+}
+
+// ReachesAll reports whether every node is joined to one of starts by a
+// path of either edge direction: one walk, with no partition built.
+func (g *Graph) ReachesAll(starts ...ref.Ref) bool {
+	return len(g.reach(true, starts...)) == g.numNodes
 }
 
 // WeaklyConnectedComponents returns the partition of the nodes into weakly
@@ -56,7 +67,7 @@ func (g *Graph) walk(seen []bool, order []ref.Ref, from int, undirected bool) []
 // reach returns the nodes among starts plus everything walk finds from them.
 func (g *Graph) reach(undirected bool, starts ...ref.Ref) []ref.Ref {
 	seen := make([]bool, len(g.present))
-	var order []ref.Ref
+	order := make([]ref.Ref, 0, g.numNodes)
 	for _, s := range starts {
 		if i := g.index(s); i >= 0 && g.present[i] && !seen[i] {
 			seen[i] = true

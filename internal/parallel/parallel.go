@@ -920,6 +920,10 @@ func (rt *Runtime) freezeUnderPause() *sim.World {
 		if p == nil || p.life.Load() == 2 {
 			continue
 		}
+		if sp, ok := p.proto.(snapshotter); ok {
+			w.AddProcess(p.id, p.mode, sp.Snapshot())
+			continue
+		}
 		fp := &frozenProto{refs: p.proto.Refs()}
 		if bh, ok := p.proto.(interface{ Beliefs() []sim.RefInfo }); ok {
 			fp.beliefs = bh.Beliefs() // copied under the pause
@@ -948,6 +952,11 @@ func (rt *Runtime) freezeUnderPause() *sim.World {
 	}
 	return w
 }
+
+// snapshotter is a protocol whose frozen stand-in is a copy of itself,
+// because predicates read more of it than references and beliefs: P′'s
+// wrapper, whose P state decides the target topology (churn's InTarget).
+type snapshotter interface{ Snapshot() sim.Protocol }
 
 // frozenProto is an immutable stand-in exposing the stored references and
 // mode beliefs captured at snapshot time, so predicates (including the

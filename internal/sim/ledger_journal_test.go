@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"fdp/internal/churn"
-	"fdp/internal/core"
 	"fdp/internal/faults"
 	"fdp/internal/framework"
 	"fdp/internal/oracle"
-	"fdp/internal/overlay"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
@@ -70,10 +68,9 @@ func TestLedgerAndPGJournalsAreIdentical(t *testing.T) {
 			}).World
 		},
 		"framework": func() *sim.World {
-			return framework.Build(framework.Config{
-				N: 16, LeaveFraction: 0.3, Variant: core.VariantFDP, Oracle: oracle.Single{},
-				Seed: 1, ExtraEdges: 8,
-				MakeOverlay: func(keys overlay.Keys) overlay.Protocol { return overlay.NewLinearize(keys) },
+			return churn.Build(churn.Config{
+				N: 16, Topology: churn.TopoRandom, LeaveFraction: 0.3, Oracle: oracle.Single{},
+				Seed: 1, Overlay: framework.OverlayLinearize,
 			}).World
 		},
 	}

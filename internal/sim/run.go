@@ -26,6 +26,10 @@ type RunOptions struct {
 	Potential func(*World) int
 	// OnStep, if set, runs after every executed action.
 	OnStep func(*World)
+	// Target, if set, is part of the convergence test: the run converges
+	// once the world is legitimate and Target holds (for P′, that the staying
+	// processes form P's target topology: churn.Scenario.InTarget).
+	Target func(*World) bool
 	// Stop, if set, makes the driver return early (Interrupted=true) once
 	// the channel is closed — checked at every legitimacy check, so the
 	// granularity is CheckEvery steps. This is the cooperative cancellation
@@ -55,9 +59,10 @@ type RunResult struct {
 // ErrSafety is wrapped by any safety-violation error.
 var ErrSafety = errors.New("safety violated: relevant processes disconnected")
 
-// Run drives the world under the given scheduler until a legitimate state is
-// reached, MaxSteps is exceeded, safety is violated, or no action is enabled.
-// SealInitialState must have been called on the world.
+// Run drives the world under the given scheduler until a legitimate state in
+// which opts.Target holds is reached, MaxSteps is exceeded, safety is
+// violated, or no action is enabled. SealInitialState must have been called
+// on the world.
 func Run(w *World, sched Scheduler, opts RunOptions) RunResult {
 	if w.InitialComponents() == nil {
 		w.SealInitialState()
@@ -73,6 +78,9 @@ func Run(w *World, sched Scheduler, opts RunOptions) RunResult {
 		}
 	}
 	res := RunResult{}
+	converged := func() bool {
+		return w.Legitimate(opts.Variant) && (opts.Target == nil || opts.Target(w))
+	}
 	stopped := func() bool {
 		if opts.Stop == nil {
 			return false
@@ -94,7 +102,7 @@ func Run(w *World, sched Scheduler, opts RunOptions) RunResult {
 			res.SafetyViolation = fmt.Errorf("%w (step %d)", ErrSafety, w.Steps())
 			return false
 		}
-		return !w.Legitimate(opts.Variant)
+		return !converged()
 	}
 	if !sample() {
 		res.Converged = res.SafetyViolation == nil
@@ -137,7 +145,7 @@ func Run(w *World, sched Scheduler, opts RunOptions) RunResult {
 	}
 	if !res.Converged && res.SafetyViolation == nil {
 		// Final check in case MaxSteps landed between samples.
-		res.Converged = w.Legitimate(opts.Variant)
+		res.Converged = converged()
 	}
 	res.Steps = w.Steps()
 	res.Stats = w.Stats()

@@ -14,7 +14,8 @@ import (
 // writes the journal to w — the canonical recording path (fdpreplay's
 // golden regeneration uses it; the CLI drivers journal through the same
 // machinery). opts.Variant is forced from the scenario so the journal is
-// self-consistent.
+// self-consistent, and a P′ run goes on until the staying processes form
+// P's target topology (opts.Target is the scenario's InTarget).
 //
 // Scenarios with Strikes run in segments: each wave i fires once the world
 // reaches its After step (or as soon as the run stalls before it), seeded
@@ -38,6 +39,7 @@ func RecordRun(s Scenario, w io.Writer, opts sim.RunOptions) (sim.RunResult, err
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 1 << 20
 	}
+	opts.Target = scn.InTarget
 	var recs []Record
 	scn.World.AddEventHook(func(e sim.Event) { recs = append(recs, FromEvent(e)) })
 

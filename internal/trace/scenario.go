@@ -6,6 +6,7 @@ import (
 	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/faults"
+	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/sim"
 )
@@ -22,6 +23,10 @@ type Scenario struct {
 	LeaveFraction float64 `json:"leave"`
 	Pattern       string  `json:"pattern"`
 	Variant       string  `json:"variant"` // "FDP" or "FSP"
+	// Overlay names the P that P′ wraps (framework.Overlays); empty means the
+	// bare departure protocol. A custom P is recorded as "custom", which
+	// replay refuses.
+	Overlay string `json:"overlay,omitempty"`
 	// Oracle is the oracle's Name(); empty means no oracle. Stateful oracles
 	// (SINGLE~timeout) are rebuilt with their default parameters, which the
 	// recording side must therefore use.
@@ -34,6 +39,7 @@ type Scenario struct {
 	FlipBeliefs   float64 `json:"flip_beliefs,omitempty"`
 	RandomAnchors float64 `json:"random_anchors,omitempty"`
 	JunkMessages  int     `json:"junk_messages,omitempty"`
+	JunkPending   int     `json:"junk_pending,omitempty"`
 	Components    int     `json:"components,omitempty"`
 	// LeaverIndices, when non-empty, pins the leaving set to these node
 	// indices instead of drawing it from Pattern/LeaveFraction. The shrinker
@@ -96,11 +102,15 @@ func ScenarioFor(cfg churn.Config, scheduler string) Scenario {
 		FlipBeliefs:   cfg.Corrupt.FlipBeliefs,
 		RandomAnchors: cfg.Corrupt.RandomAnchors,
 		JunkMessages:  cfg.Corrupt.JunkMessages,
+		JunkPending:   cfg.Corrupt.JunkPending,
 		Components:    cfg.Components,
 		LeaverIndices: cfg.LeaverIndices,
 	}
 	if cfg.Oracle != nil {
 		s.Oracle = cfg.Oracle.Name()
+	}
+	if cfg.Overlay != nil {
+		s.Overlay = cfg.Overlay.String()
 	}
 	return s
 }
@@ -124,6 +134,12 @@ func (s Scenario) ChurnConfig() (churn.Config, error) {
 	if err != nil {
 		return churn.Config{}, err
 	}
+	var p churn.Overlay
+	if s.Overlay != "" {
+		if p, err = churn.ByName("overlay", s.Overlay, framework.Overlays()); err != nil {
+			return churn.Config{}, err
+		}
+	}
 	return churn.Config{
 		N:             s.N,
 		Topology:      topo,
@@ -133,12 +149,14 @@ func (s Scenario) ChurnConfig() (churn.Config, error) {
 			FlipBeliefs:   s.FlipBeliefs,
 			RandomAnchors: s.RandomAnchors,
 			JunkMessages:  s.JunkMessages,
+			JunkPending:   s.JunkPending,
 		},
 		Variant:       variant,
 		Oracle:        orc,
 		Seed:          s.Seed,
 		Components:    s.Components,
 		LeaverIndices: s.LeaverIndices,
+		Overlay:       p,
 	}, nil
 }
 
@@ -174,23 +192,16 @@ func RegisterOracle(name string, factory func() sim.Oracle) {
 // OracleByName rebuilds an oracle from its Name(). The empty name is the
 // nil oracle. Stateful oracles come back with default parameters.
 func OracleByName(name string) (sim.Oracle, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return nil, nil
-	case oracle.Single{}.Name():
-		return oracle.Single{}, nil
-	case oracle.NIDEC{}.Name():
-		return oracle.NIDEC{}, nil
-	case oracle.ExitSafe{}.Name():
-		return oracle.ExitSafe{}, nil
-	case oracle.EC{}.Name():
-		return oracle.EC{}, nil
-	case oracle.Always(true).Name():
-		return oracle.Always(true), nil
-	case oracle.Always(false).Name():
-		return oracle.Always(false), nil
-	case (&oracle.TimeoutSingle{}).Name():
-		return oracle.NewTimeoutSingle(0), nil
+	}
+	for _, o := range []sim.Oracle{
+		oracle.Single{}, oracle.NIDEC{}, oracle.ExitSafe{}, oracle.EC{},
+		oracle.Always(true), oracle.Always(false), oracle.NewTimeoutSingle(0),
+	} {
+		if o.Name() == name {
+			return o, nil
+		}
 	}
 	if factory, ok := oracleRegistry[name]; ok {
 		return factory(), nil

@@ -11,7 +11,9 @@ import (
 
 	"fdp/internal/churn"
 	"fdp/internal/diffval"
+	"fdp/internal/framework"
 	"fdp/internal/oracle"
+	"fdp/internal/overlay"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -457,5 +459,33 @@ func TestBuildScenarioRejectsBadConfig(t *testing.T) {
 	s.Topology = "hypercube"
 	if _, err := s.BuildScenario(); err == nil {
 		t.Fatal("hypercube n=6 scenario must not build")
+	}
+}
+
+// A P′ scenario's overlay and pending junk round-trip through the header and
+// replay byte-identically; a custom P is recorded by name and refused on
+// replay, never rebuilt as another overlay.
+func TestOverlayScenarioRoundTrip(t *testing.T) {
+	s := testScenario(10, 2)
+	s.Topology, s.Overlay, s.RandomAnchors, s.JunkPending = "random", "skiplist", 0.3, 4
+	_, hdr, recs, res := record(t, s, 400000)
+	if !res.Converged {
+		t.Fatal("P′ recording did not converge")
+	}
+	if hdr.Scenario.Overlay != "skiplist" || hdr.Scenario.JunkPending != 4 {
+		t.Fatalf("header scenario %+v", hdr.Scenario)
+	}
+	if div, err := trace.VerifyReplay(hdr, recs); err != nil || div != nil {
+		t.Fatalf("P′ replay failed: div=%+v err=%v", div, err)
+	}
+
+	custom := trace.ScenarioFor(churn.Config{
+		N: 6, Overlay: framework.Factory(func(keys overlay.Keys) overlay.Protocol { return overlay.NewLinearize(keys) }),
+	}, "random")
+	if custom.Overlay != "custom" {
+		t.Fatalf("custom overlay recorded as %q", custom.Overlay)
+	}
+	if _, err := custom.BuildScenario(); err == nil || !strings.Contains(err.Error(), `unknown overlay "custom"`) {
+		t.Fatalf("custom overlay replay: err = %v", err)
 	}
 }
