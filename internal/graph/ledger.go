@@ -19,9 +19,14 @@ type Pair = Entry[ref.Ref, int32]
 // process; Reset sizes it.
 type Ledger struct {
 	// slot maps ref.Index to 1 + the index of the process's row in rows, 0
-	// for a staying process: no pointer for the collector to scan.
+	// for a staying or retired process: no pointer for the collector to
+	// scan.
 	slot []int32
 	rows []Row[ref.Ref, int32]
+	// leavers counts the rows Leave gave and Retire has not taken back. The
+	// runtime leaves and retires only from its coordinator or under a full
+	// pause, so like slot it needs no lock of its own.
+	leavers int
 }
 
 // Reset empties the ledger and sizes it for the processes indexed below n,
@@ -29,6 +34,7 @@ type Ledger struct {
 func (l *Ledger) Reset(n int) {
 	l.slot = make([]int32, n)
 	l.rows = nil
+	l.leavers = 0
 }
 
 // Leave gives the leaver u its row, after Reset and before anything is
@@ -36,9 +42,15 @@ func (l *Ledger) Reset(n int) {
 func (l *Ledger) Leave(u ref.Ref) {
 	l.rows = append(l.rows, Row[ref.Ref, int32]{})
 	l.slot[ref.Index(u)] = int32(len(l.rows))
+	l.leavers++
 }
 
-// row returns u's row, or nil if u stays.
+// Leavers returns the number of leavers holding a row: given one by Leave,
+// not yet retired. While it is zero no pair can count, so an engine may stop
+// feeding the ledger until it resets it.
+func (l *Ledger) Leavers() int { return l.leavers }
+
+// row returns u's row, or nil if u stays or was retired.
 func (l *Ledger) row(u ref.Ref) *Row[ref.Ref, int32] {
 	if s := l.slot[ref.Index(u)]; s > 0 {
 		return &l.rows[s-1]
@@ -84,8 +96,8 @@ func bump(r *Row[ref.Ref, int32], k ref.Ref, d int32) bool {
 // Degree returns the number of neighbours in u's row.
 func (l *Ledger) Degree(u ref.Ref) int { return len(l.Pairs(u)) }
 
-// Pairs returns u's row, empty if u stays. The caller must not retain it
-// across a change of the row.
+// Pairs returns u's row, empty if u stays or was retired. The caller must
+// not retain it across a change of the row.
 func (l *Ledger) Pairs(u ref.Ref) []Pair {
 	if r := l.row(u); r != nil {
 		return r.Entries()
@@ -93,9 +105,10 @@ func (l *Ledger) Pairs(u ref.Ref) []Pair {
 	return nil
 }
 
-// Retire empties the leaver u's row and hands what it held to the caller,
-// which erases u from each neighbour's row with Forget. A stayer has no row
-// listing the leavers that count it: an engine rebuilds after its exit.
+// Retire takes the leaver u's row away and hands what it held to the
+// caller, which erases u from each neighbour's row with Forget; u then
+// counts like a stayer, and a second Retire returns nothing. A stayer has no
+// row listing the leavers that count it: an engine rebuilds after its exit.
 func (l *Ledger) Retire(u ref.Ref) []Pair {
 	r := l.row(u)
 	if r == nil {
@@ -103,6 +116,8 @@ func (l *Ledger) Retire(u ref.Ref) []Pair {
 	}
 	pairs := r.Entries()
 	*r = Row[ref.Ref, int32]{}
+	l.slot[ref.Index(u)] = 0
+	l.leavers--
 	return pairs
 }
 

@@ -72,6 +72,15 @@ func (m *ledgerModel) exit(u ref.Ref) {
 
 func checkLedger(t testing.TB, l *Ledger, m *ledgerModel, universe []ref.Ref) {
 	t.Helper()
+	leavers := 0
+	for u, leaves := range m.leaves {
+		if leaves && !m.gone[u] {
+			leavers++
+		}
+	}
+	if got := l.Leavers(); got != leavers {
+		t.Fatalf("Leavers() = %d, model %d", got, leavers)
+	}
 	for _, u := range universe {
 		want := m.row(u, universe)
 		if got := l.Degree(u); got != len(want) {

@@ -30,12 +30,16 @@ func (u *UnionFind) root(i int32) int32 {
 	return i
 }
 
-// Union joins a's and b's classes. Both must index below Reset's n.
-func (u *UnionFind) Union(a, b ref.Ref) {
+// Union joins a's and b's classes and reports whether they were two, so a
+// caller counting classes down can stop at one. Both must index below
+// Reset's n.
+func (u *UnionFind) Union(a, b ref.Ref) bool {
 	x, y := u.root(int32(ref.Index(a))), u.root(int32(ref.Index(b)))
-	if x != y {
-		u.parent[max(x, y)] = min(x, y)
+	if x == y {
+		return false
 	}
+	u.parent[max(x, y)] = min(x, y)
+	return true
 }
 
 // Same reports whether a and b are in one class.

@@ -3,7 +3,7 @@ package sim
 // The world drives the degree ledger, graph.Ledger, its one incrementally
 // maintained structure (DESIGN.md §7): RelevantDegree and NIDEC answer a
 // leaver from its row, the union-find below answers the component checks
-// from the synced references, and PG() builds the full graph on demand.
+// from the stores and channels, and PG() builds the full graph on demand.
 //
 // The first query seeds the ledger. InvalidatePG and AddProcess drop it, and
 // so does a staying process's exit (no row lists the leavers that count it);
@@ -12,10 +12,16 @@ package sim
 // InvalidatePG. Message enqueue and removal, the end of an atomic action
 // (only the acting process's stored refs can have changed) and exit apply
 // O(Δ) deltas, through edge, which counts only edges between two live,
-// distinct processes. Every mutation that can change the hibernating set
-// bumps w.gen, which stamps the one derived memo, Hibernating's.
+// distinct processes. Once the last leaver has exited the ledger is dormant:
+// no pair can count, so nothing is fed to it and the synced copies, which
+// are only its diff base, go stale until a reseed rewrites them. Every
+// mutation that can change the hibernating set bumps w.gen, which stamps the
+// one derived memo, Hibernating's; a dormant end of action bumps it
+// unconditionally, having no diff to tell.
 
 import (
+	"slices"
+
 	"fdp/internal/graph"
 	"fdp/internal/ref"
 )
@@ -82,10 +88,10 @@ func (w *World) InvalidatePG() {
 }
 
 // pgMessage applies d to the implicit edges of a message just placed in p's
-// channel (+1) or just removed from it (-1).
+// channel (+1) or just removed from it (-1), unless the ledger is dormant.
 func (w *World) pgMessage(p *process, msg *Message, d int32) {
 	w.gen++
-	if w.ledger == nil {
+	if w.ledger == nil || w.ledger.Leavers() == 0 {
 		return
 	}
 	for _, ri := range msg.Refs {
@@ -111,8 +117,13 @@ func (w *World) pgExit(p *process) {
 // ledger. Only the acting process can have changed, so this is O(|refs(p)|)
 // per action. The diff is multiset-aware: a protocol storing the same
 // reference twice contributes explicit multiplicity 2, exactly as PG() does.
+// A dormant ledger is not synced: p.pgRefs stays stale until a reseed.
 func (w *World) pgSyncRefs(p *process) {
 	if w.ledger == nil || p.life == Gone {
+		return
+	}
+	if w.ledger.Leavers() == 0 {
+		w.gen++
 		return
 	}
 	added, gone := w.diff.Resync(&p.pgRefs, p.proto.Refs())
@@ -128,25 +139,45 @@ func (w *World) pgSyncRefs(p *process) {
 }
 
 // unite resets w.uf to the weak components of PG restricted to the live
-// processes counted: the edges of their synced stored references and queued
-// messages, between two counted processes.
+// processes counted, the members: the edges of their stored references and
+// queued messages, between two members. It unions every store before any
+// channel and stops once the members form one class, so only questions about
+// members have their answer; every caller asks about nothing else.
 func (w *World) unite(counted func(*process) bool) *graph.UnionFind {
-	w.syncView()
 	w.uf.Reset(len(w.procs))
-	in := func(p *process) bool { return p != nil && p.life != Gone && counted(p) }
-	for _, p := range w.procs {
-		if !in(p) {
-			continue
+	w.member = slices.Grow(w.member[:0], len(w.procs))[:len(w.procs)]
+	classes := 0
+	for i, p := range w.procs {
+		w.member[i] = p != nil && p.life != Gone && counted(p)
+		if w.member[i] {
+			classes++
 		}
-		for _, r := range p.pgRefs {
-			if in(w.lookup(r)) {
-				w.uf.Union(p.id, r)
+	}
+	// join unions the edge p->r if r is a member and reports whether the
+	// members are down to one class.
+	join := func(p *process, r ref.Ref) bool {
+		i := ref.Index(r)
+		if uint(i) < uint(len(w.member)) && w.member[i] && w.uf.Union(p.id, r) {
+			classes--
+		}
+		return classes <= 1
+	}
+	for i, p := range w.procs {
+		if w.member[i] {
+			for _, r := range p.proto.Refs() {
+				if join(p, r) {
+					return &w.uf
+				}
 			}
 		}
-		for i := range p.ch {
-			for _, ri := range p.ch[i].Refs {
-				if in(w.lookup(ri.Ref)) {
-					w.uf.Union(p.id, ri.Ref)
+	}
+	for i, p := range w.procs {
+		if w.member[i] {
+			for j := range p.ch {
+				for _, ri := range p.ch[j].Refs {
+					if join(p, ri.Ref) {
+						return &w.uf
+					}
 				}
 			}
 		}

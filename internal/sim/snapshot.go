@@ -144,10 +144,10 @@ func (w *World) RelevantDegree(u ref.Ref) (int, bool) {
 // channel is empty and no relevant process has an edge into u. A leaver is
 // judged on its ledger row with no allocation. With the channel empty u has
 // no implicit edge of its own, so the edges into u from a neighbour q are
-// the row's count for q less the copies of q among u's synced stored
-// references; the row never counts fewer, so they are all zero exactly when
-// the two sums over relevant neighbours agree. A staying process is judged
-// on RelevantPG.
+// the row's count for q less the copies of q among u's stored references,
+// which syncView has just counted; the row never counts fewer, so they are
+// all zero exactly when the two sums over relevant neighbours agree. A
+// staying process is judged on RelevantPG.
 func (w *World) NIDEC(u ref.Ref) bool {
 	p := w.lookup(u)
 	if p == nil || p.life == Gone || len(p.ch) > 0 {
@@ -168,7 +168,7 @@ func (w *World) NIDEC(u ref.Ref) bool {
 			in += int(e.Val)
 		}
 	}
-	for _, r := range p.pgRefs {
+	for _, r := range p.proto.Refs() {
 		if q := w.lookup(r); q != p && relevant(q, hib) {
 			in--
 		}

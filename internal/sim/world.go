@@ -139,7 +139,8 @@ type process struct {
 	clock uint64
 
 	// pgRefs is the copy of proto.Refs() the world's ledger was last synced
-	// against (see pg.go); current only while the ledger is seeded.
+	// against: its diff base and nothing else (see pg.go), stale while the
+	// ledger is dropped or dormant.
 	pgRefs []ref.Ref
 }
 
@@ -203,8 +204,9 @@ type World struct {
 	hibGen   uint64
 	hibCache ref.Set
 
-	diff graph.RefDiff   // pgSyncRefs' sort buffers
-	uf   graph.UnionFind // reusable component partition for unite
+	diff   graph.RefDiff   // pgSyncRefs' sort buffers
+	uf     graph.UnionFind // reusable component partition for unite
+	member []bool          // unite's member mask, by ref.Index
 }
 
 // NewWorld returns an empty world using the given oracle (nil = no oracle;
@@ -384,9 +386,11 @@ func (w *World) Bounce(from, to ref.Ref, msg Message) {
 
 // SealInitialState captures the weakly-connected-component partition of the
 // current PG — what PG().WeaklyConnectedComponents() returns, computed by
-// union-find over the synced references without building the graph. Call it
-// after scenario construction, before the first step.
+// union-find over the stores and channels without building the graph — and
+// seeds the degree ledger. Call it after scenario construction, before the
+// first step.
 func (w *World) SealInitialState() {
+	w.syncView()
 	uf := w.unite(func(*process) bool { return true })
 	var live []ref.Ref
 	for _, p := range w.procs {
