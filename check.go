@@ -76,11 +76,10 @@ func CheckSchedules(cfg CheckConfig) (CheckReport, error) {
 		return CheckReport{}, err
 	}
 	out := check.Explore(s.World, check.Options{
-		MaxDepth:         cfg.Depth,
-		MaxStates:        cfg.MaxStates,
-		Invariant:        check.SafetyInvariant(),
-		Variant:          simVariant,
-		StopAtLegitimate: true,
+		MaxDepth:  cfg.Depth,
+		MaxStates: cfg.MaxStates,
+		Invariant: check.SafetyInvariant(),
+		Variant:   simVariant,
 	})
 	rep := CheckReport{
 		Safe:             out.OK(),

@@ -28,6 +28,21 @@ func TestDefaultsExploreTheE14Instance(t *testing.T) {
 	}
 }
 
+// TestFourProcessesKeepTheirCounts pins -n 4 (a line of four, one leaver)
+// the same way: the explorer's keys and order must not move its counts.
+func TestFourProcessesKeepTheirCounts(t *testing.T) {
+	code, out, errs := runCheck("-n", "4")
+	want := "topology=line n=4 leavers=1 oracle=single variant=fdp\n" +
+		"states explored:     42408\n" +
+		"depth reached:       12\n" +
+		"legitimate states:   428\n" +
+		"frontier (undecided): 17969\n" +
+		"result: SAFE on every explored schedule\n"
+	if code != 0 || out != want || errs != "" {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s\nwant stdout:\n%s", code, out, errs, want)
+	}
+}
+
 func TestUnsafeOracleExitsOneWithTheSchedule(t *testing.T) {
 	code, out, _ := runCheck("-oracle", "unsafe", "-depth", "10")
 	for _, want := range []string{

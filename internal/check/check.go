@@ -7,11 +7,13 @@
 //
 // States are deduplicated by the world fingerprint (protocol variables +
 // lifecycle + channel multisets), so the exploration is over the quotient
-// transition system the protocol actually induces.
+// transition system the protocol actually induces. Explore is one instance
+// of the generic breadth-first Search; primitives.Reachable is the other.
 package check
 
 import (
 	"fmt"
+	"slices"
 
 	"fdp/internal/sim"
 )
@@ -26,13 +28,9 @@ type Options struct {
 	// Invariant is checked in every reachable state (nil = none). Return
 	// a non-nil error to report a violation.
 	Invariant func(*sim.World) error
-	// Variant selects the legitimacy predicate used for the reachability
-	// statistics.
+	// Variant selects the legitimacy predicate. Exploration stops at
+	// legitimate states: their closure is a separate property.
 	Variant sim.Variant
-	// StopAtLegitimate prunes exploration below legitimate states (their
-	// closure is a separate property); default true via NewOptions, false
-	// in the zero value.
-	StopAtLegitimate bool
 }
 
 // Violation is an invariant failure with the schedule that produced it.
@@ -77,70 +75,53 @@ type Outcome struct {
 // OK reports whether no violation was found.
 func (o Outcome) OK() bool { return len(o.Violations) == 0 }
 
-type node struct {
-	w        *sim.World
-	depth    int
-	schedule []sim.Action
-}
-
-// Explore runs a breadth-first exhaustive exploration from w. The input
-// world is not modified (exploration works on clones); its protocols must
-// implement sim.CloneableProtocol.
+// Explore runs a breadth-first exhaustive exploration from clones of w. Its
+// protocols must be sim.CloneableProtocol and sim.FingerprintableProtocol and
+// its messages carry no Payload, or distinct states would share a key: Explore
+// panics on such a world, naming the process.
 func Explore(w *sim.World, opts Options) Outcome {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 12
 	}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = 1 << 20
-	}
 	if w.InitialComponents() == nil {
 		w.SealInitialState()
 	}
-	out := Outcome{}
-	root := w.Clone()
-	seen := map[string]bool{root.Fingerprint(): true}
-	queue := []node{{w: root, depth: 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		out.StatesExplored++
-		if out.StatesExplored > opts.MaxStates {
-			out.Truncated = true
-			return out
+	for _, r := range w.Refs() {
+		_, full := w.ProtocolOf(r).(sim.FingerprintableProtocol)
+		if !full || slices.ContainsFunc(w.ChannelSnapshot(r), func(m sim.Message) bool { return m.Payload != nil }) {
+			panic(fmt.Sprintf("check: the fingerprint cannot see all of %v's state and messages", r))
 		}
-		if cur.depth > out.DepthReached {
-			out.DepthReached = cur.depth
-		}
-		if opts.Invariant != nil {
-			if err := opts.Invariant(cur.w); err != nil {
-				out.Violations = append(out.Violations, Violation{Err: err, Schedule: cur.schedule})
-				return out
+	}
+	var out Outcome
+	var violation error
+	res := Search(w.Clone(), opts.MaxStates, (*sim.World).AppendFingerprint,
+		func(cur *sim.World, yield func(sim.Action, *sim.World)) {
+			for _, a := range cur.EnabledActions() {
+				succ := cur.Clone()
+				succ.Execute(a)
+				yield(a, succ)
 			}
-		}
-		legit := cur.w.Legitimate(opts.Variant)
-		if legit {
-			out.LegitimateStates++
-			if opts.StopAtLegitimate {
-				continue
+		},
+		func(cur *sim.World, depth int) Verdict {
+			out.DepthReached = max(out.DepthReached, depth)
+			if opts.Invariant != nil {
+				if violation = opts.Invariant(cur); violation != nil {
+					return Stop
+				}
 			}
-		}
-		if cur.depth >= opts.MaxDepth {
-			if !legit {
+			switch {
+			case cur.Legitimate(opts.Variant):
+				out.LegitimateStates++
+				return Prune
+			case depth >= opts.MaxDepth:
 				out.FrontierStates++
+				return Prune
 			}
-			continue
-		}
-		for _, a := range cur.w.EnabledActions() {
-			succ := cur.w.Clone()
-			succ.Execute(a)
-			fp := succ.Fingerprint()
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			sched := append(append([]sim.Action{}, cur.schedule...), a)
-			queue = append(queue, node{w: succ, depth: cur.depth + 1, schedule: sched})
-		}
+			return Expand
+		})
+	out.StatesExplored, out.Truncated = res.States, res.Truncated
+	if res.Stopped {
+		out.Violations = []Violation{{Err: violation, Schedule: res.Path}}
 	}
 	return out
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"fdp/internal/churn"
 	"fdp/internal/core"
+	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -33,11 +35,10 @@ func tinyWorld(orc sim.Oracle, variant core.Variant) (*sim.World, []ref.Ref) {
 func TestExhaustiveSafetyLine3(t *testing.T) {
 	w, _ := tinyWorld(oracle.Single{}, core.VariantFDP)
 	out := Explore(w, Options{
-		MaxDepth:         14,
-		MaxStates:        300000,
-		Invariant:        SafetyInvariant(),
-		Variant:          sim.FDP,
-		StopAtLegitimate: true,
+		MaxDepth:  14,
+		MaxStates: 300000,
+		Invariant: SafetyInvariant(),
+		Variant:   sim.FDP,
 	})
 	if !out.OK() {
 		t.Fatalf("safety violated:\n%s", out.Violations[0])
@@ -78,11 +79,10 @@ func TestExhaustiveFindsUnsafeOracleViolation(t *testing.T) {
 func TestExhaustiveSafetyFSP(t *testing.T) {
 	w, _ := tinyWorld(nil, core.VariantFSP)
 	out := Explore(w, Options{
-		MaxDepth:         12,
-		MaxStates:        300000,
-		Invariant:        SafetyInvariant(),
-		Variant:          sim.FSP,
-		StopAtLegitimate: true,
+		MaxDepth:  12,
+		MaxStates: 300000,
+		Invariant: SafetyInvariant(),
+		Variant:   sim.FSP,
 	})
 	if !out.OK() {
 		t.Fatalf("FSP safety violated:\n%s", out.Violations[0])
@@ -107,11 +107,10 @@ func TestExhaustiveSafetyCorrupted(t *testing.T) {
 	w.Enqueue(a, sim.NewMessage(core.LabelForward, sim.RefInfo{Ref: u, Mode: sim.Staying}))
 	w.SealInitialState()
 	out := Explore(w, Options{
-		MaxDepth:         12,
-		MaxStates:        300000,
-		Invariant:        SafetyInvariant(),
-		Variant:          sim.FDP,
-		StopAtLegitimate: true,
+		MaxDepth:  12,
+		MaxStates: 300000,
+		Invariant: SafetyInvariant(),
+		Variant:   sim.FDP,
 	})
 	if !out.OK() {
 		t.Fatalf("corrupted-start safety violated:\n%s", out.Violations[0])
@@ -190,5 +189,33 @@ func TestViolationScheduleReplays(t *testing.T) {
 	}
 	if fresh.RelevantComponentsIntact() {
 		t.Fatal("replay did not reproduce the disconnection")
+	}
+}
+
+// A world whose fingerprint would merge distinct states is refused, naming
+// the process: a P′ world clones, but its fingerprint would read the
+// wrappers' Refs only, and no fingerprint reads a message payload.
+func TestExploreRefusesWorldsTheKeyMerges(t *testing.T) {
+	wrapped := churn.Build(churn.Config{
+		N: 3, Topology: churn.TopoLine, LeaverIndices: []int{1},
+		Oracle: oracle.Single{}, Overlay: framework.OverlayLinearize,
+	})
+	withPayload, nodes := tinyWorld(oracle.Single{}, core.VariantFDP)
+	withPayload.Enqueue(nodes[2], sim.Message{Label: core.LabelForward, Payload: 7})
+	for _, c := range []struct {
+		w    *sim.World
+		want string
+	}{
+		{wrapped.World, "cannot see all of " + wrapped.Nodes[0].String() + "'s"},
+		{withPayload, "cannot see all of " + nodes[2].String() + "'s"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("Explore recovered %q, want %q", msg, c.want)
+				}
+			}()
+			Explore(c.w, Options{MaxDepth: 2, Variant: sim.FDP})
+		}()
 	}
 }

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"fdp/internal/sim"
 )
@@ -21,16 +20,19 @@ func (p *Proc) CloneProtocol() sim.Protocol {
 	return &c
 }
 
-// FingerprintState implements sim.FingerprintableProtocol: the full
-// variable assignment — neighborhood with beliefs, anchor with belief, and
-// the variant.
-func (p *Proc) FingerprintState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d;a%v:%d;g%d.%d;", p.variant, p.Anchor(), p.anchorMode, p.verifyGap, p.sinceVerify)
+// AppendFingerprint implements sim.FingerprintableProtocol: it appends the
+// full variable assignment — variant, anchor with belief, re-verification
+// pacing, and neighborhood with beliefs.
+func (p *Proc) AppendFingerprint(b []byte) []byte {
+	b = strconv.AppendUint(append(b, 'v'), uint64(p.variant), 10)
+	b = append(p.Anchor().Append(append(b, ";a"...)), ':')
+	b = strconv.AppendUint(b, uint64(p.anchorMode), 10)
+	b = strconv.AppendInt(append(b, ";g"...), int64(p.verifyGap), 10)
+	b = append(strconv.AppendInt(append(b, '.'), int64(p.sinceVerify), 10), ';')
 	for i, m := range p.beliefs {
-		fmt.Fprintf(&b, "%v:%d,", p.refs[i], m)
+		b = append(strconv.AppendUint(append(p.refs[i].Append(b), ':'), uint64(m), 10), ',')
 	}
-	return b.String()
+	return b
 }
 
 var (

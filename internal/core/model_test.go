@@ -77,7 +77,7 @@ func (m *mapProc) beliefs() []sim.RefInfo {
 	return out
 }
 
-// fingerprint renders the state the way Proc.FingerprintState always has.
+// fingerprint renders the state as Proc.AppendFingerprint appends it.
 func (m *mapProc) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d;a%v:%d;g%d.%d;", m.variant, m.anchor, m.anchorMode, m.verifyGap, m.sinceVerify)

@@ -450,7 +450,7 @@ func TestAccessorsAndClone(t *testing.T) {
 	if neighbors(p)[v] != sim.Leaving {
 		t.Fatal("clone not independent")
 	}
-	if p.FingerprintState() == c.FingerprintState() {
+	if string(p.AppendFingerprint(nil)) == string(c.AppendFingerprint(nil)) {
 		t.Fatal("fingerprint must reflect belief changes")
 	}
 }

@@ -44,7 +44,7 @@ func (c *recCtx) Send(to ref.Ref, msg sim.Message) {
 // operations. After every step the two must have done the same things in the
 // same order (sends with their parameters, exit, sleep), NeighborRefs, Refs,
 // Beliefs and NeighborBeliefs must equal the model's sorted image, and
-// FingerprintState the model's rendering. The sim.Protocol.Refs contract is
+// AppendFingerprint the model's rendering. The sim.Protocol.Refs contract is
 // checked on the way: every slice handed out earlier still holds the values
 // it had then, and a Proc left behind by CloneProtocol — either side of the
 // clone — never moves again.
@@ -118,7 +118,7 @@ func TestRefsContractUnderEveryMutator(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					p, c = c, p
 				}
-				left = append(left, leftBehind{c, c.FingerprintState()})
+				left = append(left, leftBehind{c, string(c.AppendFingerprint(nil))})
 				m = m.clone()
 			}
 			if !slices.Equal(pc.did, mc.did) {
@@ -134,7 +134,7 @@ func TestRefsContractUnderEveryMutator(t *testing.T) {
 				t.Fatalf("seed %d step %d (op %d): Beliefs %v anchor %v:%v, model %v anchor %v:%v",
 					seed, step, op, got, p.Anchor(), p.AnchorBelief(), want, m.anchor, m.anchorMode)
 			}
-			if got, want := p.FingerprintState(), m.fingerprint(); got != want {
+			if got, want := string(p.AppendFingerprint(nil)), m.fingerprint(); got != want {
 				t.Fatalf("seed %d step %d (op %d): fingerprint %q, model %q", seed, step, op, got, want)
 			}
 			for i, h := range held {
@@ -145,7 +145,7 @@ func TestRefsContractUnderEveryMutator(t *testing.T) {
 			}
 			held = append(held, handout{nbrs, slices.Clone(nbrs)}, handout{all, slices.Clone(all)})
 			for _, l := range left {
-				if got := l.p.FingerprintState(); got != l.fp {
+				if got := string(l.p.AppendFingerprint(nil)); got != l.fp {
 					t.Fatalf("seed %d step %d (op %d): a Proc left behind by CloneProtocol moved from %q to %q",
 						seed, step, op, l.fp, got)
 				}

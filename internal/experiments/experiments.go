@@ -170,7 +170,7 @@ func E2Universality(s Scale) Result {
 // --- E3: Theorem 2 — necessity -----------------------------------------
 
 // E3Necessity runs the witness searches: each target reachable with all
-// four primitives, unreachable without the designated one.
+// four primitives, unreachable (by an untruncated search) without the designated one.
 func E3Necessity() Result {
 	res := Result{
 		ID:    "E3",
@@ -187,7 +187,7 @@ func E3Necessity() Result {
 		reduced := primitives.Reachable(start, target, primitives.Without(w.Missing), 0)
 		tb.AddRow(w.Missing.String(), full.Reachable, reduced.Reachable,
 			full.StatesExplored+reduced.StatesExplored)
-		if !full.Reachable || reduced.Reachable {
+		if !full.Reachable || reduced.Reachable || reduced.Truncated {
 			res.Pass = false
 		}
 	}

@@ -223,11 +223,10 @@ func E14ModelCheck() Result {
 	} {
 		s := churn.Build(churn.Config{N: 3, Topology: churn.TopoLine, LeaverIndices: []int{1}, Oracle: row.orc})
 		out := check.Explore(s.World, check.Options{
-			MaxDepth:         row.depth,
-			MaxStates:        500000,
-			Invariant:        check.SafetyInvariant(),
-			Variant:          sim.FDP,
-			StopAtLegitimate: true,
+			MaxDepth:  row.depth,
+			MaxStates: 500000,
+			Invariant: check.SafetyInvariant(),
+			Variant:   sim.FDP,
 		})
 		tb.AddRow(row.name, row.depth, out.StatesExplored, !out.OK(), out.LegitimateStates)
 		if out.OK() == row.unsafe || (!row.unsafe && out.LegitimateStates == 0) {

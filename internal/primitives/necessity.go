@@ -1,9 +1,9 @@
 package primitives
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
+	"fdp/internal/check"
 	"fdp/internal/graph"
 	"fdp/internal/ref"
 )
@@ -23,67 +23,41 @@ type SearchResult struct {
 	Reachable      bool
 	Ops            []Op // a witness sequence when reachable
 	StatesExplored int
+	Truncated      bool // the budget ran out: Reachable false then decides nothing
 }
 
 // multiplicityCap bounds parallel edges during the search; the witness
 // instances need at most two parallel edges, so a cap of three is ample.
 const multiplicityCap = 3
 
-// Reachable performs an exhaustive BFS from start over all states reachable
-// with the allowed primitive kinds (nil = all four), deciding whether some
-// state equals target as a simple digraph with all references absorbed.
-// maxStates bounds the exploration (0 = 1<<20).
+// Reachable performs an exhaustive BFS (a check.Search) from start over all
+// states reachable with the allowed primitive kinds (nil = all four),
+// deciding whether some state equals target as a simple digraph with all
+// references absorbed. maxStates bounds the exploration (0 = 1<<20).
 func Reachable(start, target *graph.Graph, allowed map[Kind]bool, maxStates int) SearchResult {
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
-	canonTarget := canonicalKey(normalized(target))
-	type node struct {
-		g    *graph.Graph
-		ops  []Op
-		key  string
-		prev *node
-	}
-	startG := normalized(start)
-	startKey := canonicalKey(startG)
-	res := SearchResult{}
-	if startKey == canonTarget {
-		res.Reachable = true
-		return res
-	}
-	seen := map[string]bool{startKey: true}
-	queue := []node{{g: startG, key: startKey}}
-	for len(queue) > 0 && res.StatesExplored < maxStates {
-		cur := queue[0]
-		queue = queue[1:]
-		res.StatesExplored++
-		for _, op := range EnabledOps(cur.g, allowed) {
-			if op.Kind == AbsorbStep {
-				continue // states are kept fully absorbed
+	goal := string(appendKey(normalized(target), nil))
+	res := check.Search(normalized(start), maxStates, appendKey,
+		func(g *graph.Graph, yield func(Op, *graph.Graph)) {
+			for _, op := range EnabledOps(g, allowed) {
+				if op.Kind == AbsorbStep {
+					continue // states are kept fully absorbed
+				}
+				next := g.Clone()
+				if Apply(next, op) != nil {
+					continue
+				}
+				if AbsorbAll(next); !exceedsCap(next) {
+					yield(op, next)
+				}
 			}
-			next := cur.g.Clone()
-			if err := Apply(next, op); err != nil {
-				continue
+		},
+		func(g *graph.Graph, _ int) check.Verdict {
+			if string(appendKey(g, nil)) == goal {
+				return check.Stop
 			}
-			nextN := normalized(next)
-			if exceedsCap(nextN) {
-				continue
-			}
-			key := canonicalKey(nextN)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			ops := append(append([]Op{}, cur.ops...), op)
-			if key == canonTarget {
-				res.Reachable = true
-				res.Ops = ops
-				return res
-			}
-			queue = append(queue, node{g: nextN, ops: ops, key: key})
-		}
-	}
-	return res
+			return check.Expand
+		})
+	return SearchResult{Reachable: res.Stopped, Ops: res.Path, StatesExplored: res.States, Truncated: res.Truncated}
 }
 
 // normalized returns a copy with every implicit edge absorbed — search
@@ -106,18 +80,20 @@ func exceedsCap(g *graph.Graph) bool {
 	return false
 }
 
-func canonicalKey(g *graph.Graph) string {
-	var b strings.Builder
+// appendKey appends g's nodes and edges with multiplicities to b.
+func appendKey(g *graph.Graph, b []byte) []byte {
 	for _, u := range g.Nodes() {
-		fmt.Fprintf(&b, "%v;", u)
+		b = append(u.Append(b), ';')
 	}
-	b.WriteString("|")
+	b = append(b, '|')
 	for _, u := range g.Nodes() {
 		for _, v := range g.Succ(u) {
-			fmt.Fprintf(&b, "%v>%v*%d;", u, v, g.EdgeCount(u, v))
+			b = append(u.Append(b), '>')
+			b = append(v.Append(b), '*')
+			b = append(strconv.AppendInt(b, int64(g.EdgeCount(u, v)), 10), ';')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // NecessityWitness is one instance of the Theorem 2 proof: Target is

@@ -179,6 +179,24 @@ func TestTheorem2Necessity(t *testing.T) {
 		if reduced.StatesExplored == 0 {
 			t.Errorf("%v witness: search explored no states", w.Missing)
 		}
+		if reduced.Truncated {
+			t.Errorf("%v witness: search without %v truncated at %d states", w.Missing, w.Missing, reduced.StatesExplored)
+		}
+	}
+}
+
+// A search cut by its state budget says so, so that an exhausted budget
+// never reads as "unreachable".
+func TestReachableReportsTruncation(t *testing.T) {
+	for _, w := range Witnesses() {
+		if w.Missing != Delegation {
+			continue
+		}
+		nodes := mkNodes(w.Nodes)
+		res := Reachable(w.Start(nodes), w.Target(nodes), Without(Delegation), 10)
+		if !res.Truncated || res.Reachable || res.StatesExplored != 10 {
+			t.Fatalf("maxStates 10: %+v, want truncated after 10 states", res)
+		}
 	}
 }
 

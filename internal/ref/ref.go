@@ -15,8 +15,8 @@ package ref
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Ref is an opaque reference to a process, analogous to knowing a node's IP
@@ -34,11 +34,14 @@ func (r Ref) IsNil() bool { return r.id == 0 }
 
 // String renders the reference for traces and tests. Protocol code must not
 // parse this.
-func (r Ref) String() string {
+func (r Ref) String() string { return string(r.Append(nil)) }
+
+// Append appends String's rendering of r to b.
+func (r Ref) Append(b []byte) []byte {
 	if r.IsNil() {
-		return "⊥"
+		return append(b, "⊥"...)
 	}
-	return fmt.Sprintf("p%d", r.id)
+	return strconv.AppendInt(append(b, 'p'), int64(r.id), 10)
 }
 
 // Space allocates references. It is the simulator's authority on which

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // CloneableProtocol is implemented by protocol states that can be deep-
@@ -62,54 +64,55 @@ func (w *World) Clone() *World {
 // FingerprintableProtocol if implemented, else Refs), and the multiset of
 // channel messages. Two worlds with equal fingerprints behave identically
 // under any scheduler, which is what lets the model checker prune.
-func (w *World) Fingerprint() string {
-	var b []byte
+func (w *World) Fingerprint() string { return string(w.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends Fingerprint's bytes to b.
+func (w *World) AppendFingerprint(b []byte) []byte {
+	spans := make([][2]int, 0, 8) // message extents, on the stack for small channels
 	for _, p := range w.procs {
 		if p == nil {
 			continue
 		}
-		b = append(b, fmt.Sprintf("%v/%d/%d{", p.id, p.mode, p.life)...)
+		b = append(p.id.Append(b), '/')
+		b = append(strconv.AppendUint(b, uint64(p.mode), 10), '/')
+		b = append(strconv.AppendUint(b, uint64(p.life), 10), '{')
 		if fp, ok := p.proto.(FingerprintableProtocol); ok {
-			b = append(b, fp.FingerprintState()...)
+			b = fp.AppendFingerprint(b)
 		} else {
 			for _, r := range p.proto.Refs() {
-				b = append(b, fmt.Sprintf("%v,", r)...)
+				b = append(r.Append(b), ',')
 			}
 		}
 		b = append(b, '|')
 		// Channel contents as a sorted multiset (delivery order is up to
-		// the scheduler, so order must not distinguish states).
-		msgs := make([]string, 0, len(p.ch))
+		// the scheduler, so order must not distinguish states): rendered
+		// past the end, sorted, copied back down.
+		start := len(b)
+		spans = spans[:0]
 		for _, m := range p.ch {
-			s := m.Label + "("
+			lo := len(b)
+			b = append(append(b, m.Label...), '(')
 			for _, ri := range m.Refs {
-				s += ri.String() + ","
+				b = append(append(append(ri.Ref.Append(b), ':'), ri.Mode.String()...), ',')
 			}
-			s += ")"
-			msgs = append(msgs, s)
+			b = append(b, ')')
+			spans = append(spans, [2]int{lo, len(b)})
 		}
-		sortStrings(msgs)
-		for _, s := range msgs {
-			b = append(b, s...)
-			b = append(b, ';')
+		slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) })
+		end := len(b)
+		for _, sp := range spans {
+			b = append(append(b, b[sp[0]:sp[1]]...), ';')
 		}
-		b = append(b, '}')
+		b = append(append(b[:start], b[end:]...), '}')
 	}
-	return string(b)
+	return b
 }
 
 // FingerprintableProtocol lets protocol states contribute their full
 // variable assignment (not just stored references) to the state
-// fingerprint. The departure protocol implements it, distinguishing mode
-// beliefs and the anchor variable.
+// fingerprint. Its messages must carry no Payload, which no fingerprint
+// reads. The departure protocol implements it.
 type FingerprintableProtocol interface {
-	FingerprintState() string
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	// AppendFingerprint appends the variable assignment to b.
+	AppendFingerprint(b []byte) []byte
 }
