@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fdp"
+	"fdp/internal/node"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -80,6 +81,57 @@ func TestGoldenJournalsReplayByteIdentically(t *testing.T) {
 				t.Fatalf("unexpected verify output: %s", out)
 			}
 		})
+	}
+}
+
+// meshGolden is a seeded three-node run on the in-process loopback
+// (node.RunLoopback) whose per-node journals are committed next to the
+// sequential goldens: regenerating them from the seed must give the same
+// bytes, so the mesh replays across commits and not only within one.
+var meshGolden = struct {
+	name string
+	scn  trace.Scenario
+}{"mesh_fdp_line_n3", trace.Scenario{
+	N: 3, Topology: "line", LeaveFraction: 0.5, Pattern: "random",
+	Variant: "FDP", Oracle: "SINGLE", Seed: 1,
+}}
+
+// TestMeshGoldenJournalsRegenerateByteIdentically re-runs the mesh golden
+// and joins the committed journals: exit 0, no duplicate delivery.
+func TestMeshGoldenJournalsRegenerateByteIdentically(t *testing.T) {
+	const nodes = 3
+	cfgs := make([]node.Config, nodes)
+	bufs := make([]bytes.Buffer, nodes)
+	paths := make([]string, nodes)
+	for i := range cfgs {
+		cfgs[i] = node.Config{ID: i, Nodes: nodes, Scenario: meshGolden.scn, Journal: &bufs[i],
+			MaxWall: 30 * time.Second, Linger: 2 * time.Millisecond, RoundEvery: time.Millisecond}
+		paths[i] = goldenPath(meshGolden.name + "_node" + strconv.Itoa(i))
+	}
+	results, err := node.RunLoopback(cfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.Converged {
+			t.Fatalf("node %d did not converge: %+v", i, r.Summary)
+		}
+		if *update {
+			if err := os.WriteFile(paths[i], bufs[i].Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bufs[i].Bytes(), want) {
+			t.Fatalf("node %d journal differs from %s (regenerate deliberately with -update)", i, paths[i])
+		}
+	}
+	code, out, errOut := runCLI(t, append([]string{"-join"}, paths...)...)
+	if code != 0 || !strings.Contains(out, " 0 duplicates") {
+		t.Fatalf("fdpreplay -join exited %d\nstdout: %s\nstderr: %s", code, out, errOut)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package detiter enforces per-seed determinism in the deterministic
-// packages (fdp/internal/sim, core, churn, faults): identical seeds must
-// yield identical runs, which is what makes replay debugging, the
+// packages (fdp/internal/sim, core, churn, faults, trace, node): identical
+// seeds must yield identical runs, which is what makes replay debugging, the
 // differential harness and every experiment table reproducible. The two
 // bug classes PR 2 had to flush out dynamically — map-iteration-order
 // leaking into scheduling decisions, and draws from process-global
@@ -20,8 +20,8 @@
 //     draw from the process-global generator (constructors rand.New,
 //     rand.NewSource etc. are allowed — seeded *rand.Rand instances are
 //     the deterministic way to randomize);
-//   - any use of time.Now, time.Since or time.Until: wall-clock reads make
-//     control flow machine- and load-dependent.
+//   - any use of time.Now, time.Since, time.Until or time.Sleep: wall-clock
+//     reads and waits make control flow machine- and load-dependent.
 //
 // Genuinely order-insensitive loops that fit neither exemption can state
 // that with //fdplint:ignore detiter <reason>.
@@ -45,6 +45,10 @@ var deterministicPkgs = map[string]bool{
 	// schedule must be byte-identical, so the writer and every analysis
 	// over records (spans, diffs, exports) must be order-deterministic.
 	"fdp/internal/trace": true,
+	// The mesh node: Step runs on the time it is given, so a mesh stepped
+	// on a seeded loopback's virtual clock replays byte for byte. Only the
+	// wall-clock loop Run reads the clock, under an ignore directive.
+	"fdp/internal/node": true,
 }
 
 // globalRandAllowed lists math/rand identifiers that do NOT draw from the
@@ -57,7 +61,7 @@ var globalRandAllowed = map[string]bool{
 }
 
 // clockDenied are the wall-clock reads.
-var clockDenied = map[string]bool{"Now": true, "Since": true, "Until": true}
+var clockDenied = map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true}
 
 // Analyzer is the detiter pass.
 var Analyzer = &analysis.Analyzer{

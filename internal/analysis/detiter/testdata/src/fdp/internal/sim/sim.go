@@ -74,6 +74,7 @@ func seededDraws(seed int64) int {
 
 func wallClock() time.Duration {
 	start := time.Now() // want "time.Now reads the wall clock in a deterministic package"
+	time.Sleep(1) // want "time.Sleep reads the wall clock in a deterministic package"
 	return time.Since(start) // want "time.Since reads the wall clock in a deterministic package"
 }
 

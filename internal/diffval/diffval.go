@@ -379,7 +379,7 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 		pending := func() int {
 			return int(rt.Sent() - rt.KindCount(sim.EvDeliver) - rt.Dropped())
 		}
-		if v, stalled := wd.Tick(rt.Events(), pending); stalled && stall == nil {
+		if v, stalled := wd.Tick(time.Now(), rt.Events(), pending); stalled && stall == nil {
 			stall = newStallReport(v, flight, trace.EngineRuntime, trace.ScenarioFor(scn, ""), leavers)
 		}
 	}

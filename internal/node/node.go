@@ -24,6 +24,7 @@ package node
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"fdp/internal/churn"
@@ -46,17 +47,14 @@ type Config struct {
 	// The node flushes it at every wind-down and on Interrupt.
 	Journal io.Writer
 
-	// MaxWall bounds the run in wall time (default 60s); a node that hits
-	// it reports TimedOut. Linger is the post-agreement drain window
-	// (default 500ms). StepBatch is how many local actions run per pump
-	// iteration (default 64). RoundEvery is the owner's oracle round
-	// interval and DoneEvery the done-gossip rebroadcast interval
-	// (defaults 50ms and 200ms).
+	// MaxWall bounds the run (default 60s; TimedOut if hit), Linger is the
+	// post-agreement drain window (default 500ms), RoundEvery the owner's
+	// oracle round interval (default 50ms). Like StallWindow, they run on
+	// the clock the node is stepped on: the wall clock under Run, the
+	// loopback's virtual clock under RunLoopback.
 	MaxWall    time.Duration
 	Linger     time.Duration
-	StepBatch  int
 	RoundEvery time.Duration
-	DoneEvery  time.Duration
 
 	// Metrics, if non-nil, receives this node's liveness series
 	// (fdp_progress_* / fdp_stall_*, labeled node="<id>"). Pass the same
@@ -64,21 +62,29 @@ type Config struct {
 	// combining per-link transport and per-leaver progress (cmd/fdpnode
 	// -serve does).
 	Metrics *obs.Registry
-	// StallWindow enables the wall-clock liveness watchdog on the pump
-	// loop: every window with owned leavers remaining and no settles is
-	// classified (obs.StallKind). Pick it well above RoundEvery — a grant
-	// takes at least one oracle round. 0 disables.
+	// StallWindow enables the liveness watchdog on the pump loop: every
+	// window with owned leavers remaining and no settles is classified
+	// (obs.StallKind). Pick it well above RoundEvery — a grant takes at
+	// least one oracle round. 0 disables. The always-on flight recorder
+	// (trace.DefaultFlightCap records) runs whenever Metrics, StallWindow or
+	// OnStall is set.
 	StallWindow time.Duration
-	// FlightK bounds the always-on flight recorder (0 =
-	// trace.DefaultFlightCap). The recorder runs whenever Metrics,
-	// StallWindow or OnStall is set.
-	FlightK int
 	// OnStall, if non-nil, receives the FIRST stall verdict together with
 	// the flight-recorder snapshot framed as an engine-"node" journal
 	// fragment (joinable with the siblings' journals). Called on the pump
 	// goroutine; cmd/fdpnode writes the artifacts next to the journal.
 	OnStall func(v obs.StallVerdict, hdr trace.Header, flight []trace.Record, complete bool)
 }
+
+// The pump's fixed pacing: stepBatch local actions per Step (plus one per
+// inbox entry it absorbed), the done gossip rebroadcast every doneEvery,
+// and an idle Step followed by idleSleep of rest — Run sleeps it,
+// RunLoopback parks the node for it.
+const (
+	stepBatch = 64
+	doneEvery = 200 * time.Millisecond
+	idleSleep = time.Millisecond
+)
 
 // inKind discriminates inbox entries.
 type inKind uint8
@@ -99,9 +105,9 @@ type inbound struct {
 }
 
 // Node is one running slice. It implements transport.Handler; handler
-// calls enqueue into the inbox and everything else happens on the single
-// pump goroutine inside Run — the engine, the journal hook, the oracle
-// state and the summary never see concurrency.
+// calls enqueue into the inbox and everything else happens in Step, on the
+// single pump goroutine of Run or RunLoopback — the engine, the journal
+// hook, the oracle state and the summary never see concurrency.
 type Node struct {
 	cfg    Config
 	global *churn.Scenario
@@ -115,10 +121,10 @@ type Node struct {
 	ownedSet   ref.Set
 	ownedLeave []ref.Ref // owned leavers, sorted
 
-	// inbox carries handler calls to the pump. A full inbox blocks the
-	// transport's reader — backpressure all the way to the sending peer's
-	// TCP link. dead closes when Run returns, unblocking handlers so the
-	// transport can drain and close after the pump is gone.
+	// inbox carries handler calls to the pump. A full inbox blocks the TCP
+	// reader — backpressure to the sending peer (the loopback's per-Advance
+	// burst keeps RunLoopback's inboxes short of full). dead closes when the
+	// node finishes, unblocking handlers so the transport can drain.
 	inbox chan inbound
 	dead  chan struct{}
 
@@ -137,6 +143,11 @@ type Node struct {
 	// id or an answering node that is no node of this run.
 	rejected *obs.Counter
 
+	// Pump clock state, on the clock Step is given: the first Step, the
+	// last round and done broadcast, the linger's end (zero until agreed).
+	start, lastRound, lastDone, lingerEnd time.Time
+	timedOut                              bool
+
 	// Liveness observability (DESIGN.md §16), pump-goroutine only.
 	prog      *obs.Progress
 	flight    *trace.Flight
@@ -146,7 +157,7 @@ type Node struct {
 }
 
 // New rebuilds the global scenario and prepares this node's world. The
-// transport is attached in Run so that New can be used as the
+// transport is attached by Run or RunLoopback so New can be used as the
 // transport.Handler during transport construction.
 func New(cfg Config) (*Node, error) {
 	if cfg.Nodes < 1 || cfg.ID < 0 || cfg.ID >= cfg.Nodes {
@@ -158,14 +169,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Linger <= 0 {
 		cfg.Linger = 500 * time.Millisecond
 	}
-	if cfg.StepBatch <= 0 {
-		cfg.StepBatch = 64
-	}
 	if cfg.RoundEvery <= 0 {
 		cfg.RoundEvery = 50 * time.Millisecond
-	}
-	if cfg.DoneEvery <= 0 {
-		cfg.DoneEvery = 200 * time.Millisecond
 	}
 	global, err := cfg.Scenario.BuildScenario()
 	if err != nil {
@@ -224,7 +229,7 @@ func New(cfg Config) (*Node, error) {
 		// mirrors the journal hook: same events, bounded ring instead of a
 		// stream, snapshot only on stall.
 		n.prog = obs.NewProgress(cfg.Metrics, fmt.Sprintf("node=%q", fmt.Sprint(cfg.ID)), n.ownedLeave)
-		n.flight = trace.NewFlight(cfg.FlightK)
+		n.flight = trace.NewFlight(trace.DefaultFlightCap)
 		w.AddEventHook(n.flight.Record)
 		w.AddEventHook(n.prog.NoteEvent)
 		w.SetOracleHook(n.prog.NoteOracle)
@@ -233,8 +238,9 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n.world = w
-	// Distinct per-node seeds: each node schedules its own slice; the run
-	// is one concurrent schedule, not a replayable one.
+	// Distinct per-node seeds: each node schedules its own slice. Under
+	// RunLoopback the whole run replays from the scenario's seed; under Run
+	// the interleaving of nodes is the wall clock's.
 	n.sched = sim.NewRandomScheduler(cfg.Scenario.Seed+int64(cfg.ID)*7919+1, 0)
 	return n, nil
 }
@@ -295,91 +301,143 @@ type Result struct {
 	Converged bool
 }
 
-// Run drives the node until every node gossips done, the stop channel
-// closes, or MaxWall elapses. It owns the pump goroutine; tr's handler must
-// be this node.
+// Run is the wall-clock pump loop: it steps the node on time.Now until the
+// node finishes, the stop channel closes, or MaxWall elapses, resting
+// idleSleep after every idle Step. It owns the pump goroutine; tr's
+// handler must be this node.
 func (n *Node) Run(tr transport.Transport, stop <-chan struct{}) Result {
 	n.tr = tr
-	defer close(n.dead)
-	deadline := time.Now().Add(n.cfg.MaxWall)
-	var lastRound, lastDone time.Time
-	interrupted, timedOut := false, false
-
-	stopped := func() bool {
+	for {
 		select {
 		case <-stop:
-			return true
+			return n.finish(true)
 		default:
-			return false
+		}
+		//fdplint:ignore detiter Run is the wall-clock loop; Step takes the time it reads
+		busy, done := n.Step(time.Now())
+		if done {
+			return n.finish(false)
+		}
+		if !busy {
+			time.Sleep(idleSleep) //fdplint:ignore detiter the wall-clock loop rests an idle pump
 		}
 	}
+}
 
-	for {
-		if stopped() {
-			interrupted = true
+// Step runs one pump iteration at time now: it absorbs up to inboxBatch
+// inbox entries, runs stepBatch plus that many local actions, then opens an
+// oracle round when one is due, gossips done and ticks the watchdog; once
+// every node agreed it only drains until the linger is over. busy reports
+// frames absorbed or deliveries pending; done that the linger is over or
+// MaxWall has passed since the first Step.
+func (n *Node) Step(now time.Time) (busy, done bool) {
+	if n.start.IsZero() {
+		n.start = now
+	}
+	if now.Sub(n.start) > n.cfg.MaxWall {
+		n.timedOut = true
+		return false, true
+	}
+	absorbed := n.drainInbox()
+	// The batch scales with what the drain injected: every inbound frame
+	// needs a delivery step, so a fixed batch would let a flooding sibling
+	// starve this engine and its owned leavers.
+	for i := 0; i < stepBatch+absorbed; i++ {
+		a, ok := n.sched.Next(n.world)
+		if !ok {
 			break
 		}
-		if time.Now().After(deadline) {
-			timedOut = true
-			break
-		}
-		absorbed := n.drainInbox()
-		drained := absorbed > 0
+		n.world.Execute(a)
+		n.steps++
+	}
+	// Otherwise the batch was timeout spinning, which Run and RunLoopback pace
+	// rather than flood the siblings with self-introductions.
+	busy = absorbed > 0 || n.world.Stats().TotalInQueue > 0
+	if !n.lingerEnd.IsZero() {
+		// Agreed: keep absorbing late frames. An exit on a fast node can
+		// still bounce a slower node's in-flight message, and the bounce
+		// must reach the sender's protocol before the final state is
+		// summarized, or stayers would keep references the run invalidated.
+		return busy, now.After(n.lingerEnd)
+	}
+	// An open round is left to gather answers and only declared lost (and
+	// restarted) after a generous multiple of the interval.
+	roundDue := now.Sub(n.lastRound) >= n.cfg.RoundEvery
+	if n.orc.roundOpen() {
+		roundDue = now.Sub(n.lastRound) >= 20*n.cfg.RoundEvery
+	}
+	if n.orc.ownsLive() && roundDue {
+		n.lastRound = now
+		n.orc.startRound()
+	}
+	if n.localDone() && now.Sub(n.lastDone) >= doneEvery {
+		n.lastDone = now
+		n.doneNodes[n.cfg.ID] = true
+		n.broadcastDone()
+	}
+	if n.allDone() {
+		n.lingerEnd = now.Add(n.cfg.Linger)
+		return true, false
+	}
+	n.checkStall(now)
+	return busy, false
+}
 
-		// Step a batch of local actions, scaled to what the drain just
-		// injected: every inbound frame needs a local delivery step to
-		// consume it, so a fixed batch would let a flooding sibling starve
-		// this engine — the queue grows and owned leavers stop making
-		// progress.
-		for i := 0; i < n.cfg.StepBatch+absorbed; i++ {
-			a, ok := n.sched.Next(n.world)
-			if !ok {
-				break
+// finish ends the run: it releases blocked handlers, builds the summary
+// and flushes the journal (Interrupt).
+func (n *Node) finish(interrupted bool) Result {
+	close(n.dead)
+	sum := n.buildSummary(interrupted, n.timedOut)
+	n.Interrupt()
+	return Result{Summary: sum, Converged: !interrupted && !n.timedOut && n.allDone() && n.localDone()}
+}
+
+// meshTick is how far RunLoopback's virtual clock moves per round of
+// Steps: the time a busy Step is taken to cost.
+const meshTick = 250 * time.Microsecond
+
+// RunLoopback runs a whole mesh in one goroutine on a transport.Loopback:
+// cfgs[i] must be node i of a len(cfgs)-node run of one scenario, whose
+// seed draws the loopback's latencies and the node step order. Each round
+// delivers the frames due, steps every node not parked, and moves the
+// clock by meshTick; an idle Step parks its node for idleSleep, the rest
+// Run takes. chaos, if non-nil, sets the loopback's hooks first. The same
+// configs give byte-identical results and journals.
+func RunLoopback(cfgs []Config, chaos func(*transport.Loopback)) ([]Result, error) {
+	seed := cfgs[0].Scenario.Seed
+	mesh := transport.NewLoopback(seed)
+	ns := make([]*Node, len(cfgs))
+	for i, cfg := range cfgs {
+		n, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if n.tr = mesh.Attach(n); cfg.ID != i || cfg.Nodes != len(cfgs) {
+			return nil, fmt.Errorf("node: config %d is node %d of %d", i, cfg.ID, cfg.Nodes)
+		}
+		ns[i] = n
+	}
+	if chaos != nil {
+		chaos(mesh)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	results, wake := make([]Result, len(ns)), make([]time.Time, len(ns))
+	for left := len(ns); left > 0; mesh.Advance(meshTick) {
+		now := mesh.Now()
+		for _, i := range rng.Perm(len(ns)) {
+			if ns[i] == nil || now.Before(wake[i]) {
+				continue
 			}
-			n.world.Execute(a)
-			n.steps++
-		}
-
-		now := time.Now()
-		// Open a round when due; an open round is left to gather answers
-		// and only declared lost (and restarted) after a generous multiple
-		// of the interval.
-		roundDue := now.Sub(lastRound) >= n.cfg.RoundEvery
-		if n.orc.roundOpen() {
-			roundDue = now.Sub(lastRound) >= 20*n.cfg.RoundEvery
-		}
-		if n.orc.ownsLive() && roundDue {
-			lastRound = now
-			n.orc.startRound()
-		}
-		if n.localDone() && now.Sub(lastDone) >= n.cfg.DoneEvery {
-			lastDone = now
-			n.doneNodes[n.cfg.ID] = true
-			n.broadcastDone()
-		}
-		if n.allDone() {
-			break
-		}
-		n.checkStall()
-		if !drained && n.world.Stats().TotalInQueue == 0 {
-			// Nothing arrived and no local deliveries are pending: any steps
-			// the batch above ran were pure timeout spinning. The
-			// asynchronous model is indifferent to timeout rates, so pace
-			// them instead of flooding the siblings with periodic
-			// self-introductions at CPU speed — and don't hog the core they
-			// share on a single-host deployment.
-			time.Sleep(time.Millisecond)
+			busy, done := ns[i].Step(now)
+			if done {
+				results[i], ns[i] = ns[i].finish(false), nil
+				left--
+			} else if !busy {
+				wake[i] = now.Add(idleSleep)
+			}
 		}
 	}
-
-	if !interrupted && !timedOut {
-		n.linger(stop, &interrupted)
-	}
-	sum := n.buildSummary(interrupted, timedOut)
-	if n.jw != nil {
-		n.jw.Flush()
-	}
-	return Result{Summary: sum, Converged: !interrupted && !timedOut && n.allDone() && n.localDone()}
+	return results, nil
 }
 
 // inboxBatch bounds how many inbox entries one pump iteration absorbs. The
@@ -463,13 +521,13 @@ func (n *Node) dispatch(in inbound) {
 // cheap until a window elapses). The first stall is recorded in the summary
 // and handed to OnStall with the flight snapshot; later verdicts only keep
 // the fdp_stall_* series current.
-func (n *Node) checkStall() {
+func (n *Node) checkStall(now time.Time) {
 	if n.wd == nil {
 		return
 	}
 	// Pending = undelivered local messages plus frames parked in the inbox.
 	// Stats() copies a map, so the closure runs only at window boundaries.
-	v, stalled := n.wd.Tick(uint64(n.steps), func() int {
+	v, stalled := n.wd.Tick(now, uint64(n.steps), func() int {
 		return n.world.Stats().TotalInQueue + len(n.inbox)
 	})
 	if !stalled || n.stallKind != "" {
@@ -508,38 +566,6 @@ func (n *Node) allDone() bool {
 func (n *Node) broadcastDone() {
 	n.tr.BroadcastControl(marshalCtl(ctlMsg{K: "done", N: n.cfg.ID}))
 }
-
-// linger keeps absorbing late frames after global agreement: an exit on a
-// fast node can still bounce a slower node's in-flight message, and that
-// bounce must reach the sender's protocol before the final state is
-// summarized — otherwise staying processes would be frozen holding
-// references the run already invalidated.
-func (n *Node) linger(stop <-chan struct{}, interrupted *bool) {
-	deadline := time.Now().Add(n.cfg.Linger)
-	for time.Now().Before(deadline) {
-		select {
-		case <-stop:
-			*interrupted = true
-			return
-		default:
-		}
-		if n.drainInbox() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		// Bounced deliveries may have woken protocols; let them settle.
-		for i := 0; i < n.cfg.StepBatch; i++ {
-			a, ok := n.sched.Next(n.world)
-			if !ok {
-				break
-			}
-			n.world.Execute(a)
-			n.steps++
-		}
-	}
-}
-
-// Journal returns the node's stream writer (nil without a journal).
-func (n *Node) Journal() *trace.StreamWriter { return n.jw }
 
 // Interrupt flushes the journal from a signal handler context. Safe to call
 // concurrently with the pump; the stream writer is a leaf.

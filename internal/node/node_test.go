@@ -3,10 +3,14 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fdp/internal/obs"
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 	"fdp/internal/transport"
@@ -17,57 +21,29 @@ func testScenario(n int, seed int64) trace.Scenario {
 		Pattern: "random", Variant: "FDP", Oracle: "SINGLE", Seed: seed}
 }
 
-// meshTiming returns (MaxWall, RoundEvery) for mesh tests. Under the race
-// detector the wall budget is a coverage window, not a convergence
-// deadline: a grant needs an undisturbed round — a quiet window with no
-// u-relevant frame in flight anywhere — and the detector's ~20x slowdown
-// on a shared core stretches round trips until such windows all but vanish
-// for flood-heavy scenarios. Liveness is therefore asserted without the
-// detector only; race builds run the full mesh for instrumentation
-// coverage and hold it to its safety properties.
-func meshTiming() (time.Duration, time.Duration) {
-	if raceEnabled {
-		return 15 * time.Second, 10 * time.Millisecond
+// meshConfigs returns the configs of an nn-node run of scn, each node
+// journaling into its buffer.
+func meshConfigs(scn trace.Scenario, nn int) ([]Config, []*bytes.Buffer) {
+	cfgs := make([]Config, nn)
+	bufs := make([]*bytes.Buffer, nn)
+	for i := range cfgs {
+		bufs[i] = &bytes.Buffer{}
+		cfgs[i] = Config{ID: i, Nodes: nn, Scenario: scn, Journal: bufs[i],
+			MaxWall: 30 * time.Second, Linger: time.Millisecond, RoundEvery: time.Millisecond}
 	}
-	return 30 * time.Second, 2 * time.Millisecond
+	return cfgs, bufs
 }
 
-// runMesh runs a full multi-node churn over an in-process loopback and
-// returns everything the merge step consumes.
+// runMesh runs a full multi-node churn on the seeded loopback and returns
+// everything the merge step consumes.
 func runMesh(t *testing.T, scn trace.Scenario, nn int,
-	tune func(*transport.Loopback)) ([]Result, []trace.Header, [][]trace.Record, []Summary) {
+	chaos func(*transport.Loopback)) ([]Result, []trace.Header, [][]trace.Record, []Summary) {
 	t.Helper()
-	mesh := transport.NewLoopback()
-	ns := make([]*Node, nn)
-	bufs := make([]*bytes.Buffer, nn)
-	ports := make([]*transport.Port, nn)
-	maxWall, roundEvery := meshTiming()
-	for i := 0; i < nn; i++ {
-		bufs[i] = &bytes.Buffer{}
-		n, err := New(Config{ID: i, Nodes: nn, Scenario: scn, Journal: bufs[i],
-			MaxWall: maxWall, Linger: 150 * time.Millisecond,
-			RoundEvery: roundEvery, DoneEvery: 10 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("New(%d): %v", i, err)
-		}
-		ports[i] = mesh.Attach(n)
-		ns[i] = n
+	cfgs, bufs := meshConfigs(scn, nn)
+	results, err := RunLoopback(cfgs, chaos)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tune != nil {
-		tune(mesh)
-	}
-	results := make([]Result, nn)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range ns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = ns[i].Run(ports[i], stop)
-		}(i)
-	}
-	wg.Wait()
-
 	hdrs := make([]trace.Header, nn)
 	parts := make([][]trace.Record, nn)
 	sums := make([]Summary, nn)
@@ -104,15 +80,6 @@ func TestThreeNodeLoopbackMatchesSequentialVerdict(t *testing.T) {
 	if v.Joined.Sends == 0 || v.Joined.Delivers == 0 {
 		t.Fatal("no cross-checked traffic in the joined journal")
 	}
-	if raceEnabled {
-		// See meshTiming: the run above gave the detector full coverage of
-		// the pump/transport/oracle paths; convergence within the window is
-		// a wall-clock property the instrumented build can't promise.
-		if v.Joined.Duplicates != 0 {
-			t.Errorf("joined journal counted %d duplicate deliveries", v.Joined.Duplicates)
-		}
-		t.Skip("liveness asserted without -race only; safety checks passed")
-	}
 	for i, r := range results {
 		if !r.Converged {
 			t.Errorf("node %d did not converge: %+v", i, r.Summary)
@@ -125,30 +92,8 @@ func TestThreeNodeLoopbackMatchesSequentialVerdict(t *testing.T) {
 
 func TestThreeNodeLoopbackSurvivesChaos(t *testing.T) {
 	scn := testScenario(10, 7)
-	var mu sync.Mutex
 	drops, dups := 0, 0
-	results, hdrs, parts, sums := runMesh(t, scn, 3, func(mesh *transport.Loopback) {
-		n := 0
-		mesh.Drop = func(_, _ transport.NodeID, _ sim.Message) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			n++
-			if n%13 == 0 && drops < 5 {
-				drops++
-				return true
-			}
-			return false
-		}
-		mesh.Duplicate = func(_, _ transport.NodeID, _ sim.Message) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			if n%7 == 0 && dups < 5 {
-				dups++
-				return true
-			}
-			return false
-		}
-	})
+	results, hdrs, parts, sums := runMesh(t, scn, 3, chaosHooks(&drops, &dups))
 	for i, r := range results {
 		if !r.Converged {
 			t.Errorf("node %d did not converge under chaos: %+v", i, r.Summary)
@@ -161,10 +106,8 @@ func TestThreeNodeLoopbackSurvivesChaos(t *testing.T) {
 	if !v.Converged {
 		t.Fatalf("merged verdict failed under chaos:\n%v", v.Problems)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if drops == 0 && dups == 0 {
-		t.Skip("chaos hooks never fired (scenario too quiet)")
+	if drops == 0 || dups == 0 {
+		t.Fatalf("chaos hooks fired %d drops and %d duplicates, want both", drops, dups)
 	}
 	// Duplicated frames are absorbed by the node's exactly-once watermark
 	// before they reach an engine, so the joined journal sees each delivery
@@ -180,15 +123,18 @@ func TestThreeNodeTCPConverges(t *testing.T) {
 	ns := make([]*Node, nn)
 	bufs := make([]*bytes.Buffer, nn)
 	trs := make([]*transport.TCP, nn)
-	maxWall, roundEvery := meshTiming()
-	if roundEvery < 5*time.Millisecond {
-		roundEvery = 5 * time.Millisecond
+	// Under the race detector the wall budget is a coverage window, not a
+	// convergence deadline: a grant needs an undisturbed round, and the
+	// detector's slowdown on a shared core stretches round trips until
+	// such windows all but vanish.
+	maxWall, roundEvery := 30*time.Second, 5*time.Millisecond
+	if raceEnabled {
+		maxWall, roundEvery = 15*time.Second, 10*time.Millisecond
 	}
 	for i := 0; i < nn; i++ {
 		bufs[i] = &bytes.Buffer{}
 		n, err := New(Config{ID: i, Nodes: nn, Scenario: scn, Journal: bufs[i],
-			MaxWall: maxWall, Linger: 200 * time.Millisecond,
-			RoundEvery: roundEvery, DoneEvery: 20 * time.Millisecond})
+			MaxWall: maxWall, Linger: 200 * time.Millisecond, RoundEvery: roundEvery})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +186,8 @@ func TestThreeNodeTCPConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if raceEnabled {
-		// See meshTiming: TCP read/write/redial paths got their race
-		// coverage above; convergence is asserted without the detector.
+		// TCP read/write/redial paths got their race coverage above;
+		// convergence is asserted without the detector.
 		if v.Joined.Duplicates != 0 {
 			t.Errorf("joined journal counted %d duplicate deliveries", v.Joined.Duplicates)
 		}
@@ -263,11 +209,11 @@ func TestInterruptedRunFlushesReadableJournal(t *testing.T) {
 	// must still be a parseable prefix and the summary must say interrupted.
 	buf := &bytes.Buffer{}
 	n, err := New(Config{ID: 0, Nodes: 1, Scenario: scn, Journal: buf,
-		MaxWall: 30 * time.Second, StepBatch: 8})
+		MaxWall: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh := transport.NewLoopback()
+	mesh := transport.NewLoopback(scn.Seed)
 	port := mesh.Attach(n)
 	stop := make(chan struct{})
 	close(stop)
@@ -281,11 +227,6 @@ func TestInterruptedRunFlushesReadableJournal(t *testing.T) {
 }
 
 func TestVerifyFlagsMissingExit(t *testing.T) {
-	if raceEnabled {
-		// Pure verdict-bookkeeping test, but it needs a converged mesh to
-		// doctor; see meshTiming for why race builds can't promise one.
-		t.Skip("needs a converged mesh; liveness asserted without -race only")
-	}
 	scn := testScenario(12, 42)
 	_, hdrs, parts, sums := runMesh(t, scn, 3, nil)
 	// Pretend one exited leaver is still live and its exit never happened.
@@ -315,4 +256,167 @@ func TestVerifyFlagsMissingExit(t *testing.T) {
 		return
 	}
 	t.Fatal("no node reported an exited leaver")
+}
+
+// chaosHooks drops every 13th data frame and duplicates every 7th, five of
+// each at most, counting what fired.
+func chaosHooks(drops, dups *int) func(*transport.Loopback) {
+	return func(mesh *transport.Loopback) {
+		n := 0
+		mesh.Drop = func(_, _ transport.NodeID, _ sim.Message) bool {
+			n++
+			if n%13 == 0 && *drops < 5 {
+				*drops++
+				return true
+			}
+			return false
+		}
+		mesh.Duplicate = func(_, _ transport.NodeID, _ sim.Message) bool {
+			if n%7 == 0 && *dups < 5 {
+				*dups++
+				return true
+			}
+			return false
+		}
+	}
+}
+
+// TestMeshIsDeterministic: the seeded mesh replays. Two runs of one
+// scenario, with the chaos hooks on or off, give byte-identical per-node
+// journals and a byte-identical joined journal.
+func TestMeshIsDeterministic(t *testing.T) {
+	run := func(scn trace.Scenario, chaos bool) [][]byte {
+		cfgs, bufs := meshConfigs(scn, 3)
+		var hooks func(*transport.Loopback)
+		if chaos {
+			var drops, dups int
+			hooks = chaosHooks(&drops, &dups)
+		}
+		if _, err := RunLoopback(cfgs, hooks); err != nil {
+			t.Fatal(err)
+		}
+		hdrs := make([]trace.Header, len(bufs))
+		parts := make([][]trace.Record, len(bufs))
+		out := make([][]byte, 0, len(bufs)+1)
+		for i, b := range bufs {
+			var err error
+			if hdrs[i], parts[i], err = trace.ReadJournal(bytes.NewReader(b.Bytes())); err != nil {
+				t.Fatalf("journal %d: %v", i, err)
+			}
+			out = append(out, b.Bytes())
+		}
+		j, err := trace.Join(hdrs, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joined bytes.Buffer
+		if err := trace.WriteJournal(&joined, hdrs[0], j.Records); err != nil {
+			t.Fatal(err)
+		}
+		return append(out, joined.Bytes())
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, chaos := range []bool{false, true} {
+			scn := testScenario(12, seed)
+			a, b := run(scn, chaos), run(scn, chaos)
+			for i := range a {
+				if !bytes.Equal(a[i], b[i]) {
+					what := fmt.Sprintf("node %d journals", i)
+					if i == len(a)-1 {
+						what = "joined journals"
+					}
+					t.Fatalf("seed %d chaos=%v: %s differ between two runs", seed, chaos, what)
+				}
+			}
+		}
+	}
+}
+
+// TestMeshLivelocksWhenRoundsOutliveTheirDeadline reproduces the livelock
+// reported at small RoundEvery as a seeded run. An open round is declared
+// lost after 20 × RoundEvery; at 10µs that is 200µs, less than a round trip
+// on the loopback (a frame takes up to 250µs, a busy Step a 250µs tick), so
+// every round restarts before its answers arrive, nothing is granted, and
+// the §16 watchdog judges every node that owns a leaver livelocked. The same
+// seed converges at 100µs. The wall-clock mesh livelocks the same way at
+// 5ms once a slow pump stretches the round trip past 100ms.
+func TestMeshLivelocksWhenRoundsOutliveTheirDeadline(t *testing.T) {
+	run := func(roundEvery time.Duration) []Result {
+		cfgs, _ := meshConfigs(testScenario(12, 1), 3)
+		for i := range cfgs {
+			cfgs[i].RoundEvery, cfgs[i].MaxWall, cfgs[i].StallWindow = roundEvery, 100*time.Millisecond, 20*time.Millisecond
+		}
+		results, err := RunLoopback(cfgs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	for i, r := range run(10 * time.Microsecond) {
+		if len(r.Summary.Exited) != 0 || r.Converged {
+			t.Errorf("node %d made progress with rounds shorter than a round trip: %+v", i, r.Summary)
+		}
+		if len(r.Summary.Leavers) > 0 && r.Summary.Stall != obs.StallLivelock.String() {
+			t.Errorf("node %d owns %d leavers but the watchdog judged %q, want livelock", i, len(r.Summary.Leavers), r.Summary.Stall)
+		}
+	}
+	for i, r := range run(100 * time.Microsecond) {
+		if !r.Converged || r.Summary.Stall != "" {
+			t.Errorf("node %d at 100µs rounds: converged=%v stall=%q", i, r.Converged, r.Summary.Stall)
+		}
+	}
+}
+
+// TestVerifyReportsLeaversInIndexOrder: "unaccounted for" and "did not
+// exit" problems come out in leaver index order, the same on every call.
+func TestVerifyReportsLeaversInIndexOrder(t *testing.T) {
+	scn := testScenario(12, 42)
+	global, err := scn.BuildScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leavers []int
+	for _, r := range global.LeavingNodes() {
+		leavers = append(leavers, ref.Index(r))
+	}
+	slices.Sort(leavers)
+	if len(leavers) < 2 {
+		t.Fatalf("scenario has %d leavers, want at least 2", len(leavers))
+	}
+	// Two nodes that report nothing about two leavers: neither live nor
+	// exited.
+	hdrs := make([]trace.Header, 2)
+	sums := make([]Summary, 2)
+	for i := range sums {
+		hdrs[i] = trace.Header{Version: trace.Version, Engine: trace.EngineNode, Scenario: scn, Node: i, Nodes: 2}
+		sums[i] = Summary{Node: i, Nodes: 2}
+	}
+	for _, r := range global.Nodes {
+		i := ref.Index(r)
+		if i != leavers[0] && i != leavers[1] {
+			sums[i%2].Live = append(sums[i%2].Live, ProcState{Index: i, Mode: "staying"})
+		}
+	}
+	want := []string{
+		fmt.Sprintf("leaver p%d unaccounted for (neither live nor exited)", leavers[0]+1),
+		fmt.Sprintf("leaver p%d unaccounted for (neither live nor exited)", leavers[1]+1),
+	}
+	for _, i := range leavers {
+		want = append(want, fmt.Sprintf("leaver p%d did not exit", i+1))
+	}
+	for call := 0; call < 20; call++ {
+		v, err := Verify(hdrs, make([][]trace.Record, 2), sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range v.Problems {
+			if strings.HasPrefix(p, "leaver ") {
+				got = append(got, p)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: leaver problems\n%q\nwant\n%q", call, got, want)
+		}
+	}
 }

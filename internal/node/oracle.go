@@ -2,6 +2,7 @@ package node
 
 import (
 	"encoding/json"
+	"slices"
 
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -64,7 +65,9 @@ type distOracle struct {
 	round    uint64
 	roundUs  []int
 	roundVer map[int]uint64
-	answers  map[int][]ctlAnswer // responding node → per-leaver answers
+	// answers[k] is node k's per-leaver answers, nil until k answered;
+	// the whole slice is nil while no round is open.
+	answers [][]ctlAnswer
 }
 
 func newDistOracle(n *Node) *distOracle {
@@ -186,7 +189,8 @@ func (o *distOracle) startRound() {
 	for _, u := range o.roundUs {
 		o.roundVer[u] = o.ver[u]
 	}
-	o.answers = map[int][]ctlAnswer{o.n.cfg.ID: o.answerFor(o.roundUs)}
+	o.answers = make([][]ctlAnswer, o.n.cfg.Nodes)
+	o.answers[o.n.cfg.ID] = o.answerFor(o.roundUs)
 	q := marshalCtl(ctlMsg{K: "oq", R: o.round, N: o.n.cfg.ID, U: o.roundUs})
 	o.n.tr.BroadcastControl(q)
 	o.maybeGrant() // single-node runs complete immediately
@@ -215,7 +219,7 @@ func (o *distOracle) answerFor(us []int) []ctlAnswer {
 // inclusion only delays a grant, never unsafely issues one).
 func (o *distOracle) contribution(uIdx int) []int {
 	u := ref.ByIndex(uIdx)
-	nb := make(map[int]bool)
+	var nb []int
 	add := func(r ref.Ref) {
 		i := ref.Index(r)
 		if i == uIdx {
@@ -224,7 +228,7 @@ func (o *distOracle) contribution(uIdx int) []int {
 		if o.n.ownedSet.Has(r) && o.n.world.LifeOf(r) == sim.Gone {
 			return
 		}
-		nb[i] = true
+		nb = append(nb, i)
 	}
 	for _, v := range o.n.owned {
 		if o.n.world.LifeOf(v) == sim.Gone {
@@ -259,20 +263,12 @@ func (o *distOracle) contribution(uIdx int) []int {
 			}
 		}
 		if stores {
-			nb[ref.Index(v)] = true
+			nb = append(nb, ref.Index(v))
 		}
-	}
-	out := make([]int, 0, len(nb))
-	for i := range nb {
-		out = append(out, i)
 	}
 	// Deterministic order for the wire (and for test stability).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(nb)
+	return slices.Compact(nb)
 }
 
 // handleControl processes one control payload on the pump goroutine.
@@ -304,7 +300,7 @@ func (o *distOracle) handleControl(from int, payload []byte) {
 
 // maybeGrant evaluates the open round once every node has answered.
 func (o *distOracle) maybeGrant() {
-	if len(o.answers) != o.n.cfg.Nodes {
+	if slices.ContainsFunc(o.answers, func(a []ctlAnswer) bool { return a == nil }) {
 		return
 	}
 	byNode := make([]map[int]ctlAnswer, o.n.cfg.Nodes)

@@ -2,10 +2,11 @@ package node
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
+	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
@@ -57,24 +58,17 @@ func (n *Node) buildSummary(interrupted, timedOut bool) Summary {
 			continue
 		}
 		ps := ProcState{Index: ref.Index(r), Mode: n.world.ModeOf(r).String()}
-		seen := make(map[int]bool)
 		for _, w := range n.world.ProtocolOf(r).Refs() {
-			if i := ref.Index(w); !seen[i] {
-				seen[i] = true
-				ps.Stored = append(ps.Stored, i)
-			}
+			ps.Stored = append(ps.Stored, ref.Index(w))
 		}
-		sort.Ints(ps.Stored)
-		qseen := make(map[int]bool)
 		for _, m := range n.world.ChannelSnapshot(r) {
 			for _, ri := range m.Refs {
-				if i := ref.Index(ri.Ref); !qseen[i] {
-					qseen[i] = true
-					ps.Queued = append(ps.Queued, i)
-				}
+				ps.Queued = append(ps.Queued, ref.Index(ri.Ref))
 			}
 		}
-		sort.Ints(ps.Queued)
+		slices.Sort(ps.Stored)
+		slices.Sort(ps.Queued)
+		ps.Stored, ps.Queued = slices.Compact(ps.Stored), slices.Compact(ps.Queued)
 		s.Live = append(s.Live, ps)
 	}
 	return s
@@ -132,10 +126,11 @@ func Verify(hdrs []trace.Header, parts [][]trace.Record, sums []Summary) (*Verdi
 	if err != nil {
 		return nil, err
 	}
-	leaver := make(map[int]bool)
+	var leavers []int // in index order
 	for _, r := range global.LeavingNodes() {
-		leaver[ref.Index(r)] = true
+		leavers = append(leavers, ref.Index(r))
 	}
+	slices.Sort(leavers)
 
 	exitRec := make(map[int]bool)
 	for _, r := range joined.Records {
@@ -157,7 +152,7 @@ func Verify(hdrs []trace.Header, parts [][]trace.Record, sums []Summary) (*Verdi
 		}
 		for _, i := range s.Exited {
 			exited[i] = true
-			if !leaver[i] {
+			if _, leaver := slices.BinarySearch(leavers, i); !leaver {
 				v.Problems = append(v.Problems, fmt.Sprintf("staying process p%d exited on node %d", i+1, s.Node))
 			}
 			if !exitRec[i] {
@@ -169,52 +164,31 @@ func Verify(hdrs []trace.Header, parts [][]trace.Record, sums []Summary) (*Verdi
 			live[p.Index] = p
 		}
 	}
-	for i := range leaver {
+	// Lemma 3 (the run's goal): every leaver gone. Report in index order.
+	for _, i := range leavers {
 		if !exited[i] && live[i] == nil {
 			v.Problems = append(v.Problems, fmt.Sprintf("leaver p%d unaccounted for (neither live nor exited)", i+1))
 		}
 	}
-	// Lemma 3 (the run's goal): every leaver gone. Report in index order.
-	var stuck []int
-	for i := range leaver {
+	for _, i := range leavers {
 		if !exited[i] {
-			stuck = append(stuck, i)
+			v.Problems = append(v.Problems, fmt.Sprintf("leaver p%d did not exit", i+1))
 		}
-	}
-	sort.Ints(stuck)
-	for _, i := range stuck {
-		v.Problems = append(v.Problems, fmt.Sprintf("leaver p%d did not exit", i+1))
 	}
 
 	// Lemma 2 on the final state: the surviving processes of each initial
 	// component must stay weakly connected through stored or queued
-	// references. Union-find over live indexes.
-	parent := make(map[int]int, len(live))
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for i := range live {
-		parent[i] = i
-	}
-	union := func(a, b int) {
-		if _, ok := live[b]; !ok {
-			return
-		}
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for i, p := range live {
-		for _, w := range p.Stored {
-			union(i, w)
-		}
-		for _, w := range p.Queued {
-			union(i, w)
+	// references between live processes of the run.
+	var uf graph.UnionFind
+	uf.Reset(len(global.Nodes))
+	inRun := func(i int) bool { return i >= 0 && i < len(global.Nodes) && live[i] != nil }
+	for _, s := range byNode {
+		for _, p := range s.Live {
+			for _, w := range slices.Concat(p.Stored, p.Queued) {
+				if inRun(p.Index) && inRun(w) {
+					uf.Union(ref.ByIndex(p.Index), ref.ByIndex(w))
+				}
+			}
 		}
 	}
 	for _, comp := range global.Initial.WeaklyConnectedComponents() {
@@ -224,9 +198,9 @@ func Verify(hdrs []trace.Header, parts [][]trace.Record, sums []Summary) (*Verdi
 				members = append(members, i)
 			}
 		}
-		sort.Ints(members)
+		slices.Sort(members)
 		for _, m := range members[min(1, len(members)):] {
-			if find(m) != find(members[0]) {
+			if !uf.Same(ref.ByIndex(m), ref.ByIndex(members[0])) {
 				v.Problems = append(v.Problems, fmt.Sprintf(
 					"Lemma 2 violated: p%d disconnected from p%d in its initial component", m+1, members[0]+1))
 			}

@@ -426,9 +426,11 @@ func (w *StepWatchdog) Tick(step int, pending func() int) (StallVerdict, bool) {
 	return w.p.Check(uint64(step), pending())
 }
 
-// Watchdog drives Progress.Check on a wall-clock cadence for engines with
-// no deterministic step stream (the concurrent runtime, the node pump).
-// Tick is cheap between windows; call it from any single polling loop.
+// Watchdog drives Progress.Check on a time cadence for engines with no
+// deterministic step stream (the concurrent runtime, the node pump). The
+// caller supplies the time — the wall clock, or a mesh's virtual clock — and
+// the first Tick starts the first window. Tick is cheap between windows;
+// call it from any single polling loop.
 type Watchdog struct {
 	p      *Progress
 	window time.Duration
@@ -437,15 +439,14 @@ type Watchdog struct {
 
 // NewWatchdog checks once per window (minimum 1ms).
 func NewWatchdog(p *Progress, window time.Duration) *Watchdog {
-	if window < time.Millisecond {
-		window = time.Millisecond
-	}
-	return &Watchdog{p: p, window: window, next: time.Now().Add(window)}
+	return &Watchdog{p: p, window: max(window, time.Millisecond)}
 }
 
-// Tick runs one Check when the window has elapsed.
-func (w *Watchdog) Tick(step uint64, pending func() int) (StallVerdict, bool) {
-	now := time.Now()
+// Tick runs one Check when the window has elapsed at now.
+func (w *Watchdog) Tick(now time.Time, step uint64, pending func() int) (StallVerdict, bool) {
+	if w.next.IsZero() {
+		w.next = now.Add(w.window)
+	}
 	if now.Before(w.next) {
 		return StallVerdict{}, false
 	}

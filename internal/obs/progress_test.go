@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -292,5 +294,28 @@ func TestStepWatchdogCadence(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("pending queried %d times over 250 steps at window 100, want 2", calls)
+	}
+}
+
+// TestWatchdogCadence: the time-driven watchdog runs on the caller's clock.
+// The first Tick only starts the window; after that one Check runs per
+// elapsed window, however many ticks fall inside it.
+func TestWatchdogCadence(t *testing.T) {
+	p := NewProgress(nil, "", leavers3())
+	wd := NewWatchdog(p, 10*time.Millisecond)
+	calls := 0
+	pending := func() int { calls++; return 0 }
+	start := time.Unix(1000, 0)
+	var fired []time.Duration
+	for d := time.Duration(0); d <= 35*time.Millisecond; d += time.Millisecond {
+		if _, stalled := wd.Tick(start.Add(d), uint64(d/time.Millisecond), pending); stalled {
+			fired = append(fired, d)
+		}
+	}
+	if want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}; !slices.Equal(fired, want) {
+		t.Fatalf("stall verdicts at %v, want %v (every 10ms window with leavers and no settles)", fired, want)
+	}
+	if calls != 3 {
+		t.Fatalf("pending queried %d times over 35 ticks at a 10ms window, want 3", calls)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,7 +47,7 @@ func (c *collector) counts() (int, int, int) {
 
 func TestLoopbackDeliversThroughWireCodec(t *testing.T) {
 	rs := testRefs(5)
-	mesh := NewLoopback()
+	mesh := NewLoopback(1)
 	h0, h1 := &collector{}, &collector{}
 	p0, p1 := mesh.Attach(h0), mesh.Attach(h1)
 	if p0.ID() != 0 || p1.ID() != 1 {
@@ -57,6 +58,10 @@ func TestLoopbackDeliversThroughWireCodec(t *testing.T) {
 	if !p0.Send(1, rs[4], msg) {
 		t.Fatal("send refused")
 	}
+	if d, _, _ := h1.counts(); d != 0 {
+		t.Fatal("a frame was delivered inside Send")
+	}
+	mesh.Advance(maxLatency)
 	if d, _, _ := h1.counts(); d != 1 {
 		t.Fatalf("delivers = %d, want 1", d)
 	}
@@ -71,12 +76,14 @@ func TestLoopbackDeliversThroughWireCodec(t *testing.T) {
 	if !p1.SendBounce(0, rs[4], got) {
 		t.Fatal("bounce refused")
 	}
+	mesh.Advance(maxLatency)
 	if _, b, _ := h0.counts(); b != 1 || h0.bounceTo[0] != rs[4] || h0.bounces[0].CID() != msg.CID() {
 		t.Fatalf("bounce mangled: %+v to %v", h0.bounces, h0.bounceTo)
 	}
 
 	// Control broadcast reaches every other port, not the sender.
 	p0.BroadcastControl([]byte("done"))
+	mesh.Advance(maxLatency)
 	if _, _, c := h0.counts(); c != 0 {
 		t.Fatal("broadcast echoed to sender")
 	}
@@ -96,7 +103,7 @@ func TestLoopbackDeliversThroughWireCodec(t *testing.T) {
 
 func TestLoopbackChaosHooks(t *testing.T) {
 	rs := testRefs(5)
-	mesh := NewLoopback()
+	mesh := NewLoopback(1)
 	h0, h1 := &collector{}, &collector{}
 	p0, _ := mesh.Attach(h0), mesh.Attach(h1)
 
@@ -106,6 +113,7 @@ func TestLoopbackChaosHooks(t *testing.T) {
 	if !p0.Send(1, rs[4], msg) {
 		t.Fatal("dropped send must still be accepted (failure is async in the real transport)")
 	}
+	mesh.Advance(maxLatency)
 	if d, b, _ := h0.counts(); b != 1 || d != 0 {
 		t.Fatalf("drop must bounce to sender: delivers=%d bounces=%d", d, b)
 	}
@@ -118,7 +126,62 @@ func TestLoopbackChaosHooks(t *testing.T) {
 	if !p0.Send(1, rs[4], msg) {
 		t.Fatal("send refused")
 	}
+	mesh.Advance(maxLatency)
 	if d, _, _ := h1.counts(); d != 2 {
 		t.Fatalf("duplicate hook delivered %d times, want 2", d)
+	}
+}
+
+// TestLoopbackSeededOrderKeepsLinksFIFO: frames from two senders interleave
+// in an order drawn from the seed — the same for the same seed — while each
+// link delivers in send order, and a port takes at most burst frames per
+// Advance.
+func TestLoopbackSeededOrderKeepsLinksFIFO(t *testing.T) {
+	rs := testRefs(5)
+	order := func(seed int64) []uint64 {
+		mesh := NewLoopback(seed)
+		h := &collector{}
+		mesh.Attach(h)
+		p1, p2 := mesh.Attach(&collector{}), mesh.Attach(&collector{})
+		for i := uint64(1); i <= burst; i++ {
+			p1.Send(0, rs[4], sim.StampCausal(sampleMessage(rs, nil), i, 0, 1))
+			p2.Send(0, rs[4], sim.StampCausal(sampleMessage(rs, nil), burst+i, 0, 1))
+		}
+		mesh.Advance(maxLatency)
+		if d, _, _ := h.counts(); d != burst {
+			t.Fatalf("one Advance delivered %d frames to one port, want %d", d, burst)
+		}
+		mesh.Advance(0)
+		var cids []uint64
+		for _, m := range h.delivers {
+			cids = append(cids, m.CID())
+		}
+		return cids
+	}
+	a := order(3)
+	if len(a) != 2*burst {
+		t.Fatalf("delivered %d frames, want %d", len(a), 2*burst)
+	}
+	var last [2]uint64
+	mixed := false
+	for i, c := range a {
+		link := 0
+		if c > burst {
+			link = 1
+		}
+		if c <= last[link] {
+			t.Fatalf("link %d reordered: cid %d after %d", link, c, last[link])
+		}
+		last[link] = c
+		mixed = mixed || (i > 0 && (a[i-1] > burst) != (c > burst))
+	}
+	if !mixed {
+		t.Fatal("the two links did not interleave")
+	}
+	if !slices.Equal(a, order(3)) {
+		t.Fatal("the same seed gave two delivery orders")
+	}
+	if slices.Equal(a, order(4)) {
+		t.Fatal("two seeds gave one delivery order")
 	}
 }

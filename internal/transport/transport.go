@@ -54,9 +54,9 @@ var (
 )
 
 // Handler is the receiving half a node registers with its transport. Calls
-// arrive on transport goroutines (or, for Loopback, synchronously inside
-// the sender's action): implementations must be safe for concurrent use and
-// must not call back into the transport's Close.
+// arrive on transport goroutines (or, for Loopback, on the goroutine that
+// calls Advance): implementations must be safe for concurrent use and must
+// not call back into the transport's Close.
 type Handler interface {
 	// HandleDeliver hands over a data frame: msg (sender and causal
 	// metadata restored) addressed to the local process to.
