@@ -55,7 +55,10 @@ test:
 # runtime left to GOMAXPROCS then has two shards: the cross-shard mail path
 # (outbox, inbox, absorb at a pause) is raced by the internal/parallel tests
 # that force the count with SetShards — TestForcedShardChurn on four shards,
-# TestInFlightConservation on three and four. The observers that stripe their
+# TestInFlightConservation on two, three and four (and that replies took
+# their delivered messages' ledger pairs over), TestOutboxWaitsForTheActionToEnd
+# on two (an outbox is published between actions, never inside one, which
+# the ledger's reply handoff relies on). The observers that stripe their
 # state by Event.Lane are raced the same way, by tests that force the lane
 # count: TestStepNonDecreasingPerProcess (internal/parallel, four shards
 # stamping lanes and cached steps through rebalances), TestFlightLanesMergeCausally

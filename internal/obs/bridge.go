@@ -134,7 +134,8 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	reg.GaugeFunc(MetricCausalIDs, "high-water mark of reserved causal identities",
 		func() float64 { return float64(rt.CausalIDs()) })
 	// Cross-shard mail, per shard: messages over flushes is the mean batch a
-	// worker publishes under one hold of the target's inbox lock.
+	// worker publishes under one hold of the target's inbox lock. Beside it,
+	// the ledger pairs the shard's deliveries handed to their replies.
 	for i := 0; i < rt.Shards(); i++ {
 		shard := `{shard="` + strconv.Itoa(i) + `"}`
 		reg.GaugeFunc("fdp_runtime_outbox_flushes_total"+shard, "batches published to another shard's inbox",
@@ -143,6 +144,8 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 			func() float64 { return float64(rt.ShardTraffic(i).OutboxMessages) })
 		reg.GaugeFunc("fdp_runtime_inbox_absorbs_total"+shard, "times the shard's worker (or a pauser) emptied its inbox",
 			func() float64 { return float64(rt.ShardTraffic(i).InboxAbsorbs) })
+		reg.GaugeFunc("fdp_runtime_ledger_handoffs_total"+shard, "delivered messages whose ledger pair a reply or store took over",
+			func() float64 { return float64(rt.ShardTraffic(i).PairHandoffs) })
 	}
 }
 

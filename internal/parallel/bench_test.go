@@ -3,6 +3,7 @@ package parallel
 import (
 	"testing"
 
+	"fdp/internal/core"
 	"fdp/internal/oracle"
 	"fdp/internal/sim"
 )
@@ -10,7 +11,7 @@ import (
 // BenchmarkCrossShardSend prices one message from a process of one shard to
 // a process of another, end to end and uncontended: admission on the degree
 // ledger (the message carries the sender's reference, a tracked pair), the
-// outbox append, its share of the flush at every 32nd message, the receiver's
+// outbox append, its share of the flush after every 32nd message, the receiver's
 // absorb and the delivery. One goroutine plays both workers; the contended
 // price is what rt_churn shows.
 func BenchmarkCrossShardSend(b *testing.B) {
@@ -27,4 +28,33 @@ func BenchmarkCrossShardSend(b *testing.B) {
 			shl.deliverRound()
 		}
 	}
+}
+
+// BenchmarkDeliverReply prices one leaver–stayer present/forward exchange on
+// the degree path, across two shards: the leaver presents itself (an
+// admission, +1 on the pair), the stayer delivers the present and replies
+// with a forward of its own reference — the reply takes the delivered
+// message's pair over (the handoff, degree.go) — and the leaver delivers the
+// forward and keeps nothing, paying the debt (−1): two locked pair updates
+// and one handoff per exchange. One goroutine plays both workers, flushing
+// where each worker's iteration would end.
+func BenchmarkDeliverReply(b *testing.B) {
+	rt, s, l := twoShardPair(b, oracle.Always(false), sim.Leaving, core.New(core.VariantFDP), &fixedRefsProto{})
+	rt.seal()
+	shs, shl := rt.shards[s.shard.Load()], rt.shards[l.shard.Load()]
+	present := sim.NewMessage(core.LabelPresent, sim.RefInfo{Ref: l.id, Mode: sim.Leaving})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.ctx.Send(s.id, present)
+		shl.flushAll()
+		shs.deliverRound()
+		shs.flushAll()
+		shl.deliverRound()
+	}
+	b.StopTimer()
+	if s.mb.len() != 0 || l.mb.len() != 0 {
+		b.Fatalf("mail left over: %d, %d", s.mb.len(), l.mb.len())
+	}
+	b.ReportMetric(float64(shs.handoffs+shl.handoffs)/float64(b.N), "handoffs/op")
 }

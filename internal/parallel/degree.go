@@ -19,6 +19,17 @@ package parallel
 //     could have given (Lemma 2). At a full pause with nothing asleep it is
 //     exact; asleep processes need the hibernation sweep, so the coordinator
 //     judges on a frozen world while rt.asleep is nonzero.
+//   - The reply handoff. A delivered message with one reference v leaves
+//     its receiver p owing the −1 on {p, v} (proc.owed). The action's first
+//     add on that pair — the admission of a one-reference message whose pair
+//     it is, or the first store of v the resync finds — takes the debt over:
+//     one count stands for the message before the action and for the reply
+//     or store after it, and neither update is applied. A debt nobody takes
+//     is paid at the end of the action; a refused admission takes nothing.
+//     The count may not be removed before the action ends, so nobody may
+//     pop the reply meanwhile: its own worker is busy with the action, and
+//     an outbox is published only between two actions (shard.post). The
+//     invariant holds as above, and every debt is settled at every pause.
 //   - The dirty queue. A leaver whose row length changed is queued once for
 //     the coordinator's next epoch, which re-judges only those.
 
@@ -105,10 +116,40 @@ func (rt *Runtime) takeDirty() []*proc {
 // reference it carries: +1 before the message is admitted — before it can be
 // popped, so a racing delivery never removes a pair before it was added — and
 // -1 once its delivery is over (the handler ran, and what it stored or sent
-// on is counted) or its admission was refused.
+// on is counted) or its admission was refused. A delivery of one reference
+// settles through the debt instead (owe, payDebt).
 func (rt *Runtime) msgPairs(p *proc, refs []sim.RefInfo, d int32) {
 	for _, ri := range refs {
 		rt.pairDelta(p, ri.Ref, d)
+	}
+}
+
+// owe opens the debt of a delivery to p whose message carries the one
+// reference v: the −1 on {p, v} waits for a taker (owes, syncRefs) or for
+// payDebt. A pair the ledger does not count — no process, p itself, two
+// stayers — owes nothing.
+func (p *proc) owe(v ref.Ref) {
+	if q := p.rt.lookup(v); q != nil && q != p && (p.mode == sim.Leaving || q.mode == sim.Leaving) {
+		p.owed = q
+	}
+}
+
+// owes reports whether msg, sent by p to target, takes p's debt over: it
+// carries one reference, and its pair is the one p owes.
+func (p *proc) owes(target *proc, msg *sim.Message) bool {
+	q := p.owed
+	if q == nil || len(msg.Refs) != 1 {
+		return false
+	}
+	r := msg.Refs[0].Ref
+	return target == q && r == p.id || target == p && r == q.id
+}
+
+// payDebt removes the delivered message's pair if nothing took it over.
+func (p *proc) payDebt() {
+	if q := p.owed; q != nil {
+		p.owed = nil
+		p.rt.pairBump(p, q, -1)
 	}
 }
 
@@ -118,11 +159,17 @@ func (rt *Runtime) msgPairs(p *proc, refs []sim.RefInfo, d int32) {
 // sync (by resetLedger at Start and after every Mutate, here since). A
 // reference stored here for the first time came out of the message being
 // delivered, whose implicit pair is still counted (deliverAction drops it
-// afterwards). sh is the shard whose worker runs the action, and owns the
-// sort buffers.
+// afterwards) — or, if the delivery still owes that pair, takes the debt
+// over. sh is the shard whose worker runs the action, and owns the sort
+// buffers.
 func (p *proc) syncRefs(sh *shard) {
 	added, gone := sh.diff.Resync(&p.synced, p.proto.Refs())
 	for _, r := range added {
+		if q := p.owed; q != nil && r == q.id {
+			p.owed = nil
+			sh.handoffs++
+			continue
+		}
 		p.rt.pairDelta(p, r, 1)
 	}
 	for _, r := range gone {

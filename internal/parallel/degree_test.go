@@ -353,6 +353,93 @@ func TestOpenDeliveryKeepsItsReferencesCounted(t *testing.T) {
 	}
 }
 
+// replier runs a test-chosen handler on its first delivery; its store is the
+// fixedRefsProto's, which the handler may change.
+type replier struct {
+	fixedRefsProto
+	on func(r *replier, ctx sim.Context)
+}
+
+func (r *replier) Deliver(ctx sim.Context, _ sim.Message) {
+	if on := r.on; on != nil {
+		r.on = nil
+		on(r, ctx)
+	}
+}
+
+// TestReplyTakesTheDeliveredPair drives one delivery by hand per case: a
+// stayer s, on the first of two shards, is handed a message carrying the
+// leaver l, on the second, and its handler replies, stores, forwards or does
+// nothing. Only the action's first add on {s, l} — a one-reference message
+// whose pair it is, or the store of l — may take the delivered message's pair
+// over; everything else is counted as before, and a reply refused by a gone l
+// takes nothing. Whatever the handler did, the ledger must read the frozen
+// world's degree for every live leaver once the action is over, and the debt
+// must be settled.
+func TestReplyTakesTheDeliveredPair(t *testing.T) {
+	space := ref.NewSpace()
+	s, l, x := space.New(), space.New(), space.New()
+	staying := func(r ref.Ref) sim.RefInfo { return sim.RefInfo{Ref: r, Mode: sim.Staying} }
+	leaving := func(r ref.Ref) sim.RefInfo { return sim.RefInfo{Ref: r, Mode: sim.Leaving} }
+	cases := []struct {
+		name     string
+		on       func(r *replier, ctx sim.Context)
+		gone     bool // l exits before s delivers
+		handoffs uint64
+	}{
+		{"nothing", func(*replier, sim.Context) {}, false, 0},
+		{"reply", func(_ *replier, ctx sim.Context) { ctx.Send(l, sim.NewMessage("fwd", staying(s))) }, false, 1},
+		{"store", func(r *replier, _ sim.Context) { r.refs = []ref.Ref{l} }, false, 1},
+		{"reply then store", func(r *replier, ctx sim.Context) {
+			ctx.Send(l, sim.NewMessage("fwd", staying(s)))
+			r.refs = []ref.Ref{l}
+		}, false, 1},
+		{"to itself", func(_ *replier, ctx sim.Context) { ctx.Send(s, sim.NewMessage("fwd", leaving(l))) }, false, 1},
+		{"another pair", func(_ *replier, ctx sim.Context) { ctx.Send(l, sim.NewMessage("fwd", leaving(x))) }, false, 0},
+		{"two references", func(_ *replier, ctx sim.Context) {
+			ctx.Send(l, sim.NewMessage("fwd", staying(s), leaving(x)))
+		}, false, 0},
+		{"refused", func(_ *replier, ctx sim.Context) { ctx.Send(l, sim.NewMessage("fwd", staying(s))) }, true, 0},
+	}
+	for _, c := range cases {
+		rt := NewRuntime(oracle.Single{})
+		rt.SetShards(2)
+		rt.AddProcess(s, sim.Staying, &replier{on: c.on})
+		rt.AddProcess(l, sim.Leaving, &fixedRefsProto{})
+		rt.AddProcess(x, sim.Leaving, &fixedRefsProto{})
+		rt.Enqueue(s, sim.NewMessage("present", leaving(l)))
+		rt.seal()
+		ps, pl := rt.lookup(s), rt.lookup(l)
+		if ps.shard.Load() == pl.shard.Load() {
+			t.Fatal("s and l share a shard")
+		}
+		if c.gone {
+			rt.commitExit(pl)
+		}
+		sh := rt.shards[ps.shard.Load()]
+		if got := sh.deliverRound(); got == 0 { // "to itself" delivers its message too
+			t.Fatalf("%s: nothing delivered", c.name)
+		}
+		sh.flushAll()
+		if sh.handoffs != c.handoffs || ps.owed != nil {
+			t.Errorf("%s: %d handoffs, debt left to %v; want %d, none", c.name, sh.handoffs, ps.owed, c.handoffs)
+		}
+		if c.gone && rt.Dropped() != 1 {
+			t.Errorf("%s: %d drops, want the reply", c.name, rt.Dropped())
+		}
+		w := rt.Freeze() // absorbs the inbox the reply went to
+		for _, r := range []ref.Ref{l, x} {
+			if rt.lookup(r).life.Load() == 2 {
+				continue
+			}
+			want, _ := w.RelevantDegree(r)
+			if got := rt.ledger.Degree(r); got != want {
+				t.Errorf("%s: leaver %v ledger degree %d, frozen world %d", c.name, r, got, want)
+			}
+		}
+	}
+}
+
 // TestFastEpochTakesNoShardLock holds one shard's action read lock, as a
 // worker in the middle of an iteration does, and runs a whole epoch
 // meanwhile: a pending degree-1 exit must commit and a leaver whose degree

@@ -147,18 +147,22 @@ func (rt *Runtime) CausalIDs() uint64 { return rt.causal.Load() }
 
 // ShardTraffic is one shard's cross-shard mail so far: the batches its worker
 // published to other shards' inboxes, the messages in them (their ratio is
-// the mean batch), and how often it emptied its own inbox.
+// the mean batch), and how often it emptied its own inbox. PairHandoffs counts
+// the deliveries whose ledger pair a reply or a store of its worker took over
+// (degree.go), each two locked pair updates not made; the worker adds its
+// count once per iteration, so it is exact at every pause.
 type ShardTraffic struct {
-	OutboxFlushes, OutboxMessages, InboxAbsorbs uint64
+	OutboxFlushes, OutboxMessages, InboxAbsorbs, PairHandoffs uint64
 }
 
-// ShardTraffic reads shard i's mail counters; safe to call concurrently.
+// ShardTraffic reads shard i's counters; safe to call concurrently.
 func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
 	n := &rt.shards[i].n
 	return ShardTraffic{
 		OutboxFlushes:  n.outboxFlushes.Load(),
 		OutboxMessages: n.outboxMessages.Load(),
 		InboxAbsorbs:   n.inboxAbsorbs.Load(),
+		PairHandoffs:   n.pairHandoffs.Load(),
 	}
 }
 

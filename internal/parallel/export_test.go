@@ -18,3 +18,9 @@ func SealedDegrees(rt *Runtime) map[ref.Ref]int {
 	}
 	return out
 }
+
+// InboxFull reports whether the inbox of the shard that owns r has anything
+// in it: what a worker's check for mail reads.
+func InboxFull(rt *Runtime, r ref.Ref) bool {
+	return rt.shards[rt.lookup(r).shard.Load()].inboxFull.Load()
+}

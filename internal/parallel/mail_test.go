@@ -25,9 +25,12 @@ import (
 // is that mailbox. With every in-flight reference in a mailbox the degree
 // ledger must read exactly the frozen relevant degree — the crosscheck of
 // TestIncrementalDegreeMatchesFrozenWorld, here with most sends crossing
-// shards. After Stop the depth-reading surfaces agree with the counter too.
+// shards, and with every delivery's debt settled: replies that took their
+// delivered message's pair over must have happened, on every shard count
+// (two is the count CI's runners get by default). After Stop the
+// depth-reading surfaces agree with the counter too.
 func TestInFlightConservation(t *testing.T) {
-	for _, shards := range []int{3, 4} {
+	for _, shards := range []int{2, 3, 4} {
 		rt, _, leaving := buildShardedRuntime(2048, 0.5, int64(90+shards), core.VariantFDP, oracle.Single{}, shards)
 		rng := rand.New(rand.NewSource(int64(shards)))
 		rt.Start()
@@ -82,7 +85,7 @@ func TestInFlightConservation(t *testing.T) {
 		if checks < 3 || queued == 0 {
 			t.Fatalf("shards=%d: %d pauses saw %d queued messages; the property was not exercised", shards, checks, queued)
 		}
-		var crossed, absorbed uint64
+		var crossed, absorbed, handoffs uint64
 		for i := range rt.shards {
 			tr := rt.ShardTraffic(i)
 			if tr.OutboxFlushes > tr.OutboxMessages {
@@ -90,9 +93,13 @@ func TestInFlightConservation(t *testing.T) {
 			}
 			crossed += tr.OutboxMessages
 			absorbed += tr.InboxAbsorbs
+			handoffs += tr.PairHandoffs
 		}
 		if crossed == 0 || absorbed == 0 {
 			t.Fatalf("shards=%d: %d messages crossed shards, %d absorbs: nothing crossed", shards, crossed, absorbed)
+		}
+		if handoffs == 0 {
+			t.Fatalf("shards=%d: no delivery handed its ledger pair to a reply or a store", shards)
 		}
 		// The terminal state: same agreement through the public surfaces.
 		depths := rt.MailboxDepths()
@@ -274,6 +281,52 @@ func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
 	}
 	if got := shl.deliverRound(); got != 1 || l.mb.len() != 0 {
 		t.Fatalf("resumed leaver: %d delivered, %d still queued", got, l.mb.len())
+	}
+}
+
+// burst sends more than flushAt messages to one process of another shard per
+// delivery, and notes, before its handler returns, whether that shard's inbox
+// has anything in it.
+type burst struct {
+	fixedRefsProto
+	rt       *Runtime
+	to       ref.Ref
+	midInbox bool
+}
+
+func (b *burst) Deliver(ctx sim.Context, _ sim.Message) {
+	for i := 0; i <= flushAt; i++ {
+		ctx.Send(b.to, sim.NewMessage("burst", sim.RefInfo{Ref: ctx.Self(), Mode: sim.Staying}))
+	}
+	b.midInbox = InboxFull(b.rt, b.to)
+}
+
+// TestOutboxWaitsForTheActionToEnd pins the flush rule the reply handoff
+// relies on (degree.go): an outbox that reaches flushAt inside an action is
+// published after the action, never inside it, so no worker can pop a reply
+// before the action that sent it has done its ledger accounting. The handler
+// sends flushAt+1 messages to another shard; the target's inbox is empty
+// while it runs, and holds all of them once the action has returned — before
+// the end of the iteration, where the worker flushes the rest.
+func TestOutboxWaitsForTheActionToEnd(t *testing.T) {
+	b := &burst{}
+	rt, a, l := twoShardPair(t, oracle.Single{}, sim.Leaving, b, &fixedRefsProto{})
+	b.rt, b.to = rt, l.id
+	rt.seal()
+	sha, shl := rt.shards[a.shard.Load()], rt.shards[l.shard.Load()]
+	rt.push(a, &sim.Message{Label: "go"})
+	if got := sha.deliverRound(); got != 1 {
+		t.Fatalf("delivered %d of 1", got)
+	}
+	if b.midInbox {
+		t.Fatal("the target's inbox filled while the handler was still running")
+	}
+	if !InboxFull(rt, l.id) || len(shl.inbox) != flushAt+1 || len(sha.outbox[shl.idx]) != 0 {
+		t.Fatalf("after the action: inbox %d, outbox %d; want the burst published between actions",
+			len(shl.inbox), len(sha.outbox[shl.idx]))
+	}
+	if tr := rt.ShardTraffic(sha.idx); tr.OutboxFlushes != 1 || tr.OutboxMessages != flushAt+1 {
+		t.Fatalf("sender's traffic %+v, want one flush of the whole burst", tr)
 	}
 }
 

@@ -16,8 +16,9 @@
 //   - Mailboxes and run queues are plain data private to the owning worker.
 //     A send to a process of the sender's own shard appends to the mailbox;
 //     any other goes to a per-target-shard outbox, published to the target
-//     shard's inbox under one hold of its leaf lock (mbMu) every 32 messages
-//     and before the worker releases its action lock. The receiver absorbs
+//     shard's inbox under one hold of its leaf lock (mbMu) between two
+//     actions once it holds 32 messages — never in the middle of one — and
+//     before the worker releases its action lock. The receiver absorbs
 //     its inbox behind one atomic flag; a pauser absorbs every inbox, so a
 //     paused world has every in-flight message in a mailbox. Counters are
 //     per shard and summed at read, causal ids are drawn in blocks: a
@@ -147,6 +148,11 @@ type proc struct {
 	// (syncRefs after every action, resetLedger at Start and after Mutate).
 	// Touched only by the owning worker (or under a full pause).
 	synced []ref.Ref
+
+	// owed is the other end of the pair whose −1 the delivery in progress
+	// still owes (degree.go, the reply handoff). The owning worker's; nil
+	// between actions.
+	owed *proc
 
 	// ready reports that the process sits on its shard's ready list
 	// (shard.ready). Set by the coordinator before it appends the index,
@@ -433,7 +439,8 @@ func (c *pctx) Mode() sim.Mode { return c.p.mode }
 // touches that worker's counters, its block of causal ids and — unless the
 // target lives on the same shard — its outbox; the only words shared with
 // another worker are the target's life and depth, and the degree ledger's
-// rows for the references the message carries.
+// rows for the references the message carries — none of them if the message
+// is the reply that takes the delivery's debt over (owes).
 func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	if to.IsNil() {
 		return
@@ -446,7 +453,20 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	// action event being executed, clock = the sender's Lamport time.
 	msg = sim.StampCausal(msg, sh.nextCID(), p.curCID, p.clock)
 	if target := rt.lookup(to); target != nil {
-		if depth, ok := rt.admit(target, &msg); ok {
+		var depth int
+		var ok bool
+		if p.owes(target, &msg) {
+			// The delivered message's count carries the reply: nobody pops
+			// it before this action's accounting is done (shard.post). A
+			// refused reply leaves the debt owed.
+			if depth, ok = target.enter(); ok {
+				p.owed = nil
+				sh.handoffs++
+			}
+		} else {
+			depth, ok = rt.admit(target, &msg)
+		}
+		if ok {
 			sh.post(target, &msg)
 			if sh.note(sim.EvSend) {
 				rt.emit(sh, sim.Event{Kind: sim.EvSend, Proc: p.id, Peer: to, Label: msg.Label, Depth: depth,
@@ -512,14 +532,23 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		rt.emit(sh, sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
 			CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
 	}
+	oneRef := rt.trackDeg && len(msg.Refs) == 1
+	if oneRef {
+		p.owe(msg.Refs[0].Ref)
+	}
 	p.proto.Deliver(&p.ctx, *msg)
 	if rt.trackDeg {
 		// Adds precede removes (degree.go): the message's implicit edges
 		// drop only now that the handler's sends and stores are counted, so
 		// a reference it carried is never off the ledger while the delivery
-		// is open.
+		// is open — or they were never dropped, a reply or a store having
+		// taken the one pair over.
 		p.syncRefs(sh)
-		rt.msgPairs(p, msg.Refs, -1)
+		if oneRef {
+			p.payDebt()
+		} else {
+			rt.msgPairs(p, msg.Refs, -1)
+		}
 	}
 	return p.finishAction(sh)
 }

@@ -73,7 +73,10 @@ type parcel struct {
 }
 
 // flushAt is the outbox length at which a worker publishes the batch to the
-// target shard's inbox without waiting for the end of its iteration.
+// target shard's inbox without waiting for the end of its iteration: after
+// the action in which it was reached, never inside it — a delivery's reply
+// may ride on the delivered message's ledger count until the action ends
+// (degree.go, the reply handoff), and nobody may pop it before then.
 const flushAt = 32
 
 // tally is a shard's share of the runtime's always-on counters: the worker
@@ -89,6 +92,7 @@ type tally struct {
 	outboxFlushes  atomic.Uint64 // batches this shard published to another's inbox
 	outboxMessages atomic.Uint64 // messages in those batches
 	inboxAbsorbs   atomic.Uint64 // times this shard emptied its inbox
+	pairHandoffs   atomic.Uint64 // ledger debts taken over (shard.handoffs, published per iteration)
 }
 
 // shard is one worker's slice of the runtime: a disjoint set of processes
@@ -155,11 +159,17 @@ type shard struct {
 	rqHead int
 
 	// outbox[k] collects the messages this worker admitted for processes of
-	// shard k, until flush publishes them to k's inbox: at flushAt messages,
-	// and before the worker lets go of actMu — a pauser never finds one
-	// non-empty. spare is the buffer absorb swaps the inbox for.
+	// shard k, until flush publishes them to k's inbox: after the action in
+	// which it reached flushAt messages (due says one did), and before the
+	// worker lets go of actMu — a pauser never finds one non-empty. spare is
+	// the buffer absorb swaps the inbox for.
 	outbox [][]parcel
+	due    bool
 	spare  []parcel
+
+	// handoffs counts the ledger debts this worker's actions took over since
+	// the worker last added them to n.pairHandoffs, once per iteration.
+	handoffs uint64
 
 	// pids are the owned processes, by reference index. Written only under a
 	// full pause (AddProcess pre-Start, rebalance); read by the worker.
@@ -218,10 +228,17 @@ func (rt *Runtime) admit(p *proc, msg *sim.Message) (int, bool) {
 	if tracked {
 		rt.msgPairs(p, msg.Refs, 1)
 	}
+	depth, ok := p.enter()
+	if !ok && tracked {
+		rt.msgPairs(p, msg.Refs, -1)
+	}
+	return depth, ok
+}
+
+// enter is admit's second half, for a message whose pairs are counted
+// already: a live p takes it, a gone p refuses.
+func (p *proc) enter() (int, bool) {
 	if p.life.Load() == 2 {
-		if tracked {
-			rt.msgPairs(p, msg.Refs, -1)
-		}
 		return 0, false
 	}
 	return int(p.depth.Add(1)), true
@@ -262,7 +279,8 @@ func (sh *shard) makeRunnable(p *proc) {
 // post sends an admitted message on from sh's worker: into the mailbox if sh
 // owns the target, else into the outbox for the target's shard. The target
 // cannot change shards before the flush: a rebalance needs the action lock
-// the worker holds until it has flushed.
+// the worker holds until it has flushed. An outbox that reaches flushAt
+// waits for the end of the action (flushDue).
 func (sh *shard) post(p *proc, msg *sim.Message) {
 	k := int(p.shard.Load())
 	if k == sh.idx {
@@ -270,8 +288,8 @@ func (sh *shard) post(p *proc, msg *sim.Message) {
 		return
 	}
 	sh.outbox[k] = append(sh.outbox[k], parcel{to: p, msg: *msg})
-	if len(sh.outbox[k]) >= flushAt {
-		sh.flush(k)
+	if len(sh.outbox[k]) == flushAt {
+		sh.due = true
 	}
 }
 
@@ -287,12 +305,27 @@ func (sh *shard) flush(k int) {
 	sh.n.outboxMessages.Add(uint64(len(out)))
 }
 
+// flushDue publishes, between two actions, every outbox that reached
+// flushAt during the last one.
+func (sh *shard) flushDue() {
+	if !sh.due {
+		return
+	}
+	sh.due = false
+	for k, out := range sh.outbox {
+		if len(out) >= flushAt {
+			sh.flush(k)
+		}
+	}
+}
+
 // flushAll empties every outbox; the worker calls it before it releases its
 // action lock.
 func (sh *shard) flushAll() {
 	for k := range sh.outbox {
 		sh.flush(k)
 	}
+	sh.due = false
 }
 
 // deposit leaves a batch of admitted messages for sh's worker, under one
@@ -392,7 +425,9 @@ func (sh *shard) deliverRound() int {
 		for ; k > 0; k-- {
 			msg := p.mb.pop()
 			delivered++
-			if p.deliverAction(sh, &msg) {
+			stop := p.deliverAction(sh, &msg)
+			sh.flushDue()
+			if stop {
 				// The action exited or suspended the process: the rest of its
 				// mail stays in flight, in the mailbox.
 				break
@@ -449,6 +484,7 @@ func (sh *shard) timeoutRound() int {
 			continue
 		}
 		p.timeoutAction(sh)
+		sh.flushDue()
 		ran++
 	}
 	n := len(sh.pids)
@@ -462,6 +498,7 @@ func (sh *shard) timeoutRound() int {
 			continue
 		}
 		p.timeoutAction(sh)
+		sh.flushDue()
 		ran++
 	}
 	return ran
@@ -473,7 +510,8 @@ func (sh *shard) timeoutRound() int {
 // gone (FSP hibernation). A batch left in the inbox raises notify and cuts
 // the idle sleep short. Before it lets go of the action lock the worker
 // publishes every outbox: what it admitted is then in an inbox or a mailbox,
-// and the pauser that gets the lock next absorbs the inboxes. After every
+// and the pauser that gets the lock next absorbs the inboxes. It publishes
+// its handoff count there too, once per iteration. After every
 // productive round the worker yields the
 // processor: on a box with few cores a hot shard otherwise monopolizes its
 // P for the ~10ms async-preemption slice and the coordinator (whose epoch
@@ -501,6 +539,10 @@ func (sh *shard) worker() {
 			sh.nextTO = now.Add(timeoutTick)
 		}
 		sh.flushAll()
+		if sh.handoffs > 0 {
+			sh.n.pairHandoffs.Add(sh.handoffs)
+			sh.handoffs = 0
+		}
 		sh.actMu.RUnlock()
 
 		if delivered > 0 || timeouts > 0 {
