@@ -51,7 +51,12 @@ test:
 # driving both engines) and the model core they exercise run under the race
 # detector. ./benchmark is in the list for what its traced pass assumes: its
 # oracle wrapper and verdict hook count with plain fields, so this run is what
-# pins "the runtime judges on one goroutine". CI runners have two cores, and a
+# pins "the runtime judges one call at a time" — TestOracleCallsOneAtATime
+# (internal/parallel, four shards) holds the same in the package. Workers
+# judge leavers' rows and commit their exits side by side:
+# TestAdjacentLeaversExitSideBySide commits adjacent leavers on two, three and
+# four shards, and TestLedgerRetiresConcurrently (internal/graph) retires
+# ledger rows from four goroutines. CI runners have two cores, and a
 # runtime left to GOMAXPROCS then has two shards: the cross-shard mail path
 # (outbox, inbox, absorb at a pause) is raced by the internal/parallel tests
 # that force the count with SetShards — TestForcedShardChurn on four shards,
@@ -66,7 +71,7 @@ test:
 # (snapshots beside a recorder on two lanes) and
 # TestProgressLanesAgreeWithOneLane (internal/obs).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...
+	$(GO) test -race ./internal/sim/... ./internal/graph/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...
 
 # replay-golden holds the committed journals in cmd/fdpreplay/testdata to
 # the replay determinism contract: each sequential golden must re-drive

@@ -23,8 +23,8 @@ func (MutantSingle) Evaluate(w *sim.World, u ref.Ref) bool {
 	return relevant && deg <= 2
 }
 
-// JudgeDegree gives the concurrent runtime's incremental-degree fast path
-// the same broken guard, so the mutant breaks both engines identically.
+// JudgeDegree gives the concurrent runtime's degree path the same broken
+// guard, so the mutant breaks both engines identically.
 func (MutantSingle) JudgeDegree(deg int) bool { return deg <= 2 }
 
 // MutantSingleNever is the liveness dual of MutantSingle: the guard is
@@ -41,8 +41,8 @@ func (MutantSingleNever) Name() string { return "MUTANT-SINGLE-NEVER" }
 // Evaluate implements sim.Oracle: no exit is ever granted.
 func (MutantSingleNever) Evaluate(*sim.World, ref.Ref) bool { return false }
 
-// JudgeDegree denies on the concurrent runtime's incremental-degree fast
-// path too, so the livelock reproduces identically on both engines.
+// JudgeDegree denies on the concurrent runtime's degree path too, so the
+// livelock reproduces identically on both engines.
 func (MutantSingleNever) JudgeDegree(int) bool { return false }
 
 // The mutants register themselves so journals recorded under them replay —

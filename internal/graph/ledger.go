@@ -2,6 +2,7 @@ package graph
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"fdp/internal/ref"
 )
@@ -23,10 +24,11 @@ type Ledger struct {
 	// scan.
 	slot []int32
 	rows []Row[ref.Ref, int32]
-	// leavers counts the rows Leave gave and Retire has not taken back. The
-	// runtime leaves and retires only from its coordinator or under a full
-	// pause, so like slot it needs no lock of its own.
-	leavers int
+	// leavers counts the rows Leave gave and Retire has not taken back. Leave
+	// runs only before the ledger is shared; Retire may run on several
+	// goroutines at once, each holding the lock of the row it retires, and
+	// those touch disjoint slots but this one word.
+	leavers atomic.Int32
 }
 
 // Reset empties the ledger and sizes it for the processes indexed below n,
@@ -34,7 +36,7 @@ type Ledger struct {
 func (l *Ledger) Reset(n int) {
 	l.slot = make([]int32, n)
 	l.rows = nil
-	l.leavers = 0
+	l.leavers.Store(0)
 }
 
 // Leave gives the leaver u its row, after Reset and before anything is
@@ -42,13 +44,13 @@ func (l *Ledger) Reset(n int) {
 func (l *Ledger) Leave(u ref.Ref) {
 	l.rows = append(l.rows, Row[ref.Ref, int32]{})
 	l.slot[ref.Index(u)] = int32(len(l.rows))
-	l.leavers++
+	l.leavers.Add(1)
 }
 
 // Leavers returns the number of leavers holding a row: given one by Leave,
 // not yet retired. While it is zero no pair can count, so an engine may stop
 // feeding the ledger until it resets it.
-func (l *Ledger) Leavers() int { return l.leavers }
+func (l *Ledger) Leavers() int { return int(l.leavers.Load()) }
 
 // row returns u's row, or nil if u stays or was retired.
 func (l *Ledger) row(u ref.Ref) *Row[ref.Ref, int32] {
@@ -117,7 +119,7 @@ func (l *Ledger) Retire(u ref.Ref) []Pair {
 	pairs := r.Entries()
 	*r = Row[ref.Ref, int32]{}
 	l.slot[ref.Index(u)] = 0
-	l.leavers--
+	l.leavers.Add(-1)
 	return pairs
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"fdp/internal/ref"
@@ -270,4 +271,55 @@ func FuzzLedgerOps(f *testing.F) {
 		}
 		runLedgerScript(t, script)
 	})
+}
+
+// TestLedgerRetiresConcurrently retires rows from several goroutines at once,
+// as the runtime's workers do when each commits the exit of a leaver it owns:
+// every row behind its own lock, the neighbours' Forget one lock at a time.
+// Adjacent leavers retire side by side, so a row may be retired while a
+// neighbour still counts it. Run under -race, it is what keeps the leaver
+// count safe; at the end no row is left and no pair is counted.
+func TestLedgerRetiresConcurrently(t *testing.T) {
+	const n, workers = 256, 4
+	nodes := ref.NewSpace().NewN(n)
+	var l Ledger
+	l.Reset(n)
+	for _, u := range nodes {
+		l.Leave(u)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4*n; i++ {
+		if a, b := nodes[rng.Intn(n)], nodes[rng.Intn(n)]; a != b {
+			l.Count(a, b, 1)
+		}
+	}
+	locks := make([]sync.Mutex, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				u := nodes[i]
+				locks[i].Lock()
+				pairs := l.Retire(u)
+				locks[i].Unlock()
+				for _, p := range pairs {
+					q := ref.Index(p.Key)
+					locks[q].Lock()
+					l.Forget(p.Key, u)
+					locks[q].Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := l.Leavers(); got != 0 {
+		t.Fatalf("Leavers() = %d after every row was retired", got)
+	}
+	for _, u := range nodes {
+		if d := l.Degree(u); d != 0 {
+			t.Fatalf("retired %v still counts %d neighbours", u, d)
+		}
+	}
 }

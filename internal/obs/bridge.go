@@ -135,7 +135,8 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 		func() float64 { return float64(rt.CausalIDs()) })
 	// Cross-shard mail, per shard: messages over flushes is the mean batch a
 	// worker publishes under one hold of the target's inbox lock. Beside it,
-	// the ledger pairs the shard's deliveries handed to their replies.
+	// the ledger pairs the shard's deliveries handed to their replies, and the
+	// exits its worker committed itself.
 	for i := 0; i < rt.Shards(); i++ {
 		shard := `{shard="` + strconv.Itoa(i) + `"}`
 		reg.GaugeFunc("fdp_runtime_outbox_flushes_total"+shard, "batches published to another shard's inbox",
@@ -146,6 +147,8 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 			func() float64 { return float64(rt.ShardTraffic(i).InboxAbsorbs) })
 		reg.GaugeFunc("fdp_runtime_ledger_handoffs_total"+shard, "delivered messages whose ledger pair a reply or store took over",
 			func() float64 { return float64(rt.ShardTraffic(i).PairHandoffs) })
+		reg.GaugeFunc("fdp_runtime_exit_commits_total"+shard, "exits the shard's worker committed in the action that asked",
+			func() float64 { return float64(rt.ShardTraffic(i).ExitCommits) })
 	}
 }
 
@@ -170,8 +173,7 @@ func (o countedOracle) Evaluate(w *sim.World, u ref.Ref) bool {
 // oracle whose verdict is a pure function of the SINGLE-style relevant
 // degree. The counting wrapper must preserve it — the runtime discovers
 // the capability by type assertion, and losing it would silently push a
-// benchmark run off the incremental-degree fast path onto the per-epoch
-// world clone.
+// benchmark run off the degree path onto the per-epoch world clone.
 type degreeJudge interface {
 	JudgeDegree(deg int) bool
 }
@@ -189,9 +191,9 @@ func (o countedDegreeOracle) JudgeDegree(deg int) bool {
 // CountOracle wraps orc so every evaluation increments the
 // MetricOracleCalls counter of reg — the oracle-call-count series for both
 // engines (the sequential world evaluates on OracleSays and legitimacy
-// checks; the runtime from the coordinator, epoch validation and
-// validateExit). Degree-pure oracles keep their JudgeDegree method through
-// the wrapper. A nil orc is returned unchanged.
+// checks; the runtime wherever a leaver's ledger row moves, in epoch
+// validation and in validateExit). Degree-pure oracles keep their
+// JudgeDegree method through the wrapper. A nil orc is returned unchanged.
 func CountOracle(orc sim.Oracle, reg *Registry) sim.Oracle {
 	if orc == nil {
 		return nil

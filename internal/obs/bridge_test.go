@@ -150,6 +150,7 @@ func TestInstrumentRuntime(t *testing.T) {
 		`fdp_runtime_outbox_messages_total{shard="0"}`,
 		`fdp_runtime_inbox_absorbs_total{shard="0"}`,
 		`fdp_runtime_ledger_handoffs_total{shard="0"}`,
+		`fdp_runtime_exit_commits_total{shard="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("runtime exposition missing %q:\n%s", want, out)

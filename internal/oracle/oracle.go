@@ -39,8 +39,8 @@ func (Single) Evaluate(w *sim.World, u ref.Ref) bool {
 
 // JudgeDegree is the degree-only form of Evaluate: SINGLE's verdict is a
 // pure function of the caller's relevant degree. Engines that maintain that
-// degree incrementally (the concurrent runtime's epoch fast path) judge
-// exits through it without materializing a world snapshot.
+// degree incrementally (the concurrent runtime's degree ledger) judge exits
+// through it without materializing a world snapshot.
 func (Single) JudgeDegree(deg int) bool { return deg <= 1 }
 
 // NIDEC is the oracle of Foreback et al. [15]: true for u iff No process
@@ -102,7 +102,7 @@ func (a Always) Evaluate(*sim.World, ref.Ref) bool { return bool(a) }
 
 // JudgeDegree returns the constant, ignoring the degree: Always is a
 // degree-judged oracle in the trivial sense, so the concurrent runtime's
-// epoch fast path covers the unsafe-oracle ablations too.
+// degree path covers the unsafe-oracle ablations too.
 func (a Always) JudgeDegree(int) bool { return bool(a) }
 
 // TimeoutSingle approximates SINGLE the way a practical deployment would:

@@ -207,7 +207,7 @@ func TestSettledActionsAllocateNothing(t *testing.T) {
 		leaver.SetAnchor(nodes[0], sim.Staying)
 		rt.AddProcess(space.New(), sim.Leaving, leaver)
 		rt.seal()
-		if !rt.trackDeg {
+		if rt.jd == nil {
 			t.Fatal("Single must enable degree tracking")
 		}
 		p := rt.lookup(nodes[0])

@@ -5,6 +5,7 @@ import (
 
 	"fdp/internal/core"
 	"fdp/internal/oracle"
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
 
@@ -57,4 +58,56 @@ func BenchmarkDeliverReply(b *testing.B) {
 		b.Fatalf("mail left over: %d, %d", s.mb.len(), l.mb.len())
 	}
 	b.ReportMetric(float64(shs.handoffs+shl.handoffs)/float64(b.N), "handoffs/op")
+}
+
+// BenchmarkLeaverRowJudged prices one locked pair update on a leaver's
+// ledger row, judged where it lands (degree.go). In "moves" every update
+// adds or removes the row's second neighbor, so the row changes length and
+// the leaver is re-judged under its lock: every other update turns SINGLE's
+// answer true and appends the leaver to its shard's ready list, which the
+// loop then empties, as the worker's next timeout round would. In "still"
+// every update moves the count of a pair the row holds twice over, its
+// length stays, and nothing is judged.
+func BenchmarkLeaverRowJudged(b *testing.B) {
+	for _, moves := range []bool{true, false} {
+		name := "still"
+		if moves {
+			name = "moves"
+		}
+		b.Run(name, func(b *testing.B) {
+			space := ref.NewSpace()
+			l, a, x := space.New(), space.New(), space.New()
+			rt := NewRuntime(oracle.Single{})
+			rt.SetShards(1)
+			rt.AddProcess(l, sim.Leaving, &fixedRefsProto{refs: []ref.Ref{a}})
+			rt.AddProcess(a, sim.Staying, &fixedRefsProto{})
+			rt.AddProcess(x, sim.Staying, &fixedRefsProto{})
+			rt.seal() // the leaver's answer is true, and it is on the ready list
+			sh, pl, other := rt.shards[0], rt.lookup(l), rt.lookup(x)
+			if !moves {
+				other = rt.lookup(a)
+			}
+			pl.ready.Store(false)
+			sh.ready = sh.ready[:0]
+			readied := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					rt.pairBump(pl, other, 1)
+					continue
+				}
+				rt.pairBump(pl, other, -1)
+				if pl.ready.Load() {
+					readied++
+					pl.ready.Store(false)
+					sh.ready = sh.ready[:0]
+				}
+			}
+			b.StopTimer()
+			if want := b.N / 2; moves && readied != want || !moves && readied != 0 {
+				b.Fatalf("%d ready-list appends in %d updates", readied, b.N)
+			}
+		})
+	}
 }

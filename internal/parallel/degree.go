@@ -1,8 +1,10 @@
 package parallel
 
 // The runtime's side of the degree ledger, graph.Ledger (DESIGN.md §7), the
-// one both engines keep — the fast path of epoch validation: SINGLE judges a
-// leaver on its row's length. What concurrency adds (DESIGN.md §12):
+// one both engines keep — and, for an oracle whose verdict is a function of
+// the degree (SINGLE), the whole of exit judgement: a leaver's answer is its
+// row's length, judged where the row changes. What concurrency adds
+// (DESIGN.md §12):
 //
 //   - Pair locks. Each pair update locks the two endpoints' degMu in
 //     reference order; they guard only the endpoints' rows and nest under
@@ -16,9 +18,12 @@ package parallel
 //     row holds every pair of the state before, or after, each action in
 //     progress: its length is at least the relevant degree in some
 //     sequential order of the actions, and a grant on it is one the model
-//     could have given (Lemma 2). At a full pause with nothing asleep it is
-//     exact; asleep processes need the hibernation sweep, so the coordinator
-//     judges on a frozen world while rt.asleep is nonzero.
+//     could have given (Lemma 2). A leaver retired by one worker stays in
+//     its neighbours' rows until dropPairsOf erases it, so commits that
+//     overlap only over-count each other. At a full pause with nothing
+//     asleep a row is exact; asleep processes need the hibernation sweep,
+//     so while rt.asleep is nonzero exits wait for the coordinator's frozen
+//     world.
 //   - The reply handoff. A delivered message with one reference v leaves
 //     its receiver p owing the −1 on {p, v} (proc.owed). The action's first
 //     add on that pair — the admission of a one-reference message whose pair
@@ -30,8 +35,13 @@ package parallel
 //     pop the reply meanwhile: its own worker is busy with the action, and
 //     an outbox is published only between two actions (shard.post). The
 //     invariant holds as above, and every debt is settled at every pause.
-//   - The dirty queue. A leaver whose row length changed is queued once for
-//     the coordinator's next epoch, which re-judges only those.
+//   - Judgement where the row moves. Every Count or Forget that changes a
+//     leaver's row length re-judges the leaver before its degMu is let go,
+//     so oracleOK is always JudgeDegree of the row; an answer that turns
+//     true puts the leaver on its shard's ready list. The leaver's own exit
+//     is judged again, on the row, in the action that asks for it (retire).
+//     JudgeDegree and the oracle hook run under oracleMu, one call at a
+//     time, on whichever goroutine moved the row.
 
 import (
 	"fdp/internal/graph"
@@ -41,8 +51,8 @@ import (
 
 // degreeOracle is implemented by oracles whose verdict is a pure function
 // of the SINGLE-style relevant degree (oracle.Single, oracle.Always). For
-// these the coordinator validates exits and refreshes caches from the
-// runtime's ledger, skipping the per-epoch world clone.
+// these the runtime judges every leaver on its ledger row, where the row
+// changes, and no world is cloned.
 type degreeOracle interface {
 	JudgeDegree(deg int) bool
 }
@@ -56,15 +66,17 @@ func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
 	}
 }
 
-// pairBump applies d (+1 add, -1 remove) to the edge pair (a, b) and queues
-// every leaver whose row length changed for re-judgement. A pair of two
-// stayers is skipped before locking, from the immutable modes. So is a pair
-// with a gone endpoint — gone is final and the exit commit erases the pair
-// (dropPairsOf) — and an add checks again under both locks, where a commit
-// in progress cannot be missed (retire sets life under the same lock).
-// Removes are no-ops on a pair the commit already erased, or that an add
-// skipped, which is exactly the sequential ledger's "removals no-op once an
-// endpoint is gone".
+// pairBump applies d (+1 add, -1 remove) to the edge pair (a, b) and
+// re-judges, under its degMu, every leaver whose row length changed; one
+// whose answer turned true goes on its shard's ready list once the locks are
+// let go. A pair of two stayers is skipped before locking, from the
+// immutable modes. So is a pair with a gone endpoint — gone is final and the
+// exit commit erases the pair (dropPairsOf) — and an add checks again under
+// both locks, where a commit in progress cannot be missed (retire sets life
+// under the same lock). Removes are no-ops on a pair the commit already
+// erased, or that an add skipped, which is exactly the sequential ledger's
+// "removals no-op once an endpoint is gone". Caller holds a shard's action
+// read lock, or the world paused: p cannot change shards (markReady).
 func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if a.mode != sim.Leaving && b.mode != sim.Leaving {
 		return
@@ -76,40 +88,40 @@ func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if ref.Less(hi.id, lo.id) {
 		lo, hi = hi, lo
 	}
-	var aMoved, bMoved bool
+	var aReady, bReady bool
 	lo.degMu.Lock()
 	hi.degMu.Lock()
 	if d < 0 || (a.life.Load() != 2 && b.life.Load() != 2) {
-		aMoved, bMoved = rt.ledger.Count(a.id, b.id, d)
+		aMoved, bMoved := rt.ledger.Count(a.id, b.id, d)
+		if aMoved {
+			_, aReady = rt.judge(a)
+		}
+		if bMoved {
+			_, bReady = rt.judge(b)
+		}
 	}
 	hi.degMu.Unlock()
 	lo.degMu.Unlock()
-	if aMoved {
-		rt.markDirty(a)
+	if aReady {
+		rt.markReady(a)
 	}
-	if bMoved {
-		rt.markDirty(b)
-	}
-}
-
-// markDirty queues p, whose degree just changed, for the coordinator's next
-// epoch; proc.dirty keeps it on the queue at most once. Called with no degMu
-// held.
-func (rt *Runtime) markDirty(p *proc) {
-	if p.dirty.CompareAndSwap(false, true) {
-		rt.dirtyMu.Lock()
-		rt.dirty = append(rt.dirty, p)
-		rt.dirtyMu.Unlock()
+	if bReady {
+		rt.markReady(b)
 	}
 }
 
-// takeDirty claims the queued leavers.
-func (rt *Runtime) takeDirty() []*proc {
-	rt.dirtyMu.Lock()
-	defer rt.dirtyMu.Unlock()
-	batch := rt.dirty
-	rt.dirty = nil
-	return batch
+// judge sets the leaver p's cached answer to JudgeDegree of its row, and
+// reports that verdict and whether the answer turned true. Caller holds
+// p.degMu, or the world paused.
+func (rt *Runtime) judge(p *proc) (ok, turned bool) {
+	rt.oracleMu.Lock()
+	ok = rt.jd.JudgeDegree(rt.ledger.Degree(p.id))
+	rt.oracleMu.Unlock()
+	if was := p.oracleOK.Load(); ok != was {
+		p.oracleOK.Store(ok)
+		turned = ok
+	}
+	return ok, turned
 }
 
 // msgPairs applies d to the implicit edges of a message to p, one per
@@ -177,49 +189,70 @@ func (p *proc) syncRefs(sh *shard) {
 	}
 }
 
-// retire makes p gone — unconditionally if jd is nil, otherwise only if jd
-// grants the degree the ledger holds — in ONE critical section of p.degMu:
+// retire makes p gone — if judged, only if the degree oracle grants the row
+// the ledger holds — in ONE critical section of p.degMu:
 // every add re-checks life under the same lock, so it is either part of the
-// judged degree or finds p gone. It returns the pairs p's row held, for
-// finishExit to erase from the other side. A process that is gone already is
-// refused, whatever jd says of its empty row: nobody exits twice. Callers:
-// the coordinator's fast-path epoch (no pause: p is suspended, nobody else
-// writes its life), or commitExit.
-func (rt *Runtime) retire(p *proc, jd degreeOracle) (pairs []graph.Pair, ok bool) {
+// judged degree or finds p gone. A grant also suspends p for good
+// (exitPending), so whoever checks whether p may act finds it suspended and
+// gone from here on. It returns the pairs p's row held, for finishExit to
+// erase from the other side. A process that is gone already is refused,
+// whatever its empty row would be judged: nobody exits twice. Callers: the
+// worker running p's action (finishAction), the coordinator's epochFast (p
+// is suspended, nobody else writes its life), or commitExit.
+func (rt *Runtime) retire(p *proc, judged bool) (pairs []graph.Pair, ok bool) {
 	p.degMu.Lock()
 	defer p.degMu.Unlock()
 	was := p.life.Load()
-	if was == 2 || (jd != nil && !jd.JudgeDegree(rt.ledger.Degree(p.id))) {
+	if was == 2 {
 		return nil, false
 	}
+	if judged {
+		if ok, _ := rt.judge(p); !ok {
+			return nil, false
+		}
+	}
 	p.life.Store(2)
+	p.exitPending.Store(true)
 	if was == 0 {
 		rt.shards[p.shard.Load()].awake.Add(-1)
 	} else {
 		rt.asleep.Add(-1)
 	}
-	if rt.trackDeg {
+	if rt.jd != nil {
 		pairs = rt.ledger.Retire(p.id)
 	}
 	return pairs, true
 }
 
+// verdict hands an exit verdict to the oracle hook, under oracleMu.
+func (rt *Runtime) verdict(u ref.Ref, ok bool) {
+	if rt.oracleHook != nil {
+		rt.oracleMu.Lock()
+		rt.oracleHook(u, ok)
+		rt.oracleMu.Unlock()
+	}
+}
+
 // dropPairsOf erases the retired p from every leaving neighbor's row, one
-// degMu at a time: the sequential ledger's Exit, split at the locks. Until a
-// neighbor's turn comes it over-counts by the gone p, which only delays its
-// own grant; stale references to p left behind in stores or in flight are
-// inert (adds are life-gated, removes of an erased pair no-op).
+// degMu at a time, and re-judges each neighbour there: the sequential
+// ledger's Exit, split at the locks. Until a neighbor's turn comes it
+// over-counts by the gone p, which only delays its own grant; stale
+// references to p left behind in stores or in flight are inert (adds are
+// life-gated, removes of an erased pair no-op).
 func (rt *Runtime) dropPairsOf(p *proc, pairs []graph.Pair) {
 	for _, e := range pairs {
 		q := rt.lookup(e.Key)
 		if q.mode != sim.Leaving {
 			continue
 		}
+		var ready bool
 		q.degMu.Lock()
-		had := rt.ledger.Forget(q.id, p.id)
+		if rt.ledger.Forget(q.id, p.id) {
+			_, ready = rt.judge(q)
+		}
 		q.degMu.Unlock()
-		if had {
-			rt.markDirty(q)
+		if ready {
+			rt.markReady(q)
 		}
 	}
 }
@@ -251,10 +284,10 @@ func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 	}
 }
 
-// resetLedger empties the ledger, gives every live leaver a row and queues
-// it for judgement, and re-takes every live process's synced copy of its
-// stored references: the ledger then holds no pair and expects one pairBump
-// per edge forEachEdge walks. Same caller contract.
+// resetLedger empties the ledger, gives every live leaver a row, and
+// re-takes every live process's synced copy of its stored references; then
+// seed counts each pair the forEachEdge walk yields and judgeAll judges every
+// leaver once. Same caller contract.
 func (rt *Runtime) resetLedger() {
 	rt.ledger.Reset(len(rt.procs))
 	for _, p := range rt.procs {
@@ -264,7 +297,24 @@ func (rt *Runtime) resetLedger() {
 		p.synced = append(p.synced[:0], p.proto.Refs()...)
 		if p.mode == sim.Leaving {
 			rt.ledger.Leave(p.id)
-			rt.markDirty(p)
+		}
+	}
+}
+
+// seed counts one edge of the walk: no lock and no judgement, the world is
+// the caller's and judgeAll follows.
+func (rt *Runtime) seed(p, q *proc) { rt.ledger.Count(p.id, q.id, 1) }
+
+// judgeAll judges every live leaver on its freshly counted row and puts the
+// ones whose answer turned true on their shards' ready lists. Same caller
+// contract.
+func (rt *Runtime) judgeAll() {
+	for _, p := range rt.procs {
+		if p == nil || p.mode != sim.Leaving || p.life.Load() == 2 {
+			continue
+		}
+		if _, turned := rt.judge(p); turned {
+			rt.markReady(p)
 		}
 	}
 }
@@ -276,7 +326,8 @@ func (rt *Runtime) resetLedger() {
 // contract.
 func (rt *Runtime) reseedDegrees() {
 	rt.resetLedger()
-	rt.forEachEdge(func(p, q *proc) { rt.pairBump(p, q, 1) })
+	rt.forEachEdge(rt.seed)
+	rt.judgeAll()
 }
 
 // components returns the weakly connected components of the current process
@@ -302,62 +353,34 @@ func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
 	return uf.Partition(live)
 }
 
-// epochFast is the coordinator's round on the degree-judged path: it
-// settles the pending exit batch and re-judges the leavers whose degree
-// changed since the last round, all from the incremental ledger — no world
-// clone, no shard lock, O(pending + changed) work while the workers run on.
-// A suspended leaver's exit is judged and committed in one critical section
-// of its degMu (retire), and its pairs are erased before the next request
-// is judged, so the batch sees post-commit degrees exactly as the frozen
-// path's MarkGone fold-in provides. A dirty leaver whose answer turns true
-// goes on its shard's ready list (markReady), so its next timeout — the one
-// that requests the exit — does not wait for the round-robin scan.
-// JudgeDegree and the oracle hook run here, on the coordinator goroutine
-// only; JudgeDegree is a pure function of an int, so the oracleMu
-// serialization of stateful Evaluate calls is not needed. Caller holds
-// freezeMu, which keeps Freeze, Mutate, Rebalance and validateExit out.
+// epochFast settles, on the ledger, the exit requests the workers could not
+// commit themselves: those filed while something was asleep (a worker
+// commits its own leaver's exit in the action that asks, finishAction) and
+// those of staying processes. A leaver's exit is judged and committed in one
+// critical section of its degMu (retire), and its pairs are erased before
+// the next request is judged — no world clone, no shard lock, the workers
+// run on. Caller holds freezeMu, which keeps Freeze, Mutate, Rebalance and
+// validateExit out.
 //
 // The ledger keeps a row per leaver only. A request from any other process —
 // a staying process whose protocol calls Exit, which the model does not
 // forbid and the sequential engine commits — cannot be judged here: it is
 // handed back for the caller to settle on a sealed snapshot (settleOn) once
 // freezeMu is free.
-func (rt *Runtime) epochFast(jd degreeOracle) (offLedger []*proc) {
+func (rt *Runtime) epochFast() (offLedger []*proc) {
 	for _, p := range rt.takePendingExits() {
 		if p.mode != sim.Leaving {
 			offLedger = append(offLedger, p)
 			continue
 		}
-		pairs, ok := rt.retire(p, jd)
-		if rt.oracleHook != nil {
-			rt.oracleHook(p.id, ok)
-		}
+		pairs, ok := rt.retire(p, true)
+		rt.verdict(p.id, ok)
 		if ok {
-			// exitPending stays set: a gone process is suspended for good,
-			// so no worker's check can fall between the two writes.
 			rt.finishExit(p, pairs)
 		} else {
-			p.oracleOK.Store(false) // the cache was stale; stop re-requesting
 			rt.exitDenied.Add(1)
 			p.exitPending.Store(false)
 			rt.reschedule(p)
-		}
-	}
-	for _, p := range rt.takeDirty() {
-		// Off the queue before the degree is read: a change after the read
-		// queues p again.
-		p.dirty.Store(false)
-		if p.life.Load() == 2 {
-			continue
-		}
-		p.degMu.Lock()
-		deg := rt.ledger.Degree(p.id)
-		p.degMu.Unlock()
-		if ok := jd.JudgeDegree(deg); ok != p.oracleOK.Load() {
-			p.oracleOK.Store(ok)
-			if ok {
-				rt.markReady(p)
-			}
 		}
 	}
 	return offLedger

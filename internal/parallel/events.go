@@ -20,7 +20,7 @@ import (
 //     the differential event-parity test compares between engines.
 //   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
 //     every event synchronously from the emitting goroutine — a shard
-//     worker under its action read lock, or whoever commits an exit: a
+//     worker under its action read lock, or whoever else commits an exit: a
 //     pauser, or the coordinator beside the running workers. Hooks therefore
 //     run concurrently with each other and must be safe for concurrent use.
 //     The runtime keeps no ring of its own: a consumer that wants the last K
@@ -65,10 +65,12 @@ func (rt *Runtime) SetEventSink(fn func(sim.Event)) {
 
 // SetOracleHook installs fn as an observer of every exit-validation
 // verdict (granted or denied), from both the frozen-snapshot epoch path
-// and the incremental-degree fast path. fn runs on the coordinator
-// goroutine and must be safe for concurrent use with the event hooks (the
-// liveness watchdog's hook only touches atomics). Must be called before
-// Start; nil clears.
+// and the degree path. fn runs on the goroutine that judged — a shard
+// worker, possibly inside the leaver's own action, or the coordinator —
+// one call at a time (under the lock that serializes oracle calls), so it
+// may count in plain fields; it must not pause, block on or call back into
+// the runtime, and must be safe for concurrent use with the event hooks.
+// Must be called before Start; nil clears.
 func (rt *Runtime) SetOracleHook(fn func(ref.Ref, bool)) { rt.oracleHook = fn }
 
 // note counts one event of kind k on the shard and reports whether anybody
@@ -149,10 +151,12 @@ func (rt *Runtime) CausalIDs() uint64 { return rt.causal.Load() }
 // published to other shards' inboxes, the messages in them (their ratio is
 // the mean batch), and how often it emptied its own inbox. PairHandoffs counts
 // the deliveries whose ledger pair a reply or a store of its worker took over
-// (degree.go), each two locked pair updates not made; the worker adds its
-// count once per iteration, so it is exact at every pause.
+// (degree.go), each two locked pair updates not made. ExitCommits counts the
+// exits the worker committed in the action that asked for them (those the
+// coordinator settles are not in it). The worker adds both once per
+// iteration, so they are exact at every pause.
 type ShardTraffic struct {
-	OutboxFlushes, OutboxMessages, InboxAbsorbs, PairHandoffs uint64
+	OutboxFlushes, OutboxMessages, InboxAbsorbs, PairHandoffs, ExitCommits uint64
 }
 
 // ShardTraffic reads shard i's counters; safe to call concurrently.
@@ -163,6 +167,7 @@ func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
 		OutboxMessages: n.outboxMessages.Load(),
 		InboxAbsorbs:   n.inboxAbsorbs.Load(),
 		PairHandoffs:   n.pairHandoffs.Load(),
+		ExitCommits:    n.exitCommits.Load(),
 	}
 }
 

@@ -271,7 +271,7 @@ func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
 	if got := shl.deliverRound(); got != 0 || l.mb.len() != 1 || l.inRun {
 		t.Fatalf("suspended leaver: %d delivered, %d queued, inRun=%v; want 0, 1, false", got, l.mb.len(), l.inRun)
 	}
-	rt.epochFast(oracle.Always(false))
+	rt.epochFast()
 	if rt.ExitDenied() != 1 || l.exitPending.Load() {
 		t.Fatalf("exit not denied: denied=%d pending=%v", rt.ExitDenied(), l.exitPending.Load())
 	}
@@ -347,7 +347,7 @@ func (*exitWhenAllowed) Timeout(ctx sim.Context) {
 
 // TestStayerExitIsSettledOnASnapshot is the regression for a coordinator
 // crash: the degree ledger keeps a row per leaver, and a staying process
-// whose protocol calls Exit under SINGLE sent epochFast into the nil row. The
+// whose protocol calls Exit under SINGLE sent the epoch into the nil row. The
 // model does not forbid that exit and the sequential engine commits it. The
 // runtime validates it on a sealed snapshot and rebuilds the ledger under the
 // same pause: the leaver here holds the stayer and one more process, so

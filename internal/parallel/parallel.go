@@ -29,19 +29,20 @@
 //     exit validation by a stateful oracle — takes the write side of every
 //     shard, from a rotating start (pauseAll), replacing the old single
 //     global RWMutex: workers contend only on their own shard's cache line.
-//   - exit is validated by the coordinator in epoch batches: a process
-//     requesting exit is suspended (it executes no further actions — its
-//     guard must still hold at commit time) until the next epoch's verdict,
-//     so a stale cached oracle answer can request an exit but never commit
-//     one. For an oracle that judges the relevant degree alone (SINGLE) the
-//     epoch stops nobody: it judges each request on the incremental degree
-//     ledger and commits it in one critical section of the leaver's own
-//     lock, then re-judges only the leavers whose degree changed since the
-//     last epoch (degree.go) — O(pending + changed) work with the workers
-//     running. Any other oracle, and any state with asleep processes, pays
-//     one world pause per epoch: every request is validated against ONE
-//     sealed snapshot, each commit folded back into it (sim.World.MarkGone)
-//     so later requests in the same batch are judged against the post-commit
+//   - For an oracle that judges the relevant degree alone (SINGLE) exits
+//     are judged where the degree changes: every pair update that moves a
+//     leaver's ledger row re-judges it under the row's lock (degree.go),
+//     and the worker running the leaver's action commits the exit that
+//     action asks for, judged once more on the row, in one critical section
+//     of the leaver's own lock. Nobody stops and nothing waits for an epoch.
+//     Any other oracle, and any state with asleep processes, is validated by
+//     the coordinator in epoch batches: a process requesting exit is
+//     suspended (it executes no further actions — its guard must still hold
+//     at commit time) until the next epoch's verdict, so a stale cached
+//     oracle answer can request an exit but never commit one; each epoch
+//     pauses the world and validates every request against ONE sealed
+//     snapshot, each commit folded back into it (sim.World.MarkGone) so
+//     later requests in the same batch are judged against the post-commit
 //     state.
 //   - Workers are paced, not greedy: timeout rounds fire at most once per
 //     timeoutTick (weak fairness needs periodic timeouts, not timeout
@@ -52,9 +53,11 @@
 //     asleep or gone; a batch left in its inbox wakes it immediately.
 //
 // Oracles used with this runtime must be stateless values (like
-// oracle.Single); Evaluate calls are serialized by oracleMu and run on sealed
-// snapshots, never on live state, and the coordinator goroutine is the only
-// one that judges exits — Evaluate or JudgeDegree — while the system runs.
+// oracle.Single); Evaluate calls run on sealed snapshots, never on live
+// state. Every oracle call — Evaluate or JudgeDegree — and every call of the
+// oracle hook is serialized by oracleMu: JudgeDegree runs on whichever
+// goroutine moved a leaver's row, a worker or the coordinator, one call at a
+// time.
 //
 //fdp:nondecomposable runtime machinery: implements the model itself (delivery, absorption, exit commits), not a protocol in 𝒫; frozenProto is a snapshot shim, not a protocol
 package parallel
@@ -111,12 +114,13 @@ type proc struct {
 	// degMu, in retire, and nowhere else.
 	life atomic.Int32
 
-	// exitPending suspends the process between its exit request and the
-	// coordinator's batched verdict: the worker delivers nothing to it and
-	// runs no timeouts on it, so the state the guard was evaluated in cannot
-	// drift before the commit. Set by the worker (CAS), cleared by the
-	// coordinator only when it denies: a granted process stays suspended for
-	// good, so a worker never finds it neither suspended nor gone.
+	// exitPending suspends the process between an exit request filed for the
+	// coordinator and its batched verdict: the worker delivers nothing to it
+	// and runs no timeouts on it, so the state the guard was evaluated in
+	// cannot drift before the commit. Set by the worker (CAS) and by every
+	// grant (retire), cleared by the coordinator only when it denies: a
+	// granted process stays suspended for good, so a worker never finds it
+	// neither suspended nor gone.
 	exitPending atomic.Bool
 
 	wantExit  bool
@@ -129,15 +133,13 @@ type proc struct {
 	clock  uint64
 	curCID uint64
 
-	// oracleOK caches the coordinator's last oracle evaluation for this
-	// process. Reads are cheap and may be stale; exits are re-validated on a
-	// sealed snapshot (or the incremental degree counters) before
-	// committing.
+	// oracleOK caches the process's oracle answer. For a degree oracle it is
+	// JudgeDegree of the leaver's ledger row, rewritten under degMu by every
+	// change of the row (judge); otherwise the coordinator's last evaluation
+	// on a frozen world, and the degree path's too while something sleeps.
+	// An action reads it without a lock; exits are judged again, on the row
+	// or on a sealed snapshot, before they commit.
 	oracleOK atomic.Bool
-
-	// dirty reports that the process sits on the runtime's dirty queue: its
-	// degree changed since the coordinator last judged it.
-	dirty atomic.Bool
 
 	// degMu guards the process's row of the runtime's ledger (see degree.go):
 	// pair updates lock both endpoints in reference order, an exit commit
@@ -155,8 +157,8 @@ type proc struct {
 	owed *proc
 
 	// ready reports that the process sits on its shard's ready list
-	// (shard.ready). Set by the coordinator before it appends the index,
-	// cleared by the owning worker once it has popped it.
+	// (shard.ready). Set by whoever turned oracleOK true before it appends
+	// the index, cleared by the owning worker once it has popped it.
 	ready atomic.Bool
 
 	// ctx is the sim.Context every action of this process runs with.
@@ -180,13 +182,15 @@ type Runtime struct {
 	freezeMu   sync.Mutex
 	pauseFirst int
 
-	// oracleMu serializes oracle evaluations so stateful oracles never race
-	// with themselves. Leaf lock: nothing else is acquired under it.
+	// oracleMu serializes every oracle call — Evaluate on a frozen world,
+	// JudgeDegree wherever a row moves — and every call of oracleHook, so
+	// an oracle or hook that counts in plain fields never races with itself.
+	// Leaf lock: nothing else is acquired under it.
 	oracleMu sync.Mutex //fdp:lockleaf
 
-	// exitMu guards the pending-exit list. Leaf lock. The exit-latency
-	// series lives in per-shard buffers (shard.exitLat) so commits touch no
-	// global state beyond this queue.
+	// exitMu guards the pending-exit list: the requests the coordinator
+	// settles. Leaf lock. The exit-latency series lives in per-shard buffers
+	// (shard.exitLat) so commits touch no global state beyond this queue.
 	exitMu       sync.Mutex //fdp:lockleaf
 	pendingExits []*proc
 
@@ -194,24 +198,19 @@ type Runtime struct {
 	// coordinator runs an early epoch instead of sleeping out its interval.
 	exitKick chan struct{}
 
-	// dirtyMu guards the dirty queue: the leavers whose distinct-neighbor
-	// count changed since the coordinator last judged them (markDirty, fed by
-	// pairBump), each at most once (proc.dirty). Leaf lock.
-	dirtyMu sync.Mutex //fdp:lockleaf
-	dirty   []*proc
-
 	// causal is the runtime's causal-ID counter, the concurrent analogue of
 	// the simulator's. Enqueue seeds it past any transplanted message's CID
 	// (MirrorWorld preserves the build world's IDs), so the initial causal
 	// vocabulary is identical across engines and fresh IDs never collide.
 	causal atomic.Uint64
 
-	// trackDeg enables the ledger (degree.go): set at Start when the oracle's
-	// verdict is a pure degree function. asleep counts processes with
-	// life==1 — while it is zero nothing can hibernate and no ledger row is
-	// below the frozen world's RelevantDegree (equal to it at a full pause).
-	trackDeg bool
-	asleep   atomic.Int64
+	// jd is the oracle as a degree oracle, nil unless its verdict is a pure
+	// degree function: set at Start, it enables the ledger (degree.go).
+	// asleep counts processes with life==1 — while it is zero nothing can
+	// hibernate and no ledger row is below the frozen world's RelevantDegree
+	// (equal to it at a full pause).
+	jd     degreeOracle
+	asleep atomic.Int64
 
 	// The per-message counters (actions, sends, drops, events per kind) live
 	// in the shards (shard.n) and are summed at read; these three move once
@@ -225,9 +224,9 @@ type Runtime struct {
 	hooks []func(sim.Event)
 	// oracleHook, when set, observes every exit-validation verdict — the
 	// grant/denial stream the liveness watchdog classifies stalls from.
-	// Called from the coordinator's epoch (both the frozen-world and the
-	// incremental-degree path) outside oracleMu and degMu; must touch only
-	// state safe for that goroutine (atomics).
+	// Called by whoever judged the exit (a worker inside the leaver's
+	// action, or the coordinator) under oracleMu and no degMu
+	// (SetOracleHook).
 	oracleHook func(ref.Ref, bool)
 	startTime  time.Time // set by Start; exit latencies measured from it
 
@@ -532,12 +531,12 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		rt.emit(sh, sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
 			CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
 	}
-	oneRef := rt.trackDeg && len(msg.Refs) == 1
+	oneRef := rt.jd != nil && len(msg.Refs) == 1
 	if oneRef {
 		p.owe(msg.Refs[0].Ref)
 	}
 	p.proto.Deliver(&p.ctx, *msg)
-	if rt.trackDeg {
+	if rt.jd != nil {
 		// Adds precede removes (degree.go): the message's implicit edges
 		// drop only now that the handler's sends and stores are counted, so
 		// a reference it carried is never off the ledger while the delivery
@@ -563,7 +562,7 @@ func (p *proc) timeoutAction(sh *shard) bool {
 		p.rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
 	}
 	p.proto.Timeout(&p.ctx)
-	if p.rt.trackDeg {
+	if p.rt.jd != nil {
 		p.syncRefs(sh)
 	}
 	return p.finishAction(sh)
@@ -572,8 +571,11 @@ func (p *proc) timeoutAction(sh *shard) bool {
 // finishAction applies the deferred lifecycle transitions of one atomic
 // action, mirroring the sequential engine's post-action block. Exit wins
 // over sleep. With no oracle configured the exit commits immediately (there
-// is no guard to revalidate); otherwise the process suspends and the
-// request joins the coordinator's next epoch batch.
+// is no guard to revalidate). A leaver under a degree oracle, with nothing
+// asleep, has its exit judged on its ledger row and committed here, after
+// the action's own pair updates (syncRefs, payDebt): a grant takes it out of
+// circulation, a denial leaves it awake. Any other request suspends the
+// process and joins the coordinator's next epoch batch.
 func (p *proc) finishAction(sh *shard) bool {
 	rt := p.rt
 	if p.wantSleep && !p.wantExit && sh.note(sim.EvSleep) {
@@ -582,11 +584,20 @@ func (p *proc) finishAction(sh *shard) bool {
 	}
 	sh.n.events.Add(1)
 	if p.wantExit {
-		if rt.oracle == nil {
+		switch {
+		case rt.oracle == nil:
 			rt.commitExit(p)
-			return true
-		}
-		if p.exitPending.CompareAndSwap(false, true) {
+			sh.commits++
+		case rt.jd != nil && p.mode == sim.Leaving && rt.asleep.Load() == 0:
+			pairs, ok := rt.retire(p, true)
+			rt.verdict(p.id, ok)
+			if !ok {
+				rt.exitDenied.Add(1)
+				return false
+			}
+			rt.finishExit(p, pairs)
+			sh.commits++
+		case p.exitPending.CompareAndSwap(false, true):
 			rt.requestExit(p)
 		}
 		return true
@@ -616,7 +627,7 @@ func (rt *Runtime) requestExit(p *proc) {
 // validateExit under a full pause, after the oracle granted on the sealed
 // snapshot. No action of p may be running or able to start.
 func (rt *Runtime) commitExit(p *proc) {
-	if pairs, ok := rt.retire(p, nil); ok {
+	if pairs, ok := rt.retire(p, false); ok {
 		rt.finishExit(p, pairs)
 	}
 }
@@ -626,9 +637,10 @@ func (rt *Runtime) commitExit(p *proc) {
 // EvExit emitted. The mailbox is left as it is: admit has refused since p
 // turned gone, so what waits there (or is still on its way through an outbox
 // or inbox) was sent before the exit, and nobody pops it. Callers:
-// commitExit, and the coordinator's fast-path epoch with the workers running
-// — it takes leaf locks and neighbors' degMu only, and its causal id and its
-// step come from the shared counters, not from a worker's block or cache.
+// commitExit, the worker whose action asked for the exit, and the
+// coordinator's epochFast with the workers running — it takes leaf locks and
+// neighbors' degMu only, and its causal id and its step come from the shared
+// counters, not from a worker's block or cache.
 func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 	sh := rt.shards[p.shard.Load()]
 	sh.live.Add(-1)
@@ -672,10 +684,10 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 	if rt.oracle != nil {
 		rt.oracleMu.Lock()
 		ok := rt.oracle.Evaluate(w, p.id)
-		rt.oracleMu.Unlock()
 		if rt.oracleHook != nil {
 			rt.oracleHook(p.id, ok)
 		}
+		rt.oracleMu.Unlock()
 		if !ok {
 			p.oracleOK.Store(false) // the cache was stale; stop re-requesting
 			rt.exitDenied.Add(1)
@@ -701,7 +713,7 @@ func (rt *Runtime) settleOn(w *sim.World, batch []*proc) {
 			reseed = true
 		}
 	}
-	if reseed && rt.trackDeg {
+	if reseed && rt.jd != nil {
 		rt.reseedDegrees()
 	}
 }
@@ -727,19 +739,20 @@ func (rt *Runtime) Start() {
 // once and must not call Start afterwards.
 func (rt *Runtime) seal() {
 	rt.startTime = time.Now()
-	// Degree-judged oracle: maintain incremental relevant-degree counters so
-	// epochs validate exits without cloning the world. Seeded here, before
-	// the workers exist, in the pass that finds the components;
-	// admit/deliver/action-diff keep them current from here on (degree.go).
-	_, rt.trackDeg = rt.oracle.(degreeOracle)
-	if rt.trackDeg {
+	// Degree-judged oracle: maintain the ledger so exits are judged on it
+	// without cloning the world. Seeded here, before the workers exist, in
+	// the pass that finds the components, and every leaver judged once;
+	// admit/deliver/action-diff keep it current from here on (degree.go).
+	rt.jd, _ = rt.oracle.(degreeOracle)
+	if rt.jd != nil {
 		var uf graph.UnionFind
 		uf.Reset(len(rt.procs))
 		rt.resetLedger()
 		rt.forEachEdge(func(p, q *proc) {
 			uf.Union(p.id, q.id)
-			rt.pairBump(p, q, 1)
+			rt.seed(p, q)
 		})
+		rt.judgeAll()
 		rt.initially = rt.partition(&uf)
 	} else {
 		rt.initially = rt.components()
@@ -761,7 +774,7 @@ func (rt *Runtime) seal() {
 }
 
 // coordinate runs the epoch loop: each epoch validates every pending exit
-// and refreshes the cached oracle answers that may have changed (epoch). The
+// and, on the frozen-world path, refreshes the cached oracle answers (epoch). The
 // cadence adapts twice over — while actions execute it runs every coordMin,
 // while the system is quiet the interval doubles up to coordMax, and it
 // never sleeps less than pauseDutyFactor times the last epoch's own
@@ -814,17 +827,19 @@ func (rt *Runtime) coordinate() {
 }
 
 // epoch is one coordinator round: settle the pending exit batch, refresh the
-// oracle caches, rebalance if the shards have drifted apart.
+// oracle caches on the frozen-world path, rebalance if the shards have
+// drifted apart.
 func (rt *Runtime) epoch() {
 	rt.epochs.Add(1)
-	if jd, ok := rt.oracle.(degreeOracle); ok && rt.trackDeg && rt.asleep.Load() == 0 {
-		// Fast path: nothing is asleep, so nothing hibernates and the
-		// incremental counters never read below the frozen world's
-		// RelevantDegree — O(pending + changed) work on the ledger instead of
-		// an O(n+m) world clone, and no shard is stopped for it. (A process
-		// that falls asleep meanwhile only makes the ledger over-count more.)
+	if rt.jd != nil && rt.asleep.Load() == 0 {
+		// Degree path: nothing is asleep, so nothing hibernates and the
+		// ledger never reads below the frozen world's RelevantDegree. The
+		// workers judge and commit their leavers' exits themselves; what is
+		// left here is O(pending) work on the ledger, and no shard is
+		// stopped for it. (A process that falls asleep meanwhile only makes
+		// the ledger over-count more.)
 		rt.freezeMu.Lock()
-		offLedger := rt.epochFast(jd)
+		offLedger := rt.epochFast()
 		rt.freezeMu.Unlock()
 		if len(offLedger) > 0 {
 			rt.pauseAll()
@@ -1023,9 +1038,10 @@ func (rt *Runtime) Mutate(fn func(v *MutableView)) {
 	defer rt.resumeAll()
 	fn(&MutableView{rt: rt})
 	// A strike may rewrite stored references or inject messages without any
-	// action running: rebuild the incremental degree counters before the
-	// world resumes (the counter analogue of sim.World.InvalidatePG).
-	if rt.trackDeg {
+	// action running: rebuild the ledger and judge every leaver again
+	// before the world resumes (the counter analogue of
+	// sim.World.InvalidatePG).
+	if rt.jd != nil {
 		rt.reseedDegrees()
 	}
 }

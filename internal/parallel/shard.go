@@ -80,9 +80,9 @@ type parcel struct {
 const flushAt = 32
 
 // tally is a shard's share of the runtime's always-on counters: the worker
-// (and, for the exit of an owned process, the coordinator) adds here, a
-// reader sums over the shards. No action touches a counter another shard's
-// worker writes.
+// (and, for the exit of an owned process it commits, the coordinator) adds
+// here, a reader sums over the shards. No action touches a counter another
+// shard's worker writes.
 type tally struct {
 	events  atomic.Uint64 // executed actions (timeouts + deliveries)
 	sent    atomic.Uint64
@@ -93,6 +93,7 @@ type tally struct {
 	outboxMessages atomic.Uint64 // messages in those batches
 	inboxAbsorbs   atomic.Uint64 // times this shard emptied its inbox
 	pairHandoffs   atomic.Uint64 // ledger debts taken over (shard.handoffs, published per iteration)
+	exitCommits    atomic.Uint64 // exits the worker committed (shard.commits, published per iteration)
 }
 
 // shard is one worker's slice of the runtime: a disjoint set of processes
@@ -122,11 +123,12 @@ type shard struct {
 	// resume and cleared by absorb: the worker's check for mail is one load.
 	inboxFull atomic.Bool
 
-	// ready lists the owned leavers whose cached oracle answer the
-	// coordinator just turned true (epochFast), each at most once (proc.ready);
-	// timeoutRound serves them ahead of the scan. Guarded by mbMu: the
-	// coordinator appends while the worker runs (markReady), the worker pops
-	// into readyBuf (worker-private); a rebalance rebuilds it under the pause.
+	// ready lists the owned leavers whose cached oracle answer just turned
+	// true (judge), each at most once (proc.ready); timeoutRound serves them
+	// ahead of the scan. Guarded by mbMu: whoever moved the row — any
+	// worker, the coordinator — appends while the worker runs (markReady),
+	// the worker pops into readyBuf (worker-private); a rebalance rebuilds it
+	// under the pause.
 	ready []int32
 
 	// notify is a capacity-1 wakeup: raised with every batch left in the
@@ -141,9 +143,8 @@ type shard struct {
 	awake atomic.Int32
 	live  atomic.Int32
 
-	// latMu guards the shard's exit-latency buffer. Commits append here
-	// (the owning worker on the oracle-free path, else the coordinator —
-	// never both in one run, the lock is for the concurrent reader);
+	// latMu guards the shard's exit-latency buffer. Commits append here —
+	// the owning worker, or the coordinator for a request it settles — and
 	// ExitLatencies merges the shard buffers at read time. Strictly a leaf.
 	latMu   sync.Mutex //fdp:lockleaf
 	exitLat []time.Duration
@@ -167,9 +168,10 @@ type shard struct {
 	due    bool
 	spare  []parcel
 
-	// handoffs counts the ledger debts this worker's actions took over since
-	// the worker last added them to n.pairHandoffs, once per iteration.
-	handoffs uint64
+	// handoffs counts the ledger debts this worker's actions took over, and
+	// commits the exits they committed, since the worker last added them to
+	// n.pairHandoffs and n.exitCommits, once per iteration.
+	handoffs, commits uint64
 
 	// pids are the owned processes, by reference index. Written only under a
 	// full pause (AddProcess pre-Start, rebalance); read by the worker.
@@ -224,7 +226,7 @@ func (sh *shard) nextCID() uint64 {
 // Reports p's channel length after the add. Callers run under some shard's
 // action read lock, under a full pause, or before Start.
 func (rt *Runtime) admit(p *proc, msg *sim.Message) (int, bool) {
-	tracked := rt.trackDeg && len(msg.Refs) > 0
+	tracked := rt.jd != nil && len(msg.Refs) > 0
 	if tracked {
 		rt.msgPairs(p, msg.Refs, 1)
 	}
@@ -439,7 +441,8 @@ func (sh *shard) deliverRound() int {
 
 // markReady puts p, whose cached oracle answer just turned true, on its
 // shard's ready list, under the shard's inbox lock: the worker runs on.
-// Caller is the coordinator, holding freezeMu (p cannot change shards).
+// Caller holds no degMu, and holds a shard's action read lock, freezeMu or
+// the world paused: p cannot change shards.
 func (rt *Runtime) markReady(p *proc) {
 	if !p.ready.CompareAndSwap(false, true) {
 		return
@@ -469,12 +472,13 @@ func (sh *shard) takeReady(max int) []int32 {
 // infinitely often (weak fairness) however fast the ready list refills.
 // Suspended (exit-pending) processes are skipped: they must not act between
 // their exit request and the coordinator's verdict, and a granted one never
-// acts again. The coordinator grants with the workers running, so the check
-// must hold against a commit that lands between its two reads: a grant
-// leaves exitPending set for good — only a denial lifts the suspension, and
-// a denied process is still awake — so from retire on the process is both
-// suspended and gone. (exitPending is read first, here and in nextBatch: the
-// coordinator writes life before it touches the flag.)
+// acts again. The coordinator grants the requests it settles with the
+// workers running, so the check must hold against a commit that lands
+// between its two reads: a grant leaves exitPending set for good — only a
+// denial lifts the suspension, and a denied process is still awake — so from
+// retire on the process is both suspended and gone. (exitPending is read
+// first, here and in nextBatch: the coordinator writes life before it
+// touches the flag.)
 func (sh *shard) timeoutRound() int {
 	ran := 0
 	for _, i := range sh.takeReady(timeoutBudget / 2) {
@@ -511,13 +515,13 @@ func (sh *shard) timeoutRound() int {
 // the idle sleep short. Before it lets go of the action lock the worker
 // publishes every outbox: what it admitted is then in an inbox or a mailbox,
 // and the pauser that gets the lock next absorbs the inboxes. It publishes
-// its handoff count there too, once per iteration. After every
-// productive round the worker yields the
-// processor: on a box with few cores a hot shard otherwise monopolizes its
-// P for the ~10ms async-preemption slice and the coordinator (whose epoch
-// refreshes the oracle caches and commits exits) runs an order of magnitude
-// below its intended cadence — exit latency is then scheduler-quantum
-// bound, not protocol bound.
+// its handoff and exit-commit counts there too, once per iteration. After
+// every productive round the worker yields the processor: on a box with few
+// cores a hot shard otherwise monopolizes its P for the ~10ms
+// async-preemption slice and the coordinator (whose epochs pause the world
+// for a stateful oracle) runs an order of magnitude below its intended
+// cadence — exit latency is then scheduler-quantum bound, not protocol
+// bound.
 func (sh *shard) worker() {
 	rt := sh.rt
 	defer rt.wg.Done()
@@ -542,6 +546,10 @@ func (sh *shard) worker() {
 		if sh.handoffs > 0 {
 			sh.n.pairHandoffs.Add(sh.handoffs)
 			sh.handoffs = 0
+		}
+		if sh.commits > 0 {
+			sh.n.exitCommits.Add(sh.commits)
+			sh.commits = 0
 		}
 		sh.actMu.RUnlock()
 
