@@ -8,6 +8,7 @@
 //	fdpreplay -spans journal.jsonl       # render per-leaver departure span trees
 //	fdpreplay -chrome journal.jsonl      # export Chrome trace-event JSON (Perfetto / chrome://tracing)
 //	fdpreplay -join j0.jsonl j1.jsonl …  # join per-node journals into one causal order
+//	fdpreplay -join runtime.jsonl        # check one runtime journal the same way
 //
 // A journal whose final line was torn off mid-write (crash, SIGKILL, full
 // disk) is diagnosed, not rejected: verify mode reports the truncation point
@@ -46,13 +47,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strict = fs.Bool("strict", false, "with -diff: also compare timing fields (step, clock, ages), not just causal structure")
 		spans  = fs.Bool("spans", false, "render per-leaver departure span trees instead of verifying")
 		chrome = fs.Bool("chrome", false, "export the journal as Chrome trace-event JSON")
-		join   = fs.Bool("join", false, "join per-node journals of one multi-node run into a single causal order")
+		join   = fs.Bool("join", false, "join per-node journals of one multi-node run, or check one runtime journal, in a single causal order")
 		out    = fs.String("o", "", "write -chrome or -join output to this file instead of stdout")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: fdpreplay [-spans|-chrome [-o out.json]] journal.jsonl")
 		fmt.Fprintln(stderr, "       fdpreplay -diff [-strict] a.jsonl b.jsonl")
-		fmt.Fprintln(stderr, "       fdpreplay -join [-o joined.jsonl] journal-0.jsonl journal-1.jsonl ...")
+		fmt.Fprintln(stderr, "       fdpreplay -join [-o joined.jsonl] journal-0.jsonl journal-1.jsonl ... | runtime.jsonl")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *join:
-		if fs.NArg() < 2 {
+		if fs.NArg() < 1 {
 			fs.Usage()
 			return 2
 		}
@@ -199,8 +200,9 @@ func runSpans(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runJoin merges the per-node journals of one multi-node run into a single
-// causally ordered journal and reports cross-node invariant violations.
+// runJoin merges the per-node journals of one multi-node run (or takes one
+// runtime journal) into a single causally ordered journal and reports
+// causal invariant violations.
 func runJoin(paths []string, outPath string, stdout, stderr io.Writer) int {
 	hdrs := make([]trace.Header, len(paths))
 	parts := make([][]trace.Record, len(paths))

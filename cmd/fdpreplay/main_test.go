@@ -13,6 +13,7 @@ import (
 
 	"fdp"
 	"fdp/internal/node"
+	"fdp/internal/parallel"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -130,6 +131,77 @@ func TestMeshGoldenJournalsRegenerateByteIdentically(t *testing.T) {
 		}
 	}
 	code, out, errOut := runCLI(t, append([]string{"-join"}, paths...)...)
+	if code != 0 || !strings.Contains(out, " 0 duplicates") {
+		t.Fatalf("fdpreplay -join exited %d\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+}
+
+// runtimeGolden is a seeded run of the sharded runtime on two shards
+// (Runtime.RunSeeded, seeded with the scenario's seed) whose journal is
+// committed next to the others: regenerating it must give the same bytes, so
+// the runtime replays across commits too.
+var runtimeGolden = struct {
+	name   string
+	scn    trace.Scenario
+	shards int
+}{"rt_fdp_line_n12", trace.Scenario{
+	N: 12, Topology: "line", LeaveFraction: 0.5, Pattern: "random",
+	Variant: "FDP", Oracle: "SINGLE", Seed: 1,
+}, 2}
+
+// TestRuntimeGoldenJournalRegeneratesByteIdentically re-runs the runtime
+// golden and joins the committed journal: exit 0, no duplicate delivery.
+func TestRuntimeGoldenJournalRegeneratesByteIdentically(t *testing.T) {
+	g := runtimeGolden
+	scn, err := g.scn.BuildScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant, err := g.scn.SimVariant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The build world's processes and channels, moved onto a runtime whose
+	// shard count is fixed before the first AddProcess.
+	w := scn.World
+	rt := parallel.NewRuntime(scn.Config.Oracle)
+	rt.SetShards(g.shards)
+	for _, r := range w.Refs() {
+		rt.AddProcess(r, w.ModeOf(r), w.ProtocolOf(r))
+	}
+	for _, r := range w.Refs() {
+		if w.LifeOf(r) == sim.Asleep {
+			rt.ForceAsleep(r)
+		}
+		for _, m := range w.ChannelSnapshot(r) {
+			rt.Enqueue(r, m)
+		}
+	}
+	var buf bytes.Buffer
+	jw := trace.NewWriter(&buf, trace.Header{Version: trace.Version, Engine: trace.EngineRuntime,
+		Scenario: trace.ScenarioFor(scn.Config, "")})
+	rt.AddEventHook(jw.Record)
+	legit := func(w *sim.World) bool { return w.Legitimate(variant) }
+	if !rt.RunSeeded(g.scn.Seed, legit, time.Millisecond, 10*time.Second) {
+		t.Fatalf("seeded run did not converge (gone %d)", rt.Gone())
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	path := goldenPath(g.name)
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("runtime journal differs from %s (regenerate deliberately with -update)", path)
+	}
+	code, out, errOut := runCLI(t, "-join", path)
 	if code != 0 || !strings.Contains(out, " 0 duplicates") {
 		t.Fatalf("fdpreplay -join exited %d\nstdout: %s\nstderr: %s", code, out, errOut)
 	}

@@ -418,8 +418,9 @@ func SimulateParallel(cfg Config, timeout time.Duration) (Report, error) {
 	if cfg.Observe != nil {
 		obs.InstrumentRuntime(rt, cfg.Observe)
 	}
-	// Runtime journals are diff-able but not replayable: no scheduler to
-	// re-drive.
+	// This run is on the wall clock, one schedule of many: its journal diffs
+	// and joins but does not regenerate. A seeded one (Runtime.RunSeeded)
+	// regenerates byte for byte from its seed and shard count.
 	journalErr := cfg.journal(trace.EngineRuntime, s.Config, "", rt.AddEventHook)
 	interrupted := false
 	rt.Start()

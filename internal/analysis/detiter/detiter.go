@@ -1,5 +1,5 @@
 // Package detiter enforces per-seed determinism in the deterministic
-// packages (fdp/internal/sim, core, churn, faults, trace, node): identical
+// packages (fdp/internal/sim, core, churn, faults, trace, node, parallel): identical
 // seeds must yield identical runs, which is what makes replay debugging, the
 // differential harness and every experiment table reproducible. The two
 // bug classes PR 2 had to flush out dynamically — map-iteration-order
@@ -49,6 +49,11 @@ var deterministicPkgs = map[string]bool{
 	// on a seeded loopback's virtual clock replays byte for byte. Only the
 	// wall-clock loop Run reads the clock, under an ignore directive.
 	"fdp/internal/node": true,
+	// The sharded runtime: a shard iteration and an epoch run on the time
+	// they are given, so RunSeeded's virtual clock replays a run byte for
+	// byte. Only the wall-clock drivers (worker, coordinate, Start's clock,
+	// WaitUntil) read the clock, under ignore directives.
+	"fdp/internal/parallel": true,
 }
 
 // globalRandAllowed lists math/rand identifiers that do NOT draw from the

@@ -8,8 +8,9 @@ import (
 
 func TestDetIter(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer,
-		"fdp/internal/sim",     // deterministic package: violations flagged
-		"fdp/internal/trace",   // journal subsystem: violations flagged
-		"fdp/internal/harness", // out of scope: everything allowed
+		"fdp/internal/sim",      // deterministic package: violations flagged
+		"fdp/internal/trace",    // journal subsystem: violations flagged
+		"fdp/internal/parallel", // sharded runtime: flagged unless ignored in a driver
+		"fdp/internal/harness",  // out of scope: everything allowed
 	)
 }

@@ -41,9 +41,9 @@
 //     function of the same package releases without acquiring, and that
 //     releasing function.
 //   - Oracle serialization: every (sim.Oracle).Evaluate call site in
-//     internal/parallel runs with parallel.Runtime.oracleMu held, so a
-//     stateful oracle never races with itself between the coordinator and
-//     validateExit.
+//     internal/parallel runs with parallel.Runtime.oracleMu held — an
+//     epoch's validation (validateExitOn) and its cache refresh — so a
+//     stateful oracle never races with itself, whoever drives the epoch.
 package lockgraph
 
 import (

@@ -191,8 +191,8 @@ func (o countedDegreeOracle) JudgeDegree(deg int) bool {
 // CountOracle wraps orc so every evaluation increments the
 // MetricOracleCalls counter of reg — the oracle-call-count series for both
 // engines (the sequential world evaluates on OracleSays and legitimacy
-// checks; the runtime wherever a leaver's ledger row moves, in epoch
-// validation and in validateExit). Degree-pure oracles keep their
+// checks; the runtime wherever a leaver's ledger row moves, and in an
+// epoch's validation and cache refresh). Degree-pure oracles keep their
 // JudgeDegree method through the wrapper. A nil orc is returned unchanged.
 func CountOracle(orc sim.Oracle, reg *Registry) sim.Oracle {
 	if orc == nil {

@@ -359,8 +359,8 @@ func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
 // those of staying processes. A leaver's exit is judged and committed in one
 // critical section of its degMu (retire), and its pairs are erased before
 // the next request is judged — no world clone, no shard lock, the workers
-// run on. Caller holds freezeMu, which keeps Freeze, Mutate, Rebalance and
-// validateExit out.
+// run on. Caller holds freezeMu, which keeps every pauser (Freeze, Mutate,
+// Rebalance) out.
 //
 // The ledger keeps a row per leaver only. A request from any other process —
 // a staying process whose protocol calls Exit, which the model does not

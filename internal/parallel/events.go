@@ -171,15 +171,16 @@ func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
 	}
 }
 
-// StartTime returns when Start launched the goroutines (zero before
-// Start). Exit latencies are measured from it.
+// StartTime returns when Start launched the goroutines (zero before Start,
+// and for a RunSeeded run). Exit latencies under Start are measured from it.
 func (rt *Runtime) StartTime() time.Time { return rt.startTime }
 
-// ExitLatencies returns the wall-clock time from Start to each committed
-// exit, in commit order — the runtime's time-to-exit-per-leaver series.
+// ExitLatencies returns, for each committed exit in commit order, the
+// runtime's clock when it committed: wall-clock time since Start, or virtual
+// time under RunSeeded — the runtime's time-to-exit-per-leaver series.
 // Commits append to per-shard buffers; the merge sorts the combined series,
-// which recovers commit order because every latency is measured from the
-// same monotonic start time.
+// which recovers commit order because every latency is read from the same
+// monotonic clock.
 func (rt *Runtime) ExitLatencies() []time.Duration {
 	var out []time.Duration
 	for _, sh := range rt.shards {

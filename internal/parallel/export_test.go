@@ -24,3 +24,7 @@ func SealedDegrees(rt *Runtime) map[ref.Ref]int {
 func InboxFull(rt *Runtime, r ref.Ref) bool {
 	return rt.shards[rt.lookup(r).shard.Load()].inboxFull.Load()
 }
+
+// BuildShardedRuntime is buildShardedRuntime, for the external tests that
+// record journals (trace imports this package through faults).
+var BuildShardedRuntime = buildShardedRuntime

@@ -44,13 +44,20 @@
 //     snapshot, each commit folded back into it (sim.World.MarkGone) so
 //     later requests in the same batch are judged against the post-commit
 //     state.
-//   - Workers are paced, not greedy: timeout rounds fire at most once per
-//     timeoutTick (weak fairness needs periodic timeouts, not timeout
-//     storms at CPU speed), a hot worker yields the processor after every
-//     productive round so the coordinator keeps its cadence even on
-//     single-core hosts, an idle worker sleeps until its next timeout round
-//     is due, and a shard blocks entirely once every owned process is
-//     asleep or gone; a batch left in its inbox wakes it immediately.
+//   - The runtime steps on a clock it is given. A shard's unit of work is
+//     one iteration (shard.iterate), the coordinator's one epoch; both read
+//     time only from the runtime's clock, which Start sets to the wall clock
+//     and RunSeeded to a virtual one, and an exit is stamped with it when it
+//     commits. Timeout rounds fire at most once per timeoutTick of that
+//     clock: weak fairness needs periodic timeouts, not timeout storms at
+//     CPU speed. Start's drivers read the wall clock and pace: a hot worker
+//     yields the processor after every busy iteration so the coordinator
+//     keeps its cadence even on single-core hosts, an idle worker sleeps
+//     until its next timeout round is due, and a shard blocks entirely once
+//     every owned process is asleep or gone; a batch left in its inbox wakes
+//     it immediately. RunSeeded runs the same iterations and epochs on the
+//     caller's goroutine, on a virtual clock, in an order drawn from a seed:
+//     a seeded run replays byte for byte.
 //
 // Oracles used with this runtime must be stateless values (like
 // oracle.Single); Evaluate calls run on sealed snapshots, never on live
@@ -64,6 +71,7 @@ package parallel
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -174,7 +182,7 @@ type Runtime struct {
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
 
 	// freezeMu serializes world pausers (Freeze, Mutate, Rebalance,
-	// validateExit, the coordinator's frozen-world epochs) ahead of the
+	// MailboxDepths, Stop, the frozen-world epochs) ahead of the
 	// per-shard action locks; see pauseAll. The coordinator's degree-judged
 	// epoch holds it too, and takes no shard's lock: nobody pauses the world
 	// while exits commit, and no exit commits under somebody's pause.
@@ -228,7 +236,13 @@ type Runtime struct {
 	// action, or the coordinator) under oracleMu and no degMu
 	// (SetOracleHook).
 	oracleHook func(ref.Ref, bool)
-	startTime  time.Time // set by Start; exit latencies measured from it
+
+	// clock reads the time since the run began: the wall clock from Start
+	// (startTime is its origin), RunSeeded's virtual clock from there. An
+	// exit is stamped with it at the moment it commits. Until either sets it,
+	// it reads zero.
+	clock     func() time.Duration
+	startTime time.Time
 
 	stop     atomic.Bool
 	closed   atomic.Bool   // set by Stop under its pause: nothing is admitted any more
@@ -254,6 +268,7 @@ type Oracle = sim.Oracle
 func NewRuntime(oracle Oracle) *Runtime {
 	rt := &Runtime{
 		oracle:   oracle,
+		clock:    func() time.Duration { return 0 },
 		stopCh:   make(chan struct{}),
 		exitKick: make(chan struct{}, 1),
 	}
@@ -418,9 +433,9 @@ func (rt *Runtime) Dropped() uint64 {
 // any scale.
 func (rt *Runtime) Gone() uint64 { return rt.exits.Load() }
 
-// ExitDenied returns how many exit requests the batched revalidation
-// rejected because the stale cached oracle answer no longer held.
-// Observability for the validateExit contention tests.
+// ExitDenied returns how many exit requests were denied at commit because
+// the stale cached oracle answer no longer held — on the leaver's ledger row
+// or on an epoch's sealed snapshot.
 func (rt *Runtime) ExitDenied() uint64 { return rt.exitDenied.Load() }
 
 // Epochs returns how many epochs — rounds of batch validation, with or
@@ -448,9 +463,10 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	rt := p.rt
 	sh := rt.shards[p.shard.Load()]
 	sh.n.sent.Add(1)
-	// Causal stamp, mirroring the simulator's Send: fresh CID, parent = the
-	// action event being executed, clock = the sender's Lamport time.
-	msg = sim.StampCausal(msg, sh.nextCID(), p.curCID, p.clock)
+	// Causal stamp and tracing sender, mirroring the simulator's Send: fresh
+	// CID, parent = the action event being executed, clock = the sender's
+	// Lamport time.
+	msg = sim.WithSender(sim.StampCausal(msg, sh.nextCID(), p.curCID, p.clock), p.id)
 	if target := rt.lookup(to); target != nil {
 		var depth int
 		var ok bool
@@ -623,9 +639,9 @@ func (rt *Runtime) requestExit(p *proc) {
 }
 
 // commitExit makes p gone without asking anybody. Callers: the owning worker
-// under its action read lock (oracle-free path), or the coordinator /
-// validateExit under a full pause, after the oracle granted on the sealed
-// snapshot. No action of p may be running or able to start.
+// under its action read lock (oracle-free path), or validateExitOn under a
+// full pause, after the oracle granted on the sealed snapshot. No action of
+// p may be running or able to start.
 func (rt *Runtime) commitExit(p *proc) {
 	if pairs, ok := rt.retire(p, false); ok {
 		rt.finishExit(p, pairs)
@@ -647,7 +663,7 @@ func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 	rt.dropPairsOf(p, pairs)
 	rt.exits.Add(1)
 	sh.latMu.Lock()
-	sh.exitLat = append(sh.exitLat, time.Since(rt.startTime))
+	sh.exitLat = append(sh.exitLat, rt.clock())
 	sh.latMu.Unlock()
 	if sh.note(sim.EvExit) {
 		// The full count, not sh's cached view: the caller may be the
@@ -656,23 +672,6 @@ func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 		rt.emitAt(sh, rt.Events(), sim.Event{Kind: sim.EvExit, Proc: p.id,
 			CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
 	}
-}
-
-// validateExit pauses the world, re-evaluates the oracle on a sealed
-// snapshot and commits p's exit only if the guard still holds — the
-// concurrent-world equivalent of the model's atomic guard evaluation. A
-// stale oracleOK cache can therefore request an exit but never commit one.
-// The coordinator batches many requests per pause via validateExitOn; this
-// entry point pays one pause for one request (tests, direct use). Callers
-// must not hold any shard's action lock.
-func (rt *Runtime) validateExit(p *proc) bool {
-	rt.pauseAll()
-	defer rt.resumeAll()
-	var w *sim.World
-	if rt.oracle != nil {
-		w = rt.freezeUnderPause()
-	}
-	return rt.validateExitOn(w, p)
 }
 
 // validateExitOn validates one exit request against the sealed snapshot w
@@ -718,8 +717,12 @@ func (rt *Runtime) settleOn(w *sim.World, batch []*proc) {
 	}
 }
 
-// Start launches the shard workers plus the oracle coordinator.
+// Start launches the shard workers plus the oracle coordinator, on the wall
+// clock.
 func (rt *Runtime) Start() {
+	start := time.Now() //fdplint:ignore detiter Start sets the wall clock its drivers and the exit stamps read
+	rt.startTime = start
+	rt.clock = func() time.Duration { return time.Since(start) } //fdplint:ignore detiter Start's wall clock
 	rt.seal()
 	for _, sh := range rt.shards {
 		rt.wg.Add(1)
@@ -731,14 +734,13 @@ func (rt *Runtime) Start() {
 	}
 }
 
-// seal is Start's first half: it captures the initial state before any
-// goroutine exists — the start time, the component partition safety is judged
-// against and, for a degree-judged oracle, the relevant-degree ledger. Start
-// is its only caller outside tests; a test that calls it to read the seeded
-// state or to drive a shard by hand (no worker, no coordinator) must call it
-// once and must not call Start afterwards.
+// seal captures the initial state before anything runs: the component
+// partition safety is judged against and, for a degree-judged oracle, the
+// relevant-degree ledger. Start and RunSeeded are its callers outside tests;
+// a test that calls it to read the seeded state or to drive a shard by hand
+// (no worker, no coordinator) must call it once and must not call Start
+// afterwards.
 func (rt *Runtime) seal() {
-	rt.startTime = time.Now()
 	// Degree-judged oracle: maintain the ledger so exits are judged on it
 	// without cloning the world. Seeded here, before the workers exist, in
 	// the pass that finds the components, and every leaver judged once;
@@ -773,11 +775,10 @@ func (rt *Runtime) seal() {
 	}
 }
 
-// coordinate runs the epoch loop: each epoch validates every pending exit
-// and, on the frozen-world path, refreshes the cached oracle answers (epoch). The
-// cadence adapts twice over — while actions execute it runs every coordMin,
-// while the system is quiet the interval doubles up to coordMax, and it
-// never sleeps less than pauseDutyFactor times the last epoch's own
+// coordinate is the coordinator's goroutine: it drives epoch on the wall
+// clock. The cadence adapts twice over — while actions execute it runs every
+// coordMin, while the system is quiet the interval doubles up to coordMax,
+// and it never sleeps less than pauseDutyFactor times the last epoch's own
 // duration, so large worlds are not frozen back-to-back. A pending exit
 // request kicks an early epoch so small systems keep sub-millisecond exit
 // latency.
@@ -786,49 +787,41 @@ func (rt *Runtime) coordinate() {
 	interval := coordMin
 	var lastEvents uint64
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-
+	timer.Stop()
 	for !rt.stop.Load() {
-		began := time.Now()
+		began := rt.clock()
 		rt.epoch()
-		cost := time.Since(began)
-
+		cost := rt.clock() - began
 		if ev := rt.Events(); ev == lastEvents {
-			if interval < coordMax {
-				interval *= 2
-				if interval > coordMax {
-					interval = coordMax
-				}
-			}
+			interval = min(2*interval, coordMax)
 		} else {
 			lastEvents = ev
 			interval = coordMin
 		}
-		wait := interval
-		if floor := pauseDutyFactor * cost; floor > wait {
-			wait = floor
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-rt.exitKick:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-rt.stopCh:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		}
+		rt.rest(timer, max(interval, pauseDutyFactor*cost), rt.exitKick)
+	}
+}
+
+// rest waits on the wall clock for d to pass, for wake, or for Stop,
+// whichever comes first, on the caller's stopped timer t, and leaves t
+// stopped. It is the drivers' one wait with a deadline.
+func (rt *Runtime) rest(t *time.Timer, d time.Duration, wake <-chan struct{}) {
+	t.Reset(d)
+	select {
+	case <-t.C:
+		return
+	case <-wake:
+	case <-rt.stopCh:
+	}
+	if !t.Stop() {
+		<-t.C
 	}
 }
 
 // epoch is one coordinator round: settle the pending exit batch, refresh the
 // oracle caches on the frozen-world path, rebalance if the shards have
-// drifted apart.
+// drifted apart. It reads no clock of its own: an exit it commits is stamped
+// by rt.clock, the clock of whoever drives it (coordinate, RunSeeded).
 func (rt *Runtime) epoch() {
 	rt.epochs.Add(1)
 	if rt.jd != nil && rt.asleep.Load() == 0 {
@@ -900,6 +893,81 @@ func (rt *Runtime) RunUntil(pred func(*sim.World) bool, pollEvery, timeout time.
 	return rt.WaitUntil(pred, pollEvery, timeout)
 }
 
+// seededTick is how far RunSeeded's virtual clock moves per step.
+const seededTick = 20 * time.Microsecond
+
+// RunSeeded is RunUntil on a virtual clock, on the caller's goroutine, with
+// no worker and no coordinator. Each step draws from seed one runnable
+// choice — a shard the wall-clock worker would iterate now (its last
+// iteration was busy, its notify was raised, or its timeout round is due),
+// or the epoch (coordMin after the last, or kicked by an exit request) —
+// runs it, and moves the clock on by seededTick; with nothing runnable the
+// clock jumps to the earliest nextTO, epoch or poll. poll, timeout and the
+// exit stamps are virtual time; StartTime stays zero. The same seed on the
+// same build (processes, SetShards, oracle, hooks) runs the same schedule,
+// so a journal hook records the same bytes. Call it instead of Start; it
+// stops the runtime before it returns.
+func (rt *Runtime) RunSeeded(seed int64, pred func(*sim.World) bool, poll, timeout time.Duration) bool {
+	rng := rand.New(rand.NewSource(seed))
+	var now, nextPoll, nextEpoch time.Duration
+	rt.clock = func() time.Duration { return now }
+	rt.seal()
+	defer rt.Stop()
+	if poll <= 0 {
+		poll = time.Millisecond
+	}
+	epochChoice := len(rt.shards)
+	hot := make([]bool, len(rt.shards)) // the worker would iterate again at once
+	var runnable []int
+	for now < timeout {
+		if now >= nextPoll {
+			if pred(rt.Freeze()) {
+				return true
+			}
+			nextPoll = now + poll
+		}
+		runnable = runnable[:0]
+		wake := min(nextPoll, timeout)
+		for i, sh := range rt.shards {
+			select {
+			case <-sh.notify:
+				hot[i] = true
+			default:
+			}
+			switch {
+			case hot[i] || sh.awake.Load() > 0 && now >= sh.nextTO:
+				runnable = append(runnable, i)
+			case sh.awake.Load() > 0:
+				wake = min(wake, sh.nextTO)
+			}
+		}
+		if rt.oracle != nil {
+			select {
+			case <-rt.exitKick:
+				nextEpoch = now
+			default:
+			}
+			if now >= nextEpoch {
+				runnable = append(runnable, epochChoice)
+			} else {
+				wake = min(wake, nextEpoch)
+			}
+		}
+		if len(runnable) == 0 {
+			now = wake
+			continue
+		}
+		if c := runnable[rng.Intn(len(runnable))]; c == epochChoice {
+			rt.epoch()
+			nextEpoch = now + coordMin
+		} else {
+			hot[c] = rt.shards[c].iterate()
+		}
+		now += seededTick
+	}
+	return pred(rt.Freeze())
+}
+
 // WaitUntil blocks until pred holds on a consistent frozen snapshot,
 // re-evaluating every poll tick, or until timeout elapses, and returns the
 // final verdict (the predicate is re-checked once at the deadline). The
@@ -908,11 +976,11 @@ func (rt *Runtime) RunUntil(pred func(*sim.World) bool, pollEvery, timeout time.
 // large world cannot freeze it back-to-back. The runtime must be started;
 // callers own Start/Stop.
 func (rt *Runtime) WaitUntil(pred func(*sim.World) bool, poll, timeout time.Duration) bool {
-	began := time.Now()
+	began := time.Now() //fdplint:ignore detiter WaitUntil polls on the wall clock
 	if pred(rt.freezeLocked()) {
 		return true
 	}
-	cost := time.Since(began)
+	cost := time.Since(began) //fdplint:ignore detiter WaitUntil's duty-cycle floor
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
@@ -931,11 +999,11 @@ func (rt *Runtime) WaitUntil(pred func(*sim.World) bool, poll, timeout time.Dura
 		case <-timer.C:
 			return pred(rt.freezeLocked())
 		case <-tick.C:
-			began = time.Now()
+			began = time.Now() //fdplint:ignore detiter WaitUntil polls on the wall clock
 			if pred(rt.freezeLocked()) {
 				return true
 			}
-			cost = time.Since(began)
+			cost = time.Since(began) //fdplint:ignore detiter WaitUntil's duty-cycle floor
 			tick.Reset(effective())
 		}
 	}

@@ -481,11 +481,11 @@ func panicOf(f func()) (got string) {
 	return ""
 }
 
-// The validateExit contention stress from the issue: leaving processes with
-// deliberately stale oracleOK=true caches race to exit while the SINGLE
-// oracle actually forbids it (several stayers hold each leaver's reference).
-// The revalidation under the snapshot write lock must deny every attempt: a
-// stale cache can REQUEST an exit but never COMMIT one.
+// The exit-validation contention stress: leaving processes with deliberately
+// stale oracleOK=true caches race to exit while the SINGLE oracle actually
+// forbids it (several stayers hold each leaver's reference). The judgement
+// on the ledger row must deny every attempt: a stale cache can REQUEST an
+// exit but never COMMIT one.
 func TestValidateExitStaleCacheNeverCommits(t *testing.T) {
 	space := ref.NewSpace()
 	leavers := space.NewN(4)
@@ -524,14 +524,17 @@ func TestValidateExitStaleCacheNeverCommits(t *testing.T) {
 		t.Fatalf("%d unsafe exits committed despite failing oracle", got)
 	}
 	if rt.ExitDenied() == 0 {
-		t.Fatal("no exit attempt was ever denied — the stale caches never reached validateExit")
+		t.Fatal("no exit attempt was ever denied — the stale caches never reached a verdict")
 	}
 	// Deterministic direct check on the terminal state, independent of the
-	// race timing above.
+	// race timing above: the sealed-snapshot path denies it too.
 	p := rt.lookup(leavers[0])
 	p.oracleOK.Store(true)
-	if rt.validateExit(p) {
-		t.Fatal("validateExit committed an exit the oracle forbids")
+	rt.pauseAll()
+	committed := rt.validateExitOn(rt.freezeUnderPause(), p)
+	rt.resumeAll()
+	if committed {
+		t.Fatal("validateExitOn committed an exit the oracle forbids")
 	}
 }
 

@@ -176,8 +176,8 @@ type shard struct {
 	// pids are the owned processes, by reference index. Written only under a
 	// full pause (AddProcess pre-Start, rebalance); read by the worker.
 	pids     []int32
-	cursor   int       // round-robin position of the timeout scan
-	nextTO   time.Time // earliest moment of the next timeout round
+	cursor   int           // round-robin position of the timeout scan
+	nextTO   time.Duration // earliest moment, since the run began, of the next timeout round
 	readyBuf []int32
 
 	// diff holds syncRefs' sort buffers.
@@ -508,92 +508,74 @@ func (sh *shard) timeoutRound() int {
 	return ran
 }
 
-// worker is the shard's goroutine body: run bounded delivery rounds flat
-// out while messages flow, fire a timeout round at most once per
-// timeoutTick, and block entirely once every owned process is asleep or
-// gone (FSP hibernation). A batch left in the inbox raises notify and cuts
-// the idle sleep short. Before it lets go of the action lock the worker
-// publishes every outbox: what it admitted is then in an inbox or a mailbox,
-// and the pauser that gets the lock next absorbs the inboxes. It publishes
-// its handoff and exit-commit counts there too, once per iteration. After
-// every productive round the worker yields the processor: on a box with few
-// cores a hot shard otherwise monopolizes its P for the ~10ms
-// async-preemption slice and the coordinator (whose epochs pause the world
-// for a stateful oracle) runs an order of magnitude below its intended
-// cadence — exit latency is then scheduler-quantum bound, not protocol
-// bound.
+// iterate is one worker iteration: under one read hold of the action lock, a
+// delivery round, then the timeout round once the runtime's clock, read
+// after the deliveries, has reached nextTO, then every outbox published —
+// what the worker admitted is in an inbox or a mailbox before a pauser can
+// get the lock, and the pauser absorbs the inboxes — and the iteration's
+// handoff and exit-commit counts added to the shard's tally. It reports
+// whether any action ran. It reads no clock but rt.clock, the one its driver
+// set: the wall-clock worker, or RunSeeded.
+func (sh *shard) iterate() (busy bool) {
+	sh.actMu.RLock()
+	if len(sh.rt.hooks) > 0 {
+		sh.sumOthers()
+	}
+	ran := sh.deliverRound()
+	if now := sh.rt.clock(); now >= sh.nextTO {
+		ran += sh.timeoutRound()
+		sh.nextTO = now + timeoutTick
+	}
+	sh.flushAll()
+	if sh.handoffs > 0 {
+		sh.n.pairHandoffs.Add(sh.handoffs)
+		sh.handoffs = 0
+	}
+	if sh.commits > 0 {
+		sh.n.exitCommits.Add(sh.commits)
+		sh.commits = 0
+	}
+	sh.actMu.RUnlock()
+	return ran > 0
+}
+
+// worker is the shard's goroutine: it drives iterate on the wall clock. It
+// iterates flat out while actions run, yielding the processor after every
+// busy iteration — on a box with few cores a hot shard otherwise monopolizes
+// its P for the ~10ms async-preemption slice and the coordinator (whose
+// epochs pause the world for a stateful oracle) runs an order of magnitude
+// below its intended cadence, so exit latency is scheduler-quantum bound, not
+// protocol bound. Idle, it sleeps until the next timeout round is due, and
+// it blocks entirely once every owned process is asleep or gone (FSP
+// hibernation); a batch left in the inbox raises notify and cuts either wait
+// short.
 func (sh *shard) worker() {
 	rt := sh.rt
 	defer rt.wg.Done()
 	idleTimer := time.NewTimer(time.Hour)
-	if !idleTimer.Stop() {
-		<-idleTimer.C
-	}
-	defer idleTimer.Stop()
-
+	idleTimer.Stop()
 	for !rt.stop.Load() {
-		sh.actMu.RLock()
-		if len(rt.hooks) > 0 {
-			sh.sumOthers()
-		}
-		delivered := sh.deliverRound()
-		timeouts := 0
-		if now := time.Now(); !now.Before(sh.nextTO) {
-			timeouts = sh.timeoutRound()
-			sh.nextTO = now.Add(timeoutTick)
-		}
-		sh.flushAll()
-		if sh.handoffs > 0 {
-			sh.n.pairHandoffs.Add(sh.handoffs)
-			sh.handoffs = 0
-		}
-		if sh.commits > 0 {
-			sh.n.exitCommits.Add(sh.commits)
-			sh.commits = 0
-		}
-		sh.actMu.RUnlock()
-
-		if delivered > 0 || timeouts > 0 {
+		if sh.iterate() {
 			runtime.Gosched()
 			continue
 		}
 		if sh.awake.Load() == 0 {
-			// Nothing to do and nothing will time out: hibernate until a
-			// message arrives or the runtime stops.
 			select {
 			case <-sh.notify:
 			case <-rt.stopCh:
 			}
 			continue
 		}
-		// Idle but awake processes remain: sleep until the next timeout
-		// round is due (clamped so a stale tick never spins and a long one
-		// never delays a wakeup past idleMax).
-		d := time.Until(sh.nextTO)
-		if d < idleMin {
-			d = idleMin
-		} else if d > idleMax {
-			d = idleMax
-		}
-		idleTimer.Reset(d)
-		select {
-		case <-sh.notify:
-			if !idleTimer.Stop() {
-				<-idleTimer.C
-			}
-		case <-rt.stopCh:
-			if !idleTimer.Stop() {
-				<-idleTimer.C
-			}
-		case <-idleTimer.C:
-		}
+		// Clamped so a stale tick never spins and a long one never delays a
+		// wakeup past idleMax.
+		rt.rest(idleTimer, min(max(sh.nextTO-rt.clock(), idleMin), idleMax), sh.notify)
 	}
 }
 
 // --- world pause ---------------------------------------------------------
 
-// pauseAll quiesces the world: freezeMu serializes pausers (the coordinator,
-// Freeze, Mutate, validateExit), then every shard's action lock is taken,
+// pauseAll quiesces the world: freezeMu serializes pausers (the epoch,
+// Freeze, Mutate, Rebalance), then every shard's action lock is taken,
 // starting one shard further round the ring at every pause. With all write
 // sides held no action executes and every outbox is empty (a worker flushes
 // before it unlocks); the pauser then absorbs every inbox, so every message

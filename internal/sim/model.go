@@ -146,11 +146,12 @@ func StampCausal(m Message, cid, parent, lclock uint64) Message {
 	return m
 }
 
-// WithSender returns m with the tracing sender set. It exists for the wire
-// transport (package transport), which reconstructs messages on the
-// receiving node and must restore the sender the originating engine stamped;
-// protocol code never calls it — the paper's messages carry no implicit
-// sender.
+// WithSender returns m with the tracing sender set. It exists for the
+// concurrent runtime (package parallel), which stamps it at send as the
+// simulator does, and for the wire transport (package transport), which
+// reconstructs messages on the receiving node and must restore the sender the
+// originating engine stamped; protocol code never calls it — the paper's
+// messages carry no implicit sender.
 func WithSender(m Message, from ref.Ref) Message {
 	m.from = from
 	return m

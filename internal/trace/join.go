@@ -7,7 +7,8 @@ import (
 )
 
 // Joined is the result of merging the per-node journals of one multi-node
-// run (engine "node") into a single causally ordered stream.
+// run (engine "node") into a single causally ordered stream, or of ordering
+// one runtime journal the same way.
 type Joined struct {
 	// Scenario is the shared construction recipe all nodes agreed on.
 	Scenario Scenario
@@ -36,41 +37,25 @@ type Joined struct {
 // the causal invariants that must hold across node boundaries. The headers
 // must all carry engine "node", identical scenarios, and node ids forming a
 // permutation of 0..n-1; anything else is a hard error (the journals are
-// not slices of one run). Invariant violations inside a well-formed set are
-// reported in Joined.Problems, not as an error.
+// not slices of one run). A lone journal of engine "runtime" is a whole run
+// and is checked the same way. Invariant violations inside a well-formed set
+// are reported in Joined.Problems, not as an error.
 //
-// Message identities below NodeCausalBase(0) are builder-assigned initial
-// in-flight messages: each owner node injects its own without a send event,
-// so they are exempt from send-record matching (a second node delivering
-// one would be a CID collision on the deliver events' own identities, still
-// caught).
+// Builder-assigned initial in-flight messages are delivered without a send
+// event, so they are exempt from send-record matching: on a mesh, message
+// identities below NodeCausalBase(0) (each owner node injects its own; a
+// second node delivering one would be a CID collision on the deliver events'
+// own identities, still caught); on the runtime, identities below its lowest
+// sent one (it mints every identity past the initial messages').
 func Join(hdrs []Header, parts [][]Record) (*Joined, error) {
 	if len(hdrs) == 0 || len(hdrs) != len(parts) {
 		return nil, fmt.Errorf("trace: join needs matching headers and record sets, got %d/%d", len(hdrs), len(parts))
 	}
-	scen, err := json.Marshal(hdrs[0].Scenario)
-	if err != nil {
+	initial := NodeCausalBase(0)
+	if len(hdrs) == 1 && hdrs[0].Engine == EngineRuntime {
+		initial = lowestSend(parts[0])
+	} else if err := checkNodeHeaders(hdrs); err != nil {
 		return nil, err
-	}
-	seenNode := make([]bool, len(hdrs))
-	for i, h := range hdrs {
-		if h.Engine != EngineNode {
-			return nil, fmt.Errorf("trace: journal %d has engine %q, want %q", i, h.Engine, EngineNode)
-		}
-		if h.Nodes != len(hdrs) {
-			return nil, fmt.Errorf("trace: journal %d expects %d nodes, %d journals given", i, h.Nodes, len(hdrs))
-		}
-		if h.Node < 0 || h.Node >= len(hdrs) || seenNode[h.Node] {
-			return nil, fmt.Errorf("trace: journal %d has bad or duplicate node id %d", i, h.Node)
-		}
-		seenNode[h.Node] = true
-		s, err := json.Marshal(h.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		if string(s) != string(scen) {
-			return nil, fmt.Errorf("trace: journal %d scenario differs from journal 0", i)
-		}
 	}
 
 	j := &Joined{Scenario: hdrs[0].Scenario, Nodes: len(hdrs)}
@@ -112,7 +97,7 @@ func Join(hdrs []Header, parts [][]Record) (*Joined, error) {
 			if delivered[key] > 1 {
 				j.Duplicates++
 			}
-			if r.MsgID < NodeCausalBase(0) {
+			if r.MsgID < initial {
 				continue // builder-injected initial message: no send event exists
 			}
 			s, ok := sends[r.MsgID]
@@ -143,6 +128,48 @@ func Join(hdrs []Header, parts [][]Record) (*Joined, error) {
 		return ra.CID < rb.CID
 	})
 	return j, nil
+}
+
+// checkNodeHeaders holds a set of headers to the shape of one multi-node
+// run's journals.
+func checkNodeHeaders(hdrs []Header) error {
+	scen, err := json.Marshal(hdrs[0].Scenario)
+	if err != nil {
+		return err
+	}
+	seenNode := make([]bool, len(hdrs))
+	for i, h := range hdrs {
+		if h.Engine != EngineNode {
+			return fmt.Errorf("trace: journal %d has engine %q, want %q", i, h.Engine, EngineNode)
+		}
+		if h.Nodes != len(hdrs) {
+			return fmt.Errorf("trace: journal %d expects %d nodes, %d journals given", i, h.Nodes, len(hdrs))
+		}
+		if h.Node < 0 || h.Node >= len(hdrs) || seenNode[h.Node] {
+			return fmt.Errorf("trace: journal %d has bad or duplicate node id %d", i, h.Node)
+		}
+		seenNode[h.Node] = true
+		s, err := json.Marshal(h.Scenario)
+		if err != nil {
+			return err
+		}
+		if string(s) != string(scen) {
+			return fmt.Errorf("trace: journal %d scenario differs from journal 0", i)
+		}
+	}
+	return nil
+}
+
+// lowestSend returns the lowest message identity recs send (the largest
+// identity if they send nothing).
+func lowestSend(recs []Record) uint64 {
+	low := ^uint64(0)
+	for _, r := range recs {
+		if r.Kind == "send" && r.MsgID < low {
+			low = r.MsgID
+		}
+	}
+	return low
 }
 
 const maxProblems = 200

@@ -155,3 +155,33 @@ func TestJoinChecksCrossNodeCausality(t *testing.T) {
 		t.Fatal("diverging scenarios accepted")
 	}
 }
+
+// TestJoinChecksALoneRuntimeJournal joins one runtime journal: its initial
+// messages (identities below its lowest send) need no send record, every
+// other delivery does, and a runtime journal is never a slice of a mesh run.
+func TestJoinChecksALoneRuntimeJournal(t *testing.T) {
+	hdr := trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: testScenario(6, 7)}
+	recs := []trace.Record{
+		{Step: 0, Kind: "deliver", Proc: "p2", Label: "junk", CID: 11, MsgID: 3, Clock: 1},
+		{Step: 1, Kind: "timeout", Proc: "p1", CID: 12, Clock: 1},
+		{Step: 1, Kind: "send", Proc: "p1", Peer: "p2", Label: "present", CID: 13, Parent: 12, MsgID: 13, Clock: 1},
+		{Step: 2, Kind: "deliver", Proc: "p2", Peer: "p1", Label: "present", CID: 14, MsgID: 13, Clock: 2},
+	}
+	j, err := trace.Join([]trace.Header{hdr}, [][]trace.Record{recs})
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if len(j.Problems) != 0 || j.Sends != 1 || j.Delivers != 2 || j.Duplicates != 0 || j.Nodes != 1 {
+		t.Fatalf("clean runtime journal joined as %+v", j)
+	}
+	orphan := append(recs, trace.Record{Step: 3, Kind: "deliver", Proc: "p1", Peer: "p2", Label: "forward", CID: 15, MsgID: 40, Clock: 3})
+	if j, err = trace.Join([]trace.Header{hdr}, [][]trace.Record{orphan}); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if len(j.Problems) != 1 || !strings.Contains(j.Problems[0], "no send record") {
+		t.Fatalf("orphan delivery in a runtime journal: problems=%v", j.Problems)
+	}
+	if _, err := trace.Join([]trace.Header{hdr, hdr}, [][]trace.Record{recs, recs}); err == nil {
+		t.Fatal("two runtime journals joined as a mesh run")
+	}
+}
