@@ -281,16 +281,10 @@ type Scenario struct {
 	staying []ref.Ref
 }
 
-// partOf returns the component slice containing r.
+// partOf returns the component slice containing the node r. Parts are
+// consecutive runs of nodes, all as long as the first but the last.
 func (s *Scenario) partOf(r ref.Ref) []ref.Ref {
-	for _, p := range s.parts {
-		for _, x := range p {
-			if x == r {
-				return p
-			}
-		}
-	}
-	return s.Nodes
+	return s.parts[min(ref.Index(r)/len(s.parts[0]), len(s.parts)-1)]
 }
 
 // Build constructs the scenario. It panics on invalid configs (N < 1, a
@@ -342,9 +336,10 @@ func TryBuild(cfg Config) (*Scenario, error) {
 	}
 	// Build each component's topology separately and take the union (of one
 	// graph: itself), then pick leavers per component (so every component
-	// keeps one staying process, the Section 1.5 requirement).
+	// keeps one staying process, the Section 1.5 requirement). Node i of a
+	// fresh Space has reference index i: mode is every node's, by index.
 	var g *graph.Graph
-	leaving := ref.NewSet()
+	mode := make([]sim.Mode, cfg.N)
 	var parts [][]ref.Ref
 	per := cfg.N / comps
 	for c := 0; c < comps; c++ {
@@ -365,45 +360,48 @@ func TryBuild(cfg Config) (*Scenario, error) {
 			if g == nil {
 				g = graph.New()
 			}
-			for _, e := range sub.Edges() {
-				g.AddEdge(e.From, e.To, e.Kind)
-			}
-			for _, n := range part {
-				g.AddNode(n)
+			for _, a := range part {
+				g.AddNode(a)
+				sub.EachOut(a, func(b ref.Ref, explicit, implicit int) {
+					for ; explicit > 0; explicit-- {
+						g.AddEdge(a, b, graph.Explicit)
+					}
+					for ; implicit > 0; implicit-- {
+						g.AddEdge(a, b, graph.Implicit)
+					}
+				})
 			}
 		}
 		if len(cfg.LeaverIndices) == 0 {
-			subCfg := cfg
-			subCfg.N = len(part)
-			picked := pickLeavers(sub, part, subCfg, rng)
-			if comps == 1 {
-				leaving = picked
-				break
-			}
-			for _, r := range picked.Sorted() {
-				leaving.Add(r)
-			}
+			pickLeavers(sub, part, cfg, rng, mode)
 		}
 	}
-	if len(cfg.LeaverIndices) > 0 {
-		for _, i := range cfg.LeaverIndices {
-			if i < 0 || i >= cfg.N {
-				return nil, &ConfigError{Field: "LeaverIndices",
-					Reason: fmt.Sprintf("index %d out of range [0,%d)", i, cfg.N)}
-			}
-			leaving.Add(nodes[i])
+	for _, i := range cfg.LeaverIndices {
+		if i < 0 || i >= cfg.N {
+			return nil, &ConfigError{Field: "LeaverIndices",
+				Reason: fmt.Sprintf("index %d out of range [0,%d)", i, cfg.N)}
+		}
+		mode[i] = sim.Leaving
+	}
+	leavers := 0
+	for _, m := range mode {
+		if m == sim.Leaving {
+			leavers++
+		}
+	}
+	leaving := make(ref.Set, leavers)
+	staying := make([]ref.Ref, 0, cfg.N-leavers)
+	for i, r := range nodes {
+		if mode[i] == sim.Leaving {
+			leaving.Add(r)
+		} else {
+			staying = append(staying, r)
 		}
 	}
 	// Builder invariant: every weakly connected component keeps at least one
 	// staying process, so the staying processes reach every node.
 	// Pattern-based picking guarantees it per part; an explicit leaver set
 	// must be validated.
-	staying := make([]ref.Ref, 0, cfg.N-leaving.Len())
-	for _, r := range nodes {
-		if !leaving.Has(r) {
-			staying = append(staying, r)
-		}
-	}
 	if !g.ReachesAll(staying...) {
 		return nil, &ConfigError{Field: "LeaverIndices",
 			Reason: "a weak component has no staying process"}
@@ -413,9 +411,10 @@ func TryBuild(cfg Config) (*Scenario, error) {
 	if cfg.Overlay != nil {
 		procs = cfg.Overlay.Processes(nodes, cfg.Variant)
 	} else {
+		slab := core.NewN(cfg.Variant, cfg.N)
 		procs = make([]Process, cfg.N)
 		for i := range procs {
-			procs[i] = core.New(cfg.Variant)
+			procs[i] = &slab[i]
 		}
 	}
 	// A corruption the seated type cannot hold is refused, not skipped.
@@ -427,16 +426,18 @@ func TryBuild(cfg Config) (*Scenario, error) {
 	}
 	w := sim.NewWorld(cfg.Oracle)
 	for i, r := range nodes {
-		mode := sim.Staying
-		if leaving.Has(r) {
-			mode = sim.Leaving
-		}
-		w.AddProcess(r, mode, procs[i])
+		w.AddProcess(r, mode[i], procs[i])
 	}
 
-	// Install the topology's explicit edges with (initially valid) beliefs.
-	for _, e := range g.Edges() {
-		w.ProtocolOf(e.From).(Process).SetNeighbor(e.To, w.ModeOf(e.To))
+	// Install every edge of the topology, each copy, with its (initially
+	// valid) belief.
+	for i, a := range nodes {
+		p := procs[i]
+		g.EachOut(a, func(b ref.Ref, explicit, implicit int) {
+			for k := explicit + implicit; k > 0; k-- {
+				p.SetNeighbor(b, mode[ref.Index(b)])
+			}
+		})
 	}
 
 	s := &Scenario{
@@ -472,7 +473,9 @@ func (s *Scenario) LeaverIndexes() []int {
 	return out
 }
 
-func pickLeavers(g *graph.Graph, nodes []ref.Ref, cfg Config, rng *rand.Rand) ref.Set {
+// pickLeavers marks the leavers cfg's pattern picks among nodes, one
+// component with the graph g, in mode (indexed by reference index).
+func pickLeavers(g *graph.Graph, nodes []ref.Ref, cfg Config, rng *rand.Rand, mode []sim.Mode) {
 	n := len(nodes)
 	k := int(cfg.LeaveFraction*float64(n) + 0.5)
 	if cfg.Pattern == LeaveAllButOne {
@@ -484,20 +487,26 @@ func pickLeavers(g *graph.Graph, nodes []ref.Ref, cfg Config, rng *rand.Rand) re
 	if k < 0 {
 		k = 0
 	}
-	leaving := ref.NewSet()
+	picked := 0
+	leave := func(r ref.Ref) {
+		if m := &mode[ref.Index(r)]; *m != sim.Leaving {
+			*m = sim.Leaving
+			picked++
+		}
+	}
 	switch cfg.Pattern {
 	case LeaveArticulation:
 		for _, a := range g.ArticulationPoints() {
-			if leaving.Len() >= k {
+			if picked >= k {
 				break
 			}
-			leaving.Add(a)
+			leave(a)
 		}
 		for _, i := range rng.Perm(n) {
-			if leaving.Len() >= k {
+			if picked >= k {
 				break
 			}
-			leaving.Add(nodes[i])
+			leave(nodes[i])
 		}
 	case LeaveBlock:
 		start := 0
@@ -505,13 +514,13 @@ func pickLeavers(g *graph.Graph, nodes []ref.Ref, cfg Config, rng *rand.Rand) re
 			start = rng.Intn(n - k)
 		}
 		for i := start; i < start+k; i++ {
-			leaving.Add(nodes[i])
+			leave(nodes[i])
 		}
 	case LeaveAllButOne:
 		keep := rng.Intn(n)
 		for i, r := range nodes {
 			if i != keep {
-				leaving.Add(r)
+				leave(r)
 			}
 		}
 	case LeaveNeighborhood:
@@ -525,15 +534,14 @@ func pickLeavers(g *graph.Graph, nodes []ref.Ref, cfg Config, rng *rand.Rand) re
 		keep := nbhd[rng.Intn(len(nbhd))]
 		for _, r := range nbhd {
 			if r != keep {
-				leaving.Add(r)
+				leave(r)
 			}
 		}
 	default: // LeaveRandom
 		for _, i := range rng.Perm(n)[:k] {
-			leaving.Add(nodes[i])
+			leave(nodes[i])
 		}
 	}
-	return leaving
 }
 
 // corrupt applies the configured initial-state corruption.

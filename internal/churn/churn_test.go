@@ -264,3 +264,17 @@ func TestBuildMultiComponentConverges(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild prices building and sealing rt_churn's scenario (n =
+// 10000, random topology, half of the processes leave), the churn.build layer
+// of every run's setup.
+func BenchmarkBuild(b *testing.B) {
+	cfg := Config{N: 10000, Topology: TopoRandom, LeaveFraction: 0.5,
+		Pattern: LeaveRandom, Oracle: oracle.Single{}, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchScenario = Build(cfg)
+	}
+}
+
+var benchScenario *Scenario

@@ -115,6 +115,16 @@ func New(variant Variant) *Proc {
 	return &Proc{variant: variant}
 }
 
+// NewN returns n fresh process states in one allocation, for a builder that
+// seats one on every node of a scenario.
+func NewN(variant Variant, n int) []Proc {
+	ps := make([]Proc, n)
+	for i := range ps {
+		ps[i].variant = variant
+	}
+	return ps
+}
+
 // Variant returns the process's departure flavour.
 func (p *Proc) Variant() Variant { return p.variant }
 

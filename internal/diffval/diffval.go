@@ -190,32 +190,23 @@ func (v Verdict) Agree() bool {
 		a.InTarget == b.InTarget
 }
 
-// MirrorWorld builds a concurrent runtime from a sequential world: the
-// world is cloned (protocol states, modes, sleep states, channel contents)
-// and the clones are transplanted, so the runtime starts from exactly the
-// state w is in while w itself stays usable. Gone processes are omitted —
-// the runtime, like the model, has no notion of a struct for a departed
-// process.
+// MirrorWorld builds a concurrent runtime from a sequential world: each
+// live process joins the runtime with its mode, its sleep state, a deep copy
+// of its protocol state and a copy of every message in its channel, so the
+// runtime starts from exactly the state w is in while w itself stays
+// usable and unchanged. Gone processes are omitted — the runtime, like the
+// model, has no notion of a struct for a departed process.
 func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
-	src := w.Clone()
 	rt := parallel.NewRuntime(orc)
-	for _, r := range src.Refs() {
-		if src.LifeOf(r) == sim.Gone {
-			continue
-		}
-		rt.AddProcess(r, src.ModeOf(r), src.ProtocolOf(r))
-	}
-	for _, r := range src.Refs() {
-		if src.LifeOf(r) == sim.Gone {
-			continue
-		}
-		if src.LifeOf(r) == sim.Asleep {
+	w.CloneLive(func(r ref.Ref, mode sim.Mode, life sim.Life, proto sim.Protocol, ch []sim.Message) {
+		rt.AddProcess(r, mode, proto)
+		if life == sim.Asleep {
 			rt.ForceAsleep(r)
 		}
-		for _, m := range src.ChannelSnapshot(r) {
+		for _, m := range ch {
 			rt.Enqueue(r, m)
 		}
-	}
+	})
 	return rt
 }
 

@@ -126,11 +126,11 @@ func goneWanted(cfg Config, seed int64) uint64 {
 	return uint64(churn.Build(scn).Leaving.Len())
 }
 
-// MirrorWorld must transplant the full state: modes, protocol clones (not
-// aliases), sleep states, and channel contents. An FSP leaver with a queued
-// message is put to sleep first — asleep, and still relevant — so the
-// transplant has a sleeper to carry over.
-func TestMirrorWorldTransplantsState(t *testing.T) {
+// sleeperScenario builds an FSP scenario in which a leaver with a queued
+// message has been put to sleep — asleep, and still relevant — so that a
+// mirror of it has a sleeper with mail to carry over.
+func sleeperScenario(t *testing.T) (*churn.Scenario, ref.Ref) {
+	t.Helper()
 	scn := fspConfig().Scenario
 	var s *churn.Scenario
 	var sleeper ref.Ref
@@ -147,6 +147,13 @@ func TestMirrorWorldTransplantsState(t *testing.T) {
 		t.Fatal("no FSP scenario with a leaver that has a queued message")
 	}
 	s.World.ForceAsleep(sleeper)
+	return s, sleeper
+}
+
+// MirrorWorld must transplant the full state: modes, protocol clones (not
+// aliases), sleep states, and channel contents.
+func TestMirrorWorldTransplantsState(t *testing.T) {
+	s, sleeper := sleeperScenario(t)
 	rt := MirrorWorld(s.World, nil)
 
 	w := rt.Freeze()
@@ -179,6 +186,27 @@ func TestMirrorWorldTransplantsState(t *testing.T) {
 		if held == extra {
 			t.Fatal("MirrorWorld aliased protocol state instead of cloning it")
 		}
+	}
+}
+
+// MirrorWorld copies out of its source and writes nothing back: once the
+// runtime it built has run to legitimacy, the source world's fingerprint is
+// what it was, and the source still converges on the sequential engine.
+func TestMirrorWorldLeavesItsSourceUntouched(t *testing.T) {
+	s, _ := sleeperScenario(t)
+	before := s.World.Fingerprint()
+	rt := MirrorWorld(s.World, nil)
+	legit := func(w *sim.World) bool { return w.Legitimate(sim.FSP) }
+	if !rt.RunSeeded(1, legit, time.Millisecond, 10*time.Second) {
+		t.Fatal("the mirrored runtime never reached a legitimate state")
+	}
+	if s.World.Fingerprint() != before {
+		t.Fatal("running the mirror changed the source world")
+	}
+	res := sim.Run(s.World, sim.NewRandomScheduler(1, 0),
+		sim.RunOptions{Variant: sim.FSP, MaxSteps: 400000, CheckSafety: true})
+	if !res.Converged || res.SafetyViolation != nil {
+		t.Fatalf("the source world no longer converges: %+v", res)
 	}
 }
 

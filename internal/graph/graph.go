@@ -312,6 +312,17 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
+// EachOut calls fn for every node a has an edge to, with the multiplicity of
+// a's explicit and of its implicit edges to it, in no promised order and
+// without building a slice. fn must not change g.
+func (g *Graph) EachOut(a ref.Ref, fn func(b ref.Ref, explicit, implicit int)) {
+	for _, e := range g.adj(a) {
+		if e.Val.out() > 0 {
+			fn(e.Key, int(e.Val.explicit), int(e.Val.implicit))
+		}
+	}
+}
+
 // Adjacency directions, for peers.
 const (
 	dirOut = 1 << iota

@@ -192,6 +192,16 @@ func checkAgainst(t testing.TB, g *Graph, m *model, universe []ref.Ref) {
 		if got := g.Succ(a); !slices.Equal(got, succ) {
 			t.Fatalf("Succ(%v) = %v, model %v", a, got, succ)
 		}
+		var each []ref.Ref
+		g.EachOut(a, func(b ref.Ref, explicit, implicit int) {
+			if c := m.edges[[2]ref.Ref{a, b}]; c != [2]int{explicit, implicit} {
+				t.Fatalf("EachOut(%v) gives %v ×%d/%d, model %v", a, b, explicit, implicit, c)
+			}
+			each = append(each, b)
+		})
+		if ref.Sort(each); !slices.Equal(each, succ) {
+			t.Fatalf("EachOut(%v) visits %v, model %v", a, each, succ)
+		}
 		if got := g.Pred(a); !slices.Equal(got, pred) {
 			t.Fatalf("Pred(%v) = %v, model %v", a, got, pred)
 		}

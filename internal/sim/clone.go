@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+
+	"fdp/internal/ref"
 )
 
 // CloneableProtocol is implemented by protocol states that can be deep-
@@ -17,9 +19,10 @@ type CloneableProtocol interface {
 }
 
 // Clone deep-copies the world: processes, protocol states (which must
-// implement CloneableProtocol), channels and counters. The event hook is
-// not copied. Initial components are shared (they are immutable after
-// SealInitialState).
+// implement CloneableProtocol), channels and counters. The process structs
+// come from one slab and the channels from one backing array, each capped
+// to its own length. The event hook is not copied. Initial components are
+// shared (they are immutable after SealInitialState).
 func (w *World) Clone() *World {
 	c := NewWorld(w.oracle)
 	c.seq = w.seq
@@ -29,24 +32,32 @@ func (w *World) Clone() *World {
 	c.sent = slices.Clone(w.sent)
 	c.initialComponents = w.initialComponents
 	c.procs = make([]*process, len(w.procs))
+	n, msgs := 0, 0
+	for _, p := range w.procs {
+		if p != nil {
+			n++
+			msgs += len(p.ch)
+		}
+	}
+	slab, chans := make([]process, n), make([]Message, msgs)
 	for i, p := range w.procs {
 		if p == nil {
 			continue
 		}
-		cp, ok := p.proto.(CloneableProtocol)
-		if !ok {
-			panic(fmt.Sprintf("sim: protocol of %v is not cloneable", p.id))
-		}
-		np := &process{
+		np := &slab[0]
+		slab = slab[1:]
+		*np = process{
 			id:          p.id,
 			mode:        p.mode,
 			life:        p.life,
-			proto:       cp.CloneProtocol(),
+			proto:       p.cloneProtocol(),
 			lastTimeout: p.lastTimeout,
 			clock:       p.clock,
 		}
-		np.ch = make([]Message, len(p.ch))
-		copy(np.ch, p.ch)
+		if k := len(p.ch); k > 0 {
+			np.ch, chans = chans[:k:k], chans[k:]
+			copy(np.ch, p.ch)
+		}
 		c.procs[i] = np
 		if np.life == Awake {
 			c.awake++
@@ -57,6 +68,30 @@ func (w *World) Clone() *World {
 	// Neither the ledger nor the PG is copied; the clone seeds what its first
 	// query needs.
 	return c
+}
+
+// cloneProtocol returns a deep copy of p's protocol state. It panics if the
+// protocol is not a CloneableProtocol.
+func (p *process) cloneProtocol() Protocol {
+	cp, ok := p.proto.(CloneableProtocol)
+	if !ok {
+		panic(fmt.Sprintf("sim: protocol of %v is not cloneable", p.id))
+	}
+	return cp.CloneProtocol()
+}
+
+// CloneLive is the per-process half of Clone, for a caller that builds its
+// own copy of the world: it calls fn once per process that is not gone, in
+// reference order, with its mode and life, a deep copy of its protocol state
+// (which must implement CloneableProtocol) and its channel. fn may read ch
+// and copy its messages, but must not retain or modify ch itself; the world
+// is left as it was.
+func (w *World) CloneLive(fn func(r ref.Ref, mode Mode, life Life, proto Protocol, ch []Message)) {
+	for _, p := range w.procs {
+		if p != nil && p.life != Gone {
+			fn(p.id, p.mode, p.life, p.cloneProtocol(), p.ch)
+		}
+	}
 }
 
 // Fingerprint returns a canonical string identifying the protocol-relevant

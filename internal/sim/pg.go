@@ -39,14 +39,30 @@ func (w *World) syncView() {
 }
 
 // seed builds the ledger from scratch and records per process the refs
-// snapshot future diffs are computed against.
+// snapshot future diffs are computed against. A snapshot that does not fit
+// where the last one was is copied into one backing array shared by all
+// such, each capped at twice its length: room to grow in the run before
+// Resync moves it out on its own.
 func (w *World) seed() {
 	w.gen++
 	w.ledger = new(graph.Ledger)
 	w.ledger.Reset(len(w.procs))
+	need := 0
 	for _, p := range w.procs {
 		if p != nil && p.life != Gone {
-			p.pgRefs = append(p.pgRefs[:0], p.proto.Refs()...)
+			if k := len(p.proto.Refs()); k > cap(p.pgRefs) {
+				need += 2 * k
+			}
+		}
+	}
+	arena := make([]ref.Ref, need)
+	for _, p := range w.procs {
+		if p != nil && p.life != Gone {
+			refs := p.proto.Refs()
+			if k := len(refs); k > cap(p.pgRefs) {
+				p.pgRefs, arena = arena[:0:2*k], arena[2*k:]
+			}
+			p.pgRefs = append(p.pgRefs[:0], refs...)
 			if p.mode == Leaving {
 				w.ledger.Leave(p.id)
 			}

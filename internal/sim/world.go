@@ -147,7 +147,11 @@ type process struct {
 // World holds the full system state: every process, its channel, and the
 // configured oracle. It executes atomic actions one at a time.
 type World struct {
-	procs  []*process // dense, indexed by ref.Index; nil where no process was added
+	procs []*process // dense, indexed by ref.Index; nil where no process was added
+	// slab is where AddProcess takes its next process struct from: when it
+	// runs out, a new one as long as procs is, so a world of n processes
+	// makes O(log n) of them.
+	slab   []process
 	oracle Oracle
 	stats  Stats // SentByLabel stays nil: sent is the tally Stats renders
 	seq    uint64
@@ -262,11 +266,16 @@ func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
 	if w.lookup(r) != nil {
 		panic(fmt.Sprintf("sim: duplicate process %v", r))
 	}
-	p := &process{id: r, mode: mode, life: Awake, proto: proto}
 	w.awake++
 	if grow := idx + 1 - len(w.procs); grow > 0 {
 		w.procs = append(w.procs, make([]*process, grow)...)
 	}
+	if len(w.slab) == 0 {
+		w.slab = make([]process, len(w.procs))
+	}
+	p := &w.slab[0]
+	w.slab = w.slab[1:]
+	*p = process{id: r, mode: mode, life: Awake, proto: proto}
 	w.procs[idx] = p
 	// A new node can legitimize edges other processes already hold toward
 	// it; rather than scanning everyone, drop the ledger and let the next
