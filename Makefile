@@ -181,7 +181,7 @@ node-churn:
 	rc=0; for p in $$pids; do wait $$p || rc=1; done; [ $$rc -eq 0 ]
 	bin/fdpnode -merge $(NODE_OUT)
 
-BENCH_PKGS := . ./internal/check ./internal/churn ./internal/diffval ./internal/framework ./internal/graph ./internal/metrics ./internal/obs ./internal/parallel ./internal/sim ./internal/trace
+BENCH_PKGS := . ./internal/check ./internal/churn ./internal/diffval ./internal/framework ./internal/graph ./internal/metrics ./internal/node ./internal/obs ./internal/parallel ./internal/sim ./internal/trace
 
 bench:
 	$(GO) test -bench . -benchmem -run XXX $(BENCH_PKGS)

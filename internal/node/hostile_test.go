@@ -109,7 +109,9 @@ func TestOracleIgnoresAnswerFromNoNode(t *testing.T) {
 
 // FuzzControl throws arbitrary control payloads from arbitrary sender ids at
 // a node with a round open. Nothing may panic, and whatever the payload
-// claimed, the round's answers stay keyed by nodes of the run.
+// claimed, the round's answers stay keyed by nodes of the run and the
+// oracle keeps per-leaver state for leavers of the run alone: a query naming
+// arbitrary indexes grows nothing.
 func FuzzControl(f *testing.F) {
 	n, honest := roundOpenNode(f, nil)
 	f.Add(1, honest)
@@ -123,6 +125,7 @@ func FuzzControl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, from int, payload []byte) {
 		// Every input meets the same state: round 1 open, nothing refused.
 		n.orc, n.rejected = newDistOracle(n), new(obs.Counter)
+		size := len(n.orc.leavers)
 		n.orc.startRound()
 		n.dispatch(inbound{kind: inControl, from: transport.NodeID(from), payload: payload})
 		if n.orc.roundOpen() && len(n.orc.answers) != n.cfg.Nodes {
@@ -130,6 +133,14 @@ func FuzzControl(f *testing.F) {
 		}
 		if (from < 0 || from >= n.cfg.Nodes) && n.rejected.Value() == 0 {
 			t.Fatalf("control frame from node %d of %d was not refused", from, n.cfg.Nodes)
+		}
+		if len(n.orc.leavers) != size {
+			t.Fatalf("the per-leaver table grew from %d to %d indexes", size, len(n.orc.leavers))
+		}
+		for u, st := range n.orc.leavers {
+			if leaver := n.global.Leaving.Has(ref.ByIndex(u)); (st != nil) != leaver {
+				t.Fatalf("index %d: per-leaver state %v, a leaver of the run %v", u, st != nil, leaver)
+			}
 		}
 	})
 }

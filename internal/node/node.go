@@ -118,7 +118,6 @@ type Node struct {
 	tr     transport.Transport
 
 	owned      []ref.Ref // sorted
-	ownedSet   ref.Set
 	ownedLeave []ref.Ref // owned leavers, sorted
 
 	// inbox carries handler calls to the pump. A full inbox blocks the TCP
@@ -144,8 +143,10 @@ type Node struct {
 	rejected *obs.Counter
 
 	// Pump clock state, on the clock Step is given: the first Step, the
-	// last round and done broadcast, the linger's end (zero until agreed).
+	// last round and done broadcast, the linger's end (zero until agreed),
+	// and how long the open round may wait for its answers.
 	start, lastRound, lastDone, lingerEnd time.Time
+	roundWait                             time.Duration
 	timedOut                              bool
 
 	// Liveness observability (DESIGN.md §16), pump-goroutine only.
@@ -178,7 +179,6 @@ func New(cfg Config) (*Node, error) {
 	}
 
 	n := &Node{cfg: cfg, global: global,
-		ownedSet:   ref.NewSet(),
 		inbox:      make(chan inbound, 1<<16),
 		dead:       make(chan struct{}),
 		hiCID:      make([]uint64, cfg.Nodes),
@@ -186,17 +186,17 @@ func New(cfg Config) (*Node, error) {
 		doneNodes:  make([]bool, cfg.Nodes),
 		rejected:   transport.RejectedCounter(cfg.Metrics, transport.NodeID(cfg.ID)),
 	}
-	for _, r := range global.Nodes {
-		if n.ownerOf(r) == cfg.ID {
-			n.owned = append(n.owned, r)
-			n.ownedSet.Add(r)
-		}
-	}
-	ref.Sort(n.owned)
-
 	n.orc = newDistOracle(n)
 	w := sim.NewWorld(n.orc)
-	for _, r := range n.owned {
+	// The scenario's processes come in index order. The siblings' count in
+	// the ledger as live ones do, so a leaver's row is this node's share of
+	// its degree, wherever it runs.
+	for _, r := range global.Nodes {
+		if n.ownerOf(r) != cfg.ID {
+			w.HostElsewhere(r, global.World.ModeOf(r))
+			continue
+		}
+		n.owned = append(n.owned, r)
 		w.AddProcess(r, global.World.ModeOf(r), global.World.ProtocolOf(r))
 		if global.World.LifeOf(r) == sim.Asleep {
 			w.ForceAsleep(r)
@@ -361,12 +361,15 @@ func (n *Node) Step(now time.Time) (busy, done bool) {
 		return busy, now.After(n.lingerEnd)
 	}
 	// An open round is left to gather answers and only declared lost (and
-	// restarted) after a generous multiple of the interval.
-	roundDue := now.Sub(n.lastRound) >= n.cfg.RoundEvery
+	// restarted) after roundWait: 20 × RoundEvery for a round opened after a
+	// completed one, twice the lost round's wait for its successor, so a
+	// round trip longer than the wait is outlasted, not restarted forever.
+	due := n.cfg.RoundEvery
 	if n.orc.roundOpen() {
-		roundDue = now.Sub(n.lastRound) >= 20*n.cfg.RoundEvery
+		due = n.roundWait
 	}
-	if n.orc.ownsLive() && roundDue {
+	if n.orc.ownsLive() && now.Sub(n.lastRound) >= due {
+		n.roundWait = max(2*due, 20*n.cfg.RoundEvery)
 		n.lastRound = now
 		n.orc.startRound()
 	}
@@ -404,6 +407,12 @@ const meshTick = 250 * time.Microsecond
 // Run takes. chaos, if non-nil, sets the loopback's hooks first. The same
 // configs give byte-identical results and journals.
 func RunLoopback(cfgs []Config, chaos func(*transport.Loopback)) ([]Result, error) {
+	return runLoopback(cfgs, chaos, nil)
+}
+
+// runLoopback is RunLoopback, calling after, if non-nil, after every Step
+// with the nodes still running (nil where a node has finished).
+func runLoopback(cfgs []Config, chaos func(*transport.Loopback), after func([]*Node)) ([]Result, error) {
 	seed := cfgs[0].Scenario.Seed
 	mesh := transport.NewLoopback(seed)
 	ns := make([]*Node, len(cfgs))
@@ -434,6 +443,9 @@ func RunLoopback(cfgs []Config, chaos func(*transport.Loopback)) ([]Result, erro
 				left--
 			} else if !busy {
 				wake[i] = now.Add(idleSleep)
+			}
+			if after != nil {
+				after(ns)
 			}
 		}
 	}
@@ -545,14 +557,7 @@ func (n *Node) checkStall(now time.Time) {
 }
 
 // localDone reports whether every owned leaver is gone.
-func (n *Node) localDone() bool {
-	for _, u := range n.ownedLeave {
-		if n.world.LifeOf(u) != sim.Gone {
-			return false
-		}
-	}
-	return true
-}
+func (n *Node) localDone() bool { return !n.orc.ownsLive() }
 
 func (n *Node) allDone() bool {
 	for _, d := range n.doneNodes {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fdp/internal/obs"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
@@ -332,16 +331,16 @@ func TestMeshIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeshLivelocksWhenRoundsOutliveTheirDeadline reproduces the livelock
-// reported at small RoundEvery as a seeded run. An open round is declared
-// lost after 20 × RoundEvery; at 10µs that is 200µs, less than a round trip
-// on the loopback (a frame takes up to 250µs, a busy Step a 250µs tick), so
-// every round restarts before its answers arrive, nothing is granted, and
-// the §16 watchdog judges every node that owns a leaver livelocked. The same
-// seed converges at 100µs. The wall-clock mesh livelocks the same way at
-// 5ms once a slow pump stretches the round trip past 100ms.
-func TestMeshLivelocksWhenRoundsOutliveTheirDeadline(t *testing.T) {
-	run := func(roundEvery time.Duration) []Result {
+// TestMeshOutlastsRoundsLongerThanTheirDeadline is the regression test of
+// the livelock once reported at small RoundEvery. An open round is first
+// declared lost after 20 × RoundEvery; at 10µs that is 200µs, less than a
+// round trip on the loopback (a frame takes up to 250µs, a busy Step a 250µs
+// tick). With a fixed deadline every round restarted before its answers
+// arrived, nothing was granted, and the §16 watchdog judged every node that
+// owns a leaver livelocked. Each lost round now doubles the deadline, so the
+// same seed converges at 10µs with no stall verdict, as it does at 100µs.
+func TestMeshOutlastsRoundsLongerThanTheirDeadline(t *testing.T) {
+	for _, roundEvery := range []time.Duration{10 * time.Microsecond, 100 * time.Microsecond} {
 		cfgs, _ := meshConfigs(testScenario(12, 1), 3)
 		for i := range cfgs {
 			cfgs[i].RoundEvery, cfgs[i].MaxWall, cfgs[i].StallWindow = roundEvery, 100*time.Millisecond, 20*time.Millisecond
@@ -350,19 +349,10 @@ func TestMeshLivelocksWhenRoundsOutliveTheirDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results
-	}
-	for i, r := range run(10 * time.Microsecond) {
-		if len(r.Summary.Exited) != 0 || r.Converged {
-			t.Errorf("node %d made progress with rounds shorter than a round trip: %+v", i, r.Summary)
-		}
-		if len(r.Summary.Leavers) > 0 && r.Summary.Stall != obs.StallLivelock.String() {
-			t.Errorf("node %d owns %d leavers but the watchdog judged %q, want livelock", i, len(r.Summary.Leavers), r.Summary.Stall)
-		}
-	}
-	for i, r := range run(100 * time.Microsecond) {
-		if !r.Converged || r.Summary.Stall != "" {
-			t.Errorf("node %d at 100µs rounds: converged=%v stall=%q", i, r.Converged, r.Summary.Stall)
+		for i, r := range results {
+			if !r.Converged || r.Summary.Stall != "" {
+				t.Errorf("node %d at %v rounds: converged=%v stall=%q", i, roundEvery, r.Converged, r.Summary.Stall)
+			}
 		}
 	}
 }

@@ -22,10 +22,12 @@ import (
 //     frame's send count — the frame never arrived anywhere.
 //  2. The owner runs numbered rounds: it broadcasts oq naming its live
 //     owned leavers; every node answers oa with its counters and its local
-//     neighbor contribution for each u (live owned processes storing u's
+//     neighbor contribution for each u: u's row in the node's ledger, which
+//     counts the siblings' processes as hosted elsewhere (sim.World
+//     HostElsewhere). The row holds the live owned processes storing u's
 //     reference or holding queued messages that mention u, plus — on u's
-//     own node — u's stored references and the references queued in u's
-//     channel, minus processes known to be gone).
+//     own node — the processes u stores or whose references its queued
+//     messages carry.
 //  3. When all nodes have answered a round, u is granted iff the send/
 //     receive matrix balances (sent[j→k] == recv[k←j] for every ordered
 //     pair — no u-relevant frame was in flight anywhere) and the union of
@@ -45,43 +47,51 @@ import (
 // DESIGN.md §15 for the argument.
 //
 // All state is touched only on the node's pump goroutine; Evaluate reads a
-// plain map because the engine runs on that same goroutine.
+// plain field because the engine runs on that same goroutine.
 type distOracle struct {
 	n *Node
 
-	// leaverIdx marks the global leaver indexes (relevance filter).
-	leaverIdx map[int]bool
-	// sent[u][k] and recv[u][k] count u-relevant frames exchanged with
-	// node k, cumulative over the run.
-	sent, recv map[int][]uint64
-	// ver[u] counts owner-observed u-relevant traffic; a grant requires an
-	// undisturbed round (ver unchanged since the round opened).
-	ver map[int]uint64
-
-	// granted holds current exit permissions for owned leavers.
-	granted map[ref.Ref]bool
+	// leavers is the per-leaver state by ref.Index (the scenario's processes
+	// are indexed densely from 0), nil at every index that is no leaver of
+	// the run. It is sized once: nothing a peer names can grow it.
+	leavers []*leaverState
 
 	// Round state (owner side).
-	round    uint64
-	roundUs  []int
-	roundVer map[int]uint64
+	round   uint64
+	roundUs []int
 	// answers[k] is node k's per-leaver answers, nil until k answered;
 	// the whole slice is nil while no round is open.
 	answers [][]ctlAnswer
 }
 
+// leaverState is what a node keeps about one leaver u of the run.
+type leaverState struct {
+	// sent[k] and recv[k] count u-relevant frames exchanged with node k,
+	// cumulative over the run.
+	sent, recv []uint64
+	// ver counts owner-observed u-relevant traffic; a grant requires an
+	// undisturbed round (ver still roundVer, its value when the round
+	// opened).
+	ver, roundVer uint64
+	// granted is u's current exit permission (owned leavers only).
+	granted bool
+}
+
 func newDistOracle(n *Node) *distOracle {
-	o := &distOracle{n: n,
-		leaverIdx: make(map[int]bool),
-		sent:      make(map[int][]uint64),
-		recv:      make(map[int][]uint64),
-		ver:       make(map[int]uint64),
-		granted:   make(map[ref.Ref]bool),
-	}
-	for _, u := range n.global.Leaving.Sorted() {
-		o.leaverIdx[ref.Index(u)] = true
+	o := &distOracle{n: n, leavers: make([]*leaverState, len(n.global.Nodes))}
+	for _, u := range n.global.LeavingNodes() {
+		o.leavers[ref.Index(u)] = &leaverState{sent: make([]uint64, n.cfg.Nodes), recv: make([]uint64, n.cfg.Nodes)}
 	}
 	return o
+}
+
+// leaver returns the state of the leaver with index u, nil if u is no
+// leaver of the run.
+func (o *distOracle) leaver(u int) *leaverState {
+	if uint(u) < uint(len(o.leavers)) {
+		return o.leavers[u]
+	}
+	return nil
 }
 
 // Name implements sim.Oracle.
@@ -89,69 +99,57 @@ func (o *distOracle) Name() string { return "SINGLE" }
 
 // Evaluate implements sim.Oracle: the current grant for u, revocable until
 // the moment the exit action reads it.
-func (o *distOracle) Evaluate(_ *sim.World, u ref.Ref) bool { return o.granted[u] }
+func (o *distOracle) Evaluate(_ *sim.World, u ref.Ref) bool {
+	st := o.leaver(ref.Index(u))
+	return st != nil && st.granted
+}
 
-// relevant returns the leaver indexes a frame matters to: its target and
-// every leaver whose reference it carries.
-func (o *distOracle) relevant(to ref.Ref, msg sim.Message) []int {
-	var us []int
-	if i := ref.Index(to); o.leaverIdx[i] {
-		us = append(us, i)
+// relevant returns the state of each leaver a frame matters to, once: its
+// target and every leaver whose reference it carries.
+func (o *distOracle) relevant(to ref.Ref, msg sim.Message) []*leaverState {
+	var sts []*leaverState
+	if st := o.leaver(ref.Index(to)); st != nil {
+		sts = append(sts, st)
 	}
 	for _, ri := range msg.Refs {
-		if i := ref.Index(ri.Ref); o.leaverIdx[i] {
-			dup := false
-			for _, x := range us {
-				dup = dup || x == i
-			}
-			if !dup {
-				us = append(us, i)
-			}
+		if st := o.leaver(ref.Index(ri.Ref)); st != nil && !slices.Contains(sts, st) {
+			sts = append(sts, st)
 		}
 	}
-	return us
+	return sts
 }
 
-func (o *distOracle) counters(m map[int][]uint64, u int) []uint64 {
-	c := m[u]
-	if c == nil {
-		c = make([]uint64, o.n.cfg.Nodes)
-		m[u] = c
-	}
-	return c
-}
-
-func (o *distOracle) disturb(u int) {
-	o.ver[u]++
-	if r := ref.ByIndex(u); o.n.ownedSet.Has(r) {
-		delete(o.granted, r)
-	}
+// disturb notes u-relevant traffic: it revokes u's grant, and the open
+// round grants u nothing.
+func (st *leaverState) disturb() {
+	st.ver++
+	st.granted = false
 }
 
 // noteSent records a u-relevant frame handed to the transport for peer k.
 func (o *distOracle) noteSent(k int, to ref.Ref, msg sim.Message) {
-	for _, u := range o.relevant(to, msg) {
-		o.counters(o.sent, u)[k]++
-		o.disturb(u)
+	for _, st := range o.relevant(to, msg) {
+		st.sent[k]++
+		st.disturb()
 	}
 }
 
 // noteUnsent undoes noteSent after the transport reported the frame dead on
 // the wire (local bounce): it never arrived, so it must not be waited for.
 func (o *distOracle) noteUnsent(k int, to ref.Ref, msg sim.Message) {
-	for _, u := range o.relevant(to, msg) {
-		if c := o.counters(o.sent, u); c[k] > 0 {
-			c[k]--
+	for _, st := range o.relevant(to, msg) {
+		if st.sent[k] > 0 {
+			st.sent[k]--
 		}
-		o.disturb(u)
+		st.disturb()
 	}
 }
 
 // noteRecv records a u-relevant frame arriving from peer k.
 func (o *distOracle) noteRecv(k int, to ref.Ref, msg sim.Message) {
-	for _, u := range o.relevant(to, msg) {
-		o.counters(o.recv, u)[k]++
-		o.disturb(u)
+	for _, st := range o.relevant(to, msg) {
+		st.recv[k]++
+		st.disturb()
 	}
 }
 
@@ -179,15 +177,13 @@ func (o *distOracle) startRound() {
 	o.roundUs = o.roundUs[:0]
 	for _, u := range o.n.ownedLeave {
 		if o.n.world.LifeOf(u) != sim.Gone {
+			st := o.leavers[ref.Index(u)]
+			st.roundVer = st.ver
 			o.roundUs = append(o.roundUs, ref.Index(u))
 		}
 	}
 	if len(o.roundUs) == 0 {
 		return
-	}
-	o.roundVer = make(map[int]uint64, len(o.roundUs))
-	for _, u := range o.roundUs {
-		o.roundVer[u] = o.ver[u]
 	}
 	o.answers = make([][]ctlAnswer, o.n.cfg.Nodes)
 	o.answers[o.n.cfg.ID] = o.answerFor(o.roundUs)
@@ -196,79 +192,30 @@ func (o *distOracle) startRound() {
 	o.maybeGrant() // single-node runs complete immediately
 }
 
-// answerFor builds this node's answers for the queried leavers.
+// answerFor builds this node's answers for the queried leavers. A peer may
+// name any index; only the run's leavers are answered. Each neighbour
+// contribution is the leaver's ledger row here: the live owned processes it
+// has process-graph edges with and the processes hosted elsewhere that it
+// stores or is sent, by index in increasing order. A process hosted
+// elsewhere counts even once gone from its host: its owner cannot be
+// consulted atomically, and a stale inclusion only delays a grant, never
+// unsafely issues one.
 func (o *distOracle) answerFor(us []int) []ctlAnswer {
 	out := make([]ctlAnswer, 0, len(us))
 	for _, u := range us {
-		a := ctlAnswer{U: u,
-			Sent: append([]uint64(nil), o.counters(o.sent, u)...),
-			Recv: append([]uint64(nil), o.counters(o.recv, u)...),
-			Nb:   o.contribution(u),
+		st := o.leaver(u)
+		if st == nil {
+			continue
 		}
-		out = append(out, a)
+		row := o.n.world.LeaverRow(ref.ByIndex(u))
+		nb := make([]int, len(row))
+		for i, e := range row {
+			nb[i] = ref.Index(e.Key)
+		}
+		slices.Sort(nb)
+		out = append(out, ctlAnswer{U: u, Sent: slices.Clone(st.sent), Recv: slices.Clone(st.recv), Nb: nb})
 	}
 	return out
-}
-
-// contribution computes this node's slice of u's PG neighborhood: for each
-// live owned process v, an explicit edge if v stores u's reference and an
-// implicit one if a message queued at v mentions u; on u's own node also
-// u's stored references and the references carried by u's queued messages.
-// Processes known gone here are excluded; remote references are kept
-// conservatively (their owners cannot be consulted atomically — a stale
-// inclusion only delays a grant, never unsafely issues one).
-func (o *distOracle) contribution(uIdx int) []int {
-	u := ref.ByIndex(uIdx)
-	var nb []int
-	add := func(r ref.Ref) {
-		i := ref.Index(r)
-		if i == uIdx {
-			return
-		}
-		if o.n.ownedSet.Has(r) && o.n.world.LifeOf(r) == sim.Gone {
-			return
-		}
-		nb = append(nb, i)
-	}
-	for _, v := range o.n.owned {
-		if o.n.world.LifeOf(v) == sim.Gone {
-			continue
-		}
-		if v == u {
-			for _, w := range o.n.world.ProtocolOf(u).Refs() {
-				add(w)
-			}
-			for _, m := range o.n.world.ChannelSnapshot(u) {
-				for _, ri := range m.Refs {
-					add(ri.Ref)
-				}
-			}
-			continue
-		}
-		stores := false
-		for _, w := range o.n.world.ProtocolOf(v).Refs() {
-			if w == u {
-				stores = true
-			}
-		}
-		if !stores {
-		scan:
-			for _, m := range o.n.world.ChannelSnapshot(v) {
-				for _, ri := range m.Refs {
-					if ri.Ref == u {
-						stores = true
-						break scan
-					}
-				}
-			}
-		}
-		if stores {
-			nb = append(nb, ref.Index(v))
-		}
-	}
-	// Deterministic order for the wire (and for test stability).
-	slices.Sort(nb)
-	return slices.Compact(nb)
 }
 
 // handleControl processes one control payload on the pump goroutine.
@@ -311,11 +258,11 @@ func (o *distOracle) maybeGrant() {
 		}
 	}
 	for _, u := range o.roundUs {
-		r := ref.ByIndex(u)
-		if o.n.world.LifeOf(r) == sim.Gone {
+		st := o.leavers[u]
+		if o.n.world.LifeOf(ref.ByIndex(u)) == sim.Gone {
 			continue
 		}
-		if o.ver[u] != o.roundVer[u] {
+		if st.ver != st.roundVer {
 			continue // disturbed mid-round; the next round retries
 		}
 		ok := true
@@ -342,11 +289,7 @@ func (o *distOracle) maybeGrant() {
 			}
 		}
 		delete(nb, u)
-		if ok && len(nb) <= 1 {
-			o.granted[r] = true
-		} else {
-			delete(o.granted, r)
-		}
+		st.granted = ok && len(nb) <= 1
 	}
 	o.answers = nil // round closed
 }

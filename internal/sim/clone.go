@@ -19,7 +19,8 @@ type CloneableProtocol interface {
 }
 
 // Clone deep-copies the world: processes, protocol states (which must
-// implement CloneableProtocol), channels and counters. The process structs
+// implement CloneableProtocol), channels, counters and the processes hosted
+// elsewhere. The process structs
 // come from one slab and the channels from one backing array, each capped
 // to its own length. The event hook is not copied. Initial components are
 // shared (they are immutable after SealInitialState).
@@ -31,6 +32,7 @@ func (w *World) Clone() *World {
 	c.stats = w.stats
 	c.sent = slices.Clone(w.sent)
 	c.initialComponents = w.initialComponents
+	c.elsewhere = slices.Clone(w.elsewhere)
 	c.procs = make([]*process, len(w.procs))
 	n, msgs := 0, 0
 	for _, p := range w.procs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fdp/internal/ref"
@@ -60,7 +61,7 @@ func TestLedgerDegreeMatchesRebuild(t *testing.T) {
 				asleep, awake := 0, 0
 				for k := int64(0); k < 4; k++ {
 					seed := int64(si)*97 + int64(variant)*13 + 11 + 1000*k
-					runChaos(seed, 12, 400, variant, checkOracle{t, checkEveryDegree}, sc.mk(seed), func(w *World) {
+					runChaos(seed, 12, 400, variant, checkOracle{t, checkEveryDegree}, sc.mk(seed), nil, func(w *World) {
 						checkEveryDegree(t, w, fmt.Sprintf("seed %d, step %d", seed, w.Steps()))
 						if w.asleep > 0 {
 							asleep++
@@ -72,6 +73,81 @@ func TestLedgerDegreeMatchesRebuild(t *testing.T) {
 				if asleep == 0 || awake == 0 {
 					t.Fatalf("%d steps with a process asleep, %d with none: want both", asleep, awake)
 				}
+			})
+		}
+	}
+}
+
+// checkHostedRows compares every row of w — a live leaver's, or a leaver's
+// hosted elsewhere — with a model: the leaver's neighbours in a built PG,
+// plus the processes hosted elsewhere that it stores or has queued messages
+// carry; for a leaver hosted elsewhere, the live processes whose stores or
+// queued messages name it.
+func checkHostedRows(t *testing.T, w *World, where string) {
+	t.Helper()
+	pg := w.PG()
+	// names lists, per live process, what its stores and queued messages
+	// reference.
+	names := func(p *process) []ref.Ref {
+		out := slices.Clone(p.proto.Refs())
+		for _, m := range p.ch {
+			for _, ri := range m.Refs {
+				out = append(out, ri.Ref)
+			}
+		}
+		return out
+	}
+	want := make(map[ref.Ref][]ref.Ref)
+	for i, m := range w.elsewhere {
+		if m == Leaving {
+			want[ref.ByIndex(i)] = nil
+		}
+	}
+	for _, p := range w.procs {
+		if p == nil || p.life == Gone {
+			continue
+		}
+		if p.mode == Leaving {
+			want[p.id] = append(want[p.id], pg.UndirectedNeighbors(p.id)...)
+		}
+		for _, r := range names(p) {
+			m := w.hostedElsewhere(r)
+			if p.mode == Leaving && m != Absent {
+				want[p.id] = append(want[p.id], r)
+			}
+			if m == Leaving {
+				want[r] = append(want[r], p.id)
+			}
+		}
+	}
+	for u, nb := range want {
+		ref.Sort(nb)
+		nb = slices.Compact(nb)
+		var got []ref.Ref
+		for _, e := range w.LeaverRow(u) {
+			got = append(got, e.Key)
+		}
+		ref.Sort(got)
+		if !slices.Equal(got, nb) {
+			t.Fatalf("%s: row of %v = %v, model %v", where, u, got, nb)
+		}
+	}
+}
+
+// TestLedgerRowsCountProcessesHostedElsewhere: in chaos worlds where half
+// of the processes are hosted elsewhere, after every step and mid-action,
+// every leaver's row — a leaver of the world's, or one hosted elsewhere —
+// equals the model built from PG() plus the pairs with the processes hosted
+// elsewhere.
+func TestLedgerRowsCountProcessesHostedElsewhere(t *testing.T) {
+	elsewhere := func(i int) bool { return i%3 == 1 || i%6 == 3 }
+	for si, sc := range chaosSchedulers {
+		for _, variant := range []Variant{FDP, FSP} {
+			t.Run(fmt.Sprintf("%s/%v", sc.name, variant), func(t *testing.T) {
+				seed := int64(si)*53 + int64(variant)*7 + 2
+				runChaos(seed, 12, 400, variant, checkOracle{t, checkHostedRows}, sc.mk(seed), elsewhere, func(w *World) {
+					checkHostedRows(t, w, fmt.Sprintf("step %d", w.Steps()))
+				})
 			})
 		}
 	}
@@ -268,7 +344,7 @@ func TestInitialComponentsMatchRebuild(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/pg=%v", sc.name, full), func(t *testing.T) {
 				seed := int64(si)*31 + 3
 				var sealed [][]ref.Ref
-				runChaos(seed, 12, 300, FDP, nil, sc.mk(seed), func(w *World) {
+				runChaos(seed, 12, 300, FDP, nil, sc.mk(seed), nil, func(w *World) {
 					if full {
 						w.PG()
 					}

@@ -12,7 +12,8 @@ package sim
 // InvalidatePG. Message enqueue and removal, the end of an atomic action
 // (only the acting process's stored refs can have changed) and exit apply
 // O(Δ) deltas, through edge, which counts only edges between two live,
-// distinct processes. Once the last leaver has exited the ledger is dormant:
+// distinct processes, a process hosted elsewhere (HostElsewhere) counting as
+// live. Once the last leaver has exited the ledger is dormant:
 // no pair can count, so nothing is fed to it and the synced copies, which
 // are only its diff base, go stale until a reseed rewrites them. Every
 // mutation that can change the hibernating set bumps w.gen, which stamps the
@@ -46,7 +47,7 @@ func (w *World) syncView() {
 func (w *World) seed() {
 	w.gen++
 	w.ledger = new(graph.Ledger)
-	w.ledger.Reset(len(w.procs))
+	w.ledger.Reset(max(len(w.procs), len(w.elsewhere)))
 	need := 0
 	for _, p := range w.procs {
 		if p != nil && p.life != Gone {
@@ -68,6 +69,11 @@ func (w *World) seed() {
 			}
 		}
 	}
+	for i, m := range w.elsewhere {
+		if m == Leaving {
+			w.ledger.Leave(ref.ByIndex(i))
+		}
+	}
 	for _, p := range w.procs {
 		if p == nil || p.life == Gone {
 			continue
@@ -84,14 +90,29 @@ func (w *World) seed() {
 }
 
 // edge applies d (+1 or -1) copies of an edge p->r to the ledger. A reference
-// to ⊥, to no process of this world, to a gone process or to p itself is no
-// edge. A pair of two stayers has no row to count in; it is skipped before
-// the call, as the runtime's pairBump skips it before it locks.
+// to ⊥, to no process of this world or hosted elsewhere, to a gone process or
+// to p itself is no edge. A pair of two stayers has no row to count in; it is
+// skipped before the call, as the runtime's pairBump skips it before it locks.
 func (w *World) edge(p *process, r ref.Ref, d int32) {
 	q := w.lookup(r)
-	if q != nil && q != p && q.life != Gone && (p.mode == Leaving || q.mode == Leaving) {
+	if q == nil {
+		if m := w.hostedElsewhere(r); m != Absent && (p.mode == Leaving || m == Leaving) {
+			w.ledger.Count(p.id, r, d)
+		}
+		return
+	}
+	if q != p && q.life != Gone && (p.mode == Leaving || q.mode == Leaving) {
 		w.ledger.Count(p.id, r, d)
 	}
+}
+
+// LeaverRow returns the leaver u's ledger row, synced first: a pair per
+// neighbour, live here or hosted elsewhere, joined to u by an edge. u must be
+// a process of this world or hosted elsewhere; the row is empty if u stays
+// or is gone. Do not keep it past a step.
+func (w *World) LeaverRow(u ref.Ref) []graph.Pair {
+	w.syncView()
+	return w.ledger.Pairs(u)
 }
 
 // InvalidatePG drops the ledger and the hibernation memo; the next query

@@ -184,8 +184,10 @@ var chaosSchedulers = []struct {
 // leaving) with random initial refs and in-flight messages, then drives it
 // under sched for up to maxSteps, interleaving external enqueues and forced
 // sleeps, and calls check after every step. The sealed partition also names
-// a process the world does not hold, as a frozen runtime world's does.
-func runChaos(seed int64, n, maxSteps int, variant Variant, orc Oracle, sched Scheduler, check func(w *World)) {
+// a process the world does not hold, as a frozen runtime world's does. If
+// elsewhere is non-nil, the processes it names are hosted elsewhere: the
+// world's processes reference them and send to them, but run none of them.
+func runChaos(seed int64, n, maxSteps int, variant Variant, orc Oracle, sched Scheduler, elsewhere func(i int) bool, check func(w *World)) {
 	rng := rand.New(rand.NewSource(seed))
 	space := ref.NewSpace()
 	nodes := space.NewN(n)
@@ -194,6 +196,10 @@ func runChaos(seed int64, n, maxSteps int, variant Variant, orc Oracle, sched Sc
 		mode := Staying
 		if i%3 == 0 {
 			mode = Leaving
+		}
+		if elsewhere != nil && elsewhere(i) {
+			w.HostElsewhere(r, mode)
+			continue
 		}
 		p := &chaosProto{
 			all: nodes,
@@ -226,7 +232,7 @@ func runChaos(seed int64, n, maxSteps int, variant Variant, orc Oracle, sched Sc
 			w.Enqueue(nodes[rng.Intn(n)], NewMessage("ext",
 				RefInfo{Ref: nodes[rng.Intn(n)], Mode: Leaving}))
 		}
-		if r := nodes[rng.Intn(n)]; w.Steps()%41 == 0 && w.LifeOf(r) == Awake {
+		if r := nodes[rng.Intn(n)]; w.Steps()%41 == 0 && w.Has(r) && w.LifeOf(r) == Awake {
 			w.ForceAsleep(r)
 		}
 		check(w)
@@ -246,7 +252,7 @@ func TestIncrementalPGMatchesRebuild(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", sc.name, variant), func(t *testing.T) {
 				seed := int64(si)*97 + int64(variant)*13 + 5
 				asleep := 0
-				runChaos(seed, 10, 300, variant, checkOracle{t, checkVerdicts}, sc.mk(seed), func(w *World) {
+				runChaos(seed, 10, 300, variant, checkOracle{t, checkVerdicts}, sc.mk(seed), nil, func(w *World) {
 					checkVerdicts(t, w, fmt.Sprintf("step %d", w.Steps()))
 					if w.asleep > 0 {
 						asleep++

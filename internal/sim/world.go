@@ -208,6 +208,10 @@ type World struct {
 	hibGen   uint64
 	hibCache ref.Set
 
+	// elsewhere is the mode, by ref.Index, of each process another node
+	// hosts (HostElsewhere), Absent where none.
+	elsewhere []Mode
+
 	diff   graph.RefDiff   // pgSyncRefs' sort buffers
 	uf     graph.UnionFind // reusable component partition for unite
 	member []bool          // unite's member mask, by ref.Index
@@ -282,6 +286,31 @@ func (w *World) AddProcess(r ref.Ref, mode Mode, proto Protocol) {
 	// query reseed (process addition is a construction-time or rare join-time
 	// event, not a hot-path one).
 	w.InvalidatePG()
+}
+
+// HostElsewhere records that r, a process with the given mode, is hosted by
+// another node (DESIGN.md §7, §15): the world runs none of r's actions, but
+// its ledger counts r's pairs as a live process's, and gives a leaver r a
+// row (LeaverRow). It panics if r is a process of this world.
+func (w *World) HostElsewhere(r ref.Ref, mode Mode) {
+	idx := ref.Index(r)
+	if idx < 0 || w.lookup(r) != nil {
+		panic(fmt.Sprintf("sim: cannot host %v elsewhere (⊥, or a process of this world)", r))
+	}
+	for len(w.elsewhere) <= idx {
+		w.elsewhere = append(w.elsewhere, Absent)
+	}
+	w.elsewhere[idx] = mode
+	w.InvalidatePG()
+}
+
+// hostedElsewhere returns the mode of the process another node hosts as r,
+// Absent if none does.
+func (w *World) hostedElsewhere(r ref.Ref) Mode {
+	if i := ref.Index(r); uint(i) < uint(len(w.elsewhere)) {
+		return w.elsewhere[i]
+	}
+	return Absent
 }
 
 // Enqueue places a message directly into to's channel, used to set up
