@@ -75,12 +75,13 @@ race:
 
 # replay-golden holds the committed journals in cmd/fdpreplay/testdata to
 # the replay determinism contract: each sequential golden must re-drive
-# byte-identically, and the seeded three-node mesh (node.RunLoopback) and the
+# byte-identically and record again to the same bytes through
+# trace.RecordRun, and the seeded three-node mesh (node.RunLoopback) and the
 # seeded two-shard runtime (Runtime.RunSeeded) must regenerate their journals
 # byte for byte and join with no duplicate.
 # Regenerate deliberately with: go test ./cmd/fdpreplay -update
 replay-golden:
-	$(GO) test ./cmd/fdpreplay -run 'TestGoldenJournalsReplayByteIdentically|TestMeshGoldenJournalsRegenerateByteIdentically|TestRuntimeGoldenJournalRegeneratesByteIdentically' -count=1
+	$(GO) test ./cmd/fdpreplay -run 'TestGoldenJournalsReplayByteIdentically|TestGoldenJournalsRecordByteIdentically|TestMeshGoldenJournalsRegenerateByteIdentically|TestRuntimeGoldenJournalRegeneratesByteIdentically' -count=1
 
 # fuzz-smoke replays every committed counterexample fixture byte-identically
 # (internal/fuzz/testdata), runs the mutation harness end to end (the

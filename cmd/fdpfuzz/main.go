@@ -26,6 +26,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"fdp/internal/diffval"
 	"fdp/internal/fuzz"
 )
 
@@ -52,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		seed     = fs.Int64("seed", 1, "generator seed (a fixed seed generates a fixed case sequence)")
 		runs     = fs.Int("runs", 0, "number of cases (0: until -duration, or 64 if that is unset too)")
 		duration = fs.Duration("duration", 0, "wall-clock budget (0 = unbounded)")
-		maxSteps = fs.Int("maxsteps", 0, "sequential step budget per case (0 = 400000)")
+		maxSteps = fs.Int("maxsteps", 0, fmt.Sprintf("sequential step budget per case (0 = %d)", diffval.DefaultMaxSteps))
 		timeout  = fs.Duration("timeout", 0, "concurrent run budget per case (0 = 10s)")
 		shrink   = fs.Bool("shrink", true, "delta-debug each failure to a minimal case")
 		outDir   = fs.String("out", "", "write shrunk failures as journal fixtures into this directory")
@@ -101,19 +102,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 				spent, c.Scenario.N, c.Scenario.Topology, c.Scenario.LeaverIndices,
 				len(c.Scenario.Strikes), c.Scenario.FlipBeliefs, c.Scenario.RandomAnchors, c.Scenario.JunkMessages)
 		}
-		raw, hdr, recs, err := fuzz.Journal(c, opts)
+		raw, recs, dropped, err := fuzz.FixtureJournal(f.Kind, c, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "fdpfuzz: journal of failure %d: %v\n", i, err)
 			continue
 		}
-		if f.Kind == fuzz.KindSafetySequential {
-			if short, ok := fuzz.ShrinkJournal(hdr, recs); ok {
-				fmt.Fprintf(stdout, "  schedule truncated: %d -> %d records\n", len(recs), len(short))
-				recs = short
-				if rb, err := fuzz.RewriteJournal(hdr, recs); err == nil {
-					raw = rb
-				}
-			}
+		if dropped > 0 {
+			fmt.Fprintf(stdout, "  schedule truncated: %d -> %d records\n", len(recs)+dropped, len(recs))
 		}
 		if *outDir != "" {
 			meta := fuzz.Meta{

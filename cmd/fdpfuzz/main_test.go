@@ -1,0 +1,60 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"fdp/internal/fuzz"
+	"fdp/internal/trace"
+)
+
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr, make(chan struct{}))
+	return code, stdout.String(), stderr.String()
+}
+
+// A clean sweep exits 0 and says what it ran.
+func TestCleanSweepExitsZero(t *testing.T) {
+	code, out, errOut := runCLI(t, "-seed", "11", "-runs", "2")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+	if !strings.Contains(out, "fdpfuzz: seed=11 ran 2 case(s), 0 failure(s)") {
+		t.Fatalf("no summary line in:\n%s", out)
+	}
+}
+
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"-no-such-flag"}, {"-runs", "1", "stray"}} {
+		if code, _, errOut := runCLI(t, args...); code != 2 || errOut == "" {
+			t.Errorf("%q: exit %d with stderr %q, want 2 and a diagnostic", args, code, errOut)
+		}
+	}
+}
+
+// A mutation run finds the planted guard bug (the seventh case of seed 1)
+// and writes it as a fixture that loads and replays byte-identically.
+func TestMutationRunWritesReplayableFixture(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errOut := runCLI(t, "-seed", "1", "-runs", "7", "-mutate", "-maxfailures", "1", "-out", dir)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (failures found)\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+	fixtures, err := fuzz.LoadFixtures(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) != 1 {
+		t.Fatalf("%d fixtures written, want 1\nstdout: %s", len(fixtures), out)
+	}
+	fx := fixtures[0]
+	if fx.Meta.Kind != fuzz.KindSafetySequential || fx.Meta.Case.Scenario.Oracle != (fuzz.MutantSingle{}).Name() {
+		t.Fatalf("fixture %s: kind %s, oracle %s", fx.Meta.Name, fx.Meta.Kind, fx.Meta.Case.Scenario.Oracle)
+	}
+	if div, err := trace.VerifyReplay(fx.Header, fx.Records); err != nil || div != nil {
+		t.Fatalf("fixture does not replay byte-identically: div=%v err=%v", div, err)
+	}
+}

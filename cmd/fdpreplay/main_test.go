@@ -66,11 +66,7 @@ func TestGoldenJournalsReplayByteIdentically(t *testing.T) {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if _, err := trace.RecordRun(g.scn, &buf, sim.RunOptions{MaxSteps: 200000}); err != nil {
-					t.Fatalf("recording %s: %v", g.name, err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, recordGolden(t, g.scn), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -80,6 +76,34 @@ func TestGoldenJournalsReplayByteIdentically(t *testing.T) {
 			}
 			if !strings.Contains(out, "replay OK") {
 				t.Fatalf("unexpected verify output: %s", out)
+			}
+		})
+	}
+}
+
+// recordGolden records a sequential golden's scenario, as -update writes it.
+func recordGolden(t *testing.T, scn trace.Scenario) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := trace.RecordRun(scn, &buf, sim.RunOptions{MaxSteps: 200000}); err != nil {
+		t.Fatalf("recording: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenJournalsRecordByteIdentically holds the recording side to the
+// same contract: recording each sequential golden's scenario again gives
+// the committed bytes.
+func TestGoldenJournalsRecordByteIdentically(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.name, func(t *testing.T) {
+			want, err := os.ReadFile(goldenPath(g.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recordGolden(t, g.scn); !bytes.Equal(got, want) {
+				t.Fatalf("recording %s gave %d bytes that differ from the committed %d (regenerate deliberately with -update)",
+					g.name, len(got), len(want))
 			}
 		})
 	}

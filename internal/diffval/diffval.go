@@ -22,7 +22,6 @@ package diffval
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"fdp/internal/churn"
@@ -35,34 +34,30 @@ import (
 	"fdp/internal/trace"
 )
 
-// Config describes one differential scenario. The same Scenario config is
-// built independently for each engine; churn.Build is deterministic per
-// seed and ref.Space hands out identical references, so both sides start
-// from bit-identical states.
+// DefaultMaxSteps is the sequential step budget of a run whose Config
+// leaves MaxSteps at 0.
+const DefaultMaxSteps = 400000
+
+// Config describes one differential run. The same Scenario is built
+// independently for each engine; churn.Build is deterministic per seed and
+// ref.Space hands out identical references, so both sides start from
+// bit-identical states.
 type Config struct {
-	// Scenario is the churn configuration; its Seed field is overwritten by
-	// the per-run seed.
-	Scenario churn.Config
-	// MaxSteps bounds the sequential run (0 = a generous default).
+	// Scenario is the run; its Seed field is overwritten by the per-run
+	// seed. Its Scheduler names the sequential scheduler
+	// (trace.SchedulerByName) — the concurrent engine has none, its
+	// interleavings come from the machine. Its Strikes are struck on both
+	// sides, each once the engine reaches its After point (sequential steps
+	// on the simulator, executed events on the runtime), with injector seeds
+	// faults.WaveSeed(seed, i) on BOTH engines.
+	Scenario trace.Scenario
+	// MaxSteps bounds the sequential run after its last strike (0 =
+	// DefaultMaxSteps).
 	MaxSteps int
 	// Timeout bounds the concurrent run (0 = 20s).
 	Timeout time.Duration
 	// Poll is the concurrent legitimacy-polling interval (0 = 1ms).
 	Poll time.Duration
-	// Waves is a train of mid-run transient fault waves struck on both
-	// sides, each fired once the engine reaches its After point (sequential
-	// steps on the simulator, executed events on the runtime), with
-	// injector seeds faults.WaveSeed(seed, i) on BOTH engines.
-	Waves []faults.Wave
-	// Scheduler names the sequential scheduler (trace.SchedulerByName);
-	// empty selects the default random scheduler. The concurrent engine has
-	// no scheduler — its interleavings come from the machine.
-	Scheduler string
-	// Journal, when non-nil, receives the sequential run as a replayable
-	// trace journal (header + records, trace.WriteJournal format) with every
-	// fired wave recorded at the step it actually struck. Replaying that
-	// journal byte-identically reproduces the sequential side of the verdict.
-	Journal io.Writer
 	// StallSteps enables the sequential liveness watchdog: every StallSteps
 	// executed steps, a window with remaining leavers and no settles is
 	// classified (livelock / starvation / quiescent, see obs.StallKind) and
@@ -79,18 +74,15 @@ type Config struct {
 	FlightK int
 }
 
-// scheduler resolves the sequential scheduler. The default keeps the
-// harness's historical random scheduler; named schedulers come from the
-// trace registry so journal headers name what actually ran.
-func (c Config) scheduler(seed int64) (sim.Scheduler, string) {
-	if c.Scheduler == "" {
-		return sim.NewRandomScheduler(seed, 256), "random"
-	}
-	sched, err := trace.SchedulerByName(c.Scheduler, seed)
+// build builds the run's scenario for one engine. A scenario that does not
+// build is the caller's bug: the fuzzer classifies such cases before it
+// runs them.
+func (c Config) build() *churn.Scenario {
+	s, err := c.Scenario.BuildScenario()
 	if err != nil {
 		panic(fmt.Sprintf("diffval: %v", err))
 	}
-	return sched, c.Scheduler
+	return s
 }
 
 // Outcome classifies one engine's terminal state.
@@ -212,7 +204,7 @@ func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 
 // Run executes the scenario on both engines and returns the paired verdict.
 func Run(cfg Config, seed int64) Verdict {
-	scn, variant := cfg.scenario(seed)
+	cfg.Scenario.Seed = seed
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 20 * time.Second
@@ -221,8 +213,8 @@ func Run(cfg Config, seed int64) Verdict {
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
-	seqOut, seqFlight, seqStall := runSequential(cfg, scn, variant, seed)
-	concOut, concFlight, concStall := runConcurrent(cfg, scn, variant, timeout, poll, seed)
+	seqOut, seqFlight, seqStall := runSequential(cfg)
+	concOut, concFlight, concStall := runConcurrent(cfg, timeout, poll)
 	v := Verdict{Seed: seed, Sequential: seqOut, Concurrent: concOut,
 		SequentialStall: seqStall, ConcurrentStall: concStall}
 	if !v.Agree() {
@@ -234,24 +226,13 @@ func Run(cfg Config, seed int64) Verdict {
 	return v
 }
 
-// scenario returns the run's churn config, seeded, and its legitimacy
-// variant.
-func (c Config) scenario(seed int64) (churn.Config, sim.Variant) {
-	scn := c.Scenario
-	scn.Seed = seed
-	if scn.Variant == core.VariantFSP {
-		return scn, sim.FSP
-	}
-	return scn, sim.FDP
-}
-
 // SequentialOutcome runs only the sequential engine of the scenario —
-// exactly the sequential side of Run (same scheduler, same wave seeds, same
-// journal hook), without paying for a concurrent run. The fuzz shrinker uses
-// it as the fast still-failing predicate for sequential-side failures.
+// exactly the sequential side of Run (same scheduler, same wave seeds),
+// without paying for a concurrent run. The fuzz shrinker uses it as the
+// fast still-failing predicate for sequential-side failures.
 func SequentialOutcome(cfg Config, seed int64) Outcome {
-	scn, variant := cfg.scenario(seed)
-	out, _, _ := runSequential(cfg, scn, variant, seed)
+	cfg.Scenario.Seed = seed
+	out, _, _ := runSequential(cfg)
 	return out
 }
 
@@ -264,99 +245,78 @@ func RunSeeds(cfg Config, n int) []Verdict {
 	return out
 }
 
+// engine is what both engines, sim.World and parallel.Runtime, offer an
+// observer.
+type engine interface {
+	AddEventHook(func(sim.Event))
+	SetOracleHook(func(ref.Ref, bool))
+}
+
+// observe hooks an engine's flight ring and, when its watchdog is on, the
+// progress tracker the watchdog reads.
+func observe(e engine, flightK int, leavers []ref.Ref, watch bool) (*trace.Flight, *obs.Progress) {
+	flight := trace.NewFlight(flightK)
+	e.AddEventHook(flight.Record)
+	if !watch {
+		return flight, nil
+	}
+	prog := obs.NewProgress(nil, "", leavers)
+	e.AddEventHook(prog.NoteEvent)
+	e.SetOracleHook(prog.NoteOracle)
+	return flight, prog
+}
+
 // runSequential and runConcurrent each return their engine's flight ring
 // beside the outcome: the stall watchdog snapshots it mid-run, Run renders
 // it when the verdicts disagree.
-func runSequential(cfg Config, scn churn.Config, variant sim.Variant, seed int64) (Outcome, *trace.Flight, *StallReport) {
-	s := churn.Build(scn)
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 400000
-	}
+func runSequential(cfg Config) (Outcome, *trace.Flight, *StallReport) {
+	s := cfg.build()
 	leavers := s.LeavingNodes()
-	sched, schedName := cfg.scheduler(seed)
-	opts := sim.RunOptions{Variant: variant, CheckSafety: true, Target: s.InTarget}
-
-	flight := trace.NewFlight(cfg.FlightK)
-	s.World.AddEventHook(flight.Record)
-	var recs []trace.Record
-	if cfg.Journal != nil {
-		s.World.AddEventHook(func(e sim.Event) { recs = append(recs, trace.FromEvent(e)) })
+	flight, prog := observe(s.World, cfg.FlightK, leavers, cfg.StallSteps > 0)
+	opts := sim.RunOptions{CheckSafety: true, MaxSteps: cfg.MaxSteps}
+	if opts.MaxSteps <= 0 {
+		opts.MaxSteps = DefaultMaxSteps
 	}
-
 	var stall *StallReport
-	fired := make([]trace.StrikeSpec, 0, len(cfg.Waves))
-	if cfg.StallSteps > 0 {
-		prog := obs.NewProgress(nil, "", leavers)
-		s.World.AddEventHook(prog.NoteEvent)
-		s.World.SetOracleHook(prog.NoteOracle)
+	if prog != nil {
 		wd := obs.NewStepWatchdog(prog, cfg.StallSteps)
-		w := s.World
-		opts.OnStep = func(*sim.World) {
+		opts.OnStep = func(w *sim.World) {
 			v, stalled := wd.Tick(w.Steps(), func() int { return w.Stats().TotalInQueue })
 			if stalled && stall == nil {
-				hs := trace.ScenarioFor(scn, schedName)
-				hs.Strikes = append([]trace.StrikeSpec(nil), fired...)
-				stall = newStallReport(v, flight, trace.EngineSim, hs, leavers)
+				stall = newStallReport(v, flight, leavers)
 			}
 		}
 	}
-	var res sim.RunResult
-	for i, wv := range cfg.Waves {
-		if wv.After > s.World.Steps() {
-			opts.MaxSteps = wv.After
-			res = sim.Run(s.World, sched, opts)
-			if res.SafetyViolation != nil {
-				break
-			}
+	res, hdr, err := trace.RunSequential(cfg.Scenario, s, opts)
+	if err != nil {
+		panic(fmt.Sprintf("diffval: %v", err))
+	}
+	if stall != nil {
+		// The snapshot is a prefix of the run: its header lists the waves
+		// that fired before the stalled step.
+		fired := hdr.Scenario.Strikes
+		n := 0
+		for n < len(fired) && uint64(fired[n].After) < stall.Verdict.Step {
+			n++
 		}
-		// After a strike the leavers set is unchanged (strikes corrupt
-		// values, never modes), so Lemma 3 is still judged on `leavers`.
-		faults.New(wv.Config, faults.WaveSeed(seed, i)).Strike(s.World)
-		sp := trace.StrikeSpecFor(wv)
-		sp.After = s.World.Steps()
-		fired = append(fired, sp)
+		stall.Header = hdr
+		stall.Header.Scenario.Strikes = fired[:n]
 	}
-	if res.SafetyViolation == nil {
-		opts.MaxSteps = s.World.Steps() + maxSteps
-		res = sim.Run(s.World, sched, opts)
-	}
-	if cfg.Journal != nil {
-		hs := trace.ScenarioFor(scn, schedName)
-		hs.Strikes = fired
-		// A journal write failure surfaces on the reader side (truncated or
-		// missing journal); the verdict itself is unaffected.
-		_ = trace.WriteJournal(cfg.Journal,
-			trace.Header{Version: trace.Version, Engine: trace.EngineSim, Scenario: hs}, recs)
-	}
-
-	out := Outcome{
-		Converged:        res.Converged && res.SafetyViolation == nil,
-		SafetyViolated:   res.SafetyViolation != nil,
-		Gone:             goneCount(s.World, s.Nodes),
-		LeaversSettled:   leaversSettled(s.World, leavers, variant),
-		StayingPreserved: res.SafetyViolation == nil && s.World.StayingComponentsPreserved(),
-		InTarget:         s.InTarget(s.World),
-		Steps:            uint64(s.World.Steps()),
-	}
-	if !out.Converged && stall != nil {
-		out.Stall = stall.Verdict.Kind.String()
-	}
+	violated := res.SafetyViolation != nil
+	out := outcome(s, s.World, res.Converged, violated, s.InTarget(s.World), stall)
+	out.Steps = uint64(s.World.Steps())
 	return out, flight, stall
 }
 
-func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, poll time.Duration, seed int64) (Outcome, *trace.Flight, *StallReport) {
-	s := churn.Build(scn)
+func runConcurrent(cfg Config, timeout, poll time.Duration) (Outcome, *trace.Flight, *StallReport) {
+	s := cfg.build()
+	variant, _ := cfg.Scenario.SimVariant() // resolved by build
 	leavers := s.LeavingNodes()
-	rt := MirrorWorld(s.World, scn.Oracle)
-	flight := trace.NewFlight(cfg.FlightK)
-	rt.AddEventHook(flight.Record)
+	rt := MirrorWorld(s.World, s.Config.Oracle)
+	flight, prog := observe(rt, cfg.FlightK, leavers, cfg.StallWindow > 0)
 	var stall *StallReport
 	var wd *obs.Watchdog
-	if cfg.StallWindow > 0 {
-		prog := obs.NewProgress(nil, "", leavers)
-		rt.AddEventHook(prog.NoteEvent)
-		rt.SetOracleHook(prog.NoteOracle)
+	if prog != nil {
 		wd = obs.NewWatchdog(prog, cfg.StallWindow)
 	}
 	rt.Start()
@@ -371,7 +331,12 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 			return int(rt.Sent() - rt.KindCount(sim.EvDeliver) - rt.Dropped())
 		}
 		if v, stalled := wd.Tick(time.Now(), rt.Events(), pending); stalled && stall == nil {
-			stall = newStallReport(v, flight, trace.EngineRuntime, trace.ScenarioFor(scn, ""), leavers)
+			stall = newStallReport(v, flight, leavers)
+			// The runtime's snapshot is one interleaving, not a replayable
+			// prefix: its header names neither a scheduler nor strike steps.
+			hs := cfg.Scenario
+			hs.Scheduler, hs.Strikes = "", nil
+			stall.Header = trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs}
 		}
 	}
 
@@ -383,11 +348,11 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 	deadline := make(chan struct{})
 	timer := time.AfterFunc(timeout, func() { close(deadline) })
 	defer timer.Stop()
-	for i, wv := range cfg.Waves {
+	for i, wv := range cfg.Scenario.Strikes {
 		// The concurrent strike point: the same event budget the sequential
 		// side used as a step budget.
 		waitFor(func() bool { return rt.Events() >= uint64(wv.After) }, poll, deadline)
-		faults.New(wv.Config, faults.WaveSeed(seed, i)).StrikeRuntime(rt)
+		faults.New(wv.Config, faults.WaveSeed(cfg.Scenario.Seed, i)).StrikeRuntime(rt)
 	}
 
 	// P′'s target is judged where convergence is, at the last poll, as the
@@ -404,27 +369,50 @@ func runConcurrent(cfg Config, scn churn.Config, variant sim.Variant, timeout, p
 	rt.Stop()
 	final := rt.Freeze()
 
-	violated := !final.RelevantComponentsIntact()
+	out := outcome(s, final, converged, !final.RelevantComponentsIntact(), inTarget, stall)
+	out.Steps = rt.Events()
+	return out, flight, stall
+}
+
+// outcome classifies an engine's final world w of scenario s. The engine's
+// driver judges convergence, safety and the target; what departed, settled
+// and stayed connected is read off w, where a departed process is absent
+// (a frozen runtime) or Gone (the simulator).
+func outcome(s *churn.Scenario, w *sim.World, converged, violated, inTarget bool, stall *StallReport) Outcome {
 	out := Outcome{
 		Converged:        converged && !violated,
 		SafetyViolated:   violated,
-		Gone:             rt.Gone(),
-		LeaversSettled:   leaversSettled(final, leavers, variant),
-		StayingPreserved: !violated && final.StayingComponentsPreserved(),
+		LeaversSettled:   true,
+		StayingPreserved: !violated && w.StayingComponentsPreserved(),
 		InTarget:         inTarget,
-		Steps:            rt.Events(),
+	}
+	gone := func(r ref.Ref) bool { return !w.Has(r) || w.LifeOf(r) == sim.Gone }
+	for _, r := range s.Nodes {
+		if gone(r) {
+			out.Gone++
+		}
+	}
+	// Lemma 3: every initial leaver is gone (FDP) or hibernating (FSP).
+	settled := gone
+	if s.Config.Variant == core.VariantFSP {
+		settled = w.Hibernating().Has
+	}
+	for _, r := range s.LeavingNodes() {
+		if !settled(r) {
+			out.LeaversSettled = false
+		}
 	}
 	if !out.Converged && stall != nil {
 		out.Stall = stall.Verdict.Kind.String()
 	}
-	return out, flight, stall
+	return out
 }
 
 // newStallReport captures an engine's first stall verdict with its flight
-// ring's snapshot, framed as a journal fragment of scenario hs. The span
-// trees are seeded with the leavers' names: a stuck departure has no exit
-// record to be discovered by.
-func newStallReport(v obs.StallVerdict, flight *trace.Flight, engine string, hs trace.Scenario, leavers []ref.Ref) *StallReport {
+// ring's snapshot; the caller frames it with a Header. The span trees are
+// seeded with the leavers' names: a stuck departure has no exit record to be
+// discovered by.
+func newStallReport(v obs.StallVerdict, flight *trace.Flight, leavers []ref.Ref) *StallReport {
 	fl, complete := flight.Snapshot()
 	names := make([]string, len(leavers))
 	for i, l := range leavers {
@@ -432,7 +420,6 @@ func newStallReport(v obs.StallVerdict, flight *trace.Flight, engine string, hs 
 	}
 	return &StallReport{
 		Verdict:  v,
-		Header:   trace.Header{Version: trace.Version, Engine: engine, Scenario: hs},
 		Flight:   fl,
 		Complete: complete,
 		Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, names)),
@@ -462,34 +449,4 @@ func waitFor(cond func() bool, poll time.Duration, deadline <-chan struct{}) boo
 			}
 		}
 	}
-}
-
-func goneCount(w *sim.World, nodes []ref.Ref) uint64 {
-	var n uint64
-	for _, r := range nodes {
-		if w.LifeOf(r) == sim.Gone {
-			n++
-		}
-	}
-	return n
-}
-
-// leaversSettled checks Lemma 3 on an engine's terminal state: the
-// simulator's world, where a gone process is Gone, or a frozen runtime
-// snapshot, where it is absent.
-func leaversSettled(w *sim.World, leavers []ref.Ref, variant sim.Variant) bool {
-	var hib ref.Set
-	if variant == sim.FSP {
-		hib = w.Hibernating()
-	}
-	for _, r := range leavers {
-		if variant == sim.FSP {
-			if !hib.Has(r) {
-				return false
-			}
-		} else if w.Has(r) && w.LifeOf(r) != sim.Gone {
-			return false
-		}
-	}
-	return true
 }

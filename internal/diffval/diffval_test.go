@@ -1,7 +1,6 @@
 package diffval
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"fdp/internal/core"
 	"fdp/internal/faults"
 	"fdp/internal/framework"
-	"fdp/internal/oracle"
 	"fdp/internal/parallel"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -18,22 +16,20 @@ import (
 
 func fdpConfig() Config {
 	return Config{
-		Scenario: churn.Config{
-			N: 10, Topology: churn.TopoRandom, LeaveFraction: 0.4,
-			Pattern: churn.LeaveRandom,
-			Corrupt: churn.Corruption{FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4},
-			Variant: core.VariantFDP, Oracle: oracle.Single{},
+		Scenario: trace.Scenario{
+			N: 10, Topology: "random", LeaveFraction: 0.4, Pattern: "random",
+			FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4,
+			Variant: "FDP", Oracle: "SINGLE",
 		},
 	}
 }
 
 func fspConfig() Config {
 	return Config{
-		Scenario: churn.Config{
-			N: 8, Topology: churn.TopoRandom, LeaveFraction: 0.5,
-			Pattern: churn.LeaveRandom,
-			Corrupt: churn.Corruption{FlipBeliefs: 0.25, JunkMessages: 3},
-			Variant: core.VariantFSP,
+		Scenario: trace.Scenario{
+			N: 8, Topology: "random", LeaveFraction: 0.5, Pattern: "random",
+			FlipBeliefs: 0.25, JunkMessages: 3,
+			Variant: "FSP",
 		},
 	}
 }
@@ -89,7 +85,7 @@ func TestDifferentialFSP(t *testing.T) {
 // struck with the same fault class and both must re-converge safely.
 func TestDifferentialWithStrike(t *testing.T) {
 	cfg := fdpConfig()
-	cfg.Waves = []faults.Wave{{Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}, After: 60}}
+	cfg.Scenario.Strikes = []faults.Wave{{After: 60, Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}}}
 	vs := RunSeeds(cfg, 8)
 	assertAgreement(t, "strike", vs, true)
 }
@@ -121,9 +117,8 @@ func TestWaitForSharedDeadlineBoundsBothPhases(t *testing.T) {
 
 // goneWanted recomputes the scenario's leaver count for a seed.
 func goneWanted(cfg Config, seed int64) uint64 {
-	scn := cfg.Scenario
-	scn.Seed = seed
-	return uint64(churn.Build(scn).Leaving.Len())
+	cfg.Scenario.Seed = seed
+	return uint64(cfg.build().Leaving.Len())
 }
 
 // sleeperScenario builds an FSP scenario in which a leaver with a queued
@@ -131,11 +126,11 @@ func goneWanted(cfg Config, seed int64) uint64 {
 // mirror of it has a sleeper with mail to carry over.
 func sleeperScenario(t *testing.T) (*churn.Scenario, ref.Ref) {
 	t.Helper()
-	scn := fspConfig().Scenario
+	cfg := fspConfig()
 	var s *churn.Scenario
 	var sleeper ref.Ref
-	for scn.Seed = 3; sleeper.IsNil() && scn.Seed < 40; scn.Seed++ {
-		s = churn.Build(scn)
+	for cfg.Scenario.Seed = 3; sleeper.IsNil() && cfg.Scenario.Seed < 40; cfg.Scenario.Seed++ {
+		s = cfg.build()
 		for _, u := range s.LeavingNodes() {
 			if s.World.ChannelLen(u) > 0 {
 				sleeper = u
@@ -214,46 +209,11 @@ func TestMirrorWorldLeavesItsSourceUntouched(t *testing.T) {
 // still agree on the verdict.
 func TestDifferentialWithWaveTrain(t *testing.T) {
 	cfg := fdpConfig()
-	cfg.Waves = []faults.Wave{
-		{Config: faults.Config{FlipBeliefs: 0.4, JunkMessages: 3}, After: 60},
-		{Config: faults.Config{ScrambleAnchors: 0.5, DuplicateMessages: 2}, After: 200},
+	cfg.Scenario.Strikes = []faults.Wave{
+		{After: 60, Config: faults.Config{FlipBeliefs: 0.4, JunkMessages: 3}},
+		{After: 200, Config: faults.Config{ScrambleAnchors: 0.5, DuplicateMessages: 2}},
 	}
 	assertAgreement(t, "wave-train", RunSeeds(cfg, 4), true)
-}
-
-// The sequential side of a verdict must be reproducible from its journal:
-// Run with a Journal writer emits a replayable journal whose replay is
-// byte-identical, including the strike steps.
-func TestRunJournalReplays(t *testing.T) {
-	cfg := fdpConfig()
-	cfg.Waves = []faults.Wave{{Config: faults.Config{FlipBeliefs: 0.5, JunkMessages: 4}, After: 80}}
-	var buf bytes.Buffer
-	cfg.Journal = &buf
-	v := Run(cfg, 3)
-	hdr, recs, err := trace.ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("journal unreadable: %v", err)
-	}
-	if len(hdr.Scenario.Strikes) != 1 {
-		t.Fatalf("journal strikes = %+v", hdr.Scenario.Strikes)
-	}
-	if got := uint64(len(recs)); got == 0 || v.Sequential.Steps == 0 {
-		t.Fatalf("empty journal (%d recs, %d steps)", got, v.Sequential.Steps)
-	}
-	div, err := trace.VerifyReplay(hdr, recs)
-	if err != nil {
-		t.Fatalf("VerifyReplay: %v", err)
-	}
-	if div != nil {
-		t.Fatalf("diffval journal diverged on replay: %+v", div)
-	}
-	// Determinism: journaling the same seed again is byte-identical.
-	var again bytes.Buffer
-	cfg.Journal = &again
-	Run(cfg, 3)
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("re-running the same seed changed the journal bytes")
-	}
 }
 
 // Named schedulers change the explored sequential schedule but never the
@@ -261,7 +221,7 @@ func TestRunJournalReplays(t *testing.T) {
 func TestDifferentialNamedSchedulers(t *testing.T) {
 	for _, name := range []string{"fifo", "rounds", "adversarial"} {
 		cfg := fdpConfig()
-		cfg.Scheduler = name
+		cfg.Scenario.Scheduler = name
 		assertAgreement(t, "scheduler-"+name, RunSeeds(cfg, 2), true)
 	}
 }
@@ -269,7 +229,7 @@ func TestDifferentialNamedSchedulers(t *testing.T) {
 // Theorem 4 on two engines: P′ over each overlay, from a random topology
 // with 30 % leaving, reaches the same verdict on the sequential engine and
 // on the runtime — Lemma 2, Lemma 3 and the staying processes in P's target
-// topology — and converges. The scenario is a churn.Config like any other.
+// topology — and converges. The scenario is a trace.Scenario like any other.
 // -short runs 5 seeds per overlay instead of 50.
 func TestDifferentialOverlay(t *testing.T) {
 	seeds := 50
@@ -282,9 +242,9 @@ func TestDifferentialOverlay(t *testing.T) {
 			n = 8 // Θ(n²) P traffic per timeout
 		}
 		t.Run(kind.String(), func(t *testing.T) {
-			vs := RunSeeds(Config{Scenario: churn.Config{
-				N: n, Topology: churn.TopoRandom, LeaveFraction: 0.3,
-				Oracle: oracle.Single{}, Overlay: kind,
+			vs := RunSeeds(Config{Scenario: trace.Scenario{
+				N: n, Topology: "random", LeaveFraction: 0.3, Pattern: "random",
+				Variant: "FDP", Oracle: "SINGLE", Overlay: kind.String(),
 			}}, seeds)
 			assertAgreement(t, kind.String(), vs, true)
 			for _, v := range vs {

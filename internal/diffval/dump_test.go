@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"fdp/internal/churn"
-	"fdp/internal/oracle"
 	"fdp/internal/sim"
+	"fdp/internal/trace"
 )
 
 // TestDumpJoinableByCausalID is the regression test for the causal
@@ -18,18 +17,16 @@ import (
 // the two dumps uncorrelatable.
 func TestDumpJoinableByCausalID(t *testing.T) {
 	cfg := Config{
-		Scenario: churn.Config{
-			N: 10, Topology: churn.TopoLine, LeaveFraction: 0.3,
-			Pattern: churn.LeaveRandom, Oracle: oracle.Single{},
+		Scenario: trace.Scenario{
+			N: 10, Topology: "line", LeaveFraction: 0.3, Pattern: "random",
+			Variant: "FDP", Oracle: "SINGLE", Seed: 5,
 		},
 		MaxSteps: 50000,
 		FlightK:  4096,
 	}
-	scn := cfg.Scenario
-	scn.Seed = 5
 
-	_, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 5)
-	_, concFlight, _ := runConcurrent(cfg, scn, sim.FDP, 10*time.Second, time.Millisecond, 5)
+	_, seqFlight, _ := runSequential(cfg)
+	_, concFlight, _ := runConcurrent(cfg, 10*time.Second, time.Millisecond)
 	seqTrace := sim.FormatEvents(seqFlight.Events())
 	concTrace := sim.FormatEvents(concFlight.Events())
 

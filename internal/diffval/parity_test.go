@@ -77,10 +77,9 @@ func TestEventKindParity(t *testing.T) {
 // that an agreeing Run leaves the Verdict traces empty.
 func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	cfg := fdpConfig()
-	scn := cfg.Scenario
-	scn.Seed = 3
+	cfg.Scenario.Seed = 3
 
-	seqOut, seqFlight, _ := runSequential(cfg, scn, sim.FDP, 3)
+	seqOut, seqFlight, _ := runSequential(cfg)
 	if !seqOut.Converged {
 		t.Fatalf("sequential runner did not converge: %+v", seqOut)
 	}
@@ -88,7 +87,7 @@ func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	if seqTrace == "" || !strings.Contains(seqTrace, "exit") {
 		t.Fatalf("sequential trace missing exit events:\n%s", seqTrace)
 	}
-	concOut, concFlight, _ := runConcurrent(cfg, scn, sim.FDP, 30*time.Second, time.Millisecond, 3)
+	concOut, concFlight, _ := runConcurrent(cfg, 30*time.Second, time.Millisecond)
 	if !concOut.Converged {
 		t.Fatalf("concurrent runner did not converge: %+v", concOut)
 	}

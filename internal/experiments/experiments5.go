@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fdp/internal/churn"
-	"fdp/internal/core"
 	"fdp/internal/diffval"
 	"fdp/internal/faults"
 	"fdp/internal/metrics"
-	"fdp/internal/oracle"
+	"fdp/internal/trace"
 )
 
 // --- E16: differential cross-validation of the two execution engines ----
@@ -29,29 +27,29 @@ func E16Differential(s Scale) Result {
 
 	n := s.Sizes[0]
 	seeds := 4 * s.Trials
-	strike := faults.Wave{Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}, After: 10 * n}
+	strike := faults.Wave{After: 10 * n, Config: faults.Config{FlipBeliefs: 0.5, ScrambleAnchors: 0.5, JunkMessages: 5}}
 	rows := []struct {
 		variant string
 		strike  bool
-		cfg     diffval.Config
+		scn     trace.Scenario
 	}{
-		{"FDP", false, diffval.Config{Scenario: churn.Config{
-			N: n, Topology: churn.TopoRandom, LeaveFraction: 0.4, Pattern: churn.LeaveRandom,
-			Corrupt: churn.Corruption{FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4},
-			Variant: core.VariantFDP, Oracle: oracle.Single{},
-		}}},
-		{"FSP", false, diffval.Config{Scenario: churn.Config{
-			N: n, Topology: churn.TopoRandom, LeaveFraction: 0.5, Pattern: churn.LeaveRandom,
-			Corrupt: churn.Corruption{FlipBeliefs: 0.25, JunkMessages: 3},
-			Variant: core.VariantFSP,
-		}}},
-		{"FDP", true, diffval.Config{Scenario: churn.Config{
-			N: n, Topology: churn.TopoRandom, LeaveFraction: 0.4, Pattern: churn.LeaveRandom,
-			Variant: core.VariantFDP, Oracle: oracle.Single{},
-		}, Waves: []faults.Wave{strike}}},
+		{"FDP", false, trace.Scenario{
+			N: n, Topology: "random", LeaveFraction: 0.4, Pattern: "random",
+			FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4,
+			Variant: "FDP", Oracle: "SINGLE",
+		}},
+		{"FSP", false, trace.Scenario{
+			N: n, Topology: "random", LeaveFraction: 0.5, Pattern: "random",
+			FlipBeliefs: 0.25, JunkMessages: 3,
+			Variant: "FSP",
+		}},
+		{"FDP", true, trace.Scenario{
+			N: n, Topology: "random", LeaveFraction: 0.4, Pattern: "random",
+			Variant: "FDP", Oracle: "SINGLE", Strikes: []faults.Wave{strike},
+		}},
 	}
 	for _, row := range rows {
-		vs := diffval.RunSeeds(row.cfg, seeds)
+		vs := diffval.RunSeeds(diffval.Config{Scenario: row.scn}, seeds)
 		agree, converged, violations := 0, 0, 0
 		for _, v := range vs {
 			if v.Agree() {

@@ -35,30 +35,31 @@ import (
 // Config tunes a strike.
 type Config struct {
 	// FlipBeliefs is the probability of flipping each stored mode belief.
-	FlipBeliefs float64
+	FlipBeliefs float64 `json:"flip_beliefs,omitempty"`
 	// ScrambleAnchors is the probability per process of corrupting the
 	// anchor belief (and, for leaving processes, re-pointing the anchor to
 	// a random live process — which adds an edge, never removes one: the
 	// displaced anchor reference is kept in flight).
-	ScrambleAnchors float64
+	ScrambleAnchors float64 `json:"scramble_anchors,omitempty"`
 	// JunkMessages is the number of spurious present/forward messages
 	// injected with random live references and random claims.
-	JunkMessages int
+	JunkMessages int `json:"junk_messages,omitempty"`
 	// DuplicateMessages re-enqueues up to this many copies of random
 	// in-flight messages to their original targets — the channel-duplication
 	// adversary. Duplication only copies references (never consumes them),
 	// so it is admissible for any copy-store-send protocol; a protocol that
 	// cannot tolerate a duplicated present/forward message is broken.
-	DuplicateMessages int
+	DuplicateMessages int `json:"duplicate_messages,omitempty"`
 }
 
 // Wave schedules one strike at a point in a run: after After sequential
 // steps on the simulator, or After executed events on the concurrent
 // runtime. A run can take a whole train of waves — the "unbounded churn"
-// adversary is a wave train with increasing After points.
+// adversary is a wave train with increasing After points. A journal header
+// lists the waves of a recorded run in this JSON form.
 type Wave struct {
+	After int `json:"after"`
 	Config
-	After int
 }
 
 // WaveSeed derives the deterministic rng seed of the i-th wave from a run's

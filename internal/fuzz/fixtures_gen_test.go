@@ -114,18 +114,9 @@ func TestRegenerateFixtures(t *testing.T) {
 		t.Skip("set FDPFUZZ_REGEN=1 to rewrite testdata/")
 	}
 	for _, meta := range fixtureCases {
-		raw, hdr, recs, err := Journal(meta.Case, Options{})
+		raw, _, _, err := FixtureJournal(meta.Kind, meta.Case, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", meta.Name, err)
-		}
-		if meta.Kind == KindSafetySequential && meta.Case.Scenario.Oracle == (MutantSingle{}).Name() {
-			if short, ok := ShrinkJournal(hdr, recs); ok {
-				var err error
-				raw, err = RewriteJournal(hdr, short)
-				if err != nil {
-					t.Fatalf("%s: %v", meta.Name, err)
-				}
-			}
 		}
 		if err := WriteFixture("testdata", meta, raw); err != nil {
 			t.Fatalf("%s: %v", meta.Name, err)

@@ -79,7 +79,7 @@ type Options struct {
 	Runs int
 	// Duration bounds the wall-clock fuzzing time (0 = unbounded).
 	Duration time.Duration
-	// MaxSteps bounds each sequential run (0 = diffval's 400000 default).
+	// MaxSteps bounds each sequential run (0 = diffval.DefaultMaxSteps).
 	MaxSteps int
 	// Timeout bounds each concurrent run (0 = 10s; diffval's own default is
 	// larger than a fuzzing loop wants).
@@ -170,39 +170,29 @@ func Generate(rng *rand.Rand) Case {
 	}
 	// A wave train of 0..2 mid-run strikes, ascending.
 	for w, nw := 0, rng.Intn(3); w < nw; w++ {
-		s.Strikes = append(s.Strikes, trace.StrikeSpec{
-			After:             20 + rng.Intn(480),
+		s.Strikes = append(s.Strikes, faults.Wave{After: 20 + rng.Intn(480), Config: faults.Config{
 			FlipBeliefs:       rng.Float64(),
 			ScrambleAnchors:   rng.Float64(),
 			JunkMessages:      rng.Intn(12),
 			DuplicateMessages: rng.Intn(6),
-		})
+		}})
 	}
 	sort.Slice(s.Strikes, func(i, j int) bool { return s.Strikes[i].After < s.Strikes[j].After })
 	return Case{Scenario: s}
 }
 
-// diffConfig lowers a case to the differential harness's configuration.
-func (c Case) diffConfig(opts Options) (diffval.Config, error) {
-	scn, err := c.Scenario.ChurnConfig()
-	if err != nil {
-		return diffval.Config{}, err
-	}
-	waves := make([]faults.Wave, 0, len(c.Scenario.Strikes))
-	for _, sp := range c.Scenario.Strikes {
-		waves = append(waves, sp.Wave())
-	}
+// diffConfig is the differential harness's configuration of a case: the
+// case's scenario under the options' budgets.
+func (c Case) diffConfig(opts Options) diffval.Config {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = 400000 // diffval's own default; mirrored for the watchdog window
+		maxSteps = diffval.DefaultMaxSteps
 	}
 	return diffval.Config{
-		Scenario:  scn,
-		Waves:     waves,
-		Scheduler: c.Scenario.Scheduler,
-		MaxSteps:  opts.MaxSteps,
-		Timeout:   opts.timeout(),
-		Poll:      opts.Poll,
+		Scenario: c.Scenario,
+		MaxSteps: maxSteps,
+		Timeout:  opts.timeout(),
+		Poll:     opts.Poll,
 		// The liveness watchdog rides along on every case, so a case that
 		// burns its budget reports *why* (livelock / starvation / quiescent)
 		// instead of a bare deadline. Eight windows per budget keeps the
@@ -210,7 +200,7 @@ func (c Case) diffConfig(opts Options) (diffval.Config, error) {
 		// budget expires.
 		StallSteps:  maxSteps / 8,
 		StallWindow: opts.timeout() / 8,
-	}, nil
+	}
 }
 
 // Execute runs one case on both engines and classifies the outcome. A nil
@@ -222,14 +212,10 @@ func Execute(c Case, opts Options) (f *Failure) {
 			f = &Failure{Kind: KindPanic, Case: c, Note: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
-	cfg, err := c.diffConfig(opts)
-	if err != nil {
+	if _, err := c.Scenario.BuildScenario(); err != nil {
 		return &Failure{Kind: KindBuildError, Case: c, Note: err.Error()}
 	}
-	if _, err := churn.TryBuild(cfg.Scenario); err != nil {
-		return &Failure{Kind: KindBuildError, Case: c, Note: err.Error()}
-	}
-	v := diffval.Run(cfg, c.Scenario.Seed)
+	v := diffval.Run(c.diffConfig(opts), c.Scenario.Seed)
 	return classify(c, v)
 }
 

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -28,25 +29,63 @@ func TestFixturesReplayByteIdentically(t *testing.T) {
 		t.Fatal("no fixtures committed under testdata/")
 	}
 	for _, fx := range fixtures {
-		t.Run(fx.Meta.Name, func(t *testing.T) {
-			if div, err := trace.VerifyReplay(fx.Header, fx.Records); err != nil || div != nil {
-				t.Fatalf("journal does not replay byte-identically: div=%v err=%v", div, err)
-			}
-			raw, hdr, recs, err := Journal(fx.Meta.Case, testOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fx.Meta.Kind == KindSafetySequential && fx.Meta.Case.Scenario.Oracle == (MutantSingle{}).Name() {
-				if short, ok := ShrinkJournal(hdr, recs); ok {
-					if raw, err = RewriteJournal(hdr, short); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if !bytes.Equal(raw, fx.Raw) {
-				t.Fatalf("re-recording the fixture scenario produced different bytes (%d vs %d)", len(raw), len(fx.Raw))
-			}
-		})
+		t.Run(fx.Meta.Name, func(t *testing.T) { checkFixture(t, fx) })
+	}
+}
+
+// checkFixture holds one fixture to the byte-identical replay contract.
+func checkFixture(t *testing.T, fx Fixture) {
+	t.Helper()
+	if div, err := trace.VerifyReplay(fx.Header, fx.Records); err != nil || div != nil {
+		t.Fatalf("journal does not replay byte-identically: div=%v err=%v", div, err)
+	}
+	raw, _, _, err := FixtureJournal(fx.Meta.Kind, fx.Meta.Case, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, fx.Raw) {
+		t.Fatalf("re-recording the fixture scenario produced different bytes (%d vs %d)", len(raw), len(fx.Raw))
+	}
+}
+
+// An open safety bug written the way fdpfuzz -out writes it — its journal
+// cut to the shortest violating prefix — passes the check every committed
+// fixture passes. The always-granting oracle TRUE lets a bridging leaver
+// exit on a line, so each of these cases violates Lemma 2. The sequential
+// violation decides the kind, so the concurrent side gets a short budget.
+func TestOpenSafetyBugFixtureReplays(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Timeout: 200 * time.Millisecond}
+	for seed := int64(1); seed <= 3; seed++ {
+		c := Case{Scenario: trace.Scenario{
+			N: 10, Topology: "line", LeaveFraction: 0.5, Pattern: "random",
+			Variant: "FDP", Oracle: "TRUE", Seed: seed, Scheduler: "random",
+		}}
+		f := Execute(c, opts)
+		if f == nil || f.Kind != KindSafetySequential {
+			t.Fatalf("seed %d: failure %v, want %s", seed, f, KindSafetySequential)
+		}
+		raw, _, dropped, err := FixtureJournal(f.Kind, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dropped == 0 {
+			t.Fatalf("seed %d: the violating journal was not cut", seed)
+		}
+		meta := Meta{Name: fmt.Sprintf("true-line-%d", seed), Kind: f.Kind, Note: f.Note, Case: c}
+		if err := WriteFixture(dir, meta, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixtures, err := LoadFixtures(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) != 3 {
+		t.Fatalf("loaded %d fixtures, want 3", len(fixtures))
+	}
+	for _, fx := range fixtures {
+		t.Run(fx.Meta.Name, func(t *testing.T) { checkFixture(t, fx) })
 	}
 }
 
@@ -101,7 +140,7 @@ func TestMutationHarness(t *testing.T) {
 		t.Fatal("shrunk case no longer fails")
 	}
 
-	_, hdr, recs, err := Journal(shrunk, opts)
+	_, hdr, recs, err := journal(shrunk, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

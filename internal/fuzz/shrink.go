@@ -6,6 +6,7 @@ import (
 
 	"fdp/internal/churn"
 	"fdp/internal/diffval"
+	"fdp/internal/faults"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -42,7 +43,7 @@ func Shrink(f *Failure, opts Options, budget int) (Case, int) {
 		}
 		for i := len(c.Scenario.Strikes) - 1; i >= 0; i-- {
 			cand := c
-			cand.Scenario.Strikes = append(append([]trace.StrikeSpec{},
+			cand.Scenario.Strikes = append(append([]faults.Wave{},
 				c.Scenario.Strikes[:i]...), c.Scenario.Strikes[i+1:]...)
 			if interesting(cand) {
 				c, improved = cand, true
@@ -132,20 +133,16 @@ func stillFails(kind string, opts Options, spent, budget *int) func(Case) bool {
 		*budget--
 		*spent++
 		if sequentialOnly {
-			cfg, err := cand.diffConfig(opts)
-			if err != nil {
+			if _, err := cand.Scenario.BuildScenario(); err != nil {
 				// A candidate the builder rejects is progress only when the
 				// bug being shrunk IS a builder rejection; for safety or
 				// convergence failures it is a different (invalid) case.
 				return kind == KindBuildError
 			}
-			if _, err := churn.TryBuild(cfg.Scenario); err != nil {
-				return kind == KindBuildError
-			}
 			if kind == KindBuildError {
 				return false // builds fine now: the rejection is gone
 			}
-			out := diffval.SequentialOutcome(cfg, cand.Scenario.Seed)
+			out := diffval.SequentialOutcome(cand.diffConfig(opts), cand.Scenario.Seed)
 			return out.SafetyViolated || !out.Converged
 		}
 		return Execute(cand, opts) != nil
@@ -173,22 +170,18 @@ func leaversOf(c Case) []int {
 	return s.LeaverIndexes()
 }
 
-// Journal records the sequential run of a case as a replayable journal and
-// returns its bytes alongside the parsed form. The journal's header carries
-// every fired wave at the step it actually struck, so trace.VerifyReplay on
-// the returned parts is the byte-identical reproduction check fdpreplay
-// applies to committed fixtures.
-func Journal(c Case, opts Options) ([]byte, trace.Header, []trace.Record, error) {
-	cfg, err := c.diffConfig(opts)
-	if err != nil {
-		return nil, trace.Header{}, nil, err
-	}
-	if _, err := churn.TryBuild(cfg.Scenario); err != nil {
-		return nil, trace.Header{}, nil, err
-	}
+// journal records the sequential run of a case through trace.RecordRun, with
+// the options diffval's sequential side runs under (safety checked, the
+// case's step budget), and returns the journal's bytes alongside the parsed
+// form. The header carries every fired wave at the step it actually struck,
+// so trace.VerifyReplay on the returned parts is the byte-identical
+// reproduction check fdpreplay applies to committed fixtures.
+func journal(c Case, opts Options) ([]byte, trace.Header, []trace.Record, error) {
 	var buf bytes.Buffer
-	cfg.Journal = &buf
-	diffval.SequentialOutcome(cfg, c.Scenario.Seed)
+	runOpts := sim.RunOptions{CheckSafety: true, MaxSteps: c.diffConfig(opts).MaxSteps}
+	if _, err := trace.RecordRun(c.Scenario, &buf, runOpts); err != nil {
+		return nil, trace.Header{}, nil, err
+	}
 	hdr, recs, err := trace.ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return nil, trace.Header{}, nil, err
@@ -196,14 +189,26 @@ func Journal(c Case, opts Options) ([]byte, trace.Header, []trace.Record, error)
 	return buf.Bytes(), hdr, recs, nil
 }
 
-// RewriteJournal re-serializes a (possibly truncated) journal to the byte
-// form fixtures are committed in.
-func RewriteJournal(hdr trace.Header, recs []trace.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := trace.WriteJournal(&buf, hdr, recs); err != nil {
-		return nil, err
+// FixtureJournal is the journal a failure of the given kind is committed
+// with: the recorded sequential run of c, cut for a sequential safety
+// failure to the shortest schedule prefix that still violates Lemma 2
+// (ShrinkJournal). A fixed bug no longer violates, so its journal is the
+// whole run. It returns the journal's bytes, its records, and how many
+// records the cut dropped.
+func FixtureJournal(kind string, c Case, opts Options) ([]byte, []trace.Record, int, error) {
+	raw, hdr, recs, err := journal(c, opts)
+	if err != nil || kind != KindSafetySequential {
+		return raw, recs, 0, err
 	}
-	return buf.Bytes(), nil
+	short, ok := ShrinkJournal(hdr, recs)
+	if !ok {
+		return raw, recs, 0, nil
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJournal(&buf, hdr, short); err != nil {
+		return nil, nil, 0, err
+	}
+	return buf.Bytes(), short, len(recs) - len(short), nil
 }
 
 // ShrinkJournal truncates a sequential-safety journal to the shortest

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fdp/internal/diffval"
+	"fdp/internal/faults"
 	"fdp/internal/trace"
 )
 
@@ -24,12 +25,8 @@ func livelockCase(seed int64) Case {
 	}}
 }
 
-func livelockConfig(t *testing.T, c Case) diffval.Config {
-	t.Helper()
-	cfg, err := c.diffConfig(Options{MaxSteps: 20000, Timeout: 3 * time.Second})
-	if err != nil {
-		t.Fatalf("diffConfig: %v", err)
-	}
+func livelockConfig(c Case) diffval.Config {
+	cfg := c.diffConfig(Options{MaxSteps: 20000, Timeout: 3 * time.Second})
 	// Tight windows so the stall is classified well inside the budget, and
 	// a ring big enough that the sequential snapshot stays a complete
 	// (replayable) prefix.
@@ -47,7 +44,7 @@ func livelockConfig(t *testing.T, c Case) diffval.Config {
 // exactly what fdpreplay needs to step through the stuck run.
 func TestWatchdogClassifiesSeededLivelock(t *testing.T) {
 	c := livelockCase(23)
-	v := diffval.Run(livelockConfig(t, c), c.Scenario.Seed)
+	v := diffval.Run(livelockConfig(c), c.Scenario.Seed)
 
 	if v.Sequential.Converged || v.Concurrent.Converged {
 		t.Fatalf("never-granting oracle converged: seq=%+v conc=%+v", v.Sequential, v.Concurrent)
@@ -116,8 +113,8 @@ func TestWatchdogClassifiesSeededLivelock(t *testing.T) {
 // re-runnable bug report.
 func TestWatchdogLivelockDeterministic(t *testing.T) {
 	c := livelockCase(23)
-	v1 := diffval.Run(livelockConfig(t, c), c.Scenario.Seed)
-	v2 := diffval.Run(livelockConfig(t, c), c.Scenario.Seed)
+	v1 := diffval.Run(livelockConfig(c), c.Scenario.Seed)
+	v2 := diffval.Run(livelockConfig(c), c.Scenario.Seed)
 	r1, r2 := v1.SequentialStall, v2.SequentialStall
 	if r1 == nil || r2 == nil {
 		t.Fatal("missing sequential stall report")
@@ -127,5 +124,32 @@ func TestWatchdogLivelockDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Flight, r2.Flight) {
 		t.Fatalf("flight dumps differ across identical runs (%d vs %d records)", len(r1.Flight), len(r2.Flight))
+	}
+}
+
+// A struck run's stall fragment is a replayable prefix too: its header lists
+// exactly the waves that fired before the stalled step, the first here, and
+// not the one due after it.
+func TestWatchdogStruckFragmentReplays(t *testing.T) {
+	c := livelockCase(23)
+	c.Scenario.Strikes = []faults.Wave{
+		{After: 500, Config: faults.Config{FlipBeliefs: 0.5, JunkMessages: 3}},
+		{After: 12000, Config: faults.Config{ScrambleAnchors: 0.5}},
+	}
+	cfg := livelockConfig(c)
+	cfg.Timeout = 300 * time.Millisecond
+	v := diffval.Run(cfg, c.Scenario.Seed)
+	if v.Sequential.Stall != "livelock" {
+		t.Fatalf("sequential stall = %q, want livelock", v.Sequential.Stall)
+	}
+	rep := v.SequentialStall
+	if rep == nil || !rep.Complete {
+		t.Fatalf("no complete sequential stall report: %+v", rep)
+	}
+	if got := rep.Header.Scenario.Strikes; len(got) != 1 || got[0].After != 500 {
+		t.Fatalf("fragment header strikes = %+v, want the wave at step 500 only (stall at step %d)", got, rep.Verdict.Step)
+	}
+	if div, err := trace.VerifyReplay(rep.Header, rep.Flight); err != nil || div != nil {
+		t.Fatalf("struck flight dump does not replay: div=%v err=%v", div, err)
 	}
 }

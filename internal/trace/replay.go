@@ -10,66 +10,78 @@ import (
 	"fdp/internal/sim"
 )
 
-// RecordRun builds the scenario, runs it under its named scheduler, and
-// writes the journal to w — the canonical recording path (fdpreplay's
-// golden regeneration uses it; the CLI drivers journal through the same
-// machinery). opts.Variant is forced from the scenario so the journal is
-// self-consistent, and a P′ run goes on until the staying processes form
-// P's target topology (opts.Target is the scenario's InTarget).
-//
-// Scenarios with Strikes run in segments: each wave i fires once the world
-// reaches its After step (or as soon as the run stalls before it), seeded
-// with faults.WaveSeed(s.Seed, i). The header is written last so it can
-// record each wave at the step it ACTUALLY fired — the step Replay
-// re-applies it at. Waves that never fired (the run aborted on a safety
-// violation first) are dropped from the header: the journal describes the
-// run that happened.
+// RecordRun builds the scenario, runs it through RunSequential, and writes
+// the journal of the run to w: the header RunSequential returns, then every
+// event the run emitted. Golden journals and fuzz fixtures are recorded
+// here.
 func RecordRun(s Scenario, w io.Writer, opts sim.RunOptions) (sim.RunResult, error) {
 	scn, err := s.BuildScenario()
 	if err != nil {
 		return sim.RunResult{}, err
 	}
-	sched, err := SchedulerByName(s.Scheduler, s.Seed)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	if opts.Variant, err = s.SimVariant(); err != nil {
-		return sim.RunResult{}, err
-	}
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = 1 << 20
-	}
-	opts.Target = scn.InTarget
 	var recs []Record
 	scn.World.AddEventHook(func(e sim.Event) { recs = append(recs, FromEvent(e)) })
+	res, hdr, err := RunSequential(s, scn, opts)
+	if err != nil {
+		return res, err
+	}
+	return res, WriteJournal(w, hdr, recs)
+}
+
+// RunSequential runs a scenario on the sequential engine, and is the one
+// loop that strikes fault waves into a recorded run. scn is
+// s.BuildScenario()'s world, on which the caller has hooked whatever
+// observes the run (a journal, a flight ring, a progress tracker).
+//
+// The run goes under s's scheduler, built by SchedulerByName (an empty name
+// is "random"). opts.Variant is forced from the scenario, and a P′ run goes
+// on until the staying processes form P's target topology (opts.Target is
+// the scenario's InTarget). Wave i fires once the world reaches its After
+// step, or as soon as the run stalls before it, seeded with
+// faults.WaveSeed(s.Seed, i); after the last wave the run gets
+// opts.MaxSteps more steps (0 = 1<<20). A safety violation caught under
+// opts.CheckSafety ends the run, waves still due included.
+//
+// The returned header describes the run that happened: the scheduler that
+// ran, and each wave that fired at the step it ACTUALLY fired — the step
+// Replay re-applies it at.
+func RunSequential(s Scenario, scn *churn.Scenario, opts sim.RunOptions) (sim.RunResult, Header, error) {
+	if s.Scheduler == "" {
+		s.Scheduler = "random"
+	}
+	sched, err := SchedulerByName(s.Scheduler, s.Seed)
+	if err != nil {
+		return sim.RunResult{}, Header{}, err
+	}
+	if opts.Variant, err = s.SimVariant(); err != nil {
+		return sim.RunResult{}, Header{}, err
+	}
+	budget := opts.MaxSteps
+	if budget <= 0 {
+		budget = 1 << 20
+	}
+	opts.Target = scn.InTarget
 
 	var res sim.RunResult
-	fired := make([]StrikeSpec, 0, len(s.Strikes))
-	for i, spec := range s.Strikes {
-		if spec.After > scn.World.Steps() {
-			segment := opts
-			segment.MaxSteps = spec.After
-			if segment.MaxSteps > opts.MaxSteps {
-				segment.MaxSteps = opts.MaxSteps
-			}
-			res = sim.Run(scn.World, sched, segment)
+	fired := make([]faults.Wave, 0, len(s.Strikes))
+	for i, wv := range s.Strikes {
+		if wv.After > scn.World.Steps() {
+			opts.MaxSteps = wv.After
+			res = sim.Run(scn.World, sched, opts)
 			if res.SafetyViolation != nil {
 				break
 			}
 		}
-		faults.New(spec.Wave().Config, faults.WaveSeed(s.Seed, i)).Strike(scn.World)
-		spec.After = scn.World.Steps()
-		fired = append(fired, spec)
+		faults.New(wv.Config, faults.WaveSeed(s.Seed, i)).Strike(scn.World)
+		wv.After = scn.World.Steps()
+		fired = append(fired, wv)
 	}
 	if res.SafetyViolation == nil {
+		opts.MaxSteps = scn.World.Steps() + budget
 		res = sim.Run(scn.World, sched, opts)
 	}
-	hdr := s
-	hdr.Strikes = fired
-	if err := WriteJournal(w, Header{Version: Version, Engine: EngineSim, Scenario: hdr}, recs); err != nil {
-		return res, err
-	}
-	return res, nil
+	s.Strikes = fired
+	return res, Header{Version: Version, Engine: EngineSim, Scenario: s}, nil
 }
 
 // Schedule extracts the executed action sequence from a journal: one action
@@ -166,7 +178,7 @@ func ReplayWorld(hdr Header, recs []Record) (*churn.Scenario, []Record, error) {
 	si := 0
 	applyDue := func() {
 		for si < len(strikes) && strikes[si].After <= scn.World.Steps() {
-			faults.New(strikes[si].Wave().Config, faults.WaveSeed(hdr.Scenario.Seed, si)).Strike(scn.World)
+			faults.New(strikes[si].Config, faults.WaveSeed(hdr.Scenario.Seed, si)).Strike(scn.World)
 			si++
 		}
 	}

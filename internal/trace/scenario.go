@@ -11,9 +11,10 @@ import (
 	"fdp/internal/sim"
 )
 
-// Scenario is the construction recipe of a recorded run, embedded in every
-// journal header. It is the plain-data image of churn.Config: a journal is
-// self-describing — ScenarioWorld rebuilds the exact initial world (same
+// Scenario describes a run, and is embedded in every journal header: the
+// plain-data image of churn.Config, plus the sequential scheduler's name and
+// the run's fault waves. A journal is self-describing — BuildScenario
+// rebuilds the exact initial world (same
 // references, same topology, same corruption, same initial messages with the
 // same causal identities), which is what makes sequential journals
 // deterministically replayable.
@@ -32,8 +33,9 @@ type Scenario struct {
 	// recording side must therefore use.
 	Oracle string `json:"oracle,omitempty"`
 	Seed   int64  `json:"seed"`
-	// Scheduler is provenance only: replay re-drives the recorded action
-	// sequence and never consults a scheduler.
+	// Scheduler names the sequential scheduler a recording runs under
+	// (SchedulerByName; empty is "random"). Replay re-drives the recorded
+	// action sequence and never consults it.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Corruption knobs (churn.Corruption).
 	FlipBeliefs   float64 `json:"flip_beliefs,omitempty"`
@@ -46,46 +48,13 @@ type Scenario struct {
 	// uses it to drop individual leavers from a failing scenario without
 	// perturbing the pattern rng.
 	LeaverIndices []int `json:"leavers,omitempty"`
-	// Strikes are the mid-run fault waves applied during the recording, in
-	// order, each at the sequential step it ACTUALLY fired (which can be
-	// earlier than requested if the run went quiescent first). Replay
-	// re-applies wave i at the same step boundary with the injector seed
+	// Strikes are the mid-run fault waves of the run, in order. A recording
+	// strikes wave i once the world reaches its After step, and its header
+	// lists each wave at the step it ACTUALLY fired (which can be earlier
+	// than requested if the run went quiescent first). Replay re-applies
+	// wave i at that step boundary with the injector seed
 	// faults.WaveSeed(Seed, i), so struck journals stay byte-identical.
-	Strikes []StrikeSpec `json:"strikes,omitempty"`
-}
-
-// StrikeSpec is the plain-data image of a faults.Wave, embedded in journal
-// headers.
-type StrikeSpec struct {
-	After             int     `json:"after"`
-	FlipBeliefs       float64 `json:"flip_beliefs,omitempty"`
-	ScrambleAnchors   float64 `json:"scramble_anchors,omitempty"`
-	JunkMessages      int     `json:"junk_messages,omitempty"`
-	DuplicateMessages int     `json:"duplicate_messages,omitempty"`
-}
-
-// StrikeSpecFor captures a fault wave as a journal strike spec.
-func StrikeSpecFor(w faults.Wave) StrikeSpec {
-	return StrikeSpec{
-		After:             w.After,
-		FlipBeliefs:       w.FlipBeliefs,
-		ScrambleAnchors:   w.ScrambleAnchors,
-		JunkMessages:      w.JunkMessages,
-		DuplicateMessages: w.DuplicateMessages,
-	}
-}
-
-// Wave is the inverse of StrikeSpecFor.
-func (sp StrikeSpec) Wave() faults.Wave {
-	return faults.Wave{
-		After: sp.After,
-		Config: faults.Config{
-			FlipBeliefs:       sp.FlipBeliefs,
-			ScrambleAnchors:   sp.ScrambleAnchors,
-			JunkMessages:      sp.JunkMessages,
-			DuplicateMessages: sp.DuplicateMessages,
-		},
-	}
+	Strikes []faults.Wave `json:"strikes,omitempty"`
 }
 
 // ScenarioFor captures a churn config (plus scheduler provenance) as a
@@ -223,8 +192,8 @@ func (s Scenario) SimVariant() (sim.Variant, error) {
 }
 
 // SchedulerByName builds a scheduler from its Name() and the scenario seed.
-// Recording drivers use it so the name they stamp into the header is the
-// name they actually ran.
+// The recorder resolves a scenario's scheduler only through it, so the name
+// in a journal header is the scheduler that ran.
 func SchedulerByName(name string, seed int64) (sim.Scheduler, error) {
 	for _, s := range []sim.Scheduler{
 		sim.NewRandomScheduler(seed, 0), sim.NewRoundScheduler(),

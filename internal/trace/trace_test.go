@@ -11,6 +11,7 @@ import (
 
 	"fdp/internal/churn"
 	"fdp/internal/diffval"
+	"fdp/internal/faults"
 	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
@@ -381,9 +382,9 @@ func TestRuntimeJournal(t *testing.T) {
 // re-applies the same corruption (same wave seed) at the same step boundary.
 func TestStruckJournalReplaysByteIdentically(t *testing.T) {
 	s := testScenario(12, 7)
-	s.Strikes = []trace.StrikeSpec{
-		{After: 40, FlipBeliefs: 0.5, JunkMessages: 4},
-		{After: 120, ScrambleAnchors: 0.6, DuplicateMessages: 3},
+	s.Strikes = []faults.Wave{
+		{After: 40, Config: faults.Config{FlipBeliefs: 0.5, JunkMessages: 4}},
+		{After: 120, Config: faults.Config{ScrambleAnchors: 0.6, DuplicateMessages: 3}},
 	}
 	raw, hdr, recs, res := record(t, s, 400000)
 	if !res.Converged {
@@ -413,6 +414,56 @@ func TestStruckJournalReplaysByteIdentically(t *testing.T) {
 	}
 	if !bytes.Equal(raw, buf.Bytes()) {
 		t.Fatal("re-recording a struck scenario changed journal bytes")
+	}
+}
+
+// A struck run recorded the way diffval runs its sequential side (safety
+// checked, diffval.DefaultMaxSteps after the last strike) replays
+// byte-identically, records the same bytes again, and records the same bytes
+// from its own header: the header names the scheduler that ran, also when
+// the scenario left it to the default.
+func TestStruckRunRecordsAgainFromItsHeader(t *testing.T) {
+	for _, tc := range []struct{ sched, ran string }{{"", "random"}, {"random", "random"}, {"fifo", "fifo"}} {
+		t.Run("scheduler="+tc.sched, func(t *testing.T) {
+			s := trace.Scenario{
+				N: 10, Topology: "random", LeaveFraction: 0.4, Pattern: "random",
+				FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4,
+				Variant: "FDP", Oracle: "SINGLE", Seed: 3, Scheduler: tc.sched,
+				Strikes: []faults.Wave{{After: 80, Config: faults.Config{FlipBeliefs: 0.5, JunkMessages: 4}}},
+			}
+			opts := sim.RunOptions{CheckSafety: true, MaxSteps: diffval.DefaultMaxSteps}
+			recordBytes := func(s trace.Scenario) ([]byte, sim.RunResult) {
+				var buf bytes.Buffer
+				res, err := trace.RecordRun(s, &buf, opts)
+				if err != nil {
+					t.Fatalf("RecordRun: %v", err)
+				}
+				return buf.Bytes(), res
+			}
+			raw, res := recordBytes(s)
+			hdr, recs, err := trace.ReadJournal(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("journal unreadable: %v", err)
+			}
+			if len(hdr.Scenario.Strikes) != 1 {
+				t.Fatalf("journal strikes = %+v", hdr.Scenario.Strikes)
+			}
+			if hdr.Scenario.Scheduler != tc.ran {
+				t.Fatalf("header names scheduler %q, want %q", hdr.Scenario.Scheduler, tc.ran)
+			}
+			if len(recs) == 0 || res.Steps == 0 {
+				t.Fatalf("empty journal (%d recs, %d steps)", len(recs), res.Steps)
+			}
+			if div, err := trace.VerifyReplay(hdr, recs); err != nil || div != nil {
+				t.Fatalf("struck journal diverged on replay: div=%+v err=%v", div, err)
+			}
+			if again, _ := recordBytes(s); !bytes.Equal(raw, again) {
+				t.Fatal("recording the same scenario again changed the journal bytes")
+			}
+			if fromHeader, _ := recordBytes(hdr.Scenario); !bytes.Equal(raw, fromHeader) {
+				t.Fatal("recording the journal's own header gave different bytes")
+			}
+		})
 	}
 }
 
