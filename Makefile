@@ -68,7 +68,9 @@ test:
 # count: TestStepNonDecreasingPerProcess (internal/parallel, four shards
 # stamping lanes and cached steps through rebalances), TestFlightLanesMergeCausally
 # (internal/trace, four goroutines on four rings), TestFlightCompleteSnapshotIsACut
-# (snapshots beside a recorder on two lanes) and
+# (snapshots beside a recorder on two lanes), TestConcurrentRecordKeepsLinesWhole
+# (internal/trace, the journal Writer's line buffers: five goroutines on four
+# lanes, two sharing one, every record once and in order after Err) and
 # TestProgressLanesAgreeWithOneLane (internal/obs).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/graph/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...

@@ -12,7 +12,10 @@
 //
 // Failures are delta-debugged to minimal cases (-shrink, on by default) and,
 // with -out, committed as replayable journal fixtures (<name>.jsonl +
-// <name>.meta.json) that fdpreplay verifies byte-identically.
+// <name>.meta.json) that fdpreplay verifies byte-identically. A fixture is a
+// sequential journal, so a failure only the concurrent engine shows (its
+// Lemma 2 violation, or a disagreement whose sequential run converged) gets
+// none, and stdout says why.
 //
 // Exit status: 0 when no failures were found, 1 when at least one was, 2 on
 // usage errors.
@@ -101,6 +104,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 			fmt.Fprintf(stdout, "  shrunk (%d candidate runs): n=%d topo=%s leavers=%v strikes=%d corrupt=(%.2f,%.2f,%d)\n",
 				spent, c.Scenario.N, c.Scenario.Topology, c.Scenario.LeaverIndices,
 				len(c.Scenario.Strikes), c.Scenario.FlipBeliefs, c.Scenario.RandomAnchors, c.Scenario.JunkMessages)
+		}
+		if why := fuzz.Unshown(f.Kind, c, opts); why != "" {
+			if *outDir != "" {
+				fmt.Fprintf(stdout, "  no fixture: %s\n", why)
+			}
+			continue
 		}
 		raw, recs, dropped, err := fuzz.FixtureJournal(f.Kind, c, opts)
 		if err != nil {

@@ -58,3 +58,21 @@ func TestMutationRunWritesReplayableFixture(t *testing.T) {
 		t.Fatalf("fixture does not replay byte-identically: div=%v err=%v", div, err)
 	}
 }
+
+// A failure only the runtime shows gets no fixture: the fourth case of seed
+// 2 under the planted guard bug breaks Lemma 2 on the concurrent engine while
+// its sequential run stays safe, and stdout says why nothing was written.
+func TestConcurrentOnlyFailureWritesNoFixture(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errOut := runCLI(t, "-seed", "2", "-runs", "4", "-mutate", "-maxfailures", "1",
+		"-shrink=false", "-timeout", "1s", "-out", dir)
+	if code != 1 || !strings.Contains(out, "failure 0: "+fuzz.KindSafetyConcurrent) {
+		t.Fatalf("exit %d, want 1 with a %s failure\nstdout: %s\nstderr: %s", code, fuzz.KindSafetyConcurrent, out, errOut)
+	}
+	if !strings.Contains(out, "no fixture: the concurrent engine broke Lemma 2") {
+		t.Fatalf("no refusal on stdout:\n%s", out)
+	}
+	if fixtures, err := fuzz.LoadFixtures(dir); err != nil || len(fixtures) != 0 {
+		t.Fatalf("%d fixtures written (err %v), want none", len(fixtures), err)
+	}
+}

@@ -97,7 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // loadJournal reads one journal. A truncated tail (writer killed mid-line) is
 // not fatal here: the caller gets the intact prefix plus the truncation
 // diagnosis and decides — inspection modes warn and proceed, verification
-// refuses.
+// refuses. A runtime journal's records come back in causal order: its writer
+// interleaves the shards' lanes by buffer, and the spans and the Chrome trace
+// are built in record order.
 func loadJournal(path string, stderr io.Writer) (trace.Header, []trace.Record, []byte, *trace.TruncatedError, bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -105,6 +107,9 @@ func loadJournal(path string, stderr io.Writer) (trace.Header, []trace.Record, [
 		return trace.Header{}, nil, nil, nil, false
 	}
 	hdr, recs, err := trace.ReadJournal(bytes.NewReader(raw))
+	if hdr.Engine == trace.EngineRuntime {
+		trace.SortCausal(recs)
+	}
 	var trunc *trace.TruncatedError
 	if errors.As(err, &trunc) {
 		return hdr, recs, raw, trunc, true

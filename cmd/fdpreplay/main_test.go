@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -312,6 +313,29 @@ func TestSpansMode(t *testing.T) {
 	}
 	if !strings.Contains(out, "departure span(s)") || !strings.Contains(out, "exit") {
 		t.Fatalf("-spans output unexpected:\n%.600s", out)
+	}
+}
+
+// The runtime golden's two lanes interleave by buffer; -spans tells the
+// departures of its records in the causal order Join gives them.
+func TestSpansModeOrdersRuntimeJournalCausally(t *testing.T) {
+	path := goldenPath("rt_fdp_line_n12")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, recs, err := trace.ReadJournal(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := trace.Join([]trace.Header{hdr}, [][]trace.Record{recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := trace.BuildSpans(j.Records)
+	want := fmt.Sprintf("%d departure span(s)\n", len(spans)) + trace.SpanTrees(spans)
+	if code, out, errOut := runCLI(t, "-spans", path); code != 0 || out != want {
+		t.Fatalf("-spans exited %d\nstdout:\n%s\nwant:\n%s\nstderr: %s", code, out, want, errOut)
 	}
 }
 

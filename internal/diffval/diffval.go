@@ -204,36 +204,50 @@ func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 
 // Run executes the scenario on both engines and returns the paired verdict.
 func Run(cfg Config, seed int64) Verdict {
+	return Sequential(cfg, seed).Pair()
+}
+
+// SequentialRun is the sequential side of one differential run, kept so its
+// concurrent side can follow it (Pair) or be skipped where the sequential
+// outcome already settles the question: the fuzz shrinker judges
+// sequential-side failures on Outcome alone, and the fuzzer classifies a
+// sequential Lemma 2 violation without running the runtime.
+type SequentialRun struct {
+	Outcome Outcome
+	// Stall is the sequential watchdog's first stall report, nil if none.
+	Stall  *StallReport
+	cfg    Config
+	flight *trace.Flight
+}
+
+// Sequential runs only the sequential engine of the scenario — exactly the
+// sequential side of Run (same scheduler, same wave seeds).
+func Sequential(cfg Config, seed int64) *SequentialRun {
 	cfg.Scenario.Seed = seed
-	timeout := cfg.Timeout
+	out, flight, stall := runSequential(cfg)
+	return &SequentialRun{Outcome: out, Stall: stall, cfg: cfg, flight: flight}
+}
+
+// Pair runs the concurrent side and returns the verdict Run returns.
+func (s *SequentialRun) Pair() Verdict {
+	timeout := s.cfg.Timeout
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
-	poll := cfg.Poll
+	poll := s.cfg.Poll
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
-	seqOut, seqFlight, seqStall := runSequential(cfg)
-	concOut, concFlight, concStall := runConcurrent(cfg, timeout, poll)
-	v := Verdict{Seed: seed, Sequential: seqOut, Concurrent: concOut,
-		SequentialStall: seqStall, ConcurrentStall: concStall}
+	concOut, concFlight, concStall := runConcurrent(s.cfg, timeout, poll)
+	v := Verdict{Seed: s.cfg.Scenario.Seed, Sequential: s.Outcome, Concurrent: concOut,
+		SequentialStall: s.Stall, ConcurrentStall: concStall}
 	if !v.Agree() {
 		// Render the dumps only on divergence: a Verdict slice over 50+ seeds
 		// stays small, and the traces point straight at the diverging run.
-		v.SequentialTrace = sim.FormatEvents(seqFlight.Events())
+		v.SequentialTrace = sim.FormatEvents(s.flight.Events())
 		v.ConcurrentTrace = sim.FormatEvents(concFlight.Events())
 	}
 	return v
-}
-
-// SequentialOutcome runs only the sequential engine of the scenario —
-// exactly the sequential side of Run (same scheduler, same wave seeds),
-// without paying for a concurrent run. The fuzz shrinker uses it as the
-// fast still-failing predicate for sequential-side failures.
-func SequentialOutcome(cfg Config, seed int64) Outcome {
-	cfg.Scenario.Seed = seed
-	out, _, _ := runSequential(cfg)
-	return out
 }
 
 // RunSeeds runs seeds 0..n-1 and returns the verdicts.

@@ -205,7 +205,10 @@ func (c Case) diffConfig(opts Options) diffval.Config {
 
 // Execute runs one case on both engines and classifies the outcome. A nil
 // return means the case passed. Panics anywhere in the engines are caught
-// and classified KindPanic.
+// and classified KindPanic. A sequential Lemma 2 violation is the verdict
+// whatever the runtime does (classify's first case), so such a case is
+// classified without the concurrent run, which would only wait out its
+// timeout for a convergence that cannot come.
 func Execute(c Case, opts Options) (f *Failure) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -215,8 +218,11 @@ func Execute(c Case, opts Options) (f *Failure) {
 	if _, err := c.Scenario.BuildScenario(); err != nil {
 		return &Failure{Kind: KindBuildError, Case: c, Note: err.Error()}
 	}
-	v := diffval.Run(c.diffConfig(opts), c.Scenario.Seed)
-	return classify(c, v)
+	seq := diffval.Sequential(c.diffConfig(opts), c.Scenario.Seed)
+	if seq.Outcome.SafetyViolated {
+		return classify(c, diffval.Verdict{Seed: c.Scenario.Seed, Sequential: seq.Outcome, SequentialStall: seq.Stall})
+	}
+	return classify(c, seq.Pair())
 }
 
 func classify(c Case, v diffval.Verdict) *Failure {

@@ -52,16 +52,21 @@ func checkFixture(t *testing.T, fx Fixture) {
 // cut to the shortest violating prefix — passes the check every committed
 // fixture passes. The always-granting oracle TRUE lets a bridging leaver
 // exit on a line, so each of these cases violates Lemma 2. The sequential
-// violation decides the kind, so the concurrent side gets a short budget.
+// violation decides the kind, so Execute classifies each case without
+// waiting out the concurrent run's timeout.
 func TestOpenSafetyBugFixtureReplays(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Timeout: 200 * time.Millisecond}
+	opts := testOptions()
 	for seed := int64(1); seed <= 3; seed++ {
 		c := Case{Scenario: trace.Scenario{
 			N: 10, Topology: "line", LeaveFraction: 0.5, Pattern: "random",
 			Variant: "FDP", Oracle: "TRUE", Seed: seed, Scheduler: "random",
 		}}
+		start := time.Now()
 		f := Execute(c, opts)
+		if took := time.Since(start); took > opts.Timeout/10 {
+			t.Fatalf("seed %d: Execute took %v against a %v concurrent timeout", seed, took, opts.Timeout)
+		}
 		if f == nil || f.Kind != KindSafetySequential {
 			t.Fatalf("seed %d: failure %v, want %s", seed, f, KindSafetySequential)
 		}
@@ -86,6 +91,36 @@ func TestOpenSafetyBugFixtureReplays(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.Meta.Name, func(t *testing.T) { checkFixture(t, fx) })
+	}
+}
+
+// Unshown refuses a fixture exactly where the sequential journal cannot show
+// the failure: a concurrent safety violation, or a disagreement whose
+// sequential side converged (nidec-rounds-livelock's case does, now that the
+// bug is fixed), but not a disagreement whose sequential side is stuck.
+func TestUnshownRefusesRuntimeSideFailures(t *testing.T) {
+	var fixed Case
+	for _, m := range fixtureCases {
+		if m.Name == "nidec-rounds-livelock" {
+			fixed = m.Case
+		}
+	}
+	stuck := livelockCase(23) // never granted: the sequential run cannot converge
+	opts := Options{MaxSteps: 20000}
+	for _, tc := range []struct {
+		kind    string
+		c       Case
+		refused bool
+	}{
+		{KindSafetyConcurrent, fixed, true},
+		{KindDisagreement, fixed, true},
+		{KindDisagreement, stuck, false},
+		{KindSafetySequential, fixed, false},
+		{KindNoConvergence, stuck, false},
+	} {
+		if why := Unshown(tc.kind, tc.c, opts); (why != "") != tc.refused {
+			t.Errorf("%s on %s: Unshown = %q, want refused %v", tc.kind, tc.c.Scenario.Oracle, why, tc.refused)
+		}
 	}
 }
 

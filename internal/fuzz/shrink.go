@@ -142,7 +142,7 @@ func stillFails(kind string, opts Options, spent, budget *int) func(Case) bool {
 			if kind == KindBuildError {
 				return false // builds fine now: the rejection is gone
 			}
-			out := diffval.SequentialOutcome(cand.diffConfig(opts), cand.Scenario.Seed)
+			out := diffval.Sequential(cand.diffConfig(opts), cand.Scenario.Seed).Outcome
 			return out.SafetyViolated || !out.Converged
 		}
 		return Execute(cand, opts) != nil
@@ -209,6 +209,24 @@ func FixtureJournal(kind string, c Case, opts Options) ([]byte, []trace.Record, 
 		return nil, nil, 0, err
 	}
 	return buf.Bytes(), short, len(recs) - len(short), nil
+}
+
+// Unshown says why the sequential journal FixtureJournal records for a
+// failure of kind on c cannot show that failure, or returns "" when it can. A
+// concurrent safety violation is the runtime's alone, and so is a
+// disagreement whose sequential side converged safely: a fixture of either
+// would replay a run that stays correct. (A committed fixture of a fixed bug
+// shows the fix, and is not asked.)
+func Unshown(kind string, c Case, opts Options) string {
+	switch kind {
+	case KindSafetyConcurrent:
+		return "the concurrent engine broke Lemma 2 and a sequential journal of the case stays safe"
+	case KindDisagreement:
+		if diffval.Sequential(c.diffConfig(opts), c.Scenario.Seed).Outcome.Converged {
+			return "the sequential engine converged safely, so the disagreement lies on the concurrent side, which no journal replays"
+		}
+	}
+	return ""
 }
 
 // ShrinkJournal truncates a sequential-safety journal to the shortest

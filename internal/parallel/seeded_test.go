@@ -33,6 +33,10 @@ func seededRun(t *testing.T, o parallel.Oracle, shards int, build, seed int64) [
 	if !rt.Freeze().RelevantComponentsIntact() {
 		t.Fatalf("shards=%d build=%d seed=%d: relevant processes disconnected", shards, build, seed)
 	}
+	// The journal's lane buffers reach it at Err.
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
 	hdr, recs, err := trace.ReadJournal(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatal(err)

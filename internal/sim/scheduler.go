@@ -26,8 +26,9 @@ type Scheduler interface {
 // O(#processes + #messages) and runs every AgingBound/2 steps. Which of the
 // two a run pays depends on n against AgingBound: once n is well past the
 // bound, most timeouts are overdue at every sweep, the backlog serves nearly
-// every pick at O(1), and the walk is rare (1 % of a sim_churn profile at
-// n = 20000 with the default bound).
+// every pick at O(1), and the walk is rare, yet each walk is long: at
+// n = 20000 with the default bound PickEnabled takes ~6 % of a sim_churn
+// CPU profile (0.57 s flat of the driver's 8.63 s over 10 s, 2-core host).
 type RandomScheduler struct {
 	rng        *rand.Rand
 	AgingBound int

@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"fdp/internal/sim"
 )
@@ -30,7 +29,7 @@ import (
 // first and written after (see WriteSnapshot).
 type Flight struct {
 	capacity int
-	lanes    [256]atomic.Pointer[ring]
+	lanes    lanes[ring]
 }
 
 // ring is one lane's share of a Flight. Its 56 bytes take a 64-byte
@@ -61,10 +60,7 @@ func NewFlight(capacity int) *Flight {
 // when full. Hook-shaped: install with AddEventHook on either engine. Safe
 // for concurrent use; allocation-free after a lane's first event.
 func (f *Flight) Record(e sim.Event) {
-	r := f.lanes[e.Lane].Load()
-	if r == nil {
-		r = f.open(e.Lane)
-	}
+	r := f.lanes.get(e.Lane, f.newRing)
 	r.mu.Lock()
 	r.buf[r.next] = e
 	r.next++
@@ -78,15 +74,8 @@ func (f *Flight) Record(e sim.Event) {
 	r.mu.Unlock()
 }
 
-// open allocates lane's ring; of two first recorders one wins and both use
-// the winner's.
-func (f *Flight) open(lane uint8) *ring {
-	r := &ring{buf: make([]sim.Event, f.capacity)}
-	if !f.lanes[lane].CompareAndSwap(nil, r) {
-		r = f.lanes[lane].Load()
-	}
-	return r
-}
+// newRing allocates one lane's ring.
+func (f *Flight) newRing() *ring { return &ring{buf: make([]sim.Event, f.capacity)} }
 
 // Total returns how many events were ever recorded.
 func (f *Flight) Total() uint64 {
@@ -96,14 +85,12 @@ func (f *Flight) Total() uint64 {
 
 // tally sums the lanes' totals and counts the lanes in use.
 func (f *Flight) tally() (total uint64, lanes int) {
-	for i := range f.lanes {
-		if r := f.lanes[i].Load(); r != nil {
-			lanes++
-			r.mu.Lock()
-			total += r.total
-			r.mu.Unlock()
-		}
-	}
+	f.lanes.each(func(r *ring) {
+		lanes++
+		r.mu.Lock()
+		total += r.total
+		r.mu.Unlock()
+	})
 	return total, lanes
 }
 
@@ -134,11 +121,7 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 	events, complete = []sim.Event{}, true
 	used := 0
 	var copied uint64
-	for i := range f.lanes {
-		r := f.lanes[i].Load()
-		if r == nil {
-			continue
-		}
+	f.lanes.each(func(r *ring) {
 		used++
 		r.mu.Lock()
 		copied += r.total
@@ -150,7 +133,7 @@ func (f *Flight) events() (events []sim.Event, complete bool) {
 			events = append(events, r.buf[:r.n]...)
 		}
 		r.mu.Unlock()
-	}
+	})
 	// One lane all along was copied under one lock.
 	if total, lanes := f.tally(); lanes > 1 && total != copied {
 		complete = false

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Joined is the result of merging the per-node journals of one multi-node
@@ -120,14 +121,18 @@ func Join(hdrs []Header, parts [][]Record) (*Joined, error) {
 		}
 	}
 
-	sort.Slice(j.Records, func(a, b int) bool {
-		ra, rb := &j.Records[a], &j.Records[b]
-		if ra.Clock != rb.Clock {
-			return ra.Clock < rb.Clock
-		}
-		return ra.CID < rb.CID
-	})
+	SortCausal(j.Records)
 	return j, nil
+}
+
+// SortCausal puts records in causal order: by Lamport clock, then causal
+// identity, records the two do not order keeping their relative order. A
+// record follows its causes, so this is the order Join gives a runtime
+// journal, whose lanes a Writer interleaves by buffer.
+func SortCausal(recs []Record) {
+	slices.SortStableFunc(recs, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.CID, b.CID))
+	})
 }
 
 // checkNodeHeaders holds a set of headers to the shape of one multi-node

@@ -66,14 +66,14 @@ func TestStreamWriterBuffersUntilFlush(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sw.Record(sim.Event{Kind: sim.EvTimeout, CID: trace.NodeCausalBase(0) + uint64(i) + 1})
 	}
-	if sw.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", sw.Count())
-	}
-	if buf.Len() != 0 {
-		t.Fatal("records hit the sink before Flush; writer is not buffering")
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 1 {
+		t.Fatalf("%d lines hit the sink before Flush, want the header alone; writer is not buffering", lines)
 	}
 	if err := sw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
+	}
+	if sw.Count() != 5 {
+		t.Fatalf("Count = %d, want 5", sw.Count())
 	}
 	hdr, recs, err := trace.ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {

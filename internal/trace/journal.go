@@ -14,26 +14,50 @@ import (
 // one JSON record line per event. Record is hook-shaped — install it with
 // AddEventHook on either engine.
 //
-// Write-through by contract: every record is handed to the io.Writer, whole,
-// in one Write call before Record returns. Writer has no Flush; a sink that
-// should batch wraps itself (StreamWriter).
+// Buffered per lane: Record encodes the event's line and appends it to the
+// buffer of its Event.Lane (the emitting shard's index; the sequential world
+// and the node pump use lane 0 only), and a buffer goes to the io.Writer in
+// one Write when the next line would not fit in its bufferSize bytes. Err,
+// Count and StreamWriter.Flush first write every lane's buffer out, so Err is
+// the barrier a driver calls once the run has stopped emitting: every record
+// recorded before it has then reached the io.Writer exactly once, in whole
+// lines. A record recorded after the last Err stays buffered, and a crash
+// loses at most one buffer per lane. The lines of one lane keep their
+// recorded order; lanes interleave by buffer, so a one-lane journal is in
+// emission order and a several-lane one (a sharded runtime's) is not —
+// SortCausal puts its records in the causal order Join gives them.
 //
-// Locking: Writer is a leaf. A record is encoded into a pooled buffer before
-// the mutex is taken, so the runtime's shard workers — event hooks run on
-// many goroutines at once — encode in parallel; the mutex is held only for
-// the one Write and the count, which is what keeps lines from interleaving.
-// Writer holds no other lock while writing and calls nothing that locks.
-// Errors are sticky and reported by Err — an event hook has no error return,
-// so the driver checks once at the end.
+// Locking: each lane's buffer has its own mutex, taken before the writer
+// mutex, which is a leaf held only for the one Write and the count. A line is
+// encoded before its lane's lock is taken, so emitters sharing a lane (an
+// exit the coordinator commits on its owner's lane) encode in parallel, and
+// emitters on different lanes meet only once per buffer. Writer calls nothing
+// that locks while holding either. Errors are sticky and reported by Err —
+// an event hook has no error return, so the driver checks once at the end;
+// after the first failed Write no further buffer is written.
 type Writer struct {
-	mu  sync.Mutex //fdp:lockleaf
-	w   io.Writer
-	err error
-	n   int
+	lanes lanes[lineBuffer]
+	mu    sync.Mutex //fdp:lockleaf
+	w     io.Writer
+	err   error
+	n     int
 }
 
-// linePool recycles record-line buffers across Record calls and goroutines.
-var linePool = sync.Pool{New: func() any { return new([]byte) }}
+// lineBuffer is one lane's share of a Writer: whole lines not yet written.
+// Padded to a 64-byte allocation, so no two lanes' mutexes share a cache
+// line.
+type lineBuffer struct {
+	mu   sync.Mutex
+	b    []byte
+	recs int
+	_    [24]byte
+}
+
+// bufferSize is a lane buffer's capacity: large enough that two shard
+// workers meet at the writer mutex once per few hundred records.
+const bufferSize = 64 << 10
+
+func newLineBuffer() *lineBuffer { return &lineBuffer{b: make([]byte, 0, bufferSize)} }
 
 // NewWriter writes the header line and returns the journal writer. A header
 // write failure is sticky (see Err); the writer then drops every record.
@@ -43,75 +67,92 @@ func NewWriter(w io.Writer, hdr Header) *Writer {
 
 // Record appends one event to the journal. Safe for concurrent use; usable
 // directly as a sim event hook or a parallel runtime event sink.
-// Allocation-free once the pool is warm.
+// Allocation-free after a lane's first event.
 func (jw *Writer) Record(e sim.Event) {
-	bp := linePool.Get().(*[]byte)
-	*bp = appendEvent((*bp)[:0], &e)
-	jw.writeLine(*bp)
-	linePool.Put(bp)
+	var scratch [256]byte
+	line := appendEvent(scratch[:0], &e)
+	lb := jw.lanes.get(e.Lane, newLineBuffer)
+	lb.mu.Lock()
+	if len(lb.b)+len(line) > cap(lb.b) {
+		jw.write(lb)
+	}
+	lb.b = append(lb.b, line...)
+	lb.recs++
+	lb.mu.Unlock()
 }
 
-// writeLine hands one encoded line to the sink unless an earlier write
-// failed.
-func (jw *Writer) writeLine(line []byte) {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if jw.err != nil {
+// write hands lb's lines to the sink in one Write, unless an earlier write
+// failed, and empties lb. The caller holds lb.mu.
+func (jw *Writer) write(lb *lineBuffer) {
+	if len(lb.b) == 0 {
 		return
 	}
-	if _, jw.err = jw.w.Write(line); jw.err == nil {
-		jw.n++
+	jw.mu.Lock()
+	if jw.err == nil {
+		if _, jw.err = jw.w.Write(lb.b); jw.err == nil {
+			jw.n += lb.recs
+		}
 	}
+	jw.mu.Unlock()
+	lb.b, lb.recs = lb.b[:0], 0
 }
 
-// Err returns the first write error, if any.
+// drain writes every lane's buffer out, one lane at a time in lane order.
+func (jw *Writer) drain() {
+	jw.lanes.each(func(lb *lineBuffer) {
+		lb.mu.Lock()
+		jw.write(lb)
+		lb.mu.Unlock()
+	})
+}
+
+// Err writes every buffered record out and returns the first write error,
+// if any.
 func (jw *Writer) Err() error {
+	jw.drain()
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	return jw.err
 }
 
-// Count returns how many records were written.
+// Count writes every buffered record out and returns how many records were
+// written.
 func (jw *Writer) Count() int {
+	jw.drain()
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	return jw.n
 }
 
-// StreamWriter is the crash-safe sibling of Writer: a Writer over a
-// bufio.Writer (a process-journal write must not be one syscall per event)
-// that exposes Flush/Close so a signal handler can force the buffered tail
-// onto disk before the process dies. If the underlying writer has a Sync
-// method (an *os.File), Flush also syncs, so a flushed journal survives the
-// machine, not just the process. Count includes buffered records.
+// StreamWriter is the crash-safe sibling of Writer: a Writer that exposes
+// Flush/Close so a signal handler can force the buffered lines onto disk
+// before the process dies. If the underlying writer has a Sync method (an
+// *os.File), Flush also syncs, so a flushed journal survives the machine,
+// not just the process.
 //
-// Locking: Writer's — Flush takes the same leaf mutex Record writes under.
+// Locking: Writer's — Flush drains the lanes as Err does, then syncs under
+// the writer mutex.
 type StreamWriter struct {
 	Writer
-	bw *bufio.Writer
-	s  interface{ Sync() error } // non-nil when the sink can fsync
+	s interface{ Sync() error } // non-nil when the sink can fsync
 }
 
 // NewStreamWriter writes the header line and returns the buffered journal
 // writer. A header write failure is sticky; the writer then drops every
 // record.
 func NewStreamWriter(w io.Writer, hdr Header) *StreamWriter {
-	sw := &StreamWriter{bw: bufio.NewWriterSize(w, 64*1024)}
+	sw := &StreamWriter{Writer: Writer{w: w, err: writeHeader(w, hdr)}}
 	sw.s, _ = w.(interface{ Sync() error })
-	sw.w = sw.bw
-	sw.err = writeHeader(sw.bw, hdr)
 	return sw
 }
 
-// Flush forces buffered records to the underlying writer and, when the sink
-// supports it, to stable storage. It returns the sticky error state.
+// Flush writes every buffered record to the underlying writer and, when the
+// sink supports it, to stable storage. It returns the sticky error state.
 func (sw *StreamWriter) Flush() error {
+	sw.drain()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.err = sw.bw.Flush(); sw.err == nil && sw.s != nil {
+	if sw.err == nil && sw.s != nil {
 		sw.err = sw.s.Sync()
 	}
 	return sw.err

@@ -17,9 +17,10 @@ import (
 // pushes events through the same stack: once with both emitters on lane 0,
 // where every striped observer is shared, once on lanes 0 and 1, as two shard
 // workers emit. The single-goroutine probes (obs.progress_note_ns,
-// trace.flight_record_ns) cannot show the difference between the two; what is
-// left of it on two lanes is the Writer's one mutex. ns/op is wall time per
-// event of either goroutine: one emitter's own price is about twice that.
+// trace.flight_record_ns) cannot show the difference between the two. On two
+// lanes the emitters share no lock but the Writer's, once per line buffer.
+// ns/op is wall time per event of either goroutine: one emitter's own price
+// is about twice that.
 func BenchmarkObservedEmit(b *testing.B) {
 	for _, c := range []struct {
 		name  string

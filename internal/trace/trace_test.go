@@ -15,6 +15,8 @@ import (
 	"fdp/internal/framework"
 	"fdp/internal/oracle"
 	"fdp/internal/overlay"
+	"fdp/internal/parallel"
+	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
@@ -374,6 +376,78 @@ func TestRuntimeJournal(t *testing.T) {
 	div := trace.Diff(recs, perturbed)
 	if div == nil || div.CID != recs[k].CID || div.Field != "parent" {
 		t.Fatalf("wrong divergence: %+v", div)
+	}
+}
+
+// TestLaneJournalSpansInCausalOrder records a seeded three-shard run, whose
+// Writer interleaves the shards' lanes by buffer, so the journal is not in
+// causal order. SortCausal gives it the order Join does, and the spans built
+// in that order tell every departure: one exit per leaver, each span's
+// actions in clock order, each delivered hop's delivery after its send.
+func TestLaneJournalSpansInCausalOrder(t *testing.T) {
+	s := testScenario(96, 5)
+	s.LeaveFraction = 0.5
+	cfg, err := s.ChurnConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := churn.Build(cfg)
+	rt := parallel.NewRuntime(cfg.Oracle)
+	rt.SetShards(3)
+	scn.World.CloneLive(func(r ref.Ref, mode sim.Mode, life sim.Life, proto sim.Protocol, ch []sim.Message) {
+		rt.AddProcess(r, mode, proto)
+		if life == sim.Asleep {
+			rt.ForceAsleep(r)
+		}
+		for _, m := range ch {
+			rt.Enqueue(r, m)
+		}
+	})
+	var buf bytes.Buffer
+	jw := trace.NewWriter(&buf, trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: s})
+	rt.AddEventHook(jw.Record)
+	legit := func(w *sim.World) bool { return w.Legitimate(sim.FDP) }
+	if !rt.RunSeeded(s.Seed, legit, time.Millisecond, 10*time.Second) {
+		t.Fatalf("seeded run did not converge (gone %d)", rt.Gone())
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, recs, err := trace.ReadJournal(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := append([]trace.Record(nil), recs...)
+	trace.SortCausal(sorted)
+	if reflect.DeepEqual(sorted, recs) {
+		t.Fatal("a three-lane journal came out in causal order: the lanes did not interleave by buffer")
+	}
+	j, err := trace.Join([]trace.Header{hdr}, [][]trace.Record{recs})
+	if err != nil || len(j.Problems) > 0 {
+		t.Fatalf("journal does not join: %v %v", err, j.Problems)
+	}
+	if !reflect.DeepEqual(sorted, j.Records) {
+		t.Fatal("SortCausal and Join order the journal differently")
+	}
+	spans := trace.BuildSpans(sorted)
+	exited := 0
+	for _, sp := range spans {
+		if sp.Exited {
+			exited++
+		}
+		for i, a := range sp.Actions {
+			if i > 0 && a.Trigger.Clock < sp.Actions[i-1].Trigger.Clock {
+				t.Fatalf("%s: action at clock %d after one at %d", sp.Proc, a.Trigger.Clock, sp.Actions[i-1].Trigger.Clock)
+			}
+			for _, h := range a.Hops {
+				if h.Outcome != nil && h.Outcome.Clock <= h.Send.Clock {
+					t.Fatalf("%s: hop delivered at clock %d, sent at %d", sp.Proc, h.Outcome.Clock, h.Send.Clock)
+				}
+			}
+		}
+	}
+	if uint64(exited) != rt.Gone() || uint64(len(spans)) != rt.Gone() {
+		t.Fatalf("%d spans, %d exited, for %d departures", len(spans), exited, rt.Gone())
 	}
 }
 
