@@ -88,9 +88,11 @@ replay-golden:
 # fuzz-smoke replays every committed counterexample fixture byte-identically
 # (internal/fuzz/testdata), runs the mutation harness end to end (the
 # injected MUTANT-SINGLE bug must be found, shrunk, journaled and replayed),
-# then takes a short fresh-fuzz pass over a fixed seed. Single shard,
-# deterministic, budgeted well under 30s on one core. Last, six 5s native
-# go-fuzz passes: three on the producing side — the journal's hand-rolled
+# then sweeps 200 fresh cases of a fixed seed twice and demands byte-identical
+# output: both engines run on seeded schedules (the runtime on two to four
+# shards drawn from each case's seed), so the sweep is deterministic and well
+# under 30s on one core. Last, six 5s native go-fuzz passes: three on the
+# producing side — the journal's hand-rolled
 # record encoder against encoding/json (internal/trace FuzzRecordLine), the
 # dense process graph and the degree ledger against map-of-pairs models
 # (internal/graph FuzzGraphOps, FuzzLedgerOps) — and three on the consuming
@@ -104,7 +106,10 @@ replay-golden:
 # lands as a seed file under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/fuzz -count=1
-	$(GO) run ./cmd/fdpfuzz -seed 11 -runs 20 -timeout 5s
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/fdpfuzz" ./cmd/fdpfuzz || exit 1; \
+	"$$d/fdpfuzz" -seed 11 -runs 200 -timeout 5s >"$$d/a"; s=$$?; cat "$$d/a"; [ $$s -eq 0 ] || exit $$s; \
+	"$$d/fdpfuzz" -seed 11 -runs 200 -timeout 5s >"$$d/b" && cmp "$$d/a" "$$d/b"
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRecordLine -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 200x
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime 5s

@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		runs     = fs.Int("runs", 0, "number of cases (0: until -duration, or 64 if that is unset too)")
 		duration = fs.Duration("duration", 0, "wall-clock budget (0 = unbounded)")
 		maxSteps = fs.Int("maxsteps", 0, fmt.Sprintf("sequential step budget per case (0 = %d)", diffval.DefaultMaxSteps))
-		timeout  = fs.Duration("timeout", 0, "concurrent run budget per case (0 = 10s)")
+		timeout  = fs.Duration("timeout", 0, "concurrent run budget per case, in the runtime's seeded virtual time (0 = 10s)")
 		shrink   = fs.Bool("shrink", true, "delta-debug each failure to a minimal case")
 		outDir   = fs.String("out", "", "write shrunk failures as journal fixtures into this directory")
 		mutate   = fs.Bool("mutate", false, "inject the broken MUTANT-SINGLE oracle (mutation test: failures are expected)")

@@ -54,6 +54,11 @@ var deterministicPkgs = map[string]bool{
 	// byte. Only the wall-clock drivers (worker, coordinate, Start's clock,
 	// WaitUntil) read the clock, under ignore directives.
 	"fdp/internal/parallel": true,
+	// The differential harness and the fuzzer over it: both engines run on
+	// seeded schedules, so one config and seed give one verdict. Only the
+	// fuzzer's -duration budget reads the clock, under ignore directives.
+	"fdp/internal/diffval": true,
+	"fdp/internal/fuzz":    true,
 }
 
 // globalRandAllowed lists math/rand identifiers that do NOT draw from the

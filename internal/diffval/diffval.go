@@ -1,9 +1,9 @@
 // Package diffval is the differential cross-validation harness: it runs the
 // SAME scenario (topology, churn, corruption, optional mid-run fault
 // strike) on both execution engines — the sequential simulator (sim.World,
-// one legal schedule at a time) and the concurrent runtime
-// (parallel.Runtime, true parallelism with real mailboxes) — and compares
-// their safety and liveness VERDICTS.
+// one legal schedule at a time) and the sharded runtime (parallel.Runtime,
+// its shards and epochs interleaved on a virtual clock drawn from the seed,
+// Runtime.RunSeeded) — and compares their safety and liveness VERDICTS.
 //
 // The two engines cannot be compared step-by-step: the concurrent runtime
 // explores schedules the sequential driver never draws, and vice versa. But
@@ -45,8 +45,8 @@ const DefaultMaxSteps = 400000
 type Config struct {
 	// Scenario is the run; its Seed field is overwritten by the per-run
 	// seed. Its Scheduler names the sequential scheduler
-	// (trace.SchedulerByName) — the concurrent engine has none, its
-	// interleavings come from the machine. Its Strikes are struck on both
+	// (trace.SchedulerByName) — the concurrent engine has none, its shard
+	// interleavings are drawn from the seed. Its Strikes are struck on both
 	// sides, each once the engine reaches its After point (sequential steps
 	// on the simulator, executed events on the runtime), with injector seeds
 	// faults.WaveSeed(seed, i) on BOTH engines.
@@ -54,18 +54,15 @@ type Config struct {
 	// MaxSteps bounds the sequential run after its last strike (0 =
 	// DefaultMaxSteps).
 	MaxSteps int
-	// Timeout bounds the concurrent run (0 = 20s).
+	// Timeout bounds the concurrent run in the virtual time of
+	// parallel.Runtime.RunSeeded, not on the wall clock (0 = 20s).
 	Timeout time.Duration
-	// Poll is the concurrent legitimacy-polling interval (0 = 1ms).
-	Poll time.Duration
-	// StallSteps enables the sequential liveness watchdog: every StallSteps
-	// executed steps, a window with remaining leavers and no settles is
-	// classified (livelock / starvation / quiescent, see obs.StallKind) and
-	// the first stall captures a flight-recorder snapshot. 0 disables.
+	// StallSteps enables both liveness watchdogs: every StallSteps executed
+	// sequential steps or runtime events, a window with remaining leavers
+	// and no settles is classified (livelock / starvation / quiescent, see
+	// obs.StallKind) and the first stall captures a flight-recorder
+	// snapshot. 0 disables.
 	StallSteps int
-	// StallWindow is the concurrent watchdog's wall-clock window, checked
-	// from the legitimacy-polling loop. 0 disables.
-	StallWindow time.Duration
 	// FlightK bounds each engine's always-on flight-recorder ring (0 =
 	// trace.DefaultFlightCap), the one ring behind both the
 	// dump-on-disagreement diagnostics and the stall reports. A ring that
@@ -189,7 +186,12 @@ func (v Verdict) Agree() bool {
 // usable and unchanged. Gone processes are omitted — the runtime, like the
 // model, has no notion of a struct for a departed process.
 func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
-	rt := parallel.NewRuntime(orc)
+	return mirror(parallel.NewRuntime(orc), w)
+}
+
+// mirror adds w's live processes to the empty runtime rt, whose shard
+// count its caller has fixed.
+func mirror(rt *parallel.Runtime, w *sim.World) *parallel.Runtime {
 	w.CloneLive(func(r ref.Ref, mode sim.Mode, life sim.Life, proto sim.Protocol, ch []sim.Message) {
 		rt.AddProcess(r, mode, proto)
 		if life == sim.Asleep {
@@ -234,11 +236,7 @@ func (s *SequentialRun) Pair() Verdict {
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
-	poll := s.cfg.Poll
-	if poll <= 0 {
-		poll = time.Millisecond
-	}
-	concOut, concFlight, concStall := runConcurrent(s.cfg, timeout, poll)
+	concOut, concFlight, concStall := runConcurrent(s.cfg, timeout)
 	v := Verdict{Seed: s.cfg.Scenario.Seed, Sequential: s.Outcome, Concurrent: concOut,
 		SequentialStall: s.Stall, ConcurrentStall: concStall}
 	if !v.Agree() {
@@ -322,65 +320,63 @@ func runSequential(cfg Config) (Outcome, *trace.Flight, *StallReport) {
 	return out, flight, stall
 }
 
-func runConcurrent(cfg Config, timeout, poll time.Duration) (Outcome, *trace.Flight, *StallReport) {
+// runConcurrent runs the scenario on the runtime under RunSeeded: one
+// goroutine, a virtual clock and a schedule drawn from the seed, so the
+// concurrent side of a verdict is as reproducible as the sequential one. The
+// shard count is drawn from the seed too, never from the host: seeds cover
+// two to four shards, so the cross-shard mail path is always exercised.
+func runConcurrent(cfg Config, timeout time.Duration) (Outcome, *trace.Flight, *StallReport) {
 	s := cfg.build()
 	variant, _ := cfg.Scenario.SimVariant() // resolved by build
+	seed := cfg.Scenario.Seed
 	leavers := s.LeavingNodes()
-	rt := MirrorWorld(s.World, s.Config.Oracle)
-	flight, prog := observe(rt, cfg.FlightK, leavers, cfg.StallWindow > 0)
-	var stall *StallReport
-	var wd *obs.Watchdog
+	rt := parallel.NewRuntime(s.Config.Oracle)
+	rt.SetShards(2 + int(uint64(seed)%3))
+	mirror(rt, s.World)
+	flight, prog := observe(rt, cfg.FlightK, leavers, cfg.StallSteps > 0)
+	var wd *obs.StepWatchdog
 	if prog != nil {
-		wd = obs.NewWatchdog(prog, cfg.StallWindow)
+		wd = obs.NewStepWatchdog(prog, cfg.StallSteps)
 	}
-	rt.Start()
-	// checkStall runs from the single polling goroutine below; the runtime
-	// has no cheap queue-depth counter, so pending is approximated from the
-	// always-on atomics (sends that neither delivered nor dropped).
-	checkStall := func() {
-		if wd == nil {
-			return
-		}
-		pending := func() int {
-			return int(rt.Sent() - rt.KindCount(sim.EvDeliver) - rt.Dropped())
-		}
-		if v, stalled := wd.Tick(time.Now(), rt.Events(), pending); stalled && stall == nil {
-			stall = newStallReport(v, flight, leavers)
-			// The runtime's snapshot is one interleaving, not a replayable
-			// prefix: its header names neither a scheduler nor strike steps.
-			hs := cfg.Scenario
-			hs.Scheduler, hs.Strikes = "", nil
-			stall.Header = trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs}
-		}
-	}
-
-	// One deadline bounds both wait phases — the same total budget the
-	// replaced wall-clock loop used. A closed channel, unlike a one-shot
-	// time.After value, stays observable: if the strike-budget wait burns
-	// the whole budget, the convergence wait below still sees the expiry
-	// instead of ticking forever.
-	deadline := make(chan struct{})
-	timer := time.AfterFunc(timeout, func() { close(deadline) })
-	defer timer.Stop()
-	for i, wv := range cfg.Scenario.Strikes {
-		// The concurrent strike point: the same event budget the sequential
-		// side used as a step budget.
-		waitFor(func() bool { return rt.Events() >= uint64(wv.After) }, poll, deadline)
-		faults.New(wv.Config, faults.WaveSeed(cfg.Scenario.Seed, i)).StrikeRuntime(rt)
-	}
-
-	// P′'s target is judged where convergence is, at the last poll, as the
-	// sequential side judges it where its run stopped: stale P messages still
-	// in flight when the staying processes first form the target may break
-	// it for a while, so the world after Stop can be out of it again.
+	var stall *StallReport
+	waves := cfg.Scenario.Strikes
+	struck := 0
 	var inTarget bool
-	converged := waitFor(func() bool {
-		checkStall()
-		w := rt.Freeze()
+	converged := rt.RunSeeded(seed, func(w *sim.World) bool {
+		// Lemma 2: a lost reference never comes back, so the first broken
+		// world ends the run.
+		if !w.RelevantComponentsIntact() {
+			return true
+		}
+		// The concurrent strike point: the same event budget the sequential
+		// side used as a step budget. A struck world is judged at the next
+		// poll, not on the snapshot taken before the strike.
+		if struck < len(waves) {
+			for struck < len(waves) && rt.Events() >= uint64(waves[struck].After) {
+				faults.New(waves[struck].Config, faults.WaveSeed(seed, struck)).StrikeRuntime(rt)
+				struck++
+			}
+			return false
+		}
+		if wd != nil {
+			v, stalled := wd.Tick(int(rt.Events()), func() int { return w.Stats().TotalInQueue })
+			if stalled && stall == nil {
+				stall = newStallReport(v, flight, leavers)
+				// The runtime's snapshot is one interleaving, not a
+				// replayable prefix: its header names neither a scheduler
+				// nor strike steps.
+				hs := cfg.Scenario
+				hs.Scheduler, hs.Strikes = "", nil
+				stall.Header = trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs}
+			}
+		}
+		// P′'s target is judged where convergence is, as the sequential side
+		// judges it where its run stopped: stale P messages still in flight
+		// when the staying processes first form the target may break it for
+		// a while.
 		inTarget = s.InTarget(w)
 		return inTarget && w.Legitimate(variant)
-	}, poll, deadline)
-	rt.Stop()
+	}, time.Millisecond, timeout)
 	final := rt.Freeze()
 
 	out := outcome(s, final, converged, !final.RelevantComponentsIntact(), inTarget, stall)
@@ -437,30 +433,5 @@ func newStallReport(v obs.StallVerdict, flight *trace.Flight, leavers []ref.Ref)
 		Flight:   fl,
 		Complete: complete,
 		Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, names)),
-	}
-}
-
-// waitFor re-evaluates cond every poll tick until it holds or deadline is
-// closed, returning the final verdict (cond is re-checked once at expiry).
-// A closed deadline makes waitFor return immediately, so sequential waits
-// sharing one deadline all respect the same total budget.
-func waitFor(cond func() bool, poll time.Duration, deadline <-chan struct{}) bool {
-	if cond() {
-		return true
-	}
-	if poll <= 0 {
-		poll = time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-deadline:
-			return cond()
-		case <-ticker.C:
-			if cond() {
-				return true
-			}
-		}
 	}
 }

@@ -26,7 +26,7 @@ func TestDumpJoinableByCausalID(t *testing.T) {
 	}
 
 	_, seqFlight, _ := runSequential(cfg)
-	_, concFlight, _ := runConcurrent(cfg, 10*time.Second, time.Millisecond)
+	_, concFlight, _ := runConcurrent(cfg, 10*time.Second)
 	seqTrace := sim.FormatEvents(seqFlight.Events())
 	concTrace := sim.FormatEvents(concFlight.Events())
 

@@ -87,7 +87,7 @@ func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	if seqTrace == "" || !strings.Contains(seqTrace, "exit") {
 		t.Fatalf("sequential trace missing exit events:\n%s", seqTrace)
 	}
-	concOut, concFlight, _ := runConcurrent(cfg, 30*time.Second, time.Millisecond)
+	concOut, concFlight, _ := runConcurrent(cfg, 30*time.Second)
 	if !concOut.Converged {
 		t.Fatalf("concurrent runner did not converge: %+v", concOut)
 	}

@@ -81,11 +81,10 @@ type Options struct {
 	Duration time.Duration
 	// MaxSteps bounds each sequential run (0 = diffval.DefaultMaxSteps).
 	MaxSteps int
-	// Timeout bounds each concurrent run (0 = 10s; diffval's own default is
-	// larger than a fuzzing loop wants).
+	// Timeout bounds each concurrent run in the runtime's seeded virtual
+	// time, not on the wall clock (0 = 10s; diffval's own default is larger
+	// than a fuzzing loop wants).
 	Timeout time.Duration
-	// Poll is the concurrent legitimacy-polling interval (0 = 1ms).
-	Poll time.Duration
 	// Mutate injects the deliberately broken MUTANT-SINGLE oracle into every
 	// generated case — the mutation-test harness proving the fuzzer detects
 	// and shrinks a real guard bug.
@@ -192,14 +191,12 @@ func (c Case) diffConfig(opts Options) diffval.Config {
 		Scenario: c.Scenario,
 		MaxSteps: maxSteps,
 		Timeout:  opts.timeout(),
-		Poll:     opts.Poll,
-		// The liveness watchdog rides along on every case, so a case that
+		// The liveness watchdogs ride along on every case, so a case that
 		// burns its budget reports *why* (livelock / starvation / quiescent)
 		// instead of a bare deadline. Eight windows per budget keeps the
 		// check overhead negligible while catching a stall well before the
 		// budget expires.
-		StallSteps:  maxSteps / 8,
-		StallWindow: opts.timeout() / 8,
+		StallSteps: maxSteps / 8,
 	}
 }
 
@@ -266,11 +263,11 @@ func Run(opts Options) Result {
 	}
 	var deadline time.Time
 	if opts.Duration > 0 {
-		deadline = time.Now().Add(opts.Duration)
+		deadline = time.Now().Add(opts.Duration) //fdplint:ignore detiter -duration is a wall-clock budget; the cases themselves replay from the seed
 	}
 	res := Result{}
 	for i := 0; runs <= 0 || i < runs; i++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if !deadline.IsZero() && !time.Now().Before(deadline) { //fdplint:ignore detiter the -duration budget
 			break
 		}
 		if opts.Stop != nil {

@@ -124,6 +124,32 @@ func TestUnshownRefusesRuntimeSideFailures(t *testing.T) {
 	}
 }
 
+// A runtime that breaks Lemma 2 is reported at the first frozen world that
+// shows it: a lost reference never comes back, so the run does not wait out
+// its budget for a convergence that cannot come. The cases are the
+// MUTANT-SINGLE failure of fdpfuzz -seed 2 -mutate as generated, once
+// reported after ~17,600 events, and as shrunk, under a scheduler whose
+// sequential schedule stays safe (the shrinker's fifo one breaks Lemma 2
+// itself).
+func TestConcurrentViolationEndsTheRun(t *testing.T) {
+	const seed = 759658467114692545
+	for _, s := range []trace.Scenario{
+		{N: 3, Topology: "tree", Pattern: "articulation", LeaveFraction: 0.42601105717168164,
+			FlipBeliefs: 0.09143459303948515, RandomAnchors: 0.4185630527566348, JunkMessages: 1,
+			Variant: "FDP", Oracle: MutantSingle{}.Name(), Seed: seed, Scheduler: "random"},
+		{N: 3, Topology: "line", Pattern: "articulation", LeaverIndices: []int{1},
+			Variant: "FDP", Oracle: MutantSingle{}.Name(), Seed: seed, Scheduler: "rounds"},
+	} {
+		f := Execute(Case{Scenario: s}, Options{})
+		if f == nil || f.Kind != KindSafetyConcurrent {
+			t.Fatalf("%s: failure %v, want %s", s.Topology, f, KindSafetyConcurrent)
+		}
+		if steps := f.Verdict.Concurrent.Steps; steps > 1000 {
+			t.Fatalf("%s: violation reported after %d runtime events, want at most 1000", s.Topology, steps)
+		}
+	}
+}
+
 // The fixtures for fixed bugs must pass on both engines now; the mutation
 // anchor must keep failing, or the fuzzer has lost its ability to detect a
 // real guard bug.

@@ -31,7 +31,6 @@ func livelockConfig(c Case) diffval.Config {
 	// a ring big enough that the sequential snapshot stays a complete
 	// (replayable) prefix.
 	cfg.StallSteps = 1500
-	cfg.StallWindow = 200 * time.Millisecond
 	cfg.FlightK = 1 << 16
 	return cfg
 }
@@ -107,23 +106,33 @@ func TestWatchdogClassifiesSeededLivelock(t *testing.T) {
 	}
 }
 
-// TestWatchdogLivelockDeterministic: the sequential side of the seeded
-// livelock is a deterministic schedule, so two runs must produce identical
-// flight dumps — the property that makes a stall fragment a shareable,
-// re-runnable bug report.
+// TestWatchdogLivelockDeterministic: both sides of the seeded livelock run
+// on seeded schedules, so two runs must produce identical stall verdicts and
+// flight dumps on each engine — the property that makes a stall fragment a
+// shareable, re-runnable bug report.
 func TestWatchdogLivelockDeterministic(t *testing.T) {
 	c := livelockCase(23)
 	v1 := diffval.Run(livelockConfig(c), c.Scenario.Seed)
 	v2 := diffval.Run(livelockConfig(c), c.Scenario.Seed)
-	r1, r2 := v1.SequentialStall, v2.SequentialStall
-	if r1 == nil || r2 == nil {
-		t.Fatal("missing sequential stall report")
+	for _, side := range []struct {
+		name   string
+		r1, r2 *diffval.StallReport
+	}{
+		{"sequential", v1.SequentialStall, v2.SequentialStall},
+		{"concurrent", v1.ConcurrentStall, v2.ConcurrentStall},
+	} {
+		if side.r1 == nil || side.r2 == nil {
+			t.Fatalf("missing %s stall report", side.name)
+		}
+		if side.r1.Verdict != side.r2.Verdict {
+			t.Fatalf("%s verdicts differ across identical runs:\n %s\n %s", side.name, side.r1.Verdict, side.r2.Verdict)
+		}
+		if !reflect.DeepEqual(side.r1.Flight, side.r2.Flight) {
+			t.Fatalf("%s flight dumps differ across identical runs (%d vs %d records)", side.name, len(side.r1.Flight), len(side.r2.Flight))
+		}
 	}
-	if r1.Verdict != r2.Verdict {
-		t.Fatalf("verdicts differ across identical runs:\n %s\n %s", r1.Verdict, r2.Verdict)
-	}
-	if !reflect.DeepEqual(r1.Flight, r2.Flight) {
-		t.Fatalf("flight dumps differ across identical runs (%d vs %d records)", len(r1.Flight), len(r2.Flight))
+	if v1.Concurrent.Steps != v2.Concurrent.Steps {
+		t.Fatalf("concurrent runs executed %d and %d events", v1.Concurrent.Steps, v2.Concurrent.Steps)
 	}
 }
 

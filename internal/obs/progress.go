@@ -329,8 +329,8 @@ func (p *Progress) NoteOracle(u ref.Ref, granted bool) {
 }
 
 // Check classifies the window since the previous Check. pending is the
-// driver's queued-message count (sequential: Stats().TotalInQueue;
-// concurrent: sent - delivered - dropped; node: local queue + inbox).
+// driver's queued-message count (sequential and concurrent: the world's or
+// frozen world's Stats().TotalInQueue; node: local queue + inbox).
 // step is the driver's logical time, recorded in the verdict. Check must
 // be called from one goroutine; stalled is true when the window made no
 // settle progress while leavers remain.
@@ -399,7 +399,8 @@ func (p *Progress) Check(step uint64, pending int) (v StallVerdict, stalled bool
 }
 
 // StepWatchdog drives Progress.Check on a logical-step cadence — the
-// deterministic form the sequential engine uses from RunOptions.OnStep.
+// deterministic form the sequential engine uses from RunOptions.OnStep and
+// a seeded runtime run on its executed events.
 // pending is queried only at window boundaries (Stats() copies a map, so
 // per-step calls would violate the zero-alloc steady state).
 type StepWatchdog struct {
@@ -426,11 +427,10 @@ func (w *StepWatchdog) Tick(step int, pending func() int) (StallVerdict, bool) {
 	return w.p.Check(uint64(step), pending())
 }
 
-// Watchdog drives Progress.Check on a time cadence for engines with no
-// deterministic step stream (the concurrent runtime, the node pump). The
-// caller supplies the time — the wall clock, or a mesh's virtual clock — and
-// the first Tick starts the first window. Tick is cheap between windows;
-// call it from any single polling loop.
+// Watchdog drives Progress.Check on a time cadence for the node pump, which
+// has no global step stream. The caller supplies the time — the wall clock,
+// or a mesh's virtual clock — and the first Tick starts the first window.
+// Tick is cheap between windows; call it from any single polling loop.
 type Watchdog struct {
 	p      *Progress
 	window time.Duration
