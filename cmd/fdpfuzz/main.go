@@ -101,9 +101,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		if *shrink {
 			shrunk, spent := fuzz.Shrink(f, opts, 0)
 			c = shrunk
-			fmt.Fprintf(stdout, "  shrunk (%d candidate runs): n=%d topo=%s leavers=%v strikes=%d corrupt=(%.2f,%.2f,%d)\n",
-				spent, c.Scenario.N, c.Scenario.Topology, c.Scenario.LeaverIndices,
-				len(c.Scenario.Strikes), c.Scenario.FlipBeliefs, c.Scenario.RandomAnchors, c.Scenario.JunkMessages)
+			fmt.Fprintf(stdout, "  shrunk (%d candidate runs): %s\n", spent, c)
 		}
 		if why := fuzz.Unshown(f.Kind, c, opts); why != "" {
 			if *outDir != "" {

@@ -76,3 +76,32 @@ func TestConcurrentOnlyFailureWritesNoFixture(t *testing.T) {
 		t.Fatalf("%d fixtures written (err %v), want none", len(fixtures), err)
 	}
 }
+
+// A shrunk case is printed with everything that re-runs it, in the failure
+// line's own format: seed 2's planted-bug case shrinks to a line of three
+// under the fifo scheduler, which the line must name with the seed.
+func TestShrunkCaseNamesItsScheduleAndSeed(t *testing.T) {
+	code, out, errOut := runCLI(t, "-seed", "2", "-runs", "10", "-mutate", "-maxfailures", "1")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (failures found)\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+	var failure, shrunk string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "failure 0: "):
+			failure = line
+		case strings.HasPrefix(line, "  shrunk ("):
+			shrunk = line
+		}
+	}
+	at := strings.Index(failure, " seed=")
+	if at < 0 || shrunk == "" {
+		t.Fatalf("no failure line with a seed, or no shrunk line\nstdout: %s", out)
+	}
+	seed := strings.Fields(failure[at:])[0]
+	for _, want := range []string{" sched=fifo ", seed + " ", " pattern=", " variant=FDP ", " oracle=MUTANT-SINGLE "} {
+		if !strings.Contains(shrunk, want) {
+			t.Fatalf("shrunk line %q does not name %q\nstdout: %s", shrunk, want, out)
+		}
+	}
+}

@@ -184,7 +184,10 @@ func (v Verdict) Agree() bool {
 // of its protocol state and a copy of every message in its channel, so the
 // runtime starts from exactly the state w is in while w itself stays
 // usable and unchanged. Gone processes are omitted — the runtime, like the
-// model, has no notion of a struct for a departed process.
+// model, has no notion of a struct for a departed process. A world still at
+// its seal (sim.World.Sealed) is handed over: Start copies its ledger and
+// initial components instead of recounting them, unless w is stepped or
+// changed before then.
 func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 	return mirror(parallel.NewRuntime(orc), w)
 }
@@ -201,6 +204,7 @@ func mirror(rt *parallel.Runtime, w *sim.World) *parallel.Runtime {
 			rt.Enqueue(r, m)
 		}
 	})
+	rt.HandOver(w)
 	return rt
 }
 

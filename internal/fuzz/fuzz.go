@@ -63,10 +63,17 @@ type Failure struct {
 }
 
 func (f *Failure) String() string {
-	return fmt.Sprintf("%s: n=%d topo=%s pattern=%s variant=%s oracle=%s sched=%s seed=%d strikes=%d %s",
-		f.Kind, f.Case.Scenario.N, f.Case.Scenario.Topology, f.Case.Scenario.Pattern,
-		f.Case.Scenario.Variant, f.Case.Scenario.Oracle, f.Case.Scenario.Scheduler,
-		f.Case.Scenario.Seed, len(f.Case.Scenario.Strikes), f.Note)
+	return fmt.Sprintf("%s: %s %s", f.Kind, f.Case, f.Note)
+}
+
+// String names everything that re-runs the case: size, topology, pattern,
+// variant, oracle, scheduler, seed, pinned leavers, strike count and
+// corruption.
+func (c Case) String() string {
+	s := &c.Scenario
+	return fmt.Sprintf("n=%d topo=%s pattern=%s variant=%s oracle=%s sched=%s seed=%d leavers=%v strikes=%d corrupt=(%.2f,%.2f,%d)",
+		s.N, s.Topology, s.Pattern, s.Variant, s.Oracle, s.Scheduler, s.Seed,
+		s.LeaverIndices, len(s.Strikes), s.FlipBeliefs, s.RandomAnchors, s.JunkMessages)
 }
 
 // Options tunes a fuzzing run.

@@ -39,6 +39,36 @@ func (l *Ledger) Reset(n int) {
 	l.leavers.Store(0)
 }
 
+// CopyOf makes l a copy of src sized for the processes indexed below n: the
+// same rows in the same order, each row's entries in the same order. Every
+// entry lives in one backing array, each row capped at twice its length so
+// it grows in place until it doubles, and a row src indexes gets an index of
+// its own. src must hold no row at an index of n or above; it is only read.
+func (l *Ledger) CopyOf(src *Ledger, n int) {
+	l.slot = make([]int32, n)
+	copy(l.slot, src.slot)
+	l.rows = make([]Row[ref.Ref, int32], len(src.rows))
+	total := 0
+	for i := range src.rows {
+		total += 2 * src.rows[i].Len()
+	}
+	arena := make([]Pair, total)
+	for i := range src.rows {
+		ents := src.rows[i].ents
+		k := len(ents)
+		if k == 0 {
+			continue
+		}
+		r := &l.rows[i]
+		r.ents, arena = arena[:k:2*k], arena[2*k:]
+		copy(r.ents, ents)
+		if src.rows[i].idx != nil {
+			r.buildIndex()
+		}
+	}
+	l.leavers.Store(src.leavers.Load())
+}
+
 // Leave gives the leaver u its row, after Reset and before anything is
 // counted.
 func (l *Ledger) Leave(u ref.Ref) {

@@ -103,6 +103,7 @@ const (
 	lopResync // a's stored references become a short list derived from b
 	lopExit   // a leaver's Exit in one call, as the sequential engine does
 	lopSplit  // a leaver's Retire, then Forget per pair, as the runtime does
+	lopCopy   // the script goes on on a CopyOf the ledger, sized a+1 processes past the universe
 	numLedgerOps
 )
 
@@ -114,7 +115,7 @@ const (
 func runLedgerScript(t testing.TB, script []byte) {
 	t.Helper()
 	universe := ref.NewSpace().NewN(wideRow + 8)
-	var l Ledger
+	l := new(Ledger)
 	l.Reset(len(universe))
 	m := &ledgerModel{leaves: map[ref.Ref]bool{}, gone: map[ref.Ref]bool{},
 		pairs: map[[2]ref.Ref]int{}, synced: map[ref.Ref][]ref.Ref{}}
@@ -198,8 +199,20 @@ func runLedgerScript(t testing.TB, script []byte) {
 			}
 			m.exit(a)
 			synced[ai] = nil
+		case lopCopy:
+			c := new(Ledger)
+			c.CopyOf(l, len(universe)+ai+1)
+			for _, u := range universe {
+				if !slices.Equal(c.Pairs(u), l.Pairs(u)) {
+					t.Fatalf("copied row of %v is %v, the original %v", u, c.Pairs(u), l.Pairs(u))
+				}
+				if r := l.row(u); r != nil && (r.idx == nil) != (c.row(u).idx == nil) {
+					t.Fatalf("row of %v: original indexed %v, copy %v", u, r.idx != nil, c.row(u).idx != nil)
+				}
+			}
+			l = c
 		}
-		checkLedger(t, &l, m, universe)
+		checkLedger(t, l, m, universe)
 	}
 }
 
@@ -221,7 +234,8 @@ func sortedRefs(lists ...[]ref.Ref) []ref.Ref {
 }
 
 // hubLedgerScript drives leaver 0's row across the wide-row threshold and
-// back, then retires it.
+// back, copies the ledger and grows the copied row past its room and the
+// threshold, copies the indexed row, then retires it.
 func hubLedgerScript() []byte {
 	n := byte(wideRow + 8)
 	var s []byte
@@ -231,12 +245,18 @@ func hubLedgerScript() []byte {
 	for b := n - 1; b >= 4; b-- {
 		s = append(s, lopRemove, 0, b, lopRemove, b, 0)
 	}
-	return append(s, lopResync, 0, 2, lopResync, 0, 0, lopSplit, 0, 0, lopRemove, 0, 1)
+	// A copy of the hub row, then its regrowth past the copy's room.
+	s = append(s, lopCopy, 0, 0)
+	for b := byte(4); b < n; b++ {
+		s = append(s, lopAdd, 0, b)
+	}
+	return append(s, lopCopy, 1, 0, lopResync, 0, 2, lopResync, 0, 0, lopSplit, 0, 0, lopRemove, 0, 1)
 }
 
 // TestLedgerMatchesModel runs the hub script and random scripts against the
 // model: multi-edges, removes of absent pairs and of pairs with a gone
-// endpoint, end-of-action diffs with duplicates, and both ways of exiting.
+// endpoint, end-of-action diffs with duplicates, both ways of exiting, and
+// copies worked on further.
 func TestLedgerMatchesModel(t *testing.T) {
 	runLedgerScript(t, hubLedgerScript())
 	rng := rand.New(rand.NewSource(28))

@@ -168,7 +168,7 @@ func (p *proc) payDebt() {
 // syncRefs folds the acting process's explicit-edge changes into the ledger
 // after an action, with the end-of-action diff the sequential engine runs
 // (graph.RefDiff): p.synced is the copy of proto.Refs() taken at the last
-// sync (by resetLedger at Start and after every Mutate, here since). A
+// sync (by resync at Start and after every Mutate, here since). A
 // reference stored here for the first time came out of the message being
 // delivered, whose implicit pair is still counted (deliverAction drops it
 // afterwards) — or, if the delivery still owes that pair, takes the debt
@@ -285,18 +285,41 @@ func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 }
 
 // resetLedger empties the ledger, gives every live leaver a row, and
-// re-takes every live process's synced copy of its stored references; then
-// seed counts each pair the forEachEdge walk yields and judgeAll judges every
-// leaver once. Same caller contract.
+// re-takes the synced copies (resync); then seed counts each pair the
+// forEachEdge walk yields and judgeAll judges every leaver once. Same caller
+// contract.
 func (rt *Runtime) resetLedger() {
 	rt.ledger.Reset(len(rt.procs))
 	for _, p := range rt.procs {
-		if p == nil || p.life.Load() == 2 {
-			continue
-		}
-		p.synced = append(p.synced[:0], p.proto.Refs()...)
-		if p.mode == sim.Leaving {
+		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
 			rt.ledger.Leave(p.id)
+		}
+	}
+	rt.resync()
+}
+
+// resync re-takes every live process's synced copy of its stored
+// references. A copy that does not fit where the last one was is cut from
+// one backing array shared by all such, capped at twice its length, as
+// sim.World's ledger seed does: room to grow before syncRefs moves it out on
+// its own. Same caller contract.
+func (rt *Runtime) resync() {
+	need := 0
+	for _, p := range rt.procs {
+		if p != nil && p.life.Load() != 2 {
+			if k := len(p.proto.Refs()); k > cap(p.synced) {
+				need += 2 * k
+			}
+		}
+	}
+	arena := make([]ref.Ref, need)
+	for _, p := range rt.procs {
+		if p != nil && p.life.Load() != 2 {
+			refs := p.proto.Refs()
+			if k := len(refs); k > cap(p.synced) {
+				p.synced, arena = arena[:0:2*k], arena[2*k:]
+			}
+			p.synced = append(p.synced[:0], refs...)
 		}
 	}
 }

@@ -171,8 +171,10 @@ func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
 	}
 }
 
-// StartTime returns when Start launched the goroutines (zero before Start,
-// and for a RunSeeded run). Exit latencies under Start are measured from it.
+// StartTime returns when Start was called (zero before Start, and for a
+// RunSeeded run). Start stamps it before it seals the initial state and
+// launches the goroutines, so every exit latency under Start includes the
+// seal.
 func (rt *Runtime) StartTime() time.Time { return rt.startTime }
 
 // ExitLatencies returns, for each committed exit in commit order, the

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fdp/internal/graph"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 )
@@ -28,3 +29,40 @@ func InboxFull(rt *Runtime, r ref.Ref) bool {
 // BuildShardedRuntime is buildShardedRuntime, for the external tests that
 // record journals (trace imports this package through faults).
 var BuildShardedRuntime = buildShardedRuntime
+
+// Seal is seal, for the external tests and benchmarks: it seals rt as Start
+// does, without starting a goroutine, and reports whether it took the
+// hand-over. rt must not be started afterwards.
+func Seal(rt *Runtime) bool { return rt.seal() }
+
+// SealState is what seal leaves in a runtime: per live process in reference
+// order its ledger row (none without a degree oracle), synced copy and cached
+// oracle answer, per shard its ready list, and the initial components.
+type SealState struct {
+	Rows       [][]graph.Pair
+	Synced     [][]ref.Ref
+	OracleOK   []bool
+	Ready      [][]int32
+	Components [][]ref.Ref
+}
+
+// SealedState reads what seal left in rt.
+func SealedState(rt *Runtime) SealState {
+	var s SealState
+	for _, p := range rt.procs {
+		if p != nil && p.life.Load() != 2 {
+			var row []graph.Pair
+			if rt.jd != nil {
+				row = rt.ledger.Pairs(p.id)
+			}
+			s.Rows = append(s.Rows, row)
+			s.Synced = append(s.Synced, p.synced)
+			s.OracleOK = append(s.OracleOK, p.oracleOK.Load())
+		}
+	}
+	for _, sh := range rt.shards {
+		s.Ready = append(s.Ready, sh.ready)
+	}
+	s.Components = rt.initially
+	return s
+}

@@ -155,7 +155,7 @@ type proc struct {
 	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in reference order
 
 	// synced is the copy of proto.Refs() the degree ledger last accounted for
-	// (syncRefs after every action, resetLedger at Start and after Mutate).
+	// (syncRefs after every action, resync at Start and after Mutate).
 	// Touched only by the owning worker (or under a full pause).
 	synced []ref.Ref
 
@@ -258,6 +258,13 @@ type Runtime struct {
 	// ledger holds the leavers' degree rows (degree.go), each guarded by its
 	// process's degMu; the table is rebuilt only under a full pause.
 	ledger graph.Ledger
+
+	// from is the sealed world the runtime was mirrored from and fromGen
+	// the generation of its seal (HandOver); seal takes the ledger and
+	// components from it while it is still at that seal. Nil once seal ran,
+	// or AddProcess, Enqueue, ForceAsleep or Mutate changed the runtime.
+	from    *sim.World
+	fromGen uint64
 }
 
 // Oracle is re-exported so callers pass the same oracles as the simulator.
@@ -327,6 +334,7 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	if rt.lookup(r) != nil {
 		panic(fmt.Sprintf("parallel: duplicate process %v", r))
 	}
+	rt.from = nil
 	p := &proc{id: r, mode: mode, proto: proto, rt: rt}
 	p.ctx.p = p
 	sh := rt.shards[idx%len(rt.shards)]
@@ -343,6 +351,7 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 // MirrorWorld) keep it and advance the runtime's causal counter past it;
 // bare messages get a fresh CID.
 func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
+	rt.from = nil
 	if msg.CID() == 0 {
 		msg = sim.StampCausal(msg, rt.causal.Add(1), 0, 0)
 	} else if cur := rt.causal.Load(); msg.CID() > cur {
@@ -396,8 +405,22 @@ func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 // sim.World.ForceAsleep for scenario transplantation (FSP worlds whose
 // initial state contains asleep processes) and must be called before Start.
 func (rt *Runtime) ForceAsleep(r ref.Ref) {
+	rt.from = nil
 	rt.mustProc(r).life.Store(1)
 	rt.asleep.Add(1)
+}
+
+// HandOver records that the runtime holds exactly the live processes of w —
+// modes, lives, stored references, channels — as mirrored from it, if w is
+// at its seal (sim.World.Sealed). Start (or RunSeeded) then takes w's
+// initial components and, for a degree oracle, a copy of its ledger instead
+// of recounting them, if w is still at that seal; otherwise, or once
+// AddProcess, Enqueue, ForceAsleep or Mutate follows, it recounts. The
+// components are shared with w: neither modifies them. Call it before Start.
+func (rt *Runtime) HandOver(w *sim.World) {
+	if _, _, gen := w.Sealed(); gen != 0 {
+		rt.from, rt.fromGen = w, gen
+	}
 }
 
 // total sums one per-shard counter. Each is monotone and the shards are read
@@ -739,14 +762,26 @@ func (rt *Runtime) Start() {
 // relevant-degree ledger. Start and RunSeeded are its callers outside tests;
 // a test that calls it to read the seeded state or to drive a shard by hand
 // (no worker, no coordinator) must call it once and must not call Start
-// afterwards.
-func (rt *Runtime) seal() {
+// afterwards. It reports whether it took the hand-over.
+func (rt *Runtime) seal() (handed bool) {
 	// Degree-judged oracle: maintain the ledger so exits are judged on it
-	// without cloning the world. Seeded here, before the workers exist, in
-	// the pass that finds the components, and every leaver judged once;
-	// admit/deliver/action-diff keep it current from here on (degree.go).
+	// without cloning the world. Set here, before the workers exist, and
+	// every leaver judged once; admit/deliver/action-diff keep it current
+	// from here on (degree.go). A world still at the seal the runtime was
+	// mirrored after has both counted already, in the order the walk below
+	// counts them: copy them. Otherwise seed the ledger in the pass that
+	// finds the components.
 	rt.jd, _ = rt.oracle.(degreeOracle)
-	if rt.jd != nil {
+	led, comps, handed := rt.handedOver()
+	switch {
+	case handed:
+		rt.initially = comps
+		if rt.jd != nil {
+			rt.ledger.CopyOf(led, len(rt.procs))
+			rt.resync()
+			rt.judgeAll()
+		}
+	case rt.jd != nil:
 		var uf graph.UnionFind
 		uf.Reset(len(rt.procs))
 		rt.resetLedger()
@@ -756,7 +791,7 @@ func (rt *Runtime) seal() {
 		})
 		rt.judgeAll()
 		rt.initially = rt.partition(&uf)
-	} else {
+	default:
 		rt.initially = rt.components()
 	}
 	for _, sh := range rt.shards {
@@ -773,6 +808,20 @@ func (rt *Runtime) seal() {
 		sh.awake.Store(awake)
 		sh.live.Store(live)
 	}
+	return handed
+}
+
+// handedOver returns the ledger and initial components of the world
+// HandOver named, and true while that world is still at the seal the runtime
+// was mirrored after. It forgets the hand-over either way.
+func (rt *Runtime) handedOver() (*graph.Ledger, [][]ref.Ref, bool) {
+	w, gen := rt.from, rt.fromGen
+	rt.from = nil
+	if w == nil {
+		return nil, nil, false
+	}
+	led, comps, now := w.Sealed()
+	return led, comps, now == gen
 }
 
 // coordinate is the coordinator's goroutine: it drives epoch on the wall
@@ -1104,6 +1153,7 @@ type MutableView struct{ rt *Runtime }
 func (rt *Runtime) Mutate(fn func(v *MutableView)) {
 	rt.pauseAll()
 	defer rt.resumeAll()
+	rt.from = nil
 	fn(&MutableView{rt: rt})
 	// A strike may rewrite stored references or inject messages without any
 	// action running: rebuild the ledger and judge every leaver again

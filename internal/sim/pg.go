@@ -46,6 +46,7 @@ func (w *World) syncView() {
 // Resync moves it out on its own.
 func (w *World) seed() {
 	w.gen++
+	w.seeded = w.gen
 	w.ledger = new(graph.Ledger)
 	w.ledger.Reset(max(len(w.procs), len(w.elsewhere)))
 	need := 0

@@ -208,6 +208,13 @@ type World struct {
 	hibGen   uint64
 	hibCache ref.Set
 
+	// seeded is gen as seed left it. sealGen is gen as SealInitialState left
+	// it, and sealStep the step count then, while the seal can be handed
+	// over (Sealed); sealGen is 0 when it cannot.
+	seeded   uint64
+	sealGen  uint64
+	sealStep int
+
 	// elsewhere is the mode, by ref.Index, of each process another node
 	// hosts (HostElsewhere), Absent where none.
 	elsewhere []Mode
@@ -437,6 +444,26 @@ func (w *World) SealInitialState() {
 		}
 	}
 	w.initialComponents = uf.Partition(live)
+	w.sealGen, w.sealStep = 0, w.stats.Steps
+	if w.gen == w.seeded && len(w.elsewhere) == 0 {
+		w.sealGen = w.gen
+	}
+}
+
+// Sealed hands out what SealInitialState computed — the degree ledger, whose
+// rows hold their pairs in the order a fresh count of the stores, then the
+// channels, process by process in reference order, gives them, and the
+// initial components — with the seal's generation, while the world is exactly
+// as the seal left it: no step, Enqueue, Inject, InvalidatePG, AddProcess,
+// ForceAsleep, MarkGone, HostElsewhere or SetInitialComponents since, nothing
+// hosted elsewhere, and a ledger seeded for the seal and not changed since.
+// Otherwise the generation is 0. A later seal of the same world has another
+// generation. The caller must not modify either result.
+func (w *World) Sealed() (led *graph.Ledger, comps [][]ref.Ref, gen uint64) {
+	if w.sealGen == 0 || w.sealGen != w.gen || w.sealStep != w.stats.Steps {
+		return nil, nil, 0
+	}
+	return w.ledger, w.initialComponents, w.sealGen
 }
 
 // InitialComponents returns the sealed initial component partition.
@@ -451,7 +478,10 @@ func (w *World) InitialComponents() [][]ref.Ref { return w.initialComponents }
 // check exists to find. Components may mention references unknown to this
 // world (e.g. processes that exited before the snapshot); consumers filter
 // membership before use. The caller must not mutate comps afterwards.
-func (w *World) SetInitialComponents(comps [][]ref.Ref) { w.initialComponents = comps }
+func (w *World) SetInitialComponents(comps [][]ref.Ref) {
+	w.initialComponents = comps
+	w.sealGen = 0
+}
 
 // Refs returns the references of all registered processes, gone or not.
 func (w *World) Refs() []ref.Ref {
