@@ -177,20 +177,22 @@ func (l *Ledger) Exit(u ref.Ref) {
 type RefDiff struct{ was, now []ref.Ref }
 
 // Resync is the end-of-action diff of cur, a process's stored references,
-// against *synced, the copy taken at its last sync, which it then makes a
-// copy of cur. It returns the multiset delta in reference order, in diff's
-// buffers until the next call: added holds each copy cur has beyond
-// *synced's, gone each copy *synced had beyond cur's. An unchanged store
-// (Refs is deterministic) costs one comparison. Copies are sorted, never cur
-// itself: it may be a slice the protocol handed out, which nobody modifies.
+// against *synced, the list its last sync took, and then makes *synced cur
+// itself. Both are slices a protocol handed out (sim.Protocol.Refs), which
+// nobody writes: Resync writes neither, it sorts copies in diff's buffers.
+// It returns the multiset delta in reference order, in those buffers until
+// the next call: added holds each copy cur has beyond *synced's, gone each
+// copy *synced had beyond cur's. An unchanged store (Refs is deterministic)
+// costs one comparison.
 func (diff *RefDiff) Resync(synced *[]ref.Ref, cur []ref.Ref) (added, gone []ref.Ref) {
-	if slices.Equal(cur, *synced) {
+	was := *synced
+	*synced = cur
+	if slices.Equal(cur, was) {
 		return nil, nil
 	}
-	was := append(diff.was[:0], *synced...)
+	was = append(diff.was[:0], was...)
 	now := append(diff.now[:0], cur...)
 	diff.was, diff.now = was, now
-	*synced = append((*synced)[:0], cur...)
 	ref.Sort(was)
 	ref.Sort(now)
 	// Merge, compacting each side's surplus behind its read position.

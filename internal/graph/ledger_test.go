@@ -160,10 +160,16 @@ func runLedgerScript(t testing.TB, script []byte) {
 				}
 			}
 			slices.Reverse(cur) // not in reference order: Resync must not care
-			was, handed := slices.Clone(synced[ai]), slices.Clone(cur)
+			// Both lists are handouts: Resync writes neither, and takes cur
+			// itself, not a copy of it, as the next base.
+			base := synced[ai]
+			was, handed := slices.Clone(base), slices.Clone(cur)
 			added, gone := diff.Resync(&synced[ai], cur)
-			if !slices.Equal(synced[ai], cur) || !slices.Equal(cur, handed) {
-				t.Fatalf("Resync %v → %v synced %v and left the handed list %v", was, handed, synced[ai], cur)
+			if !slices.Equal(base, was) || !slices.Equal(cur, handed) {
+				t.Fatalf("Resync %v → %v wrote its arguments: base %v, cur %v", was, handed, base, cur)
+			}
+			if len(synced[ai]) != len(cur) || &synced[ai][0] != &cur[0] {
+				t.Fatalf("Resync %v → %v left the base %v, not cur's array", was, handed, synced[ai])
 			}
 			// The delta is the multiset difference, each list in reference
 			// order: the old list plus added equals the new list plus gone.

@@ -5,7 +5,7 @@ import "fdp/internal/ref"
 // UnionFind partitions references, addressed by ref.Index, into the classes
 // its Union calls connect: the weakly connected components of a process
 // graph neither engine has to build. The sequential World feeds it the
-// edges of its synced stored references and channels, the concurrent
+// edges of its processes' stored references and channels, the concurrent
 // runtime those of its stored references and mailboxes. The zero value holds
 // nothing; Reset sizes it and reuses its array.
 type UnionFind struct{ parent []int32 }

@@ -14,9 +14,9 @@ package parallel
 //     nothing.
 //   - The over-count invariant, "adds precede removes". A message's pairs
 //     are added before it can be popped and removed after its handler ran,
-//     and the acting process's resync runs after the handler too. So each
-//     row holds every pair of the state before, or after, each action in
-//     progress: its length is at least the relevant degree in some
+//     and the acting process's store diff runs after the handler too. So
+//     each row holds every pair of the state before, or after, each action
+//     in progress: its length is at least the relevant degree in some
 //     sequential order of the actions, and a grant on it is one the model
 //     could have given (Lemma 2). A leaver retired by one worker stays in
 //     its neighbours' rows until dropPairsOf erases it, so commits that
@@ -27,14 +27,15 @@ package parallel
 //   - The reply handoff. A delivered message with one reference v leaves
 //     its receiver p owing the −1 on {p, v} (proc.owed). The action's first
 //     add on that pair — the admission of a one-reference message whose pair
-//     it is, or the first store of v the resync finds — takes the debt over:
-//     one count stands for the message before the action and for the reply
-//     or store after it, and neither update is applied. A debt nobody takes
-//     is paid at the end of the action; a refused admission takes nothing.
-//     The count may not be removed before the action ends, so nobody may
-//     pop the reply meanwhile: its own worker is busy with the action, and
-//     an outbox is published only between two actions (shard.post). The
-//     invariant holds as above, and every debt is settled at every pause.
+//     it is, or the first store of v the store diff finds — takes the debt
+//     over: one count stands for the message before the action and for the
+//     reply or store after it, and neither update is applied. A debt nobody
+//     takes is paid at the end of the action; a refused admission takes
+//     nothing. The count may not be removed before the action ends, so
+//     nobody may pop the reply meanwhile: its own worker is busy with the
+//     action, and an outbox is published only between two actions
+//     (shard.post). The invariant holds as above, and every debt is settled
+//     at every pause.
 //   - Judgement where the row moves. Every Count or Forget that changes a
 //     leaver's row length re-judges the leaver before its degMu is let go,
 //     so oracleOK is always JudgeDegree of the row; an answer that turns
@@ -167,15 +168,16 @@ func (p *proc) payDebt() {
 
 // syncRefs folds the acting process's explicit-edge changes into the ledger
 // after an action, with the end-of-action diff the sequential engine runs
-// (graph.RefDiff): p.synced is the copy of proto.Refs() taken at the last
-// sync (by resync at Start and after every Mutate, here since). A
-// reference stored here for the first time came out of the message being
-// delivered, whose implicit pair is still counted (deliverAction drops it
-// afterwards) — or, if the delivery still owes that pair, takes the debt
-// over. sh is the shard whose worker runs the action, and owns the sort
-// buffers.
-func (p *proc) syncRefs(sh *shard) {
-	added, gone := sh.diff.Resync(&p.synced, p.proto.Refs())
+// (graph.RefDiff) against before, the proto.Refs() handout the action took
+// just before its handler ran: a handout is never written (sim.Protocol.Refs),
+// so it is the store as the action found it, and no copy is kept between
+// actions. A reference stored here for the first time came out of the
+// message being delivered, whose implicit pair is still counted
+// (deliverAction drops it afterwards) — or, if the delivery still owes that
+// pair, takes the debt over. sh is the shard whose worker runs the action,
+// and owns the sort buffers.
+func (p *proc) syncRefs(sh *shard, before []ref.Ref) {
+	added, gone := sh.diff.Resync(&before, p.proto.Refs())
 	for _, r := range added {
 		if q := p.owed; q != nil && r == q.id {
 			p.owed = nil
@@ -284,42 +286,14 @@ func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
 	}
 }
 
-// resetLedger empties the ledger, gives every live leaver a row, and
-// re-takes the synced copies (resync); then seed counts each pair the
-// forEachEdge walk yields and judgeAll judges every leaver once. Same caller
-// contract.
+// resetLedger empties the ledger and gives every live leaver a row; then
+// seed counts each pair the forEachEdge walk yields and judgeAll judges every
+// leaver once. Same caller contract.
 func (rt *Runtime) resetLedger() {
 	rt.ledger.Reset(len(rt.procs))
 	for _, p := range rt.procs {
 		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
 			rt.ledger.Leave(p.id)
-		}
-	}
-	rt.resync()
-}
-
-// resync re-takes every live process's synced copy of its stored
-// references. A copy that does not fit where the last one was is cut from
-// one backing array shared by all such, capped at twice its length, as
-// sim.World's ledger seed does: room to grow before syncRefs moves it out on
-// its own. Same caller contract.
-func (rt *Runtime) resync() {
-	need := 0
-	for _, p := range rt.procs {
-		if p != nil && p.life.Load() != 2 {
-			if k := len(p.proto.Refs()); k > cap(p.synced) {
-				need += 2 * k
-			}
-		}
-	}
-	arena := make([]ref.Ref, need)
-	for _, p := range rt.procs {
-		if p != nil && p.life.Load() != 2 {
-			refs := p.proto.Refs()
-			if k := len(refs); k > cap(p.synced) {
-				p.synced, arena = arena[:0:2*k], arena[2*k:]
-			}
-			p.synced = append(p.synced[:0], refs...)
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // verdicts are handed over at once. A mid-run Mutate injects junk in-flight
 // references and rewrites stored references behind the ledger's back to
 // exercise the reseed path as well, in a world that already has gone
-// processes: a last-synced snapshot left stale there makes a struck
+// processes: a diff base that outlived the strike would make a struck
 // process's next action count the change a second time. One extra leaver is
 // pinned by two inert holders until the strike releases it, so SINGLE cannot
 // grant it and the run cannot end before the strike has fired, however fast
@@ -351,7 +351,7 @@ func (h *handOff) Timeout(ctx sim.Context) {
 // updates (syncRefs, payDebt). The leaver holds two stayers; its timeout
 // hands the second to the first and asks to exit, which leaves it one
 // neighbor, and SINGLE must grant in that same action. Judged before the
-// resync, the row still holds both and the exit is denied.
+// store diff, the row still holds both and the exit is denied.
 func TestExitIsJudgedAfterTheAction(t *testing.T) {
 	space := ref.NewSpace()
 	l, a, x := space.New(), space.New(), space.New()

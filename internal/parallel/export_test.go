@@ -36,11 +36,10 @@ var BuildShardedRuntime = buildShardedRuntime
 func Seal(rt *Runtime) bool { return rt.seal() }
 
 // SealState is what seal leaves in a runtime: per live process in reference
-// order its ledger row (none without a degree oracle), synced copy and cached
-// oracle answer, per shard its ready list, and the initial components.
+// order its ledger row (none without a degree oracle) and cached oracle
+// answer, per shard its ready list, and the initial components.
 type SealState struct {
 	Rows       [][]graph.Pair
-	Synced     [][]ref.Ref
 	OracleOK   []bool
 	Ready      [][]int32
 	Components [][]ref.Ref
@@ -56,7 +55,6 @@ func SealedState(rt *Runtime) SealState {
 				row = rt.ledger.Pairs(p.id)
 			}
 			s.Rows = append(s.Rows, row)
-			s.Synced = append(s.Synced, p.synced)
 			s.OracleOK = append(s.OracleOK, p.oracleOK.Load())
 		}
 	}

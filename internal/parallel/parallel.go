@@ -154,11 +154,6 @@ type proc struct {
 	// takes its neighbors' one at a time.
 	degMu sync.Mutex //fdp:lockordered pair updates lock both endpoints in reference order
 
-	// synced is the copy of proto.Refs() the degree ledger last accounted for
-	// (syncRefs after every action, resync at Start and after Mutate).
-	// Touched only by the owning worker (or under a full pause).
-	synced []ref.Ref
-
 	// owed is the other end of the pair whose −1 the delivery in progress
 	// still owes (degree.go, the reply handoff). The owning worker's; nil
 	// between actions.
@@ -570,6 +565,10 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		rt.emit(sh, sim.Event{Kind: sim.EvDeliver, Proc: p.id, Peer: msg.From(), Label: msg.Label, Depth: depth,
 			CID: p.curCID, Parent: msg.CID(), MsgID: msg.CID(), MsgSeq: msg.Seq(), Clock: p.clock})
 	}
+	var before []ref.Ref // the store as the action finds it: syncRefs' base
+	if rt.jd != nil {
+		before = p.proto.Refs()
+	}
 	oneRef := rt.jd != nil && len(msg.Refs) == 1
 	if oneRef {
 		p.owe(msg.Refs[0].Ref)
@@ -581,7 +580,7 @@ func (p *proc) deliverAction(sh *shard, msg *sim.Message) bool {
 		// a reference it carried is never off the ledger while the delivery
 		// is open — or they were never dropped, a reply or a store having
 		// taken the one pair over.
-		p.syncRefs(sh)
+		p.syncRefs(sh, before)
 		if oneRef {
 			p.payDebt()
 		} else {
@@ -600,9 +599,13 @@ func (p *proc) timeoutAction(sh *shard) bool {
 	if sh.note(sim.EvTimeout) {
 		p.rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id, CID: p.curCID, Clock: p.clock})
 	}
+	var before []ref.Ref
+	if p.rt.jd != nil {
+		before = p.proto.Refs()
+	}
 	p.proto.Timeout(&p.ctx)
 	if p.rt.jd != nil {
-		p.syncRefs(sh)
+		p.syncRefs(sh, before)
 	}
 	return p.finishAction(sh)
 }
@@ -778,7 +781,6 @@ func (rt *Runtime) seal() (handed bool) {
 		rt.initially = comps
 		if rt.jd != nil {
 			rt.ledger.CopyOf(led, len(rt.procs))
-			rt.resync()
 			rt.judgeAll()
 		}
 	case rt.jd != nil:

@@ -98,10 +98,9 @@ func asleep(w *sim.World) int {
 // a sealed world (it copies the world's ledger and components) and one built
 // process by process from the same world (it recounts them), under SINGLE
 // and under NIDEC, which keeps no ledger. Both must leave the same rows with
-// their pairs in the same order, the same synced copies, cached answers,
-// ready lists and initial components. The hand-over runtime then runs for a
-// while, and the world's ledger must still read as sealed: the copy shares
-// no row with it.
+// their pairs in the same order, the same cached answers, ready lists and
+// initial components. The hand-over runtime then runs for a while, and the
+// world's ledger must still read as sealed: the copy shares no row with it.
 func TestHandOverMatchesRecount(t *testing.T) {
 	for _, c := range sealCases() {
 		for _, orc := range []parallel.Oracle{oracle.Single{}, oracle.NIDEC{}} {
@@ -227,10 +226,10 @@ func TestSteppedWorldRecounts(t *testing.T) {
 }
 
 // TestHandedOverRunConverges runs a hand-over runtime on the wall clock
-// with three workers, which grow the copied rows and synced copies side by
-// side in their shared arrays (under -race, what shows that no two of them
-// overlap), to a legitimate state with every leaver gone and the relevant
-// components intact.
+// with three workers, which grow the copied rows side by side in their
+// shared array (under -race, what shows that no two of them overlap), to a
+// legitimate state with every leaver gone and the relevant components
+// intact.
 func TestHandedOverRunConverges(t *testing.T) {
 	s := churn.Build(churn.Config{N: 300, Topology: churn.TopoRandom, LeaveFraction: 0.5,
 		Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 12})
@@ -243,8 +242,8 @@ func TestHandedOverRunConverges(t *testing.T) {
 
 // TestHandOverSealAllocates pins the hand-over seal of an n = 10,000 world
 // with half of it leaving to a handful of allocations: the ledger's tables
-// and one backing array each for the rows and the synced copies, with no
-// allocation per process. The recount made ~20,700.
+// and one backing array for the rows, with no allocation per process. The
+// recount made ~20,700.
 func TestHandOverSealAllocates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n = 10,000 world")
@@ -267,6 +266,53 @@ func TestHandOverSealAllocates(t *testing.T) {
 	t.Logf("the hand-over seal made %d allocations", best)
 	if best > most {
 		t.Fatalf("the hand-over seal made %d allocations, want at most %d", best, most)
+	}
+}
+
+// countingRefs counts the calls of its protocol's Refs.
+type countingRefs struct {
+	sim.Protocol
+	calls *int
+}
+
+func (c countingRefs) Refs() []ref.Ref {
+	*c.calls++
+	return c.Protocol.Refs()
+}
+
+// TestHandOverSealReadsNoStore: a hand-over seal takes the ledger and the
+// components from the world and reads no process's stored references — the
+// next action of each process takes its own diff base — while a recount of
+// the same world reads every store.
+func TestHandOverSealReadsNoStore(t *testing.T) {
+	for _, leave := range []float64{0.02, 0.5} {
+		s := churn.Build(churn.Config{N: 500, Topology: churn.TopoRandom, LeaveFraction: leave,
+			Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 6})
+		for _, orc := range []parallel.Oracle{oracle.Single{}, oracle.NIDEC{}} {
+			for _, handOver := range []bool{true, false} {
+				calls := 0
+				rt := parallel.NewRuntime(orc)
+				s.World.CloneLive(func(r ref.Ref, mode sim.Mode, life sim.Life, proto sim.Protocol, ch []sim.Message) {
+					rt.AddProcess(r, mode, countingRefs{proto, &calls})
+					for _, m := range ch {
+						rt.Enqueue(r, m)
+					}
+				})
+				if handOver {
+					rt.HandOver(s.World)
+				}
+				calls = 0
+				if parallel.Seal(rt) != handOver {
+					t.Fatalf("leave=%v %T: seal took the hand-over %v, want %v", leave, orc, !handOver, handOver)
+				}
+				if handOver && calls != 0 {
+					t.Fatalf("leave=%v %T: the hand-over seal called Refs %d times", leave, orc, calls)
+				}
+				if !handOver && calls == 0 {
+					t.Fatalf("leave=%v %T: the recount read no store: the counter shows nothing", leave, orc)
+				}
+			}
+		}
 	}
 }
 

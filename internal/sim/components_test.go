@@ -204,7 +204,7 @@ func TestLedgerSleepsAfterTheLastExit(t *testing.T) {
 		if got := sim.LedgerLeavers(w); got != 0 {
 			t.Fatalf("after the last exit the ledger holds %d rows (-1: none), want 0", got)
 		}
-		// Step on until some stayer's store has moved off its synced copy.
+		// Step on until some stayer's store has moved off its diff base.
 		for steps := 0; !stale(w); steps++ {
 			if steps == 20000 {
 				t.Fatal("no stayer's store changed in 20000 steps after the last exit")
@@ -243,13 +243,13 @@ func TestLedgerSleepsAfterTheLastExit(t *testing.T) {
 			w.Execute(a)
 		}
 		if got := sim.LedgerLeavers(w); got != 0 || !stale(w) {
-			t.Fatalf("ledger rows %d, a stale copy %v: want 0 and true", got, stale(w))
+			t.Fatalf("ledger rows %d, a stale base %v: want 0 and true", got, stale(w))
 		}
 	})
 }
 
-// stale reports whether some live process's store differs from the copy the
-// ledger last synced.
+// stale reports whether some live process's store differs from the diff base
+// the ledger last synced against.
 func stale(w *sim.World) bool {
 	for _, r := range w.Refs() {
 		if w.LifeOf(r) != sim.Gone && !slices.Equal(sim.SyncedRefs(w, r), w.ProtocolOf(r).Refs()) {
@@ -261,7 +261,7 @@ func stale(w *sim.World) bool {
 
 // checkRearmed holds w, whose ledger was just dropped, to a fresh seed: seed
 // seeds it, and it then has rows for the given number of leavers, every
-// synced copy current, and every degree, NIDEC verdict and the Lemma 2 check
+// diff base current, and every degree, NIDEC verdict and the Lemma 2 check
 // equal to the built graph's.
 func checkRearmed(t *testing.T, w *sim.World, seed func(), leavers int) {
 	t.Helper()
@@ -273,7 +273,7 @@ func checkRearmed(t *testing.T, w *sim.World, seed func(), leavers int) {
 		t.Fatalf("re-armed ledger holds %d rows (-1: none), want %d", got, leavers)
 	}
 	if stale(w) {
-		t.Fatal("a synced copy is stale after the reseed")
+		t.Fatal("a diff base is stale after the reseed")
 	}
 	g := w.RelevantPG()
 	for _, r := range w.Refs() {

@@ -180,8 +180,13 @@ type Protocol interface {
 	// Read-only: the returned slice is never modified after it was handed
 	// out, neither by the protocol (which may hand the same slice to every
 	// caller until its stored references change, as core.Proc does) nor by
-	// the caller. Snapshots may therefore retain it (the runtime's frozen
-	// worlds do); a caller that wants to sort or append copies first.
+	// the caller; a protocol whose store changes builds a new slice, and a
+	// caller that wants to sort or append copies first. Callers therefore
+	// retain it instead of copying it: both engines keep the last slice a
+	// process handed out as the base their degree ledger diffs the next one
+	// against (the sequential world per process, the runtime per action),
+	// and the runtime's frozen worlds keep it as the snapshot's store. A
+	// protocol that writes a slice it handed out corrupts those degrees.
 	Refs() []ref.Ref
 }
 

@@ -13,12 +13,15 @@ package sim
 // (only the acting process's stored refs can have changed) and exit apply
 // O(Δ) deltas, through edge, which counts only edges between two live,
 // distinct processes, a process hosted elsewhere (HostElsewhere) counting as
-// live. Once the last leaver has exited the ledger is dormant:
-// no pair can count, so nothing is fed to it and the synced copies, which
-// are only its diff base, go stale until a reseed rewrites them. Every
-// mutation that can change the hibernating set bumps w.gen, which stamps the
-// one derived memo, Hibernating's; a dormant end of action bumps it
-// unconditionally, having no diff to tell.
+// live. An action's delta is the diff of the Refs slice the protocol hands
+// out after it against the one handed out at the last sync (p.pgRefs):
+// handouts are never written (Protocol.Refs), so the base is kept as handed
+// out, never copied. Once the last leaver has exited the ledger is dormant:
+// no pair can count, so nothing is fed to it and the diff bases go stale
+// until a reseed retakes them. Every mutation that can change the
+// hibernating set bumps w.gen, which stamps the one derived memo,
+// Hibernating's; a dormant end of action bumps it unconditionally, having no
+// diff to tell.
 
 import (
 	"slices"
@@ -27,7 +30,7 @@ import (
 	"fdp/internal/ref"
 )
 
-// syncView makes the ledger and the synced copies current: it seeds the
+// syncView makes the ledger and the diff bases current: it seeds the
 // ledger if there is none and otherwise folds in the acting process's pending
 // ref delta, so oracle calls made from inside Timeout/Deliver see the exact
 // current state.
@@ -40,31 +43,16 @@ func (w *World) syncView() {
 }
 
 // seed builds the ledger from scratch and records per process the refs
-// snapshot future diffs are computed against. A snapshot that does not fit
-// where the last one was is copied into one backing array shared by all
-// such, each capped at twice its length: room to grow in the run before
-// Resync moves it out on its own.
+// future diffs are computed against: the slice proto.Refs() hands out, which
+// is never written (Protocol.Refs), so it is kept as it is, not copied.
 func (w *World) seed() {
 	w.gen++
 	w.seeded = w.gen
 	w.ledger = new(graph.Ledger)
 	w.ledger.Reset(max(len(w.procs), len(w.elsewhere)))
-	need := 0
 	for _, p := range w.procs {
 		if p != nil && p.life != Gone {
-			if k := len(p.proto.Refs()); k > cap(p.pgRefs) {
-				need += 2 * k
-			}
-		}
-	}
-	arena := make([]ref.Ref, need)
-	for _, p := range w.procs {
-		if p != nil && p.life != Gone {
-			refs := p.proto.Refs()
-			if k := len(refs); k > cap(p.pgRefs) {
-				p.pgRefs, arena = arena[:0:2*k], arena[2*k:]
-			}
-			p.pgRefs = append(p.pgRefs[:0], refs...)
+			p.pgRefs = p.proto.Refs()
 			if p.mode == Leaving {
 				w.ledger.Leave(p.id)
 			}
@@ -155,7 +143,9 @@ func (w *World) pgExit(p *process) {
 // ledger. Only the acting process can have changed, so this is O(|refs(p)|)
 // per action. The diff is multiset-aware: a protocol storing the same
 // reference twice contributes explicit multiplicity 2, exactly as PG() does.
-// A dormant ledger is not synced: p.pgRefs stays stale until a reseed.
+// The base is p.pgRefs, the handout the last sync took; the current
+// handout becomes the next. A dormant ledger is not synced: p.pgRefs stays
+// stale until a reseed.
 func (w *World) pgSyncRefs(p *process) {
 	if w.ledger == nil || p.life == Gone {
 		return

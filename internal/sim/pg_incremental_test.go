@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fdp/internal/graph"
@@ -19,6 +20,10 @@ type chaosProto struct {
 	rng  *rand.Rand
 	refs []ref.Ref // slice, not set: duplicates give explicit multiplicity >1
 	fsp  bool
+	// inPlace skips act's copy, so that its removal writes the slice Refs
+	// last handed out: a protocol that breaks the Refs contract, for the
+	// contract's own test to catch.
+	inPlace bool
 }
 
 func (c *chaosProto) Refs() []ref.Ref { return c.refs }
@@ -27,6 +32,11 @@ func (c *chaosProto) Timeout(ctx Context)            { c.act(ctx) }
 func (c *chaosProto) Deliver(ctx Context, _ Message) { c.act(ctx) }
 
 func (c *chaosProto) act(ctx Context) {
+	// The last Refs handout is never written (Protocol.Refs): the removal
+	// below moves elements in place, so it works on a copy.
+	if !c.inPlace {
+		c.refs = slices.Clone(c.refs)
+	}
 	if len(c.refs) > 0 && c.rng.Intn(3) == 0 {
 		i := c.rng.Intn(len(c.refs))
 		c.refs = append(c.refs[:i], c.refs[i+1:]...)

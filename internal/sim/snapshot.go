@@ -240,7 +240,7 @@ func (w *World) Legitimate(v Variant) bool {
 // PG (paths may only use staying processes, since in a legitimate state all
 // other processes are excluded from the overlay). A component with two
 // staying members or more fails if one of them is gone. Union-find over the
-// staying processes' synced references; no graph is built.
+// staying processes' stored references; no graph is built.
 func (w *World) StayingComponentsPreserved() bool {
 	return w.joined(func(p *process) bool { return p.mode == Staying })
 }
@@ -250,7 +250,7 @@ func (w *World) StayingComponentsPreserved() bool {
 // weakly connected in the subgraph of PG induced by relevant processes. This
 // is strictly stronger than condition (iii) and must hold in *every* state
 // of a computation of a safe protocol. Union-find over the relevant
-// processes' synced references; while nothing is asleep no graph is built.
+// processes' stored references; while nothing is asleep no graph is built.
 func (w *World) RelevantComponentsIntact() bool {
 	hib := w.Hibernating()
 	return w.joined(func(p *process) bool { return relevant(p, hib) })

@@ -138,7 +138,7 @@ type process struct {
 	// executes, merged (max) with the sender's clock on every delivery.
 	clock uint64
 
-	// pgRefs is the copy of proto.Refs() the world's ledger was last synced
+	// pgRefs is the proto.Refs() handout the world's ledger was last synced
 	// against: its diff base and nothing else (see pg.go), stale while the
 	// ledger is dropped or dormant.
 	pgRefs []ref.Ref
