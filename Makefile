@@ -66,7 +66,9 @@ test:
 # the ledger's reply handoff relies on). The observers that stripe their
 # state by Event.Lane are raced the same way, by tests that force the lane
 # count: TestStepNonDecreasingPerProcess (internal/parallel, four shards
-# stamping lanes and cached steps through rebalances), TestFlightLanesMergeCausally
+# stamping lanes and cached steps through Freeze and Mutate pauses, one lane
+# per process), TestPausesKeepCausalIDsUnique (internal/parallel, three shards:
+# no event dropped or doubled across the same pauses), TestFlightLanesMergeCausally
 # (internal/trace, four goroutines on four rings), TestFlightCompleteSnapshotIsACut
 # (snapshots beside a recorder on two lanes), TestConcurrentRecordKeepsLinesWhole
 # (internal/trace, the journal Writer's line buffers: five goroutines on four

@@ -176,6 +176,8 @@ var runtimeGolden = struct {
 
 // TestRuntimeGoldenJournalRegeneratesByteIdentically re-runs the runtime
 // golden and joins the committed journal: exit 0, no duplicate delivery.
+// Every poll of the run also holds Lemma 2: no relevant processes
+// disconnected.
 func TestRuntimeGoldenJournalRegeneratesByteIdentically(t *testing.T) {
 	g := runtimeGolden
 	scn, err := g.scn.BuildScenario()
@@ -206,9 +208,16 @@ func TestRuntimeGoldenJournalRegeneratesByteIdentically(t *testing.T) {
 	jw := trace.NewWriter(&buf, trace.Header{Version: trace.Version, Engine: trace.EngineRuntime,
 		Scenario: trace.ScenarioFor(scn.Config, "")})
 	rt.AddEventHook(jw.Record)
-	legit := func(w *sim.World) bool { return w.Legitimate(variant) }
+	intact := true
+	legit := func(w *sim.World) bool {
+		intact = intact && w.RelevantComponentsIntact()
+		return w.Legitimate(variant)
+	}
 	if !rt.RunSeeded(g.scn.Seed, legit, time.Millisecond, 10*time.Second) {
 		t.Fatalf("seeded run did not converge (gone %d)", rt.Gone())
+	}
+	if !intact {
+		t.Fatal("a poll found relevant processes disconnected (Lemma 2)")
 	}
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)

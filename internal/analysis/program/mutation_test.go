@@ -180,12 +180,12 @@ var _ = (*Registry).mutNested
 	edit("internal/transport/tcp.go",
 		"\tt.mu.Lock()\n\tpeers := make([]NodeID, 0, len(t.cfg.Peers))\n",
 		"\tt.mu.Lock()\n\tif len(t.cfg.Peers) == 0 {\n\t\treturn\n\t}\n\tpeers := make([]NodeID, 0, len(t.cfg.Peers))\n")
-	// Mutation 7: Rebalance returns between pauseAll and the deferred
+	// Mutation 7: Mutate returns between pauseAll and the deferred
 	// resumeAll — the world stays frozen. The locks are held through
-	// pauseAll's escaping acquisition, not a Lock in Rebalance.
-	edit("internal/parallel/shard.go",
-		"\trt.pauseAll()\n\tdefer rt.resumeAll()\n\trt.rebalanceUnderPause()\n",
-		"\trt.pauseAll()\n\tif len(rt.shards) == 1 {\n\t\treturn\n\t}\n\tdefer rt.resumeAll()\n\trt.rebalanceUnderPause()\n")
+	// pauseAll's escaping acquisition, not a Lock in Mutate.
+	edit("internal/parallel/parallel.go",
+		"\trt.pauseAll()\n\tdefer rt.resumeAll()\n\trt.from = nil\n",
+		"\trt.pauseAll()\n\tif len(rt.shards) == 1 {\n\t\treturn\n\t}\n\tdefer rt.resumeAll()\n\trt.from = nil\n")
 	// Mutation 8: validateExitOn judges before it takes oracleMu.
 	edit("internal/parallel/parallel.go",
 		"\t\trt.oracleMu.Lock()\n\t\tok := rt.oracle.Evaluate(w, p.id)\n",
@@ -228,7 +228,7 @@ var _ = (*Registry).mutNested
 	find("lockgraph", "while holding obs.Registry.mu violates its //fdp:lockleaf declaration", "mutNested", "lookupOrCreate")
 	find("lockgraph", "return while holding trace.ring.mu", "path: Record (trace/flight.go:")
 	find("lockgraph", "return while holding transport.TCP.mu", "path: BroadcastControl (transport/tcp.go:")
-	find("lockgraph", "return while holding parallel.Runtime.freezeMu, parallel.shard.actMu", "path: Rebalance (parallel/shard.go:", "→ pauseAll (parallel/shard.go:")
+	find("lockgraph", "return while holding parallel.Runtime.freezeMu, parallel.shard.actMu", "path: Mutate (parallel/parallel.go:", "→ pauseAll (parallel/shard.go:")
 	find("lockgraph", "oracle.Evaluate outside an oracleMu critical section", "path: validateExitOn (parallel/parallel.go:")
 
 	// The seeded violations must be the only findings — the copy is

@@ -42,12 +42,12 @@ func TestEventKindParity(t *testing.T) {
 		time.Millisecond, 30*time.Second) {
 		t.Fatal("concurrent run did not converge")
 	}
-	concCounts := rt.EventKindCounts()
+	concCounts := rt.KindCount
 
 	// Exact agreement on the schedule-independent series.
-	if uint64(seqCounts[sim.EvExit]) != concCounts[sim.EvExit] {
+	if uint64(seqCounts[sim.EvExit]) != concCounts(sim.EvExit) {
 		t.Fatalf("exit counts differ: sequential %d, concurrent %d",
-			seqCounts[sim.EvExit], concCounts[sim.EvExit])
+			seqCounts[sim.EvExit], concCounts(sim.EvExit))
 	}
 	// Tolerance check on the schedule-dependent series: both engines must
 	// emit the kind at all, and deliveries can never exceed what entered
@@ -56,18 +56,14 @@ func TestEventKindParity(t *testing.T) {
 		if seqCounts[k] == 0 {
 			t.Errorf("sequential engine emitted no %v events", k)
 		}
-		if concCounts[k] == 0 {
+		if concCounts(k) == 0 {
 			t.Errorf("concurrent engine emitted no %v events", k)
 		}
 	}
 	initialJunk := uint64(scn.Corrupt.JunkMessages)
-	if max := concCounts[sim.EvSend] - concCounts[sim.EvDrop] + initialJunk; concCounts[sim.EvDeliver] > max {
+	if max := concCounts(sim.EvSend) - concCounts(sim.EvDrop) + initialJunk; concCounts(sim.EvDeliver) > max {
 		t.Errorf("concurrent deliveries %d exceed enqueued messages %d",
-			concCounts[sim.EvDeliver], max)
-	}
-	if rt.KindCount(sim.EvSend) != concCounts[sim.EvSend] {
-		t.Errorf("KindCount disagrees with EventKindCounts: %d vs %d",
-			rt.KindCount(sim.EvSend), concCounts[sim.EvSend])
+			concCounts(sim.EvDeliver), max)
 	}
 }
 

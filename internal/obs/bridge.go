@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strconv"
-	"time"
 
 	"fdp/internal/parallel"
 	"fdp/internal/ref"
@@ -26,7 +25,7 @@ const (
 	// step at which each leaver committed exit (leavers exist from step 0).
 	MetricTimeToExitSteps = "fdp_time_to_exit_steps"
 	// MetricTimeToExitSeconds is the concurrent time-to-exit histogram:
-	// wall-clock seconds from Runtime.Start to each committed exit.
+	// seconds on the runtime's clock (Runtime.Clock) at each committed exit.
 	MetricTimeToExitSeconds = "fdp_time_to_exit_seconds"
 	// MetricOracleCalls counts oracle evaluations (via CountOracle).
 	MetricOracleCalls = "fdp_oracle_calls_total"
@@ -93,12 +92,13 @@ func InstrumentWorld(w *sim.World, reg *Registry) {
 // from the per-shard counts the runtime keeps anyway; an event hook
 // (attached through the runtime's hook fan-out, so a journal writer or
 // flight ring installed beside it keeps receiving events) feeding the depth
-// histogram and a wall-clock time-to-exit histogram; and collector gauges
-// over the runtime's always-on atomic counters, among them each shard's
-// cross-shard mail. Call before Runtime.Start and after SetShards. The hook
-// runs on the emitting goroutines and touches only atomics. Several runtimes
-// instrumented into one registry sum in the counters and histograms (each is
-// a further CounterFunc source); the gauges follow the first.
+// histogram and a time-to-exit histogram on the runtime's clock; and
+// collector gauges over the runtime's always-on atomic counters, among them
+// each shard's cross-shard mail. Call before Runtime.Start (or RunSeeded)
+// and after SetShards. The hook runs on the emitting goroutines and touches
+// only atomics. Several runtimes instrumented into one registry sum in the
+// counters and histograms (each is a further CounterFunc source); the gauges
+// follow the first.
 func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 	for k := range sim.NumEventKinds {
 		kind := sim.EventKind(k)
@@ -109,14 +109,14 @@ func InstrumentRuntime(rt *parallel.Runtime, reg *Registry) {
 		"channel depth after each send",
 		ExpBuckets(1, 2, 12))
 	timeToExit := reg.Histogram(MetricTimeToExitSeconds,
-		"wall-clock seconds from Start to each committed exit",
+		"seconds on the runtime's clock (virtual under RunSeeded) at each committed exit",
 		ExitSecondsBuckets())
 	rt.AddEventHook(func(e sim.Event) {
 		switch e.Kind {
 		case sim.EvSend:
 			depth.Observe(float64(e.Depth))
 		case sim.EvExit:
-			timeToExit.Observe(time.Since(rt.StartTime()).Seconds())
+			timeToExit.Observe(rt.Clock().Seconds())
 		}
 	})
 	reg.GaugeFunc("fdp_runtime_actions_total", "executed actions (timeouts + deliveries)",

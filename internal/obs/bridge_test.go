@@ -2,7 +2,9 @@ package obs
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,6 +157,41 @@ func TestInstrumentRuntime(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("runtime exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestInstrumentRuntimeSeededTimeToExit instruments a RunSeeded run, whose
+// clock is virtual and whose StartTime stays zero: every time-to-exit
+// observation is an exit's own stamp, none past the run's last.
+func TestInstrumentRuntimeSeededTimeToExit(t *testing.T) {
+	s := churnScenario(3)
+	leavers := len(s.LeavingNodes())
+	rt := mirror(s.World, oracle.Single{})
+	reg := NewRegistry()
+	InstrumentRuntime(rt, reg)
+	if !rt.RunSeeded(3, func(w *sim.World) bool { return w.Legitimate(sim.FDP) }, time.Millisecond, 10*time.Second) {
+		t.Fatal("seeded runtime did not converge")
+	}
+	stamps := rt.ExitLatencies()
+	if len(stamps) != leavers {
+		t.Fatalf("ExitLatencies len = %d, want %d", len(stamps), leavers)
+	}
+	last := stamps[len(stamps)-1].Seconds()
+	var want float64
+	for _, d := range stamps {
+		want += d.Seconds()
+	}
+	tte := reg.Histogram(MetricTimeToExitSeconds, "", nil)
+	if tte.Count() != uint64(leavers) {
+		t.Fatalf("time-to-exit count = %d, want %d", tte.Count(), leavers)
+	}
+	for i := sort.SearchFloat64s(tte.bounds, last) + 1; i < len(tte.buckets); i++ {
+		if n := tte.buckets[i].Load(); n > 0 {
+			t.Fatalf("%d time-to-exit observation(s) above %gs, past the last exit stamp %gs", n, tte.bounds[i-1], last)
+		}
+	}
+	if got := tte.Sum(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("time-to-exit observations sum to %gs, the exit stamps to %gs", got, want)
 	}
 }
 

@@ -75,11 +75,11 @@ func TestBatchDrainUnderConcurrentEnqueue(t *testing.T) {
 	}
 }
 
-// Rebalancing moves processes between shards while actions fire. Under
-// -race this doubles as the memory-safety check; here we also assert the
-// causal-ID ledger survives: no event is dropped or double-recorded across
-// a shard handoff, and the runtime still converges.
-func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
+// Freeze and Mutate pause the world, alternately, while actions fire on
+// three shards. Under -race this doubles as the memory-safety check; here we
+// also assert the causal-ID ledger survives: no event is dropped or
+// double-recorded across a pause, and the runtime still converges.
+func TestPausesKeepCausalIDsUnique(t *testing.T) {
 	rt, _, leaving := buildShardedRuntime(24, 0.4, 17, core.VariantFDP, oracle.Single{}, 3)
 	log := &eventLog{}
 	rt.AddEventHook(log.record)
@@ -90,13 +90,17 @@ func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			rt.Rebalance()
+			if i%2 == 0 {
+				rt.Freeze()
+			} else {
+				rt.Mutate(func(*MutableView) {})
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -109,16 +113,12 @@ func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
 	wg.Wait()
 	rt.Stop()
 	if rt.Gone() != uint64(leaving.Len()) {
-		t.Fatalf("runtime settled %d of %d leavers under rebalance pressure", rt.Gone(), leaving.Len())
+		t.Fatalf("runtime settled %d of %d leavers under pause pressure", rt.Gone(), leaving.Len())
 	}
 
 	final := log.snapshot()
-	var total uint64
-	for _, n := range rt.EventKindCounts() {
-		total += n
-	}
-	if uint64(len(final)) != total {
-		t.Fatalf("trace retained %d events, per-kind counters saw %d (rebalance dropped or duplicated events)", len(final), total)
+	if total := kindTotal(rt); uint64(len(final)) != total {
+		t.Fatalf("trace retained %d events, per-kind counters saw %d (a pause dropped or duplicated events)", len(final), total)
 	}
 	high := rt.CausalIDs()
 	seen := make(map[uint64]bool, len(final))
@@ -127,7 +127,7 @@ func TestRebalanceKeepsCausalIDsUnique(t *testing.T) {
 			t.Fatalf("event CID %d out of range (0, %d]", e.CID, high)
 		}
 		if seen[e.CID] {
-			t.Fatalf("duplicated causal ID %d after shard rebalances", e.CID)
+			t.Fatalf("duplicated causal ID %d across pauses", e.CID)
 		}
 		seen[e.CID] = true
 	}
@@ -211,7 +211,7 @@ func TestSettledActionsAllocateNothing(t *testing.T) {
 			t.Fatal("Single must enable degree tracking")
 		}
 		p := rt.lookup(nodes[0])
-		own := rt.shards[p.shard.Load()]
+		own := p.sh
 		round := func() {
 			p.timeoutAction(own)
 			own.flushAll()

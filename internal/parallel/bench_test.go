@@ -18,7 +18,7 @@ import (
 func BenchmarkCrossShardSend(b *testing.B) {
 	rt, a, l := twoShardPair(b, oracle.Always(false), sim.Leaving, &fixedRefsProto{}, &fixedRefsProto{})
 	rt.seal()
-	sha, shl := rt.shards[a.shard.Load()], rt.shards[l.shard.Load()]
+	sha, shl := a.sh, l.sh
 	msg := sim.NewMessage("m", sim.RefInfo{Ref: a.id, Mode: sim.Staying})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,7 +42,7 @@ func BenchmarkCrossShardSend(b *testing.B) {
 func BenchmarkDeliverReply(b *testing.B) {
 	rt, s, l := twoShardPair(b, oracle.Always(false), sim.Leaving, core.New(core.VariantFDP), &fixedRefsProto{})
 	rt.seal()
-	shs, shl := rt.shards[s.shard.Load()], rt.shards[l.shard.Load()]
+	shs, shl := s.sh, l.sh
 	present := sim.NewMessage(core.LabelPresent, sim.RefInfo{Ref: l.id, Mode: sim.Leaving})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -77,7 +77,7 @@ func (rt *Runtime) pairDelta(a *proc, r ref.Ref, d int32) {
 // under the same lock). Removes are no-ops on a pair the commit already
 // erased, or that an add skipped, which is exactly the sequential ledger's
 // "removals no-op once an endpoint is gone". Caller holds a shard's action
-// read lock, or the world paused: p cannot change shards (markReady).
+// read lock, or the world paused.
 func (rt *Runtime) pairBump(a, b *proc, d int32) {
 	if a.mode != sim.Leaving && b.mode != sim.Leaving {
 		return
@@ -216,7 +216,7 @@ func (rt *Runtime) retire(p *proc, judged bool) (pairs []graph.Pair, ok bool) {
 	p.life.Store(2)
 	p.exitPending.Store(true)
 	if was == 0 {
-		rt.shards[p.shard.Load()].awake.Add(-1)
+		p.sh.awake.Add(-1)
 	} else {
 		rt.asleep.Add(-1)
 	}
@@ -356,8 +356,8 @@ func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
 // those of staying processes. A leaver's exit is judged and committed in one
 // critical section of its degMu (retire), and its pairs are erased before
 // the next request is judged — no world clone, no shard lock, the workers
-// run on. Caller holds freezeMu, which keeps every pauser (Freeze, Mutate,
-// Rebalance) out.
+// run on. Caller holds freezeMu, which keeps every pauser (Freeze, Mutate)
+// out.
 //
 // The ledger keeps a row per leaver only. A request from any other process —
 // a staying process whose protocol calls Exit, which the model does not

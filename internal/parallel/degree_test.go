@@ -181,8 +181,7 @@ func TestEpochFastPathJudgesExits(t *testing.T) {
 // the timeout cursor when seal judges its verdict true: it must time out
 // first in the next round, and be gone after that timeout — its worker
 // commits the exit in the action that asks — long before the scan has
-// served every other process once; a Rebalance in between must neither lose
-// it nor run it twice.
+// served every other process once.
 func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 	const others = 4 * timeoutBudget
 	space := ref.NewSpace()
@@ -212,10 +211,6 @@ func TestReadyLeaverOvertakesTheScan(t *testing.T) {
 	sh, p := rt.shards[0], rt.lookup(leaver)
 	if !p.oracleOK.Load() || !p.ready.Load() || len(sh.ready) != 1 {
 		t.Fatalf("seal did not queue the leaver: oracleOK=%v ready=%v list=%v", p.oracleOK.Load(), p.ready.Load(), sh.ready)
-	}
-	rt.rebalanceUnderPause()
-	if !p.ready.Load() || len(sh.ready) != 1 || sh.ready[0] != int32(ref.Index(p.id)) {
-		t.Fatalf("rebalance lost or duplicated the ready leaver: ready=%v list=%v", p.ready.Load(), sh.ready)
 	}
 	sh.cursor = 1 // the scan has just passed the leaver (index 0)
 
@@ -298,7 +293,7 @@ func TestOpenDeliveryKeepsItsReferencesCounted(t *testing.T) {
 	rt.Enqueue(holder, sim.NewMessage("intro", sim.RefInfo{Ref: leaver, Mode: sim.Leaving}))
 	rt.seal()
 	p := rt.lookup(leaver)
-	shl, shh := rt.shards[p.shard.Load()], rt.shards[rt.lookup(holder).shard.Load()]
+	shl, shh := p.sh, rt.lookup(holder).sh
 	if shl == shh {
 		t.Fatal("the leaver and the holder share a shard")
 	}
@@ -432,13 +427,13 @@ func TestReplyTakesTheDeliveredPair(t *testing.T) {
 		rt.Enqueue(s, sim.NewMessage("present", leaving(l)))
 		rt.seal()
 		ps, pl := rt.lookup(s), rt.lookup(l)
-		if ps.shard.Load() == pl.shard.Load() {
+		if ps.sh == pl.sh {
 			t.Fatal("s and l share a shard")
 		}
 		if c.gone {
 			rt.commitExit(pl)
 		}
-		sh := rt.shards[ps.shard.Load()]
+		sh := ps.sh
 		if got := sh.deliverRound(); got == 0 { // "to itself" delivers its message too
 			t.Fatalf("%s: nothing delivered", c.name)
 		}
@@ -484,7 +479,7 @@ func TestFastEpochTakesNoShardLock(t *testing.T) {
 	pe.exitPending.Store(true)
 	rt.requestExit(pe)
 
-	busy := rt.shards[pw.shard.Load()]
+	busy := pw.sh
 	busy.actMu.RLock()
 	done := make(chan struct{})
 	go func() {
@@ -575,13 +570,13 @@ func TestGrantedExitIsFinal(t *testing.T) {
 		t.Fatalf("gone leaver timed out again (%d timeouts)", timeouts)
 	}
 
-	live, awake := sh.live.Load(), sh.awake.Load()
+	awake := sh.awake.Load()
 	if _, ok := rt.retire(p, true); ok {
 		t.Fatal("a gone process was retired again")
 	}
-	if rt.Gone() != 1 || exits != 1 || rt.asleep.Load() != 0 || sh.live.Load() != live || sh.awake.Load() != awake {
-		t.Fatalf("second exit of a gone process went through: gone=%d EvExit=%d asleep=%d live=%d→%d awake=%d→%d",
-			rt.Gone(), exits, rt.asleep.Load(), live, sh.live.Load(), awake, sh.awake.Load())
+	if rt.Gone() != 1 || exits != 1 || rt.asleep.Load() != 0 || sh.awake.Load() != awake {
+		t.Fatalf("second exit of a gone process went through: gone=%d EvExit=%d asleep=%d awake=%d→%d",
+			rt.Gone(), exits, rt.asleep.Load(), awake, sh.awake.Load())
 	}
 }
 

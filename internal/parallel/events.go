@@ -28,12 +28,13 @@ import (
 //     sim.Event is built at all (shard.note) and no step is summed.
 //
 // Event.Lane on runtime events is the index (mod 256) of the shard that owns
-// the process the event is about. It is a hint for observers that stripe
-// their state — one flight ring, one cell of progress counts per lane — so
-// that two workers' events meet on no line; it is not an identity: the
+// the process the event is about; a process stays on the shard AddProcess
+// dealt it, so all its events carry one lane. It is a hint for observers that
+// stripe their state — one flight ring, one cell of progress counts per lane
+// — so that two workers' events meet on no line; it is not an identity: the
 // coordinator emits an exit on the owner's lane while the owner's worker
-// emits on it too, and a rebalance moves a process to another lane. Striped
-// state therefore stays atomic or locked, just uncontended.
+// emits on it too. Striped state therefore stays atomic or locked, just
+// uncontended.
 //
 // Event.Step on runtime events is the executed-action count as the emitter
 // knew it — the closest concurrent analogue of the simulator's step counter.
@@ -87,10 +88,8 @@ func (sh *shard) note(k sim.EventKind) bool {
 // sumOthers reads every other shard's action count, for emit to add to the
 // shard's own. The worker calls it at the top of every iteration, and only
 // while a hook is installed: a stamped event then reads no counter another
-// worker writes. Every count is monotone, so the stamps of one worker never
-// decrease; and since a pause (a rebalance, that is) falls between two
-// iterations, the first stamp a process gets from its new worker is computed
-// from counts read after the last stamp it got from the old one.
+// worker writes. Every count is monotone, so the stamps of one worker — and
+// with them the stamps of each process it owns — never decrease.
 func (sh *shard) sumOthers() {
 	var sum uint64
 	for _, o := range sh.rt.shards {
@@ -125,20 +124,6 @@ func (rt *Runtime) KindCount(k sim.EventKind) uint64 {
 		return 0
 	}
 	return rt.total(func(n *tally) *atomic.Uint64 { return &n.kinds[k] })
-}
-
-// EventKindCounts returns the number of events emitted so far per kind.
-// The counts are always maintained (no hook needed) and are the series the
-// differential event-parity test compares against the sequential engine's
-// event stream.
-func (rt *Runtime) EventKindCounts() map[sim.EventKind]uint64 {
-	out := make(map[sim.EventKind]uint64, sim.NumEventKinds)
-	for k := 0; k < sim.NumEventKinds; k++ {
-		if n := rt.KindCount(sim.EventKind(k)); n > 0 {
-			out[sim.EventKind(k)] = n
-		}
-	}
-	return out
 }
 
 // CausalIDs returns how many causal identities (events and messages) the
@@ -176,6 +161,11 @@ func (rt *Runtime) ShardTraffic(i int) ShardTraffic {
 // launches the goroutines, so every exit latency under Start includes the
 // seal.
 func (rt *Runtime) StartTime() time.Time { return rt.startTime }
+
+// Clock reads the runtime's clock, the one every exit is stamped with:
+// wall-clock time since Start, virtual time under RunSeeded, zero before
+// either. Safe to call from an event hook.
+func (rt *Runtime) Clock() time.Duration { return rt.clock() }
 
 // ExitLatencies returns, for each committed exit in commit order, the
 // runtime's clock when it committed: wall-clock time since Start, or virtual

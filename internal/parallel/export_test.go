@@ -23,7 +23,7 @@ func SealedDegrees(rt *Runtime) map[ref.Ref]int {
 // InboxFull reports whether the inbox of the shard that owns r has anything
 // in it: what a worker's check for mail reads.
 func InboxFull(rt *Runtime, r ref.Ref) bool {
-	return rt.shards[rt.lookup(r).shard.Load()].inboxFull.Load()
+	return rt.lookup(r).sh.inboxFull.Load()
 }
 
 // BuildShardedRuntime is buildShardedRuntime, for the external tests that

@@ -163,24 +163,24 @@ func TestForcedShardChurn(t *testing.T) {
 	if rt.Gone() != uint64(leaving.Len()) {
 		t.Fatalf("only %d/%d exits on four shards", rt.Gone(), leaving.Len())
 	}
-	kinds := rt.EventKindCounts()
-	if got, want := rt.Sent(), kinds[sim.EvSend]+kinds[sim.EvDrop]; got != want {
+	kinds := rt.KindCount
+	if got, want := rt.Sent(), kinds(sim.EvSend)+kinds(sim.EvDrop); got != want {
 		t.Fatalf("Sent = %d, send + drop events = %d", got, want)
 	}
-	if got, want := rt.Events(), kinds[sim.EvTimeout]+kinds[sim.EvDeliver]; got != want {
+	if got, want := rt.Events(), kinds(sim.EvTimeout)+kinds(sim.EvDeliver); got != want {
 		t.Fatalf("Events = %d, timeout + deliver events = %d", got, want)
 	}
-	if rt.Dropped() != kinds[sim.EvDrop] || kinds[sim.EvExit] != rt.Gone() {
+	if rt.Dropped() != kinds(sim.EvDrop) || kinds(sim.EvExit) != rt.Gone() {
 		t.Fatalf("Dropped = %d with %d drop events, Gone = %d with %d exit events",
-			rt.Dropped(), kinds[sim.EvDrop], rt.Gone(), kinds[sim.EvExit])
+			rt.Dropped(), kinds(sim.EvDrop), rt.Gone(), kinds(sim.EvExit))
 	}
 	final := rt.Freeze()
 	if !final.RelevantComponentsIntact() || !final.Legitimate(sim.FDP) {
 		t.Fatal("four-shard churn ended unsafe or not legitimate")
 	}
-	if got := uint64(final.Stats().TotalInQueue); got != kinds[sim.EvSend]-kinds[sim.EvDeliver]-lostWithTheGone(rt) {
+	if got := uint64(final.Stats().TotalInQueue); got != kinds(sim.EvSend)-kinds(sim.EvDeliver)-lostWithTheGone(rt) {
 		t.Fatalf("%d messages queued at the end, want admitted − delivered − left with the gone = %d",
-			got, kinds[sim.EvSend]-kinds[sim.EvDeliver]-lostWithTheGone(rt))
+			got, kinds(sim.EvSend)-kinds(sim.EvDeliver)-lostWithTheGone(rt))
 	}
 }
 
@@ -207,7 +207,7 @@ func twoShardPair(t testing.TB, o Oracle, modeB sim.Mode, protoA, protoB sim.Pro
 	rt.AddProcess(ra, sim.Staying, protoA)
 	rt.AddProcess(rb, modeB, protoB)
 	a, b = rt.lookup(ra), rt.lookup(rb)
-	if a.shard.Load() == b.shard.Load() {
+	if a.sh == b.sh {
 		t.Fatal("the pair shares a shard")
 	}
 	return rt, a, b
@@ -229,7 +229,7 @@ func TestEventDepthIsTheChannelLength(t *testing.T) {
 		}
 	})
 	rt.seal()
-	sha, shb := rt.shards[a.shard.Load()], rt.shards[b.shard.Load()]
+	sha, shb := a.sh, b.sh
 	for i := 0; i < 3; i++ {
 		a.ctx.Send(b.id, sim.NewMessage("m"))
 	}
@@ -263,7 +263,7 @@ func TestEventDepthIsTheChannelLength(t *testing.T) {
 func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
 	rt, a, l := twoShardPair(t, oracle.Always(false), sim.Leaving, &fixedRefsProto{}, &fixedRefsProto{})
 	rt.seal()
-	sha, shl := rt.shards[a.shard.Load()], rt.shards[l.shard.Load()]
+	sha, shl := a.sh, l.sh
 	l.exitPending.Store(true)
 	rt.requestExit(l)
 	a.ctx.Send(l.id, sim.NewMessage("while suspended"))
@@ -313,7 +313,7 @@ func TestOutboxWaitsForTheActionToEnd(t *testing.T) {
 	rt, a, l := twoShardPair(t, oracle.Single{}, sim.Leaving, b, &fixedRefsProto{})
 	b.rt, b.to = rt, l.id
 	rt.seal()
-	sha, shl := rt.shards[a.shard.Load()], rt.shards[l.shard.Load()]
+	sha, shl := a.sh, l.sh
 	rt.push(a, &sim.Message{Label: "go"})
 	if got := sha.deliverRound(); got != 1 {
 		t.Fatalf("delivered %d of 1", got)

@@ -25,8 +25,8 @@
 //     message crosses the runtime without touching a cache line every
 //     worker writes.
 //   - Every action executes under the read side of its shard's action lock
-//     (actMu). A consistent global view — snapshots, Mutate, rebalancing,
-//     exit validation by a stateful oracle — takes the write side of every
+//     (actMu). A consistent global view — snapshots, Mutate, exit
+//     validation by a stateful oracle — takes the write side of every
 //     shard, from a rotating start (pauseAll), replacing the old single
 //     global RWMutex: workers contend only on their own shard's cache line.
 //   - For an oracle that judges the relevant degree alone (SINGLE) exits
@@ -102,10 +102,8 @@ type proc struct {
 	proto sim.Protocol
 	mb    mailbox // the owning worker's (or a pauser's)
 
-	// shard is the owning shard's index. Rewritten only under a full pause
-	// (rebalance); read atomically by senders on other shards and by the
-	// coordinator, whose freezeMu keeps the rebalancer out.
-	shard atomic.Uint32
+	// sh is the owning shard, dealt once by AddProcess and never changed.
+	sh *shard
 
 	// inRun reports whether the process sits in its shard's run queue. The
 	// owning worker's, like the queue.
@@ -176,9 +174,9 @@ type Runtime struct {
 	shards []*shard
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
 
-	// freezeMu serializes world pausers (Freeze, Mutate, Rebalance,
-	// MailboxDepths, Stop, the frozen-world epochs) ahead of the
-	// per-shard action locks; see pauseAll. The coordinator's degree-judged
+	// freezeMu serializes world pausers (Freeze, Mutate, MailboxDepths,
+	// Stop, the frozen-world epochs) ahead of the per-shard action locks;
+	// see pauseAll. The coordinator's degree-judged
 	// epoch holds it too, and takes no shard's lock: nobody pauses the world
 	// while exits commit, and no exit commits under somebody's pause.
 	// pauseFirst, guarded by it, is the shard the next pause locks first.
@@ -279,7 +277,7 @@ func NewRuntime(oracle Oracle) *Runtime {
 }
 
 // SetShards fixes the worker count. Must be called before any AddProcess;
-// processes are dealt reference-index-modulo-k until a rebalance.
+// processes are dealt reference-index-modulo-k and stay where they are dealt.
 func (rt *Runtime) SetShards(k int) {
 	if k < 1 {
 		panic("parallel: SetShards needs at least one shard")
@@ -320,7 +318,8 @@ func (rt *Runtime) mustProc(r ref.Ref) *proc {
 	return p
 }
 
-// AddProcess registers a process before Start.
+// AddProcess registers a process before Start, on shard index mod k for
+// good.
 func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	idx := ref.Index(r)
 	if idx < 0 {
@@ -330,11 +329,11 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 		panic(fmt.Sprintf("parallel: duplicate process %v", r))
 	}
 	rt.from = nil
-	p := &proc{id: r, mode: mode, proto: proto, rt: rt}
-	p.ctx.p = p
 	sh := rt.shards[idx%len(rt.shards)]
-	p.shard.Store(uint32(sh.idx))
+	p := &proc{id: r, mode: mode, proto: proto, sh: sh, rt: rt}
+	p.ctx.p = p
 	sh.pids = append(sh.pids, int32(idx))
+	sh.awake.Add(1)
 	if grow := idx + 1 - len(rt.procs); grow > 0 {
 		rt.procs = append(rt.procs, make([]*proc, grow)...)
 	}
@@ -365,9 +364,8 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 // undeliverable bounce.
 //
 // Locking: the caller is no worker, so the message goes to the owning shard's
-// inbox, under some shard's action read lock (any read side blocks pauseAll,
-// which takes every write side and then absorbs the inboxes). With the lock
-// held no rebalance runs, so the shard read then is the one that owns p.
+// inbox, under that shard's action read lock (any read side blocks pauseAll,
+// which takes every write side and then absorbs the inboxes).
 func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 	p := rt.lookup(to)
 	if p == nil || p.life.Load() == 2 {
@@ -383,15 +381,14 @@ func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 			}
 		}
 	}
-	sh := rt.shards[p.shard.Load()]
-	sh.actMu.RLock()
-	defer sh.actMu.RUnlock()
+	p.sh.actMu.RLock()
+	defer p.sh.actMu.RUnlock()
 	if rt.closed.Load() {
 		return false
 	}
 	_, ok := rt.admit(p, &msg)
 	if ok {
-		rt.shards[p.shard.Load()].deposit([]parcel{{to: p, msg: msg}})
+		p.sh.deposit([]parcel{{to: p, msg: msg}})
 	}
 	return ok
 }
@@ -401,8 +398,10 @@ func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 // initial state contains asleep processes) and must be called before Start.
 func (rt *Runtime) ForceAsleep(r ref.Ref) {
 	rt.from = nil
-	rt.mustProc(r).life.Store(1)
-	rt.asleep.Add(1)
+	if p := rt.mustProc(r); p.life.CompareAndSwap(0, 1) {
+		p.sh.awake.Add(-1)
+		rt.asleep.Add(1)
+	}
 }
 
 // HandOver records that the runtime holds exactly the live processes of w —
@@ -479,7 +478,7 @@ func (c *pctx) Send(to ref.Ref, msg sim.Message) {
 	}
 	p := c.p
 	rt := p.rt
-	sh := rt.shards[p.shard.Load()]
+	sh := p.sh
 	sh.n.sent.Add(1)
 	// Causal stamp and tracing sender, mirroring the simulator's Send: fresh
 	// CID, parent = the action event being executed, clock = the sender's
@@ -684,8 +683,7 @@ func (rt *Runtime) commitExit(p *proc) {
 // neighbors' degMu only, and its causal id and its step come from the shared
 // counters, not from a worker's block or cache.
 func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
-	sh := rt.shards[p.shard.Load()]
-	sh.live.Add(-1)
+	sh := p.sh
 	rt.dropPairsOf(p, pairs)
 	rt.exits.Add(1)
 	sh.latMu.Lock()
@@ -796,20 +794,6 @@ func (rt *Runtime) seal() (handed bool) {
 	default:
 		rt.initially = rt.components()
 	}
-	for _, sh := range rt.shards {
-		var awake, live int32
-		for _, i := range sh.pids {
-			switch rt.procs[i].life.Load() {
-			case 0:
-				awake++
-				live++
-			case 1:
-				live++
-			}
-		}
-		sh.awake.Store(awake)
-		sh.live.Store(live)
-	}
 	return handed
 }
 
@@ -869,10 +853,10 @@ func (rt *Runtime) rest(t *time.Timer, d time.Duration, wake <-chan struct{}) {
 	}
 }
 
-// epoch is one coordinator round: settle the pending exit batch, refresh the
-// oracle caches on the frozen-world path, rebalance if the shards have
-// drifted apart. It reads no clock of its own: an exit it commits is stamped
-// by rt.clock, the clock of whoever drives it (coordinate, RunSeeded).
+// epoch is one coordinator round: settle the pending exit batch and, on the
+// frozen-world path, refresh the oracle caches. It reads no clock of its own:
+// an exit it commits is stamped by rt.clock, the clock of whoever drives it
+// (coordinate, RunSeeded).
 func (rt *Runtime) epoch() {
 	rt.epochs.Add(1)
 	if rt.jd != nil && rt.asleep.Load() == 0 {
@@ -890,9 +874,6 @@ func (rt *Runtime) epoch() {
 			rt.settleOn(rt.freezeUnderPause(), offLedger)
 			rt.resumeAll()
 		}
-		if rt.skewed() {
-			rt.Rebalance()
-		}
 		return
 	}
 	rt.pauseAll()
@@ -906,9 +887,6 @@ func (rt *Runtime) epoch() {
 		}
 	}
 	rt.oracleMu.Unlock()
-	if rt.skewed() {
-		rt.rebalanceUnderPause()
-	}
 }
 
 // takePendingExits claims the current exit batch. A process appears at most

@@ -24,7 +24,7 @@ func buildRuntime(n int, leaveFrac float64, seed int64, variant core.Variant, o 
 // buildShardedRuntime is buildRuntime with an explicit worker-shard count
 // (shards <= 0 keeps the GOMAXPROCS default). On single-core machines the
 // default collapses to one shard, so multi-shard code paths — cross-shard
-// sends, per-shard pause ordering, rebalancing — need the explicit count.
+// sends, per-shard pause ordering — need the explicit count.
 func buildShardedRuntime(n int, leaveFrac float64, seed int64, variant core.Variant, o Oracle, shards int) (*Runtime, []ref.Ref, ref.Set) {
 	rng := rand.New(rand.NewSource(seed))
 	space := ref.NewSpace()
@@ -202,6 +202,45 @@ func TestParallelFSPConvergence(t *testing.T) {
 			t.Fatalf("leaver %v not hibernating in final snapshot", r)
 		}
 	}
+}
+
+// TestAwakeCountsFollowLife: a shard's awake count is kept where life
+// changes, from AddProcess on. Processes forced
+// asleep before the run (one of them twice), then an FSP run on three shards
+// in which leavers fall asleep and wake again: before and after, every shard
+// counts exactly its awake processes, and the runtime its asleep ones.
+func TestAwakeCountsFollowLife(t *testing.T) {
+	rt, nodes, _ := buildShardedRuntime(24, 0.5, 5, core.VariantFSP, nil, 3)
+	for _, r := range nodes[:6] {
+		rt.ForceAsleep(r)
+	}
+	rt.ForceAsleep(nodes[0])
+	check := func(when string) {
+		t.Helper()
+		var asleep int64
+		for _, sh := range rt.shards {
+			var awake int32
+			for _, i := range sh.pids {
+				switch rt.procs[i].life.Load() {
+				case 0:
+					awake++
+				case 1:
+					asleep++
+				}
+			}
+			if got := sh.awake.Load(); got != awake {
+				t.Fatalf("%s: shard %d counts %d awake processes, owns %d", when, sh.idx, got, awake)
+			}
+		}
+		if got := rt.asleep.Load(); got != asleep {
+			t.Fatalf("%s: runtime counts %d asleep processes, holds %d", when, got, asleep)
+		}
+	}
+	check("before the run")
+	if !rt.RunSeeded(5, func(w *sim.World) bool { return w.Legitimate(sim.FSP) }, time.Millisecond, 10*time.Second) {
+		t.Fatal("FSP did not converge")
+	}
+	check("after the run")
 }
 
 // Exits must be validated: with the unsafe Always(true) oracle the

@@ -127,21 +127,17 @@ type shard struct {
 	// true (judge), each at most once (proc.ready); timeoutRound serves them
 	// ahead of the scan. Guarded by mbMu: whoever moved the row — any
 	// worker, the coordinator — appends while the worker runs (markReady),
-	// the worker pops into readyBuf (worker-private); a rebalance rebuilds it
-	// under the pause.
+	// the worker pops into readyBuf (worker-private).
 	ready []int32
 
 	// notify is a capacity-1 wakeup: raised with every batch left in the
-	// inbox (not per message), when a denied exiter is rescheduled, and after
-	// a rebalance.
+	// inbox (not per message) and when a denied exiter is rescheduled.
 	notify chan struct{}
 
 	// awake counts owned processes in the awake state; 0 lets the worker
-	// block indefinitely instead of polling (FSP hibernation). live counts
-	// the owned processes that are not gone, for the coordinator's balance
-	// check. Both are set by seal and by a rebalance.
+	// block indefinitely instead of polling (FSP hibernation). AddProcess
+	// counts a process in, and every change of its life moves the count.
 	awake atomic.Int32
-	live  atomic.Int32
 
 	// latMu guards the shard's exit-latency buffer. Commits append here —
 	// the owning worker, or the coordinator for a request it settles — and
@@ -173,8 +169,8 @@ type shard struct {
 	// n.pairHandoffs and n.exitCommits, once per iteration.
 	handoffs, commits uint64
 
-	// pids are the owned processes, by reference index. Written only under a
-	// full pause (AddProcess pre-Start, rebalance); read by the worker.
+	// pids are the owned processes, by reference index. Written only by
+	// AddProcess, before Start; read by the worker.
 	pids     []int32
 	cursor   int           // round-robin position of the timeout scan
 	nextTO   time.Duration // earliest moment, since the run began, of the next timeout round
@@ -255,9 +251,8 @@ func (rt *Runtime) push(p *proc, msg *sim.Message) bool {
 	}
 	_, ok := rt.admit(p, msg)
 	if ok {
-		sh := rt.shards[p.shard.Load()]
-		sh.enqueue(p, msg)
-		sh.wake()
+		p.sh.enqueue(p, msg)
+		p.sh.wake()
 	}
 	return ok
 }
@@ -279,16 +274,14 @@ func (sh *shard) makeRunnable(p *proc) {
 }
 
 // post sends an admitted message on from sh's worker: into the mailbox if sh
-// owns the target, else into the outbox for the target's shard. The target
-// cannot change shards before the flush: a rebalance needs the action lock
-// the worker holds until it has flushed. An outbox that reaches flushAt
-// waits for the end of the action (flushDue).
+// owns the target, else into the outbox for the target's shard. An outbox
+// that reaches flushAt waits for the end of the action (flushDue).
 func (sh *shard) post(p *proc, msg *sim.Message) {
-	k := int(p.shard.Load())
-	if k == sh.idx {
+	if p.sh == sh {
 		sh.enqueue(p, msg)
 		return
 	}
+	k := p.sh.idx
 	sh.outbox[k] = append(sh.outbox[k], parcel{to: p, msg: *msg})
 	if len(sh.outbox[k]) == flushAt {
 		sh.due = true
@@ -346,7 +339,7 @@ func (sh *shard) deposit(batch []parcel) {
 // worker's. Called by the coordinator, paused or not, after it cleared
 // exitPending.
 func (rt *Runtime) reschedule(p *proc) {
-	sh := rt.shards[p.shard.Load()]
+	sh := p.sh
 	sh.mbMu.Lock()
 	sh.resume = append(sh.resume, p)
 	sh.inboxFull.Store(true)
@@ -441,13 +434,12 @@ func (sh *shard) deliverRound() int {
 
 // markReady puts p, whose cached oracle answer just turned true, on its
 // shard's ready list, under the shard's inbox lock: the worker runs on.
-// Caller holds no degMu, and holds a shard's action read lock, freezeMu or
-// the world paused: p cannot change shards.
+// Caller holds no degMu.
 func (rt *Runtime) markReady(p *proc) {
 	if !p.ready.CompareAndSwap(false, true) {
 		return
 	}
-	sh := rt.shards[p.shard.Load()]
+	sh := p.sh
 	sh.mbMu.Lock()
 	sh.ready = append(sh.ready, int32(ref.Index(p.id)))
 	sh.mbMu.Unlock()
@@ -575,8 +567,8 @@ func (sh *shard) worker() {
 // --- world pause ---------------------------------------------------------
 
 // pauseAll quiesces the world: freezeMu serializes pausers (the epoch,
-// Freeze, Mutate, Rebalance), then every shard's action lock is taken,
-// starting one shard further round the ring at every pause. With all write
+// Freeze, Mutate), then every shard's action lock is taken, starting one
+// shard further round the ring at every pause. With all write
 // sides held no action executes and every outbox is empty (a worker flushes
 // before it unlocks); the pauser then absorbs every inbox, so every message
 // in flight sits in its target's mailbox and mailboxes, run queues and
@@ -612,81 +604,4 @@ func (rt *Runtime) resumeAll() {
 		rt.shards[i].actMu.Unlock()
 	}
 	rt.freezeMu.Unlock()
-}
-
-// --- rebalance -----------------------------------------------------------
-
-// Rebalance redistributes the live processes evenly across the shards under
-// a full pause. Long churn runs decay the initial index-modulo balance as
-// processes exit; the coordinator triggers this automatically when the
-// spread exceeds rebalanceRatio, and tests drive it directly.
-func (rt *Runtime) Rebalance() {
-	rt.pauseAll()
-	defer rt.resumeAll()
-	rt.rebalanceUnderPause()
-}
-
-// rebalanceRatio is the max/min live-process spread beyond which the
-// coordinator rebalances at an epoch boundary.
-const rebalanceRatio = 2
-
-// rebalanceUnderPause deals the live processes round-robin across shards and
-// rebuilds every run queue from mailbox state and every ready list from the
-// procs' ready flags. Caller holds the world paused, so mailboxes, inRun
-// flags, ready lists and shard assignments are plain data; what the pause's
-// own denials left on a resume list is absorbed first (no inbox may name a
-// process its shard no longer owns).
-func (rt *Runtime) rebalanceUnderPause() {
-	for _, sh := range rt.shards {
-		sh.absorb()
-		sh.pids = sh.pids[:0]
-		sh.runq, sh.rqHead = sh.runq[:0], 0
-		sh.ready = sh.ready[:0]
-		sh.cursor = 0
-		sh.awake.Store(0)
-		sh.live.Store(0)
-	}
-	k := 0
-	for i, p := range rt.procs {
-		if p == nil {
-			continue
-		}
-		if p.life.Load() == 2 {
-			p.inRun = false
-			p.ready.Store(false)
-			continue
-		}
-		sh := rt.shards[k%len(rt.shards)]
-		k++
-		p.shard.Store(uint32(sh.idx))
-		sh.pids = append(sh.pids, int32(i))
-		sh.live.Add(1)
-		if p.ready.Load() {
-			sh.ready = append(sh.ready, int32(i))
-		}
-		if p.life.Load() == 0 {
-			sh.awake.Add(1)
-		}
-		p.inRun = false
-		sh.makeRunnable(p)
-	}
-	for _, sh := range rt.shards {
-		sh.wake()
-	}
-}
-
-// skewed reports whether the live-process spread across shards exceeds
-// rebalanceRatio, from the shards' own counters.
-func (rt *Runtime) skewed() bool {
-	minLive, maxLive := int32(-1), int32(0)
-	for _, sh := range rt.shards {
-		live := sh.live.Load()
-		if minLive < 0 || live < minLive {
-			minLive = live
-		}
-		if live > maxLive {
-			maxLive = live
-		}
-	}
-	return maxLive > rebalanceRatio*minLive+rebalanceRatio
 }

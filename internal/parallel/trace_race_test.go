@@ -32,6 +32,16 @@ func (l *eventLog) snapshot() []sim.Event {
 	return append([]sim.Event(nil), l.evs...)
 }
 
+// kindTotal sums KindCount over every event kind: what a log that kept
+// every event must hold.
+func kindTotal(rt *Runtime) uint64 {
+	var total uint64
+	for k := 0; k < sim.NumEventKinds; k++ {
+		total += rt.KindCount(sim.EventKind(k))
+	}
+	return total
+}
+
 // TestTraceCausalIDsConcurrentReads hammers a hook-fed event log from
 // several goroutines while actions fire, under -race: every observed
 // snapshot must be internally consistent — no duplicated causal IDs — and
@@ -85,11 +95,7 @@ func TestTraceCausalIDsConcurrentReads(t *testing.T) {
 	}
 
 	final := log.snapshot()
-	var total uint64
-	for _, n := range rt.EventKindCounts() {
-		total += n
-	}
-	if uint64(len(final)) != total {
+	if total := kindTotal(rt); uint64(len(final)) != total {
 		t.Fatalf("trace retained %d events, per-kind counters saw %d (dropped or duplicated events)", len(final), total)
 	}
 	high := rt.CausalIDs()
@@ -122,7 +128,7 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	rt.AddEventHook(func(sim.Event) { added++ })
 	rt.SetEventSink(func(sim.Event) { sunk++ })
 	p := rt.procs[0]
-	sh := rt.shards[p.shard.Load()]
+	sh := p.sh
 	if sh.note(sim.EvTimeout) {
 		rt.emit(sh, sim.Event{Kind: sim.EvTimeout, Proc: p.id})
 	}
@@ -138,16 +144,15 @@ func TestSetEventSinkReplacesAllHooks(t *testing.T) {
 	}
 }
 
-// TestStepNonDecreasingPerProcess holds Event.Step to what events.go says of
-// it on the path that stamps it from a cache: four forced shards (each worker
-// adds its own count to a sum of the others it refreshes once per
-// iteration), with Rebalance moving processes between shards — and so between
-// caches — and Mutate pausing the world while the churn runs. Per process the
-// stamp never goes backwards, whichever worker or exit committer emitted
-// (a worker that stamped its own count alone fails here at the first
-// rebalance); every event carries its emitter's lane; and no stamp runs ahead
-// of the true count. `make race` runs it for the striped stamping the way it
-// runs TestForcedShardChurn for the mail path.
+// TestStepNonDecreasingPerProcess holds Event.Step and Event.Lane to what
+// events.go says of them on the path that stamps them from a cache: four
+// forced shards (each worker adds its own count to a sum of the others it
+// refreshes once per iteration), with Freeze and Mutate pausing the world
+// while the churn runs. Per process the stamp never goes backwards, whichever
+// worker or exit committer emitted; every event about a process carries one
+// lane, its owning shard's; and no stamp runs ahead of the true count.
+// `make race` runs it for the striped stamping the way it runs
+// TestForcedShardChurn for the mail path.
 func TestStepNonDecreasingPerProcess(t *testing.T) {
 	const shards = 4
 	rt, _, leaving := buildShardedRuntime(512, 0.5, 29, core.VariantFDP, oracle.Single{}, shards)
@@ -157,7 +162,7 @@ func TestStepNonDecreasingPerProcess(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for i := 0; rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline); i++ {
 		if i%2 == 0 {
-			rt.Rebalance()
+			rt.Freeze()
 		} else {
 			rt.Mutate(func(*MutableView) {})
 		}
@@ -178,8 +183,8 @@ func TestStepNonDecreasingPerProcess(t *testing.T) {
 		if e.Step > total {
 			t.Fatalf("Step %d on %v exceeds the %d actions ever executed", e.Step, e.Proc, total)
 		}
-		if int(e.Lane) >= shards {
-			t.Fatalf("event on lane %d of a %d-shard runtime: %+v", e.Lane, shards, e)
+		if own := rt.lookup(e.Proc).sh.idx; int(e.Lane) != own {
+			t.Fatalf("event on lane %d about %v, which shard %d owns: %+v", e.Lane, e.Proc, own, e)
 		}
 		lanes[e.Lane] = true
 	}
