@@ -75,43 +75,44 @@ func TestBatchDrainUnderConcurrentEnqueue(t *testing.T) {
 	}
 }
 
-// Freeze and Mutate pause the world, alternately, while actions fire on
-// three shards. Under -race this doubles as the memory-safety check; here we
-// also assert the causal-ID ledger survives: no event is dropped or
-// double-recorded across a pause, and the runtime still converges.
+// Freeze and Mutate pause the world, alternately, a fixed number of times
+// while actions fire on three shards, however soon the world converges:
+// stayers keep timing out after the last exit, and every pause waits for
+// an action to run after the one before it. Under -race this doubles as the
+// memory-safety check; here we also assert the causal-ID ledger survives:
+// no event is dropped or double-recorded across a pause, and the runtime
+// still converges.
 func TestPausesKeepCausalIDsUnique(t *testing.T) {
+	const pauses = 120
 	rt, _, leaving := buildShardedRuntime(24, 0.4, 17, core.VariantFDP, oracle.Single{}, 3)
 	log := &eventLog{}
 	rt.AddEventHook(log.record)
 	rt.Start()
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				rt.Freeze()
-			} else {
-				rt.Mutate(func(*MutableView) {})
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
 	deadline := time.Now().Add(20 * time.Second)
+	taken, between := 0, 0
+	for taken < pauses && time.Now().Before(deadline) {
+		if taken%2 == 0 {
+			rt.Freeze()
+		} else {
+			rt.Mutate(func(*MutableView) {})
+		}
+		taken++
+		at := rt.Events()
+		for rt.Events() == at && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if rt.Events() > at {
+			between++
+		}
+	}
 	for rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(stop)
-	wg.Wait()
 	rt.Stop()
+	if taken != pauses || between != pauses {
+		t.Fatalf("took %d of %d pauses, %d of them followed by an action", taken, pauses, between)
+	}
 	if rt.Gone() != uint64(leaving.Len()) {
 		t.Fatalf("runtime settled %d of %d leavers under pause pressure", rt.Gone(), leaving.Len())
 	}

@@ -303,11 +303,12 @@ func (rt *Runtime) resetLedger() {
 func (rt *Runtime) seed(p, q *proc) { rt.ledger.Count(p.id, q.id, 1) }
 
 // judgeAll judges every live leaver on its freshly counted row and puts the
-// ones whose answer turned true on their shards' ready lists. Same caller
-// contract.
+// ones whose answer turned true on their shards' ready lists. It walks the
+// leavers alone (rt.leavers). Same caller contract.
 func (rt *Runtime) judgeAll() {
-	for _, p := range rt.procs {
-		if p == nil || p.mode != sim.Leaving || p.life.Load() == 2 {
+	for _, i := range rt.leavers {
+		p := rt.procs[i]
+		if p.life.Load() == 2 {
 			continue
 		}
 		if _, turned := rt.judge(p); turned {

@@ -37,11 +37,13 @@ func Seal(rt *Runtime) bool { return rt.seal() }
 
 // SealState is what seal leaves in a runtime: per live process in reference
 // order its ledger row (none without a degree oracle) and cached oracle
-// answer, per shard its ready list, and the initial components.
+// answer, per shard its ready list and its timeout lap, and the initial
+// components.
 type SealState struct {
 	Rows       [][]graph.Pair
 	OracleOK   []bool
 	Ready      [][]int32
+	Laps       [][]ref.Ref
 	Components [][]ref.Ref
 }
 
@@ -60,6 +62,11 @@ func SealedState(rt *Runtime) SealState {
 	}
 	for _, sh := range rt.shards {
 		s.Ready = append(s.Ready, sh.ready)
+		lap := make([]ref.Ref, len(sh.pids))
+		for i, idx := range sh.pids {
+			lap[i] = rt.procs[idx].id
+		}
+		s.Laps = append(s.Laps, lap)
 	}
 	s.Components = rt.initially
 	return s

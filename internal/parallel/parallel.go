@@ -73,6 +73,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,6 +174,12 @@ type Runtime struct {
 	procs  []*proc // dense, indexed by ref.Index; nil where no process was added
 	shards []*shard
 	oracle sim.Oracle // evaluated on frozen snapshots via the World shim
+
+	// leavers are the processes AddProcess was given as leaving, by
+	// reference index, in the order it was given them. A mode never
+	// changes, so seal judges the leavers and orders the timeout laps from
+	// this list, not from procs.
+	leavers []int32
 
 	// freezeMu serializes world pausers (Freeze, Mutate, MailboxDepths,
 	// Stop, the frozen-world epochs) ahead of the per-shard action locks;
@@ -334,6 +341,9 @@ func (rt *Runtime) AddProcess(r ref.Ref, mode sim.Mode, proto sim.Protocol) {
 	p.ctx.p = p
 	sh.pids = append(sh.pids, int32(idx))
 	sh.awake.Add(1)
+	if mode == sim.Leaving {
+		rt.leavers = append(rt.leavers, int32(idx))
+	}
 	if grow := idx + 1 - len(rt.procs); grow > 0 {
 		rt.procs = append(rt.procs, make([]*proc, grow)...)
 	}
@@ -780,6 +790,7 @@ func (rt *Runtime) seal() (handed bool) {
 		if rt.jd != nil {
 			rt.ledger.CopyOf(led, len(rt.procs))
 			rt.judgeAll()
+			rt.orderLaps()
 		}
 	case rt.jd != nil:
 		var uf graph.UnionFind
@@ -790,11 +801,46 @@ func (rt *Runtime) seal() (handed bool) {
 			rt.seed(p, q)
 		})
 		rt.judgeAll()
+		rt.orderLaps()
 		rt.initially = rt.partition(&uf)
 	default:
 		rt.initially = rt.components()
 	}
 	return handed
+}
+
+// orderLaps puts every leaver, and every process in a leaver's ledger row,
+// at the front of its shard's timeout lap, and keeps the order AddProcess
+// gave (reference order, for a mirrored world) within the front and within
+// the rest. The row lists exactly the processes joined to the leaver by an
+// edge, stored or in flight, so the timeouts a departure waits for — the
+// leaver's own, its neighbours' presents and reversals — run in the first
+// rounds instead of somewhere in a lap of n/shards timeouts. The lap stays a
+// permutation of the shard's processes: weak fairness holds as before
+// (DESIGN.md §12, "Lap order"). Only seal calls it, and only under a degree
+// oracle, the one that keeps rows.
+func (rt *Runtime) orderLaps() {
+	// Nothing is gone before the first action: every leaver is live.
+	first := make([]bool, len(rt.procs))
+	for _, i := range rt.leavers {
+		first[i] = true
+		for _, e := range rt.ledger.Pairs(ref.ByIndex(int(i))) {
+			first[ref.Index(e.Key)] = true
+		}
+	}
+	var rest []int32
+	for _, sh := range rt.shards {
+		front := sh.pids[:0]
+		rest = slices.Grow(rest[:0], len(sh.pids))
+		for _, i := range sh.pids {
+			if first[i] {
+				front = append(front, i)
+			} else {
+				rest = append(rest, i)
+			}
+		}
+		sh.pids = append(front, rest...)
+	}
 }
 
 // handedOver returns the ledger and initial components of the world
@@ -881,8 +927,8 @@ func (rt *Runtime) epoch() {
 	w := rt.freezeUnderPause()
 	rt.settleOn(w, rt.takePendingExits())
 	rt.oracleMu.Lock()
-	for _, p := range rt.procs {
-		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
+	for _, i := range rt.leavers {
+		if p := rt.procs[i]; p.life.Load() != 2 {
 			p.oracleOK.Store(rt.oracle.Evaluate(w, p.id))
 		}
 	}

@@ -98,7 +98,8 @@ func asleep(w *sim.World) int {
 // a sealed world (it copies the world's ledger and components) and one built
 // process by process from the same world (it recounts them), under SINGLE
 // and under NIDEC, which keeps no ledger. Both must leave the same rows with
-// their pairs in the same order, the same cached answers, ready lists and
+// their pairs in the same order, the same cached answers, ready lists,
+// timeout laps (leavers and their row members first under SINGLE) and
 // initial components. The hand-over runtime then runs for a while, and the
 // world's ledger must still read as sealed: the copy shares no row with it.
 func TestHandOverMatchesRecount(t *testing.T) {

@@ -169,8 +169,10 @@ type shard struct {
 	// n.pairHandoffs and n.exitCommits, once per iteration.
 	handoffs, commits uint64
 
-	// pids are the owned processes, by reference index. Written only by
-	// AddProcess, before Start; read by the worker.
+	// pids are the owned processes by reference index, in timeout-lap
+	// order. AddProcess appends; under a degree oracle seal then moves the
+	// live leavers and the processes in their ledger rows to the front
+	// (orderLaps). Nothing writes it after seal; the worker reads it.
 	pids     []int32
 	cursor   int           // round-robin position of the timeout scan
 	nextTO   time.Duration // earliest moment, since the run began, of the next timeout round
@@ -458,10 +460,12 @@ func (sh *shard) takeReady(max int) []int32 {
 
 // timeoutRound executes up to timeoutBudget timeout actions: first the ready
 // list — leavers that may exit as soon as they time out — on at most half the
-// budget, then round-robin over the shard's awake processes (one full scan
-// at most). The scan keeps at least the other half of every round, so its lap
-// grows to at most twice its length and every awake process still times out
-// infinitely often (weak fairness) however fast the ready list refills.
+// budget, then round-robin over the shard's awake processes in lap order
+// (pids: under a degree oracle, leavers and their neighbours first), one full
+// scan at most. The lap is a permutation of the shard's processes and the
+// scan keeps at least the other half of every round, so a lap grows to at
+// most twice its length and every awake process still times out infinitely
+// often (weak fairness) however fast the ready list refills.
 // Suspended (exit-pending) processes are skipped: they must not act between
 // their exit request and the coordinator's verdict, and a granted one never
 // acts again. The coordinator grants the requests it settles with the
