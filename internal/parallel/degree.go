@@ -199,8 +199,7 @@ func (p *proc) syncRefs(sh *shard, before []ref.Ref) {
 // gone from here on. It returns the pairs p's row held, for finishExit to
 // erase from the other side. A process that is gone already is refused,
 // whatever its empty row would be judged: nobody exits twice. Callers: the
-// worker running p's action (finishAction), the coordinator's epochFast (p
-// is suspended, nobody else writes its life), or commitExit.
+// worker running p's action (finishAction), or commitExit.
 func (rt *Runtime) retire(p *proc, judged bool) (pairs []graph.Pair, ok bool) {
 	p.degMu.Lock()
 	defer p.degMu.Unlock()
@@ -349,37 +348,4 @@ func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
 		}
 	}
 	return uf.Partition(live)
-}
-
-// epochFast settles, on the ledger, the exit requests the workers could not
-// commit themselves: those filed while something was asleep (a worker
-// commits its own leaver's exit in the action that asks, finishAction) and
-// those of staying processes. A leaver's exit is judged and committed in one
-// critical section of its degMu (retire), and its pairs are erased before
-// the next request is judged — no world clone, no shard lock, the workers
-// run on. Caller holds freezeMu, which keeps every pauser (Freeze, Mutate)
-// out.
-//
-// The ledger keeps a row per leaver only. A request from any other process —
-// a staying process whose protocol calls Exit, which the model does not
-// forbid and the sequential engine commits — cannot be judged here: it is
-// handed back for the caller to settle on a sealed snapshot (settleOn) once
-// freezeMu is free.
-func (rt *Runtime) epochFast() (offLedger []*proc) {
-	for _, p := range rt.takePendingExits() {
-		if p.mode != sim.Leaving {
-			offLedger = append(offLedger, p)
-			continue
-		}
-		pairs, ok := rt.retire(p, true)
-		rt.verdict(p.id, ok)
-		if ok {
-			rt.finishExit(p, pairs)
-		} else {
-			rt.exitDenied.Add(1)
-			p.exitPending.Store(false)
-			rt.reschedule(p)
-		}
-	}
-	return offLedger
 }

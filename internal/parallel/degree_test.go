@@ -151,20 +151,19 @@ func storeUnknownLeaver(v *MutableView, live []ref.Ref) bool {
 	return false
 }
 
-// TestEpochFastPathJudgesExits asserts the degree path actually runs (no
-// frozen world needed) and still refuses unsafe exits: with Always(false)
-// no process may ever leave — and none is ever put on a ready list — while
-// the coordinator keeps its epochs.
-func TestEpochFastPathJudgesExits(t *testing.T) {
-	rt, _, _ := buildRuntime(12, 0.5, 7, core.VariantFDP, oracle.Always(false))
-	rt.Start()
+// TestDegreePathRefusesEveryExit asserts the degree path runs and still
+// refuses unsafe exits: with Always(false), over 50 ms of seeded virtual
+// time, no process may ever leave — and none is ever put on a ready list —
+// while the coordinator keeps its epochs.
+func TestDegreePathRefusesEveryExit(t *testing.T) {
+	rt, _, _ := buildShardedRuntime(12, 0.5, 7, core.VariantFDP, oracle.Always(false), 2)
+	never := func(*sim.World) bool { return false }
+	rt.RunSeeded(7, never, time.Millisecond, 50*time.Millisecond)
 	if rt.jd == nil {
 		t.Fatal("Always must enable degree tracking")
 	}
-	time.Sleep(50 * time.Millisecond)
-	rt.Stop()
 	if rt.Gone() != 0 {
-		t.Fatalf("Always(false) under the fast path let %d exits through", rt.Gone())
+		t.Fatalf("Always(false) on the degree path let %d exits through", rt.Gone())
 	}
 	if rt.Epochs() == 0 {
 		t.Fatal("coordinator never ran an epoch")
@@ -457,12 +456,11 @@ func TestReplyTakesTheDeliveredPair(t *testing.T) {
 	}
 }
 
-// TestFastEpochTakesNoShardLock holds one shard's action read lock, as a
-// worker in the middle of an iteration does, and runs a whole epoch
-// meanwhile: an exit request filed for the coordinator — as one filed while
-// something slept is — must commit, and the leaver next to it, whose row the
-// commit shrinks, must be re-judged and queued for its timeout. An epoch
-// that pauses the world blocks here until the read lock is gone.
+// TestFastEpochTakesNoShardLock runs a whole epoch under a degree oracle,
+// with nothing asleep, while an exit request waits for the coordinator — as
+// one filed while something slept does: it must commit at the epoch's
+// pause, and the leaver next to it, whose row the commit shrinks, must be
+// re-judged and queued for its timeout.
 func TestFastEpochTakesNoShardLock(t *testing.T) {
 	space := ref.NewSpace()
 	exiting, waiting, anchor := space.New(), space.New(), space.New()
@@ -479,26 +477,14 @@ func TestFastEpochTakesNoShardLock(t *testing.T) {
 	pe.exitPending.Store(true)
 	rt.requestExit(pe)
 
-	busy := pw.sh
-	busy.actMu.RLock()
-	done := make(chan struct{})
-	go func() {
-		rt.epoch()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Error("epoch waits for a shard's action lock")
-	}
-	busy.actMu.RUnlock()
-	<-done
+	sh := pw.sh
+	rt.epoch()
 	if rt.Gone() != 1 || pe.life.Load() != 2 {
 		t.Fatalf("pending degree-1 exit not committed (gone=%d)", rt.Gone())
 	}
-	if !pw.oracleOK.Load() || !pw.ready.Load() || len(busy.ready) != 1 {
+	if !pw.oracleOK.Load() || !pw.ready.Load() || len(sh.ready) != 1 {
 		t.Fatalf("neighbor not re-judged: oracleOK=%v ready=%v list=%v",
-			pw.oracleOK.Load(), pw.ready.Load(), busy.ready)
+			pw.oracleOK.Load(), pw.ready.Load(), sh.ready)
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 //     the differential event-parity test compares between engines.
 //   - Event hooks (AddEventHook, World.AddEventHook's contract) receive
 //     every event synchronously from the emitting goroutine — a shard
-//     worker under its action read lock, or whoever else commits an exit: a
-//     pauser, or the coordinator beside the running workers. Hooks therefore
-//     run concurrently with each other and must be safe for concurrent use.
+//     worker under its action read lock, or a pauser committing an exit.
+//     Hooks therefore run concurrently with each other and must be safe for
+//     concurrent use.
 //     The runtime keeps no ring of its own: a consumer that wants the last K
 //     events installs trace.Flight.Record. With no hook installed no
 //     sim.Event is built at all (shard.note) and no step is summed.
@@ -31,15 +31,16 @@ import (
 // the process the event is about; a process stays on the shard AddProcess
 // dealt it, so all its events carry one lane. It is a hint for observers that
 // stripe their state — one flight ring, one cell of progress counts per lane
-// — so that two workers' events meet on no line; it is not an identity: the
-// coordinator emits an exit on the owner's lane while the owner's worker
-// emits on it too. Striped state therefore stays atomic or locked, just
-// uncontended.
+// — so that two workers' events meet on no line. Emissions on one lane never
+// overlap: the owning worker emits, or a pauser while that worker is
+// stopped, and both stamp from the shard's causal id block, so a lane's ids
+// ascend in emission order. A lane is still read (snapshots, sums) while it
+// is written, so striped state stays atomic or locked, just uncontended.
 //
 // Event.Step on runtime events is the executed-action count as the emitter
 // knew it — the closest concurrent analogue of the simulator's step counter.
-// A worker stamps its own count plus a sum of the other shards' counts it
-// refreshes once per iteration (sumOthers), an exit committer the full sum.
+// Every event is stamped with its shard's own count plus a sum of the other
+// shards' counts the worker refreshes once per iteration (sumOthers).
 // It is a cached sum, not a clock: up to one worker iteration behind the true
 // total, never ahead of it, and non-decreasing per process (sumOthers says
 // why) — good enough to order a dump for post-mortem reading.
@@ -67,7 +68,8 @@ func (rt *Runtime) SetEventSink(fn func(sim.Event)) {
 // SetOracleHook installs fn as an observer of every exit-validation
 // verdict (granted or denied), from both the frozen-snapshot epoch path
 // and the degree path. fn runs on the goroutine that judged — a shard
-// worker, possibly inside the leaver's own action, or the coordinator —
+// worker, possibly inside the leaver's own action, or the coordinator at a
+// pause —
 // one call at a time (under the lock that serializes oracle calls), so it
 // may count in plain fields; it must not pause, block on or call back into
 // the runtime, and must be safe for concurrent use with the event hooks.
@@ -78,8 +80,7 @@ func (rt *Runtime) SetOracleHook(fn func(ref.Ref, bool)) { rt.oracleHook = fn }
 // listens: the caller builds the sim.Event, and draws the causal id of an
 // event that is not an action, only then. The caller is the only goroutine
 // that may act on the process the event is about: its shard's worker under
-// the action read lock, a pauser, or the coordinator committing the exit of
-// a suspended process.
+// the action read lock, or a pauser.
 func (sh *shard) note(k sim.EventKind) bool {
 	sh.n.kinds[k].Add(1)
 	return len(sh.rt.hooks) > 0
@@ -102,16 +103,9 @@ func (sh *shard) sumOthers() {
 
 // emit hands e to every hook, stamped with sh's lane and with sh's view of
 // the executed-action count: its own count plus the cached sum of the others.
-// Caller is sh's worker under its action read lock.
+// Caller is sh's worker under its action read lock, or a pauser.
 func (rt *Runtime) emit(sh *shard, e sim.Event) {
-	rt.emitAt(sh, sh.n.events.Load()+sh.others, e)
-}
-
-// emitAt is emit for a caller that brings the step: whoever commits an exit —
-// a pauser, or the coordinator running beside sh's worker — sums in full and
-// reads no worker's cache.
-func (rt *Runtime) emitAt(sh *shard, step uint64, e sim.Event) {
-	e.Step = int(step)
+	e.Step = int(sh.n.events.Load() + sh.others)
 	e.Lane = uint8(sh.idx)
 	for _, fn := range rt.hooks {
 		fn(e)
@@ -137,8 +131,8 @@ func (rt *Runtime) CausalIDs() uint64 { return rt.causal.Load() }
 // the mean batch), and how often it emptied its own inbox. PairHandoffs counts
 // the deliveries whose ledger pair a reply or a store of its worker took over
 // (degree.go), each two locked pair updates not made. ExitCommits counts the
-// exits the worker committed in the action that asked for them (those the
-// coordinator settles are not in it). The worker adds both once per
+// exits the worker committed in the action that asked for them (those
+// settled at an epoch's pause are not in it). The worker adds both once per
 // iteration, so they are exact at every pause.
 type ShardTraffic struct {
 	OutboxFlushes, OutboxMessages, InboxAbsorbs, PairHandoffs, ExitCommits uint64
@@ -170,15 +164,15 @@ func (rt *Runtime) Clock() time.Duration { return rt.clock() }
 // ExitLatencies returns, for each committed exit in commit order, the
 // runtime's clock when it committed: wall-clock time since Start, or virtual
 // time under RunSeeded — the runtime's time-to-exit-per-leaver series.
-// Commits append to per-shard buffers; the merge sorts the combined series,
-// which recovers commit order because every latency is read from the same
-// monotonic clock.
+// Commits append to their shard's buffer, which the worker owns, so the
+// merge reads them at a pause; it sorts the combined series, which recovers
+// commit order because every latency is read from the same monotonic clock.
 func (rt *Runtime) ExitLatencies() []time.Duration {
+	rt.pauseAll()
+	defer rt.resumeAll()
 	var out []time.Duration
 	for _, sh := range rt.shards {
-		sh.latMu.Lock()
 		out = append(out, sh.exitLat...)
-		sh.latMu.Unlock()
 	}
 	slices.Sort(out)
 	return out

@@ -19,8 +19,8 @@ import (
 
 // TestInFlightConservation pauses a running multi-shard churn at random
 // instants and holds the pause to its promise. Every outbox is empty (workers
-// flush before they unlock), every inbox and resume list is empty (pauseAll
-// absorbed them), so each live process's mailbox holds exactly what its depth
+// flush before they unlock), every inbox is empty (pauseAll absorbed them),
+// so each live process's mailbox holds exactly what its depth
 // counter says was admitted and not delivered, and the frozen world's channel
 // is that mailbox. With every in-flight reference in a mailbox the degree
 // ledger must read exactly the frozen relevant degree — the crosscheck of
@@ -46,9 +46,9 @@ func TestInFlightConservation(t *testing.T) {
 						t.Errorf("shards=%d: paused with %d messages in shard %d's outbox for shard %d", shards, len(out), sh.idx, k)
 					}
 				}
-				if len(sh.inbox) != 0 || len(sh.resume) != 0 || sh.inboxFull.Load() {
-					t.Errorf("shards=%d: paused with shard %d's inbox holding %d messages, %d resumes (flag %v)",
-						shards, sh.idx, len(sh.inbox), len(sh.resume), sh.inboxFull.Load())
+				if len(sh.inbox) != 0 || sh.inboxFull.Load() {
+					t.Errorf("shards=%d: paused with shard %d's inbox holding %d messages (flag %v)",
+						shards, sh.idx, len(sh.inbox), sh.inboxFull.Load())
 				}
 			}
 			w := rt.freezeUnderPause()
@@ -71,6 +71,10 @@ func TestInFlightConservation(t *testing.T) {
 				}
 			}
 			rt.resumeAll()
+			// The latency buffers are the workers' own, read at a pause.
+			if lat := len(rt.ExitLatencies()); uint64(lat) > rt.Gone() {
+				t.Errorf("shards=%d: %d exit stamps, %d exits", shards, lat, rt.Gone())
+			}
 			if t.Failed() {
 				break
 			}
@@ -255,11 +259,11 @@ func TestEventDepthIsTheChannelLength(t *testing.T) {
 	}
 }
 
-// TestDeniedExiterResumesThroughTheInbox: the run queue is the worker's, so
-// the coordinator that denies an exit hands the process back through its
-// shard's inbox. A message that crossed shards while the leaver was suspended
-// waits in its mailbox, unlisted; the denial leaves one resume entry and
-// touches no run queue; the worker's next round absorbs it and delivers.
+// TestDeniedExiterResumesThroughTheInbox: a message that crossed shards,
+// through the inbox, while the leaver was suspended waits in its mailbox,
+// unlisted. The epoch denies the exit at a pause, which hands it the run
+// queue: the denial lists the leaver there directly, leaves the inbox empty,
+// and the worker's next round delivers.
 func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
 	rt, a, l := twoShardPair(t, oracle.Always(false), sim.Leaving, &fixedRefsProto{}, &fixedRefsProto{})
 	rt.seal()
@@ -271,13 +275,13 @@ func TestDeniedExiterResumesThroughTheInbox(t *testing.T) {
 	if got := shl.deliverRound(); got != 0 || l.mb.len() != 1 || l.inRun {
 		t.Fatalf("suspended leaver: %d delivered, %d queued, inRun=%v; want 0, 1, false", got, l.mb.len(), l.inRun)
 	}
-	rt.epochFast()
+	rt.epoch()
 	if rt.ExitDenied() != 1 || l.exitPending.Load() {
 		t.Fatalf("exit not denied: denied=%d pending=%v", rt.ExitDenied(), l.exitPending.Load())
 	}
-	if len(shl.runq) != 0 || len(shl.resume) != 1 || !shl.inboxFull.Load() {
-		t.Fatalf("after the denial: run queue %v, %d resume entries, flag %v; want the inbox, not the queue",
-			shl.runq, len(shl.resume), shl.inboxFull.Load())
+	if !slices.Equal(shl.runq[shl.rqHead:], []int32{int32(ref.Index(l.id))}) || !l.inRun || shl.inboxFull.Load() {
+		t.Fatalf("after the denial: run queue %v, inRun=%v, inbox flag %v; want the leaver listed, the inbox empty",
+			shl.runq[shl.rqHead:], l.inRun, shl.inboxFull.Load())
 	}
 	if got := shl.deliverRound(); got != 1 || l.mb.len() != 0 {
 		t.Fatalf("resumed leaver: %d delivered, %d still queued", got, l.mb.len())

@@ -29,21 +29,23 @@
 //     validation by a stateful oracle — takes the write side of every
 //     shard, from a rotating start (pauseAll), replacing the old single
 //     global RWMutex: workers contend only on their own shard's cache line.
-//   - For an oracle that judges the relevant degree alone (SINGLE) exits
-//     are judged where the degree changes: every pair update that moves a
-//     leaver's ledger row re-judges it under the row's lock (degree.go),
-//     and the worker running the leaver's action commits the exit that
-//     action asks for, judged once more on the row, in one critical section
-//     of the leaver's own lock. Nobody stops and nothing waits for an epoch.
-//     Any other oracle, and any state with asleep processes, is validated by
-//     the coordinator in epoch batches: a process requesting exit is
-//     suspended (it executes no further actions — its guard must still hold
-//     at commit time) until the next epoch's verdict, so a stale cached
-//     oracle answer can request an exit but never commit one; each epoch
-//     pauses the world and validates every request against ONE sealed
-//     snapshot, each commit folded back into it (sim.World.MarkGone) so
-//     later requests in the same batch are judged against the post-commit
-//     state.
+//   - An exit commits in exactly two places: in the leaver's own action, on
+//     its worker, or in a pauser, with every shard stopped. For an oracle
+//     that judges the relevant degree alone (SINGLE) exits are judged where
+//     the degree changes: every pair update that moves a leaver's ledger row
+//     re-judges it under the row's lock (degree.go), and the worker running
+//     the leaver's action commits the exit that action asks for, judged once
+//     more on the row, in one critical section of the leaver's own lock.
+//     Nobody stops and nothing waits for an epoch. Any other oracle, any
+//     request filed while something is asleep, and any request of a staying
+//     process is validated by the coordinator in epoch batches: a process
+//     requesting exit is suspended (it executes no further actions — its
+//     guard must still hold at commit time) until the next epoch's verdict,
+//     so a stale cached oracle answer can request an exit but never commit
+//     one; each such epoch pauses the world and validates every request
+//     against ONE sealed snapshot, each commit folded back into it
+//     (sim.World.MarkGone) so later requests in the same batch are judged
+//     against the post-commit state.
 //   - The runtime steps on a clock it is given. A shard's unit of work is
 //     one iteration (shard.iterate), the coordinator's one epoch; both read
 //     time only from the runtime's clock, which Start sets to the wall clock
@@ -63,8 +65,7 @@
 // oracle.Single); Evaluate calls run on sealed snapshots, never on live
 // state. Every oracle call — Evaluate or JudgeDegree — and every call of the
 // oracle hook is serialized by oracleMu: JudgeDegree runs on whichever
-// goroutine moved a leaver's row, a worker or the coordinator, one call at a
-// time.
+// goroutine moved a leaver's row, a worker or a pauser, one call at a time.
 //
 //fdp:nondecomposable runtime machinery: implements the model itself (delivery, absorption, exit commits), not a protocol in 𝒫; frozenProto is a snapshot shim, not a protocol
 package parallel
@@ -117,8 +118,8 @@ type proc struct {
 	depth atomic.Int32
 
 	// life is read concurrently (sends, snapshots) and written by the owning
-	// worker / coordinator: 0 awake, 1 asleep, 2 gone. It turns 2 under
-	// degMu, in retire, and nowhere else.
+	// worker or a pauser: 0 awake, 1 asleep, 2 gone. It turns 2 under degMu,
+	// in retire, and nowhere else.
 	life atomic.Int32
 
 	// exitPending suspends the process between an exit request filed for the
@@ -182,11 +183,9 @@ type Runtime struct {
 	leavers []int32
 
 	// freezeMu serializes world pausers (Freeze, Mutate, MailboxDepths,
-	// Stop, the frozen-world epochs) ahead of the per-shard action locks;
-	// see pauseAll. The coordinator's degree-judged
-	// epoch holds it too, and takes no shard's lock: nobody pauses the world
-	// while exits commit, and no exit commits under somebody's pause.
-	// pauseFirst, guarded by it, is the shard the next pause locks first.
+	// ExitLatencies, Stop, the epochs that settle a batch) ahead of the
+	// per-shard action locks; see pauseAll. pauseFirst, guarded by it, is the
+	// shard the next pause locks first.
 	freezeMu   sync.Mutex
 	pauseFirst int
 
@@ -197,8 +196,7 @@ type Runtime struct {
 	oracleMu sync.Mutex //fdp:lockleaf
 
 	// exitMu guards the pending-exit list: the requests the coordinator
-	// settles. Leaf lock. The exit-latency series lives in per-shard buffers
-	// (shard.exitLat) so commits touch no global state beyond this queue.
+	// settles. Leaf lock.
 	exitMu       sync.Mutex //fdp:lockleaf
 	pendingExits []*proc
 
@@ -225,7 +223,7 @@ type Runtime struct {
 	// per exit request or epoch.
 	exits      atomic.Uint64
 	exitDenied atomic.Uint64 // exit requests rejected by revalidation
-	epochs     atomic.Uint64 // coordinator epochs (batch validations, paused or not)
+	epochs     atomic.Uint64 // coordinator epochs, whether or not they had a batch to settle
 
 	// hooks are the synchronous event observers (AddEventHook), written
 	// only before Start and read-only afterwards.
@@ -233,7 +231,7 @@ type Runtime struct {
 	// oracleHook, when set, observes every exit-validation verdict — the
 	// grant/denial stream the liveness watchdog classifies stalls from.
 	// Called by whoever judged the exit (a worker inside the leaver's
-	// action, or the coordinator) under oracleMu and no degMu
+	// action, or the coordinator at a pause) under oracleMu and no degMu
 	// (SetOracleHook).
 	oracleHook func(ref.Ref, bool)
 
@@ -465,8 +463,8 @@ func (rt *Runtime) Gone() uint64 { return rt.exits.Load() }
 // or on an epoch's sealed snapshot.
 func (rt *Runtime) ExitDenied() uint64 { return rt.exitDenied.Load() }
 
-// Epochs returns how many epochs — rounds of batch validation, with or
-// without a world pause — the coordinator has run.
+// Epochs returns how many epochs the coordinator has run, counting those
+// that found nothing to settle and returned without a pause.
 func (rt *Runtime) Epochs() uint64 { return rt.epochs.Load() }
 
 // pctx implements sim.Context for a process's actions; each proc holds its
@@ -687,24 +685,18 @@ func (rt *Runtime) commitExit(p *proc) {
 // row held: shard bookkeeping updated, pairs erased, latency recorded,
 // EvExit emitted. The mailbox is left as it is: admit has refused since p
 // turned gone, so what waits there (or is still on its way through an outbox
-// or inbox) was sent before the exit, and nobody pops it. Callers:
-// commitExit, the worker whose action asked for the exit, and the
-// coordinator's epochFast with the workers running — it takes leaf locks and
-// neighbors' degMu only, and its causal id and its step come from the shared
-// counters, not from a worker's block or cache.
+// or inbox) was sent before the exit, and nobody pops it. Callers: the
+// worker whose action asked for the exit, and commitExit (that worker, or a
+// pauser). Either has p's shard to itself, so the exit is stamped like every
+// other event of the shard: latency buffer, causal id block and cached step.
 func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 	sh := p.sh
 	rt.dropPairsOf(p, pairs)
 	rt.exits.Add(1)
-	sh.latMu.Lock()
 	sh.exitLat = append(sh.exitLat, rt.clock())
-	sh.latMu.Unlock()
 	if sh.note(sim.EvExit) {
-		// The full count, not sh's cached view: the caller may be the
-		// coordinator running beside sh's worker. No earlier stamp of p
-		// exceeds it, and exits are rare.
-		rt.emitAt(sh, rt.Events(), sim.Event{Kind: sim.EvExit, Proc: p.id,
-			CID: rt.causal.Add(1), Parent: p.curCID, Clock: p.clock})
+		rt.emit(sh, sim.Event{Kind: sim.EvExit, Proc: p.id,
+			CID: sh.nextCID(), Parent: p.curCID, Clock: p.clock})
 	}
 }
 
@@ -712,7 +704,8 @@ func (rt *Runtime) finishExit(p *proc, pairs []graph.Pair) {
 // and commits or denies it. A commit is folded back into w (MarkGone) so the
 // next request validated on the same snapshot is judged against the
 // post-commit state — required for oracles that are not monotone under
-// departures. Caller holds the world paused.
+// departures. A denied process goes back on its shard's run queue, which
+// the pause hands to the caller. Caller holds the world paused.
 func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 	if rt.oracle != nil {
 		rt.oracleMu.Lock()
@@ -725,7 +718,8 @@ func (rt *Runtime) validateExitOn(w *sim.World, p *proc) bool {
 			p.oracleOK.Store(false) // the cache was stale; stop re-requesting
 			rt.exitDenied.Add(1)
 			p.exitPending.Store(false)
-			rt.reschedule(p)
+			p.sh.makeRunnable(p)
+			p.sh.wake()
 			return false
 		}
 		w.MarkGone(p.id)
@@ -899,33 +893,23 @@ func (rt *Runtime) rest(t *time.Timer, d time.Duration, wake <-chan struct{}) {
 	}
 }
 
-// epoch is one coordinator round: settle the pending exit batch and, on the
-// frozen-world path, refresh the oracle caches. It reads no clock of its own:
-// an exit it commits is stamped by rt.clock, the clock of whoever drives it
-// (coordinate, RunSeeded).
+// epoch is one coordinator round: settle the pending exit batch and refresh
+// the oracle caches, under one pause. While a degree oracle judges the rows
+// (nothing asleep) the workers commit their leavers' exits themselves, and
+// with nothing pending there is nothing to settle: the epoch returns at once
+// and stops nobody. It reads no clock of its own: an exit it commits is
+// stamped by rt.clock, the clock of whoever drives it (coordinate,
+// RunSeeded).
 func (rt *Runtime) epoch() {
 	rt.epochs.Add(1)
-	if rt.jd != nil && rt.asleep.Load() == 0 {
-		// Degree path: nothing is asleep, so nothing hibernates and the
-		// ledger never reads below the frozen world's RelevantDegree. The
-		// workers judge and commit their leavers' exits themselves; what is
-		// left here is O(pending) work on the ledger, and no shard is
-		// stopped for it. (A process that falls asleep meanwhile only makes
-		// the ledger over-count more.)
-		rt.freezeMu.Lock()
-		offLedger := rt.epochFast()
-		rt.freezeMu.Unlock()
-		if len(offLedger) > 0 {
-			rt.pauseAll()
-			rt.settleOn(rt.freezeUnderPause(), offLedger)
-			rt.resumeAll()
-		}
+	batch := rt.takePendingExits()
+	if rt.jd != nil && rt.asleep.Load() == 0 && len(batch) == 0 {
 		return
 	}
 	rt.pauseAll()
 	defer rt.resumeAll()
 	w := rt.freezeUnderPause()
-	rt.settleOn(w, rt.takePendingExits())
+	rt.settleOn(w, batch)
 	rt.oracleMu.Lock()
 	for _, i := range rt.leavers {
 		if p := rt.procs[i]; p.life.Load() != 2 {

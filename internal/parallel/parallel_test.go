@@ -106,7 +106,7 @@ func TestMailboxBatchPop(t *testing.T) {
 		t.Fatal("a suspended process was handed out")
 	}
 	pa.exitPending.Store(false)
-	rt.reschedule(pa)
+	sh.makeRunnable(pa) // what a denial at a pause does
 	if p, k := sh.nextBatch(4); p != pa || k != 1 || pa.mb.pop().Label != "held" {
 		t.Fatal("a resumed process did not get its held mail")
 	}

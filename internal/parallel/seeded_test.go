@@ -71,3 +71,60 @@ func TestRuntimeIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneCausalIDsAscend holds every lane of a seeded run to ascending
+// causal ids: a shard's events, exits included, are stamped from its own
+// block of ids, by its worker or by a pauser while the worker is stopped, so
+// on each lane every event's id exceeds the one emitted before it.
+func TestLaneCausalIDsAscend(t *testing.T) {
+	for shards := 2; shards <= 4; shards++ {
+		for seed := int64(1); seed <= 5; seed++ {
+			rt, _, leaving := parallel.BuildShardedRuntime(48, 0.5, seed, core.VariantFDP, oracle.Single{}, shards)
+			last := map[uint8]uint64{}
+			exits := 0
+			rt.AddEventHook(func(e sim.Event) {
+				if e.Kind == sim.EvExit {
+					exits++
+				}
+				if prev := last[e.Lane]; e.CID <= prev {
+					t.Errorf("shards=%d seed=%d: lane %d emitted %v of %v with cid %d after cid %d",
+						shards, seed, e.Lane, e.Kind, e.Proc, e.CID, prev)
+				}
+				last[e.Lane] = e.CID
+			})
+			gone := func(*sim.World) bool { return rt.Gone() == uint64(leaving.Len()) }
+			if !rt.RunSeeded(seed, gone, time.Millisecond, 10*time.Second) {
+				t.Fatalf("shards=%d seed=%d: %d of %d leavers exited", shards, seed, rt.Gone(), leaving.Len())
+			}
+			if exits != leaving.Len() {
+				t.Fatalf("shards=%d seed=%d: %d exits emitted, want %d", shards, seed, exits, leaving.Len())
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestWorkersCommitEverySingleExit: under SINGLE nothing sleeps and no
+// stayer asks to exit, so every exit of a churn run is committed by its own
+// worker, in the action that asked for it, and none waits for an epoch's
+// pause.
+func TestWorkersCommitEverySingleExit(t *testing.T) {
+	for _, leave := range []float64{0.5, 0.02} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rt, _, leaving := parallel.BuildShardedRuntime(2000, leave, seed, core.VariantFDP, oracle.Single{}, 2)
+			gone := func(*sim.World) bool { return rt.Gone() == uint64(leaving.Len()) }
+			if !rt.RunSeeded(seed, gone, time.Millisecond, 30*time.Second) {
+				t.Fatalf("leave=%v seed=%d: %d of %d leavers exited", leave, seed, rt.Gone(), leaving.Len())
+			}
+			var commits uint64
+			for i := 0; i < rt.Shards(); i++ {
+				commits += rt.ShardTraffic(i).ExitCommits
+			}
+			if commits != rt.Gone() {
+				t.Fatalf("leave=%v seed=%d: workers committed %d of %d exits", leave, seed, commits, rt.Gone())
+			}
+		}
+	}
+}

@@ -80,9 +80,8 @@ type parcel struct {
 const flushAt = 32
 
 // tally is a shard's share of the runtime's always-on counters: the worker
-// (and, for the exit of an owned process it commits, the coordinator) adds
-// here, a reader sums over the shards. No action touches a counter another
-// shard's worker writes.
+// (or a pauser) adds here, a reader sums over the shards. No action touches
+// a counter another shard's worker writes.
 type tally struct {
 	events  atomic.Uint64 // executed actions (timeouts + deliveries)
 	sent    atomic.Uint64
@@ -113,25 +112,24 @@ type shard struct {
 
 	// mbMu guards what other goroutines leave for the worker: the inbox
 	// (messages admitted for owned processes by other shards' workers and by
-	// Inject), the resume list (denied exiters, from the coordinator) and the
-	// ready list. Strictly a leaf: no other lock is ever acquired under it. A
-	// sender takes it once per published batch, the worker once per absorb.
-	mbMu   sync.Mutex //fdp:lockleaf
-	inbox  []parcel
-	resume []*proc
-	// inboxFull is set, under mbMu, by whoever leaves something in inbox or
-	// resume and cleared by absorb: the worker's check for mail is one load.
+	// Inject) and the ready list. Strictly a leaf: no other lock is ever
+	// acquired under it. A sender takes it once per published batch, the
+	// worker once per absorb.
+	mbMu  sync.Mutex //fdp:lockleaf
+	inbox []parcel
+	// inboxFull is set, under mbMu, by whoever leaves something in inbox and
+	// cleared by absorb: the worker's check for mail is one load.
 	inboxFull atomic.Bool
 
 	// ready lists the owned leavers whose cached oracle answer just turned
 	// true (judge), each at most once (proc.ready); timeoutRound serves them
 	// ahead of the scan. Guarded by mbMu: whoever moved the row — any
-	// worker, the coordinator — appends while the worker runs (markReady),
-	// the worker pops into readyBuf (worker-private).
+	// worker, or a pauser — appends (markReady), the worker pops into
+	// readyBuf (worker-private).
 	ready []int32
 
 	// notify is a capacity-1 wakeup: raised with every batch left in the
-	// inbox (not per message) and when a denied exiter is rescheduled.
+	// inbox (not per message) and when a pauser requeues a denied exiter.
 	notify chan struct{}
 
 	// awake counts owned processes in the awake state; 0 lets the worker
@@ -139,16 +137,14 @@ type shard struct {
 	// counts a process in, and every change of its life moves the count.
 	awake atomic.Int32
 
-	// latMu guards the shard's exit-latency buffer. Commits append here —
-	// the owning worker, or the coordinator for a request it settles — and
-	// ExitLatencies merges the shard buffers at read time. Strictly a leaf.
-	latMu   sync.Mutex //fdp:lockleaf
-	exitLat []time.Duration
-
 	// Everything below is the worker's own: touched by it under the action
 	// read lock, or by a pauser. The pad keeps it off the cache lines other
 	// goroutines write above.
 	_ [64]byte
+
+	// exitLat holds the runtime's clock at each exit committed for an owned
+	// process; ExitLatencies merges the shard buffers at a pause.
+	exitLat []time.Duration
 
 	// runq lists the owned processes with deliverable messages, by reference
 	// index, each at most once (proc.inRun).
@@ -336,22 +332,9 @@ func (sh *shard) deposit(batch []parcel) {
 	sh.wake()
 }
 
-// reschedule makes a denied exiter runnable again if deliveries queued up
-// while it was suspended, by way of its shard's inbox: the run queue is the
-// worker's. Called by the coordinator, paused or not, after it cleared
-// exitPending.
-func (rt *Runtime) reschedule(p *proc) {
-	sh := p.sh
-	sh.mbMu.Lock()
-	sh.resume = append(sh.resume, p)
-	sh.inboxFull.Store(true)
-	sh.mbMu.Unlock()
-	sh.wake()
-}
-
-// absorb moves what the inbox holds into the owned mailboxes and puts the
-// resumed processes back on the run queue. One load when there is nothing.
-// Caller is sh's worker under its action read lock, or a pauser.
+// absorb moves what the inbox holds into the owned mailboxes. One load when
+// there is nothing. Caller is sh's worker under its action read lock, or a
+// pauser.
 func (sh *shard) absorb() {
 	if !sh.inboxFull.Load() {
 		return
@@ -359,10 +342,6 @@ func (sh *shard) absorb() {
 	sh.mbMu.Lock()
 	in := sh.inbox
 	sh.inbox = sh.spare[:0]
-	for _, p := range sh.resume {
-		sh.makeRunnable(p)
-	}
-	sh.resume = sh.resume[:0]
 	sh.inboxFull.Store(false)
 	sh.mbMu.Unlock()
 	for i := range in {
@@ -468,13 +447,9 @@ func (sh *shard) takeReady(max int) []int32 {
 // often (weak fairness) however fast the ready list refills.
 // Suspended (exit-pending) processes are skipped: they must not act between
 // their exit request and the coordinator's verdict, and a granted one never
-// acts again. The coordinator grants the requests it settles with the
-// workers running, so the check must hold against a commit that lands
-// between its two reads: a grant leaves exitPending set for good — only a
-// denial lifts the suspension, and a denied process is still awake — so from
-// retire on the process is both suspended and gone. (exitPending is read
-// first, here and in nextBatch: the coordinator writes life before it
-// touches the flag.)
+// acts again. No commit lands between the check's two reads: an exit of an
+// owned process commits in its own action, on this worker, or under a pause
+// that stops it.
 func (sh *shard) timeoutRound() int {
 	ran := 0
 	for _, i := range sh.takeReady(timeoutBudget / 2) {

@@ -31,8 +31,7 @@ func TestSchedulerNames(t *testing.T) {
 	if NewRandomScheduler(1, 0).Name() != "random" ||
 		NewRoundScheduler().Name() != "rounds" ||
 		NewAdversarialScheduler(1, 0).Name() != "adversarial" ||
-		NewFIFOScheduler().Name() != "fifo" ||
-		NewReplayScheduler(nil, nil).Name() != "replay" {
+		NewFIFOScheduler().Name() != "fifo" {
 		t.Fatal("scheduler names wrong")
 	}
 }

@@ -55,7 +55,7 @@ type Event struct {
 	// the message itself (equal to the CID of its send event).
 	MsgID uint64
 	// MsgSeq is, on EvSend/EvDeliver, the message's arrival sequence number
-	// — the identity ReplayScheduler re-resolves actions by, which is what
+	// — the identity ValidateAction re-resolves actions by, which is what
 	// makes a journal's schedule re-executable.
 	MsgSeq uint64
 	// Clock is the executing process's Lamport clock at emission: bumped on
