@@ -15,11 +15,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -29,12 +26,6 @@ import (
 
 	"fdp"
 )
-
-// isClosedErr recognizes the errors a server goroutine sees during a clean
-// shutdown — they are not failures worth reporting.
-func isClosedErr(err error) bool {
-	return err == nil || errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed)
-}
 
 // parseSizes parses the -sizes value: a comma-separated, strictly
 // increasing list of positive system sizes. An empty string selects the
@@ -117,17 +108,12 @@ func main() {
 	var reg *fdp.Observer
 	if *serve != "" {
 		reg = fdp.NewObserver()
-		ln, err := net.Listen("tcp", *serve)
+		stopServe, err := fdp.ServeObserver(*serve, reg, os.Stdout, os.Stderr, "fdpbench")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fdpbench: -serve:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, fdp.ObserveMux(reg)); !isClosedErr(err) {
-				fmt.Fprintln(os.Stderr, "fdpbench: -serve:", err)
-			}
-		}()
+		defer stopServe()
 	}
 	benchSizes, err := parseSizes(*sizes)
 	if err != nil {

@@ -44,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,18 +60,13 @@ import (
 	"fdp/internal/transport"
 )
 
-// isClosedErr recognizes the errors a serve goroutine sees during a clean
-// shutdown: the listener closed underneath it, nothing more.
-func isClosedErr(err error) bool {
-	return err == nil || errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed)
-}
-
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdpnode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		merge  = fs.String("merge", "", "merge mode: verify the run artifacts in this directory")
 		scrape = fs.String("scrape", "", "scrape mode: aggregate liveness metrics from these node /metrics addresses (comma separated)")
@@ -99,19 +93,19 @@ func run(args []string) int {
 		stall = fs.Duration("stall", 0, "arm the liveness watchdog with this window; on stall, write flight-<id>.jsonl and stall-<id>.json to -out")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fdpnode -id I -nodes N -listen ADDR -peers LIST [scenario flags] -out DIR")
-		fmt.Fprintln(os.Stderr, "       fdpnode -merge DIR")
-		fmt.Fprintln(os.Stderr, "       fdpnode -scrape ADDR[,ADDR...]")
+		fmt.Fprintln(stderr, "usage: fdpnode -id I -nodes N -listen ADDR -peers LIST [scenario flags] -out DIR")
+		fmt.Fprintln(stderr, "       fdpnode -merge DIR")
+		fmt.Fprintln(stderr, "       fdpnode -scrape ADDR[,ADDR...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *merge != "" {
-		return runMerge(*merge)
+		return runMerge(*merge, stdout, stderr)
 	}
 	if *scrape != "" {
-		return runScrape(*scrape)
+		return runScrape(*scrape, stdout, stderr)
 	}
 
 	scn := trace.Scenario{N: *n, Topology: *topo, LeaveFraction: *leave,
@@ -120,16 +114,16 @@ func run(args []string) int {
 
 	peerMap, err := parsePeers(*peers, *id, *nodes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	jf, err := os.Create(filepath.Join(*out, fmt.Sprintf("journal-%d.jsonl", *id)))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	defer jf.Close()
@@ -140,61 +134,52 @@ func run(args []string) int {
 	if *serve != "" {
 		reg = obs.NewRegistry()
 	}
-	onStall := func(v obs.StallVerdict, hdr trace.Header, flight []trace.Record, complete bool) {
-		fmt.Fprintf(os.Stderr, "fdpnode: node %d stalled: %s (%d flight records, complete=%v)\n",
-			*id, v.Kind, len(flight), complete)
+	onStall := func(rep *obs.StallReport) {
+		fmt.Fprintf(stderr, "fdpnode: node %d stalled: %s (%d flight records, complete=%v)\n",
+			*id, rep.Verdict.Kind, len(rep.Flight), rep.Complete)
 		fp := filepath.Join(*out, fmt.Sprintf("flight-%d.jsonl", *id))
 		ff, err := os.Create(fp)
 		if err == nil {
-			err = trace.WriteJournal(ff, hdr, flight)
+			err = trace.WriteJournal(ff, rep.Header, rep.Flight)
 			if cerr := ff.Close(); err == nil {
 				err = cerr
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpnode: flight dump:", err)
+			fmt.Fprintln(stderr, "fdpnode: flight dump:", err)
 		}
-		vb, err := json.MarshalIndent(v, "", "  ")
+		vb, err := json.MarshalIndent(rep.Verdict, "", "  ")
 		if err == nil {
 			err = os.WriteFile(filepath.Join(*out, fmt.Sprintf("stall-%d.json", *id)), append(vb, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpnode: stall verdict:", err)
+			fmt.Fprintln(stderr, "fdpnode: stall verdict:", err)
 		}
 	}
 	nd, err := node.New(node.Config{ID: *id, Nodes: *nodes, Scenario: scn,
 		Journal: jf, MaxWall: *timeout, Linger: *linger, RoundEvery: *roundEvery,
 		Metrics: reg, StallWindow: *stall, OnStall: onStall})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	tr, err := transport.NewTCP(transport.TCPConfig{
 		Self: transport.NodeID(*id), Listen: *listen, Peers: peerMap, Handler: nd,
 		Metrics: reg})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	defer tr.Close()
 	if *serve != "" {
-		// Same graceful-shutdown path as fdpsim/fdpbench: closing the
-		// listener on exit makes Serve return a closed-network error, which
-		// is the clean outcome, not a failure.
-		ln, err := net.Listen("tcp", *serve)
+		stopServe, err := obs.Serve(*serve, reg, stdout, stderr, "fdpnode")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpnode: -serve:", err)
+			fmt.Fprintln(stderr, "fdpnode: -serve:", err)
 			return 2
 		}
-		defer ln.Close()
-		fmt.Printf("node %d metrics on http://%s/metrics\n", *id, ln.Addr())
-		go func() {
-			if err := http.Serve(ln, obs.NewServeMux(reg)); !isClosedErr(err) {
-				fmt.Fprintln(os.Stderr, "fdpnode: -serve:", err)
-			}
-		}()
+		defer stopServe()
 	}
-	fmt.Printf("node %d/%d listening on %s (n=%d seed=%d)\n", *id, *nodes, tr.Addr(), *n, *seed)
+	fmt.Fprintf(stdout, "node %d/%d listening on %s (n=%d seed=%d)\n", *id, *nodes, tr.Addr(), *n, *seed)
 
 	// Graceful shutdown: first signal stops the pump, which flushes the
 	// journal and writes the summary on its way out; the immediate Interrupt
@@ -205,7 +190,7 @@ func run(args []string) int {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "fdpnode: signal received, winding down")
+		fmt.Fprintln(stderr, "fdpnode: signal received, winding down")
 		nd.Interrupt()
 		close(stop)
 		<-sigc
@@ -214,17 +199,17 @@ func run(args []string) int {
 
 	res := nd.Run(tr, stop)
 	if err := jf.Sync(); err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode: journal sync:", err)
+		fmt.Fprintln(stderr, "fdpnode: journal sync:", err)
 	}
 
 	sb, err := json.MarshalIndent(res.Summary, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 	sumPath := filepath.Join(*out, fmt.Sprintf("summary-%d.json", *id))
 	if err := os.WriteFile(sumPath, append(sb, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
 
@@ -232,7 +217,7 @@ func run(args []string) int {
 		// Keep the final metric values scrapeable; a signal releases the
 		// hold early so supervised runs (the Makefile's node-churn) can
 		// wind the fleet down without waiting it out.
-		fmt.Printf("holding -serve endpoint for %v\n", *hold)
+		fmt.Fprintf(stdout, "holding -serve endpoint for %v\n", *hold)
 		select {
 		case <-time.After(*hold):
 		case <-stop:
@@ -241,14 +226,14 @@ func run(args []string) int {
 
 	switch {
 	case res.Summary.Interrupted:
-		fmt.Printf("node %d interrupted after %d steps (journal flushed)\n", *id, res.Summary.Steps)
+		fmt.Fprintf(stdout, "node %d interrupted after %d steps (journal flushed)\n", *id, res.Summary.Steps)
 		return 0
 	case res.Summary.TimedOut:
-		fmt.Printf("node %d timed out after %d steps: %d/%d owned leavers exited\n",
+		fmt.Fprintf(stdout, "node %d timed out after %d steps: %d/%d owned leavers exited\n",
 			*id, res.Summary.Steps, len(res.Summary.Exited), len(res.Summary.Leavers))
 		return 1
 	default:
-		fmt.Printf("node %d done: %d steps, %d/%d owned leavers exited\n",
+		fmt.Fprintf(stdout, "node %d done: %d steps, %d/%d owned leavers exited\n",
 			*id, res.Summary.Steps, len(res.Summary.Exited), len(res.Summary.Leavers))
 		return 0
 	}
@@ -284,7 +269,7 @@ func parsePeers(s string, self, nodes int) (map[transport.NodeID]string, error) 
 // transport series per node, and prints a cluster aggregate: the sum of
 // leavers remaining across nodes is the run's distance from Lemma 3. Exit
 // status 2 if any node cannot be scraped.
-func runScrape(list string) int {
+func runScrape(list string, stdout, stderr io.Writer) int {
 	client := &http.Client{Timeout: 5 * time.Second}
 	var (
 		remaining, grants, denials float64
@@ -297,24 +282,27 @@ func runScrape(list string) int {
 		}
 		resp, err := client.Get("http://" + a + "/metrics")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdpnode: scrape %s: %v\n", a, err)
+			fmt.Fprintf(stderr, "fdpnode: scrape %s: %v\n", a, err)
 			failed = true
 			continue
 		}
-		body, rerr := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "fdpnode: scrape %s: status %s\n", a, resp.Status)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %s", resp.Status)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "fdpnode: scrape %s: %v\n", a, err)
 			failed = true
 			continue
 		}
-		fmt.Printf("# node %s\n", a)
+		fmt.Fprintf(stdout, "# node %s\n", a)
 		for _, line := range strings.Split(string(body), "\n") {
 			if !strings.HasPrefix(line, "fdp_progress_") && !strings.HasPrefix(line, "fdp_stall_") &&
 				!strings.HasPrefix(line, "fdp_transport_frames_total") && !strings.HasPrefix(line, "fdp_transport_rejected_total") {
 				continue
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 			name, v, ok := parseSample(line)
 			if !ok {
 				continue
@@ -329,7 +317,7 @@ func runScrape(list string) int {
 			}
 		}
 	}
-	fmt.Printf("# cluster: leavers_remaining=%g grants=%g denials=%g\n", remaining, grants, denials)
+	fmt.Fprintf(stdout, "# cluster: leavers_remaining=%g grants=%g denials=%g\n", remaining, grants, denials)
 	if failed {
 		return 2
 	}
@@ -355,10 +343,10 @@ func parseSample(line string) (string, float64, bool) {
 }
 
 // runMerge reads a run directory and prints the merged verdict.
-func runMerge(dir string) int {
+func runMerge(dir string, stdout, stderr io.Writer) int {
 	sumPaths, err := filepath.Glob(filepath.Join(dir, "summary-*.json"))
 	if err != nil || len(sumPaths) == 0 {
-		fmt.Fprintf(os.Stderr, "fdpnode: no summary-*.json in %s\n", dir)
+		fmt.Fprintf(stderr, "fdpnode: no summary-*.json in %s\n", dir)
 		return 2
 	}
 	sort.Strings(sumPaths)
@@ -370,18 +358,18 @@ func runMerge(dir string) int {
 	for _, sp := range sumPaths {
 		b, err := os.ReadFile(sp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpnode:", err)
+			fmt.Fprintln(stderr, "fdpnode:", err)
 			return 2
 		}
 		var s node.Summary
 		if err := json.Unmarshal(b, &s); err != nil {
-			fmt.Fprintf(os.Stderr, "fdpnode: %s: %v\n", sp, err)
+			fmt.Fprintf(stderr, "fdpnode: %s: %v\n", sp, err)
 			return 2
 		}
 		jp := filepath.Join(dir, fmt.Sprintf("journal-%d.jsonl", s.Node))
 		jf, err := os.Open(jp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdpnode:", err)
+			fmt.Fprintln(stderr, "fdpnode:", err)
 			return 2
 		}
 		hdr, recs, err := trace.ReadJournal(jf)
@@ -390,10 +378,10 @@ func runMerge(dir string) int {
 		if errors.As(err, &trunc) {
 			// A torn tail means the node died mid-write; the intact prefix
 			// still joins, and the verdict will flag the interruption.
-			fmt.Printf("warning: %s truncated at line %d; using %d intact records (last cid %d)\n",
+			fmt.Fprintf(stdout, "warning: %s truncated at line %d; using %d intact records (last cid %d)\n",
 				jp, trunc.Line, trunc.Records, trunc.LastCID)
 		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "fdpnode: %s: %v\n", jp, err)
+			fmt.Fprintf(stderr, "fdpnode: %s: %v\n", jp, err)
 			return 2
 		}
 		hdrs = append(hdrs, hdr)
@@ -403,15 +391,15 @@ func runMerge(dir string) int {
 
 	v, err := node.Verify(hdrs, parts, sums)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdpnode:", err)
+		fmt.Fprintln(stderr, "fdpnode:", err)
 		return 2
 	}
-	fmt.Printf("nodes:      %d\n", v.Nodes)
-	fmt.Printf("records:    %d joined (%d sends, %d delivers, %d duplicates)\n",
+	fmt.Fprintf(stdout, "nodes:      %d\n", v.Nodes)
+	fmt.Fprintf(stdout, "records:    %d joined (%d sends, %d delivers, %d duplicates)\n",
 		len(v.Joined.Records), v.Joined.Sends, v.Joined.Delivers, v.Joined.Duplicates)
-	fmt.Printf("converged:  %v\n", v.Converged)
+	fmt.Fprintf(stdout, "converged:  %v\n", v.Converged)
 	for _, p := range v.Problems {
-		fmt.Printf("problem:    %s\n", p)
+		fmt.Fprintf(stdout, "problem:    %s\n", p)
 	}
 	if !v.Converged {
 		return 1

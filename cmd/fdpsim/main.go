@@ -7,12 +7,9 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -21,12 +18,6 @@ import (
 
 	"fdp"
 )
-
-// isClosedErr recognizes the errors a server goroutine sees during a clean
-// shutdown — they are not failures worth reporting.
-func isClosedErr(err error) bool {
-	return err == nil || errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed)
-}
 
 func main() {
 	// Graceful ^C: the first signal closes stop, a second force-kills.
@@ -49,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	cfg := fdp.Config{Topology: fdp.Random}
 	var (
 		corrupt = fs.Float64("corrupt", 0, "initial-state corruption probability (beliefs and anchors)")
-		par     = fs.Bool("parallel", false, "run on the goroutine-per-process runtime instead of the simulator")
+		par     = fs.Bool("parallel", false, "run on the sharded runtime (worker pool, one shard per core) instead of the simulator")
 		timeout = fs.Duration("timeout", 30*time.Second, "wall-clock budget for -parallel")
 		serve   = fs.String("serve", "", "serve /metrics (Prometheus text) and /debug/pprof on this address during the run (e.g. :9090)")
 		hold    = fs.Duration("hold", 0, "keep the -serve endpoint up this long after the run finishes")
@@ -82,17 +73,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	}
 	if *serve != "" {
 		cfg.Observe = fdp.NewObserver()
-		ln, err := net.Listen("tcp", *serve)
+		stopServe, err := fdp.ServeObserver(*serve, cfg.Observe, stdout, stderr, "fdpsim")
 		if err != nil {
 			fmt.Fprintln(stderr, "fdpsim: -serve:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "metrics:          http://%s/metrics (pprof at /debug/pprof/)\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, fdp.ObserveMux(cfg.Observe)); !isClosedErr(err) {
-				fmt.Fprintln(stderr, "fdpsim: -serve:", err)
-			}
-		}()
+		defer stopServe()
 	}
 
 	// On stop either engine winds down — the simulator at the next step

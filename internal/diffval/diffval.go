@@ -22,6 +22,7 @@ package diffval
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fdp/internal/churn"
@@ -57,7 +58,7 @@ type Config struct {
 	// Timeout bounds the concurrent run in the virtual time of
 	// parallel.Runtime.RunSeeded, not on the wall clock (0 = 20s).
 	Timeout time.Duration
-	// StallSteps enables both liveness watchdogs: every StallSteps executed
+	// StallSteps arms each engine's obs.Watch: every StallSteps executed
 	// sequential steps or runtime events, a window with remaining leavers
 	// and no settles is classified (livelock / starvation / quiescent, see
 	// obs.StallKind) and the first stall captures a flight-recorder
@@ -115,29 +116,6 @@ type Outcome struct {
 	Stall string `json:"stall,omitempty"`
 }
 
-// StallReport is the evidence captured at an engine's FIRST stall verdict:
-// the classification plus a flight-recorder snapshot, rendered the same
-// way a finished run's artifacts are. For the sequential engine a
-// Complete snapshot is a replayable journal prefix (Header names the
-// scenario; trace.VerifyReplay accepts it); the concurrent engine's
-// snapshot is one real interleaving, joinable and diffable but not
-// replayable.
-type StallReport struct {
-	// Verdict is the watchdog classification and its window evidence.
-	Verdict obs.StallVerdict
-	// Header frames Flight as a journal fragment for WriteJournal /
-	// fdpreplay.
-	Header trace.Header
-	// Flight is the flight-recorder snapshot, oldest event first.
-	Flight []trace.Record
-	// Complete reports the ring never wrapped: Flight is the entire event
-	// stream from step 0.
-	Complete bool
-	// Spans renders the per-leaver departure span trees of the snapshot —
-	// the causal story of how far each stuck departure got.
-	Spans string
-}
-
 // Verdict pairs the two engines' outcomes for one seed.
 type Verdict struct {
 	Seed       int64
@@ -146,11 +124,11 @@ type Verdict struct {
 
 	// SequentialStall and ConcurrentStall carry each engine's first stall
 	// report when its watchdog was enabled and fired; nil otherwise.
-	SequentialStall *StallReport
-	ConcurrentStall *StallReport
+	SequentialStall *obs.StallReport
+	ConcurrentStall *obs.StallReport
 
 	// SequentialTrace and ConcurrentTrace hold the last FlightK events of
-	// each engine (sim.FormatEvents rendering), filled in ONLY when the
+	// each engine (one trace.RecordLine each), filled in ONLY when the
 	// verdicts disagree — the post-mortem a bare "engines diverged on seed
 	// 17" never gave. Empty on agreement.
 	SequentialTrace string
@@ -221,7 +199,7 @@ func Run(cfg Config, seed int64) Verdict {
 type SequentialRun struct {
 	Outcome Outcome
 	// Stall is the sequential watchdog's first stall report, nil if none.
-	Stall  *StallReport
+	Stall  *obs.StallReport
 	cfg    Config
 	flight *trace.Flight
 }
@@ -230,8 +208,8 @@ type SequentialRun struct {
 // sequential side of Run (same scheduler, same wave seeds).
 func Sequential(cfg Config, seed int64) *SequentialRun {
 	cfg.Scenario.Seed = seed
-	out, flight, stall := runSequential(cfg)
-	return &SequentialRun{Outcome: out, Stall: stall, cfg: cfg, flight: flight}
+	out, watch := runSequential(cfg)
+	return &SequentialRun{Outcome: out, Stall: watch.Stall(), cfg: cfg, flight: watch.Flight}
 }
 
 // Pair runs the concurrent side and returns the verdict Run returns.
@@ -240,16 +218,29 @@ func (s *SequentialRun) Pair() Verdict {
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
-	concOut, concFlight, concStall := runConcurrent(s.cfg, timeout)
+	concOut, conc := runConcurrent(s.cfg, timeout)
 	v := Verdict{Seed: s.cfg.Scenario.Seed, Sequential: s.Outcome, Concurrent: concOut,
-		SequentialStall: s.Stall, ConcurrentStall: concStall}
+		SequentialStall: s.Stall, ConcurrentStall: conc.Stall()}
 	if !v.Agree() {
 		// Render the dumps only on divergence: a Verdict slice over 50+ seeds
 		// stays small, and the traces point straight at the diverging run.
-		v.SequentialTrace = sim.FormatEvents(s.flight.Events())
-		v.ConcurrentTrace = sim.FormatEvents(concFlight.Events())
+		v.SequentialTrace = lastEvents(s.flight)
+		v.ConcurrentTrace = lastEvents(conc.Flight)
 	}
 	return v
+}
+
+// lastEvents renders a flight ring's snapshot one trace.RecordLine per
+// event. Initial messages carry identical causal ids on both engines, so
+// two engines' dumps align event by event.
+func lastEvents(f *trace.Flight) string {
+	recs, _ := f.Snapshot()
+	var b strings.Builder
+	for _, r := range recs {
+		b.WriteString(trace.RecordLine(r))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // RunSeeds runs seeds 0..n-1 and returns the verdicts.
@@ -261,53 +252,33 @@ func RunSeeds(cfg Config, n int) []Verdict {
 	return out
 }
 
-// engine is what both engines, sim.World and parallel.Runtime, offer an
-// observer.
-type engine interface {
-	AddEventHook(func(sim.Event))
-	SetOracleHook(func(ref.Ref, bool))
+// watch attaches the run's liveness watch to an engine of scenario s: its
+// flight ring always, its watchdog when StallSteps is set.
+func (c Config) watch(e obs.Engine, s *churn.Scenario, hdr trace.Header) *obs.Watch {
+	return obs.NewWatch(e, obs.WatchConfig{Leavers: s.LeavingNodes(), FlightK: c.FlightK,
+		Every: uint64(max(c.StallSteps, 0)), Header: hdr})
 }
 
-// observe hooks an engine's flight ring and, when its watchdog is on, the
-// progress tracker the watchdog reads.
-func observe(e engine, flightK int, leavers []ref.Ref, watch bool) (*trace.Flight, *obs.Progress) {
-	flight := trace.NewFlight(flightK)
-	e.AddEventHook(flight.Record)
-	if !watch {
-		return flight, nil
-	}
-	prog := obs.NewProgress(nil, "", leavers)
-	e.AddEventHook(prog.NoteEvent)
-	e.SetOracleHook(prog.NoteOracle)
-	return flight, prog
-}
-
-// runSequential and runConcurrent each return their engine's flight ring
-// beside the outcome: the stall watchdog snapshots it mid-run, Run renders
-// it when the verdicts disagree.
-func runSequential(cfg Config) (Outcome, *trace.Flight, *StallReport) {
+// runSequential and runConcurrent each return their engine's liveness
+// watch beside the outcome: its watchdog snapshots the flight ring mid-run,
+// Run renders the ring when the verdicts disagree.
+func runSequential(cfg Config) (Outcome, *obs.Watch) {
 	s := cfg.build()
-	leavers := s.LeavingNodes()
-	flight, prog := observe(s.World, cfg.FlightK, leavers, cfg.StallSteps > 0)
+	// The header is known once the run is: it names the waves that fired.
+	watch := cfg.watch(s.World, s, trace.Header{})
 	opts := sim.RunOptions{CheckSafety: true, MaxSteps: cfg.MaxSteps}
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = DefaultMaxSteps
 	}
-	var stall *StallReport
-	if prog != nil {
-		wd := obs.NewStepWatchdog(prog, cfg.StallSteps)
-		opts.OnStep = func(w *sim.World) {
-			v, stalled := wd.Tick(w.Steps(), func() int { return w.Stats().TotalInQueue })
-			if stalled && stall == nil {
-				stall = newStallReport(v, flight, leavers)
-			}
-		}
+	opts.OnStep = func(w *sim.World) {
+		step := uint64(w.Steps())
+		watch.Tick(step, step, func() int { return w.Stats().TotalInQueue })
 	}
 	res, hdr, err := trace.RunSequential(cfg.Scenario, s, opts)
 	if err != nil {
 		panic(fmt.Sprintf("diffval: %v", err))
 	}
-	if stall != nil {
+	if stall := watch.Stall(); stall != nil {
 		// The snapshot is a prefix of the run: its header lists the waves
 		// that fired before the stalled step.
 		fired := hdr.Scenario.Strikes
@@ -319,9 +290,9 @@ func runSequential(cfg Config) (Outcome, *trace.Flight, *StallReport) {
 		stall.Header.Scenario.Strikes = fired[:n]
 	}
 	violated := res.SafetyViolation != nil
-	out := outcome(s, s.World, res.Converged, violated, s.InTarget(s.World), stall)
+	out := outcome(s, s.World, res.Converged, violated, s.InTarget(s.World), watch.Stall())
 	out.Steps = uint64(s.World.Steps())
-	return out, flight, stall
+	return out, watch
 }
 
 // runConcurrent runs the scenario on the runtime under RunSeeded: one
@@ -329,20 +300,18 @@ func runSequential(cfg Config) (Outcome, *trace.Flight, *StallReport) {
 // concurrent side of a verdict is as reproducible as the sequential one. The
 // shard count is drawn from the seed too, never from the host: seeds cover
 // two to four shards, so the cross-shard mail path is always exercised.
-func runConcurrent(cfg Config, timeout time.Duration) (Outcome, *trace.Flight, *StallReport) {
+func runConcurrent(cfg Config, timeout time.Duration) (Outcome, *obs.Watch) {
 	s := cfg.build()
 	variant, _ := cfg.Scenario.SimVariant() // resolved by build
 	seed := cfg.Scenario.Seed
-	leavers := s.LeavingNodes()
 	rt := parallel.NewRuntime(s.Config.Oracle)
 	rt.SetShards(2 + int(uint64(seed)%3))
 	mirror(rt, s.World)
-	flight, prog := observe(rt, cfg.FlightK, leavers, cfg.StallSteps > 0)
-	var wd *obs.StepWatchdog
-	if prog != nil {
-		wd = obs.NewStepWatchdog(prog, cfg.StallSteps)
-	}
-	var stall *StallReport
+	// The runtime's snapshot is one interleaving, not a replayable prefix:
+	// its header names neither a scheduler nor strike steps.
+	hs := cfg.Scenario
+	hs.Scheduler, hs.Strikes = "", nil
+	watch := cfg.watch(rt, s, trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs})
 	waves := cfg.Scenario.Strikes
 	struck := 0
 	var inTarget bool
@@ -362,18 +331,8 @@ func runConcurrent(cfg Config, timeout time.Duration) (Outcome, *trace.Flight, *
 			}
 			return false
 		}
-		if wd != nil {
-			v, stalled := wd.Tick(int(rt.Events()), func() int { return w.Stats().TotalInQueue })
-			if stalled && stall == nil {
-				stall = newStallReport(v, flight, leavers)
-				// The runtime's snapshot is one interleaving, not a
-				// replayable prefix: its header names neither a scheduler
-				// nor strike steps.
-				hs := cfg.Scenario
-				hs.Scheduler, hs.Strikes = "", nil
-				stall.Header = trace.Header{Version: trace.Version, Engine: trace.EngineRuntime, Scenario: hs}
-			}
-		}
+		events := rt.Events()
+		watch.Tick(events, events, func() int { return w.Stats().TotalInQueue })
 		// P′'s target is judged where convergence is, as the sequential side
 		// judges it where its run stopped: stale P messages still in flight
 		// when the staying processes first form the target may break it for
@@ -383,16 +342,16 @@ func runConcurrent(cfg Config, timeout time.Duration) (Outcome, *trace.Flight, *
 	}, time.Millisecond, timeout)
 	final := rt.Freeze()
 
-	out := outcome(s, final, converged, !final.RelevantComponentsIntact(), inTarget, stall)
+	out := outcome(s, final, converged, !final.RelevantComponentsIntact(), inTarget, watch.Stall())
 	out.Steps = rt.Events()
-	return out, flight, stall
+	return out, watch
 }
 
 // outcome classifies an engine's final world w of scenario s. The engine's
 // driver judges convergence, safety and the target; what departed, settled
 // and stayed connected is read off w, where a departed process is absent
 // (a frozen runtime) or Gone (the simulator).
-func outcome(s *churn.Scenario, w *sim.World, converged, violated, inTarget bool, stall *StallReport) Outcome {
+func outcome(s *churn.Scenario, w *sim.World, converged, violated, inTarget bool, stall *obs.StallReport) Outcome {
 	out := Outcome{
 		Converged:        converged && !violated,
 		SafetyViolated:   violated,
@@ -420,22 +379,4 @@ func outcome(s *churn.Scenario, w *sim.World, converged, violated, inTarget bool
 		out.Stall = stall.Verdict.Kind.String()
 	}
 	return out
-}
-
-// newStallReport captures an engine's first stall verdict with its flight
-// ring's snapshot; the caller frames it with a Header. The span trees are
-// seeded with the leavers' names: a stuck departure has no exit record to be
-// discovered by.
-func newStallReport(v obs.StallVerdict, flight *trace.Flight, leavers []ref.Ref) *StallReport {
-	fl, complete := flight.Snapshot()
-	names := make([]string, len(leavers))
-	for i, l := range leavers {
-		names[i] = l.String()
-	}
-	return &StallReport{
-		Verdict:  v,
-		Flight:   fl,
-		Complete: complete,
-		Spans:    trace.SpanTrees(trace.BuildSpansFor(fl, names)),
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"fdp/internal/sim"
 	"fdp/internal/trace"
 )
 
@@ -25,10 +24,10 @@ func TestDumpJoinableByCausalID(t *testing.T) {
 		FlightK:  4096,
 	}
 
-	_, seqFlight, _ := runSequential(cfg)
-	_, concFlight, _ := runConcurrent(cfg, 10*time.Second)
-	seqTrace := sim.FormatEvents(seqFlight.Events())
-	concTrace := sim.FormatEvents(concFlight.Events())
+	_, seq := runSequential(cfg)
+	_, conc := runConcurrent(cfg, 10*time.Second)
+	seqTrace := lastEvents(seq.Flight)
+	concTrace := lastEvents(conc.Flight)
 
 	for name, tr := range map[string]string{"sequential": seqTrace, "concurrent": concTrace} {
 		if !strings.Contains(tr, "cid=") {

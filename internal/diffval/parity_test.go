@@ -75,19 +75,19 @@ func TestTracesFilledOnDisagreementPlumbing(t *testing.T) {
 	cfg := fdpConfig()
 	cfg.Scenario.Seed = 3
 
-	seqOut, seqFlight, _ := runSequential(cfg)
+	seqOut, seq := runSequential(cfg)
 	if !seqOut.Converged {
 		t.Fatalf("sequential runner did not converge: %+v", seqOut)
 	}
-	seqTrace := sim.FormatEvents(seqFlight.Events())
+	seqTrace := lastEvents(seq.Flight)
 	if seqTrace == "" || !strings.Contains(seqTrace, "exit") {
 		t.Fatalf("sequential trace missing exit events:\n%s", seqTrace)
 	}
-	concOut, concFlight, _ := runConcurrent(cfg, 30*time.Second)
+	concOut, conc := runConcurrent(cfg, 30*time.Second)
 	if !concOut.Converged {
 		t.Fatalf("concurrent runner did not converge: %+v", concOut)
 	}
-	concTrace := sim.FormatEvents(concFlight.Events())
+	concTrace := lastEvents(conc.Flight)
 	if concTrace == "" || !strings.Contains(concTrace, "exit") {
 		t.Fatalf("concurrent trace missing exit events:\n%s", concTrace)
 	}

@@ -370,16 +370,16 @@ func E10Oracles(s Scale) Result {
 
 // --- E11: concurrent runtime ----------------------------------------------
 
-// E11Parallel cross-validates the goroutine-per-process runtime and
-// measures its event throughput.
+// E11Parallel cross-validates the sharded M:N runtime and measures its
+// event throughput.
 func E11Parallel(s Scale) Result {
 	res := Result{
 		ID:    "E11",
 		Title: "Concurrent runtime cross-validation and throughput",
-		Claim: "the protocol converges under true parallel asynchrony (goroutine per process)",
+		Claim: "the protocol converges under true parallel asynchrony (sharded M:N runtime)",
 		Pass:  true,
 	}
-	tb := metrics.NewTable("E11: goroutine-per-process runs (50% leaving, random topology)",
+	tb := metrics.NewTable("E11: sharded-runtime runs (50% leaving, random topology)",
 		"n", "converged", "exits ok", "events executed", "events/sec")
 	for _, n := range s.Sizes {
 		scn := churn.Build(benchScenario(n, int64(n)))

@@ -8,6 +8,7 @@ import (
 
 	"fdp/internal/diffval"
 	"fdp/internal/faults"
+	"fdp/internal/obs"
 	"fdp/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func TestWatchdogLivelockDeterministic(t *testing.T) {
 	v2 := diffval.Run(livelockConfig(c), c.Scenario.Seed)
 	for _, side := range []struct {
 		name   string
-		r1, r2 *diffval.StallReport
+		r1, r2 *obs.StallReport
 	}{
 		{"sequential", v1.SequentialStall, v2.SequentialStall},
 		{"concurrent", v1.ConcurrentStall, v2.ConcurrentStall},

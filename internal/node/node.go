@@ -63,17 +63,17 @@ type Config struct {
 	// -serve does).
 	Metrics *obs.Registry
 	// StallWindow enables the liveness watchdog on the pump loop: every
-	// window with owned leavers remaining and no settles is classified
-	// (obs.StallKind). Pick it well above RoundEvery — a grant takes at
-	// least one oracle round. 0 disables. The always-on flight recorder
-	// (trace.DefaultFlightCap records) runs whenever Metrics, StallWindow or
-	// OnStall is set.
+	// window (1ms at least) with owned leavers remaining and no settles is
+	// classified (obs.StallKind). Pick it well above RoundEvery — a grant
+	// takes at least one oracle round. 0 disables. The node's obs.Watch, with
+	// its flight recorder of trace.DefaultFlightCap records, runs whenever
+	// Metrics, StallWindow or OnStall is set.
 	StallWindow time.Duration
-	// OnStall, if non-nil, receives the FIRST stall verdict together with
-	// the flight-recorder snapshot framed as an engine-"node" journal
-	// fragment (joinable with the siblings' journals). Called on the pump
-	// goroutine; cmd/fdpnode writes the artifacts next to the journal.
-	OnStall func(v obs.StallVerdict, hdr trace.Header, flight []trace.Record, complete bool)
+	// OnStall, if non-nil, receives the FIRST stall report, its flight
+	// snapshot framed as an engine-"node" journal fragment (joinable with the
+	// siblings' journals). Called on the pump goroutine; cmd/fdpnode writes
+	// the artifacts next to the journal.
+	OnStall func(*obs.StallReport)
 }
 
 // The pump's fixed pacing: stepBatch local actions per Step (plus one per
@@ -113,7 +113,7 @@ type Node struct {
 	global *churn.Scenario
 	world  *sim.World
 	sched  sim.Scheduler
-	jw     *trace.StreamWriter
+	jw     *trace.Writer
 	orc    *distOracle
 	tr     transport.Transport
 
@@ -149,12 +149,9 @@ type Node struct {
 	roundWait                             time.Duration
 	timedOut                              bool
 
-	// Liveness observability (DESIGN.md §16), pump-goroutine only.
-	prog      *obs.Progress
-	flight    *trace.Flight
-	wd        *obs.Watchdog
-	stallKind string
-	stallStep int
+	// watch is the liveness watch (DESIGN.md §16), nil unless Metrics,
+	// StallWindow or OnStall is set; ticked on the pump goroutine only.
+	watch *obs.Watch
 }
 
 // New rebuilds the global scenario and prepares this node's world. The
@@ -216,26 +213,22 @@ func New(cfg Config) (*Node, error) {
 	w.SeedCausal(trace.NodeCausalBase(cfg.ID))
 	w.SetRouter(n.route)
 	w.SealInitialState()
+	hdr := trace.Header{Version: trace.Version, Engine: trace.EngineNode,
+		Scenario: cfg.Scenario, Node: cfg.ID, Nodes: cfg.Nodes}
 	if cfg.Journal != nil {
-		n.jw = trace.NewStreamWriter(cfg.Journal, trace.Header{
-			Version: trace.Version, Engine: trace.EngineNode,
-			Scenario: cfg.Scenario, Node: cfg.ID, Nodes: cfg.Nodes,
-		})
+		n.jw = trace.NewWriter(cfg.Journal, hdr)
 		w.AddEventHook(n.jw.Record)
 	}
 	if cfg.Metrics != nil || cfg.StallWindow > 0 || cfg.OnStall != nil {
-		// One Progress per node, its series labeled with the node id so a
-		// scrape across the cluster tells slices apart. The flight recorder
-		// mirrors the journal hook: same events, bounded ring instead of a
-		// stream, snapshot only on stall.
-		n.prog = obs.NewProgress(cfg.Metrics, fmt.Sprintf("node=%q", fmt.Sprint(cfg.ID)), n.ownedLeave)
-		n.flight = trace.NewFlight(trace.DefaultFlightCap)
-		w.AddEventHook(n.flight.Record)
-		w.AddEventHook(n.prog.NoteEvent)
-		w.SetOracleHook(n.prog.NoteOracle)
+		// The watch's series are labeled with the node id, so a scrape across
+		// the cluster tells slices apart. Its window is nanoseconds of the
+		// pump clock.
+		var every uint64
 		if cfg.StallWindow > 0 {
-			n.wd = obs.NewWatchdog(n.prog, cfg.StallWindow)
+			every = uint64(max(cfg.StallWindow, time.Millisecond))
 		}
+		n.watch = obs.NewWatch(w, obs.WatchConfig{Leavers: n.ownedLeave, Every: every,
+			Metrics: cfg.Metrics, Labels: fmt.Sprintf("node=%q", fmt.Sprint(cfg.ID)), Header: hdr})
 	}
 	n.world = w
 	// Distinct per-node seeds: each node schedules its own slice. Under
@@ -529,30 +522,19 @@ func (n *Node) dispatch(in inbound) {
 	}
 }
 
-// checkStall ticks the liveness watchdog (no-op unless StallWindow is set;
-// cheap until a window elapses). The first stall is recorded in the summary
-// and handed to OnStall with the flight snapshot; later verdicts only keep
-// the fdp_stall_* series current.
+// checkStall ticks the liveness watch on the nanoseconds since the first
+// Step. The first stall is handed to OnStall and recorded in the summary;
+// later verdicts only keep the fdp_stall_* series current.
 func (n *Node) checkStall(now time.Time) {
-	if n.wd == nil {
+	if n.watch == nil {
 		return
 	}
 	// Pending = undelivered local messages plus frames parked in the inbox.
-	// Stats() copies a map, so the closure runs only at window boundaries.
-	v, stalled := n.wd.Tick(now, uint64(n.steps), func() int {
+	_, first := n.watch.Tick(uint64(now.Sub(n.start)), uint64(n.steps), func() int {
 		return n.world.Stats().TotalInQueue + len(n.inbox)
 	})
-	if !stalled || n.stallKind != "" {
-		return
-	}
-	n.stallKind = v.Kind.String()
-	n.stallStep = n.steps
-	if n.cfg.OnStall != nil {
-		recs, complete := n.flight.Snapshot()
-		n.cfg.OnStall(v, trace.Header{
-			Version: trace.Version, Engine: trace.EngineNode,
-			Scenario: n.cfg.Scenario, Node: n.cfg.ID, Nodes: n.cfg.Nodes,
-		}, recs, complete)
+	if first != nil && n.cfg.OnStall != nil {
+		n.cfg.OnStall(first)
 	}
 }
 
@@ -573,7 +555,7 @@ func (n *Node) broadcastDone() {
 }
 
 // Interrupt flushes the journal from a signal handler context. Safe to call
-// concurrently with the pump; the stream writer is a leaf.
+// concurrently with the pump; the journal writer is a leaf.
 func (n *Node) Interrupt() {
 	if n.jw != nil {
 		n.jw.Flush()

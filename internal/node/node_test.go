@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fdp/internal/obs"
 	"fdp/internal/ref"
 	"fdp/internal/sim"
 	"fdp/internal/trace"
@@ -407,6 +408,51 @@ func TestVerifyReportsLeaversInIndexOrder(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("call %d: leaver problems\n%q\nwant\n%q", call, got, want)
+		}
+	}
+}
+
+// TestMeshStallReportsLivelock: after the first oracle round no other is
+// due within the run, so nothing more is granted while the owned leavers
+// keep spinning, and each node's watch judges its first window with leavers
+// left a livelock. OnStall receives that one report, framed as the node's
+// journal fragment, and the summary records it.
+func TestMeshStallReportsLivelock(t *testing.T) {
+	cfgs, _ := meshConfigs(testScenario(12, 42), 3)
+	reports := make([][]*obs.StallReport, len(cfgs))
+	for i := range cfgs {
+		i := i
+		cfgs[i].RoundEvery, cfgs[i].MaxWall, cfgs[i].StallWindow = time.Hour, 100*time.Millisecond, 10*time.Millisecond
+		cfgs[i].OnStall = func(rep *obs.StallReport) { reports[i] = append(reports[i], rep) }
+	}
+	results, err := RunLoopback(cfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if len(reports[i]) != 1 {
+			t.Fatalf("node %d: OnStall called %d times, want once", i, len(reports[i]))
+		}
+		rep := reports[i][0]
+		if rep.Verdict.Kind != obs.StallLivelock {
+			t.Errorf("node %d: stall %s, want livelock", i, rep.Verdict)
+		}
+		if rep.Header.Engine != trace.EngineNode || rep.Header.Node != i {
+			t.Errorf("node %d: report header %+v", i, rep.Header)
+		}
+		if len(rep.Flight) == 0 {
+			t.Errorf("node %d: report carries no flight records", i)
+		}
+		if len(r.Summary.Leavers) == 0 {
+			t.Errorf("node %d owns no leaver", i)
+		}
+		for _, l := range r.Summary.Leavers {
+			if name := ref.ByIndex(l).String(); !strings.Contains(rep.Spans, "departure "+name+":") {
+				t.Errorf("node %d: span trees do not name owned leaver %s:\n%s", i, name, rep.Spans)
+			}
+		}
+		if r.Summary.Stall != "livelock" || r.Converged {
+			t.Errorf("node %d: converged=%v summary stall %q, want livelock", i, r.Converged, r.Summary.Stall)
 		}
 	}
 }

@@ -47,8 +47,11 @@ type Summary struct {
 func (n *Node) buildSummary(interrupted, timedOut bool) Summary {
 	s := Summary{Node: n.cfg.ID, Nodes: n.cfg.Nodes,
 		Interrupted: interrupted, TimedOut: timedOut, Steps: n.steps,
-		Leavers: []int{}, Exited: []int{}, Live: []ProcState{},
-		Stall: n.stallKind, StallStep: n.stallStep}
+		Leavers: []int{}, Exited: []int{}, Live: []ProcState{}}
+	if n.watch != nil && n.watch.Stall() != nil {
+		v := n.watch.Stall().Verdict
+		s.Stall, s.StallStep = v.Kind.String(), int(v.Step)
+	}
 	for _, r := range n.ownedLeave {
 		s.Leavers = append(s.Leavers, ref.Index(r))
 	}

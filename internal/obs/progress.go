@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"fdp/internal/ref"
 	"fdp/internal/sim"
@@ -13,8 +12,8 @@ import (
 // liveness properties — Lemma 3 promises every leaver eventually settles —
 // so a run that is *stuck* looks, from the outside, exactly like a run
 // that is merely slow. Progress turns the event stream and the oracle's
-// grant/denial stream into per-leaver progress accounting, and the
-// watchdogs periodically classify a window with remaining leavers and no
+// grant/denial stream into per-leaver progress accounting, and a Watch
+// (watch.go) periodically classifies a window with remaining leavers and no
 // settles into one of three stall kinds:
 //
 //   - livelock: actions and messages keep flowing but the oracle grants
@@ -146,8 +145,8 @@ type laneCell struct {
 // Progress is the per-run liveness tracker: per-leaver progress slots plus
 // windowed activity counters, feeding the fdp_progress_*/fdp_stall_*
 // series of a Registry. NoteEvent and NoteOracle are the hot path —
-// lock-free, zero-alloc, safe for concurrent use. Check (and the watchdogs
-// wrapping it) must be driven from a single goroutine.
+// lock-free, zero-alloc, safe for concurrent use. Check (and the Watch
+// ticking it) must be driven from a single goroutine.
 type Progress struct {
 	byIndex []*leaverSlot // by ref.Index, nil where no leaver; read-only after NewProgress
 	list    []*leaverSlot // deterministic iteration for Check
@@ -396,60 +395,4 @@ func (p *Progress) Check(step uint64, pending int) (v StallVerdict, stalled bool
 		p.verdicts[v.Kind].Inc()
 	}
 	return v, v.Kind != StallNone
-}
-
-// StepWatchdog drives Progress.Check on a logical-step cadence — the
-// deterministic form the sequential engine uses from RunOptions.OnStep and
-// a seeded runtime run on its executed events.
-// pending is queried only at window boundaries (Stats() copies a map, so
-// per-step calls would violate the zero-alloc steady state).
-type StepWatchdog struct {
-	p     *Progress
-	every int
-	next  int
-}
-
-// NewStepWatchdog checks every `every` steps (minimum 1).
-func NewStepWatchdog(p *Progress, every int) *StepWatchdog {
-	if every < 1 {
-		every = 1
-	}
-	return &StepWatchdog{p: p, every: every, next: every}
-}
-
-// Tick is called after every step; at window boundaries it runs one Check
-// with pending(). Between boundaries it is two integer compares.
-func (w *StepWatchdog) Tick(step int, pending func() int) (StallVerdict, bool) {
-	if step < w.next {
-		return StallVerdict{}, false
-	}
-	w.next = step + w.every
-	return w.p.Check(uint64(step), pending())
-}
-
-// Watchdog drives Progress.Check on a time cadence for the node pump, which
-// has no global step stream. The caller supplies the time — the wall clock,
-// or a mesh's virtual clock — and the first Tick starts the first window.
-// Tick is cheap between windows; call it from any single polling loop.
-type Watchdog struct {
-	p      *Progress
-	window time.Duration
-	next   time.Time
-}
-
-// NewWatchdog checks once per window (minimum 1ms).
-func NewWatchdog(p *Progress, window time.Duration) *Watchdog {
-	return &Watchdog{p: p, window: max(window, time.Millisecond)}
-}
-
-// Tick runs one Check when the window has elapsed at now.
-func (w *Watchdog) Tick(now time.Time, step uint64, pending func() int) (StallVerdict, bool) {
-	if w.next.IsZero() {
-		w.next = now.Add(w.window)
-	}
-	if now.Before(w.next) {
-		return StallVerdict{}, false
-	}
-	w.next = now.Add(w.window)
-	return w.p.Check(step, pending())
 }

@@ -285,30 +285,27 @@ func TestProgressUnknownAndHostileReferences(t *testing.T) {
 // TestStepWatchdogCadence: ticks between window boundaries must not invoke
 // the pending callback (it may allocate — Stats() copies a map).
 func TestStepWatchdogCadence(t *testing.T) {
-	p := NewProgress(nil, "", leavers3())
-	wd := NewStepWatchdog(p, 100)
+	wd := NewWatch(sim.NewWorld(nil), WatchConfig{Leavers: leavers3(), Every: 100})
 	calls := 0
 	pending := func() int { calls++; return 0 }
-	for s := 1; s <= 250; s++ {
-		wd.Tick(s, pending)
+	for s := uint64(1); s <= 250; s++ {
+		wd.Tick(s, s, pending)
 	}
 	if calls != 2 {
 		t.Fatalf("pending queried %d times over 250 steps at window 100, want 2", calls)
 	}
 }
 
-// TestWatchdogCadence: the time-driven watchdog runs on the caller's clock.
-// The first Tick only starts the window; after that one Check runs per
-// elapsed window, however many ticks fall inside it.
+// TestWatchdogCadence: the node's watch runs on nanoseconds of its clock
+// since the first Step. That first Step only starts the window; after that
+// one Check runs per elapsed window, however many ticks fall inside it.
 func TestWatchdogCadence(t *testing.T) {
-	p := NewProgress(nil, "", leavers3())
-	wd := NewWatchdog(p, 10*time.Millisecond)
+	wd := NewWatch(sim.NewWorld(nil), WatchConfig{Leavers: leavers3(), Every: uint64(10 * time.Millisecond)})
 	calls := 0
 	pending := func() int { calls++; return 0 }
-	start := time.Unix(1000, 0)
 	var fired []time.Duration
 	for d := time.Duration(0); d <= 35*time.Millisecond; d += time.Millisecond {
-		if _, stalled := wd.Tick(start.Add(d), uint64(d/time.Millisecond), pending); stalled {
+		if v, _ := wd.Tick(uint64(d), uint64(d/time.Millisecond), pending); v.Kind != StallNone {
 			fired = append(fired, d)
 		}
 	}

@@ -72,9 +72,13 @@ func TestRecorderAttachAndDump(t *testing.T) {
 	fa.onTimeout = func(ctx Context, f *fixtureProto) { ctx.Send(b, NewMessage("hello")) }
 	w.Execute(Action{Proc: a, IsTimeout: true})
 	w.Execute(Action{Proc: b, MsgIndex: 0})
-	dump := FormatEvents(rec.events)
-	if !strings.Contains(dump, "timeout") || !strings.Contains(dump, "label=hello") {
-		t.Fatalf("dump incomplete:\n%s", dump)
+	if e := rec.events[0]; e.Kind != EvTimeout || e.Proc != a {
+		t.Fatalf("first event %+v, want a's timeout", e)
+	}
+	for _, e := range rec.events[1:] {
+		if e.Label != "hello" {
+			t.Fatalf("event %+v lost the message label", e)
+		}
 	}
 	counts := rec.countByKind()
 	if counts[EvTimeout] != 1 || counts[EvSend] != 1 || counts[EvDeliver] != 1 {

@@ -27,18 +27,19 @@ func (d *Divergence) String() string {
 	fmt.Fprintf(&b, "first divergence at cid=%d", d.CID)
 	switch {
 	case d.B == nil:
-		fmt.Fprintf(&b, ": only in A (record %d): %s", d.AIndex, recordLine(*d.A))
+		fmt.Fprintf(&b, ": only in A (record %d): %s", d.AIndex, RecordLine(*d.A))
 	case d.A == nil:
-		fmt.Fprintf(&b, ": only in B (record %d): %s", d.BIndex, recordLine(*d.B))
+		fmt.Fprintf(&b, ": only in B (record %d): %s", d.BIndex, RecordLine(*d.B))
 	default:
 		fmt.Fprintf(&b, ", field %q:\n  A record %d: %s\n  B record %d: %s",
-			d.Field, d.AIndex, recordLine(*d.A), d.BIndex, recordLine(*d.B))
+			d.Field, d.AIndex, RecordLine(*d.A), d.BIndex, RecordLine(*d.B))
 	}
 	return b.String()
 }
 
-// recordLine renders one record compactly for divergence reports.
-func recordLine(r Record) string {
+// RecordLine renders one record on one line: the form divergence reports,
+// span trees and diffval's disagreement dumps print.
+func RecordLine(r Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "step=%d %s %s", r.Step, r.Kind, r.Proc)
 	if r.Peer != "" {

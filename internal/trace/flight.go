@@ -95,8 +95,7 @@ func (f *Flight) tally() (total uint64, lanes int) {
 }
 
 // Events returns a copy of the retained raw events, oldest first — what
-// the divergence dumps (sim.FormatEvents) and fdpviz's sequence chart
-// (sim.MSC) render from.
+// fdpviz's sequence chart (sim.MSC) renders from.
 func (f *Flight) Events() []sim.Event {
 	events, _ := f.events()
 	return events

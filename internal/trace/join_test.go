@@ -62,7 +62,7 @@ func TestReadJournalDiagnosesTruncatedTail(t *testing.T) {
 
 func TestStreamWriterBuffersUntilFlush(t *testing.T) {
 	var buf bytes.Buffer
-	sw := trace.NewStreamWriter(&buf, nodeHeader(0, 1))
+	sw := trace.NewWriter(&buf, nodeHeader(0, 1))
 	for i := 0; i < 5; i++ {
 		sw.Record(sim.Event{Kind: sim.EvTimeout, CID: trace.NodeCausalBase(0) + uint64(i) + 1})
 	}
@@ -82,8 +82,8 @@ func TestStreamWriterBuffersUntilFlush(t *testing.T) {
 	if hdr.Engine != trace.EngineNode || len(recs) != 5 {
 		t.Fatalf("flushed journal wrong: engine=%q records=%d", hdr.Engine, len(recs))
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := sw.Flush(); err != nil {
+		t.Fatalf("second Flush: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // buffer of its Event.Lane (the emitting shard's index; the sequential world
 // and the node pump use lane 0 only), and a buffer goes to the io.Writer in
 // one Write when the next line would not fit in its bufferSize bytes. Err,
-// Count and StreamWriter.Flush first write every lane's buffer out, so Err is
+// Count and Flush first write every lane's buffer out, so Err is
 // the barrier a driver calls once the run has stopped emitting: every record
 // recorded before it has then reached the io.Writer exactly once, in whole
 // lines. A record recorded after the last Err stays buffered, and a crash
@@ -39,6 +39,7 @@ type Writer struct {
 	lanes lanes[lineBuffer]
 	mu    sync.Mutex //fdp:lockleaf
 	w     io.Writer
+	s     interface{ Sync() error } // non-nil when the sink can fsync
 	err   error
 	n     int
 }
@@ -62,7 +63,9 @@ func newLineBuffer() *lineBuffer { return &lineBuffer{b: make([]byte, 0, bufferS
 // NewWriter writes the header line and returns the journal writer. A header
 // write failure is sticky (see Err); the writer then drops every record.
 func NewWriter(w io.Writer, hdr Header) *Writer {
-	return &Writer{w: w, err: writeHeader(w, hdr)}
+	jw := &Writer{w: w, err: writeHeader(w, hdr)}
+	jw.s, _ = w.(interface{ Sync() error })
+	return jw
 }
 
 // Record appends one event to the journal. Safe for concurrent use; usable
@@ -124,42 +127,20 @@ func (jw *Writer) Count() int {
 	return jw.n
 }
 
-// StreamWriter is the crash-safe sibling of Writer: a Writer that exposes
-// Flush/Close so a signal handler can force the buffered lines onto disk
-// before the process dies. If the underlying writer has a Sync method (an
-// *os.File), Flush also syncs, so a flushed journal survives the machine,
-// not just the process.
-//
-// Locking: Writer's — Flush drains the lanes as Err does, then syncs under
-// the writer mutex.
-type StreamWriter struct {
-	Writer
-	s interface{ Sync() error } // non-nil when the sink can fsync
-}
-
-// NewStreamWriter writes the header line and returns the buffered journal
-// writer. A header write failure is sticky; the writer then drops every
-// record.
-func NewStreamWriter(w io.Writer, hdr Header) *StreamWriter {
-	sw := &StreamWriter{Writer: Writer{w: w, err: writeHeader(w, hdr)}}
-	sw.s, _ = w.(interface{ Sync() error })
-	return sw
-}
-
-// Flush writes every buffered record to the underlying writer and, when the
-// sink supports it, to stable storage. It returns the sticky error state.
-func (sw *StreamWriter) Flush() error {
-	sw.drain()
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.err == nil && sw.s != nil {
-		sw.err = sw.s.Sync()
+// Flush writes every buffered record out and, when the sink has a Sync
+// method (an *os.File), syncs it, so a flushed journal survives the
+// machine, not just the process: a signal handler calls it before the
+// process dies. It returns the sticky error state. Safe for concurrent use
+// with Record.
+func (jw *Writer) Flush() error {
+	jw.drain()
+	jw.mu.Lock()
+	defer jw.mu.Unlock()
+	if jw.err == nil && jw.s != nil {
+		jw.err = jw.s.Sync()
 	}
-	return sw.err
+	return jw.err
 }
-
-// Close flushes; the caller owns (and closes) the underlying file.
-func (sw *StreamWriter) Close() error { return sw.Flush() }
 
 // writeHeader marshals hdr as the journal's first line. encoding/json emits
 // struct fields in declaration order and sorts map keys, so the header's

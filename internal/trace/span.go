@@ -212,16 +212,16 @@ func (s *Span) Tree() string {
 		s.Proc, s.StartStep(), s.EndStep(), len(s.Actions), s.Hops(), state)
 	for i := range s.Actions {
 		a := &s.Actions[i]
-		fmt.Fprintf(&b, "  %s\n", recordLine(a.Trigger))
+		fmt.Fprintf(&b, "  %s\n", RecordLine(a.Trigger))
 		for _, h := range a.Hops {
-			fmt.Fprintf(&b, "    %s\n", recordLine(h.Send))
+			fmt.Fprintf(&b, "    %s\n", RecordLine(h.Send))
 			if h.Outcome != nil {
-				fmt.Fprintf(&b, "      %s\n", recordLine(*h.Outcome))
+				fmt.Fprintf(&b, "      %s\n", RecordLine(*h.Outcome))
 			}
 		}
 	}
 	if s.End != nil {
-		fmt.Fprintf(&b, "  %s\n", recordLine(*s.End))
+		fmt.Fprintf(&b, "  %s\n", RecordLine(*s.End))
 	}
 	return b.String()
 }

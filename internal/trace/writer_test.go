@@ -129,23 +129,20 @@ func TestWriteErrorIsSticky(t *testing.T) {
 }
 
 // TestRecordDoesNotAllocate extends the AllocsPerRun == 0 guard family
-// (obs counters, progress tracker, flight ring) to both journal writers, on
-// lanes past their first event and across buffer writes.
+// (obs counters, progress tracker, flight ring) to the journal writer, on
+// lanes past its first event and across buffer writes.
 func TestRecordDoesNotAllocate(t *testing.T) {
 	hdr := trace.Header{Version: trace.Version, Engine: trace.EngineRuntime}
 	a, b := sendEvent(1<<41), sendEvent(1<<41)
 	b.Lane = 3
 	jw := trace.NewWriter(io.Discard, hdr)
-	sw := trace.NewStreamWriter(io.Discard, hdr)
-	for _, rec := range []func(sim.Event){jw.Record, sw.Record} {
-		rec(a)
-		rec(b)
-		if n := testing.AllocsPerRun(1000, func() { rec(a); rec(b) }); n != 0 {
-			t.Errorf("Record allocates %v times per two events", n)
-		}
+	jw.Record(a)
+	jw.Record(b)
+	if n := testing.AllocsPerRun(1000, func() { jw.Record(a); jw.Record(b) }); n != 0 {
+		t.Errorf("Record allocates %v times per two events", n)
 	}
-	if jw.Err() != nil || sw.Flush() != nil {
-		t.Fatalf("writers failed: %v, %v", jw.Err(), sw.Err())
+	if err := jw.Flush(); err != nil {
+		t.Fatalf("writer failed: %v", err)
 	}
 }
 

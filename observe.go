@@ -1,7 +1,7 @@
 package fdp
 
 import (
-	"net/http"
+	"io"
 
 	"fdp/internal/experiments"
 	"fdp/internal/obs"
@@ -12,17 +12,20 @@ import (
 // engines. Set Config.Observe to one to have Simulate / SimulateParallel
 // record the FDP series (per-kind event counts, message age at delivery,
 // mailbox depth, time-to-exit per leaver, oracle calls) into it; render it
-// with WritePrometheus/String or serve it live via ObserveMux.
+// with WritePrometheus/String or serve it live via ServeObserver.
 type Observer = obs.Registry
 
 // NewObserver returns an empty metric registry.
 func NewObserver() *Observer { return obs.NewRegistry() }
 
-// ObserveMux returns an http.Handler exposing reg as a Prometheus text
-// endpoint at /metrics plus the net/http/pprof profiling endpoints at
-// /debug/pprof/ — the handler behind the -serve flag of cmd/fdpsim and
-// cmd/fdpbench.
-func ObserveMux(reg *Observer) http.Handler { return obs.NewServeMux(reg) }
+// ServeObserver listens on addr and serves reg as a Prometheus text endpoint
+// at /metrics plus the net/http/pprof profiling endpoints at /debug/pprof/
+// until stop closes the listener and waits for the server — the -serve flag of cmd/fdpsim and
+// cmd/fdpbench. It prints the endpoint to out; a serve error goes to errw,
+// prefixed with prog.
+func ServeObserver(addr string, reg *Observer, out, errw io.Writer, prog string) (stop func(), err error) {
+	return obs.Serve(addr, reg, out, errw, prog)
+}
 
 // BenchReport is the machine-readable benchmark payload (the
 // BENCH_<engine>.json artifact schema).
