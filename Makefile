@@ -73,9 +73,10 @@ test:
 # (snapshots beside a recorder on two lanes), TestConcurrentRecordKeepsLinesWhole
 # (internal/trace, the journal Writer's line buffers: five goroutines on four
 # lanes, two sharing one, every record once and in order after Err) and
-# TestProgressLanesAgreeWithOneLane (internal/obs).
+# TestProgressLanesAgreeWithOneLane (internal/obs). ./cmd/... races the
+# binaries end to end, fdpnode's three-node loopback mesh among them.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/graph/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/...
+	$(GO) test -race ./internal/sim/... ./internal/graph/... ./internal/parallel/... ./internal/core/... ./internal/diffval/... ./internal/faults/... ./internal/obs/... ./internal/trace/... ./internal/fuzz/... ./internal/transport/... ./internal/node/... ./benchmark/... ./cmd/...
 
 # replay-golden holds the committed journals in cmd/fdpreplay/testdata to
 # the replay determinism contract: each sequential golden must re-drive

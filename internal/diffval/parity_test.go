@@ -8,6 +8,7 @@ import (
 	"fdp/internal/churn"
 	"fdp/internal/core"
 	"fdp/internal/oracle"
+	"fdp/internal/parallel"
 	"fdp/internal/sim"
 )
 
@@ -16,17 +17,25 @@ import (
 // vocabulary. Schedule-dependent kinds (timeout, send, deliver) may differ
 // in magnitude — the engines legally explore different schedules — but
 // both must emit them, and the schedule-independent exit count must match
-// exactly (one exit per leaver on every admissible schedule).
+// exactly (one exit per leaver on every admissible schedule). Both engines
+// count a refused send as a drop and never as a send, so every message that
+// entered a channel is a send or one of the scenario's junk messages: on
+// the runtime, read at a pause, each is delivered or still queued; on the
+// sequential engine, which stops with messages in flight, deliveries are
+// bounded by them. The runtime side runs on the seeded clock, over 50
+// seeds on two to four shards.
 func TestEventKindParity(t *testing.T) {
 	scn := churn.Config{
 		N: 12, Topology: churn.TopoRandom, LeaveFraction: 0.5, Pattern: churn.LeaveRandom,
 		Corrupt: churn.Corruption{FlipBeliefs: 0.3, RandomAnchors: 0.3, JunkMessages: 4},
 		Variant: core.VariantFDP, Oracle: oracle.Single{}, Seed: 11,
 	}
+	junk := uint64(scn.Corrupt.JunkMessages)
+	kinds := []sim.EventKind{sim.EvTimeout, sim.EvSend, sim.EvDeliver}
 
 	// Sequential engine: count every event per kind from a plain hook.
 	seq := churn.Build(scn)
-	seqCounts := make(map[sim.EventKind]int)
+	seqCounts := make(map[sim.EventKind]uint64)
 	seq.World.AddEventHook(func(e sim.Event) { seqCounts[e.Kind]++ })
 	res := sim.Run(seq.World, sim.NewRandomScheduler(11, 256), sim.RunOptions{
 		Variant: sim.FDP, MaxSteps: 400000, CheckSafety: true,
@@ -34,36 +43,47 @@ func TestEventKindParity(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("sequential run did not converge: %+v", res)
 	}
-
-	// Concurrent engine, same scenario build.
-	conc := churn.Build(scn)
-	rt := MirrorWorld(conc.World, scn.Oracle)
-	if !rt.RunUntil(func(w *sim.World) bool { return w.Legitimate(sim.FDP) },
-		time.Millisecond, 30*time.Second) {
-		t.Fatal("concurrent run did not converge")
-	}
-	concCounts := rt.KindCount
-
-	// Exact agreement on the schedule-independent series.
-	if uint64(seqCounts[sim.EvExit]) != concCounts(sim.EvExit) {
-		t.Fatalf("exit counts differ: sequential %d, concurrent %d",
-			seqCounts[sim.EvExit], concCounts(sim.EvExit))
-	}
-	// Tolerance check on the schedule-dependent series: both engines must
-	// emit the kind at all, and deliveries can never exceed what entered
-	// the channels (sends minus drops plus initial junk).
-	for _, k := range []sim.EventKind{sim.EvTimeout, sim.EvSend, sim.EvDeliver} {
+	for _, k := range kinds {
 		if seqCounts[k] == 0 {
 			t.Errorf("sequential engine emitted no %v events", k)
 		}
-		if concCounts(k) == 0 {
-			t.Errorf("concurrent engine emitted no %v events", k)
-		}
 	}
-	initialJunk := uint64(scn.Corrupt.JunkMessages)
-	if max := concCounts(sim.EvSend) - concCounts(sim.EvDrop) + initialJunk; concCounts(sim.EvDeliver) > max {
-		t.Errorf("concurrent deliveries %d exceed enqueued messages %d",
-			concCounts(sim.EvDeliver), max)
+	if seqCounts[sim.EvDeliver] > seqCounts[sim.EvSend]+junk {
+		t.Errorf("sequential deliveries %d exceed sends %d plus junk %d",
+			seqCounts[sim.EvDeliver], seqCounts[sim.EvSend], junk)
+	}
+
+	// Concurrent engine, same scenario build.
+	for shards := 2; shards <= 4; shards++ {
+		for seed := int64(1); seed <= 50; seed++ {
+			rt := parallel.NewRuntime(scn.Oracle)
+			rt.SetShards(shards)
+			mirror(rt, churn.Build(scn).World)
+			if !rt.RunSeeded(seed, func(w *sim.World) bool { return w.Legitimate(sim.FDP) },
+				time.Millisecond, 30*time.Second) {
+				t.Fatalf("shards=%d seed=%d: concurrent run did not converge", shards, seed)
+			}
+			count := rt.KindCount
+
+			// Exact agreement on the schedule-independent series.
+			if seqCounts[sim.EvExit] != count(sim.EvExit) {
+				t.Fatalf("shards=%d seed=%d: exit counts differ: sequential %d, concurrent %d",
+					shards, seed, seqCounts[sim.EvExit], count(sim.EvExit))
+			}
+			for _, k := range kinds {
+				if count(k) == 0 {
+					t.Errorf("shards=%d seed=%d: concurrent engine emitted no %v events", shards, seed, k)
+				}
+			}
+			var queued uint64
+			for _, d := range rt.MailboxDepths() {
+				queued += uint64(d)
+			}
+			if count(sim.EvDeliver)+queued != count(sim.EvSend)+junk {
+				t.Errorf("shards=%d seed=%d: %d deliveries and %d queued, but %d sends and %d junk",
+					shards, seed, count(sim.EvDeliver), queued, count(sim.EvSend), junk)
+			}
+		}
 	}
 }
 

@@ -187,8 +187,8 @@ func TestShardedFSPConvergence(t *testing.T) {
 // self-introductions it sent allocate nothing — a send finds its target by
 // index, the message carries the sender's one shared list, and an unchanged
 // Refs costs syncRefs one comparison. On two shards half the introductions
-// cross: the outbox keeps its array over a flush, and absorb swaps the inbox
-// for the buffer the last absorb emptied.
+// cross: a flush hands the outbox array over whole and takes back one an
+// earlier absorb drained, and a drained mailbox lends its array to the next.
 func TestSettledActionsAllocateNothing(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		space := ref.NewSpace()
@@ -225,8 +225,11 @@ func TestSettledActionsAllocateNothing(t *testing.T) {
 				t.Fatalf("shards=%d: round delivered %d messages, want %d", shards, delivered, len(nodes)-1)
 			}
 		}
-		round()
-		round() // the second absorb grows the other inbox buffer
+		// Three arrays circulate per sender and target: one in the outbox,
+		// one in the inbox, one drained; the third round fills the last.
+		for i := 0; i < 3; i++ {
+			round()
+		}
 		if n := testing.AllocsPerRun(100, round); n != 0 {
 			t.Fatalf("shards=%d: one timeout and its %d deliveries allocate %.0f times", shards, len(nodes)-1, n)
 		}

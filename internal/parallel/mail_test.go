@@ -325,9 +325,13 @@ func TestOutboxWaitsForTheActionToEnd(t *testing.T) {
 	if b.midInbox {
 		t.Fatal("the target's inbox filled while the handler was still running")
 	}
-	if !InboxFull(rt, l.id) || len(shl.inbox) != flushAt+1 || len(sha.outbox[shl.idx]) != 0 {
+	inbox := 0
+	for _, batch := range shl.inbox {
+		inbox += len(batch)
+	}
+	if !InboxFull(rt, l.id) || inbox != flushAt+1 || len(sha.outbox[shl.idx]) != 0 {
 		t.Fatalf("after the action: inbox %d, outbox %d; want the burst published between actions",
-			len(shl.inbox), len(sha.outbox[shl.idx]))
+			inbox, len(sha.outbox[shl.idx]))
 	}
 	if tr := rt.ShardTraffic(sha.idx); tr.OutboxFlushes != 1 || tr.OutboxMessages != flushAt+1 {
 		t.Fatalf("sender's traffic %+v, want one flush of the whole burst", tr)
@@ -386,5 +390,80 @@ func TestStayerExitIsSettledOnASnapshot(t *testing.T) {
 	rt.Stop()
 	if got := rt.Gone(); got != 2 {
 		t.Fatalf("runtime: %d gone, want the stayer and the leaver", got)
+	}
+}
+
+// TestDrainedMailboxLendsItsArray pins the mailbox free list: a mailbox
+// that drains hands its array to its shard, and the next empty mailbox of
+// that shard to take a message takes that array, so putting a message into
+// a mailbox that never held one allocates nothing once another has drained.
+func TestDrainedMailboxLendsItsArray(t *testing.T) {
+	const n = 102
+	nodes := ref.NewSpace().NewN(n)
+	rt := NewRuntime(nil)
+	rt.SetShards(1)
+	for _, r := range nodes {
+		rt.AddProcess(r, sim.Staying, &fixedRefsProto{})
+	}
+	rt.seal()
+	sh, first := rt.shards[0], rt.lookup(nodes[0])
+	m := sim.NewMessage("m")
+	sh.enqueue(first, &m)
+	array := &first.mb.queue[0]
+	if got := sh.deliverRound(); got != 1 || first.mb.queue != nil {
+		t.Fatalf("delivered %d of 1, drained mailbox keeps %d slots", got, cap(first.mb.queue))
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(n-2, func() {
+		p := rt.lookup(nodes[next])
+		next++
+		sh.enqueue(p, &m)
+		if &p.mb.queue[0] != array {
+			t.Fatalf("%v's first message is not in the drained array", p.id)
+		}
+		if got := sh.deliverRound(); got != 1 {
+			t.Fatalf("delivered %d of 1", got)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a message to an empty mailbox and its delivery allocate %.0f times", allocs)
+	}
+}
+
+// TestDrainedBatchComesBackToASender pins the cross-shard handover: flush
+// hands the outbox array itself to the target's inbox and takes back one
+// the target's absorb drained, so a sender fills an array it handed over
+// rounds before, and a settled round of sends, flush, absorb and
+// deliveries allocates nothing.
+func TestDrainedBatchComesBackToASender(t *testing.T) {
+	rt, a, l := twoShardPair(t, nil, sim.Staying, &fixedRefsProto{}, &fixedRefsProto{})
+	rt.seal()
+	sha, shl := a.sh, l.sh
+	m := sim.NewMessage("m")
+	round := func() (batch *parcel) {
+		for i := 0; i < 3; i++ {
+			a.ctx.Send(l.id, m)
+		}
+		batch = &sha.outbox[shl.idx][0]
+		sha.flushAll()
+		if len(shl.inbox) != 1 || &shl.inbox[0][0] != batch {
+			t.Fatal("the inbox does not hold the sender's batch itself")
+		}
+		if got := shl.deliverRound(); got != 3 {
+			t.Fatalf("delivered %d of 3", got)
+		}
+		return batch
+	}
+	var sent []*parcel
+	for i := 0; i < 6; i++ {
+		sent = append(sent, round())
+	}
+	for k := 3; k < len(sent); k++ {
+		if sent[k] == sent[k-1] || !slices.Contains(sent[:k-1], sent[k]) {
+			t.Fatalf("round %d filled array %p after %p; want one handed over rounds before", k, sent[k], sent[k-1])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { round() }); allocs != 0 {
+		t.Fatalf("a settled cross-shard round allocates %.0f times", allocs)
 	}
 }

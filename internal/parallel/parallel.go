@@ -15,13 +15,16 @@
 //     instead of O(goroutines).
 //   - Mailboxes and run queues are plain data private to the owning worker.
 //     A send to a process of the sender's own shard appends to the mailbox;
-//     any other goes to a per-target-shard outbox, published to the target
-//     shard's inbox under one hold of its leaf lock (mbMu) between two
-//     actions once it holds 32 messages — never in the middle of one — and
-//     before the worker releases its action lock. The receiver absorbs
-//     its inbox behind one atomic flag; a pauser absorbs every inbox, so a
-//     paused world has every in-flight message in a mailbox. Counters are
-//     per shard and summed at read, causal ids are drawn in blocks: a
+//     any other goes to a per-target-shard outbox, whose array is handed
+//     to the target shard's inbox whole, under one hold of its leaf lock
+//     (mbMu), between two actions once it holds 32 messages — never in the
+//     middle of one — and before the worker releases its action lock. The
+//     receiver absorbs its inbox behind one atomic flag; a pauser absorbs
+//     every inbox, so a paused world has every in-flight message in a
+//     mailbox. Arrays are recycled, not dropped: a drained mailbox's array
+//     goes to its shard's free list for the next empty mailbox, and a
+//     drained batch goes back to a sender at its next deposit. Counters
+//     are per shard and summed at read, causal ids are drawn in blocks: a
 //     message crosses the runtime without touching a cache line every
 //     worker writes.
 //   - Every action executes under the read side of its shard's action lock
@@ -372,8 +375,10 @@ func (rt *Runtime) Enqueue(to ref.Ref, msg sim.Message) {
 // undeliverable bounce.
 //
 // Locking: the caller is no worker, so the message goes to the owning shard's
-// inbox, under that shard's action read lock (any read side blocks pauseAll,
-// which takes every write side and then absorbs the inboxes).
+// inbox as a batch of one, under that shard's action read lock (any read
+// side blocks pauseAll, which takes every write side and then absorbs the
+// inboxes). Inject keeps no outbox: the drained array deposit hands back is
+// dropped.
 func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 	p := rt.lookup(to)
 	if p == nil || p.life.Load() == 2 {
@@ -396,7 +401,7 @@ func (rt *Runtime) Inject(to ref.Ref, msg sim.Message) bool {
 	}
 	_, ok := rt.admit(p, &msg)
 	if ok {
-		p.sh.deposit([]parcel{{to: p, msg: msg}})
+		_ = p.sh.deposit([]parcel{{to: p, msg: msg}})
 	}
 	return ok
 }

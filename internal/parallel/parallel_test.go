@@ -89,7 +89,7 @@ func TestMailboxBatchPop(t *testing.T) {
 			t.Fatalf("nextBatch = (%v, %d), want (%v, %d)", p, k, want.p, want.k)
 		}
 		for ; k > 0; k-- {
-			m := p.mb.pop()
+			m := p.mb.pop(&sh.free)
 			got = append(got, m.Label)
 		}
 	}
@@ -107,24 +107,24 @@ func TestMailboxBatchPop(t *testing.T) {
 	}
 	pa.exitPending.Store(false)
 	sh.makeRunnable(pa) // what a denial at a pause does
-	if p, k := sh.nextBatch(4); p != pa || k != 1 || pa.mb.pop().Label != "held" {
+	if p, k := sh.nextBatch(4); p != pa || k != 1 || pa.mb.pop(&sh.free).Label != "held" {
 		t.Fatal("a resumed process did not get its held mail")
 	}
 	// A settled mailbox reuses its array: put and pop allocate nothing, and
 	// a long queue reclaims its popped prefix instead of growing.
 	m := sim.NewMessage("x")
 	if allocs := testing.AllocsPerRun(100, func() {
-		pa.mb.put(&m)
-		pa.mb.put(&m)
-		pa.mb.pop()
-		pa.mb.pop()
+		pa.mb.put(&m, &sh.free)
+		pa.mb.put(&m, &sh.free)
+		pa.mb.pop(&sh.free)
+		pa.mb.pop(&sh.free)
 	}); allocs != 0 {
 		t.Fatalf("put/pop on a settled mailbox allocates (%.0f)", allocs)
 	}
 	for i := 0; i < 1000; i++ {
-		pa.mb.put(&m)
-		pa.mb.put(&m)
-		pa.mb.pop()
+		pa.mb.put(&m, &sh.free)
+		pa.mb.put(&m, &sh.free)
+		pa.mb.pop(&sh.free)
 	}
 	if pa.mb.len() != 1000 || cap(pa.mb.queue) > 4096 {
 		t.Fatalf("mailbox holds %d messages in an array of %d", pa.mb.len(), cap(pa.mb.queue))

@@ -35,9 +35,12 @@ const (
 // the process: only that worker touches it while the system runs (under its
 // action read lock), and a full pause, which excludes every worker, makes it
 // plain data for the pauser. A message for a process of another shard reaches
-// it through that shard's inbox (shard.deposit, shard.absorb). The mailbox of
-// a gone process RETAINS its queue: what was admitted before the exit stays
-// where it is, and nobody reads it again.
+// it through that shard's inbox (shard.deposit, shard.absorb). An empty
+// mailbox holds no array: pop hands a drained one to the shard's free list
+// and put takes one from there, so a shard's arrays number its peak of
+// non-empty mailboxes, not its processes. The mailbox of a gone process
+// RETAINS its queue: what was admitted before the exit stays where it is,
+// and nobody reads it again.
 type mailbox struct {
 	queue []sim.Message
 	head  int // queue[head:] is live; popped slots are reused by compaction
@@ -45,10 +48,14 @@ type mailbox struct {
 
 func (m *mailbox) len() int { return len(m.queue) - m.head }
 
-// put appends msg, first reclaiming the popped prefix once it is the larger
-// half of a long queue.
-func (m *mailbox) put(msg *sim.Message) {
-	if m.head > 64 && m.head >= len(m.queue)/2 {
+// put appends msg. An empty mailbox first takes an array from free; a long
+// one first reclaims its popped prefix once that is the larger half.
+func (m *mailbox) put(msg *sim.Message, free *[][]sim.Message) {
+	if m.queue == nil {
+		if k := len(*free) - 1; k >= 0 {
+			m.queue, *free = (*free)[k], (*free)[:k]
+		}
+	} else if m.head > 64 && m.head >= len(m.queue)/2 {
 		n := copy(m.queue, m.queue[m.head:])
 		m.queue, m.head = m.queue[:n], 0
 	}
@@ -56,12 +63,13 @@ func (m *mailbox) put(msg *sim.Message) {
 }
 
 // pop removes and returns the oldest message; the mailbox must not be empty.
-// A drained queue restarts at the front of its backing array.
-func (m *mailbox) pop() sim.Message {
+// A drained queue goes to free, its popped slots as they are.
+func (m *mailbox) pop(free *[][]sim.Message) sim.Message {
 	msg := m.queue[m.head]
 	m.head++
 	if m.head == len(m.queue) {
-		m.queue, m.head = m.queue[:0], 0
+		*free = append(*free, m.queue[:0])
+		m.queue, m.head = nil, 0
 	}
 	return msg
 }
@@ -111,12 +119,15 @@ type shard struct {
 	actMu sync.RWMutex
 
 	// mbMu guards what other goroutines leave for the worker: the inbox
-	// (messages admitted for owned processes by other shards' workers and by
-	// Inject) and the ready list. Strictly a leaf: no other lock is ever
-	// acquired under it. A sender takes it once per published batch, the
-	// worker once per absorb.
+	// (batches of messages admitted for owned processes by other shards'
+	// workers and by Inject), the batches absorb drained, and the ready
+	// list. Strictly a leaf: no other lock is ever acquired under it. A
+	// sender takes it once per published batch, the worker once per absorb.
 	mbMu  sync.Mutex //fdp:lockleaf
-	inbox []parcel
+	inbox [][]parcel
+	// drained holds the batches absorb emptied: a sender's deposit takes
+	// one back, emptied, for its next batch.
+	drained [][]parcel
 	// inboxFull is set, under mbMu, by whoever leaves something in inbox and
 	// cleared by absorb: the worker's check for mail is one load.
 	inboxFull atomic.Bool
@@ -152,13 +163,19 @@ type shard struct {
 	rqHead int
 
 	// outbox[k] collects the messages this worker admitted for processes of
-	// shard k, until flush publishes them to k's inbox: after the action in
-	// which it reached flushAt messages (due says one did), and before the
-	// worker lets go of actMu — a pauser never finds one non-empty. spare is
-	// the buffer absorb swaps the inbox for.
+	// shard k, until flush hands the array itself to k's inbox: after the
+	// action in which it reached flushAt messages (due says one did), and
+	// before the worker lets go of actMu — a pauser never finds one
+	// non-empty. spare is the list absorb swaps the inbox for, still naming
+	// the batches the last absorb emptied: the next absorb moves them to
+	// drained before it reuses the list.
 	outbox [][]parcel
 	due    bool
-	spare  []parcel
+	spare  [][]parcel
+
+	// free lists the arrays of drained mailboxes, each of length 0
+	// (mailbox.put, pop).
+	free [][]sim.Message
 
 	// handoffs counts the ledger debts this worker's actions took over, and
 	// commits the exits they committed, since the worker last added them to
@@ -258,7 +275,7 @@ func (rt *Runtime) push(p *proc, msg *sim.Message) bool {
 // enqueue puts an admitted message into the mailbox of p, which sh owns, and
 // makes p runnable. Caller is sh's worker, or has the world to itself.
 func (sh *shard) enqueue(p *proc, msg *sim.Message) {
-	p.mb.put(msg)
+	p.mb.put(msg, &sh.free)
 	sh.makeRunnable(p)
 }
 
@@ -286,14 +303,14 @@ func (sh *shard) post(p *proc, msg *sim.Message) {
 	}
 }
 
-// flush publishes the outbox for shard k to k's inbox.
+// flush hands the outbox for shard k to k's inbox and takes a drained array
+// back for the next batch.
 func (sh *shard) flush(k int) {
 	out := sh.outbox[k]
 	if len(out) == 0 {
 		return
 	}
-	sh.rt.shards[k].deposit(out)
-	sh.outbox[k] = out[:0]
+	sh.outbox[k] = sh.rt.shards[k].deposit(out)
 	sh.n.outboxFlushes.Add(1)
 	sh.n.outboxMessages.Add(uint64(len(out)))
 }
@@ -321,31 +338,43 @@ func (sh *shard) flushAll() {
 	sh.due = false
 }
 
-// deposit leaves a batch of admitted messages for sh's worker, under one
-// hold of the inbox lock, and wakes it. Callers hold some shard's action read
-// lock: the next pause absorbs the batch.
-func (sh *shard) deposit(batch []parcel) {
+// deposit leaves a batch of admitted messages for sh's worker, the array
+// itself, and wakes it; under the same hold of the inbox lock it takes an
+// array absorb drained (nil if there is none) and returns it, emptied, for
+// the sender's next batch. The batch is sh's worker's from here on.
+// Callers hold some shard's action read lock: the next pause absorbs the
+// batch.
+func (sh *shard) deposit(batch []parcel) []parcel {
 	sh.mbMu.Lock()
-	sh.inbox = append(sh.inbox, batch...)
+	sh.inbox = append(sh.inbox, batch)
+	var next []parcel
+	if k := len(sh.drained) - 1; k >= 0 {
+		next, sh.drained = sh.drained[k][:0], sh.drained[:k]
+	}
 	sh.inboxFull.Store(true)
 	sh.mbMu.Unlock()
 	sh.wake()
+	return next
 }
 
-// absorb moves what the inbox holds into the owned mailboxes. One load when
-// there is nothing. Caller is sh's worker under its action read lock, or a
-// pauser.
+// absorb moves what the inbox holds into the owned mailboxes, batch by batch
+// in the order they were deposited. One load when there is nothing. The
+// batches it empties go to drained at its next lock hold, their parcels as
+// they are. Caller is sh's worker under its action read lock, or a pauser.
 func (sh *shard) absorb() {
 	if !sh.inboxFull.Load() {
 		return
 	}
 	sh.mbMu.Lock()
+	sh.drained = append(sh.drained, sh.spare...)
 	in := sh.inbox
 	sh.inbox = sh.spare[:0]
 	sh.inboxFull.Store(false)
 	sh.mbMu.Unlock()
-	for i := range in {
-		sh.enqueue(in[i].to, &in[i].msg)
+	for _, b := range in {
+		for i := range b {
+			sh.enqueue(b[i].to, &b[i].msg)
+		}
 	}
 	sh.spare = in
 	sh.n.inboxAbsorbs.Add(1)
@@ -399,7 +428,7 @@ func (sh *shard) deliverRound() int {
 			break
 		}
 		for ; k > 0; k-- {
-			msg := p.mb.pop()
+			msg := p.mb.pop(&sh.free)
 			delivered++
 			stop := p.deliverAction(sh, &msg)
 			sh.flushDue()
