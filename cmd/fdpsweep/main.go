@@ -9,6 +9,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -21,15 +22,13 @@ import (
 
 	"fdp"
 	"fdp/internal/churn"
-	"fdp/internal/oracle"
-	"fdp/internal/sim"
-	"fdp/internal/trace"
 )
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated list, each item with parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
@@ -38,36 +37,7 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// journalRun opens one run's causal journal in dir, named after the sweep
-// coordinates so a failing CSV row maps straight to its journal, and hooks
-// the writer into the world. The caller closes the file after the run.
-func journalRun(dir string, cfg churn.Config, corr float64, seed int, w *sim.World) (*trace.Writer, *os.File, error) {
-	name := fmt.Sprintf("n%d_leave%.2f_corrupt%.2f_seed%d.jsonl",
-		cfg.N, cfg.LeaveFraction, corr, seed)
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return nil, nil, err
-	}
-	jw := trace.NewWriter(f, trace.Header{
-		Version:  trace.Version,
-		Engine:   trace.EngineSim,
-		Scenario: trace.ScenarioFor(cfg, "random"),
-	})
-	w.AddEventHook(jw.Record)
-	return jw, f, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func main() {
 	// Graceful ^C: the current run stops at its next step boundary, its
@@ -101,18 +71,10 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sizes, err := parseInts(*ns)
-	if err != nil {
-		fmt.Fprintln(stderr, "fdpsweep:", err)
-		return 2
-	}
-	fracs, err := parseFloats(*leaves)
-	if err != nil {
-		fmt.Fprintln(stderr, "fdpsweep:", err)
-		return 2
-	}
-	corrs, err := parseFloats(*corrupts)
-	if err != nil {
+	sizes, err1 := parseList(*ns, strconv.Atoi)
+	fracs, err2 := parseList(*leaves, parseFloat)
+	corrs, err3 := parseList(*corrupts, parseFloat)
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		fmt.Fprintln(stderr, "fdpsweep:", err)
 		return 2
 	}
@@ -142,51 +104,44 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 						fmt.Fprintln(stderr, "fdpsweep: interrupted; partial CSV above")
 						return 130
 					}
-					cfg := churn.Config{
-						N: n, Topology: topo, LeaveFraction: frac,
-						Pattern: churn.LeaveRandom,
-						Corrupt: churn.Corruption{
-							FlipBeliefs: corr, RandomAnchors: corr,
-							JunkMessages: int(corr * float64(n)),
-						},
-						Oracle: oracle.Single{}, Seed: int64(seed),
+					cfg := fdp.Config{
+						N: n, Topology: topo, LeaveFraction: frac, Seed: int64(seed),
+						CorruptBeliefs: corr, CorruptAnchors: corr, JunkMessages: int(corr * float64(n)),
+						MaxSteps: *maxSteps, CheckSafety: true, Stop: stop,
 					}
-					s := churn.Build(cfg)
-					var jw *trace.Writer
+					// One journal per run, named after the sweep coordinates
+					// so a failing CSV row maps straight to its journal.
 					var jf *os.File
 					if *journalDir != "" {
-						jw, jf, err = journalRun(*journalDir, cfg, corr, seed, s.World)
+						name := fmt.Sprintf("n%d_leave%.2f_corrupt%.2f_seed%d.jsonl", n, frac, corr, seed)
+						f, err := os.Create(filepath.Join(*journalDir, name))
 						if err != nil {
 							fmt.Fprintln(stderr, "fdpsweep: -journal-dir:", err)
 							return 2
 						}
+						jf, cfg.Journal = f, f
 					}
-					r := sim.Run(s.World, sim.NewRandomScheduler(int64(seed), 512), sim.RunOptions{
-						Variant: sim.FDP, MaxSteps: *maxSteps, CheckSafety: true,
-						Stop: stop,
-					})
-					if jw != nil {
-						if err := jw.Err(); err != nil {
-							jf.Close()
-							fmt.Fprintln(stderr, "fdpsweep: journal write:", err)
-							return 2
+					r, err := fdp.Simulate(cfg)
+					if jf != nil {
+						if cerr := jf.Close(); err == nil {
+							err = cerr
 						}
-						if err := jf.Close(); err != nil {
-							fmt.Fprintln(stderr, "fdpsweep: journal write:", err)
-							return 2
-						}
+					}
+					if err != nil {
+						fmt.Fprintln(stderr, "fdpsweep:", err)
+						return 2
 					}
 					if r.Interrupted {
 						fmt.Fprintln(stderr, "fdpsweep: interrupted; partial CSV above")
 						return 130
 					}
-					safetyOK := r.SafetyViolation == nil
+					safetyOK := !r.SafetyViolated
 					if !r.Converged || !safetyOK {
 						bad++
 					}
 					fmt.Fprintf(stdout, "%d,%.2f,%.2f,%d,%v,%d,%d,%d,%d,%v\n",
-						n, frac, corr, seed, r.Converged, r.Steps, r.Stats.Sent,
-						r.Stats.Exits, r.Stats.MaxChannel, safetyOK)
+						n, frac, corr, seed, r.Converged, r.Steps, r.MessagesSent,
+						r.Exits, r.MaxChannel, safetyOK)
 				}
 			}
 		}

@@ -62,3 +62,13 @@ func TestSweepNoJournalDir(t *testing.T) {
 		t.Fatalf("CSV header missing:\n%s", stdout.String())
 	}
 }
+
+// TestSweepRejectsAnUnhostableTopology: a size the topology cannot host is
+// a diagnosed exit 2, not a panic.
+func TestSweepRejectsAnUnhostableTopology(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-n", "12", "-seeds", "1", "-topology", "hypercube"}, &stdout, &stderr, nil)
+	if code != 2 || !strings.Contains(stderr.String(), "invalid configuration") {
+		t.Fatalf("fdpsweep exited %d\nstderr: %s", code, stderr.String())
+	}
+}

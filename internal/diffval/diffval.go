@@ -164,8 +164,8 @@ func (v Verdict) Agree() bool {
 // usable and unchanged. Gone processes are omitted — the runtime, like the
 // model, has no notion of a struct for a departed process. A world still at
 // its seal (sim.World.Sealed) is handed over: Start copies its ledger and
-// initial components instead of recounting them, unless w is stepped or
-// changed before then.
+// initial components instead of freezing the runtime and sealing that,
+// unless w is stepped or changed before then.
 func MirrorWorld(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 	return mirror(parallel.NewRuntime(orc), w)
 }

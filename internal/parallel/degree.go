@@ -3,8 +3,10 @@ package parallel
 // The runtime's side of the degree ledger, graph.Ledger (DESIGN.md §7), the
 // one both engines keep — and, for an oracle whose verdict is a function of
 // the degree (SINGLE), the whole of exit judgement: a leaver's answer is its
-// row's length, judged where the row changes. What concurrency adds
-// (DESIGN.md §12):
+// row's length, judged where the row changes. The runtime never counts the
+// rows from scratch itself: seal and every reseed copy them from a sealed
+// sim.World (sealedWorld), whose seed alone fixes the pair order, and the
+// updates below keep them current. What concurrency adds (DESIGN.md §12):
 //
 //   - Pair locks. Each pair update locks the two endpoints' degMu in
 //     reference order; they guard only the endpoints' rows and nest under
@@ -258,49 +260,6 @@ func (rt *Runtime) dropPairsOf(p *proc, pairs []graph.Pair) {
 	}
 }
 
-// forEachEdge calls edge(p, q) once for every edge of the current process
-// graph, from the end that holds the reference: every reference a live
-// process p stores or has queued in its mailbox, to a live process q other
-// than p — the same edges a frozen world's PG holds (references to
-// unregistered, gone or the holder's own process are none). Caller holds the
-// world paused (or the workers do not exist yet).
-func (rt *Runtime) forEachEdge(edge func(p, q *proc)) {
-	to := func(p *proc, r ref.Ref) {
-		if q := rt.lookup(r); q != nil && q != p && q.life.Load() != 2 {
-			edge(p, q)
-		}
-	}
-	for _, p := range rt.procs {
-		if p == nil || p.life.Load() == 2 {
-			continue
-		}
-		for _, r := range p.proto.Refs() {
-			to(p, r)
-		}
-		for _, m := range p.mb.queue[p.mb.head:] {
-			for _, ri := range m.Refs {
-				to(p, ri.Ref)
-			}
-		}
-	}
-}
-
-// resetLedger empties the ledger and gives every live leaver a row; then
-// seed counts each pair the forEachEdge walk yields and judgeAll judges every
-// leaver once. Same caller contract.
-func (rt *Runtime) resetLedger() {
-	rt.ledger.Reset(len(rt.procs))
-	for _, p := range rt.procs {
-		if p != nil && p.mode == sim.Leaving && p.life.Load() != 2 {
-			rt.ledger.Leave(p.id)
-		}
-	}
-}
-
-// seed counts one edge of the walk: no lock and no judgement, the world is
-// the caller's and judgeAll follows.
-func (rt *Runtime) seed(p, q *proc) { rt.ledger.Count(p.id, q.id, 1) }
-
 // judgeAll judges every live leaver on its freshly counted row and puts the
 // ones whose answer turned true on their shards' ready lists. It walks the
 // leavers alone (rt.leavers). Same caller contract.
@@ -319,33 +278,12 @@ func (rt *Runtime) judgeAll() {
 // reseedDegrees rebuilds the ledger from scratch — the counter analogue of
 // sim.World.InvalidatePG, due at the end of every Mutate, whose callback may
 // have rewritten protocol reference state or injected messages without
-// running any action (seal does the same in its own pass). Same caller
-// contract.
+// running any action, and after a stayer's exit, which leaves it in its
+// leaver neighbours' rows: it takes the rows of the runtime frozen and
+// sealed (sealedWorld) and judges every leaver again. Caller holds the
+// world paused.
 func (rt *Runtime) reseedDegrees() {
-	rt.resetLedger()
-	rt.forEachEdge(rt.seed)
+	led, _, _ := rt.sealedWorld()
+	rt.ledger.CopyOf(led, len(rt.procs))
 	rt.judgeAll()
-}
-
-// components returns the weakly connected components of the current process
-// graph — what freezeUnderPause().PG().WeaklyConnectedComponents() returns,
-// members and components in the same (reference) order — without building
-// the world. Same caller contract.
-func (rt *Runtime) components() [][]ref.Ref {
-	var uf graph.UnionFind
-	uf.Reset(len(rt.procs))
-	rt.forEachEdge(func(p, q *proc) { uf.Union(p.id, q.id) })
-	return rt.partition(&uf)
-}
-
-// partition lists uf's classes of live processes, members and classes in
-// reference order.
-func (rt *Runtime) partition(uf *graph.UnionFind) [][]ref.Ref {
-	var live []ref.Ref
-	for _, p := range rt.procs {
-		if p != nil && p.life.Load() != 2 {
-			live = append(live, p.id)
-		}
-	}
-	return uf.Partition(live)
 }

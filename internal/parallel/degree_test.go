@@ -151,6 +151,63 @@ func storeUnknownLeaver(v *MutableView, live []ref.Ref) bool {
 	return false
 }
 
+// TestMutateReseedMatchesFrozenWorld strikes a runtime on two, three and
+// four shards, after its workers' first iterations left mail in flight and
+// some leavers gone, with a Mutate that rewrites stored references: every
+// staying process drops a neighbour, and every live process learns one more.
+// The reseed must leave every live leaver's ledger degree at the frozen
+// world's RelevantDegree and its cached answer at SINGLE's verdict on that
+// degree.
+func TestMutateReseedMatchesFrozenWorld(t *testing.T) {
+	for _, shards := range []int{2, 3, 4} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rt, _, _ := buildShardedRuntime(60, 0.5, seed, core.VariantFDP, oracle.Single{}, shards)
+			rt.seal()
+			for range 3 {
+				for _, sh := range rt.shards {
+					sh.iterate()
+				}
+			}
+			// degrees reads every live leaver's degree in the frozen world.
+			degrees := func(w *sim.World) map[ref.Ref]int {
+				out := map[ref.Ref]int{}
+				for _, i := range rt.leavers {
+					if p := rt.procs[i]; p.life.Load() != 2 {
+						out[p.id], _ = w.RelevantDegree(p.id)
+					}
+				}
+				return out
+			}
+			before := degrees(rt.Freeze())
+			rt.Mutate(func(v *MutableView) {
+				live := v.Live()
+				for i, x := range live {
+					p := v.ProtocolOf(x).(*core.Proc)
+					if stored := p.NeighborRefs(); len(stored) > 0 && v.ModeOf(x) == sim.Staying {
+						p.RemoveNeighbor(stored[0])
+					}
+					if other := live[(i*7+int(seed))%len(live)]; other != x {
+						p.SetNeighbor(other, v.ModeOf(other))
+					}
+				}
+			})
+			after := degrees(rt.Freeze())
+			if reflect.DeepEqual(before, after) {
+				t.Fatalf("shards=%d seed %d: the strike moved no leaver's degree: the check shows nothing", shards, seed)
+			}
+			for u, want := range after {
+				if got := rt.ledger.Degree(u); got != want {
+					t.Fatalf("shards=%d seed %d: leaver %v has ledger degree %d after the strike, frozen world %d",
+						shards, seed, u, got, want)
+				}
+				if ok := rt.lookup(u).oracleOK.Load(); ok != (oracle.Single{}).JudgeDegree(want) {
+					t.Fatalf("shards=%d seed %d: leaver %v has degree %d and a cached answer %v", shards, seed, u, want, ok)
+				}
+			}
+		}
+	}
+}
+
 // TestDegreePathRefusesEveryExit asserts the degree path runs and still
 // refuses unsafe exits: with Always(false), over 50 ms of seeded virtual
 // time, no process may ever leave — and none is ever put on a ready list —
@@ -566,12 +623,12 @@ func TestGrantedExitIsFinal(t *testing.T) {
 	}
 }
 
-// TestComponentsMatchFrozenWorld is the property seal relies on: the
-// union-find partition (components) equals the frozen world's
-// PG().WeaklyConnectedComponents() — same sets, same order — on random
-// states with gone and asleep processes, references to gone, unregistered
-// and the holder's own process, and references in flight; at Start, and
-// after a strike that ends in Reseal.
+// TestComponentsMatchFrozenWorld: the initial components seal and Reseal
+// take from a sealed world equal the frozen world's
+// PG().WeaklyConnectedComponents(), built from scratch — same sets, same
+// order — on random states with gone and asleep processes, references to
+// gone, unregistered and the holder's own process, and references in
+// flight; at Start, and after a strike that ends in Reseal.
 func TestComponentsMatchFrozenWorld(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -616,7 +673,7 @@ func TestComponentsMatchFrozenWorld(t *testing.T) {
 			}
 		}
 		rt.seal()
-		if want := rt.freezeUnderPause().PG().WeaklyConnectedComponents(); !reflect.DeepEqual(rt.initially, want) {
+		if want := rt.Freeze().PG().WeaklyConnectedComponents(); !reflect.DeepEqual(rt.initially, want) {
 			t.Fatalf("seed %d: seal found %v, frozen world %v", seed, rt.initially, want)
 		}
 		var want [][]ref.Ref

@@ -17,8 +17,8 @@ import (
 // a message is in flight from the moment it is admitted, in an outbox, an
 // inbox or a mailbox, and a pauser finds every one of them in a mailbox.
 
-// TestInFlightConservation pauses a running multi-shard churn at random
-// instants and holds the pause to its promise. Every outbox is empty (workers
+// TestInFlightConservation pauses a running multi-shard churn three times
+// at once, then at random instants, and holds the pause to its promise. Every outbox is empty (workers
 // flush before they unlock), every inbox is empty (pauseAll absorbed them),
 // so each live process's mailbox holds exactly what its depth
 // counter says was admitted and not delivered, and the frozen world's channel
@@ -37,7 +37,11 @@ func TestInFlightConservation(t *testing.T) {
 		deadline := time.Now().Add(30 * time.Second)
 		checks, queued := 0, 0
 		for rt.Gone() < uint64(leaving.Len()) && time.Now().Before(deadline) {
-			time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+			// The first three pauses come at once: on a loaded host a
+			// sleep can outlast the whole run.
+			if checks >= 3 {
+				time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+			}
 			rt.pauseAll()
 			checks++
 			for _, sh := range rt.shards {
@@ -427,6 +431,28 @@ func TestDrainedMailboxLendsItsArray(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a message to an empty mailbox and its delivery allocate %.0f times", allocs)
+	}
+}
+
+// TestExitStampsFillTheirSealedRoom: seal gives each shard room for one
+// exit stamp per leaver dealt to it, so a run in which every leaver exits
+// fills each shard's exitLat to exactly that room and never regrows it.
+func TestExitStampsFillTheirSealedRoom(t *testing.T) {
+	for _, shards := range []int{2, 3} {
+		rt, _, leaving := buildShardedRuntime(90, 0.5, 5, core.VariantFDP, oracle.Single{}, shards)
+		if !rt.RunSeeded(5, func(w *sim.World) bool { return w.Legitimate(sim.FDP) }, time.Millisecond, 10*time.Second) {
+			t.Fatalf("shards=%d: the run did not converge", shards)
+		}
+		dealt := make([]int, shards)
+		for _, r := range leaving.Sorted() {
+			dealt[rt.lookup(r).sh.idx]++
+		}
+		for i, sh := range rt.shards {
+			if len(sh.exitLat) != dealt[i] || cap(sh.exitLat) != dealt[i] {
+				t.Fatalf("shards=%d: shard %d stamped %d exits in room for %d, %d leavers dealt to it",
+					shards, i, len(sh.exitLat), cap(sh.exitLat), dealt[i])
+			}
+		}
 	}
 }
 

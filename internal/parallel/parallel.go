@@ -262,8 +262,9 @@ type Runtime struct {
 
 	// from is the sealed world the runtime was mirrored from and fromGen
 	// the generation of its seal (HandOver); seal takes the ledger and
-	// components from it while it is still at that seal. Nil once seal ran,
-	// or AddProcess, Enqueue, ForceAsleep or Mutate changed the runtime.
+	// components from it while it is still at that seal (sealedWorld). Nil
+	// once seal ran, or AddProcess, Enqueue, ForceAsleep or Mutate changed
+	// the runtime.
 	from    *sim.World
 	fromGen uint64
 }
@@ -421,9 +422,10 @@ func (rt *Runtime) ForceAsleep(r ref.Ref) {
 // modes, lives, stored references, channels — as mirrored from it, if w is
 // at its seal (sim.World.Sealed). Start (or RunSeeded) then takes w's
 // initial components and, for a degree oracle, a copy of its ledger instead
-// of recounting them, if w is still at that seal; otherwise, or once
-// AddProcess, Enqueue, ForceAsleep or Mutate follows, it recounts. The
-// components are shared with w: neither modifies them. Call it before Start.
+// of freezing the runtime and sealing that, if w is still at that seal;
+// otherwise, or once AddProcess, Enqueue, Inject, ForceAsleep or Mutate
+// follows, it freezes and seals. The components are shared with w: neither
+// modifies them. Call it before Start.
 func (rt *Runtime) HandOver(w *sim.World) {
 	if _, _, gen := w.Sealed(); gen != 0 {
 		rt.from, rt.fromGen = w, gen
@@ -769,43 +771,65 @@ func (rt *Runtime) Start() {
 
 // seal captures the initial state before anything runs: the component
 // partition safety is judged against and, for a degree-judged oracle, the
-// relevant-degree ledger. Start and RunSeeded are its callers outside tests;
-// a test that calls it to read the seeded state or to drive a shard by hand
-// (no worker, no coordinator) must call it once and must not call Start
-// afterwards. It reports whether it took the hand-over.
+// relevant-degree ledger, both from a sealed world (sealedWorld). Start and
+// RunSeeded are its callers outside tests; a test that calls it to read the
+// seeded state or to drive a shard by hand (no worker, no coordinator) must
+// call it once and must not call Start afterwards. It reports whether it
+// took the hand-over.
 func (rt *Runtime) seal() (handed bool) {
 	// Degree-judged oracle: maintain the ledger so exits are judged on it
 	// without cloning the world. Set here, before the workers exist, and
 	// every leaver judged once; admit/deliver/action-diff keep it current
-	// from here on (degree.go). A world still at the seal the runtime was
-	// mirrored after has both counted already, in the order the walk below
-	// counts them: copy them. Otherwise seed the ledger in the pass that
-	// finds the components.
+	// from here on (degree.go).
 	rt.jd, _ = rt.oracle.(degreeOracle)
-	led, comps, handed := rt.handedOver()
-	switch {
-	case handed:
-		rt.initially = comps
-		if rt.jd != nil {
-			rt.ledger.CopyOf(led, len(rt.procs))
-			rt.judgeAll()
-			rt.orderLaps()
-		}
-	case rt.jd != nil:
-		var uf graph.UnionFind
-		uf.Reset(len(rt.procs))
-		rt.resetLedger()
-		rt.forEachEdge(func(p, q *proc) {
-			uf.Union(p.id, q.id)
-			rt.seed(p, q)
-		})
+	led, comps, handed := rt.sealedWorld()
+	rt.initially = comps
+	if rt.jd != nil {
+		rt.ledger.CopyOf(led, len(rt.procs))
 		rt.judgeAll()
 		rt.orderLaps()
-		rt.initially = rt.partition(&uf)
-	default:
-		rt.initially = rt.components()
+	}
+	// Room for an exit stamp per leaver dealt to each shard, in one array:
+	// finishExit appends without growing it.
+	dealt := make([]int, len(rt.shards)+1)
+	for _, i := range rt.leavers {
+		dealt[rt.procs[i].sh.idx+1]++
+	}
+	lat := make([]time.Duration, len(rt.leavers))
+	for k, sh := range rt.shards {
+		dealt[k+1] += dealt[k]
+		sh.exitLat = lat[dealt[k]:dealt[k]:dealt[k+1]]
 	}
 	return handed
+}
+
+// sealedWorld returns what sim.World.Sealed hands out for a sealed world
+// holding the runtime's current state — the ledger, whose rows hold their
+// pairs in the order sim's seed counts them, and the initial components —
+// and whether that world was the hand-over: the world HandOver named while
+// it is still at the seal the runtime was mirrored after, and nothing was
+// Injected since. Otherwise it is the runtime frozen (freezeUnderPause) and
+// sealed on the spot. Every inbox is absorbed first, so a message Injected
+// before Start is counted like one Enqueued. It forgets the hand-over either
+// way. Caller holds the world paused (or the workers do not exist yet).
+func (rt *Runtime) sealedWorld() (led *graph.Ledger, comps [][]ref.Ref, handed bool) {
+	w, gen := rt.from, rt.fromGen
+	rt.from = nil
+	for _, sh := range rt.shards {
+		if sh.inboxFull.Load() {
+			sh.absorb()
+			w = nil
+		}
+	}
+	if w != nil {
+		if led, comps, now := w.Sealed(); now == gen {
+			return led, comps, true
+		}
+	}
+	w = rt.freezeUnderPause()
+	w.SealInitialState()
+	led, comps, _ = w.Sealed()
+	return led, comps, false
 }
 
 // orderLaps puts every leaver, and every process in a leaver's ledger row,
@@ -840,19 +864,6 @@ func (rt *Runtime) orderLaps() {
 		}
 		sh.pids = append(front, rest...)
 	}
-}
-
-// handedOver returns the ledger and initial components of the world
-// HandOver named, and true while that world is still at the seal the runtime
-// was mirrored after. It forgets the hand-over either way.
-func (rt *Runtime) handedOver() (*graph.Ledger, [][]ref.Ref, bool) {
-	w, gen := rt.from, rt.fromGen
-	rt.from = nil
-	if w == nil {
-		return nil, nil, false
-	}
-	led, comps, now := w.Sealed()
-	return led, comps, now == gen
 }
 
 // coordinate is the coordinator's goroutine: it drives epoch on the wall
@@ -1235,5 +1246,5 @@ func (v *MutableView) ChannelSnapshot(r ref.Ref) []sim.Message {
 // post-fault state is the new "arbitrary initial state" convergence is
 // measured from, exactly like faults.Strike's re-seal on the simulator.
 func (v *MutableView) Reseal() {
-	v.rt.initially = v.rt.components()
+	_, v.rt.initially, _ = v.rt.sealedWorld()
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // mirrorByHand builds what diffval.MirrorWorld builds, process by process
-// and with no hand-over: its seal recounts.
+// and with no hand-over: its seal freezes the runtime and seals that.
 func mirrorByHand(w *sim.World, orc parallel.Oracle) *parallel.Runtime {
 	rt := parallel.NewRuntime(orc)
 	w.CloneLive(func(r ref.Ref, mode sim.Mode, life sim.Life, proto sim.Protocol, ch []sim.Message) {
@@ -96,8 +96,9 @@ func asleep(w *sim.World) int {
 
 // TestHandOverMatchesRecount seals, on three shards, a runtime mirrored from
 // a sealed world (it copies the world's ledger and components) and one built
-// process by process from the same world (it recounts them), under SINGLE
-// and under NIDEC, which keeps no ledger. Both must leave the same rows with
+// process by process from the same world (it freezes itself and seals the
+// frozen world), under SINGLE and under NIDEC, which keeps no ledger: the
+// hand-over must equal freeze-and-seal. Both must leave the same rows with
 // their pairs in the same order, the same cached answers, ready lists,
 // timeout laps (leavers and their row members first under SINGLE) and
 // initial components. The hand-over runtime then runs for a while, and the
@@ -115,14 +116,14 @@ func TestHandOverMatchesRecount(t *testing.T) {
 				handed := onShards(3, func() *parallel.Runtime { return diffval.MirrorWorld(s.World, orc) })
 				recount := onShards(3, func() *parallel.Runtime { return mirrorByHand(s.World, orc) })
 				if !parallel.Seal(handed) {
-					t.Fatal("the mirrored runtime recounted a sealed world")
+					t.Fatal("the mirrored runtime froze itself instead of taking the hand-over")
 				}
 				if parallel.Seal(recount) {
 					t.Fatal("a runtime built process by process took a hand-over")
 				}
 				got, want := parallel.SealedState(handed), parallel.SealedState(recount)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("hand-over seal differs from the recount:\n got %+v\nwant %+v", got, want)
+					t.Fatalf("hand-over seal differs from freeze-and-seal:\n got %+v\nwant %+v", got, want)
 				}
 				if !reflect.DeepEqual(got.Components, s.World.InitialComponents()) {
 					t.Fatal("the runtime's initial components are not the world's")
@@ -162,8 +163,8 @@ func hasRows(s parallel.SealState) bool {
 
 // TestRuntimeChangesDropTheHandOver: an Enqueue, ForceAsleep, AddProcess or
 // Mutate after MirrorWorld makes the runtime differ from the sealed world, so
-// its seal recounts, and it leaves what a runtime built by hand with the same
-// change leaves.
+// its seal freezes the runtime and seals that, and it leaves what a runtime
+// built by hand with the same change leaves.
 func TestRuntimeChangesDropTheHandOver(t *testing.T) {
 	s := churn.Build(churn.Config{N: 100, Topology: churn.TopoRandom, LeaveFraction: 0.5,
 		Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 4})
@@ -195,15 +196,16 @@ func TestRuntimeChangesDropTheHandOver(t *testing.T) {
 			}
 			parallel.Seal(recount)
 			if got, want := parallel.SealedState(handed), parallel.SealedState(recount); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recount after %s differs from the hand-built runtime's:\n got %+v\nwant %+v", name, got, want)
+				t.Fatalf("seal after %s differs from the hand-built runtime's:\n got %+v\nwant %+v", name, got, want)
 			}
 		})
 	}
 }
 
 // TestSteppedWorldRecounts: a world stepped between MirrorWorld and Start no
-// longer is the state the runtime holds, so the runtime recounts, and its run
-// still converges with the relevant components intact.
+// longer is the state the runtime holds, so the runtime freezes itself and
+// seals that, and its run still converges with the relevant components
+// intact.
 func TestSteppedWorldRecounts(t *testing.T) {
 	s := churn.Build(churn.Config{N: 200, Topology: churn.TopoRandom, LeaveFraction: 0.5,
 		Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 9})
@@ -242,9 +244,10 @@ func TestHandedOverRunConverges(t *testing.T) {
 }
 
 // TestHandOverSealAllocates pins the hand-over seal of an n = 10,000 world
-// with half of it leaving to a handful of allocations: the ledger's tables
-// and one backing array for the rows, with no allocation per process. The
-// recount made ~20,700.
+// with half of it leaving to a handful of allocations: the ledger's tables,
+// one backing array for the rows and one for the exit stamps, with no
+// allocation per process. Freezing and sealing the same runtime makes
+// ~30,600.
 func TestHandOverSealAllocates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n = 10,000 world")
@@ -283,8 +286,8 @@ func (c countingRefs) Refs() []ref.Ref {
 
 // TestHandOverSealReadsNoStore: a hand-over seal takes the ledger and the
 // components from the world and reads no process's stored references — the
-// next action of each process takes its own diff base — while a recount of
-// the same world reads every store.
+// next action of each process takes its own diff base — while freezing and
+// sealing the same runtime reads every store.
 func TestHandOverSealReadsNoStore(t *testing.T) {
 	for _, leave := range []float64{0.02, 0.5} {
 		s := churn.Build(churn.Config{N: 500, Topology: churn.TopoRandom, LeaveFraction: leave,
@@ -310,7 +313,7 @@ func TestHandOverSealReadsNoStore(t *testing.T) {
 					t.Fatalf("leave=%v %T: the hand-over seal called Refs %d times", leave, orc, calls)
 				}
 				if !handOver && calls == 0 {
-					t.Fatalf("leave=%v %T: the recount read no store: the counter shows nothing", leave, orc)
+					t.Fatalf("leave=%v %T: freeze-and-seal read no store: the counter shows nothing", leave, orc)
 				}
 			}
 		}
@@ -320,8 +323,8 @@ func TestHandOverSealReadsNoStore(t *testing.T) {
 // BenchmarkSeal prices Start's seal at n = 10,000 (random topology, as
 // rt_churn and rt_sparse build it) with half and with 2 % of the processes
 // leaving, on the hand-over path (MirrorWorld from the sealed world) and on
-// the recount path (the runtime built process by process). The runtime is
-// built outside the timer.
+// the recount path (the runtime built process by process, frozen and
+// sealed). The runtime is built outside the timer.
 func BenchmarkSeal(b *testing.B) {
 	for _, leave := range []float64{0.5, 0.02} {
 		s := churn.Build(churn.Config{N: 10000, Topology: churn.TopoRandom, LeaveFraction: leave,
@@ -341,4 +344,77 @@ func BenchmarkSeal(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestSealCountsInjectedMail: a message Injected before Start waits in its
+// target shard's inbox, and the seal must count its references like those of
+// an Enqueued one — in every leaver's ledger degree and in the initial
+// components — or its delivery later takes away pairs that were never
+// added. Once on a world handed over by MirrorWorld, whose hand-over the
+// Inject must void, and once on a runtime of three processes built by hand
+// on two shards.
+func TestSealCountsInjectedMail(t *testing.T) {
+	present := func(u ref.Ref) sim.Message {
+		return sim.NewMessage(core.LabelPresent, sim.RefInfo{Ref: u, Mode: sim.Leaving})
+	}
+	check := func(t *testing.T, rt *parallel.Runtime, u ref.Ref, before int) {
+		t.Helper()
+		if parallel.Seal(rt) {
+			t.Error("seal took the hand-over past an Inject")
+		}
+		sealed := parallel.SealedState(rt)
+		w := rt.Freeze()
+		for i, v := range w.Refs() {
+			if w.ModeOf(v) != sim.Leaving {
+				continue
+			}
+			got, want := len(sealed.Rows[i]), 0
+			if want, _ = w.RelevantDegree(v); v == u && want == before {
+				t.Fatalf("the injected message moved no degree of %v: the check shows nothing", u)
+			}
+			if got != want {
+				t.Errorf("leaver %v: sealed degree %d, frozen world %d", v, got, want)
+			}
+		}
+		w.SealInitialState()
+		if want := w.InitialComponents(); !reflect.DeepEqual(sealed.Components, want) {
+			t.Errorf("sealed components %v, frozen world %v", sealed.Components, want)
+		}
+	}
+
+	t.Run("handed-over", func(t *testing.T) {
+		s := churn.Build(churn.Config{N: 20, Topology: churn.TopoLine, LeaveFraction: 0.5,
+			Pattern: churn.LeaveRandom, Oracle: oracle.Single{}, Seed: 3})
+		u, pg := s.LeavingNodes()[0], s.World.PG()
+		var x ref.Ref
+		for _, x = range s.StayingNodes() {
+			if pg.EdgeCount(u, x)+pg.EdgeCount(x, u) == 0 {
+				break
+			}
+		}
+		before, _ := s.World.RelevantDegree(u)
+		rt := onShards(2, func() *parallel.Runtime { return diffval.MirrorWorld(s.World, oracle.Single{}) })
+		if !rt.Inject(x, present(u)) {
+			t.Fatal("Inject refused the message")
+		}
+		check(t, rt, u, before)
+	})
+
+	t.Run("by-hand", func(t *testing.T) {
+		nodes := ref.NewSpace().NewN(3)
+		u, a, b := nodes[0], nodes[1], nodes[2]
+		rt := parallel.NewRuntime(oracle.Single{})
+		rt.SetShards(2)
+		pu, pa, pb := core.New(core.VariantFDP), core.New(core.VariantFDP), core.New(core.VariantFDP)
+		pu.SetNeighbor(a, sim.Staying)
+		pa.SetNeighbor(u, sim.Leaving)
+		pb.SetNeighbor(a, sim.Staying)
+		rt.AddProcess(u, sim.Leaving, pu)
+		rt.AddProcess(a, sim.Staying, pa)
+		rt.AddProcess(b, sim.Staying, pb)
+		if !rt.Inject(b, present(u)) {
+			t.Fatal("Inject refused the message")
+		}
+		check(t, rt, u, 1)
+	})
 }
